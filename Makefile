@@ -43,13 +43,16 @@ race-smoke:
 # budget (≤3 allocs end to end across both dispatch modes), the obs
 # heartbeat zero-alloc contract, and the queue-op pin (Best/Scheduled/
 # Unscheduled at 0 allocs/op on a warm queue for the DSL, BST, and Det
-# backends). Run without -race — the race runtime randomizes sync.Pool
-# reuse and inflates allocation counts, so the pins skip themselves.
+# backends), and the event queue's FIFO lane (PushOrdered + drain at 0
+# allocs once the ring is warm). Run without -race — the race runtime
+# randomizes sync.Pool reuse and inflates allocation counts, so the pins skip
+# themselves.
 alloc-pins:
 	$(GO) test -count=1 -run 'TestScenarioAllocs|TestHeartbeatBareAllocs' \
 		./internal/cluster/ ./internal/obs/
 	$(GO) test -count=1 -run 'TestQueueOpAllocs' ./internal/dsl/
 	$(GO) test -count=1 -run 'TestAlwaysAdmitAllocs' ./internal/admission/
+	$(GO) test -count=1 -run 'TestQueueOrderedAllocs' ./internal/simtime/
 
 # The CI gate: formatting, static analysis, the tier-1 suite, the
 # concurrency race smoke, and the allocation pins.

@@ -9,6 +9,7 @@ package cluster_test
 
 import (
 	"reflect"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -19,18 +20,29 @@ import (
 	"repro/internal/workflow"
 )
 
-// simMetricNames are the simulator-owned series a run flushes; equal values
+// simMetrics are the simulator-owned series a run flushes; equal values
 // across two identical runs on the same pooled simulator prove no tally
 // survived Release.
-var simMetricNames = []string{
-	obs.MetricSimArenaCapacity,
-	obs.MetricSimArenaReuses,
-	obs.MetricSimArenaGrows,
-	obs.MetricSimDrainBatches,
-	obs.MetricSimDrainCoalesced,
+var simMetrics = []struct {
+	name string
+	read func(*obs.Obs) int64
+}{
+	{obs.MetricSimArenaCapacity, func(o *obs.Obs) int64 { return o.SimArenaCapacity().Value() }},
+	{obs.MetricSimArenaReuses, func(o *obs.Obs) int64 { return o.SimArenaReuses().Value() }},
+	{obs.MetricSimArenaGrows, func(o *obs.Obs) int64 { return o.SimArenaGrows().Value() }},
+	{obs.MetricSimDrainBatches, func(o *obs.Obs) int64 { return o.SimDrainBatches().Value() }},
+	{obs.MetricSimDrainCoalesced, func(o *obs.Obs) int64 { return o.SimDrainCoalesced().Value() }},
+	{obs.MetricSimEventLanePushes, func(o *obs.Obs) int64 { return o.SimEventLanePushes().Value() }},
+	{obs.MetricSimEventLaneFallbacks, func(o *obs.Obs) int64 { return o.SimEventLaneFallbacks().Value() }},
+	{obs.MetricSimSpecGateSkips, func(o *obs.Obs) int64 { return o.SimSpecGateSkips().Value() }},
 }
 
 func TestReleaseReuseInstrumentationHygiene(t *testing.T) {
+	// A collection between Release and the rerun empties sync.Pool and the
+	// rerun then starts cold; hold the collector off so the warm-capacity
+	// assertions below test Release, not GC timing.
+	gcPercent := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(gcPercent) })
 	cfg := cluster.Config{
 		Nodes: 4, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1, Seed: 3,
 		HeartbeatInterval:   2 * time.Second,
@@ -66,19 +78,8 @@ func TestReleaseReuseInstrumentationHygiene(t *testing.T) {
 		}
 		sim.Release() // the second call draws this state back out
 		vals := make(map[string]int64)
-		for _, name := range simMetricNames {
-			switch name {
-			case obs.MetricSimArenaCapacity:
-				vals[name] = o.SimArenaCapacity().Value()
-			case obs.MetricSimArenaReuses:
-				vals[name] = o.SimArenaReuses().Value()
-			case obs.MetricSimArenaGrows:
-				vals[name] = o.SimArenaGrows().Value()
-			case obs.MetricSimDrainBatches:
-				vals[name] = o.SimDrainBatches().Value()
-			case obs.MetricSimDrainCoalesced:
-				vals[name] = o.SimDrainCoalesced().Value()
-			}
+		for _, m := range simMetrics {
+			vals[m.name] = m.read(o)
 		}
 		return res, vals
 	}
@@ -88,17 +89,23 @@ func TestReleaseReuseInstrumentationHygiene(t *testing.T) {
 	if !reflect.DeepEqual(firstRes, secondRes) {
 		t.Errorf("pooled reuse changed the result:\nfirst:  %+v\nsecond: %+v", firstRes, secondRes)
 	}
-	// Identical runs flush identical drain tallies into their fresh
-	// registries: any surplus in the second run is prior-run state leaking
-	// through the pool.
-	for _, name := range []string{obs.MetricSimDrainBatches, obs.MetricSimDrainCoalesced} {
+	// Identical runs flush identical drain, lane and gate tallies into their
+	// fresh registries: any surplus in the second run is prior-run state
+	// leaking through the pool.
+	for _, name := range []string{
+		obs.MetricSimDrainBatches, obs.MetricSimDrainCoalesced,
+		obs.MetricSimEventLanePushes, obs.MetricSimEventLaneFallbacks, obs.MetricSimSpecGateSkips,
+	} {
 		if firstVals[name] != secondVals[name] {
 			t.Errorf("%s: first run flushed %d, pooled rerun flushed %d (Release leaked state)",
 				name, firstVals[name], secondVals[name])
 		}
 	}
-	if firstVals[obs.MetricSimDrainBatches] == 0 {
-		t.Error("drain-batch counter never moved; instrumentation not wired")
+	// This is a heartbeat run with speculation on, so all three moved.
+	for _, name := range []string{obs.MetricSimDrainBatches, obs.MetricSimEventLanePushes, obs.MetricSimSpecGateSkips} {
+		if firstVals[name] == 0 {
+			t.Errorf("%s never moved; instrumentation not wired", name)
+		}
 	}
 	// Free-list reuse is within-run recycling, deterministic for identical
 	// runs regardless of pool warmth; a tally surviving Release would

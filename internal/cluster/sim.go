@@ -49,9 +49,21 @@ type Simulator struct {
 	// the first in each batch, flushed to metrics at the end of Run.
 	drainBatches   int
 	drainCoalesced int
+	// lanePushes/laneFallbacks tally heartbeat arms that took the event
+	// queue's FIFO lane and those that fell back to its heap; specGateSkips
+	// tallies speculate calls answered by the specNext gate. Flushed with the
+	// drain tallies.
+	lanePushes    int
+	laneFallbacks int
+	specGateSkips int
 	// specWake is the earliest armed speculative wake-up (MaxTime = none),
 	// preventing duplicate retry events.
 	specWake simtime.Time
+	// specNext is a lower bound on the crossing instant of every entry in
+	// either overdue heap (MaxTime when both are empty): armSpeculativeWake
+	// sets it to the earlier heap top, pushOverdue lowers it. While
+	// now < specNext nothing can be overdue, which is speculate's gate.
+	specNext simtime.Time
 
 	// adm is the admission front door consulted at each arrival (nil, the
 	// default, admits everything on the untouched fast path).
@@ -92,6 +104,9 @@ type Simulator struct {
 	arenaGrows     *obs.Counter
 	drainBatchCtr  *obs.Counter
 	drainCoalesCtr *obs.Counter
+	lanePushCtr    *obs.Counter
+	laneFallCtr    *obs.Counter
+	specGateCtr    *obs.Counter
 
 	ran bool
 }
@@ -275,8 +290,8 @@ func (s *Simulator) reset(cfg Config, pol Policy, obs Observer) {
 	s.batch = s.batch[:0]
 	s.now = simtime.Epoch
 	s.arrivalsLeft, s.doneCount, s.taskSeq, s.eventCount = 0, 0, 0, 0
-	s.drainBatches, s.drainCoalesced = 0, 0
-	s.specWake = simtime.MaxTime
+	s.clearRunTallies()
+	s.specWake, s.specNext = simtime.MaxTime, simtime.MaxTime
 	s.arrivalTimes = s.arrivalTimes[:0]
 	s.arrIdx = 0
 	s.mapBusy, s.reduceBusy = 0, 0
@@ -308,9 +323,15 @@ func (s *Simulator) Release() {
 	s.arena.reset()
 	s.events.Reset()
 	s.batch = s.batch[:0]
-	s.drainBatches, s.drainCoalesced = 0, 0
+	s.clearRunTallies()
 	s.clearInstruments()
 	simPool.Put(s)
+}
+
+// clearRunTallies zeroes the plain-int tallies flushRunMetrics publishes.
+func (s *Simulator) clearRunTallies() {
+	s.drainBatches, s.drainCoalesced = 0, 0
+	s.lanePushes, s.laneFallbacks, s.specGateSkips = 0, 0, 0
 }
 
 func (s *Simulator) clearInstruments() {
@@ -318,6 +339,7 @@ func (s *Simulator) clearInstruments() {
 	s.offerCount, s.hbSupBusy, s.hbSupDrained, s.specWakeups = nil, nil, nil, nil
 	s.arenaCap, s.arenaReuses, s.arenaGrows = nil, nil, nil
 	s.drainBatchCtr, s.drainCoalesCtr = nil, nil
+	s.lanePushCtr, s.laneFallCtr, s.specGateCtr = nil, nil, nil
 }
 
 // SetInstrumentation attaches the runtime observability bundle: simulated
@@ -342,6 +364,9 @@ func (s *Simulator) SetInstrumentation(o *obs.Obs) {
 	s.arenaGrows = o.SimArenaGrows()
 	s.drainBatchCtr = o.SimDrainBatches()
 	s.drainCoalesCtr = o.SimDrainCoalesced()
+	s.lanePushCtr = o.SimEventLanePushes()
+	s.laneFallCtr = o.SimEventLaneFallbacks()
+	s.specGateCtr = o.SimSpecGateSkips()
 	o.Health().SetSlots(s.cfg.MapSlots(), s.cfg.ReduceSlots())
 	// Workflows submitted before instrumentation was attached still join
 	// the health table.
@@ -351,8 +376,8 @@ func (s *Simulator) SetInstrumentation(o *obs.Obs) {
 	}
 }
 
-// flushRunMetrics publishes the per-run arena/drain tallies once, at the end
-// of Run.
+// flushRunMetrics publishes the per-run arena, drain, lane and gate tallies
+// once, at the end of Run.
 func (s *Simulator) flushRunMetrics() {
 	if s.ins == nil {
 		return
@@ -362,6 +387,9 @@ func (s *Simulator) flushRunMetrics() {
 	s.arenaGrows.Add(int64(s.arena.grown))
 	s.drainBatchCtr.Add(int64(s.drainBatches))
 	s.drainCoalesCtr.Add(int64(s.drainCoalesced))
+	s.lanePushCtr.Add(int64(s.lanePushes))
+	s.laneFallCtr.Add(int64(s.laneFallbacks))
+	s.specGateCtr.Add(int64(s.specGateSkips))
 }
 
 // SetAdmission installs the admission front door consulted when each
@@ -575,11 +603,18 @@ func (s *Simulator) heartbeat(node int) {
 	s.rearmHeartbeat(node)
 }
 
-// armHeartbeat schedules node's next heartbeat tick.
+// armHeartbeat schedules node's next heartbeat tick. Re-arms at now +
+// interval reach the queue already in firing order, so they ride its FIFO
+// lane; the rest (wake-ups, drained skips, recoveries) may land before the
+// lane's tail and fall back to the heap. Pop order is the same either way.
 func (s *Simulator) armHeartbeat(node int, at simtime.Time) {
 	s.nodes[node].hbArmed = true
 	s.nodes[node].parked = false
-	s.events.Push(at, event{kind: evHeartbeat, a: int32(node)})
+	if s.events.PushOrdered(at, event{kind: evHeartbeat, a: int32(node)}) {
+		s.lanePushes++
+	} else {
+		s.laneFallbacks++
+	}
 }
 
 // rearmHeartbeat decides when node ticks next. The default is one interval
@@ -906,7 +941,7 @@ func (s *Simulator) offer(node int, st SlotType) bool {
 	rec.live = true
 	s.linkRunning(node, h)
 	if s.cfg.SpeculativeSlowdown != 0 {
-		s.overdue[st].push(s.specCrossing(rec), rec.seq, h, rec.gen)
+		s.pushOverdue(h)
 	}
 	s.events.Push(end, event{kind: evComplete, a: h, gen: rec.gen})
 	return true
@@ -946,7 +981,17 @@ func (s *Simulator) detachTwin(h int32) {
 	rec.twin = nilAttempt
 	rec.speculative = false // it now carries the task outright
 	if s.cfg.SpeculativeSlowdown != 0 {
-		s.overdue[rec.st].push(s.specCrossing(rec), rec.seq, h, rec.gen)
+		s.pushOverdue(h)
+	}
+}
+
+// pushOverdue makes live attempt h a speculation candidate.
+func (s *Simulator) pushOverdue(h int32) {
+	rec := &s.arena.recs[h]
+	at := s.specCrossing(rec)
+	s.overdue[rec.st].push(at, rec.seq, h, rec.gen)
+	if at < s.specNext {
+		s.specNext = at
 	}
 }
 
@@ -962,8 +1007,18 @@ func (s *Simulator) setTwin(h, twin int32) {
 // speculate launches duplicate attempts for overdue running tasks onto idle
 // slots (speculative execution). It runs after normal dispatch found no
 // assignable pending work for the remaining free slots.
+//
+// Most calls have nothing to do, and the gate says so in O(1): while
+// now < specNext no heap entry is overdue, so nothing launches, and every
+// future crossing is at or after specNext, so with specWake <= specNext the
+// armed wake-up already covers the earliest one and armSpeculativeWake would
+// push nothing. Only the lazy discard of stale heap entries is put off.
 func (s *Simulator) speculate() {
 	if s.cfg.SpeculativeSlowdown == 0 {
+		return
+	}
+	if s.now < s.specNext && s.specWake <= s.specNext {
+		s.specGateSkips++
 		return
 	}
 	for st := MapSlot; st <= ReduceSlot; st++ {
@@ -1035,7 +1090,7 @@ func (s *Simulator) specCrossing(rec *attemptRec) simtime.Time {
 // full cluster) bury the future ones does it fall back to scanning the heap
 // array.
 func (s *Simulator) armSpeculativeWake() {
-	next := simtime.MaxTime
+	next, lo := simtime.MaxTime, simtime.MaxTime
 	for st := range s.overdue {
 		h := &s.overdue[st]
 		for {
@@ -1047,6 +1102,7 @@ func (s *Simulator) armSpeculativeWake() {
 				h.pop()
 				continue
 			}
+			lo = simtime.MinTime(lo, e.at)
 			if e.at > s.now {
 				if e.at < next {
 					next = e.at
@@ -1064,6 +1120,7 @@ func (s *Simulator) armSpeculativeWake() {
 			break
 		}
 	}
+	s.specNext = lo
 	if next < s.specWake {
 		s.specWake = next
 		s.specWakeups.Inc()

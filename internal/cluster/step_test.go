@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/scheduler"
 	"repro/internal/simtime"
 	"repro/internal/workflow"
@@ -177,4 +178,97 @@ func TestLoadViewAccountsBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Release()
+}
+
+// TestSubmitLiveAmongLaneHeartbeats injects a workflow while the event queue
+// holds heartbeats in both places at once: the first workflow has just
+// finished, so the nodes that have ticked since are parked and the rest still
+// have their next tick in the queue's FIFO lane. The second workflow is
+// released on the grid of the next node to tick — at that very tick, or two
+// intervals on — so its front-band arrival must sort ahead of a heartbeat at
+// the same instant. SubmitLive re-arms the parked nodes in node order, which
+// is not tick order around the release's phase, so some re-arms land behind
+// the lane's tail and fall back to the heap, as do the drained skips of the
+// still-armed nodes behind them. However many nodes are parked, the run must
+// equal, event for event, the one where both workflows were submitted up
+// front.
+func TestSubmitLiveAmongLaneHeartbeats(t *testing.T) {
+	cfg := cluster.Config{
+		Nodes: 8, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1,
+		HeartbeatInterval: 3 * time.Second, SubmitterOverhead: 2 * time.Second,
+		Noise: 0.2, StragglerProb: 0.1, StragglerFactor: 3, SpeculativeSlowdown: 1.5,
+		Seed: 5,
+	}
+	first := equivFlows()[0]
+	var lanePushes, fallbacks int64
+	for c := 0; c < 2*cfg.Nodes; c++ {
+		parked, ahead := c/2, time.Duration(c%2)*2*cfg.HeartbeatInterval
+		live, err := cluster.New(cfg, scheduler.NewEDF(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := obs.New(obs.NewRegistry(), nil)
+		live.SetInstrumentation(o)
+		if err := live.Submit(first, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := live.Start(); err != nil {
+			t.Fatal(err)
+		}
+		// Run the first workflow out, then let `parked` nodes tick and park.
+		step := func() {
+			at, ok := live.Peek()
+			if !ok {
+				t.Fatalf("parked=%d: queue drained early", parked)
+			}
+			live.StepTo(at)
+		}
+		for live.LoadView().ActiveWorkflows > 0 {
+			step()
+		}
+		for i := 0; i < parked; i++ {
+			step()
+		}
+		next, ok := live.Peek()
+		if !ok {
+			t.Fatalf("parked=%d: no heartbeat left in the queue to share an instant with", parked)
+		}
+		release := next.Add(ahead)
+		late := workflow.NewBuilder("late").
+			Job("a", 9, 3, 20*time.Second, 30*time.Second).
+			Job("b", 4, 2, 10*time.Second, 15*time.Second, "a").
+			MustBuild(release, release.Add(time.Hour))
+		if err := live.SubmitLive(late, nil); err != nil {
+			t.Fatal(err)
+		}
+		live.StepTo(simtime.MaxTime)
+		got, err := live.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		live.Release()
+		lanePushes += o.SimEventLanePushes().Value()
+		fallbacks += o.SimEventLaneFallbacks().Value()
+
+		pre, err := cluster.New(cfg, scheduler.NewEDF(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []*workflow.Workflow{first, late} {
+			if err := pre.Submit(w, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := pre.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre.Release()
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("parked=%d ahead=%v: live injection diverged from pre-run submission:\npre:  %+v\nlive: %+v", parked, ahead, want, got)
+		}
+	}
+	if lanePushes == 0 || fallbacks == 0 {
+		t.Errorf("%d lane pushes, %d fallbacks over the sweep: it must exercise both", lanePushes, fallbacks)
+	}
 }

@@ -3,7 +3,8 @@ package experiments
 // Golden parity harness for the struct-of-arrays simulator core: every cell
 // of the committed figure corpus (the 18-cell Fig 8 sweep and the six Fig 11
 // scheduler runs) plus a mode-coverage matrix (heartbeat grid, failures,
-// noise + stragglers + speculation, locality + delay scheduling) is executed
+// noise + stragglers + speculation, locality + delay scheduling, and the
+// benchmark's big_heartbeat configuration with all of it at once) is executed
 // on both the live arena core and the frozen pre-refactor simulator in
 // internal/cluster/refsim. The two must agree to the byte: reflect.DeepEqual
 // over the full *cluster.Result (met/miss vectors, tardiness, busy time,
@@ -12,6 +13,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -175,8 +177,10 @@ func TestArenaCoreMatchesReferenceFig11(t *testing.T) {
 // TestArenaCoreMatchesReferenceModes covers the simulator modes the figure
 // corpus leaves dark: heartbeat-grid dispatch (the batched-drain fast path),
 // scripted node failures with and without recovery, duration noise with
-// stragglers and speculative execution, and locality modeling with delay
-// scheduling — each crossed with all six schedulers on the Fig 11 workload.
+// stragglers and speculative execution, locality modeling with delay
+// scheduling, and heartbeat + noise + stragglers + speculation + submitter
+// overhead + seeded failures together — each crossed with all six schedulers
+// on the Fig 11 workload.
 func TestArenaCoreMatchesReferenceModes(t *testing.T) {
 	f11 := DefaultFig11Config()
 	flows := f11.Flows()
@@ -208,6 +212,28 @@ func TestArenaCoreMatchesReferenceModes(t *testing.T) {
 			cc.RemotePenalty = 1.3
 			cc.DelayScheduling = 9 * time.Second
 			cc.Noise = 0.1
+		}},
+		// The benchmark's big_heartbeat configuration at this corpus's scale,
+		// everything on at once: lane heartbeats interleave with activations,
+		// completions, failures and recoveries in the heap, and the
+		// speculation gate sees twins, requeues and wake-ups. The reference
+		// has neither lane nor gate, so DeepEqual (SimulatedEvents included)
+		// pins both as invisible.
+		{"big-heartbeat", func(cc *cluster.Config) {
+			cc.HeartbeatInterval = 3 * time.Second
+			cc.SubmitterOverhead = 2 * time.Second
+			cc.Noise = 0.2
+			cc.StragglerProb = 0.05
+			cc.StragglerFactor = 3
+			cc.SpeculativeSlowdown = 1.5
+			rng := rand.New(rand.NewSource(f11.Seed))
+			for i := 0; i < 4; i++ {
+				cc.Failures = append(cc.Failures, cluster.Failure{
+					Node:     rng.Intn(cc.Nodes),
+					At:       simtime.Epoch.Add(time.Duration(rng.Int63n(int64(time.Hour)))),
+					Downtime: 10 * time.Minute,
+				})
+			}
 		}},
 	}
 	for _, m := range modes {

@@ -59,6 +59,14 @@ const (
 	MetricSimDrainBatches   = "woha_sim_drain_batches_total"
 	MetricSimDrainCoalesced = "woha_sim_drain_coalesced_events_total"
 
+	// Simulator event loop in heartbeat mode (internal/cluster): how many
+	// heartbeat arms rode the event queue's FIFO lane, how many fell back to
+	// its heap, and how many speculation passes the O(1) gate answered.
+	// Flushed once per Run, not per event.
+	MetricSimEventLanePushes    = "woha_sim_event_lane_pushes_total"
+	MetricSimEventLaneFallbacks = "woha_sim_event_lane_fallbacks_total"
+	MetricSimSpecGateSkips      = "woha_sim_spec_gate_skips_total"
+
 	// Runner subsystem (internal/runner): parallel scenario execution.
 	MetricRunnerCells        = "woha_runner_cells_total"
 	MetricRunnerCellFailures = "woha_runner_cell_failures_total"
@@ -427,6 +435,38 @@ func (o *Obs) SimDrainCoalesced() *Counter {
 	}
 	return o.reg.Counter(MetricSimDrainCoalesced,
 		"Same-instant events coalesced into an existing drain batch.")
+}
+
+// SimEventLanePushes returns the counter of heartbeat arms the event queue
+// kept in its FIFO lane (O(1) push and pop), registering it on first use.
+func (o *Obs) SimEventLanePushes() *Counter {
+	if o == nil {
+		return nil
+	}
+	return o.reg.Counter(MetricSimEventLanePushes,
+		"Heartbeat arms that reached the event queue in firing order and rode its FIFO lane.")
+}
+
+// SimEventLaneFallbacks returns the counter of heartbeat arms that would
+// have broken the lane's order and went to the heap instead, registering it
+// on first use.
+func (o *Obs) SimEventLaneFallbacks() *Counter {
+	if o == nil {
+		return nil
+	}
+	return o.reg.Counter(MetricSimEventLaneFallbacks,
+		"Heartbeat arms earlier than the FIFO lane's tail, pushed to the event heap instead.")
+}
+
+// SimSpecGateSkips returns the counter of speculation passes that returned
+// at the gate because no running attempt could be overdue yet, registering
+// it on first use.
+func (o *Obs) SimSpecGateSkips() *Counter {
+	if o == nil {
+		return nil
+	}
+	return o.reg.Counter(MetricSimSpecGateSkips,
+		"Speculation passes skipped in O(1) because no attempt could be overdue and the wake-up was already armed.")
 }
 
 // QueueStats bundles the per-backend operation counters of an inter-workflow

@@ -13,8 +13,22 @@ package simtime
 // standard interface boxes every pushed event into an `any`, which costs one
 // allocation per event — the dominant cost of an Algorithm 1 probe, run
 // O(log slots) times per admitted workflow.
+//
+// Beside the heap sits a second, monotone lane (PushOrdered): a ring-buffer
+// FIFO for events that arrive already in firing order, such as a simulated
+// node's periodic heartbeats. Every event carries the same (at, seq) stamp
+// whichever lane holds it, and Pop, Peek and DrainInstant take the smaller of
+// the lane head and the heap top under that one total order, so the pop
+// sequence does not depend on which lane an event went to.
 type Queue[T any] struct {
 	h []event[T]
+	// lane is the FIFO ring: laneLen events starting at laneHead, wrapping at
+	// len(lane), which is zero or a power of two. It is sorted by (at, seq)
+	// because PushOrdered only appends an event whose instant is not below
+	// the current tail's, and seq stamps only grow.
+	lane     []event[T]
+	laneHead int
+	laneLen  int
 	// seq is a monotonically increasing stamp assigned at Push time so that
 	// events pushed earlier pop earlier among equal firing times. Normal
 	// pushes live in the upper seq band (normalBand set); PushFront draws
@@ -50,14 +64,64 @@ func (q *Queue[T]) PushFront(at Time, v T) {
 	q.up(len(q.h) - 1)
 }
 
-// Pop removes and returns the earliest event. ok is false when the queue is
-// empty, in which case at and v are zero values.
-func (q *Queue[T]) Pop() (at Time, v T, ok bool) {
-	if len(q.h) == 0 {
-		var zero T
-		return 0, zero, false
+// PushOrdered schedules payload v to fire at instant at, exactly as Push
+// does — same seq stamp, same position in the pop order — but keeps the event
+// in the FIFO lane when at is not below the instant of the last event the
+// lane accepted, which makes both the push and the later pop O(1). An event
+// that would break the lane's order goes to the heap instead; onLane reports
+// which of the two happened. Callers whose events mostly arrive in firing
+// order (a periodic source re-arming at now + interval) should use it; any
+// mix of Push and PushOrdered pops identically.
+func (q *Queue[T]) PushOrdered(at Time, v T) (onLane bool) {
+	if q.laneLen > 0 && at < q.lane[(q.laneHead+q.laneLen-1)&(len(q.lane)-1)].at {
+		q.Push(at, v)
+		return false
 	}
-	top := q.h[0]
+	if q.laneLen == len(q.lane) {
+		q.growLane()
+	}
+	q.seq++
+	q.lane[(q.laneHead+q.laneLen)&(len(q.lane)-1)] = event[T]{at: at, seq: normalBand | q.seq, payload: v}
+	q.laneLen++
+	return true
+}
+
+// growLane doubles the ring, unwrapping it to start at index 0.
+func (q *Queue[T]) growLane() {
+	grown := make([]event[T], max(2*len(q.lane), 16))
+	n := copy(grown, q.lane[q.laneHead:])
+	copy(grown[n:], q.lane[:q.laneHead])
+	q.lane, q.laneHead = grown, 0
+}
+
+// first locates the earliest pending event — the lane's head or the heap's
+// top, whichever is smaller under (at, seq) — and reports which lane holds
+// it. Only valid on a non-empty queue. It hands out a pointer so that callers
+// copy out just the fields they want: moving whole events by value cost the
+// plan generator's few-entry heaps a fifth of their pop time.
+func (q *Queue[T]) first() (e *event[T], lane bool) {
+	if q.laneLen == 0 {
+		return &q.h[0], false
+	}
+	l := &q.lane[q.laneHead]
+	if len(q.h) == 0 {
+		return l, true
+	}
+	t := &q.h[0]
+	if l.at < t.at || (l.at == t.at && l.seq < t.seq) {
+		return l, true
+	}
+	return t, false
+}
+
+// drop removes the event first located in the given lane.
+func (q *Queue[T]) drop(lane bool) {
+	if lane {
+		q.lane[q.laneHead] = event[T]{} // release payload for GC
+		q.laneHead = (q.laneHead + 1) & (len(q.lane) - 1)
+		q.laneLen--
+		return
+	}
 	last := len(q.h) - 1
 	q.h[0] = q.h[last]
 	q.h[last] = event[T]{} // release payload for GC
@@ -65,16 +129,32 @@ func (q *Queue[T]) Pop() (at Time, v T, ok bool) {
 	if last > 0 {
 		q.down(0)
 	}
-	return top.at, top.payload, true
+}
+
+// Pop removes and returns the earliest event. ok is false when the queue is
+// empty, in which case at and v are zero values.
+func (q *Queue[T]) Pop() (at Time, v T, ok bool) {
+	if q.Len() == 0 {
+		return 0, v, false
+	}
+	e, lane := q.first()
+	at, v = e.at, e.payload
+	q.drop(lane)
+	return at, v, true
 }
 
 // Peek returns the firing time of the earliest event without removing it.
 // ok is false when the queue is empty.
 func (q *Queue[T]) Peek() (at Time, ok bool) {
-	if len(q.h) == 0 {
-		return 0, false
+	if len(q.h) > 0 {
+		at, ok = q.h[0].at, true
 	}
-	return q.h[0].at, true
+	// Only the instant is asked for, so a tie between the lanes needs no
+	// seq comparison.
+	if q.laneLen > 0 && (!ok || q.lane[q.laneHead].at < at) {
+		at, ok = q.lane[q.laneHead].at, true
+	}
+	return at, ok
 }
 
 // DrainInstant pops every event scheduled at the earliest pending instant,
@@ -91,26 +171,21 @@ func (q *Queue[T]) Peek() (at Time, ok bool) {
 // instead of once per event, so the sift-down traffic for k coincident
 // events touches a heap that shrinks k times between time advances.
 func (q *Queue[T]) DrainInstant(out *[]T) (at Time, n int) {
-	if len(q.h) == 0 {
-		return 0, 0
-	}
-	at = q.h[0].at
-	for len(q.h) > 0 && q.h[0].at == at {
-		*out = append(*out, q.h[0].payload)
-		n++
-		last := len(q.h) - 1
-		q.h[0] = q.h[last]
-		q.h[last] = event[T]{}
-		q.h = q.h[:last]
-		if last > 0 {
-			q.down(0)
+	for q.Len() > 0 {
+		e, lane := q.first()
+		if n > 0 && e.at != at {
+			break
 		}
+		at = e.at
+		*out = append(*out, e.payload)
+		q.drop(lane)
+		n++
 	}
 	return at, n
 }
 
 // Len returns the number of pending events.
-func (q *Queue[T]) Len() int { return len(q.h) }
+func (q *Queue[T]) Len() int { return len(q.h) + q.laneLen }
 
 // Reset empties the queue while keeping its backing storage, so a pooled
 // simulator can reuse one queue across runs without re-allocating. Payloads
@@ -120,6 +195,10 @@ func (q *Queue[T]) Reset() {
 		q.h[i] = event[T]{}
 	}
 	q.h = q.h[:0]
+	for q.laneLen > 0 {
+		q.drop(true)
+	}
+	q.laneHead = 0
 	q.seq = 0
 	q.fseq = 0
 }
