@@ -108,9 +108,9 @@ type Scheduler struct {
 	opts  Options
 	queue dsl.Queue
 	// byID maps a workflow's arrival index to its runtime state. Arrival
-	// indices are dense, so the lookup tables are plain slices — the
-	// Ascend callback hits them once per considered workflow, and map
-	// hashing was the scheduler's dominant cost on the Fig 8 corpus.
+	// indices are dense, so the lookup tables are plain slices — every
+	// decision and callback hits them, and map hashing was the scheduler's
+	// dominant cost on the Fig 8 corpus.
 	byID []*cluster.WorkflowState
 	// ranks maps a workflow's arrival index to its plan's job ranking.
 	ranks [][]int
@@ -122,18 +122,6 @@ type Scheduler struct {
 	// the queue — at tens of thousands of queued workflows the scan is
 	// the dominant cost.
 	schedulable [2]int
-	// skips counts workflows passed over during the queue descent because
-	// their index showed nothing startable for the slot type (nil-safe).
-	skips *obs.Counter
-	// ntVisit is the Ascend callback, bound once at construction; ntSlot,
-	// ntFound, and ntJob thread NextTask's argument and result through it.
-	// A literal closure in NextTask would heap-allocate per decision —
-	// the scheduler's only steady-state allocation once the queue and
-	// index stopped allocating.
-	ntVisit func(*dsl.Entry) bool
-	ntSlot  cluster.SlotType
-	ntFound *cluster.WorkflowState
-	ntJob   workflow.JobID
 }
 
 // wfSched is the per-workflow schedulable-job index, maintained purely from
@@ -147,7 +135,9 @@ type wfSched struct {
 	order []int32
 	pos   []int32
 	// bits[st] marks rank positions whose job can start a task of type st;
-	// cnt[st] counts them.
+	// cnt[st] counts them. cnt[st] > 0 is mirrored into the queue entry's
+	// startable mask, so the queue itself answers "most lagging workflow
+	// with something to start on st".
 	bits [2][]uint64
 	cnt  [2]int32
 }
@@ -175,13 +165,7 @@ var _ cluster.Policy = (*Scheduler)(nil)
 func NewScheduler(opts Options) *Scheduler {
 	q := opts.Queue.newQueue(opts.Seed)
 	q.Instrument(opts.Obs.NewQueueStats(opts.Queue.String()))
-	s := &Scheduler{
-		opts:  opts,
-		queue: q,
-		skips: opts.Obs.SchedIndexSkips(),
-	}
-	s.ntVisit = s.visit
-	return s
+	return &Scheduler{opts: opts, queue: q}
 }
 
 // track records ws and its plan ranking under its arrival index, growing
@@ -220,9 +204,10 @@ func (s *Scheduler) track(ws *cluster.WorkflowState, ranks []int) {
 }
 
 // refreshJob reconciles one job's bits in the workflow's schedulable index
-// with its current counters. Called from the policy callbacks, which every
-// control plane fires after mutating the counters, so the index is exact at
-// every decision point.
+// with its current counters, and the queue entry's startable mask with the
+// index when a count leaves or reaches zero. Called from the policy
+// callbacks, which every control plane fires after mutating the counters, so
+// both are exact at every decision point.
 func (s *Scheduler) refreshJob(ws *cluster.WorkflowState, job workflow.JobID) {
 	sc := &s.sched[ws.Index]
 	js := &ws.Jobs[job]
@@ -233,10 +218,14 @@ func (s *Scheduler) refreshJob(ws *cluster.WorkflowState, job workflow.JobID) {
 		if want := js.Schedulable(st); want != has {
 			if want {
 				sc.bits[st][w] |= bit
-				sc.cnt[st]++
+				if sc.cnt[st]++; sc.cnt[st] == 1 {
+					s.queue.SetStartable(ws.Index, int(st), true)
+				}
 			} else {
 				sc.bits[st][w] &^= bit
-				sc.cnt[st]--
+				if sc.cnt[st]--; sc.cnt[st] == 0 {
+					s.queue.SetStartable(ws.Index, int(st), false)
+				}
 			}
 		}
 	}
@@ -296,34 +285,26 @@ func (s *Scheduler) ReducesReady(ws *cluster.WorkflowState, job workflow.JobID, 
 	s.refreshJob(ws, job)
 }
 
-// visit is the queue-descent callback (see ntVisit).
-func (s *Scheduler) visit(e *dsl.Entry) bool {
-	sc := &s.sched[e.ID]
-	if sc.cnt[s.ntSlot] == 0 {
-		// Nothing startable here; without the index this cost a scan of
-		// every job in the workflow.
-		s.skips.Inc()
-		// Strict mode: consider only the single most-lagging workflow.
-		return !s.opts.Strict
-	}
-	s.ntFound, s.ntJob = s.byID[e.ID], sc.firstJob(s.ntSlot)
-	return false
-}
-
 // NextTask implements cluster.Policy: pick the workflow lagging furthest
-// behind its progress requirement, then its highest-ranked runnable job.
+// behind its progress requirement among those with a task to start on st
+// (Strict: only the most-lagging workflow of all is considered), then its
+// highest-ranked runnable job.
 func (s *Scheduler) NextTask(now simtime.Time, st cluster.SlotType) (*cluster.WorkflowState, workflow.JobID, bool) {
 	if s.schedulable[st] == 0 {
 		return nil, 0, false
 	}
-	s.ntSlot, s.ntFound = st, nil
-	s.queue.Ascend(now, s.ntVisit)
-	found := s.ntFound
-	if found == nil {
+	var e *dsl.Entry
+	var ok bool
+	if s.opts.Strict {
+		e, ok = s.queue.Best(now)
+		ok = ok && e.Startable(int(st))
+	} else {
+		e, ok = s.queue.BestStartable(now, int(st))
+	}
+	if !ok {
 		return nil, 0, false
 	}
-	s.ntFound = nil // don't pin the workflow past its completion
-	return found, s.ntJob, true
+	return s.byID[e.ID], s.sched[e.ID].firstJob(st), true
 }
 
 // TaskStarted implements cluster.Policy: advance the workflow's true

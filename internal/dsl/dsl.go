@@ -20,7 +20,11 @@
 // the ct skip list's O(1) fast path, and since lags are small dense integers
 // that move by ±1 on Scheduled/Unscheduled, the priority side is a bucketed
 // lag index (lagindex.go) whose repositionings are O(1) pointer moves rather
-// than ordered-set delete+reinsert pairs.
+// than ordered-set delete+reinsert pairs. The index is partitioned by which
+// slot types each workflow can start a task on right now (SetStartable), so
+// a work-conserving scheduler's question — the most lagging workflow with
+// something for this slot (BestStartable) — is also answered from list heads
+// instead of by walking past the workflows that have nothing.
 //
 // Four Queue implementations exist for the Fig 13(a) throughput comparison:
 // the Double Skip List (New), the same algorithm over balanced search trees
@@ -67,11 +71,16 @@ type Entry struct {
 	// workflows of very different sizes compete on relative progress. An
 	// extension beyond the paper; see core.Options.NormalizedLag.
 	normalized bool
+	// startable is the 2-bit mask set through Queue.SetStartable: bit st ⇔
+	// the workflow has a task it could start on slot type st right now.
+	startable uint8
 
 	// Priority-index linkage, owned by the queue the entry is in. For the
-	// bucketed lag index these record the entry's band/bucket and its
-	// intrusive neighbours; set-backed priority lists use bktKey alone to
-	// cache the indexed priority so repositioning knows the old key.
+	// bucketed lag index these record the entry's class (the startable mask
+	// it is filed under), band, bucket and intrusive neighbours; set-backed
+	// priority lists use bktKey alone to cache the indexed priority so
+	// repositioning knows the old key.
+	bktMask uint8
 	bktBand int8
 	bktKey  int
 	bktPrev *Entry
@@ -114,6 +123,27 @@ func (e *Entry) Progress() int { return e.rho }
 // Lag returns the entry's current priority value (may be stale until the
 // owning queue refreshes it).
 func (e *Entry) Lag() int { return e.prio }
+
+// Startable reports whether the workflow was last marked as having a task
+// startable on slot type st (see Queue.SetStartable).
+func (e *Entry) Startable(st int) bool { return e.startable&(1<<st) != 0 }
+
+func (e *Entry) setStartable(st int, on bool) {
+	if on {
+		e.startable |= 1 << st
+	} else {
+		e.startable &^= 1 << st
+	}
+}
+
+// before reports whether e precedes o in the queue's total order: greater
+// lag first, ties by ascending workflow ID.
+func (e *Entry) before(o *Entry) bool {
+	if e.prio != o.prio {
+		return e.prio > o.prio
+	}
+	return e.ID < o.ID
+}
 
 // refresh advances idx past every requirement whose change time has fired by
 // now and recomputes prio and nextChange (Algorithm 2 lines 8-14).
@@ -201,10 +231,15 @@ type Queue interface {
 	// Unscheduled reverses one Scheduled call — a running task was lost to
 	// a TaskTracker failure and returned to the pending pool.
 	Unscheduled(id int, now simtime.Time)
-	// Ascend visits entries in decreasing-lag order at time now until fn
-	// returns false. It exists for work-conserving schedulers that must
-	// skip past workflows with no task matching the idle slot.
-	Ascend(now simtime.Time, fn func(e *Entry) bool)
+	// SetStartable records whether workflow id has a task it could start
+	// on slot type st (0 = map, 1 = reduce) right now. Entries start with
+	// nothing startable; unknown ids are ignored.
+	SetStartable(id, st int, on bool)
+	// BestStartable returns the entry with the greatest lag at time now
+	// among those marked startable on slot type st — where a
+	// work-conserving scheduler's descent past workflows with no task
+	// matching the idle slot would stop. ok is false when there is none.
+	BestStartable(now simtime.Time, st int) (e *Entry, ok bool)
 	// Len returns the number of queued workflows.
 	Len() int
 	// Instrument attaches per-operation observability counters (insert,
@@ -251,9 +286,9 @@ type prioIndex interface {
 	update(e *Entry)
 	// min returns the highest-priority entry, or nil when empty.
 	min() *Entry
-	// ascend visits entries in decreasing-priority order until fn returns
-	// false. fn must not mutate the index.
-	ascend(fn func(e *Entry) bool)
+	// bestStartable returns the highest-priority entry whose startable mask
+	// has bit st, or nil when there is none.
+	bestStartable(st int) *Entry
 	// takeMoves returns and resets the bucket-move count since the last
 	// call (always 0 for set-backed indexes, whose repositionings are
 	// counted as node reuses at the set layer instead).
@@ -295,7 +330,7 @@ func New(seed int64) *List {
 func NewBST() *List {
 	l := &List{ct: avl.New(ctLess)}
 	prio := avl.New(prioLess)
-	l.prio = &setPrio{s: prio, l: l}
+	l.prio = newSetPrio(prio, l)
 	l.initReusers(prio)
 	return l
 }
@@ -307,7 +342,7 @@ func NewBST() *List {
 func NewDeterministic() *List {
 	l := &List{ct: skiplist.NewDet(ctLess)}
 	prio := skiplist.NewDet(prioLess)
-	l.prio = &setPrio{s: prio, l: l}
+	l.prio = newSetPrio(prio, l)
 	l.initReusers(prio)
 	return l
 }
@@ -452,18 +487,25 @@ func (l *List) adjustProgress(id, delta int) {
 	}
 }
 
-// Ascend implements Queue.
-func (l *List) Ascend(now simtime.Time, fn func(e *Entry) bool) {
-	settled := l.settle(now)
-	if l.stats != nil {
-		// The first visited entry is the head, same as Best; recording it
-		// up front keeps the uninstrumented path free of the wrapper
-		// closure a per-visit hook would allocate.
-		if e := l.prio.min(); e != nil {
-			l.stats.OnHeadHit(now, e.ID, settled)
-		}
+// SetStartable implements Queue.
+func (l *List) SetStartable(id, st int, on bool) {
+	e := l.entry(id)
+	if e == nil {
+		return
 	}
-	l.prio.ascend(fn)
+	e.setStartable(st, on)
+	l.prio.update(e)
+}
+
+// BestStartable implements Queue.
+func (l *List) BestStartable(now simtime.Time, st int) (*Entry, bool) {
+	settled := l.settle(now)
+	e := l.prio.bestStartable(st)
+	if e == nil {
+		return nil, false
+	}
+	l.stats.OnHeadHit(now, e.ID, settled)
+	return e, true
 }
 
 // setPrio adapts an ordered.Set to the prioIndex contract for the BST and
@@ -473,6 +515,24 @@ func (l *List) Ascend(now simtime.Time, fn func(e *Entry) bool) {
 type setPrio struct {
 	s ordered.Set[prioKey]
 	l *List
+	// visit is bestStartable's scan callback, bound once in newSetPrio so
+	// the scan does not allocate a closure per call; want and found carry
+	// its argument and result.
+	visit func(prioKey) bool
+	want  uint8
+	found *Entry
+}
+
+func newSetPrio(s ordered.Set[prioKey], l *List) *setPrio {
+	p := &setPrio{s: s, l: l}
+	p.visit = func(k prioKey) bool {
+		if e := l.entries[k.id]; e.startable&p.want != 0 {
+			p.found = e
+			return false
+		}
+		return true
+	}
+	return p
 }
 
 var _ prioIndex = (*setPrio)(nil)
@@ -502,8 +562,13 @@ func (p *setPrio) min() *Entry {
 	return p.l.entries[k.id]
 }
 
-func (p *setPrio) ascend(fn func(e *Entry) bool) {
-	p.s.Ascend(func(k prioKey) bool { return fn(p.l.entries[k.id]) })
+// bestStartable is the set's natural scan from the head, stopping at the
+// first entry with the bit: O(entries skipped), which the lag index's class
+// partition exists to avoid.
+func (p *setPrio) bestStartable(st int) *Entry {
+	p.want, p.found = 1<<st, nil
+	p.s.Ascend(p.visit)
+	return p.found
 }
 
 func (p *setPrio) takeMoves() int { return 0 }

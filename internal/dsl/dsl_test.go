@@ -118,46 +118,51 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-func TestAscendOrder(t *testing.T) {
+// TestBestStartable: the answer is the most lagging workflow among those
+// marked for the slot type, which need not be the head; flips and removals
+// take effect at once, and an unknown id is ignored.
+func TestBestStartable(t *testing.T) {
+	const mapSlot, reduceSlot = 0, 1
 	for name, q := range queues(3) {
 		t.Run(name, func(t *testing.T) {
-			// Three workflows with deadlines 60/80/100s: at t=40s their
-			// fired requirements differ (wf1 has 2 fired, wf2 one, wf3 none).
+			// Deadlines 60/80/100s: at t=45s wf1 has two requirements fired,
+			// wf2 one, wf3 none, so the queue order is 1, 2, 3.
 			q.Add(NewEntry(1, at(60), testReqs()), at(0))
 			q.Add(NewEntry(2, at(80), testReqs()), at(0))
 			q.Add(NewEntry(3, at(100), testReqs()), at(0))
-			var got []int
-			q.Ascend(at(45), func(e *Entry) bool {
-				got = append(got, e.ID)
-				return true
-			})
-			want := []int{1, 2, 3}
-			if len(got) != len(want) {
-				t.Fatalf("Ascend visited %v, want %v", got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("Ascend order %v, want %v", got, want)
+			want := func(st, id int) {
+				t.Helper()
+				e, ok := q.BestStartable(at(45), st)
+				if id < 0 {
+					if ok {
+						t.Fatalf("BestStartable(%d) = wf %d, want none", st, e.ID)
+					}
+					return
+				}
+				if !ok || e.ID != id || !e.Startable(st) {
+					t.Fatalf("BestStartable(%d) = %v, %v, want wf %d", st, e, ok, id)
 				}
 			}
-		})
-	}
-}
-
-func TestAscendEarlyStop(t *testing.T) {
-	for name, q := range queues(4) {
-		t.Run(name, func(t *testing.T) {
-			for i := 1; i <= 5; i++ {
-				q.Add(NewEntry(i, at(100), testReqs()), at(0))
+			want(mapSlot, -1) // entries start with nothing startable
+			q.SetStartable(3, mapSlot, true)
+			q.SetStartable(2, reduceSlot, true)
+			q.SetStartable(99, mapSlot, true)
+			want(mapSlot, 3)
+			want(reduceSlot, 2)
+			q.SetStartable(2, mapSlot, true) // both bits: serves either type
+			want(mapSlot, 2)
+			want(reduceSlot, 2)
+			q.SetStartable(1, reduceSlot, true)
+			want(reduceSlot, 1)
+			want(mapSlot, 2)
+			if e, _ := q.Best(at(45)); e.ID != 1 {
+				t.Fatalf("Best = wf %d, want 1 whatever the masks", e.ID)
 			}
-			count := 0
-			q.Ascend(at(0), func(*Entry) bool {
-				count++
-				return false
-			})
-			if count != 1 {
-				t.Errorf("Ascend visited %d entries after stop, want 1", count)
-			}
+			q.SetStartable(2, mapSlot, false)
+			want(mapSlot, 3)
+			q.Remove(3, at(45))
+			want(mapSlot, -1)
+			want(reduceSlot, 1)
 		})
 	}
 }

@@ -17,21 +17,32 @@ import "math/bits"
 // exact (decreasing priority, ascending ID) order of the replaced skip list,
 // because every overdue priority sorts below every achievable one.
 //
+// The index is partitioned into four classes by the entries' startable mask
+// (Queue.SetStartable), each class a complete two-band index of its own. An
+// entry is filed in exactly one class, so a lag change is still one bucket
+// move and a mask flip is one more. Every class lists its members in the
+// global order, so the first entry of the whole index is the first among the
+// four class heads, and the first entry startable on slot type st — where a
+// walk from the head skipping entries without bit st would stop — is the
+// first among the heads of the two classes whose mask has the bit. Both are
+// O(1) however many entries the walk would have passed.
+//
 // Buckets live in 256-slot pages allocated lazily (normalized-mode keys span
 // ±10^6 ppm; a dense array would be wasteful), with per-page occupancy
-// bitmaps so the max-key cursor and descending iteration skip empty runs a
-// word at a time. Invariants:
+// bitmaps so the max-key cursor skips empty runs a word at a time.
+// Invariants:
 //
-//   - an entry is in exactly one bucket, recorded by its bktBand/bktKey
-//     fields; its bktPrev/bktNext links are owned by that bucket
+//   - an entry is in exactly one bucket of exactly one class, recorded by
+//     its bktMask/bktBand/bktKey fields; its bktPrev/bktNext links are owned
+//     by that bucket
 //   - a bucket's list is strictly ascending by ID; finger points at the most
 //     recently inserted member (or is nil when empty) and is the start point
 //     for interior position searches
 //   - pg.occ bit set ⇔ bucket non-empty; pg.count = set bits; band.count =
 //     entries in band; band.top = highest occupied key, valid iff count > 0
 type lagIndex struct {
-	bands [2]lagBand
-	size  int
+	// classes[m] holds the entries whose startable mask is m.
+	classes [4][2]lagBand
 	// moves counts bucket-to-bucket repositionings since the last
 	// takeMoves, feeding woha_queue_bucket_moves_total.
 	moves int
@@ -74,7 +85,7 @@ var _ prioIndex = (*lagIndex)(nil)
 
 func (ix *lagIndex) insert(e *Entry) {
 	band, key := lagPos(e)
-	b := &ix.bands[band]
+	b := &ix.classes[e.startable][band]
 	pg := b.page(key)
 	slot := key & lagSlotMask
 	bkt := &pg.buckets[slot]
@@ -86,13 +97,12 @@ func (ix *lagIndex) insert(e *Entry) {
 		}
 	}
 	bkt.insert(e)
-	e.bktBand, e.bktKey = int8(band), key
+	e.bktMask, e.bktBand, e.bktKey = e.startable, int8(band), key
 	b.count++
-	ix.size++
 }
 
 func (ix *lagIndex) remove(e *Entry) {
-	b := &ix.bands[e.bktBand]
+	b := &ix.classes[e.bktMask][e.bktBand]
 	key := e.bktKey
 	pg := b.pages[(key>>lagPageBits)-b.page0]
 	slot := key & lagSlotMask
@@ -116,7 +126,6 @@ func (ix *lagIndex) remove(e *Entry) {
 	}
 	e.bktPrev, e.bktNext = nil, nil
 	b.count--
-	ix.size--
 	if bkt.head == nil {
 		bkt.finger = nil
 		pg.occ[slot>>6] &^= 1 << (uint(slot) & 63)
@@ -127,12 +136,12 @@ func (ix *lagIndex) remove(e *Entry) {
 	}
 }
 
-// update repositions e after a priority recomputation; entries whose bucket
-// did not change are left untouched (their in-bucket position depends only
-// on the ID).
+// update repositions e after a priority recomputation or a startable-mask
+// flip; entries whose class and bucket did not change are left untouched
+// (their in-bucket position depends only on the ID).
 func (ix *lagIndex) update(e *Entry) {
 	band, key := lagPos(e)
-	if int(e.bktBand) == band && e.bktKey == key {
+	if int(e.bktBand) == band && e.bktKey == key && e.bktMask == e.startable {
 		return
 	}
 	ix.remove(e)
@@ -143,42 +152,34 @@ func (ix *lagIndex) update(e *Entry) {
 // min returns the highest-priority entry (max lag, ties by ascending ID), or
 // nil when empty.
 func (ix *lagIndex) min() *Entry {
-	for i := range ix.bands {
-		b := &ix.bands[i]
-		if b.count == 0 {
-			continue
+	return first(first(ix.head(0), ix.head(1)), first(ix.head(2), ix.head(3)))
+}
+
+// bestStartable returns the highest-priority entry startable on slot type st.
+func (ix *lagIndex) bestStartable(st int) *Entry {
+	return first(ix.head(1<<st), ix.head(3))
+}
+
+// head returns the highest-priority entry of one class: the head of the top
+// bucket of its first non-empty band.
+func (ix *lagIndex) head(mask int) *Entry {
+	for i := range ix.classes[mask] {
+		b := &ix.classes[mask][i]
+		if b.count > 0 {
+			pg := b.pages[(b.top>>lagPageBits)-b.page0]
+			return pg.buckets[b.top&lagSlotMask].head
 		}
-		pg := b.pages[(b.top>>lagPageBits)-b.page0]
-		return pg.buckets[b.top&lagSlotMask].head
 	}
 	return nil
 }
 
-// ascend visits entries in decreasing-priority order (band 0 then band 1,
-// keys descending, IDs ascending within a bucket) until fn returns false.
-// fn must not mutate the index.
-func (ix *lagIndex) ascend(fn func(e *Entry) bool) {
-	for i := range ix.bands {
-		b := &ix.bands[i]
-		remaining := b.count
-		if remaining == 0 {
-			continue
-		}
-		key := b.top
-		for {
-			pg := b.pages[(key>>lagPageBits)-b.page0]
-			for e := pg.buckets[key&lagSlotMask].head; e != nil; e = e.bktNext {
-				if !fn(e) {
-					return
-				}
-				remaining--
-			}
-			if remaining == 0 {
-				break
-			}
-			key = b.prevOccupied(key - 1)
-		}
+// first returns whichever of two class heads precedes the other in the
+// queue's order; nil stands for an empty class.
+func first(a, b *Entry) *Entry {
+	if b == nil || (a != nil && a.before(b)) {
+		return a
 	}
+	return b
 }
 
 func (ix *lagIndex) takeMoves() int {

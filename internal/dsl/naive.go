@@ -1,8 +1,6 @@
 package dsl
 
 import (
-	"sort"
-
 	"repro/internal/obs"
 	"repro/internal/simtime"
 )
@@ -17,8 +15,6 @@ type Naive struct {
 	entries []*Entry
 	count   int
 	stats   *obs.QueueStats
-	// scratch is reused by Ascend's sort.
-	scratch []*Entry
 }
 
 var _ Queue = (*Naive)(nil)
@@ -59,13 +55,19 @@ func (n *Naive) Remove(id int, now simtime.Time) bool {
 // Best implements Queue. It recomputes every entry's priority — the O(n_w)
 // rescan the DSL exists to avoid; no head hits are ever recorded here.
 func (n *Naive) Best(now simtime.Time) (*Entry, bool) {
+	return n.rescan(now, 0)
+}
+
+// rescan refreshes every entry and returns the first in queue order among
+// those whose startable mask meets want (0 = any entry).
+func (n *Naive) rescan(now simtime.Time, want uint8) (*Entry, bool) {
 	var best *Entry
 	for _, e := range n.entries {
 		if e == nil {
 			continue
 		}
 		e.refresh(now)
-		if best == nil || e.prio > best.prio || (e.prio == best.prio && e.ID < best.ID) {
+		if (want == 0 || e.startable&want != 0) && (best == nil || e.before(best)) {
 			best = e
 		}
 	}
@@ -91,27 +93,15 @@ func (n *Naive) Unscheduled(id int, now simtime.Time) {
 	}
 }
 
-// Ascend implements Queue. It recomputes and fully sorts the queue.
-func (n *Naive) Ascend(now simtime.Time, fn func(e *Entry) bool) {
-	all := n.scratch[:0]
-	for _, e := range n.entries {
-		if e == nil {
-			continue
-		}
-		e.refresh(now)
-		all = append(all, e)
+// SetStartable implements Queue.
+func (n *Naive) SetStartable(id, st int, on bool) {
+	if id >= 0 && id < len(n.entries) && n.entries[id] != nil {
+		n.entries[id].setStartable(st, on)
 	}
-	n.scratch = all
-	n.stats.OnLagRecomputes(len(all))
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].prio != all[j].prio {
-			return all[i].prio > all[j].prio
-		}
-		return all[i].ID < all[j].ID
-	})
-	for _, e := range all {
-		if !fn(e) {
-			return
-		}
-	}
+}
+
+// BestStartable implements Queue: the same full rescan as Best, keeping only
+// entries marked startable on st.
+func (n *Naive) BestStartable(now simtime.Time, st int) (*Entry, bool) {
+	return n.rescan(now, 1<<st)
 }

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -73,16 +72,17 @@ type deferredRelease struct {
 
 // register records a workflow before the cluster starts. Registration is
 // single-threaded and pre-start only; the tracker takes no lock here and
-// panics if the clock has already been stamped.
-func (jt *JobTracker) register(w *workflow.Workflow, p *plan.Plan) {
+// refuses once the clock has been stamped.
+func (jt *JobTracker) register(w *workflow.Workflow, p *plan.Plan) error {
 	if jt.live.Load() {
-		panic(fmt.Sprintf("live: register(%q) after the cluster started; Submit every workflow before Run or DeliverHeartbeat", w.Name))
+		return errLateRegister(w)
 	}
 	ws := cluster.NewWorkflowState(len(jt.states), w, p)
 	ws.EnableSchedIndex(nil)
 	jt.states = append(jt.states, ws)
 	jt.finish = append(jt.finish, 0)
 	jt.remaining++
+	return nil
 }
 
 // start stamps the clock origin and freezes registration.

@@ -138,12 +138,13 @@ type Heartbeat struct {
 // controlPlane is the JobTracker contract shared by the legacy single-mutex
 // tracker (Shards = 1) and the sharded admission/completion/assignment
 // pipeline (Shards > 1). register is pre-start only and single-threaded;
-// both implementations fail loudly if it is called after the clock starts.
+// both implementations return an error, and change nothing, if it is called
+// after the clock starts.
 type controlPlane interface {
 	// Heartbeat serves one TaskTracker report and returns assignments.
 	Heartbeat(hb Heartbeat) []Assignment
 	// register records a workflow before the cluster starts.
-	register(w *workflow.Workflow, p *plan.Plan)
+	register(w *workflow.Workflow, p *plan.Plan) error
 	// start stamps the clock origin and freezes registration.
 	start()
 	// ensureClock stamps the clock lazily for heartbeats delivered outside
@@ -155,6 +156,12 @@ type controlPlane interface {
 	doneCh() <-chan struct{}
 	// registered reports the number of registered workflows.
 	registered() int
+}
+
+// errLateRegister is register's refusal once the clock is stamped: the
+// release index is built and heartbeats read workflow tables without a lock.
+func errLateRegister(w *workflow.Workflow) error {
+	return fmt.Errorf("live: registering %q after the cluster started; Submit every workflow before Run or DeliverHeartbeat", w.Name)
 }
 
 // newControlPlane picks the tracker layout for cfg.
@@ -199,7 +206,9 @@ func New(cfg Config, pol cluster.Policy) (*Cluster, error) {
 }
 
 // Submit registers a workflow before Start. p may be nil for non-WOHA
-// policies. Releases are honored relative to the cluster start instant.
+// policies. Releases are honored relative to the cluster start instant. It
+// errs, and changes nothing, once Run or DeliverHeartbeat has started the
+// cluster.
 func (c *Cluster) Submit(w *workflow.Workflow, p *plan.Plan) error {
 	if c.started {
 		return fmt.Errorf("live: Submit after Start")
@@ -208,7 +217,9 @@ func (c *Cluster) Submit(w *workflow.Workflow, p *plan.Plan) error {
 		return fmt.Errorf("live: %w", err)
 	}
 	idx := c.jt.registered()
-	c.jt.register(w, p)
+	if err := c.jt.register(w, p); err != nil {
+		return err
+	}
 	c.cfg.Obs.Health().Register(idx, w.Name, w.Release, w.Deadline, w.TotalTasks(), p)
 	return nil
 }

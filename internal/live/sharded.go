@@ -1,7 +1,6 @@
 package live
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,20 +23,23 @@ import (
 //     shared plus the owning workflow's shard lock, so heartbeats reporting
 //     completions for workflows on different shards run in parallel. State
 //     transitions that the policy must learn about are recorded as events,
-//     not delivered inline.
+//     not delivered inline. A report that is going into the pipeline anyway
+//     is booked there instead, under the locks it will hold in any case.
 //  2. The assignment pipeline takes the policy-core lock and then the plane
 //     lock exclusive, drains the event queue into the policy (which is
 //     contractually single-threaded), and runs the NextTask loops. The
 //     exclusive plane lock means the policy reads workflow state with no
-//     bookkeeping write racing it.
+//     bookkeeping write racing it. Heartbeats queue their reports for it,
+//     and the one holding the lock serves them all (pipeline, combine).
 //  3. Counters every heartbeat touches unconditionally — virtual clock,
 //     sequence, started, remaining, the schedulable-work hint, and the
 //     next-release cursor — are atomics, so a heartbeat with nothing to do
 //     (no completions, nothing due, no assignable work) finishes without
 //     acquiring any lock at all.
 //
-// Lock ordering: core.mu → plane (write) and plane (read) → shard.mu; a
-// shard lock is never held while taking core.mu or the plane write lock.
+// Lock ordering: core.mu → plane (write) → shard.mu and plane (read) →
+// shard.mu; a shard lock is never held while taking core.mu or the plane
+// write lock.
 //
 // Scheduling outcomes are identical to the legacy tracker: events reach the
 // policy in each workflow's transition order (pushes happen under the shard
@@ -54,7 +56,11 @@ type shardedTracker struct {
 	shards []*wfShard
 	wfs    []*liveWorkflow
 
-	core   *policyCore
+	core *policyCore
+	pipe pipeQueue
+	// spins is a waiter's polling budget in the pipeline: pipeSpins, or zero
+	// on one processor, where the combiner cannot run while a waiter polls.
+	spins  int
 	events eventQueue
 	rel    releaseIndex
 
@@ -110,10 +116,10 @@ func newShardedTracker(cfg Config, pol cluster.Policy, nShards int) *shardedTrac
 
 // register records a workflow before the cluster starts, pinning it to a
 // shard round-robin. Registration is single-threaded and pre-start only; it
-// takes no lock and panics if the clock has already been stamped.
-func (st *shardedTracker) register(w *workflow.Workflow, p *plan.Plan) {
+// takes no lock and refuses once the clock has been stamped.
+func (st *shardedTracker) register(w *workflow.Workflow, p *plan.Plan) error {
 	if st.live.Load() {
-		panic(fmt.Sprintf("live: register(%q) after the cluster started; Submit every workflow before Run or DeliverHeartbeat", w.Name))
+		return errLateRegister(w)
 	}
 	i := len(st.wfs)
 	ws := cluster.NewWorkflowState(i, w, p)
@@ -123,6 +129,7 @@ func (st *shardedTracker) register(w *workflow.Workflow, p *plan.Plan) {
 		shard: st.shards[i%len(st.shards)],
 	})
 	st.remaining.Add(1)
+	return nil
 }
 
 // start stamps the clock origin, builds the release index, and freezes
@@ -146,32 +153,39 @@ func (st *shardedTracker) doneCh() <-chan struct{} { return st.done }
 func (st *shardedTracker) registered() int { return len(st.wfs) }
 
 // Heartbeat serves one TaskTracker report through the three-layer pipeline:
-// lock-free clock/cursor reads, shared-lock bookkeeping only when the report
-// carries completions or a release came due, and the exclusive assignment
-// pipeline only when policy events are pending or free slots meet
-// schedulable work.
+// lock-free clock/cursor reads, bookkeeping only when the report carries
+// completions or a release came due, and the exclusive assignment pipeline
+// only when policy events are pending or free slots meet schedulable work.
+// Bookkeeping runs under the shared lock unless the report is bound for the
+// pipeline, which then does it.
 func (st *shardedTracker) Heartbeat(hb Heartbeat) []Assignment {
-	var t0 time.Time
-	if st.ins != nil {
-		t0 = time.Now()
-	}
 	clk := st.clock.Load()
 	if clk == nil {
 		st.ensureClock()
 		clk = st.clock.Load()
 	}
+	if st.ins == nil && len(hb.Completed) == 0 && !st.assignable(hb) && st.idle() {
+		return nil
+	}
+	var t0 time.Time
+	if st.ins != nil {
+		t0 = time.Now()
+	}
 	now := clk.now()
 
 	locked := false
 	due, retries := st.rel.due(now), st.dueRetries(now)
-	if due != nil || retries != nil || len(hb.Completed) > 0 {
+	book := due != nil || retries != nil || len(hb.Completed) > 0
+	piped := st.events.pending() || st.assignable(hb)
+	if book && !piped {
 		st.bookkeep(due, retries, hb.Completed, hb.Tracker, now)
+		due, retries, hb.Completed = nil, nil, nil
+		piped = st.events.pending()
 		locked = true
 	}
-
 	var out []Assignment
-	if st.events.pending() || (hb.FreeMaps+hb.FreeReds > 0 && st.schedulable.Load() > 0) {
-		out = st.assignPhase(hb, now, clk)
+	if piped {
+		out = st.pipeline(hb, due, retries, now, clk)
 		locked = true
 	}
 	if !locked {
@@ -183,6 +197,28 @@ func (st *shardedTracker) Heartbeat(hb Heartbeat) []Assignment {
 	return out
 }
 
+// assignable reports whether hb offers a free slot while the policy may have
+// work for one.
+func (st *shardedTracker) assignable(hb Heartbeat) bool {
+	return hb.FreeMaps+hb.FreeReds > 0 && st.schedulable.Load() > 0
+}
+
+// idle reports that nothing the tracker holds is waiting on the clock or on
+// the policy: every registered workflow has been released, no deferred
+// admission awaits its retry instant, and no lifecycle event is queued. A
+// heartbeat that itself brings no completions and no free slot that
+// schedulable work could fill then has no use for the current instant —
+// reading it (a time.Since) is the larger part of such a heartbeat's cost —
+// and, uninstrumented, nobody to report it to. Each condition guards a
+// reader of now: rel.due compares it with the next release, dueRetries with
+// the earliest retry, and pending events send the heartbeat into the
+// pipeline, which stamps what it assigns. Three atomic loads.
+func (st *shardedTracker) idle() bool {
+	return st.rel.exhausted() &&
+		simtime.Time(st.nextRetry.Load()) == simtime.MaxTime &&
+		!st.events.pending()
+}
+
 // bookkeep applies admissions and completion accounting under the shared
 // plane lock, taking each workflow's shard lock only for its own updates.
 // Completions are grouped by contiguous workflow runs so a report full of
@@ -191,6 +227,13 @@ func (st *shardedTracker) Heartbeat(hb Heartbeat) []Assignment {
 // order, matching the legacy tracker and the simulator's event order.
 func (st *shardedTracker) bookkeep(due []int, retries []deferredRelease, completed []TaskID, tracker int, now simtime.Time) {
 	st.plane.RLock()
+	st.applyReport(due, retries, completed, tracker, now)
+	st.plane.RUnlock()
+}
+
+// applyReport is bookkeep's work. The caller holds the plane lock, shared or
+// exclusive.
+func (st *shardedTracker) applyReport(due []int, retries []deferredRelease, completed []TaskID, tracker int, now simtime.Time) {
 	i, j := 0, 0
 	for i < len(due) || j < len(retries) {
 		if i < len(due) && (j >= len(retries) || st.wfs[due[i]].ws.Spec.Release <= retries[j].at) {
@@ -210,7 +253,6 @@ func (st *shardedTracker) bookkeep(due []int, retries []deferredRelease, complet
 		st.completeGroup(st.wfs[wi], completed[i:j], tracker, now)
 		i = j
 	}
-	st.plane.RUnlock()
 }
 
 // rule consults the admission front door for one due submission and applies
@@ -377,31 +419,160 @@ func (st *shardedTracker) activateDependents(lw *liveWorkflow, job workflow.JobI
 	}
 }
 
-// assignPhase is the exclusive pipeline: drain pending events into the
-// policy, then run the legacy assignment loops. Holding core.mu serializes
-// the single-threaded policy; holding the plane write lock freezes all
-// bookkeeping so the policy's reads of workflow state are race-free.
-func (st *shardedTracker) assignPhase(hb Heartbeat, now simtime.Time, clk *virtualClock) []Assignment {
-	st.lockPipeline()
-	defer func() {
-		st.plane.Unlock()
-		st.core.mu.Unlock()
-	}()
-	st.drainEvents()
-	var out []Assignment
-	for n := hb.FreeMaps; n > 0; n-- {
-		a, ok := st.assignOne(cluster.MapSlot, hb.Tracker, now, clk)
-		if !ok {
-			break
+// pipeReq is one heartbeat's order for the exclusive pipeline: the report,
+// the releases and retries it claimed, and the instant it read. Whichever
+// heartbeat holds the policy-core lock serves every order queued (combine),
+// so an order is answered by its owner or by a heartbeat that got there
+// first; the owner waits on served either way. Orders are pooled: the owner
+// takes one, queues it, and puts it back once it is served.
+type pipeReq struct {
+	hb      Heartbeat
+	due     []int
+	retries []deferredRelease
+	now     simtime.Time
+	// out is the answer. It is built in buf, and the owner copies it out after
+	// the locks are gone, so that nothing is allocated — and no GC assist is
+	// served — while every other heartbeat bound for the pipeline waits.
+	out []Assignment
+	buf [8]Assignment
+	// served is set last, by the combiner; from then on the order is its
+	// owner's again and the combiner must not touch it.
+	served atomic.Bool
+	next   *pipeReq
+}
+
+var pipeReqs = sync.Pool{New: func() any { return new(pipeReq) }}
+
+// pipeQueue is the orders awaiting the pipeline: a lock-free stack that
+// heartbeats push onto and the combiner empties in one swap.
+type pipeQueue struct {
+	head atomic.Pointer[pipeReq]
+}
+
+func (q *pipeQueue) push(r *pipeReq) {
+	for {
+		h := q.head.Load()
+		r.next = h
+		if q.head.CompareAndSwap(h, r) {
+			return
 		}
-		out = append(out, a)
 	}
-	for n := hb.FreeReds; n > 0; n-- {
-		a, ok := st.assignOne(cluster.ReduceSlot, hb.Tracker, now, clk)
-		if !ok {
-			break
+}
+
+func (q *pipeQueue) empty() bool { return q.head.Load() == nil }
+
+// take detaches every queued order and returns them oldest first.
+func (q *pipeQueue) take() *pipeReq {
+	var fifo *pipeReq
+	for r := q.head.Swap(nil); r != nil; {
+		next := r.next
+		r.next, fifo = fifo, r
+		r = next
+	}
+	return fifo
+}
+
+const (
+	// pipeSpins is how many times a heartbeat polls for its answer before it
+	// blocks on the policy-core lock. A combiner spends a microsecond or two
+	// on an order, so a waiter normally sees its answer within a few hundred
+	// polls; the budget (some 100 µs) is for a combiner that was stalled — a
+	// GC phase, a preemption — after which blocking is the cheaper wait.
+	pipeSpins = 1 << 16
+	// pipePoll is how often, in polls, a waiter tries the lock itself: the
+	// combiner may have left just before the order was queued.
+	pipePoll = 32
+	// pipeRounds bounds how often a combiner goes back for orders queued
+	// while it served the last ones, so its own caller is not kept for ever.
+	pipeRounds = 64
+)
+
+// pipeline passes one report through the exclusive pipeline — bookkeeping,
+// pending policy events, assignment — and returns what it was assigned. The
+// policy is single-threaded by contract, so the pipeline is the tracker's one
+// serial point; when heartbeats arrive faster than it serves them, handing
+// the lock from core to core costs more than the work under it (every line
+// of policy and workflow state follows the lock), and a waiter that sleeps is
+// paid for again when it is woken. So a heartbeat queues its order and then
+// either finds the lock free and serves the whole queue, its own order
+// included, or is served by the heartbeat that holds it: the state stays in
+// one core's cache for as long as that core keeps coming back, and a waiter
+// polls its own order, not the lock.
+func (st *shardedTracker) pipeline(hb Heartbeat, due []int, retries []deferredRelease, now simtime.Time, clk *virtualClock) []Assignment {
+	r := pipeReqs.Get().(*pipeReq)
+	r.hb, r.due, r.retries, r.now = hb, due, retries, now
+	st.pipe.push(r)
+	var t0 time.Time
+	if st.stats != nil {
+		t0 = time.Now()
+	}
+	held := false
+	for i := 0; !r.served.Load(); i++ {
+		if i >= pipeSpins {
+			st.core.mu.Lock()
+		} else if i%pipePoll != 0 || !st.core.mu.TryLock() {
+			continue
 		}
-		out = append(out, a)
+		held = true
+		break
+	}
+	if st.stats != nil {
+		st.stats.OnPipelineLockWait(time.Since(t0))
+	}
+	if held {
+		st.combine(r, clk)
+	}
+	var out []Assignment
+	if len(r.out) > 0 {
+		out = append(out, r.out...)
+	}
+	r.hb, r.due, r.retries, r.out = Heartbeat{}, nil, nil, nil
+	r.served.Store(false)
+	pipeReqs.Put(r)
+	return out
+}
+
+// combine serves the queued orders, oldest first, until the queue is empty
+// or pipeRounds refills of it have been served. The caller holds core.mu and
+// own is its order: either an earlier combiner served it, and then there is
+// nothing this caller must do, or it is still queued and the first round
+// takes it. Holding core.mu serializes the single-threaded policy; holding
+// the plane write lock freezes all shared-lock bookkeeping so the policy's
+// reads of workflow state are race-free.
+func (st *shardedTracker) combine(own *pipeReq, clk *virtualClock) {
+	defer st.core.mu.Unlock()
+	if own.served.Load() {
+		return
+	}
+	st.plane.Lock()
+	defer st.plane.Unlock()
+	orders := 0
+	for n := 0; n < pipeRounds && !st.pipe.empty(); n++ {
+		for r := st.pipe.take(); r != nil; orders++ {
+			next := r.next
+			st.applyReport(r.due, r.retries, r.hb.Completed, r.hb.Tracker, r.now)
+			st.drainEvents()
+			r.out = st.assign(r.hb, r.now, clk, r.buf[:0])
+			r.served.Store(true)
+			r = next
+		}
+	}
+	st.stats.OnPipelinePass(orders)
+}
+
+// assign runs the legacy assignment loops for one report, appending to out.
+// The caller holds the pipeline locks. A report is unchecked RPC input; out
+// has room for what a node of the usual size can take and grows past that.
+func (st *shardedTracker) assign(hb Heartbeat, now simtime.Time, clk *virtualClock, out []Assignment) []Assignment {
+	free := [2]int{cluster.MapSlot: hb.FreeMaps, cluster.ReduceSlot: hb.FreeReds}
+	for slot := cluster.MapSlot; slot <= cluster.ReduceSlot; slot++ {
+		for n := free[slot]; n > 0; n-- {
+			a, ok := st.assignOne(slot, hb.Tracker, now, clk)
+			if !ok {
+				break
+			}
+			out = append(out, a)
+		}
 	}
 	return out
 }
@@ -415,20 +586,6 @@ func (st *shardedTracker) lockShard(sh *wfShard) {
 	t0 := time.Now()
 	sh.mu.Lock()
 	st.stats.OnShardLockWait(time.Since(t0))
-}
-
-// lockPipeline takes the policy-core and exclusive plane locks, in that
-// order, recording the combined wait when instrumented.
-func (st *shardedTracker) lockPipeline() {
-	if st.stats == nil {
-		st.core.mu.Lock()
-		st.plane.Lock()
-		return
-	}
-	t0 := time.Now()
-	st.core.mu.Lock()
-	st.plane.Lock()
-	st.stats.OnPipelineLockWait(time.Since(t0))
 }
 
 // drainEvents applies every queued lifecycle event to the policy and folds

@@ -63,6 +63,12 @@ func (r *releaseIndex) build(wfs []*liveWorkflow) {
 	}
 }
 
+// exhausted reports that every workflow has been claimed by due, so no later
+// instant can release anything.
+func (r *releaseIndex) exhausted() bool {
+	return r.cursor.Load() >= int64(len(r.times))
+}
+
 // due claims every workflow whose release time has arrived and returns their
 // indices in release order, or nil when nothing is due (the common case,
 // which takes no lock and allocates nothing).

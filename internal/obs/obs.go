@@ -29,7 +29,6 @@ const (
 	MetricQueueLagRecomputes   = "woha_queue_lag_recomputes_total"
 	MetricQueueNodeReuses      = "woha_queue_node_reuses_total"
 	MetricQueueBucketMoves     = "woha_queue_bucket_moves_total"
-	MetricSchedIndexSkips      = "woha_sched_index_skips_total"
 
 	// Planner subsystem (internal/planner): cached, parallel plan generation.
 	MetricPlannerPlans           = "woha_planner_plans_total"
@@ -82,6 +81,8 @@ const (
 	MetricLiveFastPathBeats    = "woha_live_fastpath_heartbeats_total"
 	MetricLivePolicyBatches    = "woha_live_policy_event_batches_total"
 	MetricLivePolicyEvents     = "woha_live_policy_events_total"
+	MetricLivePipelinePasses   = "woha_live_pipeline_passes_total"
+	MetricLivePipelineOrders   = "woha_live_pipeline_orders_total"
 
 	// Deadline-health layer (health.go): per-workflow slack versus the
 	// scheduling plan's progress requirement list, sampled on the snapshot
@@ -562,17 +563,6 @@ func (q *QueueStats) OnBucketMoves(n int) {
 	q.BucketMoves.Add(int64(n))
 }
 
-// SchedIndexSkips returns the counter of workflows skipped by the WOHA
-// scheduler's per-workflow schedulable index without invoking the per-job
-// scan, registering it on first use.
-func (o *Obs) SchedIndexSkips() *Counter {
-	if o == nil {
-		return nil
-	}
-	return o.reg.Counter(MetricSchedIndexSkips,
-		"Workflows skipped during queue descent because their schedulable index showed no startable task for the slot type.")
-}
-
 // PlannerStats bundles the instruments of the plan-generation service
 // (internal/planner): structural-cache effectiveness, speculative probe
 // accounting, and end-to-end plan latency. All methods are safe on a nil
@@ -666,9 +656,15 @@ type LiveStats struct {
 	// ShardLockWait is the wait to acquire one workflow shard's lock during
 	// completion/admission bookkeeping.
 	ShardLockWait *Histogram
-	// PipelineLockWait is the wait to acquire the policy core + exclusive
-	// plane lock before the assignment phase.
+	// PipelineLockWait is how long a heartbeat bound for the assignment
+	// pipeline waited: until it held the policy-core lock, or until the
+	// heartbeat holding it had served its report.
 	PipelineLockWait *Histogram
+	// PipelinePasses counts holds of the pipeline locks that served queued
+	// reports; PipelineOrders the reports served. Orders per pass above one
+	// is heartbeats being answered by the heartbeat ahead of them.
+	PipelinePasses *Counter
+	PipelineOrders *Counter
 	// FastPathBeats counts heartbeats served without taking any lock (no
 	// completions, no due releases, and no assignable work).
 	FastPathBeats *Counter
@@ -689,7 +685,11 @@ func (o *Obs) NewLiveStats(shards int) *LiveStats {
 		ShardLockWait: o.reg.Histogram(MetricLiveShardLockWait,
 			"Wait to acquire a workflow shard's lock during heartbeat bookkeeping.", DurationBuckets),
 		PipelineLockWait: o.reg.Histogram(MetricLivePipelineLockWait,
-			"Wait to acquire the assignment pipeline's policy-core and plane locks.", DurationBuckets),
+			"Wait of a heartbeat to enter the assignment pipeline or to be served by the heartbeat holding it.", DurationBuckets),
+		PipelinePasses: o.reg.Counter(MetricLivePipelinePasses,
+			"Holds of the assignment pipeline's locks that served queued heartbeat reports."),
+		PipelineOrders: o.reg.Counter(MetricLivePipelineOrders,
+			"Heartbeat reports served by the assignment pipeline."),
 		FastPathBeats: o.reg.Counter(MetricLiveFastPathBeats,
 			"Heartbeats served entirely on the lock-free fast path."),
 		PolicyBatches: o.reg.Counter(MetricLivePolicyBatches,
@@ -709,12 +709,22 @@ func (s *LiveStats) OnShardLockWait(d time.Duration) {
 	s.ShardLockWait.ObserveDuration(d)
 }
 
-// OnPipelineLockWait records one assignment-pipeline lock acquisition wait.
+// OnPipelineLockWait records one heartbeat's wait for the assignment pipeline.
 func (s *LiveStats) OnPipelineLockWait(d time.Duration) {
 	if s == nil {
 		return
 	}
 	s.PipelineLockWait.ObserveDuration(d)
+}
+
+// OnPipelinePass records one hold of the pipeline locks that served orders
+// queued reports.
+func (s *LiveStats) OnPipelinePass(orders int) {
+	if s == nil {
+		return
+	}
+	s.PipelinePasses.Inc()
+	s.PipelineOrders.Add(int64(orders))
 }
 
 // OnFastPath records a heartbeat served without locks.
