@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify ci fmt-check race-smoke alloc-pins postmortem-smoke admission-smoke federation-smoke bench-plan bench-plan-shared bench-sim bench-live bench-queue bench-admission bench-federation bench-smoke mutex-smoke
+.PHONY: build test vet race verify ci fmt-check race-smoke alloc-pins postmortem-smoke admission-smoke federation-smoke bench-smoke mutex-smoke
 
 build:
 	$(GO) build ./...
@@ -41,12 +41,11 @@ race-smoke:
 
 # Allocation-budget pins: the arena simulator's steady-state scenario
 # budget (≤3 allocs end to end across both dispatch modes), the obs
-# heartbeat zero-alloc contract, and the queue-op pin (Best/Scheduled/
-# Unscheduled at 0 allocs/op on a warm queue for the DSL, BST, and Det
-# backends), and the event queue's FIFO lane (PushOrdered + drain at 0
-# allocs once the ring is warm). Run without -race — the race runtime
-# randomizes sync.Pool reuse and inflates allocation counts, so the pins skip
-# themselves.
+# heartbeat zero-alloc contract, the queue-op pin (Best/Scheduled/
+# Unscheduled at 0 allocs/op on a warm queue for the DSL and BST backends),
+# and the event queue's FIFO lane (PushOrdered + drain at 0 allocs once the
+# ring is warm). Run without -race — the race runtime randomizes sync.Pool
+# reuse and inflates allocation counts, so the pins skip themselves.
 alloc-pins:
 	$(GO) test -count=1 -run 'TestScenarioAllocs|TestHeartbeatBareAllocs' \
 		./internal/cluster/ ./internal/obs/
@@ -72,51 +71,12 @@ postmortem-smoke:
 admission-smoke:
 	$(GO) test -count=1 -v -run 'TestAdmissionSmoke' ./cmd/wohasim/
 
-# Regenerate the committed planner throughput numbers (includes the
-# shared-vs-per-cell Fig 8 sweep and the contended shared-planner sections).
-bench-plan:
-	$(GO) run ./cmd/wohabench -bench-out BENCH_plan.json
-
-# Run the plan benchmark for its shared-planner evidence without touching
-# the committed baseline: the echoed summary's "fig8 sweep" line carries the
-# shared-vs-per-cell speedup, exactly-once accounting, and streaming
-# first-row proof; the "contended" line the 64-goroutine throughput.
-bench-plan-shared:
-	$(GO) run ./cmd/wohabench -bench-out $${TMPDIR:-/tmp}/BENCH_plan_shared.json
-	@echo "full report: $${TMPDIR:-/tmp}/BENCH_plan_shared.json"
-
-# Regenerate the committed simulation throughput numbers (Fig 8 corpus,
-# serial vs 8-worker runner).
-bench-sim:
-	$(GO) run ./cmd/wohabench -sim-bench-out BENCH_sim.json
-
-# Regenerate the committed live heartbeat contention numbers (sharded vs
-# legacy single-mutex JobTracker at 1/4/16/64 concurrent trackers).
-bench-live:
-	$(GO) run ./cmd/wohabench -live-bench-out BENCH_live.json
-
-# Regenerate the committed queue-backend microbenchmark (steady-state
-# decision round-trips for DSL/BST/Det/Naive at 1k/10k/100k queued
-# workflows, with allocs/op).
-bench-queue:
-	$(GO) run ./cmd/wohabench -queue-bench-out BENCH_queue.json
-
-# Regenerate the committed admission-control numbers: the rejected-vs-missed
-# trade-off sweep plus the always-admit decision cost (pinned at 0 allocs).
-bench-admission:
-	$(GO) run ./cmd/wohabench -admission-bench-out BENCH_admission.json
-
 # Seeded federation determinism smoke: three member clusters under every
 # router policy, run twice each, asserting byte-identical routing decisions
 # and miss vectors — plus the single-member staleness-0 equivalence against a
 # plain cluster.Sim run of the same workload.
 federation-smoke:
 	$(GO) test -count=1 -v -run 'TestFederationDeterminism|TestSingleClusterEquivalence' ./internal/federation/
-
-# Regenerate the committed federation numbers: the miss-rate-vs-staleness
-# sweep (Yahoo population, slack router, 4 member clusters).
-bench-federation:
-	$(GO) run ./cmd/wohabench -federation-bench-out BENCH_federation.json
 
 # One-iteration pass over every benchmark: proves they still run without
 # paying for stable timings.

@@ -3,31 +3,21 @@
 // writes the Fig 14-19 slot-allocation CSVs, and with -trace-out it records
 // the Fig 11 scenario as a Chrome trace-event file for Perfetto.
 //
-// With -bench-out it instead benchmarks plan-generation throughput
-// (sequential vs parallel vs cached planner; see internal/planner) and
-// writes the numbers as JSON. With -sim-bench-out it benchmarks simulation
-// throughput over the Fig 8 corpus (serial vs 8-worker runner; see
-// internal/runner). With -live-bench-out it benchmarks live JobTracker
-// heartbeat service under concurrent TaskTrackers (sharded vs legacy
-// single-mutex control plane; see internal/live). With -queue-bench-out it
-// microbenchmarks the four inter-workflow queue backends in isolation
-// (steady-state decision round-trips at 1k/10k/100k queued workflows; see
-// internal/dsl). With -admission-bench-out it runs the admission front door's
-// rejected-vs-missed trade-off sweep (always-admit vs the feasible controller
-// over a shrinking cluster; see internal/experiments.AdmissionSweep). With
-// -federation-bench-out it runs the federation's miss-rate-vs-staleness sweep
-// (the Yahoo population routed over member clusters with bounded-staleness
-// load snapshots; see internal/experiments.FederationSweep).
+// The admission and federation figures are model sweeps beyond the paper:
+// rejected-vs-missed over a shrinking cluster (experiments.AdmissionSweep) and
+// miss rate against load-snapshot staleness (experiments.FederationSweep).
+//
+// wohabench measures no speed. Throughput and latency come from
+// `go run ./benchmark` (repeats, spreads, a committed baseline and a
+// per-layer ledger; see benchmark/README.md), under metric names such as
+// cluster.ns_per_event, planner.plans_per_s, live.heartbeats_per_s and
+// core.next_task_ns_mean.
 //
 // Usage:
 //
-//	wohabench [-fig all|2|3|5|6|8|9|10|11|12|13a|13b] [-timeline-dir DIR] [-trace-out FILE]
-//	wohabench -bench-out BENCH_plan.json
-//	wohabench -sim-bench-out BENCH_sim.json
-//	wohabench -live-bench-out BENCH_live.json
-//	wohabench -queue-bench-out BENCH_queue.json
-//	wohabench -admission-bench-out BENCH_admission.json
-//	wohabench -federation-bench-out BENCH_federation.json
+//	wohabench [-fig NAME] [-timeline-dir DIR] [-trace-out FILE] [-postmortem-out FILE] [-metrics-addr ADDR]
+//
+// NAME is one of figNames; wohabench -h prints them.
 package main
 
 import (
@@ -37,6 +27,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	woha "repro"
@@ -47,16 +39,10 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate (all, 2, 3, 5, 6, 8, 9, 10, 11, 12, 13a, 13b, ablations)")
+	fig := flag.String("fig", "all", "figure to regenerate ("+strings.Join(figNames, ", ")+")")
 	timelineDir := flag.String("timeline-dir", "", "directory to write Fig 14-19 CSVs into (empty = skip)")
 	traceOut := flag.String("trace-out", "", "record the Fig 11 scenario under WOHA-LPF as Chrome trace-event JSON to this file (open in ui.perfetto.dev)")
 	pmOut := flag.String("postmortem-out", "", "replay the Fig 11 scenario under WOHA-LPF with event capture and write the miss root-cause JSON report to this file")
-	benchOut := flag.String("bench-out", "", "benchmark plan-generation throughput and write the JSON report to this file (- for stdout); skips the figure sweep")
-	simBenchOut := flag.String("sim-bench-out", "", "benchmark simulation throughput over the Fig 8 corpus (serial vs 8 workers) and write the JSON report to this file (- for stdout); skips the figure sweep")
-	liveBenchOut := flag.String("live-bench-out", "", "benchmark live JobTracker heartbeat service under concurrent trackers (sharded vs legacy single-mutex) and write the JSON report to this file (- for stdout); skips the figure sweep")
-	queueBenchOut := flag.String("queue-bench-out", "", "microbenchmark the four inter-workflow queue backends (steady-state decision round-trips at 1k/10k/100k queued workflows) and write the JSON report to this file (- for stdout); skips the figure sweep")
-	admBenchOut := flag.String("admission-bench-out", "", "run the admission rejected-vs-missed trade-off sweep (always-admit vs feasible front door over a shrinking cluster) and write the JSON report to this file (- for stdout); skips the figure sweep")
-	fedBenchOut := flag.String("federation-bench-out", "", "run the federation miss-rate-vs-staleness sweep (Yahoo population routed over member clusters with bounded-staleness load snapshots) and write the JSON report to this file (- for stdout); skips the figure sweep")
 	metricsAddr := flag.String("metrics-addr", "", "serve the introspection plane (/metrics, /statusz, /debug/pprof) on this address during the run (e.g. :8080; :0 picks a free port) and print a final scrape")
 	flag.Parse()
 
@@ -89,60 +75,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "wohabench:", err)
 			os.Exit(1)
 		}
-	}
-
-	if *benchOut != "" {
-		if err := runPlanBench(*benchOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "wohabench:", err)
-			os.Exit(1)
-		}
-		finish()
-		return
-	}
-
-	if *simBenchOut != "" {
-		if err := runSimBench(*simBenchOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "wohabench:", err)
-			os.Exit(1)
-		}
-		finish()
-		return
-	}
-
-	if *liveBenchOut != "" {
-		if err := runLiveBench(*liveBenchOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "wohabench:", err)
-			os.Exit(1)
-		}
-		finish()
-		return
-	}
-
-	if *queueBenchOut != "" {
-		if err := runQueueBench(*queueBenchOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "wohabench:", err)
-			os.Exit(1)
-		}
-		finish()
-		return
-	}
-
-	if *admBenchOut != "" {
-		if err := runAdmissionBench(*admBenchOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "wohabench:", err)
-			os.Exit(1)
-		}
-		finish()
-		return
-	}
-
-	if *fedBenchOut != "" {
-		if err := runFederationBench(*fedBenchOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "wohabench:", err)
-			os.Exit(1)
-		}
-		finish()
-		return
 	}
 
 	if *traceOut != "" {
@@ -292,15 +224,16 @@ func writeTrace(path string, out io.Writer) error {
 	return nil
 }
 
-var validFigs = map[string]bool{
-	"all": true, "2": true, "3": true, "5": true, "6": true, "8": true,
-	"9": true, "10": true, "11": true, "12": true, "13a": true, "13b": true,
-	"ablations": true,
+// figNames is every accepted -fig value, in the order the flag help and the
+// unknown-figure error list them.
+var figNames = []string{
+	"all", "2", "3", "5", "6", "8", "9", "10", "11", "12", "13a", "13b",
+	"ablations", "admission", "federation",
 }
 
 func run(fig, timelineDir string, out io.Writer, ins *woha.Instrumentation) error {
-	if !validFigs[fig] {
-		return fmt.Errorf("unknown figure %q (want one of all, 2, 3, 5, 6, 8, 9, 10, 11, 12, 13a, 13b, ablations)", fig)
+	if !slices.Contains(figNames, fig) {
+		return fmt.Errorf("unknown figure %q (want one of %s)", fig, strings.Join(figNames, ", "))
 	}
 	want := func(names ...string) bool {
 		if fig == "all" {
@@ -462,6 +395,24 @@ func run(fig, timelineDir string, out io.Writer, ins *woha.Instrumentation) erro
 	}
 	if want("13b") {
 		res, err := experiments.Fig13b(experiments.DefaultFig13bConfig())
+		if err != nil {
+			return err
+		}
+		if err := res.Table().Render(out); err != nil {
+			return err
+		}
+	}
+	if want("admission") {
+		res, err := experiments.AdmissionSweep(experiments.DefaultAdmissionSweepConfig())
+		if err != nil {
+			return err
+		}
+		if err := res.Table().Render(out); err != nil {
+			return err
+		}
+	}
+	if want("federation") {
+		res, err := experiments.FederationSweep(experiments.DefaultFederationSweepConfig())
 		if err != nil {
 			return err
 		}

@@ -12,8 +12,15 @@ import (
 
 func TestRunRejectsUnknownFigure(t *testing.T) {
 	var sb strings.Builder
-	if err := run("bogus", "", &sb, nil); err == nil || !strings.Contains(err.Error(), "unknown figure") {
-		t.Errorf("err = %v", err)
+	err := run("bogus", "", &sb, nil)
+	if err == nil || !strings.Contains(err.Error(), "unknown figure") {
+		t.Fatalf("err = %v", err)
+	}
+	// The error lists every accepted name, from the same list run() checks.
+	for _, name := range figNames {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error does not list %q: %v", name, err)
+		}
 	}
 }
 
@@ -72,63 +79,26 @@ func TestWriteTrace(t *testing.T) {
 	}
 }
 
-func TestRunPlanBench(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var sb strings.Builder
-	if err := runPlanBench(path, &sb); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report planBenchReport
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if len(report.Modes) != 3 {
-		t.Fatalf("report has %d modes, want 3", len(report.Modes))
-	}
-	for _, m := range report.Modes {
-		if m.PlansPerSec <= 0 || m.NsPerPlan <= 0 {
-			t.Errorf("mode %s has empty measurements: %+v", m.Name, m)
+// TestRunModelSweeps renders the two model sweeps that have no paper figure
+// number: each prints its own table and nothing else.
+func TestRunModelSweeps(t *testing.T) {
+	for fig, want := range map[string][]string{
+		"admission":  {"Admission sweep", "always-miss", "counter-offers", "80m-80r"},
+		"federation": {"Federation sweep", "staleness", "30m0s"},
+	} {
+		var sb strings.Builder
+		if err := run(fig, "", &sb, nil); err != nil {
+			t.Fatalf("-fig %s: %v", fig, err)
 		}
-	}
-	if warm := report.Modes[2]; warm.AvgSearchIters != 0 {
-		t.Errorf("warm-cache avg simulations = %v, want 0 (all hits)", warm.AvgSearchIters)
-	}
-	if report.SpeedupWarmCache <= 1 {
-		t.Errorf("warm-cache speedup = %.2fx, want > 1x", report.SpeedupWarmCache)
-	}
-	if !strings.Contains(sb.String(), "speedup:") {
-		t.Errorf("summary missing speedup line:\n%s", sb.String())
-	}
-
-	sweep := report.Fig8Sweep
-	if sweep.Cells == 0 || sweep.WohaCells == 0 || sweep.PlansServed == 0 {
-		t.Fatalf("sweep section is empty: %+v", sweep)
-	}
-	// The shared planner simulates each distinct structural key exactly once;
-	// cache hits and coalesced waits account for every other request.
-	if got := sweep.DistinctKeysSimulated + sweep.CacheHits + sweep.Coalesced; got != sweep.PlansServed {
-		t.Errorf("sweep accounting: distinct %d + hits %d + coalesced %d = %d, want plans served %d",
-			sweep.DistinctKeysSimulated, sweep.CacheHits, sweep.Coalesced, got, sweep.PlansServed)
-	}
-	if sweep.DuplicateFills != 0 {
-		t.Errorf("sweep duplicate fills = %d, want 0", sweep.DuplicateFills)
-	}
-	if !sweep.FiguresByteIdentical {
-		t.Error("shared-planner figures differ from per-cell figures")
-	}
-	if !sweep.FirstRowBeforeLastCell {
-		t.Errorf("first streamed row arrived after the sweep finished: %d/%d cells done",
-			sweep.CellsDoneAtFirstRow, sweep.Cells)
-	}
-	if report.Contended.Goroutines == 0 || report.Contended.PlansPerSec <= 0 {
-		t.Errorf("contended section is empty: %+v", report.Contended)
-	}
-	if report.Contended.DuplicateFills != 0 {
-		t.Errorf("contended duplicate fills = %d, want 0", report.Contended.DuplicateFills)
+		out := sb.String()
+		for _, w := range want {
+			if !strings.Contains(out, w) {
+				t.Errorf("-fig %s output missing %q:\n%s", fig, w, out)
+			}
+		}
+		if !strings.HasPrefix(out, want[0]) || strings.Contains(out, "\nFig ") {
+			t.Errorf("-fig %s rendered more than its own table:\n%s", fig, out)
+		}
 	}
 }
 

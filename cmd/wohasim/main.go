@@ -66,6 +66,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wohasim: -postmortem records a single run; drop it or -replicas")
 		os.Exit(1)
 	}
+	if *timeline != "" && *replicas > 1 {
+		fmt.Fprintln(os.Stderr, "wohasim: -timeline records a single run; drop it or -replicas")
+		os.Exit(1)
+	}
 	if ao.mode != "" && *replicas > 1 {
 		fmt.Fprintln(os.Stderr, "wohasim: -admission controllers are stateful per-run; drop it or -replicas")
 		os.Exit(1)
@@ -145,11 +149,7 @@ func main() {
 	case *clusters > 1:
 		err = runFederation(*workloadName, *schedName, cfg, *clusters, *routerName, *snapRefresh, ins, pl)
 	case *replicas > 1:
-		if *timeline != "" {
-			err = fmt.Errorf("-timeline records a single run; drop it or -replicas")
-		} else {
-			err = runReplicas(*workloadName, *schedName, cfg, *replicas, *replicaWork, ins, pl)
-		}
+		err = runReplicas(*workloadName, *schedName, cfg, *replicas, *replicaWork, ins, pl)
 	default:
 		err = run(*workloadName, *schedName, cfg, *timeline, ins, pl, pm, ao)
 	}
@@ -308,8 +308,11 @@ func run(workloadName, schedName string, cfg woha.ClusterConfig, timelinePath st
 		if err != nil {
 			return err
 		}
-		defer f.Close()
 		if err := tl.WriteCSV(f, woha.MapSlot); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("map-slot timeline written to %s\n", timelinePath)

@@ -33,9 +33,6 @@ const (
 	QueueBST
 	// QueueNaive recomputes every workflow's priority per decision.
 	QueueNaive
-	// QueueDet is Algorithm 2 over deterministic 1-2-3 skip lists
-	// (worst-case O(log n) per operation).
-	QueueDet
 )
 
 func (k QueueKind) String() string {
@@ -46,8 +43,6 @@ func (k QueueKind) String() string {
 		return "BST"
 	case QueueNaive:
 		return "Naive"
-	case QueueDet:
-		return "Det"
 	default:
 		return fmt.Sprintf("QueueKind(%d)", int(k))
 	}
@@ -59,8 +54,6 @@ func (k QueueKind) newQueue(seed int64) dsl.Queue {
 		return dsl.NewBST()
 	case QueueNaive:
 		return dsl.NewNaive()
-	case QueueDet:
-		return dsl.NewDeterministic()
 	default:
 		return dsl.New(seed)
 	}

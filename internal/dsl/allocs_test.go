@@ -21,7 +21,6 @@ func TestQueueOpAllocs(t *testing.T) {
 	backends := map[string]Queue{
 		"DSL": New(11),
 		"BST": NewBST(),
-		"Det": NewDeterministic(),
 	}
 	for name, q := range backends {
 		t.Run(name, func(t *testing.T) {

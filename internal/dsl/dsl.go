@@ -26,10 +26,9 @@
 // something for this slot (BestStartable) — is also answered from list heads
 // instead of by walking past the workflows that have nothing.
 //
-// Four Queue implementations exist for the Fig 13(a) throughput comparison:
+// Three Queue implementations exist for the Fig 13(a) throughput comparison:
 // the Double Skip List (New), the same algorithm over balanced search trees
-// (NewBST), over deterministic 1-2-3 skip lists (NewDeterministic), and the
-// naive recompute-and-rescan baseline (NewNaive).
+// (NewBST), and the naive recompute-and-rescan baseline (NewNaive).
 package dsl
 
 import (
@@ -276,8 +275,8 @@ func prioLess(a, b prioKey) bool {
 }
 
 // prioIndex is the priority-side structure of the queue: the bucketed lag
-// index for the DSL proper, or an ordered.Set adapter for the BST/Det
-// variants that run Algorithm 2 literally over those structures.
+// index for the DSL proper, or an ordered.Set adapter for the BST variant
+// that runs Algorithm 2 literally over that structure.
 type prioIndex interface {
 	insert(e *Entry)
 	remove(e *Entry)
@@ -290,15 +289,11 @@ type prioIndex interface {
 	// has bit st, or nil when there is none.
 	bestStartable(st int) *Entry
 	// takeMoves returns and resets the bucket-move count since the last
-	// call (always 0 for set-backed indexes, whose repositionings are
-	// counted as node reuses at the set layer instead).
+	// call (always 0 for the set-backed index).
 	takeMoves() int
 }
 
-// reuser is implemented by pooled ordered sets that count node reuses.
-type reuser interface{ Reuses() int }
-
-// List is the Double Skip List (or Double-BST / Double-Det) queue.
+// List is the Double Skip List (or Double-BST) queue.
 type List struct {
 	ct   ordered.Set[ctKey]
 	prio prioIndex
@@ -307,9 +302,10 @@ type List struct {
 	entries []*Entry
 	count   int
 	stats   *obs.QueueStats
-	// reusers tracks pooled backing sets for woha_queue_node_reuses_total;
-	// seenReuses is the portion already flushed to stats.
-	reusers    [2]reuser
+	// pooled is the ct skip list when it is the backing set (nil for the
+	// BST), read for woha_queue_node_reuses_total; seenReuses is the portion
+	// already flushed to stats.
+	pooled     *skiplist.List[ctKey]
 	seenReuses int
 }
 
@@ -319,42 +315,16 @@ var _ Queue = (*List)(nil)
 // side, the bucketed lag index for the priority side. seed drives the skip
 // list's deterministic tower PRNG.
 func New(seed int64) *List {
-	l := &List{ct: skiplist.New(ctLess, seed)}
-	l.prio = &lagIndex{}
-	l.initReusers(nil)
-	return l
+	ct := skiplist.New(ctLess, seed)
+	return &List{ct: ct, pooled: ct, prio: &lagIndex{}}
 }
 
 // NewBST returns the same Algorithm 2 queue backed by AVL trees — the "BST"
 // baseline of Fig 13(a).
 func NewBST() *List {
 	l := &List{ct: avl.New(ctLess)}
-	prio := avl.New(prioLess)
-	l.prio = newSetPrio(prio, l)
-	l.initReusers(prio)
+	l.prio = newSetPrio(avl.New(prioLess), l)
 	return l
-}
-
-// NewDeterministic returns the queue backed by Munro-Papadakis-Sedgewick
-// 1-2-3 deterministic skip lists — the structure the paper cites — trading
-// the seeded list's O(1) expected head pop for worst-case O(log n) bounds on
-// every operation.
-func NewDeterministic() *List {
-	l := &List{ct: skiplist.NewDet(ctLess)}
-	prio := skiplist.NewDet(prioLess)
-	l.prio = newSetPrio(prio, l)
-	l.initReusers(prio)
-	return l
-}
-
-// initReusers records which backing sets expose pooled-reuse counters.
-func (l *List) initReusers(prioSet any) {
-	if r, ok := l.ct.(reuser); ok {
-		l.reusers[0] = r
-	}
-	if r, ok := prioSet.(reuser); ok {
-		l.reusers[1] = r
-	}
 }
 
 // Len implements Queue.
@@ -441,13 +411,10 @@ func (l *List) flushStats() {
 	if m := l.prio.takeMoves(); m > 0 {
 		l.stats.OnBucketMoves(m)
 	}
-	total := 0
-	for _, r := range l.reusers {
-		if r != nil {
-			total += r.Reuses()
-		}
+	if l.pooled == nil {
+		return
 	}
-	if total > l.seenReuses {
+	if total := l.pooled.Reuses(); total > l.seenReuses {
 		l.stats.OnNodeReuses(total - l.seenReuses)
 		l.seenReuses = total
 	}
@@ -508,10 +475,10 @@ func (l *List) BestStartable(now simtime.Time, st int) (*Entry, bool) {
 	return e, true
 }
 
-// setPrio adapts an ordered.Set to the prioIndex contract for the BST and
-// Det queue variants. Each entry's indexed priority is cached in its bktKey
-// field, so repositioning is a single Move from the old key (pooled
-// delete+insert underneath) with no auxiliary lookup.
+// setPrio adapts an ordered.Set to the prioIndex contract for the BST queue
+// variant. Each entry's indexed priority is cached in its bktKey field, so
+// repositioning is a single Move from the old key (pooled delete+insert
+// underneath) with no auxiliary lookup.
 type setPrio struct {
 	s ordered.Set[prioKey]
 	l *List

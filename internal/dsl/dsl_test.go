@@ -58,7 +58,6 @@ func queues(seed int64) map[string]Queue {
 	return map[string]Queue{
 		"DSL":   New(seed),
 		"BST":   NewBST(),
-		"Det":   NewDeterministic(),
 		"Naive": NewNaive(),
 	}
 }
@@ -180,7 +179,6 @@ func TestImplementationsAgree(t *testing.T) {
 	}{
 		{"DSL", New(7)},
 		{"BST", NewBST()},
-		{"Det", NewDeterministic()},
 		{"Naive", NewNaive()},
 	}
 
@@ -276,7 +274,6 @@ func BenchmarkBestScheduled(b *testing.B) {
 	}{
 		{"DSL", func() Queue { return New(1) }},
 		{"BST", func() Queue { return NewBST() }},
-		{"Det", func() Queue { return NewDeterministic() }},
 		{"Naive", func() Queue { return NewNaive() }},
 	}
 	for _, bb := range benches {

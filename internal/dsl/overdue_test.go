@@ -57,7 +57,7 @@ func TestPlainEntryHasNoDeadlineWakeup(t *testing.T) {
 }
 
 func TestOverdueDropsBelowAchievable(t *testing.T) {
-	for name, q := range map[string]Queue{"DSL": New(1), "BST": NewBST(), "Det": NewDeterministic(), "Naive": NewNaive()} {
+	for name, q := range map[string]Queue{"DSL": New(1), "BST": NewBST(), "Naive": NewNaive()} {
 		t.Run(name, func(t *testing.T) {
 			// Big zombie: deadline 10s, 1000-task requirement.
 			zombieReqs := []plan.Req{{TTD: 5 * time.Second, Cum: 1000}}

@@ -1,7 +1,7 @@
 package dsl
 
 // Operation-sequence property test and fuzz target: the bucketed-lag-index
-// DSL, the set-backed BST and Det backends, and the naive full-recompute
+// DSL, the set-backed BST backend, and the naive full-recompute
 // queue are driven with one interleaved program of adds, removals,
 // schedulings, unschedulings and startable-mask flips, and must agree
 // decision for decision — same head, same lag, same BestStartable answer for
@@ -95,10 +95,9 @@ func checkQueueOps(t *testing.T, mode propMode, ops []byte) opsCoverage {
 	}{
 		{"DSL", list},
 		{"BST", NewBST()},
-		{"Det", NewDeterministic()},
 	}
 	ref := NewNaive()
-	all := []Queue{list, impls[1].q, impls[2].q, ref}
+	all := []Queue{list, impls[1].q, ref}
 
 	var cov opsCoverage
 	// boundaries accumulates every entry's requirement-change times and

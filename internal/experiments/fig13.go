@@ -55,13 +55,12 @@ type Fig13aResult struct {
 func Fig13a(cfg Fig13aConfig) *Fig13aResult {
 	out := &Fig13aResult{
 		Config:     cfg,
-		Order:      []string{core.QueueDSL.String(), core.QueueBST.String(), core.QueueDet.String(), core.QueueNaive.String()},
+		Order:      []string{core.QueueDSL.String(), core.QueueBST.String(), core.QueueNaive.String()},
 		Throughput: make(map[string][]float64),
 	}
 	backends := map[string]func() dsl.Queue{
 		"DSL":   func() dsl.Queue { return dsl.New(cfg.Seed) },
 		"BST":   func() dsl.Queue { return dsl.NewBST() },
-		"Det":   func() dsl.Queue { return dsl.NewDeterministic() },
 		"Naive": func() dsl.Queue { return dsl.NewNaive() },
 	}
 	for _, name := range out.Order {

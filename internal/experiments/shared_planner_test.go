@@ -15,20 +15,26 @@ import (
 // miss counter equals the number of cached keys, with hits + coalesced
 // requests accounting for every other plan served — and (c) stream each
 // scheduler's row in presentation order, carrying the same values as the
-// final result.
+// final result, the first of them while later cells are still to run.
 func TestFig8SharedPlannerExactlyOnce(t *testing.T) {
 	direct, err := Fig8(DefaultFig8Config())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	o := obs.New(obs.NewRegistry(), nil)
+	reg := obs.NewRegistry()
+	o := obs.New(reg, nil)
 	pl := planner.New(planner.Config{CacheSize: 1024, Margin: PlanMargin, Obs: o})
 	cfg := DefaultFig8Config()
 	cfg.Planner = pl
 	cfg.Obs = o
+	cellsDone := reg.Counter(obs.MetricRunnerCells, "Scenario cells executed by the runner.")
+	var cellsDoneAtFirstRow int64
 	var rows []Fig8Row
 	shared, err := Fig8Each(cfg, func(row Fig8Row) error {
+		if len(rows) == 0 {
+			cellsDoneAtFirstRow = cellsDone.Value()
+		}
 		rows = append(rows, row)
 		return nil
 	})
@@ -84,9 +90,13 @@ func TestFig8SharedPlannerExactlyOnce(t *testing.T) {
 		t.Logf("note: %d of %d plans shared (hits %d, coalesced %d)", plans-misses, plans, hits, coalesced)
 	}
 
-	// (c) Streamed rows: presentation order, values matching the result.
+	// (c) Streamed rows: presentation order, values matching the result, and
+	// the first row handed over before the sweep's last cell had run.
 	if len(rows) != len(shared.Order) {
 		t.Fatalf("streamed %d rows, want %d", len(rows), len(shared.Order))
+	}
+	if cells := int64(len(shared.Order) * len(cfg.Sizes)); cellsDoneAtFirstRow >= cells {
+		t.Errorf("first streamed row arrived after the sweep finished: %d/%d cells done", cellsDoneAtFirstRow, cells)
 	}
 	for i, row := range rows {
 		if row.Scheduler != shared.Order[i] {
@@ -175,7 +185,7 @@ func TestPlansFactoryMarginMismatch(t *testing.T) {
 // BenchmarkFig8SweepPlansPerCell and ...Shared time the planning portion of
 // the 18-cell Fig 8 sweep: the per-cell baseline regenerates every plan
 // directly, the shared variant routes all cells through one coalescing
-// planner. `make bench-plan-shared` reports the same comparison as JSON.
+// planner.
 func BenchmarkFig8SweepPlansPerCell(b *testing.B) { benchFig8SweepPlans(b, false) }
 func BenchmarkFig8SweepPlansShared(b *testing.B)  { benchFig8SweepPlans(b, true) }
 

@@ -246,7 +246,8 @@ func mustJSON(t *testing.T, v any) string {
 }
 
 // BenchmarkFig8CorpusSerial and ...Parallel8 time the Fig 8 sweep through
-// the runner; `make bench-sim` reports the same numbers as JSON.
+// the runner; the benchmark's fig8_sweep workload measures the same sweep
+// with repeats (cluster.ns_per_event, runner.parallel_speedup).
 func BenchmarkFig8CorpusSerial(b *testing.B)    { benchCorpus(b, 1) }
 func BenchmarkFig8CorpusParallel8(b *testing.B) { benchCorpus(b, 8) }
 

@@ -28,8 +28,7 @@ type SchedulerConfig struct {
 	// PlanGenerator is the intra-workflow priority for WOHA: "HLF", "LPF",
 	// or "MPF".
 	PlanGenerator string
-	// Queue is the WOHA queue backend: "DSL" (default), "BST", "Naive",
-	// or "Det".
+	// Queue is the WOHA queue backend: "DSL" (default), "BST", or "Naive".
 	Queue string
 	// PlanMargin is the plan safety margin (default 0.85).
 	PlanMargin float64
@@ -108,10 +107,8 @@ func (c *SchedulerConfig) queueKind() (core.QueueKind, error) {
 		return core.QueueBST, nil
 	case "Naive":
 		return core.QueueNaive, nil
-	case "Det":
-		return core.QueueDet, nil
 	default:
-		return 0, fmt.Errorf("woha: unknown queue backend %q (want DSL, BST, Naive, or Det)", c.Queue)
+		return 0, fmt.Errorf("woha: unknown queue backend %q (want DSL, BST, or Naive)", c.Queue)
 	}
 }
 

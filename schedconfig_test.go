@@ -22,10 +22,10 @@ func TestParseSchedulerConfig(t *testing.T) {
 <workflow-scheduler>
   <scheduler>WOHA</scheduler>
   <plan-generator>HLF</plan-generator>
-  <queue>Det</queue>
+  <queue>BST</queue>
   <plan-margin>0.9</plan-margin>
 </workflow-scheduler>`)
-	if sc.Scheduler != "WOHA" || sc.PlanGenerator != "HLF" || sc.Queue != "Det" || sc.PlanMargin != 0.9 {
+	if sc.Scheduler != "WOHA" || sc.PlanGenerator != "HLF" || sc.Queue != "BST" || sc.PlanMargin != 0.9 {
 		t.Errorf("parsed %+v", sc)
 	}
 }
@@ -100,11 +100,17 @@ func TestSessionFromConfigRunsBaseline(t *testing.T) {
 	}
 }
 
+// TestSessionFromConfigBadQueue rejects names that are not one of the three
+// Fig 13(a) backends ("Det", which older configs may still name, among them),
+// and the error lists the names that are.
 func TestSessionFromConfigBadQueue(t *testing.T) {
-	sc := &woha.SchedulerConfig{Scheduler: "WOHA", PlanGenerator: "LPF", Queue: "Btree", PlanMargin: 0.85}
-	if _, err := woha.NewSessionFromConfig(woha.ClusterConfig{
-		Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1,
-	}, sc); err == nil {
-		t.Error("unknown queue accepted")
+	for _, name := range []string{"Btree", "Det"} {
+		sc := &woha.SchedulerConfig{Scheduler: "WOHA", PlanGenerator: "LPF", Queue: name, PlanMargin: 0.85}
+		_, err := woha.NewSessionFromConfig(woha.ClusterConfig{
+			Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1,
+		}, sc)
+		if err == nil || !strings.Contains(err.Error(), "want DSL, BST, or Naive") {
+			t.Errorf("queue %q: err = %v, want an unknown-backend error listing DSL, BST, Naive", name, err)
+		}
 	}
 }
