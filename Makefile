@@ -43,15 +43,20 @@ race-smoke:
 # budget (≤3 allocs end to end across both dispatch modes), the obs
 # heartbeat zero-alloc contract, the queue-op pin (Best/Scheduled/
 # Unscheduled at 0 allocs/op on a warm queue for the DSL and BST backends),
-# and the event queue's FIFO lane (PushOrdered + drain at 0 allocs once the
-# ring is warm). Run without -race — the race runtime randomizes sync.Pool
-# reuse and inflates allocation counts, so the pins skip themselves.
+# the event queue's FIFO lane (PushOrdered + drain at 0 allocs once the
+# ring is warm), and the plan kernel's two (a bound kernel answers a probe
+# with 0 allocations; a cold capped typed plan averages at most 44.45 over
+# the planner corpus — half of the 88.9 a plan per probe used to cost). Run
+# without -race — the race runtime randomizes sync.Pool reuse and inflates
+# allocation counts, so the pins skip themselves.
 alloc-pins:
 	$(GO) test -count=1 -run 'TestScenarioAllocs|TestHeartbeatBareAllocs' \
 		./internal/cluster/ ./internal/obs/
 	$(GO) test -count=1 -run 'TestQueueOpAllocs' ./internal/dsl/
 	$(GO) test -count=1 -run 'TestAlwaysAdmitAllocs' ./internal/admission/
 	$(GO) test -count=1 -run 'TestQueueOrderedAllocs' ./internal/simtime/
+	$(GO) test -count=1 -run 'TestKernelProbeAllocs' ./internal/plan/
+	$(GO) test -count=1 -run 'TestColdPlanAllocs' ./internal/planner/
 
 # The CI gate: formatting, static analysis, the tier-1 suite, the
 # concurrency race smoke, and the allocation pins.

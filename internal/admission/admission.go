@@ -428,7 +428,7 @@ func (p *pipeline) quotaStage(w *workflow.Workflow, tn Tenant, at simtime.Time) 
 	}
 	used := p.ledger.TenantPeakOver(w.Tenant, at, w.Deadline)
 	room := budget - used.Total()
-	if room >= minCommitTotal(w) {
+	if room >= minCommitTotal {
 		return Decision{}, true
 	}
 	// Over quota: wait for the tenant's own earliest commitment to end, or
@@ -441,55 +441,64 @@ func (p *pipeline) quotaStage(w *workflow.Workflow, tn Tenant, at simtime.Time) 
 
 // minCommitTotal is the smallest commitment any admission makes: the typed
 // cap search floor of one map plus one reduce slot.
-func minCommitTotal(w *workflow.Workflow) int { return 2 }
+const minCommitTotal = 2
 
 // feasibilityStage reuses the planner's cap search against uncommitted
 // capacity: admit at the minimal feasible cap (committing it), defer to the
 // earliest commitment end that would make the deadline reachable, or reject
-// with the earliest feasible deadline as a counter-offer.
+// with the earliest feasible deadline as a counter-offer. The ruling reads
+// makespans and nothing else, so it ranks the workflow once, binds one
+// plan.Kernel for the whole ruling, and builds no plan.
 func (p *pipeline) feasibilityStage(w *workflow.Workflow, eff plan.Caps, at simtime.Time) (Decision, plan.Caps) {
 	budget := w.Deadline.Sub(at)
 	if budget <= 0 {
 		return Decision{Verdict: Reject, Reason: "deadline-passed"}, plan.Caps{}
 	}
 	free := p.ledger.FreeOver(at, w.Deadline, eff)
-	if free.Maps < 1 || free.Reduces < 1 {
-		return p.deferOrReject(w, eff, at, free, simtime.Epoch)
-	}
 	ranks, err := p.cfg.Policy.Rank(w)
 	if err != nil {
 		return Decision{Verdict: Reject, Reason: "unrankable: " + err.Error()}, free
 	}
-	full, err := plan.GenerateTyped(w, free, p.cfg.Policy.Name(), ranks)
+	k, err := plan.Bind(w, ranks)
 	if err != nil {
 		return Decision{Verdict: Reject, Reason: "unplannable: " + err.Error()}, free
 	}
-	offer := at.Add(full.Makespan)
-	if full.Makespan > budget {
-		return p.deferOrReject(w, eff, at, free, offer)
+	defer k.Release()
+	if free.Maps < 1 || free.Reduces < 1 {
+		return p.deferOrReject(w, k, eff, at, free, simtime.Epoch)
+	}
+	// The window probe runs to completion: its makespan prices the
+	// counter-offer when the window turns out too small.
+	full, _, err := k.MakespanTyped(free, plan.Unlimited)
+	if err != nil {
+		return Decision{Verdict: Reject, Reason: "unplannable: " + err.Error()}, free
+	}
+	if full > budget {
+		return p.deferOrReject(w, k, eff, at, free, at.Add(full))
 	}
 	// Feasible: search the smallest slice of the free capacity that still
 	// makes the (margin-discounted) budget, exactly as plan generation does.
 	target := time.Duration(p.cfg.Margin * float64(budget))
-	if full.Makespan > target {
+	if full > target {
 		target = budget
 	}
-	best, _, err := plan.SequentialSearch(2, free.Total(), target, func(mid int) (*plan.Plan, error) {
-		return plan.GenerateTyped(w, plan.TypedCapsFor(free, mid), p.cfg.Policy.Name(), ranks)
-	})
+	caps, span := free, full
+	best, _, err := plan.SequentialSearch(2, free.Total(), func(mid int, _ *plan.Schedule) (bool, error) {
+		ms, within, err := k.MakespanTyped(plan.TypedCapsFor(free, mid), target)
+		if within {
+			span = ms
+		}
+		return within, err
+	}, nil)
 	if err != nil {
 		return Decision{Verdict: Reject, Reason: "unplannable: " + err.Error()}, free
 	}
-	if best == nil {
-		best = full
-	}
-	caps := plan.TypedCapsFor(free, best.Cap)
-	if best.Cap >= free.Total() {
-		caps = free
+	if best != 0 {
+		caps = plan.TypedCapsFor(free, best)
 	}
 	if err := p.ledger.Commit(Commitment{
 		Workflow: w.Name, Tenant: w.Tenant,
-		Start: at, End: at.Add(best.Makespan),
+		Start: at, End: at.Add(span),
 		Maps: caps.Maps, Reduces: caps.Reduces,
 	}); err != nil {
 		// Defensive: FreeOver guarantees the window fits, so a conflict here
@@ -501,22 +510,21 @@ func (p *pipeline) feasibilityStage(w *workflow.Workflow, eff plan.Caps, at simt
 
 // deferOrReject finds the earliest commitment end after which the workflow
 // could still meet its deadline; failing that it rejects, carrying offer (the
-// earliest feasible deadline at current free capacity) when known.
-func (p *pipeline) deferOrReject(w *workflow.Workflow, eff plan.Caps, at simtime.Time, free plan.Caps, offer simtime.Time) (Decision, plan.Caps) {
-	ranks, err := p.cfg.Policy.Rank(w)
-	if err != nil {
-		return Decision{Verdict: Reject, Reason: "unrankable: " + err.Error(), CounterOffer: offer}, free
-	}
-	for _, t := range p.ledger.EndsWithin(at, w.Deadline) {
+// earliest feasible deadline at current free capacity) when known. k is the
+// ruling's kernel; every candidate is one limited makespan query on it.
+func (p *pipeline) deferOrReject(w *workflow.Workflow, k *plan.Kernel, eff plan.Caps, at simtime.Time, free plan.Caps, offer simtime.Time) (Decision, plan.Caps) {
+	// Every future commitment end, once: the ends inside the asked window
+	// are a prefix of it.
+	ends := p.ledger.EndsWithin(at, simtime.MaxTime)
+	for _, t := range ends {
+		if t >= w.Deadline {
+			break
+		}
 		cand := p.ledger.FreeOver(t, w.Deadline, eff)
 		if cand.Maps < 1 || cand.Reduces < 1 || (cand.Maps <= free.Maps && cand.Reduces <= free.Reduces) {
 			continue
 		}
-		probe, err := plan.GenerateTyped(w, cand, p.cfg.Policy.Name(), ranks)
-		if err != nil {
-			continue
-		}
-		if probe.Makespan <= w.Deadline.Sub(t) {
+		if _, within, err := k.MakespanTyped(cand, w.Deadline.Sub(t)); err == nil && within {
 			return Decision{Verdict: Defer, Reason: "awaiting-capacity", RetryAt: t}, free
 		}
 	}
@@ -524,7 +532,7 @@ func (p *pipeline) deferOrReject(w *workflow.Workflow, eff plan.Caps, at simtime
 	// the asked-window offer (when the window had capacity to price one)
 	// improved by finishing after any future commitment end, where freed
 	// capacity may complete the workflow sooner than the starved window.
-	for _, t := range p.ledger.EndsWithin(at, simtime.MaxTime) {
+	for _, t := range ends {
 		if offer != simtime.Epoch && t >= offer {
 			break // ends are sorted; later starts cannot finish earlier
 		}
@@ -532,12 +540,14 @@ func (p *pipeline) deferOrReject(w *workflow.Workflow, eff plan.Caps, at simtime
 		if cand.Maps < 1 || cand.Reduces < 1 {
 			continue
 		}
-		probe, err := plan.GenerateTyped(w, cand, p.cfg.Policy.Name(), ranks)
-		if err != nil {
-			continue
+		// Only a finish before the standing offer improves it, so the
+		// candidate may stop there.
+		limit := plan.Unlimited
+		if offer != simtime.Epoch {
+			limit = offer.Sub(t)
 		}
-		if o := t.Add(probe.Makespan); offer == simtime.Epoch || o < offer {
-			offer = o
+		if ms, within, err := k.MakespanTyped(cand, limit); err == nil && within {
+			offer = t.Add(ms)
 		}
 	}
 	return Decision{Verdict: Reject, Reason: "infeasible", CounterOffer: offer}, free

@@ -175,15 +175,19 @@ func TestFeasibleRejectIsProvablyInfeasible(t *testing.T) {
 		// Provable infeasibility: the sequential search over the recorded free
 		// capacity finds no cap meeting the deadline budget.
 		budget := w.Deadline.Sub(rec.Anchor)
-		best, _, err := plan.SequentialSearch(2, rec.Free.Total(), budget, func(mid int) (*plan.Plan, error) {
-			return plan.GenerateTyped(w, plan.TypedCapsFor(rec.Free, mid), pol.Name(), ranks)
-		})
+		best, _, err := plan.SequentialSearch(2, rec.Free.Total(), func(mid int, _ *plan.Schedule) (bool, error) {
+			p, err := plan.GenerateTyped(w, plan.TypedCapsFor(rec.Free, mid), pol.Name(), ranks)
+			if err != nil {
+				return false, err
+			}
+			return p.Makespan <= budget, nil
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if best != nil {
-			t.Errorf("%s: sequential search found feasible cap %d (makespan %v) inside budget %v — reject not provable",
-				rec.Workflow, best.Cap, best.Makespan, budget)
+		if best != 0 {
+			t.Errorf("%s: sequential search found feasible cap %d inside budget %v — reject not provable",
+				rec.Workflow, best, budget)
 		}
 	}
 }

@@ -37,6 +37,7 @@ const (
 	MetricPlannerCacheEvictions  = "woha_planner_cache_evictions_total"
 	MetricPlannerProbes          = "woha_planner_probes_total"
 	MetricPlannerProbesCancelled = "woha_planner_probes_cancelled_total"
+	MetricPlannerProbesCut       = "woha_planner_probes_cut_total"
 	MetricPlannerPlanDuration    = "woha_planner_plan_duration_seconds"
 	MetricPlannerInflight        = "woha_planner_inflight"
 	MetricPlannerCoalesced       = "woha_planner_coalesced_total"
@@ -577,9 +578,12 @@ type PlannerStats struct {
 	CacheEvictions *Counter
 	// Probes counts Algorithm 1 simulations executed by cap searches;
 	// ProbesCancelled counts speculative probes skipped because a
-	// concurrent result already narrowed the search past them.
+	// concurrent result already narrowed the search past them; ProbesCut
+	// counts executed probes that stopped at the search target instead of
+	// simulating to completion (the probes whose cap missed it).
 	Probes          *Counter
 	ProbesCancelled *Counter
+	ProbesCut       *Counter
 	// PlanDur is the wall-clock latency of one planner request.
 	PlanDur *Histogram
 	// Inflight gauges key generations currently running; Coalesced counts
@@ -608,6 +612,8 @@ func (o *Obs) NewPlannerStats() *PlannerStats {
 		Probes:         o.reg.Counter(MetricPlannerProbes, "Algorithm 1 simulations executed by planner cap searches."),
 		ProbesCancelled: o.reg.Counter(MetricPlannerProbesCancelled,
 			"Speculative probes cancelled before running because the search had already narrowed past them."),
+		ProbesCut: o.reg.Counter(MetricPlannerProbesCut,
+			"Executed probes that stopped at the search target instead of simulating to completion."),
 		PlanDur: o.reg.Histogram(MetricPlannerPlanDuration,
 			"Wall-clock latency of one planner request.", DurationBuckets),
 		Inflight: o.reg.Gauge(MetricPlannerInflight, "Plan generations currently in flight."),

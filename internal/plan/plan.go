@@ -21,19 +21,24 @@
 // the smallest resource cap under which the simulated makespan still meets
 // the deadline and builds the plan at that cap.
 //
-// Plan generation is the expensive half of workflow admission (each capped
-// plan runs O(log slots) Algorithm 1 simulations), so the simulators recycle
-// their state: all per-run buffers (event queue, active-job structures,
-// per-job counters, dependent adjacency, raw requirement list) live in
-// sync.Pool-managed sim objects with pre-sized reset methods, making repeated
-// probes near-zero-alloc. internal/planner builds on this with concurrent
+// The search only ever asks a probe one question — does the makespan at this
+// cap meet the target? — so there is one simulator, the Kernel, built to
+// answer exactly that. A kernel is bound once to a (workflow, ranks) pair
+// (dependent adjacency built at bind), every run takes a limit and stops at
+// the first task batch that finishes past it, and a run records at most the
+// raw requirement list, never a Plan. The capped generators bind one kernel
+// per search, keep the raw list of the best cap so far in one buffer, and
+// assemble a Plan once, for the cap that wins; Generate and GenerateTyped are
+// "bind, run unlimited, assemble". Callers that need makespans and no plan
+// (admission's feasibility stage, deadline assignment) hold a Kernel
+// themselves. Kernels are pooled with every buffer they use, so repeated
+// probes allocate nothing. internal/planner builds on this with concurrent
 // probing and a structural plan cache.
 package plan
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/priority"
@@ -77,6 +82,11 @@ type Plan struct {
 	// from a cache reports 0. Diagnostic only; not part of the encoded
 	// plan.
 	SearchIters int
+	// ProbesCut counts how many of those simulations stopped at the search
+	// target instead of running to completion — the probes whose makespan
+	// missed it. 0 for a direct Generate and for a plan served from a cache.
+	// Diagnostic only; not part of the encoded plan.
+	ProbesCut int
 }
 
 // RequiredAt returns F(ttd): the number of tasks that must have been
@@ -110,35 +120,48 @@ func (p *Plan) Clone() *Plan {
 // priority.Policy. Generate is safe for concurrent use; simulator state is
 // drawn from an internal pool.
 func Generate(w *workflow.Workflow, n int, policyName string, ranks []int) (*Plan, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("plan: resource cap %d, want > 0", n)
-	}
-	if len(ranks) != len(w.Jobs) {
-		return nil, fmt.Errorf("plan: %d ranks for %d jobs", len(ranks), len(w.Jobs))
-	}
-	s := genSimPool.Get().(*genSim)
-	defer genSimPool.Put(s)
-	return generateWith(s, w, n, policyName, ranks)
-}
-
-// generateWith runs Algorithm 1 on an explicit simulator, so benchmarks can
-// compare pooled against freshly allocated state.
-func generateWith(s *genSim, w *workflow.Workflow, n int, policyName string, ranks []int) (*Plan, error) {
-	s.reset(w, n, ranks)
-	raw, makespan, err := s.run()
+	k, err := Bind(w, ranks)
 	if err != nil {
 		return nil, err
 	}
-	return assemble(w, policyName, ranks, n, makespan, raw)
+	defer k.Release()
+	return k.generate(n, policyName)
+}
+
+// generateWith is Generate on an explicit kernel, so tests and benchmarks can
+// compare pooled against freshly allocated state.
+func generateWith(k *Kernel, w *workflow.Workflow, n int, policyName string, ranks []int) (*Plan, error) {
+	if err := k.bind(w, ranks); err != nil {
+		return nil, err
+	}
+	return k.generate(n, policyName)
+}
+
+// generate is one recorded, unlimited single-pool run assembled into a plan.
+func (k *Kernel) generate(n int, policyName string) (*Plan, error) {
+	end, _, err := k.runSingle(n, simtime.MaxTime, true)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(k.w, policyName, k.ranks, n, end.Duration(), k.raw)
 }
 
 // assemble translates a simulation's raw scheduling events into a Plan:
 // event occurrence times become time-to-deadline and the requirement counts
-// become cumulative (Algorithm 1, lines 37-39).
+// become cumulative (Algorithm 1, lines 37-39). It runs once per plan
+// returned, never per probe.
 func assemble(w *workflow.Workflow, policyName string, ranks []int, totalCap int, makespan time.Duration, raw []rawReq) (*Plan, error) {
+	// raw is chronological, so F_i has one entry per distinct instant.
+	entries := 0
+	for i, r := range raw {
+		if i == 0 || r.at != raw[i-1].at {
+			entries++
+		}
+	}
 	p := &Plan{
 		Policy:      policyName,
 		Ranks:       append([]int(nil), ranks...),
+		Reqs:        make([]Req, 0, entries),
 		Cap:         totalCap,
 		Makespan:    makespan,
 		Feasible:    makespan <= w.RelativeDeadline(),
@@ -198,6 +221,14 @@ func GenerateCappedMarginWith(w *workflow.Workflow, clusterSlots int, pol priori
 	if clusterSlots <= 0 {
 		return nil, fmt.Errorf("plan: cluster has %d slots, want > 0", clusterSlots)
 	}
+	return generateCapped(w, pol, margin, search, false, Caps{}, 1, clusterSlots)
+}
+
+// generateCapped is the cap search behind both capped generators: total caps
+// in [lo, hi] are probed on one bound kernel (typed caps are the proportional
+// slice of cluster), every probe below hi stops at the target, and only the
+// schedule that wins is assembled.
+func generateCapped(w *workflow.Workflow, pol priority.Policy, margin float64, search CapSearcher, typed bool, cluster Caps, lo, hi int) (*Plan, error) {
 	if margin <= 0 || margin > 1 {
 		return nil, fmt.Errorf("plan: margin %v, want (0, 1]", margin)
 	}
@@ -205,61 +236,47 @@ func GenerateCappedMarginWith(w *workflow.Workflow, clusterSlots int, pol priori
 	if err != nil {
 		return nil, fmt.Errorf("plan: ranking jobs: %w", err)
 	}
-	target := time.Duration(margin * float64(w.RelativeDeadline()))
-	full, err := Generate(w, clusterSlots, pol.Name(), ranks)
-	if err != nil {
+	s := searchPool.Get().(*cappedSearch)
+	defer s.release()
+	s.w, s.ranks, s.typed, s.cluster = w, ranks, typed, cluster
+
+	// The whole cluster first, to completion: its makespan picks the target
+	// and its schedule is the plan when no smaller cap meets it.
+	if _, err := s.probe(hi, Unlimited, &s.best); err != nil {
 		return nil, err
 	}
-	if full.Makespan > target {
-		// The whole cluster misses the margin target. Retry against the
-		// real deadline: a plan capped for the actual deadline demands far
-		// less than the full-cluster plan and keeps the workflow from
-		// poisoning the priority queue with an unearned maximal lag. Only
-		// a genuinely infeasible workflow falls through to the best-effort
-		// full plan.
-		if full.Makespan > w.RelativeDeadline() {
-			return full, nil
+	deadline := w.RelativeDeadline()
+	s.target = time.Duration(margin * float64(deadline))
+	cap, probes := hi, 0
+	// A whole cluster that misses the margin target retries against the real
+	// deadline: a plan capped for the actual deadline demands far less than
+	// the full-cluster plan and keeps the workflow from poisoning the
+	// priority queue with an unearned maximal lag. Only a genuinely
+	// infeasible workflow keeps the best-effort full plan.
+	if full := s.best.makespan; full <= deadline {
+		if full > s.target {
+			s.target = deadline
 		}
-		target = w.RelativeDeadline()
+		if search == nil {
+			search = SequentialSearch
+		}
+		best, n, err := search(lo, hi, s.atTarget, &s.best)
+		if err != nil {
+			return nil, err
+		}
+		if best != 0 {
+			cap = best
+		}
+		probes = n
 	}
-	if search == nil {
-		search = SequentialSearch
-	}
-	best, probes, err := search(1, clusterSlots, target, func(mid int) (*Plan, error) {
-		return Generate(w, mid, pol.Name(), ranks)
-	})
+	p, err := assemble(w, pol.Name(), ranks, cap, s.best.makespan, s.best.raw)
 	if err != nil {
 		return nil, err
 	}
-	if best == nil {
-		best = full
-	}
-	best.SearchIters = 1 + probes
-	return best, nil
+	p.SearchIters = 1 + probes
+	p.ProbesCut = s.cut
+	return p, nil
 }
-
-// genSim is the Algorithm 1 simulator state. Every buffer is retained across
-// runs (reset pre-sizes rather than re-allocates), so pooled sims make
-// repeated probes of the same or similar workflows nearly allocation-free.
-type genSim struct {
-	w     *workflow.Workflow
-	ranks []int
-
-	free    int
-	remMaps []int
-	remReds []int
-	unmet   []int
-	deps    depCSR
-
-	active activeHeap
-	events simtime.Queue[genEvent]
-	// batch receives each instant's events from DrainInstant, replacing the
-	// former Pop+Peek loop with one heap drain per instant.
-	batch []genEvent
-	raw   []rawReq
-}
-
-var genSimPool = sync.Pool{New: func() any { return new(genSim) }}
 
 // genEvent is a FREE or ADD event from Algorithm 1. slots > 0 frees slots;
 // activate re-queues a job for its reduce phase or, for completions,
@@ -275,171 +292,89 @@ type genEvent struct {
 	completed workflow.JobID
 }
 
-type rawReq struct {
-	at    simtime.Time
-	count int
-}
-
-// reset prepares s to simulate w on n slots under ranks, reusing all
-// retained buffers. The dependent adjacency is rebuilt only when w changes,
-// so the probes of one capped search share a single construction.
-func (s *genSim) reset(w *workflow.Workflow, n int, ranks []int) {
-	s.deps.build(w)
-	s.w = w
-	s.ranks = ranks
-	s.free = 0
-	nj := len(w.Jobs)
-	s.remMaps = resize(s.remMaps, nj)
-	s.remReds = resize(s.remReds, nj)
-	s.unmet = resize(s.unmet, nj)
-	s.active.items = s.active.items[:0]
-	s.events.Reset()
-	s.raw = s.raw[:0]
-	for i := range w.Jobs {
-		s.remMaps[i] = w.Jobs[i].Maps
-		s.remReds[i] = w.Jobs[i].Reduces
-		s.unmet[i] = len(w.Jobs[i].Prereqs)
+// runSingle simulates the bound workflow on n fungible slots. It returns the
+// makespan and true, or — stopping there — the first batch finish past limit
+// and false. With record set the raw requirement list is left in k.raw.
+func (k *Kernel) runSingle(n int, limit simtime.Time, record bool) (simtime.Time, bool, error) {
+	if n <= 0 {
+		return 0, false, fmt.Errorf("plan: resource cap %d, want > 0", n)
 	}
+	k.start()
+	k.heap.items = k.heap.items[:0]
+	k.events.Reset()
 	// Roots activate in job-ID order, as Workflow.Roots reports them.
-	for i := range w.Jobs {
-		if s.unmet[i] == 0 {
-			s.activate(workflow.JobID(i))
+	for i := range k.w.Jobs {
+		if k.unmet[i] == 0 {
+			k.activateSingle(workflow.JobID(i))
 		}
 	}
-	s.events.Push(simtime.Epoch, genEvent{slots: n, reduceOf: -1, completed: -1})
-}
+	k.events.Push(simtime.Epoch, genEvent{slots: n, reduceOf: -1, completed: -1})
 
-func (s *genSim) activate(j workflow.JobID) {
-	s.active.push(activeJob{id: j, rank: s.ranks[j]})
-}
-
-func (s *genSim) run() ([]rawReq, time.Duration, error) {
+	free, left := 0, k.total
 	var end simtime.Time
-	for s.events.Len() > 0 {
+	for k.events.Len() > 0 {
 		// Batch all events sharing this instant before scheduling, so a
 		// free-up and an activation at the same time are seen together
-		// (apply never pushes, so the batch is the complete instant).
-		s.batch = s.batch[:0]
-		t, _ := s.events.DrainInstant(&s.batch)
-		for _, e := range s.batch {
-			s.apply(e)
+		// (applying never pushes, so the batch is the complete instant).
+		k.batch = k.batch[:0]
+		t, _ := k.events.DrainInstant(&k.batch)
+		for _, e := range k.batch {
+			free += e.slots
+			if e.reduceOf >= 0 {
+				// Reduce phase of e.reduceOf becomes schedulable.
+				k.activateSingle(e.reduceOf)
+			}
+			if e.completed >= 0 {
+				for _, d := range k.deps.of(e.completed) {
+					k.unmet[d]--
+					if k.unmet[d] == 0 {
+						k.activateSingle(d)
+					}
+				}
+			}
 		}
 		// Work-conserving scheduling at time t (Algorithm 1 lines 14-35,
 		// looped while slots and active jobs remain).
-		for s.free > 0 && s.active.len() > 0 {
-			j := s.active.peek()
-			job := &s.w.Jobs[j]
-			if s.remMaps[j] > 0 {
-				k := min(s.remMaps[j], s.free)
-				s.raw = append(s.raw, rawReq{at: t, count: k})
-				s.free -= k
-				s.remMaps[j] -= k
-				done := t.Add(job.MapTime)
-				s.events.Push(done, genEvent{slots: k, reduceOf: -1, completed: -1})
-				end = simtime.MaxOf(end, done)
-				if s.remMaps[j] == 0 {
-					s.active.pop()
-					if s.remReds[j] > 0 {
-						s.events.Push(done, genEvent{slots: 0, reduceOf: j, completed: -1})
-					} else {
-						s.events.Push(done, genEvent{slots: 0, reduceOf: -1, completed: j})
-					}
-				}
-			} else {
-				k := min(s.remReds[j], s.free)
-				s.raw = append(s.raw, rawReq{at: t, count: k})
-				s.free -= k
-				s.remReds[j] -= k
-				done := t.Add(job.ReduceTime)
-				s.events.Push(done, genEvent{slots: k, reduceOf: -1, completed: -1})
-				end = simtime.MaxOf(end, done)
-				if s.remReds[j] == 0 {
-					s.active.pop()
-					s.events.Push(done, genEvent{slots: 0, reduceOf: -1, completed: j})
+		for free > 0 && k.heap.len() > 0 {
+			j := k.heap.peek()
+			job := &k.w.Jobs[j]
+			rem, dur := &k.remMaps[j], job.MapTime
+			inMaps := *rem > 0
+			if !inMaps {
+				rem, dur = &k.remReds[j], job.ReduceTime
+			}
+			n := min(*rem, free)
+			done := t.Add(dur)
+			if done > limit {
+				return done, false, nil
+			}
+			if record {
+				k.raw = append(k.raw, rawReq{at: t, count: n})
+			}
+			free -= n
+			left -= n
+			*rem -= n
+			// PushOrdered: see runTyped.
+			k.events.PushOrdered(done, genEvent{slots: n, reduceOf: -1, completed: -1})
+			end = simtime.MaxOf(end, done)
+			if *rem == 0 {
+				k.heap.pop()
+				if inMaps && k.remReds[j] > 0 {
+					k.events.PushOrdered(done, genEvent{slots: 0, reduceOf: j, completed: -1})
+				} else {
+					k.events.PushOrdered(done, genEvent{slots: 0, reduceOf: -1, completed: j})
 				}
 			}
 		}
 	}
-	for i := range s.w.Jobs {
-		if s.remMaps[i] > 0 || s.remReds[i] > 0 {
-			return nil, 0, fmt.Errorf("plan: job %q never fully scheduled (internal error)", s.w.Jobs[i].Name)
-		}
+	if left != 0 {
+		return 0, false, k.unfinished()
 	}
-	return s.raw, end.Duration(), nil
+	return end, true, nil
 }
 
-func (s *genSim) apply(e genEvent) {
-	s.free += e.slots
-	if e.reduceOf >= 0 {
-		// Reduce phase of e.reduceOf becomes schedulable.
-		s.activate(e.reduceOf)
-	}
-	if e.completed >= 0 {
-		for _, d := range s.deps.of(e.completed) {
-			s.unmet[d]--
-			if s.unmet[d] == 0 {
-				s.activate(d)
-			}
-		}
-	}
-}
-
-// depCSR is the dependent adjacency (Workflow.Dependents) in compressed
-// sparse row form: one flat edge list instead of a slice per job, rebuilt
-// only when the workflow changes and reusing its arrays otherwise.
-type depCSR struct {
-	w    *workflow.Workflow
-	head []int32
-	list []workflow.JobID
-	fill []int32
-}
-
-// build (re)derives the adjacency for w. The per-job edge order matches
-// Workflow.Dependents: dependents appear in increasing job-ID order.
-func (d *depCSR) build(w *workflow.Workflow) {
-	if d.w == w && d.head != nil {
-		return
-	}
-	d.w = w
-	n := len(w.Jobs)
-	d.head = resize(d.head, n+1)
-	for i := range d.head {
-		d.head[i] = 0
-	}
-	edges := 0
-	for i := range w.Jobs {
-		edges += len(w.Jobs[i].Prereqs)
-		for _, p := range w.Jobs[i].Prereqs {
-			d.head[p+1]++
-		}
-	}
-	for i := 1; i <= n; i++ {
-		d.head[i] += d.head[i-1]
-	}
-	d.list = resize(d.list, edges)
-	// Fill via a cursor per job; iterating dependents in increasing ID
-	// order keeps each job's edge list sorted.
-	d.fill = resize(d.fill, n)
-	copy(d.fill, d.head[:n])
-	for i := range w.Jobs {
-		for _, p := range w.Jobs[i].Prereqs {
-			d.list[d.fill[p]] = workflow.JobID(i)
-			d.fill[p]++
-		}
-	}
-}
-
-// of returns job j's dependents.
-func (d *depCSR) of(j workflow.JobID) []workflow.JobID {
-	return d.list[d.head[j]:d.head[j+1]]
-}
-
-// resize returns s with length n, reusing its backing array when possible.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
+func (k *Kernel) activateSingle(j workflow.JobID) {
+	k.heap.push(activeJob{id: j, rank: k.ranks[j]})
 }
 
 // activeJob is an entry in the active-job heap, ordered by rank.

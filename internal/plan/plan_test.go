@@ -375,7 +375,7 @@ func TestPooledSimMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatalf("pooled Generate: %v", err)
 			}
-			fresh, err := generateWith(new(genSim), w, 17, "LPF", ranks)
+			fresh, err := generateWith(new(Kernel), w, 17, "LPF", ranks)
 			if err != nil {
 				t.Fatalf("fresh Generate: %v", err)
 			}
@@ -387,7 +387,7 @@ func TestPooledSimMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatalf("pooled GenerateTyped: %v", err)
 			}
-			freshT, err := generateTypedWith(new(typedSim), w, Caps{Maps: 11, Reduces: 6}, "LPF", ranks)
+			freshT, err := generateTypedWith(new(Kernel), w, Caps{Maps: 11, Reduces: 6}, "LPF", ranks)
 			if err != nil {
 				t.Fatalf("fresh GenerateTyped: %v", err)
 			}
@@ -428,7 +428,7 @@ func BenchmarkGenerateFreshState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := generateWith(new(genSim), w, 40, "LPF", ranks); err != nil {
+		if _, err := generateWith(new(Kernel), w, 40, "LPF", ranks); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,8 +3,6 @@ package plan
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/priority"
 	"repro/internal/simtime"
@@ -28,30 +26,35 @@ func (c Caps) Total() int { return c.Maps + c.Reduces }
 // simulated workflow's map tasks draw only from caps.Maps and reduce tasks
 // only from caps.Reduces. The work-conserving scan lets a lower-priority
 // job's reduces use idle reduce slots while a higher-priority job's maps
-// saturate the map pool, exactly as the real JobTracker dispatch does.
+// saturate the map pool, exactly as the real JobTracker dispatch does. A pool
+// may be empty only when the workflow has no task of that type.
 // GenerateTyped is safe for concurrent use; simulator state is drawn from an
 // internal pool.
 func GenerateTyped(w *workflow.Workflow, caps Caps, policyName string, ranks []int) (*Plan, error) {
-	if caps.Maps <= 0 || caps.Reduces < 0 || caps.Total() <= 0 {
-		return nil, fmt.Errorf("plan: bad typed caps %+v", caps)
-	}
-	if len(ranks) != len(w.Jobs) {
-		return nil, fmt.Errorf("plan: %d ranks for %d jobs", len(ranks), len(w.Jobs))
-	}
-	s := typedSimPool.Get().(*typedSim)
-	defer typedSimPool.Put(s)
-	return generateTypedWith(s, w, caps, policyName, ranks)
-}
-
-// generateTypedWith runs the typed simulation on an explicit simulator, so
-// benchmarks can compare pooled against freshly allocated state.
-func generateTypedWith(s *typedSim, w *workflow.Workflow, caps Caps, policyName string, ranks []int) (*Plan, error) {
-	s.reset(w, caps, ranks)
-	raw, makespan, err := s.run()
+	k, err := Bind(w, ranks)
 	if err != nil {
 		return nil, err
 	}
-	return assemble(w, policyName, ranks, caps.Total(), makespan, raw)
+	defer k.Release()
+	return k.generateTyped(caps, policyName)
+}
+
+// generateTypedWith is GenerateTyped on an explicit kernel, so tests and
+// benchmarks can compare pooled against freshly allocated state.
+func generateTypedWith(k *Kernel, w *workflow.Workflow, caps Caps, policyName string, ranks []int) (*Plan, error) {
+	if err := k.bind(w, ranks); err != nil {
+		return nil, err
+	}
+	return k.generateTyped(caps, policyName)
+}
+
+// generateTyped is one recorded, unlimited typed run assembled into a plan.
+func (k *Kernel) generateTyped(caps Caps, policyName string) (*Plan, error) {
+	end, _, err := k.runTyped(caps, simtime.MaxTime, true)
+	if err != nil {
+		return nil, err
+	}
+	return assemble(k.w, policyName, k.ranks, caps.Total(), end.Duration(), k.raw)
 }
 
 // TypedCapsFor maps a total slot budget onto typed caps in the cluster's
@@ -91,66 +94,8 @@ func GenerateCappedTypedWith(w *workflow.Workflow, cluster Caps, pol priority.Po
 	if cluster.Maps <= 0 || cluster.Reduces <= 0 {
 		return nil, fmt.Errorf("plan: bad cluster caps %+v", cluster)
 	}
-	if margin <= 0 || margin > 1 {
-		return nil, fmt.Errorf("plan: margin %v, want (0, 1]", margin)
-	}
-	ranks, err := pol.Rank(w)
-	if err != nil {
-		return nil, fmt.Errorf("plan: ranking jobs: %w", err)
-	}
-	target := time.Duration(margin * float64(w.RelativeDeadline()))
-	full, err := GenerateTyped(w, cluster, pol.Name(), ranks)
-	if err != nil {
-		return nil, err
-	}
-	if full.Makespan > target {
-		if full.Makespan > w.RelativeDeadline() {
-			return full, nil
-		}
-		target = w.RelativeDeadline()
-	}
-	if search == nil {
-		search = SequentialSearch
-	}
-	best, probes, err := search(2, cluster.Total(), target, func(mid int) (*Plan, error) {
-		return GenerateTyped(w, TypedCapsFor(cluster, mid), pol.Name(), ranks)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if best == nil {
-		best = full
-	}
-	best.SearchIters = 1 + probes
-	return best, nil
+	return generateCapped(w, pol, margin, search, true, cluster, 2, cluster.Total())
 }
-
-// typedSim simulates Algorithm 1 with two slot pools. Like genSim, all its
-// buffers are retained across runs so pooled sims make repeated probes
-// nearly allocation-free.
-type typedSim struct {
-	w     *workflow.Workflow
-	ranks []int
-
-	freeMaps, freeReds int
-	remMaps, remReds   []int
-	unmet              []int
-	deps               depCSR
-
-	// active holds ready jobs sorted by ascending rank (ranks are a
-	// permutation, so the order is total and deterministic); scan holds the
-	// per-event snapshot scanned while active mutates.
-	active []workflow.JobID
-	scan   []workflow.JobID
-
-	events simtime.Queue[typedEvent]
-	// batch receives each instant's events from DrainInstant, replacing the
-	// former Pop+Peek loop with one heap drain per instant.
-	batch []typedEvent
-	raw   []rawReq
-}
-
-var typedSimPool = sync.Pool{New: func() any { return new(typedSim) }}
 
 type typedEvent struct {
 	freeMaps  int
@@ -159,128 +104,128 @@ type typedEvent struct {
 	completed workflow.JobID // -1 if none
 }
 
-// reset prepares s to simulate w under caps and ranks, reusing all retained
-// buffers; the dependent adjacency is rebuilt only when w changes.
-func (s *typedSim) reset(w *workflow.Workflow, caps Caps, ranks []int) {
-	s.deps.build(w)
-	s.w = w
-	s.ranks = ranks
-	s.freeMaps = caps.Maps
-	s.freeReds = caps.Reduces
-	nj := len(w.Jobs)
-	s.remMaps = resize(s.remMaps, nj)
-	s.remReds = resize(s.remReds, nj)
-	s.unmet = resize(s.unmet, nj)
-	s.active = s.active[:0]
-	s.events.Reset()
-	s.raw = s.raw[:0]
-	for i := range w.Jobs {
-		s.remMaps[i] = w.Jobs[i].Maps
-		s.remReds[i] = w.Jobs[i].Reduces
-		s.unmet[i] = len(w.Jobs[i].Prereqs)
+// checkCaps refuses pools the bound workflow cannot run on, before anything
+// is simulated: a run stopped at its limit never reaches the end-of-run
+// completeness check, so "over the limit" must not be able to stand in for
+// "this pool can never schedule that job".
+func (k *Kernel) checkCaps(caps Caps) error {
+	if caps.Maps < 0 || caps.Reduces < 0 || caps.Total() <= 0 {
+		return fmt.Errorf("plan: bad typed caps %+v", caps)
 	}
-	for i := range w.Jobs {
-		if s.unmet[i] == 0 {
-			s.activate(workflow.JobID(i))
+	if caps.Maps == 0 && k.firstMap >= 0 {
+		j := &k.w.Jobs[k.firstMap]
+		return fmt.Errorf("plan: caps %+v have no map slots, but job %q has %d map tasks", caps, j.Name, j.Maps)
+	}
+	if caps.Reduces == 0 && k.firstRed >= 0 {
+		j := &k.w.Jobs[k.firstRed]
+		return fmt.Errorf("plan: caps %+v have no reduce slots, but job %q has %d reduce tasks", caps, j.Name, j.Reduces)
+	}
+	return nil
+}
+
+// runTyped simulates the bound workflow on two slot pools. It returns the
+// makespan and true, or — stopping there — the first batch finish past limit
+// and false. With record set the raw requirement list is left in k.raw.
+func (k *Kernel) runTyped(caps Caps, limit simtime.Time, record bool) (simtime.Time, bool, error) {
+	if err := k.checkCaps(caps); err != nil {
+		return 0, false, err
+	}
+	k.start()
+	k.active = k.active[:0]
+	k.tevents.Reset()
+	for i := range k.w.Jobs {
+		if k.unmet[i] == 0 {
+			k.activateTyped(workflow.JobID(i))
 		}
 	}
 	// Kick the simulation with a zero event so scheduling happens at t=0.
-	s.events.Push(simtime.Epoch, typedEvent{reduceOf: -1, completed: -1})
-}
+	k.tevents.Push(simtime.Epoch, typedEvent{reduceOf: -1, completed: -1})
 
-// activate inserts j into the rank-sorted active list.
-func (s *typedSim) activate(j workflow.JobID) {
-	r := s.ranks[j]
-	i := sort.Search(len(s.active), func(k int) bool { return s.ranks[s.active[k]] > r })
-	s.active = append(s.active, 0)
-	copy(s.active[i+1:], s.active[i:])
-	s.active[i] = j
-}
-
-// deactivate removes j from the active list.
-func (s *typedSim) deactivate(j workflow.JobID) {
-	r := s.ranks[j]
-	i := sort.Search(len(s.active), func(k int) bool { return s.ranks[s.active[k]] >= r })
-	copy(s.active[i:], s.active[i+1:])
-	s.active = s.active[:len(s.active)-1]
-}
-
-func (s *typedSim) run() ([]rawReq, time.Duration, error) {
+	freeMaps, freeReds, left := caps.Maps, caps.Reduces, k.total
 	var end simtime.Time
-	for s.events.Len() > 0 {
-		// One heap drain per instant; apply never pushes, so the batch is
+	for k.tevents.Len() > 0 {
+		// One heap drain per instant; applying never pushes, so the batch is
 		// the complete instant.
-		s.batch = s.batch[:0]
-		t, _ := s.events.DrainInstant(&s.batch)
-		for _, e := range s.batch {
-			s.apply(e)
+		k.tbatch = k.tbatch[:0]
+		t, _ := k.tevents.DrainInstant(&k.tbatch)
+		for _, e := range k.tbatch {
+			freeMaps += e.freeMaps
+			freeReds += e.freeReds
+			if e.reduceOf >= 0 {
+				k.activateTyped(e.reduceOf)
+			}
+			if e.completed >= 0 {
+				for _, d := range k.deps.of(e.completed) {
+					k.unmet[d]--
+					if k.unmet[d] == 0 {
+						k.activateTyped(d)
+					}
+				}
+			}
 		}
 
 		// Work-conserving scan in rank order: each active job takes what
-		// its current phase can use from the matching pool. Scan a
-		// snapshot because exhausted jobs leave the active list mid-scan.
-		s.scan = append(s.scan[:0], s.active...)
-		for _, j := range s.scan {
-			job := &s.w.Jobs[j]
-			if s.remMaps[j] > 0 {
-				k := min(s.remMaps[j], s.freeMaps)
-				if k == 0 {
-					continue
-				}
-				s.raw = append(s.raw, rawReq{at: t, count: k})
-				s.freeMaps -= k
-				s.remMaps[j] -= k
-				done := t.Add(job.MapTime)
-				end = simtime.MaxOf(end, done)
-				if s.remMaps[j] == 0 {
-					s.deactivate(j)
-					if s.remReds[j] > 0 {
-						s.events.Push(done, typedEvent{freeMaps: k, reduceOf: j, completed: -1})
-					} else {
-						s.events.Push(done, typedEvent{freeMaps: k, reduceOf: -1, completed: j})
-					}
-				} else {
-					s.events.Push(done, typedEvent{freeMaps: k, reduceOf: -1, completed: -1})
-				}
-			} else if s.remReds[j] > 0 {
-				k := min(s.remReds[j], s.freeReds)
-				if k == 0 {
-					continue
-				}
-				s.raw = append(s.raw, rawReq{at: t, count: k})
-				s.freeReds -= k
-				s.remReds[j] -= k
-				done := t.Add(job.ReduceTime)
-				end = simtime.MaxOf(end, done)
-				if s.remReds[j] == 0 {
-					s.deactivate(j)
-					s.events.Push(done, typedEvent{freeReds: k, reduceOf: -1, completed: j})
-				} else {
-					s.events.Push(done, typedEvent{freeReds: k, reduceOf: -1, completed: -1})
-				}
+		// its current phase can use from the matching pool. A job whose
+		// phase is exhausted leaves the active list; the list is compacted
+		// in place behind the scan (nothing activates mid-scan).
+		kept := 0
+		for _, j := range k.active {
+			job := &k.w.Jobs[j]
+			rem, free, dur := &k.remMaps[j], &freeMaps, job.MapTime
+			inMaps := *rem > 0
+			if !inMaps {
+				rem, free, dur = &k.remReds[j], &freeReds, job.ReduceTime
 			}
+			n := min(*rem, *free)
+			if n == 0 {
+				k.active[kept] = j
+				kept++
+				continue
+			}
+			done := t.Add(dur)
+			if done > limit {
+				return done, false, nil
+			}
+			if record {
+				k.raw = append(k.raw, rawReq{at: t, count: n})
+			}
+			*free -= n
+			*rem -= n
+			left -= n
+			end = simtime.MaxOf(end, done)
+			e := typedEvent{reduceOf: -1, completed: -1}
+			if inMaps {
+				e.freeMaps = n
+			} else {
+				e.freeReds = n
+			}
+			switch {
+			case *rem > 0:
+				k.active[kept] = j
+				kept++
+			case inMaps && k.remReds[j] > 0:
+				e.reduceOf = j
+			default:
+				e.completed = j
+			}
+			// Finishes mostly arrive in firing order (one job's waves, jobs
+			// of like duration), so the queue's FIFO lane takes most of
+			// them; the pop order is the same either way.
+			k.tevents.PushOrdered(done, e)
 		}
+		k.active = k.active[:kept]
 	}
-	for i := range s.w.Jobs {
-		if s.remMaps[i] > 0 || s.remReds[i] > 0 {
-			return nil, 0, fmt.Errorf("plan: job %q never fully scheduled (typed sim internal error)", s.w.Jobs[i].Name)
-		}
+	if left != 0 {
+		return 0, false, k.unfinished()
 	}
-	return s.raw, end.Duration(), nil
+	return end, true, nil
 }
 
-func (s *typedSim) apply(e typedEvent) {
-	s.freeMaps += e.freeMaps
-	s.freeReds += e.freeReds
-	if e.reduceOf >= 0 {
-		s.activate(e.reduceOf)
-	}
-	if e.completed >= 0 {
-		for _, d := range s.deps.of(e.completed) {
-			s.unmet[d]--
-			if s.unmet[d] == 0 {
-				s.activate(d)
-			}
-		}
-	}
+// activateTyped inserts j into the rank-sorted active list.
+func (k *Kernel) activateTyped(j workflow.JobID) {
+	r := k.ranks[j]
+	i := sort.Search(len(k.active), func(n int) bool { return k.ranks[k.active[n]] > r })
+	k.active = append(k.active, 0)
+	copy(k.active[i+1:], k.active[i:])
+	k.active[i] = j
 }

@@ -240,7 +240,33 @@ func BenchmarkGenerateTypedFreshState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := generateTypedWith(new(typedSim), w, Caps{Maps: 30, Reduces: 15}, "LPF", ranks); err != nil {
+		if _, err := generateTypedWith(new(Kernel), w, Caps{Maps: 30, Reduces: 15}, "LPF", ranks); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCappedTyped is one cold capped typed plan per iteration — the
+// whole-cluster run, the bisection's probes (each stopped at the target) and
+// one assemble — on pooled kernel state.
+func BenchmarkCappedTyped(b *testing.B) {
+	rng := rand.New(rand.NewSource(8))
+	w := randomWorkflow(rng, 30)
+	cluster := Caps{Maps: 300, Reduces: 180}
+	ranks, err := priority.LPF{}.Rank(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	full, err := GenerateTyped(w, cluster, "LPF", ranks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Twice the whole-cluster makespan: the search walks its full depth.
+	w.Deadline = w.Release.Add(2 * full.Makespan)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateCappedTyped(w, cluster, priority.LPF{}, 0.85); err != nil {
 			b.Fatal(err)
 		}
 	}

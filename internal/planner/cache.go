@@ -97,6 +97,15 @@ func newPlanCache(max int, stats *obs.PlannerStats) *planCache {
 	return &planCache{max: max, byKey: make(map[cacheKey]*cacheNode, max), stats: stats}
 }
 
+// served returns an independent copy of p for a request that ran no
+// simulation of its own (a cache hit, a coalesced waiter): the search
+// diagnostics read 0.
+func served(p *plan.Plan) *plan.Plan {
+	c := p.Clone()
+	c.SearchIters, c.ProbesCut = 0, 0
+	return c
+}
+
 // get returns an independent copy of the cached plan, marked with
 // SearchIters 0 (a hit runs zero simulations). Safe on a nil cache.
 func (c *planCache) get(k cacheKey) (*plan.Plan, bool) {
@@ -110,9 +119,7 @@ func (c *planCache) get(k cacheKey) (*plan.Plan, bool) {
 		return nil, false
 	}
 	c.moveToFront(n)
-	p := n.p.Clone()
-	p.SearchIters = 0
-	return p, true
+	return served(n.p), true
 }
 
 // put stores a copy of p under k, evicting the least recently used entry

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/plan"
 )
 
 // key builds a distinct cacheKey for test entry i.
@@ -13,6 +14,11 @@ func key(i int) cacheKey {
 	k[0] = byte(i)
 	k[1] = byte(i >> 8)
 	return k
+}
+
+// fakePlan builds a minimal plan to put in a cache.
+func fakePlan(cap int, makespan time.Duration) *plan.Plan {
+	return &plan.Plan{Cap: cap, Makespan: makespan}
 }
 
 // TestPlanCacheEvictionOrder drives the LRU list directly through an

@@ -59,8 +59,7 @@ func (pl *Planner) serve(key cacheKey, start time.Time, gen func() (*plan.Plan, 
 		if c.err != nil {
 			return nil, c.err
 		}
-		p := c.p.Clone()
-		p.SearchIters = 0 // like a cache hit: this request ran no simulations
+		p := served(c.p) // like a cache hit: this request ran no simulations
 		pl.stats.OnPlanCoalesced(time.Since(start))
 		return p, nil
 	}

@@ -190,10 +190,12 @@ func (pl *Planner) PlanAll(flows []*workflow.Workflow, cluster plan.Caps, pol pr
 }
 
 // recordGenerated accounts for a freshly generated (cache-miss) plan:
-// latency, miss, and the simulations its search executed.
+// latency, miss, the simulations its search executed and how many of them
+// stopped at the search target.
 func (pl *Planner) recordGenerated(start time.Time, p *plan.Plan) {
 	pl.stats.OnPlan(time.Since(start), false)
 	if pl.stats != nil {
 		pl.stats.Probes.Add(int64(p.SearchIters))
+		pl.stats.ProbesCut.Add(int64(p.ProbesCut))
 	}
 }

@@ -135,6 +135,45 @@ func TestCacheHitSkipsSimulation(t *testing.T) {
 	}
 }
 
+// TestProbesCutCounted pins the cut accounting: a cold search reports how
+// many of its simulations stopped at the target, the planner's counter adds
+// exactly that up, and a request served without simulating reports none.
+func TestProbesCutCounted(t *testing.T) {
+	o := obs.New(obs.NewRegistry(), nil)
+	pl := New(Config{CacheSize: 256, Obs: o})
+	pol := priority.HLF{}
+	var cut, iters int
+	for _, w := range corpus(t) {
+		cold, err := pl.Plan(w, testCluster, pol)
+		if err != nil {
+			t.Fatalf("Plan: %v", err)
+		}
+		if cold.ProbesCut < 0 || cold.ProbesCut > cold.SearchIters-1 {
+			t.Errorf("%s: ProbesCut = %d with SearchIters = %d (the whole-cluster run is never cut)", w.Name, cold.ProbesCut, cold.SearchIters)
+		}
+		cut += cold.ProbesCut
+		iters += cold.SearchIters
+		warm, err := pl.Plan(w, testCluster, pol)
+		if err != nil {
+			t.Fatalf("Plan (warm): %v", err)
+		}
+		if warm.ProbesCut != 0 {
+			t.Errorf("%s: warm plan ProbesCut = %d, want 0 (no simulations ran)", w.Name, warm.ProbesCut)
+		}
+	}
+	if cut == 0 {
+		t.Error("no probe of the whole corpus stopped at its target")
+	}
+	st := pl.Stats()
+	if got := st.ProbesCut.Value(); got != int64(cut) {
+		t.Errorf("ProbesCut counter = %d, want %d (the cold searches' cut probes)", got, cut)
+	}
+	if got := st.Probes.Value(); got != int64(iters) {
+		t.Errorf("Probes counter = %d, want %d", got, iters)
+	}
+	t.Logf("%d of %d simulations stopped at the target", cut, iters)
+}
+
 // TestCacheKeyIsStructural checks both directions of the key: a renamed,
 // time-shifted instance of the same DAG shape hits, while any structural
 // difference misses.
@@ -273,9 +312,10 @@ func TestPlanAllPropagatesError(t *testing.T) {
 	}
 }
 
-// fakePlan builds a minimal plan whose Makespan drives search decisions.
-func fakePlan(cap int, makespan time.Duration) *plan.Plan {
-	return &plan.Plan{Cap: cap, Makespan: makespan}
+// fakeProbe answers a search from a makespan landscape: within when f(cap)
+// meets target, as a real probe limited at target would. It records nothing.
+func fakeProbe(f func(cap int) time.Duration, target time.Duration) plan.Probe {
+	return func(cap int, _ *plan.Schedule) (bool, error) { return f(cap) <= target, nil }
 }
 
 // TestParallelSearchEquivalence drives the speculative searcher directly
@@ -314,24 +354,19 @@ func TestParallelSearchEquivalence(t *testing.T) {
 	for _, ls := range landscapes {
 		for _, target := range targets {
 			for _, iv := range intervals {
-				probe := func(cap int) (*plan.Plan, error) { return fakePlan(cap, ls.f(cap)), nil }
-				wantBest, wantProbes, err := plan.SequentialSearch(iv[0], iv[1], target, probe)
+				probe := fakeProbe(ls.f, target)
+				wantBest, wantProbes, err := plan.SequentialSearch(iv[0], iv[1], probe, nil)
 				if err != nil {
 					t.Fatalf("SequentialSearch: %v", err)
 				}
 				for _, workers := range []int{1, 2, 4, 16} {
 					search := newParallelSearch(workers, nil)
-					gotBest, gotProbes, err := search(iv[0], iv[1], target, probe)
+					gotBest, gotProbes, err := search(iv[0], iv[1], probe, nil)
 					if err != nil {
 						t.Fatalf("%s target=%v iv=%v workers=%d: %v", ls.name, target, iv, workers, err)
 					}
-					switch {
-					case wantBest == nil && gotBest != nil:
-						t.Errorf("%s target=%v iv=%v workers=%d: got cap %d, want none", ls.name, target, iv, workers, gotBest.Cap)
-					case wantBest != nil && gotBest == nil:
-						t.Errorf("%s target=%v iv=%v workers=%d: got none, want cap %d", ls.name, target, iv, workers, wantBest.Cap)
-					case wantBest != nil && gotBest.Cap != wantBest.Cap:
-						t.Errorf("%s target=%v iv=%v workers=%d: got cap %d, want %d", ls.name, target, iv, workers, gotBest.Cap, wantBest.Cap)
+					if gotBest != wantBest {
+						t.Errorf("%s target=%v iv=%v workers=%d: got cap %d, want %d (0 = none)", ls.name, target, iv, workers, gotBest, wantBest)
 					}
 					if gotProbes < wantProbes {
 						t.Errorf("%s target=%v iv=%v workers=%d: %d probes < sequential %d", ls.name, target, iv, workers, gotProbes, wantProbes)
@@ -348,15 +383,15 @@ func TestParallelSearchEquivalence(t *testing.T) {
 func TestParallelSearchErrors(t *testing.T) {
 	lo, hi := 1, 100
 	target := 40 * time.Second
-	f := func(cap int) time.Duration { return time.Duration(2500/cap) * time.Second }
+	answer := fakeProbe(func(cap int) time.Duration { return time.Duration(2500/cap) * time.Second }, target)
 
 	// Record the sequential probe path.
 	var path []int
-	wantBest, _, err := plan.SequentialSearch(lo, hi, target, func(cap int) (*plan.Plan, error) {
+	wantBest, _, err := plan.SequentialSearch(lo, hi, func(cap int, keep *plan.Schedule) (bool, error) {
 		path = append(path, cap)
-		return fakePlan(cap, f(cap)), nil
-	})
-	if err != nil || wantBest == nil {
+		return answer(cap, keep)
+	}, nil)
+	if err != nil || wantBest == 0 {
 		t.Fatalf("SequentialSearch: best=%v err=%v", wantBest, err)
 	}
 	onPath := func(cap int) bool {
@@ -371,28 +406,28 @@ func TestParallelSearchErrors(t *testing.T) {
 	boom := errors.New("probe exploded")
 	// Failing an on-path cap must surface the error.
 	search := newParallelSearch(4, nil)
-	_, _, err = search(lo, hi, target, func(cap int) (*plan.Plan, error) {
+	_, _, err = search(lo, hi, func(cap int, keep *plan.Schedule) (bool, error) {
 		if cap == path[len(path)-1] {
-			return nil, boom
+			return false, boom
 		}
-		return fakePlan(cap, f(cap)), nil
-	})
+		return answer(cap, keep)
+	}, nil)
 	if !errors.Is(err, boom) {
 		t.Errorf("on-path probe error: got %v, want %v", err, boom)
 	}
 
 	// Failing every off-path cap must not disturb the search.
-	gotBest, _, err := search(lo, hi, target, func(cap int) (*plan.Plan, error) {
+	gotBest, _, err := search(lo, hi, func(cap int, keep *plan.Schedule) (bool, error) {
 		if !onPath(cap) {
-			return nil, boom
+			return false, boom
 		}
-		return fakePlan(cap, f(cap)), nil
-	})
+		return answer(cap, keep)
+	}, nil)
 	if err != nil {
 		t.Fatalf("off-path probe errors leaked: %v", err)
 	}
-	if gotBest == nil || gotBest.Cap != wantBest.Cap {
-		t.Errorf("with failing off-path probes: got %+v, want cap %d", gotBest, wantBest.Cap)
+	if gotBest != wantBest {
+		t.Errorf("with failing off-path probes: got cap %d, want %d", gotBest, wantBest)
 	}
 }
 

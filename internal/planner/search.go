@@ -3,15 +3,14 @@ package planner
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
 // newParallelSearch returns a plan.CapSearcher that runs probes on up to
-// workers goroutines while producing byte-identical plans to
-// plan.SequentialSearch.
+// workers goroutines while settling exactly the cap plan.SequentialSearch
+// settles, so the plans assembled from it are byte-identical.
 //
 // Bisection cannot simply be parallelized by probing a ladder of caps and
 // picking the cheapest feasible one: list scheduling makes makespan
@@ -21,20 +20,25 @@ import (
 // probe next form the frontier of a binary tree over [lo, hi]: the current
 // mid, then the two mids the success/failure branches would visit, and so
 // on. Each round probes one frontier (breadth-first, real mid first)
-// concurrently and memoizes results; the sequential walk then advances over
-// memoized results only, so every narrowing decision is exactly the
-// sequential one. Half of each speculative level is off the true path —
-// that waste is the price of parallel wall-clock speedup, and it is kept
-// honest in the accounting: every simulation actually executed counts
-// toward probes (and Plan.SearchIters), while probes skipped because the
-// interval narrowed past them count as cancellations in stats.
+// concurrently and memoizes the answers; the sequential walk then advances
+// over memoized answers only, so every narrowing decision is exactly the
+// sequential one. What is memoized is a probe's outcome — within the target
+// or not — and, for a probe that was, the raw schedule of its run (a probe
+// that missed stopped at the target and has none): the walk keeps the
+// schedule of its current best and hands the rest back for reuse, so the
+// search holds a few raw lists, never a plan. Half of each speculative level
+// is off the true path — that waste is the price of parallel wall-clock
+// speedup, and it is kept honest in the accounting: every simulation
+// actually executed counts toward probes (and Plan.SearchIters), while
+// probes skipped because the interval narrowed past them count as
+// cancellations in stats.
 //
 // Errors follow the CapSearcher contract: a probe error at a cap the
 // sequential walk reaches aborts the search; errors at speculative caps the
 // walk never visits are discarded.
 func newParallelSearch(workers int, stats *obs.PlannerStats) plan.CapSearcher {
-	return func(lo, hi int, target time.Duration, probe plan.Probe) (*plan.Plan, int, error) {
-		s := &specSearch{lo: lo, hi: hi, target: target, memo: make(map[int]specResult)}
+	return func(lo, hi int, probe plan.Probe, into *plan.Schedule) (int, int, error) {
+		s := &specSearch{lo: lo, hi: hi, memo: make(map[int]specResult)}
 		// Speculate one bisection level per worker-doubling: depth d covers
 		// up to 2^d - 1 caps, enough to keep every worker busy each round.
 		depth := 1
@@ -44,13 +48,16 @@ func newParallelSearch(workers int, stats *obs.PlannerStats) plan.CapSearcher {
 		for {
 			s.mu.Lock()
 			if s.err != nil || s.lo >= s.hi {
-				best, probes, cancelled, err := s.best, s.executed, s.cancelled, s.err
+				best, sched, probes, cancelled, err := s.best, s.bestSched, s.executed, s.cancelled, s.err
 				s.mu.Unlock()
 				if err != nil {
-					return nil, probes, err
+					return 0, probes, err
 				}
 				if stats != nil {
 					stats.ProbesCancelled.Add(int64(cancelled))
+				}
+				if sched != nil && into != nil {
+					*into, *sched = *sched, *into
 				}
 				return best, probes, nil
 			}
@@ -62,19 +69,27 @@ func newParallelSearch(workers int, stats *obs.PlannerStats) plan.CapSearcher {
 }
 
 type specSearch struct {
-	mu        sync.Mutex
-	lo, hi    int
-	target    time.Duration
-	best      *plan.Plan
+	mu     sync.Mutex
+	lo, hi int
+	// best is the cap the walk has settled on so far (0: none yet) and
+	// bestSched the schedule its probe recorded.
+	best      int
+	bestSched *plan.Schedule
 	memo      map[int]specResult
+	// spare holds schedules no longer needed — a superseded best, a probe
+	// that missed the target — for the next probe to record into.
+	spare     []*plan.Schedule
 	executed  int
 	cancelled int
 	err       error
 }
 
+// specResult is one memoized probe: its answer and, when within, the
+// schedule it recorded.
 type specResult struct {
-	p   *plan.Plan
-	err error
+	within bool
+	sched  *plan.Schedule
+	err    error
 }
 
 // frontier lists the caps the sequential bisection of [lo, hi) could probe
@@ -139,16 +154,32 @@ func (s *specSearch) runRound(caps []int, workers int, probe plan.Probe) {
 					continue
 				}
 				s.executed++
+				sched := s.spareLocked()
 				s.mu.Unlock()
-				p, err := probe(cap)
+				within, err := probe(cap, sched)
 				s.mu.Lock()
-				s.memo[cap] = specResult{p: p, err: err}
+				if err != nil || !within {
+					s.spare = append(s.spare, sched)
+					sched = nil
+				}
+				s.memo[cap] = specResult{within: within, sched: sched, err: err}
 				s.advanceLocked()
 				s.mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// spareLocked hands out a schedule for a probe to record into. Called with
+// s.mu held.
+func (s *specSearch) spareLocked() *plan.Schedule {
+	if n := len(s.spare); n > 0 {
+		sched := s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		return sched
+	}
+	return new(plan.Schedule)
 }
 
 // advanceLocked replays the sequential bisection over memoized results for
@@ -164,8 +195,11 @@ func (s *specSearch) advanceLocked() {
 			s.err = res.err
 			return
 		}
-		if res.p.Makespan <= s.target {
-			s.best, s.hi = res.p, mid
+		if res.within {
+			if s.bestSched != nil {
+				s.spare = append(s.spare, s.bestSched)
+			}
+			s.best, s.bestSched, s.hi = mid, res.sched, mid
 		} else {
 			s.lo = mid + 1
 		}

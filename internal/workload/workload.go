@@ -133,7 +133,7 @@ type YahooConfig struct {
 	// Planner, when non-nil, serves the makespan estimates behind deadline
 	// assignment (pass a *planner.Planner). Random DAGs rarely repeat a
 	// shape, but template-heavy or recurring populations estimate each
-	// shape once; a nil Planner runs the seed plan.GenerateForPolicy path.
+	// shape once; a nil Planner runs Algorithm 1 directly, makespan only.
 	Planner Estimator
 }
 
@@ -236,11 +236,11 @@ func assignDeadlines(rng *rand.Rand, flows []*workflow.Workflow, cfg YahooConfig
 			if !inTight[i] {
 				continue
 			}
-			p, err := estimate(cfg.Planner, w, cfg.ReferenceSlots)
+			makespan, err := estimate(cfg.Planner, w, cfg.ReferenceSlots)
 			if err != nil {
 				return err
 			}
-			if p.Makespan > tight-w.Release.Duration() {
+			if makespan > tight-w.Release.Duration() {
 				inTight[i] = false
 			}
 		}
@@ -354,21 +354,37 @@ func AssignDeadline(w *workflow.Workflow, slots int, stretch float64) error {
 // pl (nil falls back to a direct, uncached Algorithm 1 run). The two paths
 // produce identical deadlines; pl only avoids re-simulating repeated shapes.
 func AssignDeadlineWith(pl Estimator, w *workflow.Workflow, slots int, stretch float64) error {
-	p, err := estimate(pl, w, slots)
+	makespan, err := estimate(pl, w, slots)
 	if err != nil {
 		return fmt.Errorf("workload: assigning deadline for %q: %w", w.Name, err)
 	}
-	w.Deadline = w.Release.Add(time.Duration(stretch * float64(p.Makespan)))
+	w.Deadline = w.Release.Add(time.Duration(stretch * float64(makespan)))
 	return nil
 }
 
 // estimate is the single-slot-pool HLF makespan estimate deadline assignment
-// rests on, planner-cached when a planner is supplied.
-func estimate(pl Estimator, w *workflow.Workflow, slots int) (*plan.Plan, error) {
+// rests on: the cached plan's when a planner is supplied, otherwise one
+// makespan-only Algorithm 1 run that builds no plan.
+func estimate(pl Estimator, w *workflow.Workflow, slots int) (time.Duration, error) {
+	pol := priority.HLF{}
 	if pl != nil {
-		return pl.Estimate(w, slots, priority.HLF{})
+		p, err := pl.Estimate(w, slots, pol)
+		if err != nil {
+			return 0, err
+		}
+		return p.Makespan, nil
 	}
-	return plan.GenerateForPolicy(w, slots, priority.HLF{})
+	ranks, err := pol.Rank(w)
+	if err != nil {
+		return 0, fmt.Errorf("ranking jobs: %w", err)
+	}
+	k, err := plan.Bind(w, ranks)
+	if err != nil {
+		return 0, err
+	}
+	defer k.Release()
+	makespan, _, err := k.Makespan(slots, plan.Unlimited)
+	return makespan, err
 }
 
 // Recur builds n instances of a recurring workflow: instance k is released
