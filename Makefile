@@ -12,14 +12,16 @@ vet:
 	$(GO) vet ./...
 
 # Race-check the concurrent subsystems: observability fan-out, the live
-# (RPC) job tracker, the parallel/cached planner, the scenario runner, the
-# pooled arena simulator (its equivalence sweep crosses pool handoff), the
-# queue backends (the randomized op-sequence property test), the admission
+# (RPC) job tracker, the parallel/cached planner (whose served plans are
+# shared read-only across simulators, admission and trackers), the workflow
+# model (one compiled form built at a racing first use), the scenario
+# runner, the pooled arena simulator (its equivalence sweep crosses pool
+# handoff), the queue backends (the randomized op-sequence property test), the admission
 # front door (a locked pipeline shared across tracker shards), and the
 # federation layer (single-threaded by design, but its equivalence sweeps
 # cross the cluster pool-handoff paths).
 race:
-	$(GO) test -race ./internal/obs/... ./internal/live/... ./internal/planner/... ./internal/runner/... ./internal/cluster/... ./internal/dsl/... ./internal/admission/... ./internal/federation/...
+	$(GO) test -race ./internal/obs/... ./internal/live/... ./internal/planner/... ./internal/workflow/... ./internal/runner/... ./internal/cluster/... ./internal/dsl/... ./internal/admission/... ./internal/federation/...
 
 # Tier-1 gate plus static analysis and race checks — run before every PR.
 verify: build test vet race
@@ -34,7 +36,7 @@ fmt-check:
 # concurrent heartbeats on both control-plane layouts (plus the introspection
 # server and the heartbeat zero-alloc pin that guards the disabled path).
 race-smoke:
-	$(GO) test -race -count=1 -run 'TestCoalescing|TestCoalesced|TestPlanCache|TestRunEach|TestDelivery|TestFirstError' \
+	$(GO) test -race -count=1 -run 'TestCoalescing|TestCoalesced|TestPlanCache|TestServedPlans|TestSharedPlans|TestLeaderPanic|TestRunEach|TestDelivery|TestFirstError' \
 		./internal/planner/ ./internal/runner/
 	$(GO) test -race -count=1 -run 'TestHealth|TestIntrospection|TestHeartbeatBareAllocs' \
 		./internal/obs/ ./internal/live/
@@ -44,9 +46,9 @@ race-smoke:
 # heartbeat zero-alloc contract, the queue-op pin (Best/Scheduled/
 # Unscheduled at 0 allocs/op on a warm queue for the DSL and BST backends),
 # the event queue's FIFO lane (PushOrdered + drain at 0 allocs once the
-# ring is warm), and the plan kernel's two (a bound kernel answers a probe
-# with 0 allocations; a cold capped typed plan averages at most 44.45 over
-# the planner corpus — half of the 88.9 a plan per probe used to cost). Run
+# ring is warm), the plan kernel's (a bound kernel answers a probe with 0
+# allocations), and the planner's two (a cold capped typed plan averages at
+# most 11 over the planner corpus; a warm cache hit allocates 0). Run
 # without -race — the race runtime randomizes sync.Pool reuse and inflates
 # allocation counts, so the pins skip themselves.
 alloc-pins:
@@ -56,7 +58,7 @@ alloc-pins:
 	$(GO) test -count=1 -run 'TestAlwaysAdmitAllocs' ./internal/admission/
 	$(GO) test -count=1 -run 'TestQueueOrderedAllocs' ./internal/simtime/
 	$(GO) test -count=1 -run 'TestKernelProbeAllocs' ./internal/plan/
-	$(GO) test -count=1 -run 'TestColdPlanAllocs' ./internal/planner/
+	$(GO) test -count=1 -run 'TestColdPlanAllocs|TestCacheHitAllocs' ./internal/planner/
 
 # The CI gate: formatting, static analysis, the tier-1 suite, the
 # concurrency race smoke, and the allocation pins.

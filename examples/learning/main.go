@@ -65,8 +65,8 @@ func main() {
 	}
 
 	// Feed the learned medians back into the configured view and replan.
-	updated := rec.Apply(configured)
-	learned, err := plan.GenerateForPolicy(configured, slots, priority.LPF{})
+	relearned, updated := rec.Apply(configured)
+	learned, err := plan.GenerateForPolicy(relearned, slots, priority.LPF{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/oracle"
 	"repro/internal/plan"
 	"repro/internal/simtime"
 	"repro/internal/workflow"
@@ -18,25 +19,6 @@ import (
 // workflow is ranked twice and the ledger's ends are taken twice. It is kept
 // here, test-only, and driven beside the real pipeline: the two must rule
 // identically, record for record.
-
-// refSearch is the cap bisection over full plans (the old
-// plan.SequentialSearch).
-func refSearch(lo, hi int, target time.Duration, probe func(cap int) (*plan.Plan, error)) (*plan.Plan, error) {
-	var best *plan.Plan
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		p, err := probe(mid)
-		if err != nil {
-			return nil, err
-		}
-		if p.Makespan <= target {
-			best, hi = p, mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return best, nil
-}
 
 // refPipeline rules with the reference stage over its own ledger and anchors
 // (borrowed from a pipeline that is never asked to Decide).
@@ -104,8 +86,9 @@ func (r refPipeline) feasibilityStage(w *workflow.Workflow, eff plan.Caps, at si
 	if full.Makespan > target {
 		target = budget
 	}
-	best, err := refSearch(2, free.Total(), target, func(mid int) (*plan.Plan, error) {
-		return plan.GenerateTyped(w, plan.TypedCapsFor(free, mid), p.cfg.Policy.Name(), ranks)
+	best, _, err := oracle.Bisect(2, free.Total(), func(mid int) (*plan.Plan, bool, error) {
+		q, err := plan.GenerateTyped(w, plan.TypedCapsFor(free, mid), p.cfg.Policy.Name(), ranks)
+		return q, err == nil && q.Makespan <= target, err
 	})
 	if err != nil {
 		return Decision{Verdict: Reject, Reason: "unplannable: " + err.Error()}, free

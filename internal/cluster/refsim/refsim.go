@@ -356,7 +356,7 @@ func (s *simulator) complete(e event) {
 
 func (s *simulator) jobCompleted(ws *cluster.WorkflowState, job workflow.JobID) {
 	unmet := s.unmet[ws.Index]
-	for _, d := range ws.Spec.Dependents()[job] {
+	for _, d := range ws.Spec.DependentsOf(job) {
 		unmet[d]--
 		if unmet[d] == 0 {
 			s.scheduleActivation(ws.Index, d)

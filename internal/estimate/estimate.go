@@ -66,13 +66,14 @@ func (r *Recorder) Estimate(job string, st cluster.SlotType) (d time.Duration, o
 	return sorted[len(sorted)/2], true
 }
 
-// Apply overwrites w's per-job duration estimates with learned medians,
-// returning how many estimates were updated. Jobs without history keep their
-// configured estimates, so a workflow can be partially learned.
-func (r *Recorder) Apply(w *workflow.Workflow) int {
-	updated := 0
-	for i := range w.Jobs {
-		j := &w.Jobs[i]
+// Apply returns a clone of w whose per-job duration estimates are the learned
+// medians, and how many estimates that replaced. Jobs without history keep
+// their configured estimates, so a workflow can be partially learned. w is
+// left alone: a workflow already planned or run has a frozen job table.
+func (r *Recorder) Apply(w *workflow.Workflow) (*workflow.Workflow, int) {
+	learned, updated := w.Clone(), 0
+	for i := range learned.Jobs {
+		j := &learned.Jobs[i]
 		if d, ok := r.Estimate(j.Name, cluster.MapSlot); ok && j.Maps > 0 {
 			j.MapTime = d
 			updated++
@@ -82,5 +83,5 @@ func (r *Recorder) Apply(w *workflow.Workflow) int {
 			updated++
 		}
 	}
-	return updated
+	return learned, updated
 }

@@ -80,7 +80,7 @@ func TestApplyCorrectsPlannerView(t *testing.T) {
 	rec := estimate.NewRecorder()
 	runRecorded(t, actual, rec)
 
-	updated := rec.Apply(planner)
+	planner, updated := rec.Apply(planner)
 	if updated != 4 {
 		t.Errorf("Apply updated %d estimates, want 4", updated)
 	}
@@ -113,8 +113,8 @@ func TestLearningImprovesPlans(t *testing.T) {
 
 	rec := estimate.NewRecorder()
 	runRecorded(t, actual, rec)
-	rec.Apply(planner)
-	learned, err := plan.GenerateForPolicy(planner, 12, priority.LPF{})
+	relearned, _ := rec.Apply(planner)
+	learned, err := plan.GenerateForPolicy(relearned, 12, priority.LPF{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestRecurringWorkflowLearningEndToEnd(t *testing.T) {
 		if i > 0 {
 			// Later submissions would re-Apply the recorder; here we just
 			// verify both plan sources submit cleanly.
-			rec.Apply(view)
+			view, _ = rec.Apply(view)
 		}
 		p, err := plan.GenerateCapped(view, cfg.TotalSlots(), priority.LPF{})
 		if err != nil {

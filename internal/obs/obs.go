@@ -639,15 +639,19 @@ func (s *PlannerStats) OnPlan(dur time.Duration, cached bool) {
 	}
 }
 
-// OnPlanCoalesced records one served plan that neither hit the cache nor
+// OnPlanCoalesced records one request that neither hit the cache nor
 // simulated: it waited on a concurrent in-flight generation of the same key.
-func (s *PlannerStats) OnPlanCoalesced(dur time.Duration) {
+// served is false when that generation failed — the wait still counts as
+// coalesced, but no plan was served.
+func (s *PlannerStats) OnPlanCoalesced(dur time.Duration, served bool) {
 	if s == nil {
 		return
 	}
-	s.Plans.Inc()
-	s.PlanDur.ObserveDuration(dur)
 	s.Coalesced.Inc()
+	if served {
+		s.Plans.Inc()
+		s.PlanDur.ObserveDuration(dur)
+	}
 }
 
 // LiveStats bundles the instruments of the sharded live JobTracker

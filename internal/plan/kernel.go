@@ -16,10 +16,11 @@ const Unlimited = time.Duration(math.MaxInt64)
 // Kernel is Algorithm 1 bound to one (workflow, job ordering) pair: the one
 // simulator behind every generator in this package and behind every caller
 // that only needs a makespan (admission's feasibility stage, deadline
-// assignment). Bind derives what depends on the workflow alone — the
-// dependent adjacency, the task total, which pools it needs — once; each
-// Makespan/MakespanTyped call is then one simulation that records nothing
-// and allocates nothing once the kernel's buffers are warm.
+// assignment). What depends on the workflow alone — the dependent adjacency,
+// the task total, which pools it needs — is read from the workflow's compiled
+// form, so binding derives nothing; each Makespan/MakespanTyped call is then
+// one simulation that records nothing and allocates nothing once the kernel's
+// buffers are warm.
 //
 // A run takes a limit and stops at the first task batch whose finish passes
 // it. The simulated end is the maximum over batch finishes and only grows, so
@@ -32,14 +33,8 @@ const Unlimited = time.Duration(math.MaxInt64)
 // and Release.
 type Kernel struct {
 	w     *workflow.Workflow
+	c     *workflow.Compiled // w.Compiled()
 	ranks []int
-	deps  depCSR
-	// total is w's task count; firstMap and firstRed are the first job with
-	// map (reduce) tasks, -1 when the workflow has none, so an empty pool the
-	// workflow needs is refused before simulating instead of surfacing as an
-	// unfinished run.
-	total              int
-	firstMap, firstRed int
 
 	// Per-run state shared by both simulators.
 	remMaps, remReds []int
@@ -74,33 +69,19 @@ func Bind(w *workflow.Workflow, ranks []int) (*Kernel, error) {
 }
 
 // bind is Bind on an explicit kernel, so tests and benchmarks can compare
-// pooled against freshly allocated state. The adjacency is always rebuilt: a
-// pooled kernel outlives its caller, and a workflow edited in place between
-// two plans keeps its pointer.
+// pooled against freshly allocated state.
 func (k *Kernel) bind(w *workflow.Workflow, ranks []int) error {
 	if len(ranks) != len(w.Jobs) {
 		return fmt.Errorf("plan: %d ranks for %d jobs", len(ranks), len(w.Jobs))
 	}
-	k.w, k.ranks = w, ranks
-	k.deps.build(w)
-	k.total, k.firstMap, k.firstRed = 0, -1, -1
-	for i := range w.Jobs {
-		j := &w.Jobs[i]
-		k.total += j.Maps + j.Reduces
-		if j.Maps > 0 && k.firstMap < 0 {
-			k.firstMap = i
-		}
-		if j.Reduces > 0 && k.firstRed < 0 {
-			k.firstRed = i
-		}
-	}
+	k.w, k.c, k.ranks = w, w.Compiled(), ranks
 	return nil
 }
 
 // Release returns the kernel to the pool. It drops the workflow and ranks
 // references so an idle pooled kernel pins neither.
 func (k *Kernel) Release() {
-	k.w, k.ranks = nil, nil
+	k.w, k.c, k.ranks = nil, nil, nil
 	kernelPool.Put(k)
 }
 
@@ -235,51 +216,6 @@ func (s *cappedSearch) probe(cap int, limit time.Duration, keep *Schedule) (bool
 	}
 	s.mu.Unlock()
 	return within, err
-}
-
-// depCSR is the dependent adjacency (Workflow.Dependents) in compressed
-// sparse row form: one flat edge list instead of a slice per job, reusing its
-// arrays from one binding to the next.
-type depCSR struct {
-	head []int32
-	list []workflow.JobID
-	fill []int32
-}
-
-// build derives the adjacency for w. The per-job edge order matches
-// Workflow.Dependents: dependents appear in increasing job-ID order.
-func (d *depCSR) build(w *workflow.Workflow) {
-	n := len(w.Jobs)
-	d.head = resize(d.head, n+1)
-	for i := range d.head {
-		d.head[i] = 0
-	}
-	edges := 0
-	for i := range w.Jobs {
-		edges += len(w.Jobs[i].Prereqs)
-		for _, p := range w.Jobs[i].Prereqs {
-			d.head[p+1]++
-		}
-	}
-	for i := 1; i <= n; i++ {
-		d.head[i] += d.head[i-1]
-	}
-	d.list = resize(d.list, edges)
-	// Fill via a cursor per job; iterating dependents in increasing ID
-	// order keeps each job's edge list sorted.
-	d.fill = resize(d.fill, n)
-	copy(d.fill, d.head[:n])
-	for i := range w.Jobs {
-		for _, p := range w.Jobs[i].Prereqs {
-			d.list[d.fill[p]] = workflow.JobID(i)
-			d.fill[p]++
-		}
-	}
-}
-
-// of returns job j's dependents.
-func (d *depCSR) of(j workflow.JobID) []workflow.JobID {
-	return d.list[d.head[j]:d.head[j+1]]
 }
 
 // resize returns s with length n, reusing its backing array when possible.

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,11 +12,14 @@ import (
 	"repro/internal/workflow"
 )
 
-// TestKernelRebuildsAdjacencyPerBinding is the stale-adjacency regression:
-// a workflow edited in place between two plans keeps its pointer, and a
-// kernel that skipped rebuilding the dependent edges on pointer identity
-// planned the second against the first's DAG. Three jobs, c re-pointed from
-// the 10 s a to the 50 s b: 50 s before the edit, 1 m 0 s after, on one
+// TestKernelRebuildsAdjacencyPerBinding began as the stale-adjacency
+// regression — a workflow edited in place between two plans was planned
+// against one DAG and run against another — and now pins the contract that
+// settled it: the job table is frozen at first use, Clone is the edit path.
+// Three jobs, c re-pointed from the 10 s a to the 50 s b. Edited in place
+// after a plan, Validate refuses the workflow and planning still answers for
+// the DAG every other reader sees (50 s); the same edit on a clone plans
+// 1 m 0 s while the original keeps planning 50 s — on both simulators, on one
 // kernel reused across the edit and on the pooled generators alike.
 func TestKernelRebuildsAdjacencyPerBinding(t *testing.T) {
 	build := func() *workflow.Workflow {
@@ -50,22 +54,41 @@ func TestKernelRebuildsAdjacencyPerBinding(t *testing.T) {
 			name string
 			k    *Kernel
 		}{{"one kernel", new(Kernel)}, {"pooled", nil}} {
+			what := sim.name + "/" + state.name
+			makespan := func(w *workflow.Workflow) time.Duration {
+				t.Helper()
+				p, err := sim.gen(state.k, w)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				return p.Makespan
+			}
 			w := build()
-			p, err := sim.gen(state.k, w)
-			if err != nil {
-				t.Fatal(err)
+			if got := makespan(w); got != before {
+				t.Fatalf("%s: makespan %v before the edit, want %v", what, got, before)
 			}
-			if p.Makespan != before {
-				t.Fatalf("%s/%s: makespan %v before the edit, want %v", sim.name, state.name, p.Makespan, before)
+			if err := w.Validate(); err != nil {
+				t.Fatalf("%s: Validate on an unedited workflow in use: %v", what, err)
 			}
+
+			edited := w.Clone()
+			repoint(edited)
+			if err := edited.Validate(); err != nil {
+				t.Fatalf("%s: Validate on an edited clone: %v", what, err)
+			}
+			if got := makespan(edited); got != after {
+				t.Errorf("%s: edited clone plans %v, want %v", what, got, after)
+			}
+			if got := makespan(w); got != before {
+				t.Errorf("%s: original plans %v after its clone was edited, want %v", what, got, before)
+			}
+
 			repoint(w)
-			p, err = sim.gen(state.k, w)
-			if err != nil {
-				t.Fatal(err)
+			if err := w.Validate(); !errors.Is(err, workflow.ErrEditedAfterUse) {
+				t.Errorf("%s: Validate after an in-place edit = %v, want ErrEditedAfterUse", what, err)
 			}
-			if p.Makespan != after {
-				t.Errorf("%s/%s: makespan %v after re-pointing c to b, want %v (planned against the old edges)",
-					sim.name, state.name, p.Makespan, after)
+			if got := makespan(w); got != before {
+				t.Errorf("%s: in-place edit planned as %v, want %v (the frozen DAG the simulators run)", what, got, before)
 			}
 		}
 	}

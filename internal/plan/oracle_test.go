@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/oracle"
 	"repro/internal/plan"
 	"repro/internal/priority"
 	"repro/internal/simtime"
@@ -15,30 +16,10 @@ import (
 )
 
 // The oracle is the cap search this package ran before the kernel: a plain
-// bisection in which every probe is a full Generate/GenerateTyped plan and
-// the search hands back the plan of the cap it settles on. It is kept here,
-// test-only, as the thing the kernel-backed generators must agree with byte
-// for byte.
-
-// oracleSearch is the old plan.SequentialSearch.
-func oracleSearch(lo, hi int, target time.Duration, probe func(cap int) (*plan.Plan, error)) (*plan.Plan, int, error) {
-	var best *plan.Plan
-	probes := 0
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		p, err := probe(mid)
-		if err != nil {
-			return nil, probes, err
-		}
-		probes++
-		if p.Makespan <= target {
-			best, hi = p, mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return best, probes, nil
-}
+// bisection (oracle.Bisect) in which every probe is a full
+// Generate/GenerateTyped plan and the search hands back the plan of the cap
+// it settles on. It is kept, test-only, as the thing the kernel-backed
+// generators must agree with byte for byte.
 
 // oracleCapped is the old body of GenerateCappedTypedWith and
 // GenerateCappedMarginWith over gen, which plans one total cap.
@@ -54,7 +35,10 @@ func oracleCapped(w *workflow.Workflow, margin float64, lo, hi int, gen func(cap
 		}
 		target = w.RelativeDeadline()
 	}
-	best, probes, err := oracleSearch(lo, hi, target, gen)
+	best, probes, err := oracle.Bisect(lo, hi, func(c int) (*plan.Plan, bool, error) {
+		p, err := gen(c)
+		return p, err == nil && p.Makespan <= target, err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +197,7 @@ func checkLadder(t testing.TB, what string, g generator, w *workflow.Workflow, p
 func TestCappedSearchMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 25; trial++ {
-		w := plan.RandomWorkflow(rng, 1+rng.Intn(30))
+		w := oracle.RandomWorkflow(rng, 1+rng.Intn(30))
 		cluster := plan.Caps{Maps: 1 + rng.Intn(60), Reduces: 1 + rng.Intn(30)}
 		for _, g := range generators(cluster) {
 			for _, pol := range priority.All() {
@@ -269,7 +253,7 @@ func FuzzCappedSearch(f *testing.F) {
 	f.Add(int64(5), uint8(12), uint8(200), uint8(2), uint8(1), uint16(300))  // margin target unreachable
 	f.Fuzz(func(t *testing.T, seed int64, jobs, maps, reduces, marginPct uint8, stretchPct uint16) {
 		rng := rand.New(rand.NewSource(seed))
-		w := plan.RandomWorkflow(rng, 1+int(jobs)%40)
+		w := oracle.RandomWorkflow(rng, 1+int(jobs)%40)
 		cluster := plan.Caps{Maps: 1 + int(maps)%96, Reduces: 1 + int(reduces)%48}
 		margin := float64(1+int(marginPct)%100) / 100
 		pol := priority.All()[int(seed&0x7fffffff)%len(priority.All())]

@@ -24,16 +24,16 @@
 // The search only ever asks a probe one question — does the makespan at this
 // cap meet the target? — so there is one simulator, the Kernel, built to
 // answer exactly that. A kernel is bound once to a (workflow, ranks) pair
-// (dependent adjacency built at bind), every run takes a limit and stops at
-// the first task batch that finishes past it, and a run records at most the
-// raw requirement list, never a Plan. The capped generators bind one kernel
-// per search, keep the raw list of the best cap so far in one buffer, and
-// assemble a Plan once, for the cap that wins; Generate and GenerateTyped are
-// "bind, run unlimited, assemble". Callers that need makespans and no plan
-// (admission's feasibility stage, deadline assignment) hold a Kernel
-// themselves. Kernels are pooled with every buffer they use, so repeated
-// probes allocate nothing. internal/planner builds on this with concurrent
-// probing and a structural plan cache.
+// (the dependent adjacency is the workflow's compiled one), every run takes
+// a limit and stops at the first task batch that finishes past it, and a run
+// records at most the raw requirement list, never a Plan. The capped
+// generators bind one kernel per search, keep the raw list of the best cap so
+// far in one buffer, and assemble a Plan once, for the cap that wins; Generate
+// and GenerateTyped are "bind, run unlimited, assemble". Callers that need
+// makespans and no plan (admission's feasibility stage, deadline assignment)
+// hold a Kernel themselves. Kernels are pooled with every buffer they use, so
+// repeated probes allocate nothing. internal/planner builds on this with
+// concurrent probing and a structural plan cache.
 package plan
 
 import (
@@ -54,7 +54,10 @@ type Req struct {
 	Cum int
 }
 
-// Plan is a workflow scheduling plan.
+// Plan is a workflow scheduling plan. A plan is a read-only value once it
+// leaves its generator: schedulers, admission and the trackers only read it,
+// and a plan served by a planner.Planner shares its Ranks and Reqs with every
+// other request for the same key, so it must never be written. Clone first.
 type Plan struct {
 	// Policy is the name of the intra-workflow priority policy the plan
 	// was generated with.
@@ -104,9 +107,8 @@ func (p *Plan) RequiredAt(ttd time.Duration) int {
 	return p.Reqs[i-1].Cum
 }
 
-// Clone returns a deep copy of p. Plans are treated as immutable once handed
-// to the scheduler; Clone exists for caches and tests that must hand out
-// independently mutable copies.
+// Clone returns a deep copy of p, for a caller that wants a plan it may
+// write: one served by a planner.Planner is shared.
 func (p *Plan) Clone() *Plan {
 	c := *p
 	c.Ranks = append([]int(nil), p.Ranks...)
@@ -310,7 +312,7 @@ func (k *Kernel) runSingle(n int, limit simtime.Time, record bool) (simtime.Time
 	}
 	k.events.Push(simtime.Epoch, genEvent{slots: n, reduceOf: -1, completed: -1})
 
-	free, left := 0, k.total
+	free, left := 0, k.c.TotalTasks
 	var end simtime.Time
 	for k.events.Len() > 0 {
 		// Batch all events sharing this instant before scheduling, so a
@@ -325,7 +327,7 @@ func (k *Kernel) runSingle(n int, limit simtime.Time, record bool) (simtime.Time
 				k.activateSingle(e.reduceOf)
 			}
 			if e.completed >= 0 {
-				for _, d := range k.deps.of(e.completed) {
+				for _, d := range k.c.DependentsOf(e.completed) {
 					k.unmet[d]--
 					if k.unmet[d] == 0 {
 						k.activateSingle(d)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/oracle"
 	"repro/internal/priority"
 	"repro/internal/simtime"
 	"repro/internal/workflow"
@@ -227,29 +228,8 @@ func TestCappedPlanDemandsEarlierProgress(t *testing.T) {
 	}
 }
 
-func randomWorkflow(rng *rand.Rand, nJobs int) *workflow.Workflow {
-	b := workflow.NewBuilder("rand")
-	names := make([]string, nJobs)
-	for i := 0; i < nJobs; i++ {
-		names[i] = "j" + string(rune('a'+i%26)) + string(rune('0'+i/26))
-		var after []string
-		for k := 0; k < i; k++ {
-			if rng.Intn(4) == 0 {
-				after = append(after, names[k])
-			}
-		}
-		maps := 1 + rng.Intn(30)
-		reduces := rng.Intn(10)
-		b.Job(names[i], maps, reduces,
-			time.Duration(1+rng.Intn(60))*time.Second,
-			time.Duration(1+rng.Intn(240))*time.Second, after...)
-	}
-	w, err := b.Build(0, simtime.FromSeconds(1e9))
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
+// randomWorkflow is the random DAG builder the oracle tests share.
+var randomWorkflow = oracle.RandomWorkflow
 
 // TestPlanInvariantsOnRandomWorkflows checks, across random DAGs, policies,
 // and caps, that: Reqs is strictly decreasing in TTD and strictly increasing

@@ -112,12 +112,12 @@ func (k *Kernel) checkCaps(caps Caps) error {
 	if caps.Maps < 0 || caps.Reduces < 0 || caps.Total() <= 0 {
 		return fmt.Errorf("plan: bad typed caps %+v", caps)
 	}
-	if caps.Maps == 0 && k.firstMap >= 0 {
-		j := &k.w.Jobs[k.firstMap]
+	if caps.Maps == 0 && k.c.FirstMap >= 0 {
+		j := &k.w.Jobs[k.c.FirstMap]
 		return fmt.Errorf("plan: caps %+v have no map slots, but job %q has %d map tasks", caps, j.Name, j.Maps)
 	}
-	if caps.Reduces == 0 && k.firstRed >= 0 {
-		j := &k.w.Jobs[k.firstRed]
+	if caps.Reduces == 0 && k.c.FirstReduce >= 0 {
+		j := &k.w.Jobs[k.c.FirstReduce]
 		return fmt.Errorf("plan: caps %+v have no reduce slots, but job %q has %d reduce tasks", caps, j.Name, j.Reduces)
 	}
 	return nil
@@ -141,7 +141,7 @@ func (k *Kernel) runTyped(caps Caps, limit simtime.Time, record bool) (simtime.T
 	// Kick the simulation with a zero event so scheduling happens at t=0.
 	k.tevents.Push(simtime.Epoch, typedEvent{reduceOf: -1, completed: -1})
 
-	freeMaps, freeReds, left := caps.Maps, caps.Reduces, k.total
+	freeMaps, freeReds, left := caps.Maps, caps.Reduces, k.c.TotalTasks
 	var end simtime.Time
 	for k.tevents.Len() > 0 {
 		// One heap drain per instant; applying never pushes, so the batch is
@@ -155,7 +155,7 @@ func (k *Kernel) runTyped(caps Caps, limit simtime.Time, record bool) (simtime.T
 				k.activateTyped(e.reduceOf)
 			}
 			if e.completed >= 0 {
-				for _, d := range k.deps.of(e.completed) {
+				for _, d := range k.c.DependentsOf(e.completed) {
 					k.unmet[d]--
 					if k.unmet[d] == 0 {
 						k.activateTyped(d)

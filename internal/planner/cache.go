@@ -1,32 +1,39 @@
 package planner
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
+	"fmt"
 	"math"
-	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/workflow"
 )
 
-// cacheKey is the canonical structural hash of one plan request. Two
+// cacheKey identifies one plan request by value — a comparable struct used
+// directly as the map key, so a request hashes nothing of its own: the
+// workflow's structural digest was computed once, when it was compiled. Two
 // requests share a key exactly when the sequential generator would emit the
 // same plan for both, so a hit can be served without simulating:
 //
 //   - the request shape: generator variant, cap bounds, margin, policy name;
 //   - the workflow's relative deadline (plans depend on S_i and D_i only
 //     through D_i - S_i, so recurring instances of one template collide);
-//   - the DAG structure: per-job task counts and durations plus the
-//     prerequisite sets (canonicalized by sorting — prerequisite order is
-//     semantically irrelevant), with jobs in ID order.
+//   - the DAG structure, as workflow.Digest defines it: task counts,
+//     durations and prerequisite sets, jobs in ID order.
 //
 // Names and dataset paths are deliberately excluded: priority policies rank
 // by structure with job-ID tie-breaks, so same-shaped workflows under
 // different names yield identical ranks and therefore identical plans.
-type cacheKey [sha256.Size]byte
+type cacheKey struct {
+	shape            workflow.Digest
+	deadline         time.Duration
+	margin           uint64 // math.Float64bits, so the key compares bit for bit
+	capMaps, capReds int
+	policy           string
+	variant          byte
+}
 
 // Generator variants discriminated by the key.
 const (
@@ -36,45 +43,25 @@ const (
 )
 
 func keyFor(w *workflow.Workflow, variant byte, capMaps, capReds int, margin float64, policy string) cacheKey {
-	h := sha256.New()
-	var buf [2 * binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(buf[:], v)
-		h.Write(buf[:n])
+	return cacheKey{
+		shape:    w.Compiled().Digest,
+		deadline: w.RelativeDeadline(),
+		margin:   math.Float64bits(margin),
+		capMaps:  capMaps,
+		capReds:  capReds,
+		policy:   policy,
+		variant:  variant,
 	}
-	h.Write([]byte{variant})
-	put(uint64(capMaps))
-	put(uint64(capReds))
-	put(math.Float64bits(margin))
-	put(uint64(len(policy)))
-	h.Write([]byte(policy))
-	put(uint64(w.RelativeDeadline()))
-	put(uint64(len(w.Jobs)))
-	var prereqs []int
-	for i := range w.Jobs {
-		j := &w.Jobs[i]
-		put(uint64(j.Maps))
-		put(uint64(j.Reduces))
-		put(uint64(j.MapTime))
-		put(uint64(j.ReduceTime))
-		put(uint64(len(j.Prereqs)))
-		prereqs = prereqs[:0]
-		for _, p := range j.Prereqs {
-			prereqs = append(prereqs, int(p))
-		}
-		sort.Ints(prereqs)
-		for _, p := range prereqs {
-			put(uint64(p))
-		}
-	}
-	var k cacheKey
-	h.Sum(k[:0])
-	return k
 }
 
-// planCache is a mutex-guarded LRU over structural keys. Entries are cloned
-// on the way in and on the way out, so cached plans can never be corrupted
-// by callers mutating what they were handed.
+// String names the request shape for errors: enough to find the workflow.
+func (k cacheKey) String() string {
+	return fmt.Sprintf("shape %x policy %s caps %d/%d relative deadline %v", k.shape[:6], k.policy, k.capMaps, k.capReds, k.deadline)
+}
+
+// planCache is a mutex-guarded LRU over structural keys. It stores and hands
+// out the same *plan.Plan: cached plans are shared read-only values (see
+// Planner.Plan), so nothing is copied on the way in or out.
 type planCache struct {
 	mu    sync.Mutex
 	max   int
@@ -97,17 +84,16 @@ func newPlanCache(max int, stats *obs.PlannerStats) *planCache {
 	return &planCache{max: max, byKey: make(map[cacheKey]*cacheNode, max), stats: stats}
 }
 
-// served returns an independent copy of p for a request that ran no
-// simulation of its own (a cache hit, a coalesced waiter): the search
-// diagnostics read 0.
-func served(p *plan.Plan) *plan.Plan {
-	c := p.Clone()
+// shared returns what every requester of p's key but the one that generated
+// it is handed: one header over p's Ranks and Reqs whose search diagnostics
+// read 0, since those requests ran no simulation.
+func shared(p *plan.Plan) *plan.Plan {
+	c := *p
 	c.SearchIters, c.ProbesCut = 0, 0
-	return c
+	return &c
 }
 
-// get returns an independent copy of the cached plan, marked with
-// SearchIters 0 (a hit runs zero simulations). Safe on a nil cache.
+// get returns the cached plan, shared. Safe on a nil cache.
 func (c *planCache) get(k cacheKey) (*plan.Plan, bool) {
 	if c == nil {
 		return nil, false
@@ -119,10 +105,10 @@ func (c *planCache) get(k cacheKey) (*plan.Plan, bool) {
 		return nil, false
 	}
 	c.moveToFront(n)
-	return served(n.p), true
+	return n.p, true
 }
 
-// put stores a copy of p under k, evicting the least recently used entry
+// put stores p under k, evicting the least recently used entry
 // when full. It reports whether p was stored: false means a concurrent fill
 // of the same key won the race and p's generation was wasted work — recorded
 // on the duplicate-fill counter so the loss is observable (the planner's
@@ -150,7 +136,7 @@ func (c *planCache) put(k cacheKey, p *plan.Plan) bool {
 			c.stats.CacheEvictions.Inc()
 		}
 	}
-	n := &cacheNode{key: k, p: p.Clone()}
+	n := &cacheNode{key: k, p: p}
 	c.byKey[k] = n
 	c.pushFront(n)
 	return true

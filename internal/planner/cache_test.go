@@ -9,12 +9,7 @@ import (
 )
 
 // key builds a distinct cacheKey for test entry i.
-func key(i int) cacheKey {
-	var k cacheKey
-	k[0] = byte(i)
-	k[1] = byte(i >> 8)
-	return k
-}
+func key(i int) cacheKey { return cacheKey{capMaps: i} }
 
 // fakePlan builds a minimal plan to put in a cache.
 func fakePlan(cap int, makespan time.Duration) *plan.Plan {

@@ -8,13 +8,13 @@
 //     next, so a single admission's wall clock shrinks on multi-core hosts;
 //   - a structural LRU plan cache (see planCache), which recognizes that
 //     production workloads are template-heavy — recurring instances and
-//     renamed copies of the same DAG shape hash to one key — and serves
-//     repeat requests without simulating at all;
+//     renamed copies of the same DAG shape compare equal as keys — and
+//     serves repeat requests without simulating, hashing or copying;
 //   - singleflight request coalescing (see flightGroup), which lets one
 //     Planner be shared by many concurrent clients — runner cells, sessions
 //     — with each distinct structural key simulated exactly once: the first
 //     requester generates, concurrent same-key requesters block on that
-//     generation and receive clones.
+//     generation and receive its plan.
 //
 // Both layers are observable through obs.PlannerStats and both are exact:
 // a plan served by the planner is byte-identical (per plan.Encode) to the
@@ -25,7 +25,6 @@ package planner
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -79,6 +78,7 @@ func New(cfg Config) *Planner {
 	if p.margin == 0 {
 		p.margin = DefaultMargin
 	}
+	p.flight.calls = make(map[cacheKey]*flightCall)
 	p.stats = cfg.Obs.NewPlannerStats()
 	p.cache = newPlanCache(cfg.CacheSize, p.stats)
 	if p.workers > 1 {
@@ -99,6 +99,11 @@ func (pl *Planner) CacheLen() int { return pl.cache.len() }
 // Plan produces the typed capped plan for w on a cluster with the given
 // map/reduce slot pools — the planner-service equivalent of
 // plan.GenerateCappedTyped at the configured margin.
+//
+// Plans served by a Planner (here and by PlanSingle, Estimate and PlanAll) are
+// shared read-only values: every request for one key gets the same Ranks and
+// Reqs arrays, and a cache hit or coalesced request the very same *plan.Plan.
+// Callers must not write to a served plan; Clone one to get a private copy.
 func (pl *Planner) Plan(w *workflow.Workflow, cluster plan.Caps, pol priority.Policy) (*plan.Plan, error) {
 	return pl.planTyped(w, cluster, pol, pl.search)
 }
@@ -106,9 +111,8 @@ func (pl *Planner) Plan(w *workflow.Workflow, cluster plan.Caps, pol priority.Po
 // planTyped implements Plan with an explicit searcher so PlanAll can force
 // sequential searches while it parallelizes across workflows instead.
 func (pl *Planner) planTyped(w *workflow.Workflow, cluster plan.Caps, pol priority.Policy, search plan.CapSearcher) (*plan.Plan, error) {
-	start := time.Now()
 	key := keyFor(w, variantTyped, cluster.Maps, cluster.Reduces, pl.margin, pol.Name())
-	return pl.serve(key, start, func() (*plan.Plan, error) {
+	return pl.serve(key, func() (*plan.Plan, error) {
 		return plan.GenerateCappedTypedWith(w, cluster, pol, pl.margin, search)
 	})
 }
@@ -117,9 +121,8 @@ func (pl *Planner) planTyped(w *workflow.Workflow, cluster plan.Caps, pol priori
 // fungible slots — the planner-service equivalent of
 // plan.GenerateCappedMargin at the configured margin.
 func (pl *Planner) PlanSingle(w *workflow.Workflow, clusterSlots int, pol priority.Policy) (*plan.Plan, error) {
-	start := time.Now()
 	key := keyFor(w, variantSingle, clusterSlots, 0, pl.margin, pol.Name())
-	return pl.serve(key, start, func() (*plan.Plan, error) {
+	return pl.serve(key, func() (*plan.Plan, error) {
 		return plan.GenerateCappedMarginWith(w, clusterSlots, pol, pl.margin, pl.search)
 	})
 }
@@ -129,9 +132,8 @@ func (pl *Planner) PlanSingle(w *workflow.Workflow, clusterSlots int, pol priori
 // to derive deadlines from estimated makespans. No cap search runs, so
 // only the cache layer applies.
 func (pl *Planner) Estimate(w *workflow.Workflow, slots int, pol priority.Policy) (*plan.Plan, error) {
-	start := time.Now()
 	key := keyFor(w, variantUncapped, slots, 0, 1, pol.Name())
-	return pl.serve(key, start, func() (*plan.Plan, error) {
+	return pl.serve(key, func() (*plan.Plan, error) {
 		return plan.GenerateForPolicy(w, slots, pol)
 	})
 }
@@ -187,15 +189,4 @@ func (pl *Planner) PlanAll(flows []*workflow.Workflow, cluster plan.Caps, pol pr
 		}
 	}
 	return out, nil
-}
-
-// recordGenerated accounts for a freshly generated (cache-miss) plan:
-// latency, miss, the simulations its search executed and how many of them
-// stopped at the search target.
-func (pl *Planner) recordGenerated(start time.Time, p *plan.Plan) {
-	pl.stats.OnPlan(time.Since(start), false)
-	if pl.stats != nil {
-		pl.stats.Probes.Add(int64(p.SearchIters))
-		pl.stats.ProbesCut.Add(int64(p.ProbesCut))
-	}
 }

@@ -258,28 +258,6 @@ func TestCacheEvictsLRU(t *testing.T) {
 	}
 }
 
-// TestCacheHandsOutIndependentCopies guards against a caller corrupting the
-// cache by mutating a returned plan.
-func TestCacheHandsOutIndependentCopies(t *testing.T) {
-	pl := New(Config{CacheSize: 4})
-	pol := priority.HLF{}
-	w := workload.Fig7("w", 1.0, simtime.Epoch, simtime.Epoch.Add(time.Hour))
-	first, err := pl.Plan(w, testCluster, pol)
-	if err != nil {
-		t.Fatalf("Plan: %v", err)
-	}
-	want := first.Encode()
-	first.Reqs[0].Cum = 1 << 30
-	first.Ranks[0] = -1
-	second, err := pl.Plan(w, testCluster, pol)
-	if err != nil {
-		t.Fatalf("Plan: %v", err)
-	}
-	if !bytes.Equal(second.Encode(), want) {
-		t.Error("mutating a returned plan corrupted the cached copy")
-	}
-}
-
 func TestPlanAllMatchesIndividualPlans(t *testing.T) {
 	flows := corpus(t)
 	pol := priority.MPF{}

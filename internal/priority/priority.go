@@ -6,8 +6,9 @@
 package priority
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/workflow"
 )
@@ -33,15 +34,11 @@ func (HLF) Name() string { return "HLF" }
 
 // Rank implements Policy.
 func (HLF) Rank(w *workflow.Workflow) ([]int, error) {
-	levels, err := w.Levels()
-	if err != nil {
+	c := w.Compiled()
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("priority: HLF: %w", err)
 	}
-	keys := make([]float64, len(levels))
-	for i, l := range levels {
-		keys[i] = float64(l)
-	}
-	return ranksFromKeys(keys), nil
+	return ranksFromKeys(c.Levels), nil
 }
 
 // LPF is Longest Path First: like HLF but weighting each job on a path by its
@@ -54,15 +51,11 @@ func (LPF) Name() string { return "LPF" }
 
 // Rank implements Policy.
 func (LPF) Rank(w *workflow.Workflow) ([]int, error) {
-	paths, err := w.LongestPaths()
-	if err != nil {
+	c := w.Compiled()
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("priority: LPF: %w", err)
 	}
-	keys := make([]float64, len(paths))
-	for i, p := range paths {
-		keys[i] = p.Seconds()
-	}
-	return ranksFromKeys(keys), nil
+	return ranksFromKeys(c.LongestPaths), nil
 }
 
 // MPF is Maximum Parallelism First: the job with the most direct dependents
@@ -75,26 +68,26 @@ func (MPF) Name() string { return "MPF" }
 
 // Rank implements Policy.
 func (MPF) Rank(w *workflow.Workflow) ([]int, error) {
-	deps := w.Dependents()
-	keys := make([]float64, len(deps))
-	for i, d := range deps {
-		keys[i] = float64(len(d))
+	c := w.Compiled()
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("priority: MPF: %w", err)
 	}
-	return ranksFromKeys(keys), nil
+	return ranksFromKeys(c.NumDependents), nil
 }
 
 // ranksFromKeys converts per-job keys (bigger = more important) into ranks
-// (smaller = higher priority), breaking ties by job ID.
-func ranksFromKeys(keys []float64) []int {
+// (smaller = higher priority), breaking ties by job ID. It reads keys and
+// leaves them alone: they are the workflow's shared compiled form.
+func ranksFromKeys[K cmp.Ordered](keys []K) []int {
 	ids := make([]int, len(keys))
 	for i := range ids {
 		ids[i] = i
 	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		if keys[ids[a]] != keys[ids[b]] {
-			return keys[ids[a]] > keys[ids[b]]
+	slices.SortFunc(ids, func(a, b int) int {
+		if c := cmp.Compare(keys[b], keys[a]); c != 0 {
+			return c
 		}
-		return ids[a] < ids[b]
+		return cmp.Compare(a, b)
 	})
 	ranks := make([]int, len(keys))
 	for r, id := range ids {

@@ -5,14 +5,18 @@
 // reduce tasks taking R_i^j each.
 //
 // The package also provides the DAG utilities every other component builds
-// on: validation (including cycle detection), dependents, levels (for HLF),
-// longest paths (for LPF), topological order, and critical-path bounds.
+// on, all read from one compiled form per workflow (Compiled): validation
+// (including cycle detection), dependents, levels (for HLF), longest paths
+// (for LPF), topological order, critical-path bounds, and the structural
+// digest plan caches key on.
 package workflow
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/simtime"
@@ -69,6 +73,13 @@ func (j *Job) Length() time.Duration {
 
 // Workflow is a deadline-constrained DAG of Map-Reduce jobs:
 // W_i = {J_i, P_i, S_i, D_i}.
+//
+// The job table (Jobs, with every job's counts, durations and prerequisites)
+// is frozen at its first derived use — the first call of Compiled or of
+// anything that reads it: ranking, planning, Validated, submission to a
+// simulator or tracker. Name, Release, Deadline and Tenant stay assignable.
+// To change the job table after that, edit a Clone; Validate refuses a table
+// edited in place (ErrEditedAfterUse).
 type Workflow struct {
 	// Name identifies the workflow; unique within a run by convention.
 	Name string
@@ -83,72 +94,35 @@ type Workflow struct {
 	// untenanted: the admission front door skips the per-tenant stages.
 	Tenant string
 
-	// der caches structure derived from the immutable job table
-	// (validation verdict, root set, dependents CSR), built once on first
-	// use. Workflows are shared across simulator runs and cells, so the
-	// cache keeps per-completion dependent walks and per-Submit validation
-	// allocation-free after the first touch.
-	der derivedDAG
-}
-
-// derivedDAG is the once-built read-only cache behind Validate, RootIDs,
-// and DependentsOf.
-type derivedDAG struct {
+	// compiled is the one derived form of the job table, built under once
+	// on first use. Workflows are shared across simulator runs, cells and
+	// planner requests, so everything after the first touch is a read.
 	once     sync.Once
-	validate error
-	roots    []JobID
-	// depIdx/depList form a CSR adjacency: job j's dependents are
-	// depList[depIdx[j]:depIdx[j+1]], in ascending ID order (the same
-	// order Dependents builds).
-	depIdx  []int32
-	depList []JobID
+	compiled atomic.Pointer[Compiled]
 }
 
-// derive builds the cache on first use. The build never consults the cache
-// itself (Dependents and validate compute from the job table directly), so
-// there is no recursion through the Once.
-func (w *Workflow) derive() *derivedDAG {
-	w.der.once.Do(func() {
-		d := &w.der
-		d.validate = w.validate()
-		for i := range w.Jobs {
-			if len(w.Jobs[i].Prereqs) == 0 {
-				d.roots = append(d.roots, JobID(i))
-			}
-		}
-		n := len(w.Jobs)
-		d.depIdx = make([]int32, n+1)
-		for i := range w.Jobs {
-			for _, p := range w.Jobs[i].Prereqs {
-				d.depIdx[p+1]++
-			}
-		}
-		for j := 0; j < n; j++ {
-			d.depIdx[j+1] += d.depIdx[j]
-		}
-		d.depList = make([]JobID, d.depIdx[n])
-		fill := make([]int32, n)
-		for i := range w.Jobs {
-			for _, p := range w.Jobs[i].Prereqs {
-				d.depList[d.depIdx[p]+fill[p]] = JobID(i)
-				fill[p]++
-			}
-		}
-	})
-	return &w.der
+// Compiled returns the workflow's compiled form, building it on first use.
+// From that call on the job table must not change.
+func (w *Workflow) Compiled() *Compiled {
+	if c := w.compiled.Load(); c != nil {
+		return c
+	}
+	w.once.Do(func() { w.compiled.Store(compile(w)) })
+	return w.compiled.Load()
 }
 
-// RootIDs returns the jobs with no prerequisites, cached. Callers must not
-// mutate the returned slice; Roots returns a fresh copy instead.
-func (w *Workflow) RootIDs() []JobID { return w.derive().roots }
+// RootIDs returns the jobs with no prerequisites, ascending. Callers must
+// not mutate the returned slice; Roots returns a fresh copy instead.
+func (w *Workflow) RootIDs() []JobID { return w.Compiled().Roots }
 
-// DependentsOf returns the IDs of jobs that list j as a prerequisite, in
-// ascending ID order, cached (one CSR sub-slice — no allocation). Callers
-// must not mutate the returned slice.
-func (w *Workflow) DependentsOf(j JobID) []JobID {
-	d := w.derive()
-	return d.depList[d.depIdx[j]:d.depIdx[j+1]]
-}
+// Roots returns the IDs of initially active jobs — those with no
+// prerequisites.
+func (w *Workflow) Roots() []JobID { return slices.Clone(w.RootIDs()) }
+
+// DependentsOf returns the IDs of jobs that list j as a prerequisite (the
+// set D_i^j from Section IV-A), in ascending ID order. Callers must not
+// mutate the returned slice.
+func (w *Workflow) DependentsOf(j JobID) []JobID { return w.Compiled().DependentsOf(j) }
 
 // RelativeDeadline returns D_i - S_i, the time budget the workflow has from
 // submission to deadline.
@@ -157,59 +131,52 @@ func (w *Workflow) RelativeDeadline() time.Duration {
 }
 
 // TotalTasks returns the number of tasks summed over all jobs.
-func (w *Workflow) TotalTasks() int {
-	n := 0
-	for i := range w.Jobs {
-		n += w.Jobs[i].Tasks()
-	}
-	return n
-}
-
-// Roots returns the IDs of initially active jobs — those with no
-// prerequisites.
-func (w *Workflow) Roots() []JobID {
-	var roots []JobID
-	for i := range w.Jobs {
-		if len(w.Jobs[i].Prereqs) == 0 {
-			roots = append(roots, JobID(i))
-		}
-	}
-	return roots
-}
-
-// Dependents returns, for each job, the IDs of jobs that list it as a
-// prerequisite (the set D_i^j from Section IV-A).
-func (w *Workflow) Dependents() [][]JobID {
-	deps := make([][]JobID, len(w.Jobs))
-	for i := range w.Jobs {
-		for _, p := range w.Jobs[i].Prereqs {
-			deps[p] = append(deps[p], JobID(i))
-		}
-	}
-	return deps
-}
+func (w *Workflow) TotalTasks() int { return w.Compiled().TotalTasks }
 
 // Validation errors.
 var (
 	ErrEmptyWorkflow = errors.New("workflow: no jobs")
 	ErrCycle         = errors.New("workflow: dependency cycle")
+	// ErrEditedAfterUse is Validate's verdict on a job table that no longer
+	// matches the form compiled at its first use.
+	ErrEditedAfterUse = errors.New("workflow: job table edited after first use (clone the workflow before editing)")
 )
 
-// Validated returns the validation verdict computed on the workflow's first
-// derived-DAG use and cached. Hot paths that re-submit shared immutable
-// specs (the pooled simulator, the live trackers) use this; Validate below
-// re-checks from scratch for callers that mutate between calls.
-func (w *Workflow) Validated() error { return w.derive().validate }
+// Validated returns the verdict on the compiled form — the job table as it
+// stood at first use — together with a fresh check of the deadline. Hot paths
+// that re-submit shared specs (the pooled simulator, the live trackers) use
+// it: after the first call it allocates nothing.
+func (w *Workflow) Validated() error { return w.verdict(w.Compiled()) }
 
-// Validate checks structural invariants: at least one job, consistent IDs,
-// unique non-empty names, in-range unique prerequisites, non-negative task
-// counts with positive durations where counts are positive, deadline after
-// release, and acyclicity. It returns the first problem found.
-func (w *Workflow) Validate() error { return w.validate() }
+// Validate checks structural invariants from scratch: at least one job,
+// consistent IDs, unique non-empty names, in-range unique prerequisites,
+// non-negative task counts with positive durations where counts are positive,
+// acyclicity, and deadline after release. It returns the first problem found.
+// On a workflow already in use it also refuses a job table that has been
+// edited in place since (ErrEditedAfterUse): the rest of the system keeps
+// reading the form compiled at first use.
+func (w *Workflow) Validate() error {
+	fresh := compile(w)
+	if c := w.compiled.Load(); c != nil && c.Digest != fresh.Digest {
+		return fmt.Errorf("workflow %q: %w", w.Name, ErrEditedAfterUse)
+	}
+	return w.verdict(fresh)
+}
 
-// validate is the always-recomputed check behind Validate and the cached
-// verdict behind Validated.
-func (w *Workflow) validate() error {
+// verdict joins c's cached verdict on the job table with the one check that
+// is never cached, because Release and Deadline stay assignable.
+func (w *Workflow) verdict(c *Compiled) error {
+	if c.err != nil {
+		return c.err
+	}
+	if w.Deadline <= w.Release {
+		return fmt.Errorf("workflow %q: deadline %v not after release %v", w.Name, w.Deadline, w.Release)
+	}
+	return nil
+}
+
+// checkJobs is the per-job half of validation; compile adds acyclicity.
+func (w *Workflow) checkJobs() error {
 	if len(w.Jobs) == 0 {
 		return ErrEmptyWorkflow
 	}
@@ -252,12 +219,6 @@ func (w *Workflow) validate() error {
 			seen[p] = true
 		}
 	}
-	if w.Deadline <= w.Release {
-		return fmt.Errorf("workflow %q: deadline %v not after release %v", w.Name, w.Deadline, w.Release)
-	}
-	if _, err := w.TopoOrder(); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -266,119 +227,46 @@ func (w *Workflow) validate() error {
 // that become ready simultaneously, lower IDs come first, so the order is
 // deterministic.
 func (w *Workflow) TopoOrder() ([]JobID, error) {
-	n := len(w.Jobs)
-	indeg := make([]int, n)
-	for i := range w.Jobs {
-		indeg[i] = len(w.Jobs[i].Prereqs)
-	}
-	deps := w.Dependents()
-	// Deterministic Kahn: scan for the lowest-ID ready job. O(n^2) worst
-	// case but workflows have at most hundreds of jobs.
-	order := make([]JobID, 0, n)
-	done := make([]bool, n)
-	for len(order) < n {
-		found := false
-		for i := 0; i < n; i++ {
-			if !done[i] && indeg[i] == 0 {
-				done[i] = true
-				order = append(order, JobID(i))
-				for _, d := range deps[i] {
-					indeg[d]--
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, ErrCycle
-		}
-	}
-	return order, nil
+	c := w.Compiled()
+	return slices.Clone(c.Topo), c.dagErr
 }
 
 // Levels computes the HLF level of every job: jobs with no dependents are at
 // level 0, and a job's level is one more than the maximum level among its
 // dependents (Section V-C). The workflow must be acyclic.
 func (w *Workflow) Levels() ([]int, error) {
-	order, err := w.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	deps := w.Dependents()
-	levels := make([]int, len(w.Jobs))
-	// Walk in reverse topological order so dependents are computed first.
-	for i := len(order) - 1; i >= 0; i-- {
-		j := order[i]
-		lvl := 0
-		for _, d := range deps[j] {
-			if levels[d]+1 > lvl {
-				lvl = levels[d] + 1
-			}
-		}
-		levels[j] = lvl
-	}
-	return levels, nil
+	c := w.Compiled()
+	return slices.Clone(c.Levels), c.dagErr
 }
 
 // LongestPaths computes, for each job, the length of the longest downstream
 // chain starting at (and including) that job, where a job's contribution is
 // Job.Length. This is the LPF priority key.
 func (w *Workflow) LongestPaths() ([]time.Duration, error) {
-	order, err := w.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	deps := w.Dependents()
-	paths := make([]time.Duration, len(w.Jobs))
-	for i := len(order) - 1; i >= 0; i-- {
-		j := order[i]
-		var best time.Duration
-		for _, d := range deps[j] {
-			if paths[d] > best {
-				best = paths[d]
-			}
-		}
-		paths[j] = best + w.Jobs[j].Length()
-	}
-	return paths, nil
+	c := w.Compiled()
+	return slices.Clone(c.LongestPaths), c.dagErr
 }
 
 // CriticalPath returns the length of the longest prerequisite chain in the
 // workflow under the Job.Length serial estimate. No schedule, regardless of
 // slot count, can finish the workflow faster.
 func (w *Workflow) CriticalPath() (time.Duration, error) {
-	paths, err := w.LongestPaths()
-	if err != nil {
-		return 0, err
-	}
-	var best time.Duration
-	for _, p := range paths {
-		if p > best {
-			best = p
-		}
-	}
-	return best, nil
+	c := w.Compiled()
+	return c.CriticalPath, c.dagErr
 }
 
 // SerialWork returns the total serial work in the workflow if every task ran
 // back to back: sum over jobs of maps*MapTime + reduces*ReduceTime. Together
 // with CriticalPath it brackets the achievable makespan.
-func (w *Workflow) SerialWork() time.Duration {
-	var total time.Duration
-	for i := range w.Jobs {
-		j := &w.Jobs[i]
-		total += time.Duration(j.Maps)*j.MapTime + time.Duration(j.Reduces)*j.ReduceTime
-	}
-	return total
-}
+func (w *Workflow) SerialWork() time.Duration { return w.Compiled().SerialWork }
 
-// Clone returns a deep copy of w with a fresh (unbuilt) derived-DAG cache.
-// Mutate the clone before its first Validate/RootIDs/DependentsOf call — the
-// cache snapshots the structure on first use.
+// Clone returns a deep copy of w that has not been compiled yet — the way to
+// edit a workflow already in use: change the clone's job table before its
+// first use, which freezes it in turn.
 //
-// Simulators mutate per-run state derived
-// from workflows but never the workflow itself; Clone exists for callers that
-// want to perturb a workflow (e.g. deadline sweeps) without aliasing.
+// Simulators mutate per-run state derived from workflows but never the
+// workflow itself; Clone is for callers that want to perturb one (deadline
+// sweeps, learned durations, recurring instances) without aliasing.
 func (w *Workflow) Clone() *Workflow {
 	c := &Workflow{
 		Name:     w.Name,

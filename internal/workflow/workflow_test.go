@@ -145,12 +145,11 @@ func TestRootsAndDependents(t *testing.T) {
 	if len(roots) != 1 || roots[0] != 0 {
 		t.Errorf("Roots = %v, want [0]", roots)
 	}
-	deps := w.Dependents()
-	if len(deps[0]) != 2 || deps[0][0] != 1 || deps[0][1] != 2 {
-		t.Errorf("Dependents[0] = %v, want [1 2]", deps[0])
+	if d := w.DependentsOf(0); len(d) != 2 || d[0] != 1 || d[1] != 2 {
+		t.Errorf("DependentsOf(0) = %v, want [1 2]", d)
 	}
-	if len(deps[3]) != 0 {
-		t.Errorf("Dependents[3] = %v, want empty", deps[3])
+	if d := w.DependentsOf(3); len(d) != 0 {
+		t.Errorf("DependentsOf(3) = %v, want empty", d)
 	}
 }
 
@@ -236,14 +235,13 @@ func TestRandomDAGsTopoValid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Levels: %v", trial, err)
 		}
-		deps := w.Dependents()
 		for i := range w.Jobs {
 			for _, p := range w.Jobs[i].Prereqs {
 				if pos[p] >= pos[JobID(i)] {
 					t.Fatalf("trial %d: topo order violated", trial)
 				}
 			}
-			for _, d := range deps[i] {
+			for _, d := range w.DependentsOf(JobID(i)) {
 				if levels[i] <= levels[d] {
 					t.Fatalf("trial %d: level of job %d (%d) not above dependent %d (%d)",
 						trial, i, levels[i], d, levels[d])

@@ -23,10 +23,9 @@ func TestFig7Shape(t *testing.T) {
 	if got := len(w.Roots()); got != 3 {
 		t.Errorf("roots = %d, want 3", got)
 	}
-	deps := w.Dependents()
 	sinks := 0
 	for i := range w.Jobs {
-		if len(deps[i]) == 0 {
+		if len(w.DependentsOf(w.Jobs[i].ID)) == 0 {
 			sinks++
 		}
 	}

@@ -23,7 +23,10 @@ import (
 // Re-exported model types. The internal packages own the implementations;
 // these aliases are the supported public surface.
 type (
-	// Workflow is a deadline-constrained DAG of Map-Reduce jobs.
+	// Workflow is a deadline-constrained DAG of Map-Reduce jobs. Its job
+	// table is frozen at first use (planning, validation, submission);
+	// Name, Release, Deadline and Tenant stay assignable, and Clone is the
+	// way to edit one already in use.
 	Workflow = workflow.Workflow
 	// Job is one Map-Reduce job ("wjob") inside a workflow.
 	Job = workflow.Job
@@ -33,7 +36,9 @@ type (
 	Builder = workflow.Builder
 
 	// Plan is a WOHA scheduling plan: job ranks plus the progress
-	// requirement list F(ttd).
+	// requirement list F(ttd). A plan is read-only once generated — one
+	// served by a Planner or a Session is shared with every other request
+	// for the same key — so Clone it before writing to it.
 	Plan = plan.Plan
 	// PlanReq is one progress requirement entry.
 	PlanReq = plan.Req
@@ -316,8 +321,8 @@ func WithPlanCache(n int) SessionOption {
 // generators (see internal/planner). One Planner is safe to share across
 // sessions, RunSeeds sweeps, and the experiment corpora — concurrent
 // requests for the same (DAG shape, caps, policy, relative deadline) key
-// cost one simulation total, and every caller receives a byte-identical,
-// independently owned plan.
+// cost one simulation total, and every caller receives the same shared,
+// read-only plan: it must not be written (Plan.Clone gives a private copy).
 type Planner = planner.Planner
 
 // NewPlanner builds a shareable plan service from the plan-shaping session
