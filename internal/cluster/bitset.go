@@ -33,8 +33,9 @@ func (b *nodeSet) fill(n int) {
 	}
 }
 
-func (b *nodeSet) set(i int)   { b.w[i>>6] |= 1 << (uint(i) & 63) }
-func (b *nodeSet) clear(i int) { b.w[i>>6] &^= 1 << (uint(i) & 63) }
+func (b *nodeSet) set(i int)      { b.w[i>>6] |= 1 << (uint(i) & 63) }
+func (b *nodeSet) clear(i int)    { b.w[i>>6] &^= 1 << (uint(i) & 63) }
+func (b *nodeSet) has(i int) bool { return b.w[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // next returns the smallest set index >= from, or -1 when none remains —
 // exactly the "first node with a free slot, scanning upward" order the

@@ -365,6 +365,16 @@ type Policy interface {
 	// NextTask picks the workflow and job that should receive an idle slot
 	// of type st, or ok == false to leave the slot idle. The simulator
 	// guarantees the returned job is Schedulable(st).
+	//
+	// Whether a slot type has a task (ok) is a function of the
+	// WorkflowStates the policy was handed: it may change only when a
+	// workflow arrives, a job activates, a job's map phase ends, a task is
+	// requeued or a task starts — from false to true only at one of the
+	// first four, since a task starting takes work away. now may order the
+	// candidates but not withhold them: delay scheduling lives in the
+	// simulator, and a tick it refuses is not quiescent. Heartbeat mode
+	// relies on this to leave out the ticks of a node the policy has just
+	// refused (Simulator.rearmHeartbeat).
 	NextTask(now simtime.Time, st SlotType) (ws *WorkflowState, job workflow.JobID, ok bool)
 	// TaskStarted confirms a task of ws.Jobs[job] was placed on a slot.
 	TaskStarted(ws *WorkflowState, job workflow.JobID, st SlotType, now simtime.Time)

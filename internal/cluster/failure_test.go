@@ -78,23 +78,53 @@ func TestPermanentFailureUsesSurvivors(t *testing.T) {
 	}
 }
 
+// TestAllNodesDeadIsStuck: when the only node dies for good with work left,
+// Run must come back with the stuck error in every dispatch mode. Heartbeat
+// mode with speculation on used to re-arm the dead node's tick for ever; now
+// the node sleeps, the queue drains and Finish reports. A run that does not
+// return fails here rather than at the package's -timeout.
 func TestAllNodesDeadIsStuck(t *testing.T) {
-	cfg := cluster.Config{
-		Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1,
-		Failures: []cluster.Failure{{Node: 0, At: simtime.FromSeconds(5)}},
-	}
-	w := workflow.NewBuilder("w").
-		Job("j", 3, 1, 10*time.Second, 10*time.Second).
-		MustBuild(0, simtime.FromSeconds(1000))
-	sim, err := cluster.New(cfg, scheduler.NewFIFO(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Submit(w, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(); err == nil || !strings.Contains(err.Error(), "stuck") {
-		t.Errorf("Run error = %v, want stuck", err)
+	for _, tc := range []struct {
+		name      string
+		heartbeat time.Duration
+		slowdown  float64
+	}{
+		{"instant", 0, 0},
+		{"instant+speculation", 0, 1.5},
+		{"heartbeat", 3 * time.Second, 0},
+		{"heartbeat+speculation", 3 * time.Second, 1.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := cluster.Config{
+				Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1,
+				HeartbeatInterval:   tc.heartbeat,
+				SpeculativeSlowdown: tc.slowdown,
+				Failures:            []cluster.Failure{{Node: 0, At: simtime.FromSeconds(5)}},
+			}
+			w := workflow.NewBuilder("w").
+				Job("j", 3, 1, 10*time.Second, 10*time.Second).
+				MustBuild(0, simtime.FromSeconds(1000))
+			sim, err := cluster.New(cfg, scheduler.NewFIFO(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sim.Submit(w, nil); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := sim.Run()
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "stuck") {
+					t.Errorf("Run error = %v, want stuck", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Run did not return: the dead node is still ticking")
+			}
+		})
 	}
 }
 

@@ -35,7 +35,12 @@ var simMetrics = []struct {
 	{obs.MetricSimEventLanePushes, func(o *obs.Obs) int64 { return o.SimEventLanePushes().Value() }},
 	{obs.MetricSimEventLaneFallbacks, func(o *obs.Obs) int64 { return o.SimEventLaneFallbacks().Value() }},
 	{obs.MetricSimSpecGateSkips, func(o *obs.Obs) int64 { return o.SimSpecGateSkips().Value() }},
+	{quiescentTicks, func(o *obs.Obs) int64 { return o.SimHeartbeatsSuppressed("quiescent").Value() }},
 }
+
+// quiescentTicks keys the reason="quiescent" series of
+// obs.MetricSimHeartbeatsSuppressed in the tables here.
+const quiescentTicks = obs.MetricSimHeartbeatsSuppressed + `{reason="quiescent"}`
 
 func TestReleaseReuseInstrumentationHygiene(t *testing.T) {
 	// A collection between Release and the rerun empties sync.Pool and the
@@ -95,14 +100,15 @@ func TestReleaseReuseInstrumentationHygiene(t *testing.T) {
 	for _, name := range []string{
 		obs.MetricSimDrainBatches, obs.MetricSimDrainCoalesced,
 		obs.MetricSimEventLanePushes, obs.MetricSimEventLaneFallbacks, obs.MetricSimSpecGateSkips,
+		quiescentTicks,
 	} {
 		if firstVals[name] != secondVals[name] {
 			t.Errorf("%s: first run flushed %d, pooled rerun flushed %d (Release leaked state)",
 				name, firstVals[name], secondVals[name])
 		}
 	}
-	// This is a heartbeat run with speculation on, so all three moved.
-	for _, name := range []string{obs.MetricSimDrainBatches, obs.MetricSimEventLanePushes, obs.MetricSimSpecGateSkips} {
+	// This is a heartbeat run with speculation on, so all four moved.
+	for _, name := range []string{obs.MetricSimDrainBatches, obs.MetricSimEventLanePushes, obs.MetricSimSpecGateSkips, quiescentTicks} {
 		if firstVals[name] == 0 {
 			t.Errorf("%s never moved; instrumentation not wired", name)
 		}

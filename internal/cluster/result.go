@@ -48,7 +48,9 @@ type Result struct {
 	// both are zero when locality modeling is off.
 	LocalMaps, RemoteMaps int
 	// SimulatedEvents counts the discrete events the run processed — the
-	// denominator for ns/simulated-event throughput reporting.
+	// denominator for ns/simulated-event throughput reporting. In heartbeat
+	// mode it includes the ticks of sleeping nodes, which a simulator
+	// executing every tick processes and this one only counts.
 	SimulatedEvents int
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"time"
@@ -56,6 +57,9 @@ type Simulator struct {
 	lanePushes    int
 	laneFallbacks int
 	specGateSkips int
+	// quietTicks tallies the heartbeat ticks of sleeping nodes that were
+	// counted into eventCount without being executed (rearmHeartbeat).
+	quietTicks int
 	// specWake is the earliest armed speculative wake-up (MaxTime = none),
 	// preventing duplicate retry events.
 	specWake simtime.Time
@@ -72,6 +76,30 @@ type Simulator struct {
 	// freeIdx[st] indexes the nodes that are up with at least one free slot
 	// of type st, so dispatch finds a slot without scanning every node.
 	freeIdx [2]nodeSet
+	// asleep is the set of quiescent nodes (heartbeat mode): their ticks are
+	// counted, not executed, until wake materialises the next one. nAsleep is
+	// its population; canSleep is whether this run may use it at all.
+	asleep   nodeSet
+	nAsleep  int
+	canSleep bool
+	// noWork[st] records that the policy refused a slot of type st and that
+	// nothing able to give it a task of that type has happened since (see
+	// Policy.NextTask); newWork clears it.
+	noWork [2]bool
+	// due holds the ticks wake has materialised, beside the event queue. Each
+	// lies less than one interval ahead on its node's own phase, so the set
+	// in node order, taken round from the current phase, is the set in firing
+	// order: the earliest (dueNode, -1 when there is none) is a word scan
+	// away where the queue's heap would charge log n twice. See wake for how
+	// it keeps its place among the queue's events.
+	due     nodeSet
+	dueNode int
+	// held is set by offer when delay scheduling, not the policy, left a
+	// slot idle: such a tick draws locality again next time and must run.
+	held bool
+	// load is the running form of LoadView, adjusted wherever a workflow,
+	// task or slot changes state so that a view costs no walk.
+	load Load
 	// overdue[st] orders running attempts of type st by straggler-threshold
 	// crossing, so speculate pops its victim instead of scanning attempts.
 	overdue [2]specHeap
@@ -98,6 +126,7 @@ type Simulator struct {
 	offerCount     *obs.Counter
 	hbSupBusy      *obs.Counter
 	hbSupDrained   *obs.Counter
+	hbSupQuiet     *obs.Counter
 	specWakeups    *obs.Counter
 	arenaCap       *obs.Gauge
 	arenaReuses    *obs.Counter
@@ -122,9 +151,9 @@ type nodeState struct {
 	freeMap    int32
 	freeReduce int32
 	down       bool
-	// hbArmed reports whether a heartbeat event for this node is pending
-	// (heartbeat mode only). A dormant node — fully busy with speculation
-	// off, or idle with every live workflow done — stays unarmed until a
+	// hbArmed reports whether a tick of this node is pending, in the event
+	// queue or in Simulator.due (heartbeat mode only). An unarmed node is dormant (fully busy with
+	// speculation off), parked, or asleep (Simulator.asleep) until a
 	// completion, recovery, or arrival makes a tick useful again.
 	hbArmed bool
 	// parked marks a node whose re-arm was declined because every submitted
@@ -139,6 +168,12 @@ type nodeState struct {
 	// through their prev/next links, newest first. Completions of attempts
 	// lost to a failure are recognized as stale by their arena generation.
 	runHead int32
+	// lastTick is the instant of the node's most recent executed heartbeat
+	// (before Epoch until the first). A sleeper's skipped ticks are the grid
+	// points between it and the tick wake materialises.
+	lastTick simtime.Time
+	// dueAt is when the node's tick in Simulator.due fires.
+	dueAt simtime.Time
 }
 
 func (n *nodeState) free(st SlotType) int32 {
@@ -215,6 +250,9 @@ func New(cfg Config, pol Policy, obs Observer) (*Simulator, error) {
 	if cfg.HeartbeatInterval < 0 {
 		return nil, fmt.Errorf("cluster: negative heartbeat interval %v", cfg.HeartbeatInterval)
 	}
+	if cfg.SubmitterOverhead < 0 {
+		return nil, fmt.Errorf("cluster: negative submitter overhead %v", cfg.SubmitterOverhead)
+	}
 	if cfg.Replication < 0 {
 		return nil, fmt.Errorf("cluster: negative replication %d", cfg.Replication)
 	}
@@ -272,6 +310,20 @@ func (s *Simulator) reset(cfg Config, pol Policy, obs Observer) {
 		n.freeMap, n.freeReduce = int32(cfg.MapSlotsPerNode), int32(cfg.ReduceSlotsPerNode)
 		n.down, n.hbArmed, n.parked = false, false, false
 		n.runHead = nilAttempt
+		n.lastTick = simtime.Epoch - 1
+	}
+	s.asleep.reset(cfg.Nodes)
+	s.nAsleep = 0
+	s.noWork = [2]bool{}
+	s.due.reset(cfg.Nodes)
+	s.dueNode = -1
+	// Sleeping needs every node on a phase of its own, so that an instant
+	// names at most one sleeper (settle); hbOffset gives that exactly when
+	// the interval has at least one nanosecond per node.
+	s.canSleep = int64(cfg.HeartbeatInterval) >= int64(cfg.Nodes)
+	s.load = Load{
+		MapSlots: cfg.MapSlots(), ReduceSlots: cfg.ReduceSlots(),
+		FreeMaps: cfg.MapSlots(), FreeReduces: cfg.ReduceSlots(),
 	}
 	if cfg.MapSlotsPerNode > 0 {
 		s.freeIdx[MapSlot].fill(cfg.Nodes)
@@ -332,11 +384,12 @@ func (s *Simulator) Release() {
 func (s *Simulator) clearRunTallies() {
 	s.drainBatches, s.drainCoalesced = 0, 0
 	s.lanePushes, s.laneFallbacks, s.specGateSkips = 0, 0, 0
+	s.quietTicks = 0
 }
 
 func (s *Simulator) clearInstruments() {
 	s.evCount = [numEventKinds]*obs.Counter{}
-	s.offerCount, s.hbSupBusy, s.hbSupDrained, s.specWakeups = nil, nil, nil, nil
+	s.offerCount, s.hbSupBusy, s.hbSupDrained, s.hbSupQuiet, s.specWakeups = nil, nil, nil, nil, nil
 	s.arenaCap, s.arenaReuses, s.arenaGrows = nil, nil, nil
 	s.drainBatchCtr, s.drainCoalesCtr = nil, nil
 	s.lanePushCtr, s.laneFallCtr, s.specGateCtr = nil, nil, nil
@@ -358,6 +411,7 @@ func (s *Simulator) SetInstrumentation(o *obs.Obs) {
 	s.offerCount = o.SimDispatchOffers()
 	s.hbSupBusy = o.SimHeartbeatsSuppressed("busy")
 	s.hbSupDrained = o.SimHeartbeatsSuppressed("drained")
+	s.hbSupQuiet = o.SimHeartbeatsSuppressed("quiescent")
 	s.specWakeups = o.SimSpecWakeups()
 	s.arenaCap = o.SimArenaCapacity()
 	s.arenaReuses = o.SimArenaReuses()
@@ -390,6 +444,7 @@ func (s *Simulator) flushRunMetrics() {
 	s.lanePushCtr.Add(int64(s.lanePushes))
 	s.laneFallCtr.Add(int64(s.laneFallbacks))
 	s.specGateCtr.Add(int64(s.specGateSkips))
+	s.hbSupQuiet.Add(int64(s.quietTicks))
 }
 
 // SetAdmission installs the admission front door consulted when each
@@ -409,14 +464,24 @@ func (s *Simulator) Submit(w *workflow.Workflow, p *plan.Plan) error {
 	if err := w.Validated(); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
-	ws := s.wsa.alloc(len(s.states), w, p)
-	ws.EnableSchedIndex(s.wsa.allocWords(2 * ((len(w.Jobs) + 63) / 64)))
-	s.ins.Health().Register(ws.Index, w.Name, w.Release, w.Deadline, w.TotalTasks(), p)
-	s.states = append(s.states, ws)
+	ws := s.enroll(w, p)
 	s.events.Push(w.Release, event{kind: evArrival, a: int32(ws.Index)})
 	s.arrivalTimes = append(s.arrivalTimes, w.Release)
 	s.arrivalsLeft++
 	return nil
+}
+
+// enroll builds the runtime state of a submitted workflow and counts it into
+// the load view, which reports a workflow from submission, not from release.
+func (s *Simulator) enroll(w *workflow.Workflow, p *plan.Plan) *WorkflowState {
+	ws := s.wsa.alloc(len(s.states), w, p)
+	ws.EnableSchedIndex(s.wsa.allocWords(2 * ((len(w.Jobs) + 63) / 64)))
+	s.ins.Health().Register(ws.Index, w.Name, w.Release, w.Deadline, w.TotalTasks(), p)
+	s.states = append(s.states, ws)
+	s.load.ActiveWorkflows++
+	s.load.PendingTasks += ws.remaining
+	s.load.Backlog += w.SerialWork()
+	return ws
 }
 
 // Run executes the simulation to completion and returns the run's results.
@@ -455,7 +520,7 @@ func (s *Simulator) arrive(wf int) {
 			if retry <= s.now {
 				retry = s.now + 1
 			}
-			s.events.Push(retry, event{kind: evArrival, a: int32(wf)})
+			s.push(retry, event{kind: evArrival, a: int32(wf)})
 			i := s.arrIdx
 			s.arrivalTimes[i] = retry
 			for i+1 < len(s.arrivalTimes) && s.arrivalTimes[i+1] < s.arrivalTimes[i] {
@@ -473,6 +538,9 @@ func (s *Simulator) arrive(wf int) {
 			ws.CounterOffer = d.CounterOffer
 			ws.Done = true
 			s.doneCount++
+			s.load.ActiveWorkflows--
+			s.load.PendingTasks -= ws.remaining
+			s.load.Backlog -= ws.Spec.SerialWork()
 			return
 		}
 	}
@@ -493,7 +561,7 @@ func (s *Simulator) arrive(wf int) {
 // changes of the current instant are applied.
 func (s *Simulator) scheduleActivation(wf int, job workflow.JobID) {
 	if s.cfg.SubmitterOverhead > 0 {
-		s.events.Push(s.now.Add(s.cfg.SubmitterOverhead), event{kind: evActivate, a: int32(wf), b: int32(job)})
+		s.push(s.now.Add(s.cfg.SubmitterOverhead), event{kind: evActivate, a: int32(wf), b: int32(job)})
 		return
 	}
 	s.activateNow(wf, job)
@@ -513,6 +581,11 @@ func (s *Simulator) activateNow(wf int, job workflow.JobID) {
 	ws.RefreshJob(job)
 	s.ins.JobActivated(s.now, wf, int(job))
 	s.pol.JobActivated(ws, job, s.now)
+	for st := MapSlot; st <= ReduceSlot; st++ {
+		if js.Schedulable(st) {
+			s.newWork(st)
+		}
+	}
 }
 
 func (s *Simulator) complete(h int32, gen uint32) {
@@ -542,6 +615,7 @@ func (s *Simulator) complete(h int32, gen uint32) {
 	}
 	ws.RefreshJob(job)
 	ws.RunningTasks--
+	s.load.RunningTasks--
 	left := ws.TaskDone()
 	s.ins.TaskCompleted(s.now, wf, int(job), int(st), node)
 	if s.obs != nil {
@@ -551,6 +625,7 @@ func (s *Simulator) complete(h int32, gen uint32) {
 		if rp, ok := s.pol.(ReducePhasePolicy); ok {
 			rp.ReducesReady(ws, job, s.now)
 		}
+		s.newWork(ReduceSlot)
 	}
 	if js.Completed() {
 		s.jobCompleted(ws, job)
@@ -559,6 +634,7 @@ func (s *Simulator) complete(h int32, gen uint32) {
 		ws.Done = true
 		ws.FinishTime = s.now
 		s.doneCount++
+		s.load.ActiveWorkflows--
 		if s.ins != nil {
 			var tardiness time.Duration
 			if s.now > ws.Spec.Deadline {
@@ -570,9 +646,15 @@ func (s *Simulator) complete(h int32, gen uint32) {
 		if s.adm != nil {
 			s.adm.Complete(ws.Spec, s.now)
 		}
+		if s.doneCount == s.arrIdx {
+			// Drained or complete: every sleeper's next tick must run, to take
+			// rearmHeartbeat's drained or parked branch as it always did.
+			s.wakeAll()
+		}
 	}
 	s.makespan = simtime.MaxOf(s.makespan, s.now)
 	s.wakeNode(node)
+	s.wakeIfSpeculating()
 	s.dispatchAll()
 }
 
@@ -588,6 +670,7 @@ func (s *Simulator) jobCompleted(ws *WorkflowState, job workflow.JobID) {
 
 func (s *Simulator) heartbeat(node int) {
 	s.nodes[node].hbArmed = false
+	s.nodes[node].lastTick = s.now
 	var t0 time.Time
 	started := 0
 	if s.ins != nil {
@@ -600,12 +683,19 @@ func (s *Simulator) heartbeat(node int) {
 		// decisions — the quantity WOHA's O(1)-per-heartbeat claim is about.
 		s.ins.HeartbeatServed(s.now, node, time.Since(t0), s.tasksStarted-started)
 	}
+	for st := MapSlot; st <= ReduceSlot; st++ {
+		if !s.noWork[st] {
+			// Not refused: there may be more.
+			s.probe(st)
+		}
+	}
 	s.rearmHeartbeat(node)
 }
 
-// armHeartbeat schedules node's next heartbeat tick. Re-arms at now +
-// interval reach the queue already in firing order, so they ride its FIFO
-// lane; the rest (wake-ups, drained skips, recoveries) may land before the
+// armHeartbeat schedules node's next heartbeat tick in the event queue.
+// Re-arms at now + interval reach it already in firing order, so they ride
+// its FIFO lane; the rest (drained skips, SubmitLive re-arms, a dormant
+// node's wake-up, a tick settle moves over from due) may land before the
 // lane's tail and fall back to the heap. Pop order is the same either way.
 func (s *Simulator) armHeartbeat(node int, at simtime.Time) {
 	s.nodes[node].hbArmed = true
@@ -618,16 +708,18 @@ func (s *Simulator) armHeartbeat(node int, at simtime.Time) {
 }
 
 // rearmHeartbeat decides when node ticks next. The default is one interval
-// from now; two cases suppress ticks that provably cannot schedule work:
+// from now; a tick that provably cannot schedule work is not executed:
 //
 //   - drained: every live workflow is done, so no completion or activation
-//     can occur before the next arrival — sleep straight to the first
-//     on-grid tick that can see it (arrival events at the same instant pop
-//     first, having been pushed at Submit).
-//   - busy: the node has no free slot of either type, so a tick cannot
-//     place work on it; stay dormant until a completion or recovery wakes
-//     it (wakeNode). Only valid with speculation off — an all-busy node's
-//     tick can still launch speculative twins on other nodes' free slots.
+//     can occur before the next arrival — skip straight to the first on-grid
+//     tick that can see it (arrival events at the same instant pop first,
+//     having been pushed at Submit). The skipped ticks are not counted.
+//   - busy: the node has no free slot of either type and speculation is off,
+//     so a tick cannot place work anywhere; stay dormant, uncounted, until a
+//     completion or recovery wakes it (wakeNode).
+//   - quiescent: every slot type full or refused and nothing to speculate
+//     on — the node sleeps and its ticks are counted, not run ("Sleeping",
+//     below).
 func (s *Simulator) rearmHeartbeat(node int) {
 	if s.doneCount == len(s.states) {
 		// Run complete; let the event queue drain. Park the node so a
@@ -648,15 +740,247 @@ func (s *Simulator) rearmHeartbeat(node int) {
 		s.hbSupBusy.Inc()
 		return
 	}
+	if s.canSleep && !s.held && s.specGateClosed() {
+		s.asleep.set(node)
+		s.nAsleep++
+		return
+	}
 	s.armHeartbeat(node, s.now.Add(s.cfg.HeartbeatInterval))
 }
 
-// wakeNode re-arms a dormant node after a completion, recovery, or
-// kill frees capacity or work. The tick lands on the node's own phase grid;
-// a tick coinciding with the waking event is served immediately after it.
-// No-op outside heartbeat mode or when the node is already armed.
+// Sleeping. The tick that just ran left every slot type of the node full or
+// refused by the policy (held is clear: delay scheduling refused nothing),
+// and the speculation gate closed. Its next ticks would ask the policy the
+// question it just answered — Policy.NextTask says what may change that
+// answer — skip speculation at the gate, and re-arm: nothing another handler
+// could observe but the event count. So the node pushes no heartbeat; its
+// ticks are counted when wake materialises the first one that has to run.
+// Every handler that can change a sleeper's answer sees to that:
+//
+//	a slot freed on the node (complete, killAttempt,     stir: wake it, unless
+//	recover)                                             noWork says no task
+//	                                                     of a free type exists
+//	new work of type st (activateNow, a map phase        newWork: clear noWork,
+//	ending with reduces pending, a requeue in fail)      probe the sleepers
+//	the speculation gate open after a completion,        wakeIfSpeculating: the
+//	failure, recovery or retry                           next node on the grid
+//	the run drains or completes                          wakeAll, so that each
+//	                                                     next tick takes the
+//	                                                     drained/parked branch
+//	the node fails                                       wake it: no slot at
+//	                                                     all is busy's case
+//
+// Waking too often is always safe — wake materialises exactly the tick the
+// reference runs next on that node — and only costs the run of it.
+//
+// Order within an instant. The reference stamps the heartbeat for grid point
+// g while the tick at g − interval runs, so a sleeper's unmaterialised tick
+// sorts after every event pushed before that and ahead of every event pushed
+// since. The second half is settle's job; the first is free, a materialised
+// tick coming later still.
+
+// specGateClosed is speculate's gate: no attempt is overdue and the armed
+// retry covers the earliest crossing. Always true with speculation off.
+func (s *Simulator) specGateClosed() bool {
+	return s.now < s.specNext && s.specWake <= s.specNext
+}
+
+// wake materialises sleeper node's next tick — the first point of its own
+// grid at or after now that it has not already run — and counts the ticks
+// slept through, each of which the reference executed and found idle.
+//
+// The tick goes into due, not the queue, and has no stamp to order it among
+// the queue's events at its instant. It needs none: whatever the queue holds
+// there now was pushed earlier and fires first (StepTo runs the queue's
+// events of an instant before a due tick), and whatever is pushed there from
+// now on must fire after it, so settle moves the tick into the queue first.
+func (s *Simulator) wake(node int) {
+	s.asleep.clear(node)
+	s.nAsleep--
+	n := &s.nodes[node]
+	iv := s.cfg.HeartbeatInterval
+	g := s.nextTick(node, s.now)
+	if g == n.lastTick {
+		g = g.Add(iv)
+	}
+	skipped := int(g.Sub(n.lastTick)/iv) - 1
+	s.eventCount += skipped
+	s.quietTicks += skipped
+	n.hbArmed = true
+	n.dueAt = g
+	s.due.set(node)
+	if s.dueNode < 0 || g < s.nodes[s.dueNode].dueAt {
+		s.dueNode = node
+	}
+}
+
+// dueFirst reports whether the earliest tick in due fires before the event
+// queue's earliest event, at (ok false: the queue is empty). At a tie the
+// queue goes first: its events were pushed before the tick was materialised.
+func (s *Simulator) dueFirst(at simtime.Time, ok bool) bool {
+	return s.dueNode >= 0 && (!ok || s.nodes[s.dueNode].dueAt < at)
+}
+
+// takeDue removes node's tick from due. When it was the earliest, the next
+// one round in node order is: every tick in due lies within one interval of
+// the earliest.
+func (s *Simulator) takeDue(node int) {
+	s.due.clear(node)
+	if node != s.dueNode {
+		return
+	}
+	s.dueNode = s.due.next(node + 1)
+	if s.dueNode < 0 {
+		s.dueNode = s.due.next(0)
+	}
+}
+
+// stir wakes node if it sleeps beside a free slot the policy might fill: a
+// slot was freed on it, or the node came back up.
+func (s *Simulator) stir(node int) {
+	if !s.asleep.has(node) {
+		return
+	}
+	n := &s.nodes[node]
+	if (n.freeMap > 0 && !s.noWork[MapSlot]) || (n.freeReduce > 0 && !s.noWork[ReduceSlot]) {
+		s.wake(node)
+	}
+}
+
+// newWork records that the policy may have a task of type st again and has
+// the sleepers with a free st slot asked.
+func (s *Simulator) newWork(st SlotType) {
+	s.noWork[st] = false
+	s.probe(st)
+}
+
+// probe wakes, of the sleepers with a free st slot, the one whose tick comes
+// first. The reference ticks them all, in grid order, and every one after the
+// first refusal is refused too; so one is enough, provided the chain goes on
+// while the answer is still open: a probe that fills up without being refused
+// hands over to the next sleeper (heartbeat), and a refusal — the probe's or
+// any other node's — sets noWork and ends it.
+func (s *Simulator) probe(st SlotType) {
+	if s.nAsleep == 0 {
+		return
+	}
+	free, asleep := s.freeIdx[st].w, s.asleep.w
+	var any uint64
+	for wi := range free {
+		any |= free[wi] & asleep[wi]
+	}
+	if any == 0 {
+		return
+	}
+	// Round the grid from the node due next; the first word comes round
+	// again for the bits below it.
+	from := s.nextOnGrid()
+	wi := from >> 6
+	m := free[wi] & asleep[wi] &^ (1<<(uint(from)&63) - 1)
+	for m == 0 {
+		if wi++; wi == len(free) {
+			wi = 0
+		}
+		m = free[wi] & asleep[wi]
+	}
+	s.wake(wi<<6 + bits.TrailingZeros64(m))
+}
+
+// wakeAll wakes every sleeper.
+func (s *Simulator) wakeAll() {
+	if s.nAsleep == 0 {
+		return
+	}
+	for node := s.asleep.next(0); node >= 0; node = s.asleep.next(node + 1) {
+		s.wake(node)
+	}
+}
+
+// wakeIfSpeculating makes sure the next tick of the whole fleet runs when the
+// speculation gate is open: that tick, whichever node's it is, is the one
+// that launches a duplicate or arms the next retry.
+func (s *Simulator) wakeIfSpeculating() {
+	if s.nAsleep == 0 || s.specGateClosed() {
+		return
+	}
+	if node := s.nextOnGrid(); s.asleep.has(node) {
+		s.wake(node)
+	}
+}
+
+// nextOnGrid returns the node whose grid point comes first at or after now,
+// passing over the one whose tick of this very instant has already run.
+func (s *Simulator) nextOnGrid() int {
+	node := s.phaseNode(int64(s.now) % int64(s.cfg.HeartbeatInterval))
+	if node < len(s.nodes) && s.nodes[node].lastTick == s.now {
+		node++
+	}
+	if node == len(s.nodes) {
+		node = 0
+	}
+	return node
+}
+
+// phaseNode returns the first node whose heartbeat phase (hbOffset) is at or
+// after p, len(nodes) when none is: ⌊interval·k/n⌋ ≥ p ⇔ k ≥ ⌈p·n/interval⌉.
+func (s *Simulator) phaseNode(p int64) int {
+	iv := int64(s.cfg.HeartbeatInterval)
+	return int((p*int64(len(s.nodes)) + iv - 1) / iv)
+}
+
+// push schedules e at instant at. While nodes sleep or have ticks in due it
+// first restores the order the reference has between e and such a node's
+// tick at that same instant (settle).
+func (s *Simulator) push(at simtime.Time, e event) {
+	if s.nAsleep > 0 || s.dueNode >= 0 {
+		s.settle(at)
+	}
+	s.events.Push(at, e)
+}
+
+// settle puts the tick that the node whose grid holds at has there into the
+// queue, when the reference may already have stamped it, which it does one
+// interval ahead: the event about to be pushed must then follow that tick,
+// and the only way to say so is to push the tick first. A sleeper is woken
+// for it; a tick in due is moved. An instant further ahead than one interval
+// is stamped later than now, and needs nothing.
+func (s *Simulator) settle(at simtime.Time) {
+	if at.Add(-s.cfg.HeartbeatInterval) > s.now {
+		return
+	}
+	node := s.nodeAt(at)
+	if node < 0 {
+		return
+	}
+	if s.asleep.has(node) {
+		s.wake(node)
+	}
+	if s.due.has(node) && s.nodes[node].dueAt == at {
+		s.takeDue(node)
+		s.armHeartbeat(node, at)
+	}
+}
+
+// nodeAt returns the node whose grid holds at, or -1.
+func (s *Simulator) nodeAt(at simtime.Time) int {
+	p := int64(at) % int64(s.cfg.HeartbeatInterval)
+	node := s.phaseNode(p)
+	if node == len(s.nodes) || int64(s.hbOffset(node)) != p {
+		return -1
+	}
+	return node
+}
+
+// wakeNode re-arms a node after a completion, recovery, or kill frees
+// capacity on it. The tick lands on the node's own phase grid; a tick
+// coinciding with the waking event is served immediately after it. No-op
+// outside heartbeat mode or when the node is already armed.
 func (s *Simulator) wakeNode(node int) {
 	if s.cfg.HeartbeatInterval <= 0 || s.nodes[node].hbArmed {
+		return
+	}
+	if s.asleep.has(node) {
+		s.stir(node)
 		return
 	}
 	if s.doneCount == len(s.states) {
@@ -737,9 +1061,16 @@ func (s *Simulator) fail(nodeIdx int) {
 		return
 	}
 	node.down = true
+	s.load.FreeMaps -= int(node.freeMap)
+	s.load.FreeReduces -= int(node.freeReduce)
 	node.freeMap, node.freeReduce = 0, 0
 	s.freeIdx[MapSlot].clear(nodeIdx)
 	s.freeIdx[ReduceSlot].clear(nodeIdx)
+	if s.asleep.has(nodeIdx) {
+		// Its next tick finds no slot at all, which with speculation off is
+		// the busy branch's case, not a quiescent one.
+		s.wake(nodeIdx)
+	}
 	h := node.runHead
 	node.runHead = nilAttempt
 	for h != nilAttempt {
@@ -775,18 +1106,24 @@ func (s *Simulator) fail(nodeIdx int) {
 		if st == MapSlot {
 			js.RunningMaps--
 			js.PendingMaps++
+			s.load.Backlog += ws.Spec.Jobs[job].MapTime
 		} else {
 			js.RunningReduces--
 			js.PendingReduces++
+			s.load.Backlog += ws.Spec.Jobs[job].ReduceTime
 		}
 		ws.RefreshJob(job)
 		ws.RunningTasks--
 		ws.ScheduledTasks--
+		s.load.RunningTasks--
+		s.load.PendingTasks++
 		if rq, ok := s.pol.(RequeuePolicy); ok {
 			rq.TaskRequeued(ws, job, st, s.now)
 		}
+		s.newWork(st)
 		h = next
 	}
+	s.wakeIfSpeculating()
 	// Remaining workflows may now be unschedulable if every node died;
 	// Run's stuck detection reports that case.
 	s.dispatchAll()
@@ -801,6 +1138,8 @@ func (s *Simulator) recover(nodeIdx int) {
 	node.down = false
 	node.freeMap = int32(s.cfg.MapSlotsPerNode)
 	node.freeReduce = int32(s.cfg.ReduceSlotsPerNode)
+	s.load.FreeMaps += s.cfg.MapSlotsPerNode
+	s.load.FreeReduces += s.cfg.ReduceSlotsPerNode
 	if node.freeMap > 0 {
 		s.freeIdx[MapSlot].set(nodeIdx)
 	}
@@ -808,6 +1147,7 @@ func (s *Simulator) recover(nodeIdx int) {
 		s.freeIdx[ReduceSlot].set(nodeIdx)
 	}
 	s.wakeNode(nodeIdx)
+	s.wakeIfSpeculating()
 	s.dispatchAll()
 }
 
@@ -838,6 +1178,7 @@ func (s *Simulator) dispatchAll() {
 func (s *Simulator) takeSlot(node int, st SlotType) {
 	n := &s.nodes[node]
 	n.take(st)
+	s.load.addFree(st, -1)
 	if n.free(st) == 0 {
 		s.freeIdx[st].clear(node)
 	}
@@ -847,11 +1188,13 @@ func (s *Simulator) takeSlot(node int, st SlotType) {
 // failure empties its running list, so no completion or kill reaches it.
 func (s *Simulator) releaseSlot(node int, st SlotType) {
 	s.nodes[node].release(st)
+	s.load.addFree(st, 1)
 	s.freeIdx[st].set(node)
 }
 
 // dispatchNode assigns tasks to one node's idle slots (heartbeat mode).
 func (s *Simulator) dispatchNode(node int) {
+	s.held = false
 	for st := MapSlot; st <= ReduceSlot; st++ {
 		for s.nodes[node].free(st) > 0 {
 			if !s.offer(node, st) {
@@ -868,6 +1211,7 @@ func (s *Simulator) offer(node int, st SlotType) bool {
 	s.offerCount.Inc()
 	ws, job, ok := s.pol.NextTask(s.now, st)
 	if !ok {
+		s.noWork[st] = true
 		return false
 	}
 	js := &ws.Jobs[job]
@@ -885,10 +1229,12 @@ func (s *Simulator) offer(node int, st SlotType) bool {
 				// First refusal: start the delay-scheduling wait and leave
 				// the slot idle until it expires or another event fires.
 				js.delayedSince = s.now
-				s.events.Push(s.now.Add(s.cfg.DelayScheduling), event{kind: evRetry})
+				s.push(s.now.Add(s.cfg.DelayScheduling), event{kind: evRetry})
+				s.held = true
 				return false
 			}
 			if s.now.Sub(js.delayedSince) < s.cfg.DelayScheduling {
+				s.held = true
 				return false
 			}
 			// Wait expired: accept the remote assignment.
@@ -918,6 +1264,9 @@ func (s *Simulator) offer(node int, st SlotType) bool {
 	s.takeSlot(node, st)
 	ws.ScheduledTasks++
 	ws.RunningTasks++
+	s.load.RunningTasks++
+	s.load.PendingTasks--
+	s.load.Backlog -= base
 	s.tasksStarted++
 	if st == MapSlot {
 		s.mapBusy += dur
@@ -943,7 +1292,7 @@ func (s *Simulator) offer(node int, st SlotType) bool {
 	if s.cfg.SpeculativeSlowdown != 0 {
 		s.pushOverdue(h)
 	}
-	s.events.Push(end, event{kind: evComplete, a: h, gen: rec.gen})
+	s.push(end, event{kind: evComplete, a: h, gen: rec.gen})
 	return true
 }
 
@@ -961,6 +1310,7 @@ func (s *Simulator) killAttempt(h int32) {
 	s.unlinkRunning(h)
 	s.arena.free(h)
 	s.releaseSlot(node, st)
+	s.stir(node)
 	if st == MapSlot {
 		s.mapBusy -= end.Sub(s.now)
 	} else {
@@ -1017,7 +1367,7 @@ func (s *Simulator) speculate() {
 	if s.cfg.SpeculativeSlowdown == 0 {
 		return
 	}
-	if s.now < s.specNext && s.specWake <= s.specNext {
+	if s.specGateClosed() {
 		s.specGateSkips++
 		return
 	}
@@ -1124,7 +1474,7 @@ func (s *Simulator) armSpeculativeWake() {
 	if next < s.specWake {
 		s.specWake = next
 		s.specWakeups.Inc()
-		s.events.Push(next, event{kind: evRetry})
+		s.push(next, event{kind: evRetry})
 	}
 }
 
@@ -1162,7 +1512,7 @@ func (s *Simulator) launchSpeculative(node int, orig int32) {
 	if s.obs != nil {
 		s.obs.TaskStarted(s.now, ws, workflow.JobID(job), st, dur)
 	}
-	s.events.Push(end, event{kind: evComplete, a: h, gen: rec.gen})
+	s.push(end, event{kind: evComplete, a: h, gen: rec.gen})
 }
 
 // drawLocality reports whether a map assignment finds its data on the

@@ -174,6 +174,7 @@ func TestConfigErrors(t *testing.T) {
 		{Nodes: 1, MapSlotsPerNode: 0, ReduceSlotsPerNode: 0},
 		{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1, Noise: 1.5},
 		{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1, HeartbeatInterval: -time.Second},
+		{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1, SubmitterOverhead: -5 * time.Second},
 	}
 	for i, cfg := range bad {
 		if _, err := cluster.New(cfg, scheduler.NewFIFO(), nil); err == nil {

@@ -54,15 +54,22 @@ func (s *Simulator) Start() error {
 	return nil
 }
 
-// Peek returns the instant of the earliest pending event without processing
-// it. ok is false when the queue is empty (the simulator is fully drained).
+// Peek returns the instant of the earliest pending event — the queue's, or a
+// woken node's tick kept beside it — without processing it. ok is false when
+// neither is left (the simulator is fully drained).
 func (s *Simulator) Peek() (at simtime.Time, ok bool) {
-	return s.events.Peek()
+	at, ok = s.events.Peek()
+	if s.dueFirst(at, ok) {
+		return s.nodes[s.dueNode].dueAt, true
+	}
+	return at, ok
 }
 
 // StepTo processes every pending instant at or before t, in order, and
-// returns the number of events applied. The simulator's clock rests at the
-// last instant processed; events that handlers push within the window are
+// returns the number of events executed. The ticks a sleeping node is spared
+// in heartbeat mode (rearmHeartbeat) are no part of it: they are added to
+// Result.SimulatedEvents when the node wakes. The simulator's clock rests at
+// the last instant processed; events that handlers push within the window are
 // processed too, exactly as Run's internal loop would have.
 //
 // The heap is drained once per instant: every event already scheduled at the
@@ -76,6 +83,20 @@ func (s *Simulator) StepTo(t simtime.Time) int {
 	applied := 0
 	for {
 		at, ok := s.events.Peek()
+		if s.dueFirst(at, ok) {
+			// A woken node's tick, kept beside the queue (wake).
+			node := s.dueNode
+			if s.nodes[node].dueAt > t {
+				return applied
+			}
+			s.now = s.nodes[node].dueAt
+			s.takeDue(node)
+			s.eventCount++
+			applied++
+			s.evCount[evHeartbeat].Inc()
+			s.heartbeat(node)
+			continue
+		}
 		if !ok || at > t {
 			return applied
 		}
@@ -106,6 +127,7 @@ func (s *Simulator) StepTo(t simtime.Time) int {
 				if s.specWake <= s.now {
 					s.specWake = simtime.MaxTime
 				}
+				s.wakeIfSpeculating()
 				s.dispatchAll()
 			}
 		}
@@ -143,9 +165,10 @@ func (s *Simulator) Finish() (*Result, error) {
 //     because no arrival was known; see nodeState.parked) are re-armed on
 //     their own phase grid at the first tick ≥ release, the precise instant
 //     the drained-skip branch would have chosen had the arrival been
-//     pre-submitted. Busy-suppressed nodes stay dormant — a pre-run Submit
-//     would not have ticked them either; completions and recoveries wake
-//     them identically in both histories.
+//     pre-submitted. Busy-suppressed and sleeping nodes stay as they are —
+//     a pre-run Submit would not have ticked them either; completions,
+//     recoveries and the newcomer's own activations wake them identically
+//     in both histories.
 func (s *Simulator) SubmitLive(w *workflow.Workflow, p *plan.Plan) error {
 	if !s.ran {
 		return s.Submit(w, p)
@@ -157,10 +180,17 @@ func (s *Simulator) SubmitLive(w *workflow.Workflow, p *plan.Plan) error {
 		return fmt.Errorf("cluster: SubmitLive %q releases at %v, before the simulator's instant %v",
 			w.Name, w.Release, s.now)
 	}
-	ws := s.wsa.alloc(len(s.states), w, p)
-	ws.EnableSchedIndex(s.wsa.allocWords(2 * ((len(w.Jobs) + 63) / 64)))
-	s.ins.Health().Register(ws.Index, w.Name, w.Release, w.Deadline, w.TotalTasks(), p)
-	s.states = append(s.states, ws)
+	if w.Release == s.now && s.nAsleep > 0 {
+		// StepTo has been through this instant, and through the tick a
+		// sleeper had on it: the arrival must not find that tick still to
+		// come. Count it now.
+		if node := s.nodeAt(s.now); node >= 0 && s.asleep.has(node) && s.nodes[node].lastTick < s.now {
+			s.nodes[node].lastTick = s.now
+			s.eventCount++
+			s.quietTicks++
+		}
+	}
+	ws := s.enroll(w, p)
 	s.events.PushFront(w.Release, event{kind: evArrival, a: int32(ws.Index)})
 	// Keep the pending suffix of the arrival-time multiset sorted, so
 	// heartbeat skip-ahead still reads the earliest pending arrival at
@@ -189,17 +219,17 @@ func (s *Simulator) Now() simtime.Time {
 }
 
 // Load is a point-in-time view of one simulator's occupancy — the quantity
-// the federation routers decide on. Taking one walks every submitted
-// workflow, so the federation refreshes views on its configured staleness
-// interval rather than per routing decision.
+// the federation routers decide on. The simulator keeps it current at every
+// point that changes it, so taking one costs a copy.
 type Load struct {
 	// At is the owning simulator's clock when the view was taken.
 	At simtime.Time
 	// ActiveWorkflows counts arrived-or-pending workflows not yet finished
 	// or rejected.
 	ActiveWorkflows int
-	// RunningTasks counts task attempts currently occupying slots;
-	// PendingTasks counts tasks of active workflows not yet started.
+	// RunningTasks counts tasks currently executing (a speculative duplicate
+	// is the same task); PendingTasks counts tasks of active workflows not
+	// yet started.
 	RunningTasks int
 	PendingTasks int
 	// Backlog is the summed estimated duration of every pending task — the
@@ -213,34 +243,17 @@ type Load struct {
 	ReduceSlots int
 }
 
+func (l *Load) addFree(st SlotType, d int) {
+	if st == MapSlot {
+		l.FreeMaps += d
+	} else {
+		l.FreeReduces += d
+	}
+}
+
 // LoadView snapshots the simulator's current load.
 func (s *Simulator) LoadView() Load {
-	l := Load{
-		At:          s.now,
-		MapSlots:    s.cfg.MapSlots(),
-		ReduceSlots: s.cfg.ReduceSlots(),
-	}
-	for _, ws := range s.states {
-		if ws.Done {
-			continue
-		}
-		l.ActiveWorkflows++
-		l.RunningTasks += ws.RunningTasks
-		l.PendingTasks += ws.TasksRemaining() - ws.RunningTasks
-		for j := range ws.Jobs {
-			js := &ws.Jobs[j]
-			spec := &ws.Spec.Jobs[j]
-			l.Backlog += time.Duration(js.PendingMaps)*spec.MapTime +
-				time.Duration(js.PendingReduces)*spec.ReduceTime
-		}
-	}
-	for i := range s.nodes {
-		n := &s.nodes[i]
-		if n.down {
-			continue
-		}
-		l.FreeMaps += int(n.freeMap)
-		l.FreeReduces += int(n.freeReduce)
-	}
+	l := s.load
+	l.At = s.now
 	return l
 }

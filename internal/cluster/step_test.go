@@ -19,68 +19,146 @@ import (
 
 // TestStepToMatchesRun drives one simulator with Run and a second, fed the
 // same workload, one instant at a time via Peek + StepTo; the Results must be
-// byte-identical.
+// byte-identical. StepTo returns the events it executed: with heartbeats on,
+// those and the ticks counted for sleeping nodes make up SimulatedEvents.
 func TestStepToMatchesRun(t *testing.T) {
-	cfg := cluster.Config{
+	base := cluster.Config{
 		Nodes: 4, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1,
-		HeartbeatInterval: 3 * time.Second,
-		Noise:             0.2, Seed: 21,
+		Noise: 0.2, Seed: 21,
 		Failures: []cluster.Failure{{Node: 2, At: simtime.FromSeconds(40), Downtime: 30 * time.Second}},
 	}
-	flows := equivFlows()
+	for _, tc := range []struct {
+		name string
+		mut  func(*cluster.Config)
+	}{
+		{"instant", func(*cluster.Config) {}},
+		{"heartbeat", func(cc *cluster.Config) { cc.HeartbeatInterval = 3 * time.Second }},
+		{"heartbeat+speculation", func(cc *cluster.Config) {
+			cc.HeartbeatInterval = 3 * time.Second
+			cc.SubmitterOverhead = 3 * time.Second
+			cc.StragglerProb, cc.StragglerFactor, cc.SpeculativeSlowdown = 0.2, 4, 1.5
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			tc.mut(&cfg)
+			flows := equivFlows()
 
-	runSim, err := cluster.New(cfg, scheduler.NewEDF(), nil)
+			runSim, err := cluster.New(cfg, scheduler.NewEDF(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range flows {
+				if err := runSim.Submit(w, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := runSim.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			runSim.Release()
+
+			stepSim, err := cluster.New(cfg, scheduler.NewEDF(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins := obs.New(obs.NewRegistry(), nil)
+			stepSim.SetInstrumentation(ins)
+			for _, w := range flows {
+				if err := stepSim.Submit(w, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := stepSim.Start(); err != nil {
+				t.Fatal(err)
+			}
+			steps, executed := 0, 0
+			for {
+				at, ok := stepSim.Peek()
+				if !ok {
+					break
+				}
+				n := stepSim.StepTo(at)
+				if n == 0 {
+					t.Fatalf("StepTo(%v) applied no events despite Peek", at)
+				}
+				if now := stepSim.Now(); now != at {
+					t.Fatalf("clock at %v after StepTo(%v)", now, at)
+				}
+				executed += n
+				steps++
+			}
+			got, err := stepSim.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stepSim.Release()
+
+			if steps < 2 {
+				t.Fatalf("stepped %d instants; workload too trivial to pin anything", steps)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("stepped run diverged from Run:\nrun:  %+v\nstep: %+v", want, got)
+			}
+			slept := int(ins.SimHeartbeatsSuppressed("quiescent").Value())
+			if executed+slept != got.SimulatedEvents {
+				t.Errorf("StepTo executed %d events and %d ticks were slept through, but SimulatedEvents = %d",
+					executed, slept, got.SimulatedEvents)
+			}
+			if (slept > 0) != (cfg.HeartbeatInterval > 0) {
+				t.Errorf("%d ticks slept through with heartbeat interval %v", slept, cfg.HeartbeatInterval)
+			}
+		})
+	}
+}
+
+// TestSubmitLiveAtProcessedInstant injects a workflow released at the very
+// instant StepTo has just been through, which is also a grid point of a
+// sleeping node. That node's tick of the instant is behind the arrival — a
+// simulator that executes every tick ran it inside StepTo — so the node can
+// serve the newcomer one interval later at the earliest.
+func TestSubmitLiveAtProcessedInstant(t *testing.T) {
+	cfg := cluster.Config{
+		Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1,
+		HeartbeatInterval: 4 * time.Second, // node 0 ticks at 0, 4, 8 …, node 1 at 2, 6, 10 …
+	}
+	sim, err := cluster.New(cfg, scheduler.NewFIFO(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range flows {
-		if err := runSim.Submit(w, nil); err != nil {
+	mk := func(name string, maps int, d time.Duration, release simtime.Time) *workflow.Workflow {
+		return workflow.NewBuilder(name).Job("j", maps, 0, d, 0).MustBuild(release, simtime.FromSeconds(1000))
+	}
+	// Node 0 takes the long map at 0 and sleeps beside a free map slot; node
+	// 1 takes the 6 s map at 2, so that the only event at 8 is its completion.
+	for _, w := range []*workflow.Workflow{
+		mk("long", 1, 100*time.Second, 0),
+		mk("short", 1, 6*time.Second, simtime.FromSeconds(2)),
+	} {
+		if err := sim.Submit(w, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := runSim.Run()
+	if err := sim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sim.StepTo(simtime.FromSeconds(8))
+	if now := sim.Now(); now != simtime.FromSeconds(8) {
+		t.Fatalf("clock at %v after StepTo(8s), want the completion at 8s", now)
+	}
+	// Three 5 s maps: node 1 starts two at 10, node 0 the third at 12.
+	if err := sim.SubmitLive(mk("late", 3, 5*time.Second, simtime.FromSeconds(8)), nil); err != nil {
+		t.Fatal(err)
+	}
+	sim.StepTo(simtime.MaxTime)
+	res, err := sim.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	runSim.Release()
-
-	stepSim, err := cluster.New(cfg, scheduler.NewEDF(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range flows {
-		if err := stepSim.Submit(w, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := stepSim.Start(); err != nil {
-		t.Fatal(err)
-	}
-	steps := 0
-	for {
-		at, ok := stepSim.Peek()
-		if !ok {
-			break
-		}
-		if n := stepSim.StepTo(at); n == 0 {
-			t.Fatalf("StepTo(%v) applied no events despite Peek", at)
-		}
-		if now := stepSim.Now(); now != at {
-			t.Fatalf("clock at %v after StepTo(%v)", now, at)
-		}
-		steps++
-	}
-	got, err := stepSim.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stepSim.Release()
-
-	if steps < 2 {
-		t.Fatalf("stepped %d instants; workload too trivial to pin anything", steps)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("stepped run diverged from Run:\nrun:  %+v\nstep: %+v", want, got)
+	sim.Release()
+	if got, want := res.Workflows[2].Finish, simtime.FromSeconds(17); got != want {
+		t.Errorf("late workflow finished at %v, want %v (node 0 must not serve it at 8s)", got, want)
 	}
 }
 

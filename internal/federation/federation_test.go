@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/cluster/refsim"
 	"repro/internal/core"
 	"repro/internal/federation"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/priority"
 	"repro/internal/scheduler"
@@ -105,78 +107,112 @@ func sortedByRelease(flows []*workflow.Workflow) []int {
 // TestSingleClusterEquivalence pins the tentpole acceptance criterion: a
 // one-member federation at snapshot staleness 0 produces a member Result
 // byte-identical to a plain cluster.Sim run of the same workload — SubmitLive
-// mid-run injection is indistinguishable from pre-run Submit.
+// mid-run injection is indistinguishable from pre-run Submit — and both equal
+// the reference simulator's. The member's heartbeat-mode nodes are asleep
+// beside running work when w2 to w4 arrive and parked when w5 does; the ties
+// variant drops the noise and sets the submitter delay to the interval, so
+// activations and arrivals land on sleepers' own grid points.
 func TestSingleClusterEquivalence(t *testing.T) {
 	flows := fedFlows()
 	order := sortedByRelease(flows)
-	for _, sched := range fedSchedulers() {
-		for _, spec := range []bool{false, true} {
-			for _, fail := range []bool{false, true} {
-				name := fmt.Sprintf("%s/spec=%v/fail=%v", sched.name, spec, fail)
-				t.Run(name, func(t *testing.T) {
-					cfg := fedConfig(7)
-					if spec {
-						cfg.SpeculativeSlowdown = 1.3
-						cfg.StragglerProb = 0.15
-						cfg.StragglerFactor = 4
-					}
-					if fail {
-						cfg.Failures = []cluster.Failure{
-							{Node: 1, At: simtime.FromSeconds(45), Downtime: 60 * time.Second},
-							{Node: 4, At: simtime.FromSeconds(90)}, // permanent
-						}
-					}
-					plans := fedPlans(t, flows, cfg, sched.prio)
-
-					plainSim, err := cluster.New(cfg, sched.make(), nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, i := range order {
-						if err := plainSim.Submit(flows[i], plans[i]); err != nil {
-							t.Fatal(err)
-						}
-					}
-					plain, err := plainSim.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					plainSim.Release()
-
-					memberSim, err := cluster.New(cfg, sched.make(), nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fed, err := federation.New(federation.Config{
-						Router:          &federation.RoundRobin{},
-						SnapshotRefresh: 0,
-					}, []*cluster.Simulator{memberSim})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i, w := range flows {
-						if err := fed.Submit(w, plans[i]); err != nil {
-							t.Fatal(err)
-						}
-					}
-					res, err := fed.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					memberSim.Release()
-
-					if !reflect.DeepEqual(plain, res.Clusters[0]) {
-						t.Errorf("federated N=1 diverged from plain run:\nplain: %+v\nfed:   %+v",
-							plain, res.Clusters[0])
-					}
-					for _, rt := range res.Routes {
-						if rt.SnapshotAge != 0 {
-							t.Errorf("staleness 0 recorded snapshot age %v for %s",
-								rt.SnapshotAge, rt.Workflow)
-						}
-					}
-				})
+	type variant struct{ spec, fail, ties bool }
+	var variants []variant
+	for _, spec := range []bool{false, true} {
+		for _, fail := range []bool{false, true} {
+			for _, ties := range []bool{false, true} {
+				variants = append(variants, variant{spec, fail, ties})
 			}
+		}
+	}
+	for _, sched := range fedSchedulers() {
+		for _, v := range variants {
+			name := fmt.Sprintf("%s/spec=%v/fail=%v", sched.name, v.spec, v.fail)
+			if v.ties {
+				name += "/ties"
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := fedConfig(7)
+				if v.ties {
+					cfg.Noise = 0
+					cfg.SubmitterOverhead = cfg.HeartbeatInterval
+				}
+				if v.spec {
+					cfg.SpeculativeSlowdown = 1.3
+					cfg.StragglerProb = 0.15
+					cfg.StragglerFactor = 4
+				}
+				if v.fail {
+					cfg.Failures = []cluster.Failure{
+						{Node: 1, At: simtime.FromSeconds(45), Downtime: 60 * time.Second},
+						{Node: 4, At: simtime.FromSeconds(90)}, // permanent
+					}
+				}
+				plans := fedPlans(t, flows, cfg, sched.prio)
+
+				plainSim, err := cluster.New(cfg, sched.make(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ordered := make([]*workflow.Workflow, len(order))
+				orderedPlans := make([]*plan.Plan, len(order))
+				for k, i := range order {
+					ordered[k], orderedPlans[k] = flows[i], plans[i]
+					if err := plainSim.Submit(flows[i], plans[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				plain, err := plainSim.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				plainSim.Release()
+
+				ref, err := refsim.Run(cfg, sched.make(), nil, ordered, orderedPlans)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(plain, ref) {
+					t.Errorf("plain run diverged from the reference simulator:\nplain: %+v\nref:   %+v", plain, ref)
+				}
+
+				memberSim, err := cluster.New(cfg, sched.make(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ins := obs.New(obs.NewRegistry(), nil)
+				memberSim.SetInstrumentation(ins)
+				fed, err := federation.New(federation.Config{
+					Router:          &federation.RoundRobin{},
+					SnapshotRefresh: 0,
+				}, []*cluster.Simulator{memberSim})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, w := range flows {
+					if err := fed.Submit(w, plans[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				res, err := fed.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				memberSim.Release()
+
+				if !reflect.DeepEqual(plain, res.Clusters[0]) {
+					t.Errorf("federated N=1 diverged from plain run:\nplain: %+v\nfed:   %+v",
+						plain, res.Clusters[0])
+				}
+				if ins.SimHeartbeatsSuppressed("quiescent").Value() == 0 {
+					t.Error("no node of the member ever slept; the injections met only ticking nodes")
+				}
+				for _, rt := range res.Routes {
+					if rt.SnapshotAge != 0 {
+						t.Errorf("staleness 0 recorded snapshot age %v for %s",
+							rt.SnapshotAge, rt.Workflow)
+					}
+				}
+			})
 		}
 	}
 }
