@@ -19,9 +19,11 @@ vet:
 # handoff), the queue backends (the randomized op-sequence property test), the admission
 # front door (a locked pipeline shared across tracker shards), and the
 # federation layer (single-threaded by design, but its equivalence sweeps
-# cross the cluster pool-handoff paths).
+# cross the cluster pool-handoff paths). The live tracker runs at one CPU and
+# at four, so its default shard count is raced at both widths.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/live/... ./internal/planner/... ./internal/workflow/... ./internal/runner/... ./internal/cluster/... ./internal/dsl/... ./internal/admission/... ./internal/federation/...
+	$(GO) test -race ./internal/obs/... ./internal/planner/... ./internal/workflow/... ./internal/runner/... ./internal/cluster/... ./internal/dsl/... ./internal/admission/... ./internal/federation/...
+	$(GO) test -race -cpu 1,4 ./internal/live/...
 
 # Tier-1 gate plus static analysis and race checks — run before every PR.
 verify: build test vet race
@@ -33,7 +35,7 @@ fmt-check:
 
 # Quick race pass over the hottest concurrent paths: shared-planner
 # coalescing, runner streaming, and the deadline-health tracker fed by
-# concurrent heartbeats on both control-plane layouts (plus the introspection
+# concurrent heartbeats on the referee and the sharded tracker (plus the introspection
 # server and the heartbeat zero-alloc pin that guards the disabled path).
 race-smoke:
 	$(GO) test -race -count=1 -run 'TestCoalescing|TestCoalesced|TestPlanCache|TestServedPlans|TestSharedPlans|TestLeaderPanic|TestRunEach|TestDelivery|TestFirstError' \

@@ -44,7 +44,7 @@ func main() {
 		timeline     = flag.String("timeline", "", "write map-slot allocation CSV to this file")
 		liveMode     = flag.Bool("live", false, "run on the concurrent live mini-Hadoop instead of the discrete-event simulator")
 		timeScale    = flag.Float64("time-scale", 0.001, "live mode: wall seconds per virtual second")
-		shards       = flag.Int("shards", 0, "live mode: JobTracker workflow-state shards (0 = one per core, 1 = legacy single-mutex tracker)")
+		shards       = flag.Int("shards", 0, "live mode: JobTracker workflow-state shards (0 = one per core)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve the introspection plane (/metrics, /statusz, /debug/pprof) on this address during the run (e.g. :8080; :0 picks a free port) and print a final scrape")
 		postmortem   = flag.String("postmortem", "", "write a miss root-cause report (JSON) to this file after the run and print a text summary")
 		healthInt    = flag.Duration("health-interval", 30*time.Second, "virtual-time interval between deadline-health snapshots when instrumentation is active (0 disables)")

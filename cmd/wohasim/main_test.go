@@ -58,7 +58,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestRunLiveXMLWorkload(t *testing.T) {
 	// Run the XML workload on the live mini-Hadoop at a steep compression,
-	// once per control-plane layout (-shards 1 legacy, -shards 2 sharded).
+	// at one shard and at two.
 	for _, shards := range []int{1, 2} {
 		start := time.Now()
 		if err := runLive(writeXML(t), "FIFO", 4, 2, 1, shards, 0.00005, nil, planOpts{workers: 1}.shared(nil), nil, admissionOpts{}); err != nil {

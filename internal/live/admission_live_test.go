@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/core"
-	"repro/internal/live"
 	"repro/internal/plan"
 	"repro/internal/priority"
 	"repro/internal/simtime"
@@ -37,9 +36,9 @@ func feasibleDoor(t *testing.T) admission.Controller {
 }
 
 // TestAdmissionDecisionsAgreeAcrossLayouts runs the same released workload
-// through the legacy tracker and the sharded tracker at several widths, each
-// behind its own feasibility front door, and checks the layouts produce
-// identical decision records and identical per-workflow refusal fields. The
+// through the single-mutex referee and the sharded tracker at several widths,
+// each behind its own feasibility front door, and checks every width produces
+// the referee's decision records and per-workflow refusal fields. The
 // anchoring contract makes this exact: rulings anchor at release times, not
 // at the control-plane instants the layouts reach them.
 func TestAdmissionDecisionsAgreeAcrossLayouts(t *testing.T) {
@@ -61,14 +60,11 @@ func TestAdmissionDecisionsAgreeAcrossLayouts(t *testing.T) {
 	}
 	var wantRows map[string]row
 	var wantRecs []admission.Record
-	for _, shards := range []int{1, 2, 4} {
+	for _, l := range layouts(1, 2, 4) {
 		ctrl := feasibleDoor(t)
-		cfg := shardedConfig(shards)
+		cfg := fastConfig()
 		cfg.Admission = ctrl
-		c, err := live.New(cfg, core.NewScheduler(core.Options{Seed: 7}))
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := l.build(t, cfg, core.NewScheduler(core.Options{Seed: 7}))
 		for _, w := range flows() {
 			p, err := plan.GenerateCapped(w, 12, priority.LPF{})
 			if err != nil {
@@ -82,14 +78,14 @@ func TestAdmissionDecisionsAgreeAcrossLayouts(t *testing.T) {
 		res, err := c.Run(ctx)
 		cancel()
 		if err != nil {
-			t.Fatalf("Shards=%d: %v", shards, err)
+			t.Fatalf("%s: %v", l.name, err)
 		}
 		rows := map[string]row{}
 		for _, w := range res.Workflows {
 			rows[w.Name] = row{rejected: w.Rejected, reason: w.RejectReason, offer: w.CounterOffer}
 		}
 		if !rows["w2"].rejected || rows["w1"].rejected || rows["w3"].rejected {
-			t.Fatalf("Shards=%d: refusal pattern %+v, want exactly w2 rejected", shards, rows)
+			t.Fatalf("%s: refusal pattern %+v, want exactly w2 rejected", l.name, rows)
 		}
 		recs := ctrl.(decisionAudit).Records()
 		if wantRows == nil {
@@ -97,10 +93,10 @@ func TestAdmissionDecisionsAgreeAcrossLayouts(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(rows, wantRows) {
-			t.Errorf("Shards=%d: outcome rows %+v differ from legacy %+v", shards, rows, wantRows)
+			t.Errorf("%s: outcome rows %+v differ from the reference's %+v", l.name, rows, wantRows)
 		}
 		if !reflect.DeepEqual(recs, wantRecs) {
-			t.Errorf("Shards=%d: decision records diverge from legacy:\n got %+v\nwant %+v", shards, recs, wantRecs)
+			t.Errorf("%s: decision records diverge from the reference's:\n got %+v\nwant %+v", l.name, recs, wantRecs)
 		}
 	}
 }
@@ -109,8 +105,8 @@ func TestAdmissionDecisionsAgreeAcrossLayouts(t *testing.T) {
 // check for the (Tenant, Name) anchor keying: two tenants submit same-named
 // workflows, one of them through a rate-limited defer chain whose anchor must
 // survive the other tenant's terminal rulings on the colliding names. Every
-// layout must produce identical decision records — including the Tenant and
-// Anchor fields — and identical per-workflow outcomes.
+// width must produce the referee's decision records — including the Tenant
+// and Anchor fields — and its per-workflow outcomes.
 func TestAdmissionLayoutsAgreeOnMultiTenantNames(t *testing.T) {
 	door := func() admission.Controller {
 		ctrl, err := admission.New(admission.Config{
@@ -156,14 +152,11 @@ func TestAdmissionLayoutsAgreeOnMultiTenantNames(t *testing.T) {
 	}
 	var wantRows []row
 	var wantRecs []admission.Record
-	for _, shards := range []int{1, 2, 4} {
+	for i, l := range layouts(1, 2, 4) {
 		ctrl := door()
-		cfg := shardedConfig(shards)
+		cfg := fastConfig()
 		cfg.Admission = ctrl
-		c, err := live.New(cfg, core.NewScheduler(core.Options{Seed: 7}))
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := l.build(t, cfg, core.NewScheduler(core.Options{Seed: 7}))
 		for _, w := range flows() {
 			p, err := plan.GenerateCapped(w, 12, priority.LPF{})
 			if err != nil {
@@ -177,16 +170,16 @@ func TestAdmissionLayoutsAgreeOnMultiTenantNames(t *testing.T) {
 		res, err := c.Run(ctx)
 		cancel()
 		if err != nil {
-			t.Fatalf("Shards=%d: %v", shards, err)
+			t.Fatalf("%s: %v", l.name, err)
 		}
 		rows := make([]row, 0, len(res.Workflows))
 		for _, w := range res.Workflows {
 			rows = append(rows, row{name: w.Name, rejected: w.Rejected, reason: w.RejectReason, offer: w.CounterOffer})
 		}
 		recs := ctrl.(decisionAudit).Records()
-		for i, r := range rows {
+		for j, r := range rows {
 			if want := r.name == "w3"; r.rejected != want {
-				t.Fatalf("Shards=%d: refusal pattern %+v, want exactly the two w3 rows rejected (row %d)", shards, rows, i)
+				t.Fatalf("%s: refusal pattern %+v, want exactly the two w3 rows rejected (row %d)", l.name, rows, j)
 			}
 		}
 
@@ -206,21 +199,21 @@ func TestAdmissionLayoutsAgreeOnMultiTenantNames(t *testing.T) {
 			}
 		}
 		if deferred == nil || retried == nil {
-			t.Fatalf("Shards=%d: alpha/w2 records %+v, want a defer then a retry ruling", shards, recs)
+			t.Fatalf("%s: alpha/w2 records %+v, want a defer then a retry ruling", l.name, recs)
 		}
 		if retried.Anchor != deferred.Decision.RetryAt {
-			t.Errorf("Shards=%d: alpha/w2 retry anchored at %v, want its RetryAt %v — defer chain was reset",
-				shards, retried.Anchor, deferred.Decision.RetryAt)
+			t.Errorf("%s: alpha/w2 retry anchored at %v, want its RetryAt %v — defer chain was reset",
+				l.name, retried.Anchor, deferred.Decision.RetryAt)
 		}
-		if shards == 1 {
+		if i == 0 {
 			wantRows, wantRecs = rows, recs
 			continue
 		}
 		if !reflect.DeepEqual(rows, wantRows) {
-			t.Errorf("Shards=%d: outcome rows %+v differ from legacy %+v", shards, rows, wantRows)
+			t.Errorf("%s: outcome rows %+v differ from the reference's %+v", l.name, rows, wantRows)
 		}
 		if !reflect.DeepEqual(recs, wantRecs) {
-			t.Errorf("Shards=%d: decision records diverge from legacy:\n got %+v\nwant %+v", shards, recs, wantRecs)
+			t.Errorf("%s: decision records diverge from the reference's:\n got %+v\nwant %+v", l.name, recs, wantRecs)
 		}
 	}
 }

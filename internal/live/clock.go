@@ -7,9 +7,8 @@ import (
 )
 
 // virtualClock converts wall time since start into virtual (workflow) time.
-// The struct is immutable once stamped; trackers share it by value (legacy
-// JobTracker, guarded by its mutex) or through an atomic pointer (sharded
-// tracker, so heartbeats read it without any lock).
+// The struct is immutable once stamped; the tracker publishes it through an
+// atomic pointer, so heartbeats read it without any lock.
 type virtualClock struct {
 	start time.Time
 	scale float64

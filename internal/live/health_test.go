@@ -15,11 +15,11 @@ import (
 )
 
 // TestHealthCrossLayoutSnapshots drives concurrent heartbeats through the
-// health tracker on both control-plane layouts (Shards = 1 legacy mutex,
-// Shards = 4 pipeline) and demands identical slack snapshots at every
-// quiescent point. The script alternates two barriered phases per round —
-// all trackers report completions, then all trackers request work — so the
-// aggregate scheduled/completed counts at each barrier are layout- and
+// health tracker on the single-mutex referee and on the sharded tracker at
+// one shard and at four, and demands the referee's slack snapshots from both
+// at every quiescent point. The script alternates two barriered phases per
+// round — all trackers report completions, then all trackers request work —
+// so the aggregate scheduled/completed counts at each barrier are layout- and
 // interleaving-independent even though the heartbeats inside a phase race.
 func TestHealthCrossLayoutSnapshots(t *testing.T) {
 	const (
@@ -32,17 +32,14 @@ func TestHealthCrossLayoutSnapshots(t *testing.T) {
 		return simtime.Epoch.Add(deadline - 600*time.Second + time.Duration(round)*50*time.Second)
 	}
 
-	run := func(shards int) []*obs.HealthSnapshot {
+	run := func(l layout) []*obs.HealthSnapshot {
 		o := obs.New(obs.NewRegistry(), nil)
 		// Interval effectively infinite: only the explicit SnapshotAt calls
 		// below publish, keeping the comparison deterministic.
 		h := o.EnableHealth(obs.HealthConfig{Interval: 1000 * time.Hour})
-		cfg := shardedConfig(shards)
+		cfg := fastConfig()
 		cfg.Obs = o
-		c, err := live.New(cfg, scheduler.NewFIFO())
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := l.build(t, cfg, scheduler.NewFIFO())
 		for _, name := range []string{"w0", "w1", "w2", "w3"} {
 			w := chainFlow(name, 0, deadline)
 			p, err := plan.GenerateCapped(w, 12, priority.LPF{})
@@ -58,7 +55,7 @@ func TestHealthCrossLayoutSnapshots(t *testing.T) {
 		var snaps []*obs.HealthSnapshot
 		for round := 1; ; round++ {
 			if round > 1000 {
-				t.Fatalf("shards=%d: scripted drive did not converge", shards)
+				t.Fatalf("%s: scripted drive did not converge", l.name)
 			}
 			// Phase A: every tracker reports its completions, concurrently.
 			outstanding := 0
@@ -99,19 +96,22 @@ func TestHealthCrossLayoutSnapshots(t *testing.T) {
 		}
 	}
 
-	legacy := run(1)
-	sharded := run(4)
-	if len(legacy) != len(sharded) {
-		t.Fatalf("rounds diverged: legacy %d, sharded %d", len(legacy), len(sharded))
-	}
-	for i := range legacy {
-		if !reflect.DeepEqual(legacy[i], sharded[i]) {
-			t.Errorf("round %d snapshots differ:\nlegacy  %+v\nsharded %+v", i+1, legacy[i], sharded[i])
+	ls := layouts(1, 4)
+	want := run(ls[0])
+	for _, l := range ls[1:] {
+		got := run(l)
+		if len(got) != len(want) {
+			t.Fatalf("%s: rounds diverged: reference %d, %s %d", l.name, len(want), l.name, len(got))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(want[i], got[i]) {
+				t.Errorf("%s: round %d snapshots differ:\nreference %+v\ngot       %+v", l.name, i+1, want[i], got[i])
+			}
 		}
 	}
 	// The drive must have produced non-trivial health data, not vacuously
 	// equal empty snapshots.
-	final := legacy[len(legacy)-1]
+	final := want[len(want)-1]
 	if len(final.Workflows) != 4 {
 		t.Fatalf("final snapshot has %d workflows, want 4", len(final.Workflows))
 	}

@@ -8,14 +8,13 @@
 // so a 45-minute workflow can run in tens of milliseconds of test time while
 // the control plane exchanges real messages.
 //
-// Two control-plane layouts are available, selected by Config.Shards. The
-// legacy layout (Shards = 1) mirrors Hadoop-1's master exactly: one mutex
-// serializes every heartbeat. The sharded layout (the default) splits the
-// master into an admission/completion/assignment pipeline — per-workflow
+// The master splits Hadoop-1's single-mutex JobTracker into an
+// admission/completion/assignment pipeline — Config.Shards per-workflow
 // bookkeeping shards, a narrow policy core fed by batched lifecycle events,
 // and lock-free counters — so heartbeats from different TaskTrackers stop
-// contending on one lock (see sharded.go). Both layouts produce the same
-// scheduling outcomes; the equivalence is pinned by tests.
+// contending on one lock (see sharded.go). Every shard count, one included,
+// produces the same scheduling outcomes as a single-mutex master; tests pin
+// that against a single-mutex referee kept beside them.
 //
 // The package exists to demonstrate the framework under true concurrency —
 // races, heartbeat skew, out-of-order completions — rather than to produce
@@ -50,9 +49,8 @@ type Config struct {
 	// estimated at D runs for D * TimeScale. 0.001 runs a 10-second task
 	// in 10ms.
 	TimeScale float64
-	// Shards selects the JobTracker layout: 1 runs the legacy single-mutex
-	// tracker, larger values partition workflow bookkeeping across that many
-	// independently locked shards with a separate policy core and lock-free
+	// Shards partitions the JobTracker's workflow bookkeeping across that
+	// many independently locked shards, beside its policy core and lock-free
 	// heartbeat fast path. 0 (the default) uses one shard per CPU
 	// (GOMAXPROCS). Scheduling outcomes are identical across shard counts.
 	Shards int
@@ -62,10 +60,10 @@ type Config struct {
 	Obs *obs.Obs
 	// Admission is the front door consulted when each workflow's release
 	// comes due, before the policy ever sees it. nil (the default) admits
-	// everything on the untouched fast path. Both tracker layouts rule on
-	// releases in (release time, submission index) order and on deferred
-	// retries at their retry instants, so decisions match the simulator's
-	// under the controller's virtual-time anchoring.
+	// everything on the untouched fast path. The tracker rules on releases in
+	// (release time, submission index) order and on deferred retries at their
+	// retry instants, so decisions match the simulator's under the
+	// controller's virtual-time anchoring.
 	Admission admission.Controller
 }
 
@@ -135,11 +133,11 @@ type Heartbeat struct {
 	Completed []TaskID
 }
 
-// controlPlane is the JobTracker contract shared by the legacy single-mutex
-// tracker (Shards = 1) and the sharded admission/completion/assignment
-// pipeline (Shards > 1). register is pre-start only and single-threaded;
-// both implementations return an error, and change nothing, if it is called
-// after the clock starts.
+// controlPlane is the JobTracker contract a Cluster drives. The sharded
+// tracker is its only implementation outside tests; the interface lets the
+// equivalence tests run a Cluster on the single-mutex referee instead.
+// register is pre-start only and single-threaded; it returns an error, and
+// changes nothing, if it is called after the clock starts.
 type controlPlane interface {
 	// Heartbeat serves one TaskTracker report and returns assignments.
 	Heartbeat(hb Heartbeat) []Assignment
@@ -164,12 +162,10 @@ func errLateRegister(w *workflow.Workflow) error {
 	return fmt.Errorf("live: registering %q after the cluster started; Submit every workflow before Run or DeliverHeartbeat", w.Name)
 }
 
-// newControlPlane picks the tracker layout for cfg.
+// newControlPlane builds the JobTracker for cfg: the sharded tracker at the
+// configured shard count.
 func newControlPlane(cfg Config, pol cluster.Policy) controlPlane {
-	if n := cfg.shardCount(); n > 1 {
-		return newShardedTracker(cfg, pol, n)
-	}
-	return newJobTracker(cfg, pol)
+	return newShardedTracker(cfg, pol, cfg.shardCount())
 }
 
 // Cluster is the live mini-Hadoop: one JobTracker plus Config.Nodes
@@ -190,16 +186,36 @@ type Cluster struct {
 // New builds a live cluster running pol. The policy must not be shared with
 // any other cluster.
 func New(cfg Config, pol cluster.Policy) (*Cluster, error) {
+	return newCluster(cfg, pol, newControlPlane, false)
+}
+
+// newCluster is New and NewTCP: it checks cfg and pol, builds the control
+// plane with plane, and connects each of the cfg.Nodes TaskTrackers to it —
+// by a direct call, or with tcp by its own net/rpc client over loopback.
+func newCluster(cfg Config, pol cluster.Policy, plane func(Config, cluster.Policy) controlPlane, tcp bool) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if pol == nil {
 		return nil, fmt.Errorf("live: nil policy")
 	}
-	c := &Cluster{cfg: cfg, jt: newControlPlane(cfg, pol)}
+	c := &Cluster{cfg: cfg, jt: plane(cfg, pol)}
 	cfg.Obs.Health().SetSlots(cfg.Nodes*cfg.MapSlotsPerNode, cfg.Nodes*cfg.ReduceSlotsPerNode)
+	connect := func() (heartbeatFunc, error) {
+		return func(h Heartbeat) ([]Assignment, error) { return c.jt.Heartbeat(h), nil }, nil
+	}
+	if tcp {
+		var err error
+		if connect, err = c.listen(); err != nil {
+			return nil, err
+		}
+	}
 	for i := 0; i < cfg.Nodes; i++ {
-		hb := func(h Heartbeat) ([]Assignment, error) { return c.jt.Heartbeat(h), nil }
+		hb, err := connect()
+		if err != nil {
+			_ = c.CloseTransport()
+			return nil, err
+		}
 		c.trackers = append(c.trackers, newTaskTracker(i, cfg, hb))
 	}
 	return c, nil

@@ -9,8 +9,8 @@ import (
 	"repro/internal/workflow"
 )
 
-// policyEvent kinds, in the order the legacy tracker would have delivered
-// the equivalent synchronous policy calls.
+// policyEvent kinds: each stands for the policy calls one workflow lifecycle
+// transition makes, delivered when the event is applied.
 type policyEventKind int
 
 const (
@@ -60,8 +60,8 @@ func newPolicyCore(pol cluster.Policy) *policyCore {
 // apply delivers one event's policy notifications and returns how many tasks
 // the event made schedulable (the fast-path hint delta). The caller holds
 // core.mu and the exclusive plane lock, so reading workflow state here is
-// race-free and the state a notification observes matches what the legacy
-// tracker's synchronous call would have seen.
+// race-free, and the pipeline applies every queued event before its next
+// NextTask, so the policy has heard of each transition before it chooses.
 func (st *shardedTracker) apply(e *policyEvent) int64 {
 	ws := e.wf.ws
 	switch e.kind {

@@ -19,14 +19,12 @@ import (
 // Close the returned cluster with CloseTransport after Run to release the
 // listener and client connections.
 func NewTCP(cfg Config, pol cluster.Policy) (*Cluster, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if pol == nil {
-		return nil, fmt.Errorf("live: nil policy")
-	}
-	c := &Cluster{cfg: cfg, jt: newControlPlane(cfg, pol)}
+	return newCluster(cfg, pol, newControlPlane, true)
+}
 
+// listen serves the control plane over net/rpc on an ephemeral loopback port
+// and returns how each TaskTracker dials its own client connection to it.
+func (c *Cluster) listen() (func() (heartbeatFunc, error), error) {
 	srv := rpc.NewServer()
 	if err := srv.RegisterName("JobTracker", &rpcJobTracker{jt: c.jt}); err != nil {
 		return nil, fmt.Errorf("live: registering RPC service: %w", err)
@@ -37,26 +35,7 @@ func NewTCP(cfg Config, pol cluster.Policy) (*Cluster, error) {
 	}
 	c.transport = &tcpTransport{listener: ln}
 	go c.transport.accept(srv)
-
-	for i := 0; i < cfg.Nodes; i++ {
-		client, err := rpc.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			_ = c.CloseTransport()
-			return nil, fmt.Errorf("live: dialing JobTracker: %w", err)
-		}
-		c.transport.clients = append(c.transport.clients, client)
-		hb := func(client *rpc.Client) heartbeatFunc {
-			return func(h Heartbeat) ([]Assignment, error) {
-				var out []Assignment
-				if err := client.Call("JobTracker.Heartbeat", h, &out); err != nil {
-					return nil, err
-				}
-				return out, nil
-			}
-		}(client)
-		c.trackers = append(c.trackers, newTaskTracker(i, cfg, hb))
-	}
-	return c, nil
+	return c.transport.dial, nil
 }
 
 // TransportAddr returns the JobTracker listener's address for clusters
@@ -96,6 +75,22 @@ type tcpTransport struct {
 
 	mu     sync.Mutex
 	closed bool
+}
+
+// dial opens one TaskTracker's client connection, which close shuts.
+func (t *tcpTransport) dial() (heartbeatFunc, error) {
+	client, err := rpc.Dial("tcp", t.listener.Addr().String())
+	if err != nil {
+		return nil, fmt.Errorf("live: dialing JobTracker: %w", err)
+	}
+	t.clients = append(t.clients, client)
+	return func(h Heartbeat) ([]Assignment, error) {
+		var out []Assignment
+		if err := client.Call("JobTracker.Heartbeat", h, &out); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}, nil
 }
 
 func (t *tcpTransport) accept(srv *rpc.Server) {

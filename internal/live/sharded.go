@@ -14,10 +14,9 @@ import (
 	"repro/internal/workflow"
 )
 
-// shardedTracker is the concurrent live master (Config.Shards > 1). Where
-// the legacy JobTracker funnels every heartbeat through one mutex, this
-// tracker splits the work into three layers with independent
-// synchronization:
+// shardedTracker is the live master at every shard count (Config.Shards).
+// Rather than funnel every heartbeat through one mutex, it splits the work
+// into three layers with independent synchronization:
 //
 //  1. Bookkeeping (admission + completion accounting) takes the plane lock
 //     shared plus the owning workflow's shard lock, so heartbeats reporting
@@ -41,7 +40,7 @@ import (
 // shard.mu; a shard lock is never held while taking core.mu or the plane
 // write lock.
 //
-// Scheduling outcomes are identical to the legacy tracker: events reach the
+// Scheduling outcomes do not depend on the shard count: events reach the
 // policy in each workflow's transition order (pushes happen under the shard
 // lock), and every event is applied before the next assignment decision.
 type shardedTracker struct {
@@ -56,11 +55,8 @@ type shardedTracker struct {
 	shards []*wfShard
 	wfs    []*liveWorkflow
 
-	core *policyCore
-	pipe pipeQueue
-	// spins is a waiter's polling budget in the pipeline: pipeSpins, or zero
-	// on one processor, where the combiner cannot run while a waiter polls.
-	spins  int
+	core   *policyCore
+	pipe   pipeQueue
 	events eventQueue
 	rel    releaseIndex
 
@@ -95,6 +91,13 @@ type shardedTracker struct {
 
 	done     chan struct{}
 	doneOnce sync.Once
+}
+
+// deferredRelease is a workflow whose admission decision was postponed to a
+// retry instant.
+type deferredRelease struct {
+	wf int
+	at simtime.Time
 }
 
 func newShardedTracker(cfg Config, pol cluster.Policy, nShards int) *shardedTracker {
@@ -224,7 +227,7 @@ func (st *shardedTracker) idle() bool {
 // Completions are grouped by contiguous workflow runs so a report full of
 // same-workflow tasks locks its shard once. Due releases and deferred
 // retries are ruled in (decision instant, release-before-retry) merged
-// order, matching the legacy tracker and the simulator's event order.
+// order, matching the simulator's event order.
 func (st *shardedTracker) bookkeep(due []int, retries []deferredRelease, completed []TaskID, tracker int, now simtime.Time) {
 	st.plane.RLock()
 	st.applyReport(due, retries, completed, tracker, now)
@@ -560,7 +563,8 @@ func (st *shardedTracker) combine(own *pipeReq, clk *virtualClock) {
 	st.stats.OnPipelinePass(orders)
 }
 
-// assign runs the legacy assignment loops for one report, appending to out.
+// assign fills one report's free slots, maps before reduces, asking the
+// policy once per slot until it refuses, and appends the assignments to out.
 // The caller holds the pipeline locks. A report is unchecked RPC input; out
 // has room for what a node of the usual size can take and grows past that.
 func (st *shardedTracker) assign(hb Heartbeat, now simtime.Time, clk *virtualClock, out []Assignment) []Assignment {
@@ -604,8 +608,8 @@ func (st *shardedTracker) drainEvents() {
 	st.events.recycle(batch)
 }
 
-// assignOne mirrors the legacy tracker's assign: consult the policy, debit
-// the chosen job's pending counter, and stamp the task. The caller holds the
+// assignOne consults the policy for one task of the given slot type, debits
+// the chosen job's pending counter, and stamps the task. The caller holds the
 // pipeline locks.
 func (st *shardedTracker) assignOne(slot cluster.SlotType, tracker int, now simtime.Time, clk *virtualClock) (Assignment, bool) {
 	ws, job, ok := st.core.pol.NextTask(now, slot)

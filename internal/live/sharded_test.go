@@ -2,6 +2,7 @@ package live_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -22,13 +23,45 @@ import (
 	"repro/internal/workflow"
 )
 
-// shardedConfig is fastConfig with the sharded tracker forced on, so the
-// tests exercise the concurrent pipeline even on single-core hosts where the
-// GOMAXPROCS default would select the legacy layout.
+// shardedConfig is fastConfig at a fixed shard count, so what a test
+// exercises does not depend on the host's CPU count.
 func shardedConfig(shards int) live.Config {
 	cfg := fastConfig()
 	cfg.Shards = shards
 	return cfg
+}
+
+// layout is one control plane under comparison: the single-mutex referee
+// (shards 0) or the sharded tracker at a fixed shard count.
+type layout struct {
+	name   string
+	shards int
+}
+
+// layouts lists the referee first, then the sharded tracker at each width:
+// the equivalence tests take the referee's outcome as the reference and
+// demand it from every width.
+func layouts(widths ...int) []layout {
+	ls := []layout{{name: "reference"}}
+	for _, n := range widths {
+		ls = append(ls, layout{name: fmt.Sprintf("Shards=%d", n), shards: n})
+	}
+	return ls
+}
+
+// build makes the layout's cluster from cfg, whose Shards it overrides.
+func (l layout) build(t testing.TB, cfg live.Config, pol cluster.Policy) *live.Cluster {
+	t.Helper()
+	cfg.Shards = l.shards
+	newCluster := live.New
+	if l.shards == 0 {
+		newCluster = live.NewReference
+	}
+	c, err := newCluster(cfg, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // driveScripted runs a deterministic single-driver heartbeat script against
@@ -60,14 +93,11 @@ func driveScripted(t *testing.T, c *live.Cluster, freeMaps, freeReds int) []live
 // TestShardedMatchesLegacyScripted pins outcome equivalence in the strongest
 // form: under a time-independent policy (FIFO ignores the clock) and a
 // serial heartbeat script, the sharded tracker must produce byte-identical
-// assignment streams to the legacy single-mutex tracker, for every shard
-// count.
+// assignment streams to the single-mutex referee, for every shard count.
 func TestShardedMatchesLegacyScripted(t *testing.T) {
-	build := func(shards int) *live.Cluster {
-		c, err := live.New(shardedConfig(shards), scheduler.NewFIFO())
-		if err != nil {
-			t.Fatal(err)
-		}
+	var want []live.Assignment
+	for i, l := range layouts(1, 2, 4, 8) {
+		c := l.build(t, fastConfig(), scheduler.NewFIFO())
 		for _, w := range []*workflow.Workflow{
 			chainFlow("w1", 0, 2*time.Hour),
 			chainFlow("w2", 0, 2*time.Hour),
@@ -77,25 +107,24 @@ func TestShardedMatchesLegacyScripted(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return c
-	}
-	want := driveScripted(t, build(1), 2, 1)
-	if len(want) != 3*14 {
-		t.Fatalf("legacy stream has %d assignments, want 42", len(want))
-	}
-	for _, shards := range []int{2, 4, 8} {
-		got := driveScripted(t, build(shards), 2, 1)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Shards=%d assignment stream diverges from legacy (%d vs %d assignments)",
-				shards, len(got), len(want))
+		got := driveScripted(t, c, 2, 1)
+		if i == 0 {
+			if len(got) != 3*14 {
+				t.Fatalf("reference stream has %d assignments, want 42", len(got))
+			}
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s assignment stream diverges from the reference (%d vs %d assignments)",
+				l.name, len(got), len(want))
 		}
 	}
 }
 
 // TestShardedEquivalenceAcrossShardCounts runs the same seeded WOHA workload
-// to completion under every shard count and checks the per-workflow deadline
-// outcomes agree: timing in the live cluster is noisy, but with these
-// margins every workflow must meet its deadline identically everywhere.
+// to completion on the referee and under every shard count and checks the
+// per-workflow deadline outcomes agree: timing in the live cluster is noisy,
+// but with these margins every workflow must meet its deadline identically
+// everywhere.
 func TestShardedEquivalenceAcrossShardCounts(t *testing.T) {
 	flows := func() []*workflow.Workflow {
 		return []*workflow.Workflow{
@@ -105,11 +134,8 @@ func TestShardedEquivalenceAcrossShardCounts(t *testing.T) {
 		}
 	}
 	var baseline []bool
-	for _, shards := range []int{1, 2, 8} {
-		c, err := live.New(shardedConfig(shards), core.NewScheduler(core.Options{Seed: 7}))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, l := range layouts(1, 2, 8) {
+		c := l.build(t, fastConfig(), core.NewScheduler(core.Options{Seed: 7}))
 		for _, w := range flows() {
 			p, err := plan.GenerateCapped(w, 12, priority.LPF{})
 			if err != nil {
@@ -123,15 +149,15 @@ func TestShardedEquivalenceAcrossShardCounts(t *testing.T) {
 		res, err := c.Run(ctx)
 		cancel()
 		if err != nil {
-			t.Fatalf("Shards=%d: %v", shards, err)
+			t.Fatalf("%s: %v", l.name, err)
 		}
 		if res.TasksStarted != 3*14 {
-			t.Errorf("Shards=%d: TasksStarted = %d, want 42", shards, res.TasksStarted)
+			t.Errorf("%s: TasksStarted = %d, want 42", l.name, res.TasksStarted)
 		}
 		met := make([]bool, len(res.Workflows))
 		for i, w := range res.Workflows {
 			if w.Finish == 0 {
-				t.Errorf("Shards=%d: %s never finished", shards, w.Name)
+				t.Errorf("%s: %s never finished", l.name, w.Name)
 			}
 			met[i] = w.Met
 		}
@@ -140,7 +166,7 @@ func TestShardedEquivalenceAcrossShardCounts(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(met, baseline) {
-			t.Errorf("Shards=%d deadline outcomes %v differ from Shards=1 %v", shards, met, baseline)
+			t.Errorf("%s deadline outcomes %v differ from the reference's %v", l.name, met, baseline)
 		}
 	}
 }
@@ -321,7 +347,7 @@ func TestPipelineAnswersItsOwnCaller(t *testing.T) {
 }
 
 // TestShardedRunWithTrackers runs the full TaskTracker goroutine cluster on
-// the sharded layout (the path Run exercises on multi-core hosts).
+// four shards.
 func TestShardedRunWithTrackers(t *testing.T) {
 	c, err := live.New(shardedConfig(4), scheduler.NewFIFO())
 	if err != nil {
@@ -351,7 +377,7 @@ func TestShardedRunWithTrackers(t *testing.T) {
 	}
 }
 
-// TestSubmitAfterStartErrs: on both tracker layouts a Submit that arrives
+// TestSubmitAfterStartErrs: at one shard and at four a Submit that arrives
 // after a heartbeat has stamped the clock is refused with an error, and the
 // running tracker is left as it was — the drain assigns only the first
 // workflow's tasks and the result lists only it.

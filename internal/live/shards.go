@@ -29,9 +29,9 @@ type liveWorkflow struct {
 	finish simtime.Time
 }
 
-// releaseIndex replaces the legacy O(workflows)-per-heartbeat release scan:
-// registrations are sorted by release time once at start, and heartbeats
-// check a single atomic cursor against the next release time. The arrays are
+// releaseIndex is the queue of workflows awaiting release: registrations
+// are sorted by release time once at start, and heartbeats check a single
+// atomic cursor against the next release time. The arrays are
 // immutable after build; only the cursor moves. Claiming due workflows takes
 // a small mutex, but the common case — nothing due — is one atomic load and
 // one slice read.

@@ -8,15 +8,15 @@ import (
 	"repro/internal/cluster"
 )
 
-// TaskTracker is one worker node: it owns a fixed number of map and reduce
-// slots, executes assigned tasks as timed goroutines, and reports
-// completions and free slots to the JobTracker on a periodic heartbeat —
-// the only moment it receives new work, as in Hadoop-1.
 // heartbeatFunc delivers one heartbeat to the master and returns its
 // assignments. The direct transport calls the JobTracker in-process; the TCP
 // transport goes through net/rpc.
 type heartbeatFunc func(Heartbeat) ([]Assignment, error)
 
+// TaskTracker is one worker node: it owns a fixed number of map and reduce
+// slots, executes assigned tasks as timed goroutines, and reports
+// completions and free slots to the JobTracker on a periodic heartbeat —
+// the only moment it receives new work, as in Hadoop-1.
 type TaskTracker struct {
 	id  int
 	cfg Config

@@ -1,5 +1,5 @@
 // Benchmarks live in an external test package so they can drive the real
-// live.JobTracker heartbeat path without an import cycle (live imports obs).
+// live JobTracker heartbeat path without an import cycle (live imports obs).
 package obs_test
 
 import (
@@ -16,8 +16,7 @@ import (
 // benchCluster builds a live cluster with one registered workflow so each
 // heartbeat exercises the full scheduling path (release scan, assignment
 // attempt). ins may be nil — the disabled-instrumentation case under test.
-// shards 0 keeps the host default; 1 forces the legacy tracker, larger
-// values the sharded pipeline.
+// shards 0 keeps the host default of one shard per CPU.
 func benchCluster(tb testing.TB, ins *obs.Obs, shards int) *live.Cluster {
 	tb.Helper()
 	cfg := live.Config{
@@ -79,14 +78,13 @@ func BenchmarkHeartbeatInstrumented(b *testing.B) {
 
 // TestHeartbeatBareAllocs pins the zero-allocation contract in the regular
 // test suite, so a regression fails go test, not only a benchmark reading.
-// Both tracker layouts are covered: the legacy single-mutex path and the
-// sharded tracker's lock-free fast path must stay allocation-free on a
-// steady busy heartbeat.
+// The tracker's lock-free fast path must stay allocation-free on a steady
+// busy heartbeat at one shard and at four.
 func TestHeartbeatBareAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		shards int
-	}{{"legacy", 1}, {"sharded", 4}} {
+	}{{"shards1", 1}, {"shards4", 4}} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := benchCluster(t, nil, tc.shards)
 			steadyState(c)
