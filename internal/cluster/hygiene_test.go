@@ -20,27 +20,24 @@ import (
 	"repro/internal/workflow"
 )
 
-// simMetrics are the simulator-owned series a run flushes; equal values
-// across two identical runs on the same pooled simulator prove no tally
-// survived Release.
+// simMetrics are the simulator-owned series a run flushes, read through
+// the typed handles of a re-registered obs.SimStats (re-registering returns
+// the series the run wrote); equal values across two identical runs on the
+// same pooled simulator prove no tally survived Release.
 var simMetrics = []struct {
 	name string
-	read func(*obs.Obs) int64
+	read func(obs.SimStats) int64
 }{
-	{obs.MetricSimArenaCapacity, func(o *obs.Obs) int64 { return o.SimArenaCapacity().Value() }},
-	{obs.MetricSimArenaReuses, func(o *obs.Obs) int64 { return o.SimArenaReuses().Value() }},
-	{obs.MetricSimArenaGrows, func(o *obs.Obs) int64 { return o.SimArenaGrows().Value() }},
-	{obs.MetricSimDrainBatches, func(o *obs.Obs) int64 { return o.SimDrainBatches().Value() }},
-	{obs.MetricSimDrainCoalesced, func(o *obs.Obs) int64 { return o.SimDrainCoalesced().Value() }},
-	{obs.MetricSimEventLanePushes, func(o *obs.Obs) int64 { return o.SimEventLanePushes().Value() }},
-	{obs.MetricSimEventLaneFallbacks, func(o *obs.Obs) int64 { return o.SimEventLaneFallbacks().Value() }},
-	{obs.MetricSimSpecGateSkips, func(o *obs.Obs) int64 { return o.SimSpecGateSkips().Value() }},
-	{quiescentTicks, func(o *obs.Obs) int64 { return o.SimHeartbeatsSuppressed("quiescent").Value() }},
+	{"ArenaCapacity", func(s obs.SimStats) int64 { return s.ArenaCapacity.Value() }},
+	{"ArenaReuses", func(s obs.SimStats) int64 { return s.ArenaReuses.Value() }},
+	{"ArenaGrows", func(s obs.SimStats) int64 { return s.ArenaGrows.Value() }},
+	{"DrainBatches", func(s obs.SimStats) int64 { return s.DrainBatches.Value() }},
+	{"DrainCoalesced", func(s obs.SimStats) int64 { return s.DrainCoalesced.Value() }},
+	{"LanePushes", func(s obs.SimStats) int64 { return s.LanePushes.Value() }},
+	{"LaneFallbacks", func(s obs.SimStats) int64 { return s.LaneFallbacks.Value() }},
+	{"SpecGateSkips", func(s obs.SimStats) int64 { return s.SpecGateSkips.Value() }},
+	{"quiescent", func(s obs.SimStats) int64 { return s.Suppressed.With("quiescent").Value() }},
 }
-
-// quiescentTicks keys the reason="quiescent" series of
-// obs.MetricSimHeartbeatsSuppressed in the tables here.
-const quiescentTicks = obs.MetricSimHeartbeatsSuppressed + `{reason="quiescent"}`
 
 func TestReleaseReuseInstrumentationHygiene(t *testing.T) {
 	// A collection between Release and the rerun empties sync.Pool and the
@@ -83,8 +80,9 @@ func TestReleaseReuseInstrumentationHygiene(t *testing.T) {
 		}
 		sim.Release() // the second call draws this state back out
 		vals := make(map[string]int64)
+		st := o.NewSimStats()
 		for _, m := range simMetrics {
-			vals[m.name] = m.read(o)
+			vals[m.name] = m.read(st)
 		}
 		return res, vals
 	}
@@ -98,9 +96,9 @@ func TestReleaseReuseInstrumentationHygiene(t *testing.T) {
 	// fresh registries: any surplus in the second run is prior-run state
 	// leaking through the pool.
 	for _, name := range []string{
-		obs.MetricSimDrainBatches, obs.MetricSimDrainCoalesced,
-		obs.MetricSimEventLanePushes, obs.MetricSimEventLaneFallbacks, obs.MetricSimSpecGateSkips,
-		quiescentTicks,
+		"DrainBatches", "DrainCoalesced",
+		"LanePushes", "LaneFallbacks", "SpecGateSkips",
+		"quiescent",
 	} {
 		if firstVals[name] != secondVals[name] {
 			t.Errorf("%s: first run flushed %d, pooled rerun flushed %d (Release leaked state)",
@@ -108,7 +106,7 @@ func TestReleaseReuseInstrumentationHygiene(t *testing.T) {
 		}
 	}
 	// This is a heartbeat run with speculation on, so all four moved.
-	for _, name := range []string{obs.MetricSimDrainBatches, obs.MetricSimEventLanePushes, obs.MetricSimSpecGateSkips, quiescentTicks} {
+	for _, name := range []string{"DrainBatches", "LanePushes", "SpecGateSkips", "quiescent"} {
 		if firstVals[name] == 0 {
 			t.Errorf("%s never moved; instrumentation not wired", name)
 		}
@@ -116,11 +114,11 @@ func TestReleaseReuseInstrumentationHygiene(t *testing.T) {
 	// Free-list reuse is within-run recycling, deterministic for identical
 	// runs regardless of pool warmth; a tally surviving Release would
 	// inflate the second run's count.
-	if firstVals[obs.MetricSimArenaReuses] != secondVals[obs.MetricSimArenaReuses] {
+	if firstVals["ArenaReuses"] != secondVals["ArenaReuses"] {
 		t.Errorf("arena reuses: first run %d, pooled rerun %d (Release leaked state)",
-			firstVals[obs.MetricSimArenaReuses], secondVals[obs.MetricSimArenaReuses])
+			firstVals["ArenaReuses"], secondVals["ArenaReuses"])
 	}
-	if secondVals[obs.MetricSimArenaReuses] == 0 {
+	if secondVals["ArenaReuses"] == 0 {
 		t.Error("run reported zero arena reuses; reuse accounting broken")
 	}
 	// Pool-warmth assertions hold only when sync.Pool is deterministic —
@@ -128,13 +126,13 @@ func TestReleaseReuseInstrumentationHygiene(t *testing.T) {
 	if !raceEnabled {
 		// The warm rerun has the first run's capacity and must not grow; a
 		// nonzero value means either a leaked tally or a capacity reset bug.
-		if got := secondVals[obs.MetricSimArenaGrows]; got != 0 {
+		if got := secondVals["ArenaGrows"]; got != 0 {
 			t.Errorf("pooled rerun reported %d arena grows, want 0 (warm capacity)", got)
 		}
 		// Identical runs reach the same attempt high-water mark.
-		if firstVals[obs.MetricSimArenaCapacity] != secondVals[obs.MetricSimArenaCapacity] {
+		if firstVals["ArenaCapacity"] != secondVals["ArenaCapacity"] {
 			t.Errorf("arena capacity: first run %d, pooled rerun %d",
-				firstVals[obs.MetricSimArenaCapacity], secondVals[obs.MetricSimArenaCapacity])
+				firstVals["ArenaCapacity"], secondVals["ArenaCapacity"])
 		}
 	}
 }
@@ -161,7 +159,7 @@ func TestReleaseDetachesInstrumentation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Release()
-	batches := o.SimDrainBatches().Value()
+	batches := o.NewSimStats().DrainBatches.Value()
 	if batches == 0 {
 		t.Fatal("instrumented run flushed nothing")
 	}
@@ -177,7 +175,7 @@ func TestReleaseDetachesInstrumentation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim2.Release()
-	if got := o.SimDrainBatches().Value(); got != batches {
+	if got := o.NewSimStats().DrainBatches.Value(); got != batches {
 		t.Errorf("uninstrumented pooled run moved the old registry: %d -> %d", batches, got)
 	}
 }

@@ -17,7 +17,7 @@ func InstrumentPolicy(pol Policy, o *obs.Obs) Policy {
 	if o == nil || pol == nil {
 		return pol
 	}
-	return &instrumentedPolicy{Policy: pol, o: o, decide: o.DecisionHistogram(pol.Name())}
+	return &instrumentedPolicy{Policy: pol, o: o, decide: o.Decisions.With(pol.Name())}
 }
 
 type instrumentedPolicy struct {

@@ -115,27 +115,12 @@ type Simulator struct {
 	localMaps           int
 	remoteMaps          int
 
-	// ins is the optional runtime instrumentation; evCount holds the
-	// per-kind simulated-event counters (nil entries when uninstrumented —
-	// obs counters no-op on nil), and the dispatch counters below track the
-	// hot-path work the free-slot index and heartbeat suppression save.
-	// Arena and drain tallies are flushed once per run (flushRunMetrics),
+	// ins is the optional runtime instrumentation and m its instruments,
+	// zero when uninstrumented (obs handles no-op on nil). Arena, drain,
+	// lane and gate tallies are flushed once per run (flushRunMetrics),
 	// keeping per-event work free of atomics.
-	ins            *obs.Obs
-	evCount        [numEventKinds]*obs.Counter
-	offerCount     *obs.Counter
-	hbSupBusy      *obs.Counter
-	hbSupDrained   *obs.Counter
-	hbSupQuiet     *obs.Counter
-	specWakeups    *obs.Counter
-	arenaCap       *obs.Gauge
-	arenaReuses    *obs.Counter
-	arenaGrows     *obs.Counter
-	drainBatchCtr  *obs.Counter
-	drainCoalesCtr *obs.Counter
-	lanePushCtr    *obs.Counter
-	laneFallCtr    *obs.Counter
-	specGateCtr    *obs.Counter
+	ins *obs.Obs
+	m   simInstruments
 
 	ran bool
 }
@@ -228,6 +213,15 @@ const (
 
 	numEventKinds
 )
+
+// simInstruments is the obs.SimStats bundle with its labelled families bound
+// to the values the simulator owns: one event counter per kind and one
+// suppressed-heartbeat counter per reason.
+type simInstruments struct {
+	obs.SimStats
+	events                   [numEventKinds]*obs.Counter
+	busy, drained, quiescent *obs.Counter
+}
 
 // eventKindNames label the woha_sim_events_total counter series.
 var eventKindNames = [numEventKinds]string{
@@ -376,7 +370,7 @@ func (s *Simulator) Release() {
 	s.events.Reset()
 	s.batch = s.batch[:0]
 	s.clearRunTallies()
-	s.clearInstruments()
+	s.m = simInstruments{}
 	simPool.Put(s)
 }
 
@@ -387,40 +381,20 @@ func (s *Simulator) clearRunTallies() {
 	s.quietTicks = 0
 }
 
-func (s *Simulator) clearInstruments() {
-	s.evCount = [numEventKinds]*obs.Counter{}
-	s.offerCount, s.hbSupBusy, s.hbSupDrained, s.hbSupQuiet, s.specWakeups = nil, nil, nil, nil, nil
-	s.arenaCap, s.arenaReuses, s.arenaGrows = nil, nil, nil
-	s.drainBatchCtr, s.drainCoalesCtr = nil, nil
-	s.lanePushCtr, s.laneFallCtr, s.specGateCtr = nil, nil, nil
-}
-
 // SetInstrumentation attaches the runtime observability bundle: simulated
 // event counters, task-assignment and workflow lifecycle events, and
 // heartbeat dispatch latency. Call before Run; a nil o (the default) keeps
 // the hot paths at a single nil check.
 func (s *Simulator) SetInstrumentation(o *obs.Obs) {
-	s.ins = o
+	s.ins, s.m = o, simInstruments{SimStats: o.NewSimStats()}
 	if o == nil {
-		s.clearInstruments()
 		return
 	}
 	for k, name := range eventKindNames {
-		s.evCount[k] = o.SimEventCounter(name)
+		s.m.events[k] = s.m.Events.With(name)
 	}
-	s.offerCount = o.SimDispatchOffers()
-	s.hbSupBusy = o.SimHeartbeatsSuppressed("busy")
-	s.hbSupDrained = o.SimHeartbeatsSuppressed("drained")
-	s.hbSupQuiet = o.SimHeartbeatsSuppressed("quiescent")
-	s.specWakeups = o.SimSpecWakeups()
-	s.arenaCap = o.SimArenaCapacity()
-	s.arenaReuses = o.SimArenaReuses()
-	s.arenaGrows = o.SimArenaGrows()
-	s.drainBatchCtr = o.SimDrainBatches()
-	s.drainCoalesCtr = o.SimDrainCoalesced()
-	s.lanePushCtr = o.SimEventLanePushes()
-	s.laneFallCtr = o.SimEventLaneFallbacks()
-	s.specGateCtr = o.SimSpecGateSkips()
+	sup := s.m.Suppressed
+	s.m.busy, s.m.drained, s.m.quiescent = sup.With("busy"), sup.With("drained"), sup.With("quiescent")
 	o.Health().SetSlots(s.cfg.MapSlots(), s.cfg.ReduceSlots())
 	// Workflows submitted before instrumentation was attached still join
 	// the health table.
@@ -436,15 +410,15 @@ func (s *Simulator) flushRunMetrics() {
 	if s.ins == nil {
 		return
 	}
-	s.arenaCap.Set(int64(cap(s.arena.recs)))
-	s.arenaReuses.Add(int64(s.arena.reused))
-	s.arenaGrows.Add(int64(s.arena.grown))
-	s.drainBatchCtr.Add(int64(s.drainBatches))
-	s.drainCoalesCtr.Add(int64(s.drainCoalesced))
-	s.lanePushCtr.Add(int64(s.lanePushes))
-	s.laneFallCtr.Add(int64(s.laneFallbacks))
-	s.specGateCtr.Add(int64(s.specGateSkips))
-	s.hbSupQuiet.Add(int64(s.quietTicks))
+	s.m.ArenaCapacity.Set(int64(cap(s.arena.recs)))
+	s.m.ArenaReuses.Add(int64(s.arena.reused))
+	s.m.ArenaGrows.Add(int64(s.arena.grown))
+	s.m.DrainBatches.Add(int64(s.drainBatches))
+	s.m.DrainCoalesced.Add(int64(s.drainCoalesced))
+	s.m.LanePushes.Add(int64(s.lanePushes))
+	s.m.LaneFallbacks.Add(int64(s.laneFallbacks))
+	s.m.SpecGateSkips.Add(int64(s.specGateSkips))
+	s.m.quiescent.Add(int64(s.quietTicks))
 }
 
 // SetAdmission installs the admission front door consulted when each
@@ -731,13 +705,13 @@ func (s *Simulator) rearmHeartbeat(node int) {
 	if s.doneCount == s.arrIdx {
 		// Every arrived workflow is done, so only the next arrival
 		// (arrivalsLeft > 0 here) can create schedulable work.
-		s.hbSupDrained.Inc()
+		s.m.drained.Inc()
 		s.armHeartbeat(node, s.nextTick(node, s.nextArrival()))
 		return
 	}
 	n := &s.nodes[node]
 	if s.cfg.SpeculativeSlowdown == 0 && n.freeMap == 0 && n.freeReduce == 0 {
-		s.hbSupBusy.Inc()
+		s.m.busy.Inc()
 		return
 	}
 	if s.canSleep && !s.held && s.specGateClosed() {
@@ -1208,7 +1182,7 @@ func (s *Simulator) dispatchNode(node int) {
 // offer asks the policy for a task for one free slot of type st on node,
 // reporting whether one was assigned.
 func (s *Simulator) offer(node int, st SlotType) bool {
-	s.offerCount.Inc()
+	s.m.Offers.Inc()
 	ws, job, ok := s.pol.NextTask(s.now, st)
 	if !ok {
 		s.noWork[st] = true
@@ -1473,7 +1447,7 @@ func (s *Simulator) armSpeculativeWake() {
 	s.specNext = lo
 	if next < s.specWake {
 		s.specWake = next
-		s.specWakeups.Inc()
+		s.m.SpecWakeups.Inc()
 		s.push(next, event{kind: evRetry})
 	}
 }

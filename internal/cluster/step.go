@@ -93,7 +93,7 @@ func (s *Simulator) StepTo(t simtime.Time) int {
 			s.takeDue(node)
 			s.eventCount++
 			applied++
-			s.evCount[evHeartbeat].Inc()
+			s.m.events[evHeartbeat].Inc()
 			s.heartbeat(node)
 			continue
 		}
@@ -109,7 +109,7 @@ func (s *Simulator) StepTo(t simtime.Time) int {
 		applied += n
 		for i := 0; i < n; i++ {
 			e := s.batch[i]
-			s.evCount[e.kind].Inc()
+			s.m.events[e.kind].Inc()
 			switch e.kind {
 			case evArrival:
 				s.arrive(int(e.a))

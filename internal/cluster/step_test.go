@@ -101,7 +101,7 @@ func TestStepToMatchesRun(t *testing.T) {
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("stepped run diverged from Run:\nrun:  %+v\nstep: %+v", want, got)
 			}
-			slept := int(ins.SimHeartbeatsSuppressed("quiescent").Value())
+			slept := int(ins.NewSimStats().Suppressed.With("quiescent").Value())
 			if executed+slept != got.SimulatedEvents {
 				t.Errorf("StepTo executed %d events and %d ticks were slept through, but SimulatedEvents = %d",
 					executed, slept, got.SimulatedEvents)
@@ -325,8 +325,9 @@ func TestSubmitLiveAmongLaneHeartbeats(t *testing.T) {
 			t.Fatal(err)
 		}
 		live.Release()
-		lanePushes += o.SimEventLanePushes().Value()
-		fallbacks += o.SimEventLaneFallbacks().Value()
+		st := o.NewSimStats()
+		lanePushes += st.LanePushes.Value()
+		fallbacks += st.LaneFallbacks.Value()
 
 		pre, err := cluster.New(cfg, scheduler.NewEDF(), nil)
 		if err != nil {

@@ -28,7 +28,7 @@ func TestFig8SharedPlannerExactlyOnce(t *testing.T) {
 	cfg := DefaultFig8Config()
 	cfg.Planner = pl
 	cfg.Obs = o
-	cellsDone := reg.Counter(obs.MetricRunnerCells, "Scenario cells executed by the runner.")
+	cellsDone := o.NewRunnerStats().Cells // the runner's own series: re-registering returns it
 	var cellsDoneAtFirstRow int64
 	var rows []Fig8Row
 	shared, err := Fig8Each(cfg, func(row Fig8Row) error {

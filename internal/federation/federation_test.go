@@ -203,7 +203,7 @@ func TestSingleClusterEquivalence(t *testing.T) {
 					t.Errorf("federated N=1 diverged from plain run:\nplain: %+v\nfed:   %+v",
 						plain, res.Clusters[0])
 				}
-				if ins.SimHeartbeatsSuppressed("quiescent").Value() == 0 {
+				if ins.NewSimStats().Suppressed.With("quiescent").Value() == 0 {
 					t.Error("no node of the member ever slept; the injections met only ticking nodes")
 				}
 				for _, rt := range res.Routes {

@@ -540,8 +540,8 @@ func TestIdleHeartbeatsStillRecorded(t *testing.T) {
 	if got := ring.CountKind(obs.KindHeartbeatServed); got != idle+1 {
 		t.Errorf("%d heartbeat_served events, want %d", got, idle+1)
 	}
-	if got := ins.Registry().Counter(obs.MetricLiveFastPathBeats, "").Value(); got != idle {
-		t.Errorf("%s = %d, want %d", obs.MetricLiveFastPathBeats, got, idle)
+	if got := c.LiveStats().FastPathBeats.Value(); got != idle {
+		t.Errorf("fast-path heartbeats = %d, want %d", got, idle)
 	}
 }
 
@@ -559,8 +559,9 @@ func TestShardedObsMetrics(t *testing.T) {
 	if err := c.Submit(chainFlow("w", 0, time.Hour), nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := ins.Registry().Gauge(obs.MetricLiveShards, "").Value(); got != 4 {
-		t.Errorf("%s = %d, want 4", obs.MetricLiveShards, got)
+	st := c.LiveStats()
+	if got := st.Shards.Value(); got != 4 {
+		t.Errorf("shards gauge = %d, want 4", got)
 	}
 
 	stream := driveScripted(t, c, 2, 1)
@@ -571,23 +572,21 @@ func TestShardedObsMetrics(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.DeliverHeartbeat(live.Heartbeat{Tracker: 1})
 	}
-	if got := ins.Registry().Counter(obs.MetricLiveFastPathBeats, "").Value(); got < 5 {
-		t.Errorf("%s = %d, want >= 5", obs.MetricLiveFastPathBeats, got)
+	if got := st.FastPathBeats.Value(); got < 5 {
+		t.Errorf("fast-path heartbeats = %d, want >= 5", got)
 	}
-	batches := ins.Registry().Counter(obs.MetricLivePolicyBatches, "").Value()
-	events := ins.Registry().Counter(obs.MetricLivePolicyEvents, "").Value()
+	batches, events := st.PolicyBatches.Value(), st.PolicyEvents.Value()
 	if batches == 0 || events == 0 {
 		t.Errorf("policy batching not recorded: batches=%d events=%d", batches, events)
 	}
 	// Lifecycle: released (root activation rides inside it) + reduces-ready
 	// for a + activated b + reduces-ready for b + completed = 5.
 	if events != 5 {
-		t.Errorf("%s = %d, want 5", obs.MetricLivePolicyEvents, events)
+		t.Errorf("policy events = %d, want 5", events)
 	}
 	// One driver never finds another heartbeat's report queued, so every
 	// pass through the pipeline serves exactly its own.
-	passes := ins.Registry().Counter(obs.MetricLivePipelinePasses, "").Value()
-	orders := ins.Registry().Counter(obs.MetricLivePipelineOrders, "").Value()
+	passes, orders := st.PipelinePasses.Value(), st.PipelineOrders.Value()
 	if passes == 0 || orders != passes {
 		t.Errorf("serial script: %d pipeline passes served %d reports, want one each", passes, orders)
 	}

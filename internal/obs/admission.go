@@ -14,17 +14,12 @@ import (
 // fast path pays one nil check (pinned at 0 allocs/decision by the alloc-pins
 // target even when instrumented).
 type AdmissionStats struct {
-	// Admitted, Deferred, and Rejected count decisions by verdict.
-	Admitted *Counter
-	Deferred *Counter
-	Rejected *Counter
-	// CounterOffers counts rejections that carried an earliest-feasible
-	// deadline the submitter could resubmit against.
-	CounterOffers *Counter
-	// Releases counts capacity commitments released on workflow completion.
-	Releases *Counter
-	// DecisionDur is the wall-clock latency of one admission decision.
-	DecisionDur *Histogram
+	Admitted      *Counter   `metric:"woha_admission_admitted_total" labels:"controller" help:"Workflow submissions admitted by the admission controller."`
+	Deferred      *Counter   `metric:"woha_admission_deferred_total" labels:"controller" help:"Workflow submissions deferred to a later retry instant."`
+	Rejected      *Counter   `metric:"woha_admission_rejected_total" labels:"controller" help:"Workflow submissions rejected by the admission controller."`
+	CounterOffers *Counter   `metric:"woha_admission_counter_offers_total" labels:"controller" help:"Rejections carrying a counter-offered earliest feasible deadline."`
+	Releases      *Counter   `metric:"woha_admission_releases_total" labels:"controller" help:"Capacity-ledger commitments released on workflow completion."`
+	DecisionDur   *Histogram `metric:"woha_admission_decision_seconds" labels:"controller" buckets:"duration" help:"Wall-clock latency of one admission decision."`
 
 	o *Obs
 }
@@ -36,22 +31,7 @@ func (o *Obs) NewAdmissionStats(controller string) *AdmissionStats {
 	if o == nil {
 		return nil
 	}
-	l := Labels{"controller": controller}
-	return &AdmissionStats{
-		Admitted: o.reg.CounterWith(MetricAdmissionAdmitted,
-			"Workflow submissions admitted by the admission controller.", l),
-		Deferred: o.reg.CounterWith(MetricAdmissionDeferred,
-			"Workflow submissions deferred to a later retry instant.", l),
-		Rejected: o.reg.CounterWith(MetricAdmissionRejected,
-			"Workflow submissions rejected by the admission controller.", l),
-		CounterOffers: o.reg.CounterWith(MetricAdmissionCounterOffers,
-			"Rejections carrying a counter-offered earliest feasible deadline.", l),
-		Releases: o.reg.CounterWith(MetricAdmissionReleases,
-			"Capacity-ledger commitments released on workflow completion.", l),
-		DecisionDur: o.reg.HistogramWith(MetricAdmissionDecisionDuration,
-			"Wall-clock latency of one admission decision.", l, DurationBuckets),
-		o: o,
-	}
+	return declare(o.reg, &AdmissionStats{o: o}, map[string][]string{"controller": {controller}})
 }
 
 // OnAdmitted records one admitted submission.

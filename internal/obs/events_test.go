@@ -151,8 +151,8 @@ func TestObsNilSafety(t *testing.T) {
 	o.TaskAssigned(simtime.Epoch, 0, 0, 0, 0, time.Second)
 	o.PlanGenerated(simtime.Epoch, "w", 3)
 	o.Emit(Event{})
-	if o.Registry() != nil || o.DecisionHistogram("x") != nil ||
-		o.SimEventCounter("x") != nil || o.NewQueueStats("x") != nil {
+	if o.Registry() != nil ||
+		o.NewSimStats() != (SimStats{}) || o.NewQueueStats("x") != nil {
 		t.Error("nil Obs handed out non-nil children")
 	}
 	var q *QueueStats
@@ -193,8 +193,9 @@ func TestObsWiringEndToEnd(t *testing.T) {
 	// The acceptance contract: these three names appear in every exposition,
 	// eagerly registered even before traffic.
 	for _, name := range []string{
-		MetricHeartbeatDuration, MetricTasksAssigned, MetricDeadlinesMissed,
+		"woha_heartbeat_duration_seconds", "woha_tasks_assigned_total", "woha_workflows_deadline_missed_total",
 	} {
+		name = declared(t, name)
 		if !strings.Contains(out, name) {
 			t.Errorf("exposition missing %s:\n%s", name, out)
 		}

@@ -12,21 +12,18 @@ import (
 // so the federation carries a FedStats pointer unconditionally and
 // uninstrumented runs pay one nil check per routing decision.
 type FedStats struct {
-	// Routed counts workflows routed to each member cluster.
-	Routed []*Counter
+	Routed []*Counter `metric:"woha_fed_routed_total" labels:"cluster" help:"Workflows routed to this member cluster."`
 	// SnapshotAge observes, per routing decision, how stale (in simulated
 	// seconds) the load snapshots the router saw were — 0 when the
 	// staleness interval is 0 and every decision refreshes first.
-	SnapshotAge *Histogram
-	// SnapshotRefreshes counts load-snapshot refreshes across all clusters.
-	SnapshotRefreshes *Counter
-	// Clusters reports the federation's member count.
-	Clusters *Gauge
+	SnapshotAge       *Histogram `metric:"woha_fed_snapshot_age_seconds" labels:"router" buckets:"duration" help:"Simulated staleness of the load snapshots a routing decision saw."`
+	SnapshotRefreshes *Counter   `metric:"woha_fed_snapshot_refreshes_total" labels:"router" help:"Load-snapshot refreshes across all member clusters."`
+	Clusters          *Gauge     `metric:"woha_fed_clusters" help:"Member clusters in the federation."`
 	// Active, Backlog, and FreeSlots mirror each cluster's last snapshot:
 	// live workflows, owed slot-time in seconds, and idle slots.
-	Active    []*Gauge
-	Backlog   []*Gauge
-	FreeSlots []*Gauge
+	Active    []*Gauge `metric:"woha_fed_cluster_active_workflows" labels:"cluster" help:"Live workflows on this member cluster at its last load snapshot."`
+	Backlog   []*Gauge `metric:"woha_fed_cluster_backlog_seconds" labels:"cluster" help:"Owed slot-time (seconds) on this member cluster at its last load snapshot."`
+	FreeSlots []*Gauge `metric:"woha_fed_cluster_free_slots" labels:"cluster" help:"Idle slots on this member cluster at its last load snapshot."`
 }
 
 // NewFedStats registers the federation instruments for n member clusters
@@ -36,28 +33,12 @@ func (o *Obs) NewFedStats(router string, n int) *FedStats {
 	if o == nil {
 		return nil
 	}
-	s := &FedStats{
-		SnapshotAge: o.reg.HistogramWith(MetricFedSnapshotAge,
-			"Simulated staleness of the load snapshots a routing decision saw.",
-			Labels{"router": router}, DurationBuckets),
-		SnapshotRefreshes: o.reg.CounterWith(MetricFedSnapshotRefresh,
-			"Load-snapshot refreshes across all member clusters.",
-			Labels{"router": router}),
-		Clusters: o.reg.Gauge(MetricFedClusters,
-			"Member clusters in the federation."),
+	clusters := make([]string, n)
+	for i := range clusters {
+		clusters[i] = strconv.Itoa(i)
 	}
+	s := declare(o.reg, &FedStats{}, map[string][]string{"router": {router}, "cluster": clusters})
 	s.Clusters.Set(int64(n))
-	for i := 0; i < n; i++ {
-		l := Labels{"cluster": strconv.Itoa(i)}
-		s.Routed = append(s.Routed, o.reg.CounterWith(MetricFedRouted,
-			"Workflows routed to this member cluster.", l))
-		s.Active = append(s.Active, o.reg.GaugeWith(MetricFedClusterActive,
-			"Live workflows on this member cluster at its last load snapshot.", l))
-		s.Backlog = append(s.Backlog, o.reg.GaugeWith(MetricFedClusterBacklog,
-			"Owed slot-time (seconds) on this member cluster at its last load snapshot.", l))
-		s.FreeSlots = append(s.FreeSlots, o.reg.GaugeWith(MetricFedClusterFreeSlots,
-			"Idle slots on this member cluster at its last load snapshot.", l))
-	}
 	return s
 }
 

@@ -64,14 +64,19 @@ type HealthTracker struct {
 
 	maps, reds atomic.Int64
 
-	minSlack   *Gauge
-	behind     *Gauge
-	liveWFs    *Gauge
-	slackDist  *Histogram
-	snaps      *Counter
-	fellBehind *Counter
-	recovered  *Counter
-	predicted  *Counter
+	series healthSeries
+}
+
+// healthSeries are the woha_health_* series a HealthTracker publishes.
+type healthSeries struct {
+	MinSlack   *Gauge     `metric:"woha_health_min_slack_tasks" help:"Smallest slack (completed minus required tasks) over live planned workflows; 0 when none are live."`
+	Behind     *Gauge     `metric:"woha_health_behind_workflows" help:"Live planned workflows currently behind their plan (slack < 0)."`
+	LiveWFs    *Gauge     `metric:"woha_health_live_workflows" help:"Workflows released and not yet completed at the last health snapshot."`
+	SlackDist  *Histogram `metric:"woha_health_slack_tasks" buckets:"slack" help:"Per-workflow slack (completed minus required tasks) observed at each health snapshot."`
+	Snaps      *Counter   `metric:"woha_health_snapshots_total" help:"Health snapshots computed."`
+	FellBehind *Counter   `metric:"woha_health_fell_behind_total" help:"Workflow transitions from on-plan to behind plan (slack dropped below 0)."`
+	Recovered  *Counter   `metric:"woha_health_recovered_total" help:"Workflow transitions from behind plan back to non-negative slack."`
+	Predicted  *Counter   `metric:"woha_health_predicted_misses_total" help:"Workflows first predicted to miss their deadline by plan-rate extrapolation."`
 }
 
 func newHealthTracker(o *Obs, cfg HealthConfig) *HealthTracker {
@@ -79,26 +84,8 @@ func newHealthTracker(o *Obs, cfg HealthConfig) *HealthTracker {
 	if iv <= 0 {
 		iv = DefaultHealthInterval
 	}
-	reg := o.reg
-	h := &HealthTracker{
-		o:        o,
-		interval: iv,
-		minSlack: reg.Gauge(MetricHealthMinSlack,
-			"Smallest slack (completed minus required tasks) over live planned workflows; 0 when none are live."),
-		behind: reg.Gauge(MetricHealthBehind,
-			"Live planned workflows currently behind their plan (slack < 0)."),
-		liveWFs: reg.Gauge(MetricHealthLive,
-			"Workflows released and not yet completed at the last health snapshot."),
-		slackDist: reg.Histogram(MetricHealthSlackDist,
-			"Per-workflow slack (completed minus required tasks) observed at each health snapshot.", SlackBuckets),
-		snaps: reg.Counter(MetricHealthSnapshots, "Health snapshots computed."),
-		fellBehind: reg.Counter(MetricHealthFellBehind,
-			"Workflow transitions from on-plan to behind plan (slack dropped below 0)."),
-		recovered: reg.Counter(MetricHealthRecovered,
-			"Workflow transitions from behind plan back to non-negative slack."),
-		predicted: reg.Counter(MetricHealthPredictedMisses,
-			"Workflows first predicted to miss their deadline by plan-rate extrapolation."),
-	}
+	h := &HealthTracker{o: o, interval: iv}
+	declare(o.reg, &h.series, nil)
 	empty := make([]*healthWF, 0)
 	h.wfs.Store(&empty)
 	return h
@@ -282,7 +269,7 @@ func (h *HealthTracker) SnapshotAt(now simtime.Time) *HealthSnapshot {
 			snap.Live++
 			snap.InFlight += scheduled - completed
 			if w.plan != nil {
-				h.slackDist.Observe(float64(row.Slack))
+				h.series.SlackDist.Observe(float64(row.Slack))
 				if !haveSlack || row.Slack < snap.MinSlack {
 					snap.MinSlack, haveSlack = row.Slack, true
 				}
@@ -292,11 +279,11 @@ func (h *HealthTracker) SnapshotAt(now simtime.Time) *HealthSnapshot {
 					snap.Behind++
 				}
 				if behindNow && !w.behind {
-					h.fellBehind.Inc()
+					h.series.FellBehind.Inc()
 					h.o.Emit(Event{Kind: KindHealthFellBehind, Time: now, Workflow: w.index,
 						Job: -1, Tracker: -1, Slot: -1, Name: w.name, N: row.Slack})
 				} else if !behindNow && w.behind {
-					h.recovered.Inc()
+					h.series.Recovered.Inc()
 					h.o.Emit(Event{Kind: KindHealthRecovered, Time: now, Workflow: w.index,
 						Job: -1, Tracker: -1, Slot: -1, Name: w.name, N: row.Slack})
 				}
@@ -304,7 +291,7 @@ func (h *HealthTracker) SnapshotAt(now simtime.Time) *HealthSnapshot {
 				predNow := predictMiss(w.plan, w.total, completed, ttd)
 				row.PredictedMiss = predNow
 				if predNow && !w.predicted {
-					h.predicted.Inc()
+					h.series.Predicted.Inc()
 					h.o.Emit(Event{Kind: KindHealthPredictedMiss, Time: now, Workflow: w.index,
 						Job: -1, Tracker: -1, Slot: -1, Name: w.name, N: w.total - completed})
 				}
@@ -315,10 +302,10 @@ func (h *HealthTracker) SnapshotAt(now simtime.Time) *HealthSnapshot {
 		}
 		snap.Workflows = append(snap.Workflows, row)
 	}
-	h.minSlack.Set(int64(snap.MinSlack))
-	h.behind.Set(int64(snap.Behind))
-	h.liveWFs.Set(int64(snap.Live))
-	h.snaps.Inc()
+	h.series.MinSlack.Set(int64(snap.MinSlack))
+	h.series.Behind.Set(int64(snap.Behind))
+	h.series.LiveWFs.Set(int64(snap.Live))
+	h.series.Snaps.Inc()
 	h.snap.Store(snap)
 	return snap
 }

@@ -43,7 +43,7 @@ func TestHealthSlackAgainstPlan(t *testing.T) {
 	if snap.MinSlack != -1 || snap.Behind != 1 || snap.Live != 1 {
 		t.Fatalf("snapshot = %+v, want MinSlack -1, Behind 1, Live 1", snap)
 	}
-	if got := h.fellBehind.Value(); got != 1 {
+	if got := h.series.FellBehind.Value(); got != 1 {
 		t.Fatalf("fell-behind counter = %d, want 1", got)
 	}
 
@@ -55,7 +55,7 @@ func TestHealthSlackAgainstPlan(t *testing.T) {
 	if got := snap.Workflows[0].Slack; got != -2 {
 		t.Fatalf("t=160s slack = %d, want -2", got)
 	}
-	if got := h.fellBehind.Value(); got != 1 {
+	if got := h.series.FellBehind.Value(); got != 1 {
 		t.Fatalf("fell-behind counter re-fired: %d", got)
 	}
 
@@ -67,7 +67,7 @@ func TestHealthSlackAgainstPlan(t *testing.T) {
 	if got := snap.Workflows[0].Slack; got != 5 {
 		t.Fatalf("t=170s slack = %d, want 5 (10 done, 5 required)", got)
 	}
-	if got := h.recovered.Value(); got != 1 {
+	if got := h.series.Recovered.Value(); got != 1 {
 		t.Fatalf("recovered counter = %d, want 1", got)
 	}
 
@@ -110,12 +110,12 @@ func TestHealthPredictedMiss(t *testing.T) {
 	if !snap.Workflows[0].PredictedMiss {
 		t.Fatalf("t=170s (ttd=30s) row = %+v, want predicted miss", snap.Workflows[0])
 	}
-	if got := h.predicted.Value(); got != 1 {
+	if got := h.series.Predicted.Value(); got != 1 {
 		t.Fatalf("predicted counter = %d, want 1", got)
 	}
 	// Latched: a second snapshot in the same state does not re-count.
 	h.SnapshotAt(sec(171))
-	if got := h.predicted.Value(); got != 1 {
+	if got := h.series.Predicted.Value(); got != 1 {
 		t.Fatalf("predicted counter re-fired: %d", got)
 	}
 	// Past the deadline with work remaining the miss is certain.
@@ -222,12 +222,12 @@ func TestHealthMetricsExported(t *testing.T) {
 	}
 	scrape := sb.String()
 	for _, want := range []string{
-		MetricHealthMinSlack + " -2",
-		MetricHealthBehind + " 1",
-		MetricHealthLive + " 1",
-		MetricHealthSnapshots + " 1",
-		MetricHealthFellBehind + " 1",
-		"# TYPE " + MetricHealthSlackDist + " histogram",
+		declared(t, "woha_health_min_slack_tasks") + " -2",
+		declared(t, "woha_health_behind_workflows") + " 1",
+		declared(t, "woha_health_live_workflows") + " 1",
+		declared(t, "woha_health_snapshots_total") + " 1",
+		declared(t, "woha_health_fell_behind_total") + " 1",
+		"# TYPE " + declared(t, "woha_health_slack_tasks") + " histogram",
 	} {
 		if !strings.Contains(scrape, want) {
 			t.Errorf("scrape missing %q", want)
@@ -243,7 +243,8 @@ func TestBuildInfoMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	scrape := sb.String()
-	if !strings.Contains(scrape, MetricBuildInfo) || !strings.Contains(scrape, `go_version="go`) {
-		t.Fatalf("scrape missing %s with go_version label:\n%s", MetricBuildInfo, scrape)
+	name := declared(t, "woha_build_info")
+	if !strings.Contains(scrape, name) || !strings.Contains(scrape, `go_version="go`) {
+		t.Fatalf("scrape missing %s with go_version label:\n%s", name, scrape)
 	}
 }

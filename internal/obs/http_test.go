@@ -42,7 +42,7 @@ func TestIntrospectionEndpoints(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 	base := "http://" + srv.Addr()
 
-	if code, body := getBody(t, base+"/metrics"); code != http.StatusOK || !strings.Contains(body, MetricHealthMinSlack) {
+	if code, body := getBody(t, base+"/metrics"); code != http.StatusOK || !strings.Contains(body, declared(t, "woha_health_min_slack_tasks")) {
 		t.Errorf("/metrics: code %d, health gauge missing", code)
 	}
 	code, body := getBody(t, base+"/statusz")

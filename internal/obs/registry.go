@@ -106,26 +106,37 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*family)}
 }
 
-// register returns the series for (name, labels), creating family and series
-// via mk on first sight. It panics when name is reused with another type —
-// that is a programming error, not a runtime condition.
-func (r *Registry) register(name, help, typ string, labels Labels, mk func(lbl string) metric) metric {
+// register returns d's series for labels, creating family and series on
+// first sight; nil on a nil registry. It panics when a name is reused with
+// another type — that is a programming error, not a runtime condition.
+func (r *Registry) register(d *decl, labels Labels) metric {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.byName[name]
+	f := r.byName[d.name]
 	if f == nil {
-		f = &family{name: name, help: help, typ: typ, byLabel: make(map[string]metric)}
-		r.byName[name] = f
+		f = &family{name: d.name, help: d.help, typ: d.typ, byLabel: make(map[string]metric)}
+		r.byName[d.name] = f
 		r.families = append(r.families, f)
 	}
-	if f.typ != typ {
-		panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, f.typ, typ))
+	if f.typ != d.typ {
+		panic(fmt.Sprintf("obs: metric %q registered as %s and %s", d.name, f.typ, d.typ))
 	}
 	lbl := labels.render()
 	if m, ok := f.byLabel[lbl]; ok {
 		return m
 	}
-	m := mk(lbl)
+	var m metric
+	switch d.typ {
+	case "counter":
+		m = &Counter{lbl: lbl}
+	case "gauge":
+		m = &Gauge{lbl: lbl}
+	default:
+		m = newHistogram(lbl, d.buckets)
+	}
 	f.byLabel[lbl] = m
 	f.series = append(f.series, m)
 	return m
@@ -138,12 +149,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 
 // CounterWith is Counter with a label set.
 func (r *Registry) CounterWith(name, help string, labels Labels) *Counter {
-	if r == nil {
-		return nil
-	}
-	return r.register(name, help, "counter", labels, func(lbl string) metric {
-		return &Counter{lbl: lbl}
-	}).(*Counter)
+	return handle[Counter](r, &decl{name: name, help: help, typ: "counter"}, labels)
 }
 
 // Gauge returns the registered gauge, creating it on first use.
@@ -153,12 +159,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 
 // GaugeWith is Gauge with a label set.
 func (r *Registry) GaugeWith(name, help string, labels Labels) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.register(name, help, "gauge", labels, func(lbl string) metric {
-		return &Gauge{lbl: lbl}
-	}).(*Gauge)
+	return handle[Gauge](r, &decl{name: name, help: help, typ: "gauge"}, labels)
 }
 
 // Histogram returns the registered histogram, creating it with the given
@@ -170,12 +171,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 
 // HistogramWith is Histogram with a label set.
 func (r *Registry) HistogramWith(name, help string, labels Labels, buckets []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.register(name, help, "histogram", labels, func(lbl string) metric {
-		return newHistogram(lbl, buckets)
-	}).(*Histogram)
+	return handle[Histogram](r, &decl{name: name, help: help, typ: "histogram", buckets: buckets}, labels)
 }
 
 // WriteTo renders every registered family in the Prometheus text exposition
