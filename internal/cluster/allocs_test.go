@@ -62,8 +62,9 @@ func (p *pinPolicy) NextTask(_ simtime.Time, st cluster.SlotType) (*cluster.Work
 
 // measureScenarioAllocs replays the equivalence workload under cfg through
 // the pooled simulator and returns the steady-state allocations per run.
-// Policies are pre-built outside the measured closure (one per iteration —
-// policies are stateful and must be fresh).
+// Policies are pre-built outside the measured closure, one per run —
+// policies are stateful and must be fresh: two warm-up runs here,
+// AllocsPerRun's own warm-up run, then iters measured runs.
 func measureScenarioAllocs(t *testing.T, cfg cluster.Config) float64 {
 	t.Helper()
 	if raceEnabled {
@@ -71,13 +72,13 @@ func measureScenarioAllocs(t *testing.T, cfg cluster.Config) float64 {
 	}
 	flows := equivFlows()
 	const iters = 20
-	pols := make([]*pinPolicy, iters+2)
+	pols := make([]*pinPolicy, iters+3)
 	for i := range pols {
 		pols[i] = newPinPolicy()
 	}
 	i := 0
 	run := func() {
-		pol := pols[i%len(pols)]
+		pol := pols[i]
 		i++
 		sim, err := cluster.New(cfg, pol, nil)
 		if err != nil {

@@ -10,8 +10,9 @@ import (
 
 // InstrumentPolicy wraps pol so every NextTask decision is timed into the
 // policy's labeled woha_scheduler_decision_seconds histogram. The wrapper
-// forwards the optional ReducePhasePolicy and RequeuePolicy extensions only
-// when pol implements them, so scheduling semantics are unchanged. With a
+// forwards the optional ReducePhasePolicy, RequeuePolicy and LapsingPolicy
+// extensions only when pol implements them, so scheduling semantics are
+// unchanged. With a
 // nil o, pol is returned untouched.
 func InstrumentPolicy(pol Policy, o *obs.Obs) Policy {
 	if o == nil || pol == nil {
@@ -26,12 +27,13 @@ type instrumentedPolicy struct {
 	decide *obs.Histogram
 }
 
-// The wrapper must forward both optional extensions; the conditional
+// The wrapper must forward every optional extension; the conditional
 // forwarding below keeps behaviour identical for policies lacking them.
 var (
 	_ Policy            = (*instrumentedPolicy)(nil)
 	_ ReducePhasePolicy = (*instrumentedPolicy)(nil)
 	_ RequeuePolicy     = (*instrumentedPolicy)(nil)
+	_ LapsingPolicy     = (*instrumentedPolicy)(nil)
 )
 
 func (p *instrumentedPolicy) NextTask(now simtime.Time, st SlotType) (*WorkflowState, workflow.JobID, bool) {
@@ -51,6 +53,11 @@ func (p *instrumentedPolicy) TaskRequeued(ws *WorkflowState, job workflow.JobID,
 	if rq, ok := p.Policy.(RequeuePolicy); ok {
 		rq.TaskRequeued(ws, job, st, now)
 	}
+}
+
+func (p *instrumentedPolicy) RefusalsLapse() bool {
+	lp, ok := p.Policy.(LapsingPolicy)
+	return ok && lp.RefusalsLapse()
 }
 
 // Unwrap returns the wrapped policy, for callers that type-assert on

@@ -84,8 +84,19 @@ type Simulator struct {
 	canSleep bool
 	// noWork[st] records that the policy refused a slot of type st and that
 	// nothing able to give it a task of that type has happened since (see
-	// Policy.NextTask); newWork clears it.
-	noWork [2]bool
+	// Policy.NextTask); newWork clears it. Instant dispatch offers no st slot
+	// while it is set. It is never set for a policy whose refusals lapse
+	// (LapsingPolicy), and such a run never sleeps either.
+	noWork  [2]bool
+	lapsing bool
+	// exact is whether every attempt takes exactly its job's estimate (no
+	// noise, no stragglers, no remote-read penalty). Then the completions of
+	// one job phase reach the event queue in firing order, and each phase
+	// gets a lane of its own (pushCompletion); laneBase[wf] is the first of
+	// workflow wf's lane owners, two per job.
+	exact    bool
+	laneBase []int32
+	nextLane int32
 	// due holds the ticks wake has materialised, beside the event queue. Each
 	// lies less than one interval ahead on its node's own phase, so the set
 	// in node order, taken round from the current phase, is the set in firing
@@ -309,12 +320,19 @@ func (s *Simulator) reset(cfg Config, pol Policy, obs Observer) {
 	s.asleep.reset(cfg.Nodes)
 	s.nAsleep = 0
 	s.noWork = [2]bool{}
+	lp, ok := pol.(LapsingPolicy)
+	s.lapsing = ok && lp.RefusalsLapse()
 	s.due.reset(cfg.Nodes)
 	s.dueNode = -1
 	// Sleeping needs every node on a phase of its own, so that an instant
 	// names at most one sleeper (settle); hbOffset gives that exactly when
-	// the interval has at least one nanosecond per node.
-	s.canSleep = int64(cfg.HeartbeatInterval) >= int64(cfg.Nodes)
+	// the interval has at least one nanosecond per node. It needs the
+	// NextTask contract too: a sleeper is one the policy has just refused.
+	s.canSleep = int64(cfg.HeartbeatInterval) >= int64(cfg.Nodes) && !s.lapsing
+	s.exact = cfg.Noise == 0 && cfg.StragglerProb == 0 &&
+		(cfg.Replication == 0 || cfg.RemotePenalty == 1)
+	s.laneBase = s.laneBase[:0]
+	s.nextLane = 0
 	s.load = Load{
 		MapSlots: cfg.MapSlots(), ReduceSlots: cfg.ReduceSlots(),
 		FreeMaps: cfg.MapSlots(), FreeReduces: cfg.ReduceSlots(),
@@ -452,6 +470,8 @@ func (s *Simulator) enroll(w *workflow.Workflow, p *plan.Plan) *WorkflowState {
 	ws.EnableSchedIndex(s.wsa.allocWords(2 * ((len(w.Jobs) + 63) / 64)))
 	s.ins.Health().Register(ws.Index, w.Name, w.Release, w.Deadline, w.TotalTasks(), p)
 	s.states = append(s.states, ws)
+	s.laneBase = append(s.laneBase, s.nextLane)
+	s.nextLane += 2 * int32(len(w.Jobs))
 	s.load.ActiveWorkflows++
 	s.load.PendingTasks += ws.remaining
 	s.load.Backlog += w.SerialWork()
@@ -1127,11 +1147,17 @@ func (s *Simulator) recover(nodeIdx int) {
 
 // dispatchAll assigns tasks to every idle slot in the cluster (instant
 // dispatch mode). Under heartbeat mode slots are only offered on heartbeats.
+// A slot type the policy has refused since the last event able to give it
+// work (noWork) is not offered: Policy.NextTask says the answer would be the
+// same refusal.
 func (s *Simulator) dispatchAll() {
 	if s.cfg.HeartbeatInterval > 0 {
 		return
 	}
 	for st := MapSlot; st <= ReduceSlot; st++ {
+		if s.noWork[st] {
+			continue
+		}
 		node := 0
 		for {
 			// Find a node with a free slot of this type. The index walks
@@ -1185,7 +1211,7 @@ func (s *Simulator) offer(node int, st SlotType) bool {
 	s.m.Offers.Inc()
 	ws, job, ok := s.pol.NextTask(s.now, st)
 	if !ok {
-		s.noWork[st] = true
+		s.noWork[st] = !s.lapsing
 		return false
 	}
 	js := &ws.Jobs[job]
@@ -1266,8 +1292,24 @@ func (s *Simulator) offer(node int, st SlotType) bool {
 	if s.cfg.SpeculativeSlowdown != 0 {
 		s.pushOverdue(h)
 	}
-	s.push(end, event{kind: evComplete, a: h, gen: rec.gen})
+	s.pushCompletion(end, event{kind: evComplete, a: h, gen: rec.gen}, ws.Index, job, st)
 	return true
+}
+
+// pushCompletion schedules a normal attempt's completion. With exact
+// durations every task of one job phase takes the same time, so the phase's
+// completions arrive in firing order and ride a queue lane of their own: the
+// heap then holds one entry per phase in flight instead of one per attempt.
+// Pop order is the same either way (simtime.Queue.PushLane).
+func (s *Simulator) pushCompletion(at simtime.Time, e event, wf int, job workflow.JobID, st SlotType) {
+	if !s.exact {
+		s.push(at, e)
+		return
+	}
+	if s.nAsleep > 0 || s.dueNode >= 0 {
+		s.settle(at)
+	}
+	s.events.PushLane(int(s.laneBase[wf]+2*int32(job))+int(st), at, e)
 }
 
 // killAttempt removes a losing speculative attempt, freeing its slot and

@@ -150,6 +150,7 @@ func (sc *wfSched) firstJob(st cluster.SlotType) workflow.JobID {
 var (
 	_ cluster.ReducePhasePolicy = (*Scheduler)(nil)
 	_ cluster.RequeuePolicy     = (*Scheduler)(nil)
+	_ cluster.LapsingPolicy     = (*Scheduler)(nil)
 )
 
 var _ cluster.Policy = (*Scheduler)(nil)
@@ -299,6 +300,11 @@ func (s *Scheduler) NextTask(now simtime.Time, st cluster.SlotType) (*cluster.Wo
 	}
 	return s.byID[e.ID], s.sched[e.ID].firstJob(st), true
 }
+
+// RefusalsLapse implements cluster.LapsingPolicy. A Strict scheduler refuses
+// whenever the most-lagging workflow has nothing for the slot type, and which
+// workflow lags most moves with every task start and with time itself.
+func (s *Scheduler) RefusalsLapse() bool { return s.opts.Strict }
 
 // TaskStarted implements cluster.Policy: advance the workflow's true
 // progress ρ in the queue (Algorithm 2 lines 20-23).

@@ -104,3 +104,79 @@ func TestHeartbeatPolicyContract(t *testing.T) {
 		}
 	}
 }
+
+// refusalRecorder wraps a policy on an instant-dispatch run and counts the
+// questions the simulator asks it. The simulator must not ask NextTask(st)
+// again after a refusal of st until a workflow arrives, a job activates, a
+// map phase ends or a task is requeued: by the NextTask contract the answer
+// would be the same refusal.
+type refusalRecorder struct {
+	cluster.Policy
+	t    *testing.T
+	name string
+	// refused[st] is set by a refusal of st and cleared by any event that
+	// can give the policy work.
+	refused     [2]bool
+	calls, hits int
+}
+
+func (r *refusalRecorder) gain() { r.refused = [2]bool{} }
+
+func (r *refusalRecorder) WorkflowAdded(ws *cluster.WorkflowState, now simtime.Time) {
+	r.gain()
+	r.Policy.WorkflowAdded(ws, now)
+}
+
+func (r *refusalRecorder) JobActivated(ws *cluster.WorkflowState, job workflow.JobID, now simtime.Time) {
+	r.gain()
+	r.Policy.JobActivated(ws, job, now)
+}
+
+func (r *refusalRecorder) ReducesReady(ws *cluster.WorkflowState, job workflow.JobID, now simtime.Time) {
+	r.gain()
+	if rp, ok := r.Policy.(cluster.ReducePhasePolicy); ok {
+		rp.ReducesReady(ws, job, now)
+	}
+}
+
+func (r *refusalRecorder) TaskRequeued(ws *cluster.WorkflowState, job workflow.JobID, st cluster.SlotType, now simtime.Time) {
+	r.gain()
+	if rq, ok := r.Policy.(cluster.RequeuePolicy); ok {
+		rq.TaskRequeued(ws, job, st, now)
+	}
+}
+
+func (r *refusalRecorder) NextTask(now simtime.Time, st cluster.SlotType) (*cluster.WorkflowState, workflow.JobID, bool) {
+	if r.refused[st] {
+		r.t.Errorf("%s: at %v asked for a %v task again, with no arrival, activation, map-phase end or requeue since the last refusal",
+			r.name, now, st)
+	}
+	ws, job, ok := r.Policy.NextTask(now, st)
+	r.calls++
+	if ok {
+		r.hits++
+	} else {
+		r.refused[st] = true
+	}
+	return ws, job, ok
+}
+
+// TestInstantDispatchSkipsSettledRefusals counts, on the seed-1 Fig 8 cells,
+// the NextTask calls instant dispatch makes: none repeats a settled refusal,
+// so nearly every call places a task.
+func TestInstantDispatchSkipsSettledRefusals(t *testing.T) {
+	cells, err := Fig8Cells(DefaultFig8Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cells {
+		c := &cells[i]
+		rec := &refusalRecorder{Policy: c.Policy(), t: t, name: c.Name}
+		c.Policy = func() cluster.Policy { return rec }
+		runLive(t, c, cellPlans(t, c), nil)
+		if ratio := float64(rec.hits) / float64(rec.calls); ratio < 0.95 {
+			t.Errorf("%s: %d of %d NextTask calls placed a task (%.3f), want ≥ 0.95",
+				c.Name, rec.hits, rec.calls, ratio)
+		}
+	}
+}

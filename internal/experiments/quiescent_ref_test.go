@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/priority"
 	"repro/internal/simtime"
 	"repro/internal/workflow"
 )
@@ -115,5 +117,27 @@ func TestQuiescentTicksMatchReference(t *testing.T) {
 			cell := ScenarioCell(name, cc, flows, spec, seed, nil, PlanMargin, nil)
 			assertCellParity(t, &cell)
 		}
+	}
+}
+
+// TestStrictQuiescentTicksMatchReference runs the same scenarios under Strict
+// WOHA, whose refusals lapse: it refuses whenever the most-lagging workflow
+// has nothing for the slot type, so a task start, or time alone, can turn a
+// refusal into an offer. The NextTask contract does not hold for it, so its
+// nodes must never sleep (cluster.LapsingPolicy); a sleeper would miss the
+// tick on which the answer changed, and the run would diverge or stall.
+func TestStrictQuiescentTicksMatchReference(t *testing.T) {
+	scenarios := 150
+	if testing.Short() {
+		scenarios = 40
+	}
+	for seed := int64(1); seed <= int64(scenarios); seed++ {
+		cc, flows := quiescentScenario(rand.New(rand.NewSource(seed)))
+		cell := ScenarioCell(fmt.Sprintf("seed%d/strict", seed), cc, flows,
+			SchedulerSpec{Name: "WOHA-LPF", Priority: priority.LPF{}}, seed, nil, PlanMargin, nil)
+		cell.Policy = func() cluster.Policy {
+			return core.NewScheduler(core.Options{Seed: seed, Strict: true, PolicyName: "LPF"})
+		}
+		assertCellParity(t, &cell)
 	}
 }

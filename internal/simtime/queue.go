@@ -14,21 +14,38 @@ package simtime
 // allocation per event — the dominant cost of an Algorithm 1 probe, run
 // O(log slots) times per admitted workflow.
 //
-// Beside the heap sits a second, monotone lane (PushOrdered): a ring-buffer
-// FIFO for events that arrive already in firing order, such as a simulated
-// node's periodic heartbeats. Every event carries the same (at, seq) stamp
-// whichever lane holds it, and Pop, Peek and DrainInstant take the smaller of
-// the lane head and the heap top under that one total order, so the pop
-// sequence does not depend on which lane an event went to.
+// Beside the heap sit FIFO lanes for events that arrive already in firing
+// order. PushOrdered feeds one fixed lane (a simulated node's periodic
+// heartbeats, a plan probe's task finishes); PushLane feeds one lane per
+// caller-chosen owner (the completions of one job phase, which under exact
+// durations all take the same time). Each lane is a ring sorted by (at, seq),
+// because a lane only accepts an event whose instant is not below its tail's
+// and seq stamps only grow; an event that would break a lane's order goes to
+// the heap instead. The owned lanes are merged through a small heap of their
+// heads, and Pop, Peek and DrainInstant take the smallest of the heap top,
+// the fixed lane's head and the earliest owned head. Every event carries the
+// stamp Push would have given it whichever lane holds it, so the pop order is
+// a merge of (at, seq)-sorted lists and does not depend on where an event
+// went.
 type Queue[T any] struct {
 	h []event[T]
-	// lane is the FIFO ring: laneLen events starting at laneHead, wrapping at
-	// len(lane), which is zero or a power of two. It is sorted by (at, seq)
-	// because PushOrdered only appends an event whose instant is not below
-	// the current tail's, and seq stamps only grow.
-	lane     []event[T]
-	laneHead int
-	laneLen  int
+	// fixed is PushOrdered's lane. It stays out of heads: the plan kernel
+	// pushes and pops it at a rate where re-keying a heads entry on every
+	// pop showed (DESIGN.md §12, "The event queue: owned lanes").
+	fixed lane[T]
+	// lanes holds every owned lane ever opened; a drained lane's index goes
+	// to spare and its ring keeps its capacity for the next owner. owned maps
+	// an owner to 1 + the index of its lane, 0 while it has none.
+	lanes []lane[T]
+	spare []int32
+	owned []int32
+	// heads is a heapArity-ary heap over the open owned lanes, each entry
+	// carrying its lane head's (at, seq) inline so that a comparison never
+	// reaches into a ring. An owned lane is open exactly while it is
+	// non-empty.
+	heads []laneHead
+	// laneLen counts the events held in all lanes, the fixed one included.
+	laneLen int
 	// seq is a monotonically increasing stamp assigned at Push time so that
 	// events pushed earlier pop earlier among equal firing times. Normal
 	// pushes live in the upper seq band (normalBand set); PushFront draws
@@ -37,6 +54,54 @@ type Queue[T any] struct {
 	seq  uint64
 	fseq uint64
 }
+
+// lane is one FIFO ring: n events starting at head, wrapping at len(ring),
+// which is zero or a power of two. owner is the owner of an owned lane.
+type lane[T any] struct {
+	ring    []event[T]
+	head, n int
+	owner   int
+}
+
+func (l *lane[T]) tail() *event[T] { return &l.ring[(l.head+l.n-1)&(len(l.ring)-1)] }
+
+func (l *lane[T]) push(e event[T]) {
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = e
+	l.n++
+}
+
+func (l *lane[T]) pop() {
+	l.ring[l.head] = event[T]{} // release payload for GC
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+}
+
+// grow doubles the ring, unwrapping it to start at index 0.
+func (l *lane[T]) grow() {
+	grown := make([]event[T], max(2*len(l.ring), 16))
+	n := copy(grown, l.ring[l.head:])
+	copy(grown[n:], l.ring[:l.head])
+	l.ring, l.head = grown, 0
+}
+
+// laneHead is the heads entry of open owned lane l.
+type laneHead struct {
+	at  Time
+	seq uint64
+	l   int32
+}
+
+// source names where the earliest event sits.
+type source uint8
+
+const (
+	inHeap source = iota
+	inFixed
+	inOwned
+)
 
 // normalBand tags the seq stamps of ordinary pushes. Every normal stamp is
 // larger than every front stamp, so among events at one instant the front
@@ -66,69 +131,142 @@ func (q *Queue[T]) PushFront(at Time, v T) {
 
 // PushOrdered schedules payload v to fire at instant at, exactly as Push
 // does — same seq stamp, same position in the pop order — but keeps the event
-// in the FIFO lane when at is not below the instant of the last event the
+// in the fixed lane when at is not below the instant of the last event the
 // lane accepted, which makes both the push and the later pop O(1). An event
 // that would break the lane's order goes to the heap instead; onLane reports
 // which of the two happened. Callers whose events mostly arrive in firing
 // order (a periodic source re-arming at now + interval) should use it; any
-// mix of Push and PushOrdered pops identically.
+// mix of Push, PushOrdered and PushLane pops identically.
 func (q *Queue[T]) PushOrdered(at Time, v T) (onLane bool) {
-	if q.laneLen > 0 && at < q.lane[(q.laneHead+q.laneLen-1)&(len(q.lane)-1)].at {
+	l := &q.fixed
+	if l.n > 0 && at < l.tail().at {
 		q.Push(at, v)
 		return false
 	}
-	if q.laneLen == len(q.lane) {
-		q.growLane()
-	}
 	q.seq++
-	q.lane[(q.laneHead+q.laneLen)&(len(q.lane)-1)] = event[T]{at: at, seq: normalBand | q.seq, payload: v}
+	l.push(event[T]{at: at, seq: normalBand | q.seq, payload: v})
 	q.laneLen++
 	return true
 }
 
-// growLane doubles the ring, unwrapping it to start at index 0.
-func (q *Queue[T]) growLane() {
-	grown := make([]event[T], max(2*len(q.lane), 16))
-	n := copy(grown, q.lane[q.laneHead:])
-	copy(grown[n:], q.lane[:q.laneHead])
-	q.lane, q.laneHead = grown, 0
+// PushLane is PushOrdered with a lane per owner: payload v joins owner's
+// lane when at is not below that lane's tail, and the heap otherwise. owner
+// is a small non-negative integer the caller picks (the queue keeps a table
+// indexed by it). An owner's lane exists only while it holds events; a
+// drained lane returns to a pool for the next owner to open. Lanes pay off
+// for several sources that each fire in order but interleave with one
+// another: the heap then holds one head per source instead of every event.
+func (q *Queue[T]) PushLane(owner int, at Time, v T) (onLane bool) {
+	if owner >= len(q.owned) {
+		q.owned = append(q.owned, make([]int32, owner+1-len(q.owned))...)
+	}
+	li := int(q.owned[owner]) - 1
+	if li >= 0 && at < q.lanes[li].tail().at {
+		q.Push(at, v)
+		return false
+	}
+	q.seq++
+	e := event[T]{at: at, seq: normalBand | q.seq, payload: v}
+	q.laneLen++
+	if li >= 0 {
+		q.lanes[li].push(e)
+		return true
+	}
+	li = q.openLane(owner)
+	q.lanes[li].push(e)
+	q.heads = append(q.heads, laneHead{at: at, seq: e.seq, l: int32(li)})
+	q.upHeads(len(q.heads) - 1)
+	return true
 }
 
-// first locates the earliest pending event — the lane's head or the heap's
-// top, whichever is smaller under (at, seq) — and reports which lane holds
-// it. Only valid on a non-empty queue. It hands out a pointer so that callers
-// copy out just the fields they want: moving whole events by value cost the
-// plan generator's few-entry heaps a fifth of their pop time.
-func (q *Queue[T]) first() (e *event[T], lane bool) {
-	if q.laneLen == 0 {
-		return &q.h[0], false
+// openLane hands owner an empty lane, a spare one when there is one.
+func (q *Queue[T]) openLane(owner int) int {
+	var li int
+	if n := len(q.spare); n > 0 {
+		li = int(q.spare[n-1])
+		q.spare = q.spare[:n-1]
+	} else {
+		li = len(q.lanes)
+		q.lanes = append(q.lanes, lane[T]{})
 	}
-	l := &q.lane[q.laneHead]
-	if len(q.h) == 0 {
-		return l, true
-	}
-	t := &q.h[0]
-	if l.at < t.at || (l.at == t.at && l.seq < t.seq) {
-		return l, true
-	}
-	return t, false
+	q.lanes[li].owner = owner
+	q.owned[owner] = int32(li + 1)
+	return li
 }
 
-// drop removes the event first located in the given lane.
-func (q *Queue[T]) drop(lane bool) {
-	if lane {
-		q.lane[q.laneHead] = event[T]{} // release payload for GC
-		q.laneHead = (q.laneHead + 1) & (len(q.lane) - 1)
+// first locates the earliest pending event under (at, seq) and reports
+// where it sits. Only valid on a non-empty queue. It hands out a pointer so
+// that callers copy out just the fields they want: moving whole events by
+// value cost the plan generator's few-entry heaps a fifth of their pop time.
+// Without an open owned lane it is a choice between the heap top and the
+// fixed lane's head.
+func (q *Queue[T]) first() (e *event[T], from source) {
+	switch {
+	case q.fixed.n == 0:
+		if len(q.h) == 0 {
+			break // only owned lanes hold events
+		}
+		e, from = &q.h[0], inHeap
+	case len(q.h) == 0:
+		e, from = &q.fixed.ring[q.fixed.head], inFixed
+	default:
+		l, t := &q.fixed.ring[q.fixed.head], &q.h[0]
+		if l.at < t.at || (l.at == t.at && l.seq < t.seq) {
+			e, from = l, inFixed
+		} else {
+			e, from = t, inHeap
+		}
+	}
+	if len(q.heads) == 0 {
+		return e, from
+	}
+	if hd := &q.heads[0]; e == nil || hd.at < e.at || (hd.at == e.at && hd.seq < e.seq) {
+		l := &q.lanes[hd.l]
+		return &l.ring[l.head], inOwned
+	}
+	return e, from
+}
+
+// drop removes the event first located.
+func (q *Queue[T]) drop(from source) {
+	switch from {
+	case inFixed:
+		q.fixed.pop()
 		q.laneLen--
+	case inOwned:
+		q.dropOwned()
+	default:
+		last := len(q.h) - 1
+		q.h[0] = q.h[last]
+		q.h[last] = event[T]{} // release payload for GC
+		q.h = q.h[:last]
+		if last > 0 {
+			q.down(0)
+		}
+	}
+}
+
+// dropOwned removes the head of the owned lane at heads[0]. A lane left
+// holding events re-keys its entry; a drained one closes: it leaves heads,
+// its owner's entry clears, and it goes to spare.
+func (q *Queue[T]) dropOwned() {
+	hd := &q.heads[0]
+	l := &q.lanes[hd.l]
+	l.pop()
+	q.laneLen--
+	if l.n > 0 {
+		next := &l.ring[l.head]
+		hd.at, hd.seq = next.at, next.seq
+		q.downHeads(0)
 		return
 	}
-	last := len(q.h) - 1
-	q.h[0] = q.h[last]
-	q.h[last] = event[T]{} // release payload for GC
-	q.h = q.h[:last]
-	if last > 0 {
-		q.down(0)
-	}
+	l.head = 0
+	q.owned[l.owner] = 0
+	q.spare = append(q.spare, hd.l)
+	last := len(q.heads) - 1
+	q.heads[0] = q.heads[last]
+	q.heads = q.heads[:last]
+	q.downHeads(0)
 }
 
 // Pop removes and returns the earliest event. ok is false when the queue is
@@ -137,9 +275,9 @@ func (q *Queue[T]) Pop() (at Time, v T, ok bool) {
 	if q.Len() == 0 {
 		return 0, v, false
 	}
-	e, lane := q.first()
+	e, from := q.first()
 	at, v = e.at, e.payload
-	q.drop(lane)
+	q.drop(from)
 	return at, v, true
 }
 
@@ -149,10 +287,13 @@ func (q *Queue[T]) Peek() (at Time, ok bool) {
 	if len(q.h) > 0 {
 		at, ok = q.h[0].at, true
 	}
-	// Only the instant is asked for, so a tie between the lanes needs no
-	// seq comparison.
-	if q.laneLen > 0 && (!ok || q.lane[q.laneHead].at < at) {
-		at, ok = q.lane[q.laneHead].at, true
+	// Only the instant is asked for, so a tie between the lanes and the heap
+	// needs no seq comparison.
+	if q.fixed.n > 0 && (!ok || q.fixed.ring[q.fixed.head].at < at) {
+		at, ok = q.fixed.ring[q.fixed.head].at, true
+	}
+	if len(q.heads) > 0 && (!ok || q.heads[0].at < at) {
+		at, ok = q.heads[0].at, true
 	}
 	return at, ok
 }
@@ -172,13 +313,13 @@ func (q *Queue[T]) Peek() (at Time, ok bool) {
 // events touches a heap that shrinks k times between time advances.
 func (q *Queue[T]) DrainInstant(out *[]T) (at Time, n int) {
 	for q.Len() > 0 {
-		e, lane := q.first()
+		e, from := q.first()
 		if n > 0 && e.at != at {
 			break
 		}
 		at = e.at
 		*out = append(*out, e.payload)
-		q.drop(lane)
+		q.drop(from)
 		n++
 	}
 	return at, n
@@ -189,16 +330,21 @@ func (q *Queue[T]) Len() int { return len(q.h) + q.laneLen }
 
 // Reset empties the queue while keeping its backing storage, so a pooled
 // simulator can reuse one queue across runs without re-allocating. Payloads
-// still queued are zeroed to release anything they reference.
+// still queued are zeroed to release anything they reference, and every
+// owned lane closes.
 func (q *Queue[T]) Reset() {
 	for i := range q.h {
 		q.h[i] = event[T]{}
 	}
 	q.h = q.h[:0]
-	for q.laneLen > 0 {
-		q.drop(true)
+	for q.fixed.n > 0 {
+		q.fixed.pop()
 	}
-	q.laneHead = 0
+	q.fixed.head = 0
+	for len(q.heads) > 0 {
+		q.dropOwned()
+	}
+	q.laneLen = 0
 	q.seq = 0
 	q.fseq = 0
 }
@@ -249,6 +395,46 @@ func (q *Queue[T]) down(i int) {
 			return
 		}
 		q.h[i], q.h[smallest] = q.h[smallest], q.h[i]
+		i = smallest
+	}
+}
+
+func (q *Queue[T]) headLess(i, j int) bool {
+	a, b := &q.heads[i], &q.heads[j]
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+func (q *Queue[T]) upHeads(i int) {
+	for i > 0 {
+		parent := (i - 1) / heapArity
+		if !q.headLess(i, parent) {
+			break
+		}
+		q.heads[i], q.heads[parent] = q.heads[parent], q.heads[i]
+		i = parent
+	}
+}
+
+func (q *Queue[T]) downHeads(i int) {
+	n := len(q.heads)
+	for {
+		first := heapArity*i + 1
+		if first >= n {
+			return
+		}
+		smallest := i
+		for c := first; c < min(first+heapArity, n); c++ {
+			if q.headLess(c, smallest) {
+				smallest = c
+			}
+		}
+		if smallest == i {
+			return
+		}
+		q.heads[i], q.heads[smallest] = q.heads[smallest], q.heads[i]
 		i = smallest
 	}
 }

@@ -1,9 +1,10 @@
 package simtime
 
-// Pop-order pins for the two-lane queue: whatever mix of Push, PushFront and
-// PushOrdered filled it, and whichever lane each event went to, events leave
-// in the order of a reference that sorts by (at, seq) — seq being the push
-// counter, with PushFront drawing from a band below every other push.
+// Pop-order pins for the laned queue: whatever mix of Push, PushFront,
+// PushOrdered and PushLane filled it, and whichever lane each event went to,
+// events leave in the order of a reference that sorts by (at, seq) — seq
+// being the push counter, with PushFront drawing from a band below every
+// other push.
 
 import (
 	"bytes"
@@ -79,16 +80,20 @@ func (r *refQueue) reset() { *r = refQueue{nextID: r.nextID} }
 // byte and, for pushes, an operand byte choosing the instant relative to the
 // clock (the instant of the last event popped): mostly a little ahead of it,
 // sometimes at it — a push mid-drain, which must join the next batch — and
-// sometimes anywhere, including behind the clock and behind the lane's tail.
-// It returns how many PushOrdered calls took the lane and how many fell back.
-func checkQueueOps(t *testing.T, ops []byte) (onLane, fellBack int) {
+// sometimes anywhere, including behind the clock and behind a lane's tail.
+// An ordered push goes to the fixed lane (PushOrdered) when the opcode byte's
+// high nibble is 0 and to one of four owned lanes (PushLane) otherwise. It
+// returns how many ordered pushes took a lane, how many of those were owned
+// lanes, and how many fell back to the heap.
+func checkQueueOps(t *testing.T, ops []byte) (onLane, owned, fellBack int) {
 	t.Helper()
 	var q Queue[int]
 	var ref refQueue
 	var clock Time
 	var batch []int
 	for pc := 0; pc < len(ops); pc++ {
-		op := ops[pc] % 16
+		code := ops[pc]
+		op := code % 16
 		var arg byte
 		if op < 10 && pc+1 < len(ops) {
 			pc++
@@ -105,14 +110,26 @@ func checkQueueOps(t *testing.T, ops []byte) (onLane, fellBack int) {
 			q.PushFront(at, ref.push(at, true))
 		case op < 10:
 			// The periodic source: usually one fixed interval ahead of the
-			// clock, which keeps the lane in order by itself.
+			// clock, which keeps the lane in order by itself. Each owner has
+			// an interval of its own, so the lanes interleave.
+			owner := int(code>>4)%5 - 1
 			if arg < 160 {
-				at = clock + 8
+				at = clock + Time(8+max(owner, 0))
 			}
-			if q.PushOrdered(at, ref.push(at, false)) {
-				onLane++
+			var ok bool
+			if owner < 0 {
+				ok = q.PushOrdered(at, ref.push(at, false))
 			} else {
+				ok = q.PushLane(owner, at, ref.push(at, false))
+			}
+			switch {
+			case !ok:
 				fellBack++
+			case owner >= 0:
+				owned++
+				fallthrough
+			default:
+				onLane++
 			}
 		case op < 13:
 			want, _, wantOK := ref.peek()
@@ -170,11 +187,12 @@ func checkQueueOps(t *testing.T, ops []byte) (onLane, fellBack int) {
 	if _, _, ok := q.Pop(); ok {
 		t.Fatal("final drain: queue holds events the reference does not")
 	}
-	return onLane, fellBack
+	return onLane, owned, fellBack
 }
 
 // queueOrderSeeds are hand-written programs for the corners. Operand 160+k
-// is "k after the clock" for every kind of push.
+// is "k after the clock" for every kind of push; opcode 16k+4 (k = 1..4) is
+// a push to owned lane k-1.
 var queueOrderSeeds = [][]byte{
 	{},
 	// Two ordered pushes, then one behind the lane's tail.
@@ -187,6 +205,18 @@ var queueOrderSeeds = [][]byte{
 	// Forty ordered pushes: the ring grows twice, then wraps as it drains
 	// and refills.
 	append(append(bytes.Repeat([]byte{4, 0}, 40), bytes.Repeat([]byte{11}, 30)...), bytes.Repeat([]byte{4, 0, 11}, 40)...),
+	// Four owned lanes and the fixed one, interleaved, drained instant by
+	// instant.
+	{20, 0, 36, 0, 52, 0, 68, 0, 4, 0, 20, 0, 36, 0, 13, 13, 13, 13, 13, 13},
+	// An owned lane's push behind its tail falls back to the heap.
+	{20, 165, 20, 161, 36, 161, 11, 11, 11},
+	// A lane drained and reused, by its owner and by another.
+	{20, 0, 11, 20, 0, 36, 0, 11, 11, 52, 0, 11},
+	// Reset with owned lanes live, then reuse.
+	{20, 0, 36, 0, 4, 0, 15, 36, 0, 20, 0, 11, 11},
+	// One instant reached through two owned lanes, the fixed lane, the heap
+	// and the front band; then a push at it between two drains.
+	{20, 160, 36, 160, 0, 160, 4, 160, 3, 160, 13, 20, 160, 13},
 }
 
 // FuzzQueueOrder feeds arbitrary op programs to checkQueueOps.
@@ -221,16 +251,18 @@ func TestQueueOrderProperty(t *testing.T) {
 				}
 			}
 		}
-		onLane, fellBack := checkQueueOps(t, ops)
-		if onLane < 100 || fellBack < 100 {
-			t.Errorf("seed %d: %d lane pushes and %d fallbacks; the program does not exercise both", seed, onLane, fellBack)
+		onLane, owned, fellBack := checkQueueOps(t, ops)
+		if onLane-owned < 100 || owned < 100 || fellBack < 100 {
+			t.Errorf("seed %d: %d fixed-lane pushes, %d owned-lane pushes and %d fallbacks; the program does not exercise all three",
+				seed, onLane-owned, owned, fellBack)
 		}
 	}
 }
 
-// TestQueueOrderedAllocs pins the lane's steady state: once the ring has
-// grown to the working set, PushOrdered and the pop that follows allocate
-// nothing — in order or falling back to a heap that has been that deep.
+// TestQueueOrderedAllocs pins the lanes' steady state: once the rings have
+// grown to the working set, PushOrdered or PushLane and the pop that follows
+// allocate nothing — in order or falling back to a heap that has been that
+// deep, and with owned lanes drained to the pool and reopened every cycle.
 func TestQueueOrderedAllocs(t *testing.T) {
 	var q Queue[int]
 	var batch []int
@@ -253,6 +285,31 @@ func TestQueueOrderedAllocs(t *testing.T) {
 	q.Reset()
 	if got := testing.AllocsPerRun(20, cycle); got != 0 {
 		t.Errorf("cycle after Reset allocates %.1f/run, want 0 (Reset must keep the ring)", got)
+	}
+
+	// Owned lanes: eight owners whose events interleave, each lane drained
+	// and returned to the pool by the end of the cycle, and taken by another
+	// owner the next time round.
+	round := 0
+	laned := func() {
+		for i := 0; i < depth; i++ {
+			owner := (i + round) % 8
+			q.PushLane(owner, now+Time(depth+i/8*8+owner), i)
+		}
+		q.PushLane(round%8, now, -1) // behind the tail: heap fallback
+		round++
+		for q.Len() > 0 {
+			batch = batch[:0]
+			now, _ = q.DrainInstant(&batch)
+		}
+	}
+	laned()
+	if got := testing.AllocsPerRun(20, laned); got != 0 {
+		t.Errorf("warm PushLane/DrainInstant cycle allocates %.1f/run, want 0", got)
+	}
+	q.Reset()
+	if got := testing.AllocsPerRun(20, laned); got != 0 {
+		t.Errorf("PushLane cycle after Reset allocates %.1f/run, want 0 (Reset must keep the lanes)", got)
 	}
 }
 
