@@ -13,7 +13,9 @@ vet:
 
 # Race-check the concurrent subsystems: observability fan-out, the live
 # (RPC) job tracker, the parallel/cached planner (whose served plans are
-# shared read-only across simulators, admission and trackers), the workflow
+# shared read-only across simulators, admission and trackers), the plan
+# generator (pooled kernels and cap-search state, drawn by the planner's
+# goroutines and admission at once), the workflow
 # model (one compiled form built at a racing first use), the scenario
 # runner, the pooled arena simulator (its equivalence sweep crosses pool
 # handoff), the queue backends (the randomized op-sequence property test), the admission
@@ -22,7 +24,7 @@ vet:
 # cross the cluster pool-handoff paths). The live tracker runs at one CPU and
 # at four, so its default shard count is raced at both widths.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/planner/... ./internal/workflow/... ./internal/runner/... ./internal/cluster/... ./internal/dsl/... ./internal/admission/... ./internal/federation/...
+	$(GO) test -race ./internal/obs/... ./internal/plan/... ./internal/planner/... ./internal/workflow/... ./internal/runner/... ./internal/cluster/... ./internal/dsl/... ./internal/admission/... ./internal/federation/...
 	$(GO) test -race -cpu 1,4 ./internal/live/...
 
 # Tier-1 gate plus static analysis and race checks — run before every PR.
@@ -47,9 +49,10 @@ race-smoke:
 # budget (≤3 allocs end to end across both dispatch modes), the obs
 # heartbeat zero-alloc contract, the queue-op pin (Best/Scheduled/
 # Unscheduled at 0 allocs/op on a warm queue for the DSL and BST backends),
-# the event queue's FIFO lane (PushOrdered + drain at 0 allocs once the
-# ring is warm), the plan kernel's (a bound kernel answers a probe with 0
-# allocations), and the planner's two (a cold capped typed plan averages at
+# the event queue's lanes (PushLane + drain at 0 allocs once the rings are
+# warm, on one heartbeat owner and on eight interleaved owners), the plan
+# kernel's (a bound kernel answers a probe with 0 allocations), and the
+# planner's two (a cold capped typed plan averages at
 # most 11 over the planner corpus; a warm cache hit allocates 0). Run
 # without -race — the race runtime randomizes sync.Pool reuse and inflates
 # allocation counts, so the pins skip themselves.

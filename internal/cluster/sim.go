@@ -93,7 +93,7 @@ type Simulator struct {
 	// noise, no stragglers, no remote-read penalty). Then the completions of
 	// one job phase reach the event queue in firing order, and each phase
 	// gets a lane of its own (pushCompletion); laneBase[wf] is the first of
-	// workflow wf's lane owners, two per job.
+	// workflow wf's lane owners, two per job, all above heartbeatLane.
 	exact    bool
 	laneBase []int32
 	nextLane int32
@@ -225,6 +225,10 @@ const (
 	numEventKinds
 )
 
+// heartbeatLane is the event-queue lane owner of heartbeat re-arms
+// (armHeartbeat); the completion lanes' owners (laneBase) come after it.
+const heartbeatLane = 0
+
 // simInstruments is the obs.SimStats bundle with its labelled families bound
 // to the values the simulator owns: one event counter per kind and one
 // suppressed-heartbeat counter per reason.
@@ -332,7 +336,7 @@ func (s *Simulator) reset(cfg Config, pol Policy, obs Observer) {
 	s.exact = cfg.Noise == 0 && cfg.StragglerProb == 0 &&
 		(cfg.Replication == 0 || cfg.RemotePenalty == 1)
 	s.laneBase = s.laneBase[:0]
-	s.nextLane = 0
+	s.nextLane = heartbeatLane + 1
 	s.load = Load{
 		MapSlots: cfg.MapSlots(), ReduceSlots: cfg.ReduceSlots(),
 		FreeMaps: cfg.MapSlots(), FreeReduces: cfg.ReduceSlots(),
@@ -688,13 +692,14 @@ func (s *Simulator) heartbeat(node int) {
 
 // armHeartbeat schedules node's next heartbeat tick in the event queue.
 // Re-arms at now + interval reach it already in firing order, so they ride
-// its FIFO lane; the rest (drained skips, SubmitLive re-arms, a dormant
-// node's wake-up, a tick settle moves over from due) may land before the
-// lane's tail and fall back to the heap. Pop order is the same either way.
+// the queue lane of the reserved owner heartbeatLane; the rest (drained
+// skips, SubmitLive re-arms, a dormant node's wake-up, a tick settle moves
+// over from due) may land before the lane's tail and fall back to the heap.
+// Pop order is the same either way (simtime.Queue.PushLane).
 func (s *Simulator) armHeartbeat(node int, at simtime.Time) {
 	s.nodes[node].hbArmed = true
 	s.nodes[node].parked = false
-	if s.events.PushOrdered(at, event{kind: evHeartbeat, a: int32(node)}) {
+	if s.events.PushLane(heartbeatLane, at, event{kind: evHeartbeat, a: int32(node)}) {
 		s.lanePushes++
 	} else {
 		s.laneFallbacks++

@@ -280,154 +280,11 @@ func generateCapped(w *workflow.Workflow, pol priority.Policy, margin float64, s
 	return p, nil
 }
 
-// genEvent is a FREE or ADD event from Algorithm 1. slots > 0 frees slots;
-// activate re-queues a job for its reduce phase or, for completions,
-// activates dependents.
-type genEvent struct {
-	// slots freed at this instant (FREE event), if any.
-	slots int
-	// reduceOf, when >= 0, re-adds that job to the active set for its
-	// reduce phase (the ADD event of Algorithm 1 line 21).
-	reduceOf workflow.JobID
-	// completed, when >= 0, marks that job finished, activating dependents
-	// whose prerequisites are all done (line 29-31).
-	completed workflow.JobID
-}
-
-// runSingle simulates the bound workflow on n fungible slots. It returns the
-// makespan and true, or — stopping there — the first batch finish past limit
-// and false. With record set the raw requirement list is left in k.raw.
+// runSingle simulates the bound workflow on n fungible slots: run with the
+// reduces drawing on the map pool.
 func (k *Kernel) runSingle(n int, limit simtime.Time, record bool) (simtime.Time, bool, error) {
 	if n <= 0 {
 		return 0, false, fmt.Errorf("plan: resource cap %d, want > 0", n)
 	}
-	k.start()
-	k.heap.items = k.heap.items[:0]
-	k.events.Reset()
-	// Roots activate in job-ID order, as Workflow.Roots reports them.
-	for i := range k.w.Jobs {
-		if k.unmet[i] == 0 {
-			k.activateSingle(workflow.JobID(i))
-		}
-	}
-	k.events.Push(simtime.Epoch, genEvent{slots: n, reduceOf: -1, completed: -1})
-
-	free, left := 0, k.c.TotalTasks
-	var end simtime.Time
-	for k.events.Len() > 0 {
-		// Batch all events sharing this instant before scheduling, so a
-		// free-up and an activation at the same time are seen together
-		// (applying never pushes, so the batch is the complete instant).
-		k.batch = k.batch[:0]
-		t, _ := k.events.DrainInstant(&k.batch)
-		for _, e := range k.batch {
-			free += e.slots
-			if e.reduceOf >= 0 {
-				// Reduce phase of e.reduceOf becomes schedulable.
-				k.activateSingle(e.reduceOf)
-			}
-			if e.completed >= 0 {
-				for _, d := range k.c.DependentsOf(e.completed) {
-					k.unmet[d]--
-					if k.unmet[d] == 0 {
-						k.activateSingle(d)
-					}
-				}
-			}
-		}
-		// Work-conserving scheduling at time t (Algorithm 1 lines 14-35,
-		// looped while slots and active jobs remain).
-		for free > 0 && k.heap.len() > 0 {
-			j := k.heap.peek()
-			job := &k.w.Jobs[j]
-			rem, dur := &k.remMaps[j], job.MapTime
-			inMaps := *rem > 0
-			if !inMaps {
-				rem, dur = &k.remReds[j], job.ReduceTime
-			}
-			n := min(*rem, free)
-			done := t.Add(dur)
-			if done > limit {
-				return done, false, nil
-			}
-			if record {
-				k.raw = append(k.raw, rawReq{at: t, count: n})
-			}
-			free -= n
-			left -= n
-			*rem -= n
-			// PushOrdered: see runTyped.
-			k.events.PushOrdered(done, genEvent{slots: n, reduceOf: -1, completed: -1})
-			end = simtime.MaxOf(end, done)
-			if *rem == 0 {
-				k.heap.pop()
-				if inMaps && k.remReds[j] > 0 {
-					k.events.PushOrdered(done, genEvent{slots: 0, reduceOf: j, completed: -1})
-				} else {
-					k.events.PushOrdered(done, genEvent{slots: 0, reduceOf: -1, completed: j})
-				}
-			}
-		}
-	}
-	if left != 0 {
-		return 0, false, k.unfinished()
-	}
-	return end, true, nil
-}
-
-func (k *Kernel) activateSingle(j workflow.JobID) {
-	k.heap.push(activeJob{id: j, rank: k.ranks[j]})
-}
-
-// activeJob is an entry in the active-job heap, ordered by rank.
-type activeJob struct {
-	id   workflow.JobID
-	rank int
-}
-
-// activeHeap is a small binary min-heap over job rank. Implemented by hand
-// (rather than container/heap) to avoid interface boxing in the hot loop.
-type activeHeap struct {
-	items []activeJob
-}
-
-func (h *activeHeap) len() int { return len(h.items) }
-
-func (h *activeHeap) peek() workflow.JobID { return h.items[0].id }
-
-func (h *activeHeap) push(j activeJob) {
-	h.items = append(h.items, j)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.items[parent].rank <= h.items[i].rank {
-			break
-		}
-		h.items[parent], h.items[i] = h.items[i], h.items[parent]
-		i = parent
-	}
-}
-
-func (h *activeHeap) pop() activeJob {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h.items[l].rank < h.items[smallest].rank {
-			smallest = l
-		}
-		if r < last && h.items[r].rank < h.items[smallest].rank {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
-	}
-	return top
+	return k.run([2]int{n, 0}, 0, limit, record)
 }

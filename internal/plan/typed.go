@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/priority"
 	"repro/internal/simtime"
@@ -97,13 +96,6 @@ func GenerateCappedTypedWith(w *workflow.Workflow, cluster Caps, pol priority.Po
 	return generateCapped(w, pol, margin, search, true, cluster, 2, cluster.Total())
 }
 
-type typedEvent struct {
-	freeMaps  int
-	freeReds  int
-	reduceOf  workflow.JobID // -1 if none
-	completed workflow.JobID // -1 if none
-}
-
 // checkCaps refuses pools the bound workflow cannot run on, before anything
 // is simulated: a run stopped at its limit never reaches the end-of-run
 // completeness check, so "over the limit" must not be able to stand in for
@@ -123,109 +115,11 @@ func (k *Kernel) checkCaps(caps Caps) error {
 	return nil
 }
 
-// runTyped simulates the bound workflow on two slot pools. It returns the
-// makespan and true, or — stopping there — the first batch finish past limit
-// and false. With record set the raw requirement list is left in k.raw.
+// runTyped simulates the bound workflow on two slot pools: run with the
+// reduces drawing on their own pool.
 func (k *Kernel) runTyped(caps Caps, limit simtime.Time, record bool) (simtime.Time, bool, error) {
 	if err := k.checkCaps(caps); err != nil {
 		return 0, false, err
 	}
-	k.start()
-	k.active = k.active[:0]
-	k.tevents.Reset()
-	for i := range k.w.Jobs {
-		if k.unmet[i] == 0 {
-			k.activateTyped(workflow.JobID(i))
-		}
-	}
-	// Kick the simulation with a zero event so scheduling happens at t=0.
-	k.tevents.Push(simtime.Epoch, typedEvent{reduceOf: -1, completed: -1})
-
-	freeMaps, freeReds, left := caps.Maps, caps.Reduces, k.c.TotalTasks
-	var end simtime.Time
-	for k.tevents.Len() > 0 {
-		// One heap drain per instant; applying never pushes, so the batch is
-		// the complete instant.
-		k.tbatch = k.tbatch[:0]
-		t, _ := k.tevents.DrainInstant(&k.tbatch)
-		for _, e := range k.tbatch {
-			freeMaps += e.freeMaps
-			freeReds += e.freeReds
-			if e.reduceOf >= 0 {
-				k.activateTyped(e.reduceOf)
-			}
-			if e.completed >= 0 {
-				for _, d := range k.c.DependentsOf(e.completed) {
-					k.unmet[d]--
-					if k.unmet[d] == 0 {
-						k.activateTyped(d)
-					}
-				}
-			}
-		}
-
-		// Work-conserving scan in rank order: each active job takes what
-		// its current phase can use from the matching pool. A job whose
-		// phase is exhausted leaves the active list; the list is compacted
-		// in place behind the scan (nothing activates mid-scan).
-		kept := 0
-		for _, j := range k.active {
-			job := &k.w.Jobs[j]
-			rem, free, dur := &k.remMaps[j], &freeMaps, job.MapTime
-			inMaps := *rem > 0
-			if !inMaps {
-				rem, free, dur = &k.remReds[j], &freeReds, job.ReduceTime
-			}
-			n := min(*rem, *free)
-			if n == 0 {
-				k.active[kept] = j
-				kept++
-				continue
-			}
-			done := t.Add(dur)
-			if done > limit {
-				return done, false, nil
-			}
-			if record {
-				k.raw = append(k.raw, rawReq{at: t, count: n})
-			}
-			*free -= n
-			*rem -= n
-			left -= n
-			end = simtime.MaxOf(end, done)
-			e := typedEvent{reduceOf: -1, completed: -1}
-			if inMaps {
-				e.freeMaps = n
-			} else {
-				e.freeReds = n
-			}
-			switch {
-			case *rem > 0:
-				k.active[kept] = j
-				kept++
-			case inMaps && k.remReds[j] > 0:
-				e.reduceOf = j
-			default:
-				e.completed = j
-			}
-			// Finishes mostly arrive in firing order (one job's waves, jobs
-			// of like duration), so the queue's FIFO lane takes most of
-			// them; the pop order is the same either way.
-			k.tevents.PushOrdered(done, e)
-		}
-		k.active = k.active[:kept]
-	}
-	if left != 0 {
-		return 0, false, k.unfinished()
-	}
-	return end, true, nil
-}
-
-// activateTyped inserts j into the rank-sorted active list.
-func (k *Kernel) activateTyped(j workflow.JobID) {
-	r := k.ranks[j]
-	i := sort.Search(len(k.active), func(n int) bool { return k.ranks[k.active[n]] > r })
-	k.active = append(k.active, 0)
-	copy(k.active[i+1:], k.active[i:])
-	k.active[i] = j
+	return k.run([2]int{caps.Maps, caps.Reduces}, 1, limit, record)
 }

@@ -4,47 +4,39 @@ package simtime
 // ordered by firing time, with FIFO ordering among events that share the same
 // instant. The zero value is an empty queue ready to use.
 //
-// Determinism matters because both the plan generator (Algorithm 1 of the
-// WOHA paper) and the cluster simulator schedule many events at identical
-// instants; heap ties broken by pointer order or map iteration would make
-// runs irreproducible.
+// Determinism matters because the cluster simulators schedule many events at
+// identical instants; heap ties broken by pointer order or map iteration
+// would make runs irreproducible.
 //
 // The heap is implemented by hand rather than over container/heap: the
 // standard interface boxes every pushed event into an `any`, which costs one
-// allocation per event — the dominant cost of an Algorithm 1 probe, run
-// O(log slots) times per admitted workflow.
+// allocation per event.
 //
 // Beside the heap sit FIFO lanes for events that arrive already in firing
-// order. PushOrdered feeds one fixed lane (a simulated node's periodic
-// heartbeats, a plan probe's task finishes); PushLane feeds one lane per
-// caller-chosen owner (the completions of one job phase, which under exact
-// durations all take the same time). Each lane is a ring sorted by (at, seq),
-// because a lane only accepts an event whose instant is not below its tail's
-// and seq stamps only grow; an event that would break a lane's order goes to
-// the heap instead. The owned lanes are merged through a small heap of their
-// heads, and Pop, Peek and DrainInstant take the smallest of the heap top,
-// the fixed lane's head and the earliest owned head. Every event carries the
-// stamp Push would have given it whichever lane holds it, so the pop order is
-// a merge of (at, seq)-sorted lists and does not depend on where an event
-// went.
+// order: PushLane feeds one lane per caller-chosen owner (a simulated
+// cluster's heartbeat re-arms, each one interval ahead; the completions of
+// one job phase, which under exact durations all take the same time). Each
+// lane is a ring sorted by (at, seq), because a lane only accepts an event
+// whose instant is not below its tail's and seq stamps only grow; an event
+// that would break a lane's order goes to the heap instead. The lanes are
+// merged through a small heap of their heads, and Pop, Peek and DrainInstant
+// take the smaller of the heap top and the earliest lane head. Every event
+// carries the stamp Push would have given it whichever lane holds it, so the
+// pop order is a merge of (at, seq)-sorted lists and does not depend on where
+// an event went.
 type Queue[T any] struct {
 	h []event[T]
-	// fixed is PushOrdered's lane. It stays out of heads: the plan kernel
-	// pushes and pops it at a rate where re-keying a heads entry on every
-	// pop showed (DESIGN.md §12, "The event queue: owned lanes").
-	fixed lane[T]
-	// lanes holds every owned lane ever opened; a drained lane's index goes
+	// lanes holds every lane ever opened; a drained lane's index goes
 	// to spare and its ring keeps its capacity for the next owner. owned maps
 	// an owner to 1 + the index of its lane, 0 while it has none.
 	lanes []lane[T]
 	spare []int32
 	owned []int32
-	// heads is a heapArity-ary heap over the open owned lanes, each entry
-	// carrying its lane head's (at, seq) inline so that a comparison never
-	// reaches into a ring. An owned lane is open exactly while it is
-	// non-empty.
+	// heads is a heapArity-ary heap over the open lanes, each entry carrying
+	// its lane head's (at, seq) inline so that a comparison never reaches
+	// into a ring. A lane is open exactly while it is non-empty.
 	heads []laneHead
-	// laneLen counts the events held in all lanes, the fixed one included.
+	// laneLen counts the events held in all lanes.
 	laneLen int
 	// seq is a monotonically increasing stamp assigned at Push time so that
 	// events pushed earlier pop earlier among equal firing times. Normal
@@ -56,7 +48,7 @@ type Queue[T any] struct {
 }
 
 // lane is one FIFO ring: n events starting at head, wrapping at len(ring),
-// which is zero or a power of two. owner is the owner of an owned lane.
+// which is zero or a power of two, and the owner it serves.
 type lane[T any] struct {
 	ring    []event[T]
 	head, n int
@@ -87,21 +79,12 @@ func (l *lane[T]) grow() {
 	l.ring, l.head = grown, 0
 }
 
-// laneHead is the heads entry of open owned lane l.
+// laneHead is the heads entry of open lane l.
 type laneHead struct {
 	at  Time
 	seq uint64
 	l   int32
 }
-
-// source names where the earliest event sits.
-type source uint8
-
-const (
-	inHeap source = iota
-	inFixed
-	inOwned
-)
 
 // normalBand tags the seq stamps of ordinary pushes. Every normal stamp is
 // larger than every front stamp, so among events at one instant the front
@@ -129,33 +112,17 @@ func (q *Queue[T]) PushFront(at Time, v T) {
 	q.up(len(q.h) - 1)
 }
 
-// PushOrdered schedules payload v to fire at instant at, exactly as Push
-// does — same seq stamp, same position in the pop order — but keeps the event
-// in the fixed lane when at is not below the instant of the last event the
-// lane accepted, which makes both the push and the later pop O(1). An event
-// that would break the lane's order goes to the heap instead; onLane reports
-// which of the two happened. Callers whose events mostly arrive in firing
-// order (a periodic source re-arming at now + interval) should use it; any
-// mix of Push, PushOrdered and PushLane pops identically.
-func (q *Queue[T]) PushOrdered(at Time, v T) (onLane bool) {
-	l := &q.fixed
-	if l.n > 0 && at < l.tail().at {
-		q.Push(at, v)
-		return false
-	}
-	q.seq++
-	l.push(event[T]{at: at, seq: normalBand | q.seq, payload: v})
-	q.laneLen++
-	return true
-}
-
-// PushLane is PushOrdered with a lane per owner: payload v joins owner's
-// lane when at is not below that lane's tail, and the heap otherwise. owner
-// is a small non-negative integer the caller picks (the queue keeps a table
-// indexed by it). An owner's lane exists only while it holds events; a
-// drained lane returns to a pool for the next owner to open. Lanes pay off
-// for several sources that each fire in order but interleave with one
-// another: the heap then holds one head per source instead of every event.
+// PushLane schedules payload v to fire at instant at, exactly as Push does —
+// same seq stamp, same position in the pop order — but keeps the event in
+// owner's lane when at is not below the instant of the last event that lane
+// accepted, which makes both the push and the later pop cheap. An event that
+// would break the lane's order goes to the heap instead; onLane reports which
+// of the two happened. owner is a small non-negative integer the caller picks
+// (the queue keeps a table indexed by it). An owner's lane exists only while
+// it holds events; a drained lane returns to a pool for the next owner to
+// open. Lanes pay off for sources that each fire in order but interleave
+// with one another: the heap then holds one head per source instead of every
+// event. Any mix of Push and PushLane pops identically.
 func (q *Queue[T]) PushLane(owner int, at Time, v T) (onLane bool) {
 	if owner >= len(q.owned) {
 		q.owned = append(q.owned, make([]int32, owner+1-len(q.owned))...)
@@ -195,61 +162,42 @@ func (q *Queue[T]) openLane(owner int) int {
 }
 
 // first locates the earliest pending event under (at, seq) and reports
-// where it sits. Only valid on a non-empty queue. It hands out a pointer so
-// that callers copy out just the fields they want: moving whole events by
-// value cost the plan generator's few-entry heaps a fifth of their pop time.
-// Without an open owned lane it is a choice between the heap top and the
-// fixed lane's head.
-func (q *Queue[T]) first() (e *event[T], from source) {
-	switch {
-	case q.fixed.n == 0:
-		if len(q.h) == 0 {
-			break // only owned lanes hold events
-		}
-		e, from = &q.h[0], inHeap
-	case len(q.h) == 0:
-		e, from = &q.fixed.ring[q.fixed.head], inFixed
-	default:
-		l, t := &q.fixed.ring[q.fixed.head], &q.h[0]
-		if l.at < t.at || (l.at == t.at && l.seq < t.seq) {
-			e, from = l, inFixed
-		} else {
-			e, from = t, inHeap
-		}
+// whether it heads a lane. Only valid on a non-empty queue. It hands out a
+// pointer so that callers copy out just the fields they want: moving whole
+// events by value cost a fifth of the pop time on few-entry heaps.
+func (q *Queue[T]) first() (e *event[T], onLane bool) {
+	if len(q.h) > 0 {
+		e = &q.h[0]
 	}
 	if len(q.heads) == 0 {
-		return e, from
+		return e, false
 	}
 	if hd := &q.heads[0]; e == nil || hd.at < e.at || (hd.at == e.at && hd.seq < e.seq) {
 		l := &q.lanes[hd.l]
-		return &l.ring[l.head], inOwned
+		return &l.ring[l.head], true
 	}
-	return e, from
+	return e, false
 }
 
 // drop removes the event first located.
-func (q *Queue[T]) drop(from source) {
-	switch from {
-	case inFixed:
-		q.fixed.pop()
-		q.laneLen--
-	case inOwned:
-		q.dropOwned()
-	default:
-		last := len(q.h) - 1
-		q.h[0] = q.h[last]
-		q.h[last] = event[T]{} // release payload for GC
-		q.h = q.h[:last]
-		if last > 0 {
-			q.down(0)
-		}
+func (q *Queue[T]) drop(onLane bool) {
+	if onLane {
+		q.dropLane()
+		return
+	}
+	last := len(q.h) - 1
+	q.h[0] = q.h[last]
+	q.h[last] = event[T]{} // release payload for GC
+	q.h = q.h[:last]
+	if last > 0 {
+		q.down(0)
 	}
 }
 
-// dropOwned removes the head of the owned lane at heads[0]. A lane left
+// dropLane removes the head of the lane at heads[0]. A lane left
 // holding events re-keys its entry; a drained one closes: it leaves heads,
 // its owner's entry clears, and it goes to spare.
-func (q *Queue[T]) dropOwned() {
+func (q *Queue[T]) dropLane() {
 	hd := &q.heads[0]
 	l := &q.lanes[hd.l]
 	l.pop()
@@ -275,9 +223,9 @@ func (q *Queue[T]) Pop() (at Time, v T, ok bool) {
 	if q.Len() == 0 {
 		return 0, v, false
 	}
-	e, from := q.first()
+	e, onLane := q.first()
 	at, v = e.at, e.payload
-	q.drop(from)
+	q.drop(onLane)
 	return at, v, true
 }
 
@@ -289,9 +237,6 @@ func (q *Queue[T]) Peek() (at Time, ok bool) {
 	}
 	// Only the instant is asked for, so a tie between the lanes and the heap
 	// needs no seq comparison.
-	if q.fixed.n > 0 && (!ok || q.fixed.ring[q.fixed.head].at < at) {
-		at, ok = q.fixed.ring[q.fixed.head].at, true
-	}
 	if len(q.heads) > 0 && (!ok || q.heads[0].at < at) {
 		at, ok = q.heads[0].at, true
 	}
@@ -313,13 +258,13 @@ func (q *Queue[T]) Peek() (at Time, ok bool) {
 // events touches a heap that shrinks k times between time advances.
 func (q *Queue[T]) DrainInstant(out *[]T) (at Time, n int) {
 	for q.Len() > 0 {
-		e, from := q.first()
+		e, onLane := q.first()
 		if n > 0 && e.at != at {
 			break
 		}
 		at = e.at
 		*out = append(*out, e.payload)
-		q.drop(from)
+		q.drop(onLane)
 		n++
 	}
 	return at, n
@@ -331,18 +276,14 @@ func (q *Queue[T]) Len() int { return len(q.h) + q.laneLen }
 // Reset empties the queue while keeping its backing storage, so a pooled
 // simulator can reuse one queue across runs without re-allocating. Payloads
 // still queued are zeroed to release anything they reference, and every
-// owned lane closes.
+// lane closes.
 func (q *Queue[T]) Reset() {
 	for i := range q.h {
 		q.h[i] = event[T]{}
 	}
 	q.h = q.h[:0]
-	for q.fixed.n > 0 {
-		q.fixed.pop()
-	}
-	q.fixed.head = 0
 	for len(q.heads) > 0 {
-		q.dropOwned()
+		q.dropLane()
 	}
 	q.laneLen = 0
 	q.seq = 0

@@ -1,7 +1,7 @@
 package simtime
 
-// Pop-order pins for the laned queue: whatever mix of Push, PushFront,
-// PushOrdered and PushLane filled it, and whichever lane each event went to,
+// Pop-order pins for the laned queue: whatever mix of Push, PushFront and
+// PushLane filled it, and whichever lane each event went to,
 // events leave in the order of a reference that sorts by (at, seq) — seq
 // being the push counter, with PushFront drawing from a band below every
 // other push.
@@ -81,11 +81,12 @@ func (r *refQueue) reset() { *r = refQueue{nextID: r.nextID} }
 // clock (the instant of the last event popped): mostly a little ahead of it,
 // sometimes at it — a push mid-drain, which must join the next batch — and
 // sometimes anywhere, including behind the clock and behind a lane's tail.
-// An ordered push goes to the fixed lane (PushOrdered) when the opcode byte's
-// high nibble is 0 and to one of four owned lanes (PushLane) otherwise. It
-// returns how many ordered pushes took a lane, how many of those were owned
-// lanes, and how many fell back to the heap.
-func checkQueueOps(t *testing.T, ops []byte) (onLane, owned, fellBack int) {
+// An ordered push goes to owner 0's lane — a simulated cluster's reserved
+// heartbeat owner — when the opcode byte's high nibble is 0 or a multiple of
+// 5, and to one of four completion owners, 1 to 4, otherwise. It returns how
+// many ordered pushes took owner 0's lane, how many took another owner's, and
+// how many fell back to the heap.
+func checkQueueOps(t *testing.T, ops []byte) (heartbeat, completion, fellBack int) {
 	t.Helper()
 	var q Queue[int]
 	var ref refQueue
@@ -112,24 +113,17 @@ func checkQueueOps(t *testing.T, ops []byte) (onLane, owned, fellBack int) {
 			// The periodic source: usually one fixed interval ahead of the
 			// clock, which keeps the lane in order by itself. Each owner has
 			// an interval of its own, so the lanes interleave.
-			owner := int(code>>4)%5 - 1
+			owner := int(code>>4) % 5
 			if arg < 160 {
-				at = clock + Time(8+max(owner, 0))
-			}
-			var ok bool
-			if owner < 0 {
-				ok = q.PushOrdered(at, ref.push(at, false))
-			} else {
-				ok = q.PushLane(owner, at, ref.push(at, false))
+				at = clock + Time(8+owner)
 			}
 			switch {
-			case !ok:
+			case !q.PushLane(owner, at, ref.push(at, false)):
 				fellBack++
-			case owner >= 0:
-				owned++
-				fallthrough
+			case owner == 0:
+				heartbeat++
 			default:
-				onLane++
+				completion++
 			}
 		case op < 13:
 			want, _, wantOK := ref.peek()
@@ -187,12 +181,12 @@ func checkQueueOps(t *testing.T, ops []byte) (onLane, owned, fellBack int) {
 	if _, _, ok := q.Pop(); ok {
 		t.Fatal("final drain: queue holds events the reference does not")
 	}
-	return onLane, owned, fellBack
+	return heartbeat, completion, fellBack
 }
 
 // queueOrderSeeds are hand-written programs for the corners. Operand 160+k
-// is "k after the clock" for every kind of push; opcode 16k+4 (k = 1..4) is
-// a push to owned lane k-1.
+// is "k after the clock" for every kind of push; opcode 16k+4 (k = 0..4) is
+// a push to owner k's lane, owner 0 being the heartbeat owner.
 var queueOrderSeeds = [][]byte{
 	{},
 	// Two ordered pushes, then one behind the lane's tail.
@@ -205,8 +199,8 @@ var queueOrderSeeds = [][]byte{
 	// Forty ordered pushes: the ring grows twice, then wraps as it drains
 	// and refills.
 	append(append(bytes.Repeat([]byte{4, 0}, 40), bytes.Repeat([]byte{11}, 30)...), bytes.Repeat([]byte{4, 0, 11}, 40)...),
-	// Four owned lanes and the fixed one, interleaved, drained instant by
-	// instant.
+	// The heartbeat owner and four completion owners, interleaved, drained
+	// instant by instant.
 	{20, 0, 36, 0, 52, 0, 68, 0, 4, 0, 20, 0, 36, 0, 13, 13, 13, 13, 13, 13},
 	// An owned lane's push behind its tail falls back to the heap.
 	{20, 165, 20, 161, 36, 161, 11, 11, 11},
@@ -214,8 +208,8 @@ var queueOrderSeeds = [][]byte{
 	{20, 0, 11, 20, 0, 36, 0, 11, 11, 52, 0, 11},
 	// Reset with owned lanes live, then reuse.
 	{20, 0, 36, 0, 4, 0, 15, 36, 0, 20, 0, 11, 11},
-	// One instant reached through two owned lanes, the fixed lane, the heap
-	// and the front band; then a push at it between two drains.
+	// One instant reached through two completion lanes, the heartbeat lane,
+	// the heap and the front band; then a push at it between two drains.
 	{20, 160, 36, 160, 0, 160, 4, 160, 3, 160, 13, 20, 160, 13},
 }
 
@@ -251,28 +245,30 @@ func TestQueueOrderProperty(t *testing.T) {
 				}
 			}
 		}
-		onLane, owned, fellBack := checkQueueOps(t, ops)
-		if onLane-owned < 100 || owned < 100 || fellBack < 100 {
-			t.Errorf("seed %d: %d fixed-lane pushes, %d owned-lane pushes and %d fallbacks; the program does not exercise all three",
-				seed, onLane-owned, owned, fellBack)
+		heartbeat, completion, fellBack := checkQueueOps(t, ops)
+		if heartbeat < 100 || completion < 100 || fellBack < 100 {
+			t.Errorf("seed %d: %d heartbeat-lane pushes, %d completion-lane pushes and %d fallbacks; the program does not exercise all three",
+				seed, heartbeat, completion, fellBack)
 		}
 	}
 }
 
 // TestQueueOrderedAllocs pins the lanes' steady state: once the rings have
-// grown to the working set, PushOrdered or PushLane and the pop that follows
-// allocate nothing — in order or falling back to a heap that has been that
-// deep, and with owned lanes drained to the pool and reopened every cycle.
+// grown to the working set, PushLane and the pop that follows allocate
+// nothing — in order or falling back to a heap that has been that deep, and
+// with lanes drained to the pool and reopened every cycle.
 func TestQueueOrderedAllocs(t *testing.T) {
 	var q Queue[int]
 	var batch []int
 	const depth = 256
 	now := Time(0)
+	// One owner, as a heartbeat-driven cluster's re-arms: its lane drains
+	// and closes at the end of every cycle and reopens at the next.
 	cycle := func() {
 		for i := 0; i < depth; i++ {
-			q.PushOrdered(now+Time(depth+i), i)
+			q.PushLane(0, now+Time(depth+i), i)
 		}
-		q.PushOrdered(now, -1) // behind the tail: heap fallback
+		q.PushLane(0, now, -1) // behind the tail: heap fallback
 		for q.Len() > 0 {
 			batch = batch[:0]
 			now, _ = q.DrainInstant(&batch)
@@ -280,14 +276,14 @@ func TestQueueOrderedAllocs(t *testing.T) {
 	}
 	cycle() // warm: ring, heap and batch reach their working size
 	if got := testing.AllocsPerRun(20, cycle); got != 0 {
-		t.Errorf("warm PushOrdered/DrainInstant cycle allocates %.1f/run, want 0", got)
+		t.Errorf("warm heartbeat-owner PushLane/DrainInstant cycle allocates %.1f/run, want 0", got)
 	}
 	q.Reset()
 	if got := testing.AllocsPerRun(20, cycle); got != 0 {
 		t.Errorf("cycle after Reset allocates %.1f/run, want 0 (Reset must keep the ring)", got)
 	}
 
-	// Owned lanes: eight owners whose events interleave, each lane drained
+	// Eight owners whose events interleave, each lane drained
 	// and returned to the pool by the end of the cycle, and taken by another
 	// owner the next time round.
 	round := 0
@@ -316,9 +312,9 @@ func TestQueueOrderedAllocs(t *testing.T) {
 // BenchmarkQueueHeartbeatMix is the event mix of a heartbeat-driven cluster:
 // 1500 periodic sources each re-arming one interval ahead as they fire, and
 // beside them one-shot events (task completions) at scattered instants, about
-// one in ten. "lane" re-arms with PushOrdered, "heap" with Push — the same
-// pop sequence, so the difference is the cost of keeping periodic events in
-// the heap.
+// one in ten. "lane" re-arms with PushLane on one owner, "heap" with Push —
+// the same pop sequence, so the difference is the cost of keeping periodic
+// events in the heap.
 func BenchmarkQueueHeartbeatMix(b *testing.B) {
 	const sources, interval = 1500, Time(3_000_000_000)
 	for _, lane := range []bool{true, false} {
@@ -330,7 +326,7 @@ func BenchmarkQueueHeartbeatMix(b *testing.B) {
 			var q Queue[int]
 			arm := func(at Time, src int) {
 				if lane {
-					q.PushOrdered(at, src)
+					q.PushLane(0, at, src)
 				} else {
 					q.Push(at, src)
 				}
