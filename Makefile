@@ -5,8 +5,11 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# The whole suite takes about 9 s of wall time on a 2-core host and its
+# slowest package about 3 s, so a test binary still running after a minute
+# is looping: it fails the gate then, not at go test's default 10 minutes.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 1m ./...
 
 vet:
 	$(GO) vet ./...
@@ -50,7 +53,7 @@ race-smoke:
 # heartbeat zero-alloc contract, the queue-op pin (Best/Scheduled/
 # Unscheduled at 0 allocs/op on a warm queue for the DSL and BST backends),
 # the event queue's lanes (PushLane + drain at 0 allocs once the rings are
-# warm, on one heartbeat owner and on eight interleaved owners), the plan
+# warm, on one owner and on eight interleaved owners), the plan
 # kernel's (a bound kernel answers a probe with 0 allocations), and the
 # planner's two (a cold capped typed plan averages at
 # most 11 over the planner corpus; a warm cache hit allocates 0). Run

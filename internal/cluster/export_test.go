@@ -35,3 +35,17 @@ func (s *Simulator) LoadWalk() Load {
 	}
 	return l
 }
+
+// TickHomes counts the armed ticks by where they wait: in due, or in the
+// event queue.
+func (s *Simulator) TickHomes() (due, queued int) {
+	for i := range s.nodes {
+		switch {
+		case s.due.has(i):
+			due++
+		case s.nodes[i].hbArmed:
+			queued++
+		}
+	}
+	return due, queued
+}

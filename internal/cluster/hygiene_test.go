@@ -33,8 +33,6 @@ var simMetrics = []struct {
 	{"ArenaGrows", func(s obs.SimStats) int64 { return s.ArenaGrows.Value() }},
 	{"DrainBatches", func(s obs.SimStats) int64 { return s.DrainBatches.Value() }},
 	{"DrainCoalesced", func(s obs.SimStats) int64 { return s.DrainCoalesced.Value() }},
-	{"LanePushes", func(s obs.SimStats) int64 { return s.LanePushes.Value() }},
-	{"LaneFallbacks", func(s obs.SimStats) int64 { return s.LaneFallbacks.Value() }},
 	{"SpecGateSkips", func(s obs.SimStats) int64 { return s.SpecGateSkips.Value() }},
 	{"quiescent", func(s obs.SimStats) int64 { return s.Suppressed.With("quiescent").Value() }},
 }
@@ -92,21 +90,19 @@ func TestReleaseReuseInstrumentationHygiene(t *testing.T) {
 	if !reflect.DeepEqual(firstRes, secondRes) {
 		t.Errorf("pooled reuse changed the result:\nfirst:  %+v\nsecond: %+v", firstRes, secondRes)
 	}
-	// Identical runs flush identical drain, lane and gate tallies into their
-	// fresh registries: any surplus in the second run is prior-run state
-	// leaking through the pool.
+	// Identical runs flush identical drain, gate and quiescent tallies into
+	// their fresh registries: any surplus in the second run is prior-run
+	// state leaking through the pool.
 	for _, name := range []string{
-		"DrainBatches", "DrainCoalesced",
-		"LanePushes", "LaneFallbacks", "SpecGateSkips",
-		"quiescent",
+		"DrainBatches", "DrainCoalesced", "SpecGateSkips", "quiescent",
 	} {
 		if firstVals[name] != secondVals[name] {
 			t.Errorf("%s: first run flushed %d, pooled rerun flushed %d (Release leaked state)",
 				name, firstVals[name], secondVals[name])
 		}
 	}
-	// This is a heartbeat run with speculation on, so all four moved.
-	for _, name := range []string{"DrainBatches", "LanePushes", "SpecGateSkips", "quiescent"} {
+	// This is a heartbeat run with speculation on, so all three moved.
+	for _, name := range []string{"DrainBatches", "SpecGateSkips", "quiescent"} {
 		if firstVals[name] == 0 {
 			t.Errorf("%s never moved; instrumentation not wired", name)
 		}

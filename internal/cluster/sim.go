@@ -50,12 +50,8 @@ type Simulator struct {
 	// the first in each batch, flushed to metrics at the end of Run.
 	drainBatches   int
 	drainCoalesced int
-	// lanePushes/laneFallbacks tally heartbeat arms that took the event
-	// queue's FIFO lane and those that fell back to its heap; specGateSkips
-	// tallies speculate calls answered by the specNext gate. Flushed with the
-	// drain tallies.
-	lanePushes    int
-	laneFallbacks int
+	// specGateSkips tallies speculate calls answered by the specNext gate.
+	// Flushed with the drain tallies.
 	specGateSkips int
 	// quietTicks tallies the heartbeat ticks of sleeping nodes that were
 	// counted into eventCount without being executed (rearmHeartbeat).
@@ -78,10 +74,9 @@ type Simulator struct {
 	freeIdx [2]nodeSet
 	// asleep is the set of quiescent nodes (heartbeat mode): their ticks are
 	// counted, not executed, until wake materialises the next one. nAsleep is
-	// its population; canSleep is whether this run may use it at all.
-	asleep   nodeSet
-	nAsleep  int
-	canSleep bool
+	// its population.
+	asleep  nodeSet
+	nAsleep int
 	// noWork[st] records that the policy refused a slot of type st and that
 	// nothing able to give it a task of that type has happened since (see
 	// Policy.NextTask); newWork clears it. Instant dispatch offers no st slot
@@ -93,16 +88,17 @@ type Simulator struct {
 	// noise, no stragglers, no remote-read penalty). Then the completions of
 	// one job phase reach the event queue in firing order, and each phase
 	// gets a lane of its own (pushCompletion); laneBase[wf] is the first of
-	// workflow wf's lane owners, two per job, all above heartbeatLane.
+	// workflow wf's lane owners, two per job.
 	exact    bool
 	laneBase []int32
 	nextLane int32
-	// due holds the ticks wake has materialised, beside the event queue. Each
-	// lies less than one interval ahead on its node's own phase, so the set
-	// in node order, taken round from the current phase, is the set in firing
-	// order: the earliest (dueNode, -1 when there is none) is a word scan
-	// away where the queue's heap would charge log n twice. See wake for how
-	// it keeps its place among the queue's events.
+	// due holds every armed tick at most one interval ahead, beside the event
+	// queue (armHeartbeat). Each lies on its node's own phase and all lie
+	// within one interval of the earliest, so the set in node order, taken
+	// round from the earliest (dueNode, -1 when there is none), is the set in
+	// firing order: the next is a word scan away where the queue's heap would
+	// charge log n twice. See dueFirst for how it keeps its place among the
+	// queue's events.
 	due     nodeSet
 	dueNode int
 	// held is set by offer when delay scheduling, not the policy, left a
@@ -128,7 +124,7 @@ type Simulator struct {
 
 	// ins is the optional runtime instrumentation and m its instruments,
 	// zero when uninstrumented (obs handles no-op on nil). Arena, drain,
-	// lane and gate tallies are flushed once per run (flushRunMetrics),
+	// gate and quiescent tallies are flushed once per run (flushRunMetrics),
 	// keeping per-event work free of atomics.
 	ins *obs.Obs
 	m   simInstruments
@@ -225,10 +221,6 @@ const (
 	numEventKinds
 )
 
-// heartbeatLane is the event-queue lane owner of heartbeat re-arms
-// (armHeartbeat); the completion lanes' owners (laneBase) come after it.
-const heartbeatLane = 0
-
 // simInstruments is the obs.SimStats bundle with its labelled families bound
 // to the values the simulator owns: one event counter per kind and one
 // suppressed-heartbeat counter per reason.
@@ -258,6 +250,12 @@ func New(cfg Config, pol Policy, obs Observer) (*Simulator, error) {
 	}
 	if cfg.HeartbeatInterval < 0 {
 		return nil, fmt.Errorf("cluster: negative heartbeat interval %v", cfg.HeartbeatInterval)
+	}
+	if cfg.HeartbeatInterval > 0 && int64(cfg.HeartbeatInterval) < int64(cfg.Nodes) {
+		// due and settle need every node on a phase of its own (hbOffset),
+		// which takes at least a nanosecond of interval per node.
+		return nil, fmt.Errorf("cluster: heartbeat interval %v shorter than 1ns per node (%d nodes)",
+			cfg.HeartbeatInterval, cfg.Nodes)
 	}
 	if cfg.SubmitterOverhead < 0 {
 		return nil, fmt.Errorf("cluster: negative submitter overhead %v", cfg.SubmitterOverhead)
@@ -328,15 +326,10 @@ func (s *Simulator) reset(cfg Config, pol Policy, obs Observer) {
 	s.lapsing = ok && lp.RefusalsLapse()
 	s.due.reset(cfg.Nodes)
 	s.dueNode = -1
-	// Sleeping needs every node on a phase of its own, so that an instant
-	// names at most one sleeper (settle); hbOffset gives that exactly when
-	// the interval has at least one nanosecond per node. It needs the
-	// NextTask contract too: a sleeper is one the policy has just refused.
-	s.canSleep = int64(cfg.HeartbeatInterval) >= int64(cfg.Nodes) && !s.lapsing
 	s.exact = cfg.Noise == 0 && cfg.StragglerProb == 0 &&
 		(cfg.Replication == 0 || cfg.RemotePenalty == 1)
 	s.laneBase = s.laneBase[:0]
-	s.nextLane = heartbeatLane + 1
+	s.nextLane = 0
 	s.load = Load{
 		MapSlots: cfg.MapSlots(), ReduceSlots: cfg.ReduceSlots(),
 		FreeMaps: cfg.MapSlots(), FreeReduces: cfg.ReduceSlots(),
@@ -398,8 +391,7 @@ func (s *Simulator) Release() {
 
 // clearRunTallies zeroes the plain-int tallies flushRunMetrics publishes.
 func (s *Simulator) clearRunTallies() {
-	s.drainBatches, s.drainCoalesced = 0, 0
-	s.lanePushes, s.laneFallbacks, s.specGateSkips = 0, 0, 0
+	s.drainBatches, s.drainCoalesced, s.specGateSkips = 0, 0, 0
 	s.quietTicks = 0
 }
 
@@ -426,8 +418,8 @@ func (s *Simulator) SetInstrumentation(o *obs.Obs) {
 	}
 }
 
-// flushRunMetrics publishes the per-run arena, drain, lane and gate tallies
-// once, at the end of Run.
+// flushRunMetrics publishes the per-run arena, drain, gate and quiescent
+// tallies once, at the end of Run.
 func (s *Simulator) flushRunMetrics() {
 	if s.ins == nil {
 		return
@@ -437,8 +429,6 @@ func (s *Simulator) flushRunMetrics() {
 	s.m.ArenaGrows.Add(int64(s.arena.grown))
 	s.m.DrainBatches.Add(int64(s.drainBatches))
 	s.m.DrainCoalesced.Add(int64(s.drainCoalesced))
-	s.m.LanePushes.Add(int64(s.lanePushes))
-	s.m.LaneFallbacks.Add(int64(s.laneFallbacks))
 	s.m.SpecGateSkips.Add(int64(s.specGateSkips))
 	s.m.quiescent.Add(int64(s.quietTicks))
 }
@@ -690,19 +680,23 @@ func (s *Simulator) heartbeat(node int) {
 	s.rearmHeartbeat(node)
 }
 
-// armHeartbeat schedules node's next heartbeat tick in the event queue.
-// Re-arms at now + interval reach it already in firing order, so they ride
-// the queue lane of the reserved owner heartbeatLane; the rest (drained
-// skips, SubmitLive re-arms, a dormant node's wake-up, a tick settle moves
-// over from due) may land before the lane's tail and fall back to the heap.
-// Pop order is the same either way (simtime.Queue.PushLane).
+// armHeartbeat schedules node's next heartbeat tick for at, on its own grid.
+// A tick at most one interval ahead waits in due. Only a far one goes into
+// the event queue: a drained skip to the next release (rearmHeartbeat,
+// wakeNode), or a SubmitLive re-arm of a parked node for a release further
+// off. A far tick stays there when it comes near; settle moves a due tick
+// there when an event is pushed at its instant.
 func (s *Simulator) armHeartbeat(node int, at simtime.Time) {
-	s.nodes[node].hbArmed = true
-	s.nodes[node].parked = false
-	if s.events.PushLane(heartbeatLane, at, event{kind: evHeartbeat, a: int32(node)}) {
-		s.lanePushes++
-	} else {
-		s.laneFallbacks++
+	n := &s.nodes[node]
+	n.hbArmed, n.parked = true, false
+	if at.Sub(s.now) > s.cfg.HeartbeatInterval {
+		s.events.Push(at, event{kind: evHeartbeat, a: int32(node)})
+		return
+	}
+	n.dueAt = at
+	s.due.set(node)
+	if s.dueNode < 0 || at < s.nodes[s.dueNode].dueAt {
+		s.dueNode = node
 	}
 }
 
@@ -739,7 +733,7 @@ func (s *Simulator) rearmHeartbeat(node int) {
 		s.m.busy.Inc()
 		return
 	}
-	if s.canSleep && !s.held && s.specGateClosed() {
+	if !s.lapsing && !s.held && s.specGateClosed() {
 		s.asleep.set(node)
 		s.nAsleep++
 		return
@@ -785,14 +779,9 @@ func (s *Simulator) specGateClosed() bool {
 }
 
 // wake materialises sleeper node's next tick — the first point of its own
-// grid at or after now that it has not already run — and counts the ticks
-// slept through, each of which the reference executed and found idle.
-//
-// The tick goes into due, not the queue, and has no stamp to order it among
-// the queue's events at its instant. It needs none: whatever the queue holds
-// there now was pushed earlier and fires first (StepTo runs the queue's
-// events of an instant before a due tick), and whatever is pushed there from
-// now on must fire after it, so settle moves the tick into the queue first.
+// grid at or after now that it has not already run, so at most one interval
+// ahead — and counts the ticks slept through, each of which the reference
+// executed and found idle.
 func (s *Simulator) wake(node int) {
 	s.asleep.clear(node)
 	s.nAsleep--
@@ -805,17 +794,15 @@ func (s *Simulator) wake(node int) {
 	skipped := int(g.Sub(n.lastTick)/iv) - 1
 	s.eventCount += skipped
 	s.quietTicks += skipped
-	n.hbArmed = true
-	n.dueAt = g
-	s.due.set(node)
-	if s.dueNode < 0 || g < s.nodes[s.dueNode].dueAt {
-		s.dueNode = node
-	}
+	s.armHeartbeat(node, g)
 }
 
 // dueFirst reports whether the earliest tick in due fires before the event
-// queue's earliest event, at (ok false: the queue is empty). At a tie the
-// queue goes first: its events were pushed before the tick was materialised.
+// queue's earliest event, at (ok false: the queue is empty). A tick in due
+// has no stamp to order it among the queue's events at its instant, and
+// needs none. At a tie the queue goes first: its events there were pushed
+// before the tick was armed. Whatever is pushed there after the tick was
+// armed must fire after it, so settle moves the tick into the queue first.
 func (s *Simulator) dueFirst(at simtime.Time, ok bool) bool {
 	return s.dueNode >= 0 && (!ok || s.nodes[s.dueNode].dueAt < at)
 }
@@ -956,7 +943,7 @@ func (s *Simulator) settle(at simtime.Time) {
 	}
 	if s.due.has(node) && s.nodes[node].dueAt == at {
 		s.takeDue(node)
-		s.armHeartbeat(node, at)
+		s.events.Push(at, event{kind: evHeartbeat, a: int32(node)})
 	}
 }
 

@@ -175,11 +175,20 @@ func TestConfigErrors(t *testing.T) {
 		{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1, Noise: 1.5},
 		{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1, HeartbeatInterval: -time.Second},
 		{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1, SubmitterOverhead: -5 * time.Second},
+		// Fewer nanoseconds of interval than nodes: two nodes share a phase.
+		{Nodes: 8, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1, HeartbeatInterval: 7 * time.Nanosecond},
 	}
 	for i, cfg := range bad {
 		if _, err := cluster.New(cfg, scheduler.NewFIFO(), nil); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+	}
+	// One nanosecond per node is enough.
+	if sim, err := cluster.New(cluster.Config{Nodes: 8, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1,
+		HeartbeatInterval: 8 * time.Nanosecond}, scheduler.NewFIFO(), nil); err != nil {
+		t.Errorf("8 nodes on an 8ns heartbeat refused: %v", err)
+	} else {
+		sim.Release()
 	}
 	if _, err := cluster.New(cluster.Config{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1}, nil, nil); err == nil {
 		t.Error("nil policy accepted")

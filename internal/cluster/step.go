@@ -45,17 +45,20 @@ func (s *Simulator) Start() error {
 			s.armHeartbeat(i, simtime.Epoch.Add(s.hbOffset(i)))
 		}
 	}
+	// The ticks just armed wait in due, and the reference armed them before
+	// the failures too: push settles a failure on a node's first tick behind
+	// that tick.
 	for _, f := range s.cfg.Failures {
-		s.events.Push(f.At, event{kind: evFail, a: int32(f.Node)})
+		s.push(f.At, event{kind: evFail, a: int32(f.Node)})
 		if f.Downtime > 0 {
-			s.events.Push(f.At.Add(f.Downtime), event{kind: evRecover, a: int32(f.Node)})
+			s.push(f.At.Add(f.Downtime), event{kind: evRecover, a: int32(f.Node)})
 		}
 	}
 	return nil
 }
 
 // Peek returns the instant of the earliest pending event — the queue's, or a
-// woken node's tick kept beside it — without processing it. ok is false when
+// tick kept beside it in due — without processing it. ok is false when
 // neither is left (the simulator is fully drained).
 func (s *Simulator) Peek() (at simtime.Time, ok bool) {
 	at, ok = s.events.Peek()
@@ -84,7 +87,7 @@ func (s *Simulator) StepTo(t simtime.Time) int {
 	for {
 		at, ok := s.events.Peek()
 		if s.dueFirst(at, ok) {
-			// A woken node's tick, kept beside the queue (wake).
+			// A near tick, kept beside the queue (armHeartbeat).
 			node := s.dueNode
 			if s.nodes[node].dueAt > t {
 				return applied
@@ -159,8 +162,9 @@ func (s *Simulator) Finish() (*Result, error) {
 // make that hold:
 //
 //   - the arrival event is injected with PushFront, so it precedes the
-//     completions and heartbeats already queued at the same instant, just as
-//     a Submit-time arrival's older seq stamp would have;
+//     completions and heartbeats already pending at the same instant (a tick
+//     in due yields to the queue at a tie), just as a Submit-time arrival's
+//     older seq stamp would have;
 //   - nodes parked when the run drained (their re-arm was declined only
 //     because no arrival was known; see nodeState.parked) are re-armed on
 //     their own phase grid at the first tick ≥ release, the precise instant

@@ -258,19 +258,18 @@ func TestLoadViewAccountsBacklog(t *testing.T) {
 	sim.Release()
 }
 
-// TestSubmitLiveAmongLaneHeartbeats injects a workflow while the event queue
-// holds heartbeats in both places at once: the first workflow has just
-// finished, so the nodes that have ticked since are parked and the rest still
-// have their next tick in the queue's FIFO lane. The second workflow is
-// released on the grid of the next node to tick — at that very tick, or two
-// intervals on — so its front-band arrival must sort ahead of a heartbeat at
-// the same instant. SubmitLive re-arms the parked nodes in node order, which
-// is not tick order around the release's phase, so some re-arms land behind
-// the lane's tail and fall back to the heap, as do the drained skips of the
-// still-armed nodes behind them. However many nodes are parked, the run must
-// equal, event for event, the one where both workflows were submitted up
-// front.
-func TestSubmitLiveAmongLaneHeartbeats(t *testing.T) {
+// TestSubmitLiveAmongDueAndQueuedHeartbeats injects a workflow while ticks
+// wait in both their homes: the first workflow has just finished, so the
+// nodes that have ticked since are parked and the rest still have their next
+// tick in due. The second workflow is released on the grid of the next node
+// to tick — at that very tick, or two intervals on — so its front-band
+// arrival must sort ahead of a heartbeat at the same instant. SubmitLive
+// re-arms the parked nodes on their own grids: a tick at most one interval
+// ahead waits in due, a later one in the event queue, as do the drained
+// skips of the still-armed nodes behind them. However many nodes are parked,
+// the run must equal, event for event, the one where both workflows were
+// submitted up front.
+func TestSubmitLiveAmongDueAndQueuedHeartbeats(t *testing.T) {
 	cfg := cluster.Config{
 		Nodes: 8, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1,
 		HeartbeatInterval: 3 * time.Second, SubmitterOverhead: 2 * time.Second,
@@ -278,15 +277,13 @@ func TestSubmitLiveAmongLaneHeartbeats(t *testing.T) {
 		Seed: 5,
 	}
 	first := equivFlows()[0]
-	var lanePushes, fallbacks int64
+	var dueArms, queuedArms int
 	for c := 0; c < 2*cfg.Nodes; c++ {
 		parked, ahead := c/2, time.Duration(c%2)*2*cfg.HeartbeatInterval
 		live, err := cluster.New(cfg, scheduler.NewEDF(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := obs.New(obs.NewRegistry(), nil)
-		live.SetInstrumentation(o)
 		if err := live.Submit(first, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -316,18 +313,21 @@ func TestSubmitLiveAmongLaneHeartbeats(t *testing.T) {
 			Job("a", 9, 3, 20*time.Second, 30*time.Second).
 			Job("b", 4, 2, 10*time.Second, 15*time.Second, "a").
 			MustBuild(release, release.Add(time.Hour))
+		due, queued := live.TickHomes()
 		if err := live.SubmitLive(late, nil); err != nil {
 			t.Fatal(err)
 		}
+		// SubmitLive arms only the parked nodes, so the change in each home
+		// is where their re-arms went.
+		dueAfter, queuedAfter := live.TickHomes()
+		dueArms += dueAfter - due
+		queuedArms += queuedAfter - queued
 		live.StepTo(simtime.MaxTime)
 		got, err := live.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}
 		live.Release()
-		st := o.NewSimStats()
-		lanePushes += st.LanePushes.Value()
-		fallbacks += st.LaneFallbacks.Value()
 
 		pre, err := cluster.New(cfg, scheduler.NewEDF(), nil)
 		if err != nil {
@@ -347,7 +347,8 @@ func TestSubmitLiveAmongLaneHeartbeats(t *testing.T) {
 			t.Errorf("parked=%d ahead=%v: live injection diverged from pre-run submission:\npre:  %+v\nlive: %+v", parked, ahead, want, got)
 		}
 	}
-	if lanePushes == 0 || fallbacks == 0 {
-		t.Errorf("%d lane pushes, %d fallbacks over the sweep: it must exercise both", lanePushes, fallbacks)
+	if dueArms == 0 || queuedArms == 0 {
+		t.Errorf("SubmitLive re-armed %d parked nodes into due and %d into the queue over the sweep: it must exercise both",
+			dueArms, queuedArms)
 	}
 }

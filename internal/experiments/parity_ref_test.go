@@ -40,29 +40,74 @@ func cellPlans(t *testing.T, c *runner.Cell) []*plan.Plan {
 	return plans
 }
 
+// cellDeadline bounds each side of a parity cell. A core that loops instead
+// of finishing — the reference ticks for ever on a run that cannot finish —
+// then fails its cell by name, not the package at go test's -timeout. No
+// cell takes more than a few tens of milliseconds, and a broken core tends
+// to loop on every heartbeat cell of a sweep, so the bound is kept short.
+const cellDeadline = 2 * time.Second
+
+// withinDeadline runs one side of cell c on a goroutine and returns its
+// result, failing the test if run errs or is still running at cellDeadline.
+// An overrunning goroutine is left behind: the test has failed either way.
+func withinDeadline(t *testing.T, c *runner.Cell, side string, run func() (*cluster.Result, error)) *cluster.Result {
+	t.Helper()
+	type outcome struct {
+		res *cluster.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := run()
+		done <- outcome{res, err}
+	}()
+	timer := time.NewTimer(cellDeadline)
+	defer timer.Stop()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatalf("cell %q: %s: %v", c.Name, side, o.err)
+		}
+		return o.res
+	case <-timer.C:
+		t.Fatalf("cell %q: %s side still running after %v", c.Name, side, cellDeadline)
+		return nil
+	}
+}
+
 // runLive executes a cell on the live (arena / batched-drain) core through
 // the same New + Submit + Run + Release sequence the runner uses.
 func runLive(t *testing.T, c *runner.Cell, plans []*plan.Plan, ob cluster.Observer) *cluster.Result {
 	t.Helper()
-	sim, err := cluster.New(c.Config, c.Policy(), ob)
-	if err != nil {
-		t.Fatalf("cell %q: new: %v", c.Name, err)
-	}
-	for i, w := range c.Flows {
-		var p *plan.Plan
-		if i < len(plans) {
-			p = plans[i]
+	return withinDeadline(t, c, "live", func() (*cluster.Result, error) {
+		sim, err := cluster.New(c.Config, c.Policy(), ob)
+		if err != nil {
+			return nil, fmt.Errorf("new: %w", err)
 		}
-		if err := sim.Submit(w, p); err != nil {
-			t.Fatalf("cell %q: submit: %v", c.Name, err)
+		for i, w := range c.Flows {
+			var p *plan.Plan
+			if i < len(plans) {
+				p = plans[i]
+			}
+			if err := sim.Submit(w, p); err != nil {
+				return nil, fmt.Errorf("submit: %w", err)
+			}
 		}
-	}
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatalf("cell %q: run: %v", c.Name, err)
-	}
-	sim.Release()
-	return res
+		res, err := sim.Run()
+		if err != nil {
+			return nil, fmt.Errorf("run: %w", err)
+		}
+		sim.Release()
+		return res, nil
+	})
+}
+
+// runRef executes a cell on the frozen reference simulator.
+func runRef(t *testing.T, c *runner.Cell, plans []*plan.Plan, ob cluster.Observer) *cluster.Result {
+	t.Helper()
+	return withinDeadline(t, c, "refsim", func() (*cluster.Result, error) {
+		return refsim.Run(c.Config, c.Policy(), ob, c.Flows, plans)
+	})
 }
 
 // assertCellParity runs one cell on both cores (fresh policy each — policies
@@ -72,10 +117,7 @@ func assertCellParity(t *testing.T, c *runner.Cell) (*cluster.Result, *cluster.R
 	t.Helper()
 	plans := cellPlans(t, c)
 	live := runLive(t, c, plans, nil)
-	ref, err := refsim.Run(c.Config, c.Policy(), nil, c.Flows, plans)
-	if err != nil {
-		t.Fatalf("cell %q: refsim: %v", c.Name, err)
-	}
+	ref := runRef(t, c, plans, nil)
 	if !reflect.DeepEqual(live, ref) {
 		t.Fatalf("cell %q: live core diverges from reference simulator:\nlive: %+v\nref:  %+v", c.Name, live, ref)
 	}
@@ -161,10 +203,7 @@ func TestArenaCoreMatchesReferenceFig11(t *testing.T) {
 		liveTL := metrics.NewTimeline()
 		live := runLive(t, c, plans, liveTL)
 		refTL := metrics.NewTimeline()
-		ref, err := refsim.Run(c.Config, c.Policy(), refTL, c.Flows, plans)
-		if err != nil {
-			t.Fatalf("cell %q: refsim: %v", c.Name, err)
-		}
+		ref := runRef(t, c, plans, refTL)
 		if !reflect.DeepEqual(live, ref) {
 			t.Errorf("cell %q: live core diverges from reference simulator:\nlive: %+v\nref:  %+v", c.Name, live, ref)
 		}
@@ -214,10 +253,10 @@ func TestArenaCoreMatchesReferenceModes(t *testing.T) {
 			cc.Noise = 0.1
 		}},
 		// The benchmark's big_heartbeat configuration at this corpus's scale,
-		// everything on at once: lane heartbeats interleave with activations,
+		// everything on at once: ticks in due interleave with activations,
 		// completions, failures and recoveries in the heap, and the
 		// speculation gate sees twins, requeues and wake-ups. The reference
-		// has neither lane nor gate, so DeepEqual (SimulatedEvents included)
+		// has neither due nor gate, so DeepEqual (SimulatedEvents included)
 		// pins both as invisible.
 		{"big-heartbeat", func(cc *cluster.Config) {
 			cc.HeartbeatInterval = 3 * time.Second

@@ -209,8 +209,6 @@ type SimStats struct {
 	ArenaGrows     *Counter `metric:"woha_sim_arena_grows_total" help:"Attempt-arena backing array growths."`
 	DrainBatches   *Counter `metric:"woha_sim_drain_batches_total" help:"Event-heap drains performed by the simulator (one per simulated instant)."`
 	DrainCoalesced *Counter `metric:"woha_sim_drain_coalesced_events_total" help:"Same-instant events coalesced into an existing drain batch."`
-	LanePushes     *Counter `metric:"woha_sim_event_lane_pushes_total" help:"Heartbeat arms that reached the event queue in firing order and rode its FIFO lane."`
-	LaneFallbacks  *Counter `metric:"woha_sim_event_lane_fallbacks_total" help:"Heartbeat arms earlier than the FIFO lane's tail, pushed to the event heap instead."`
 	SpecGateSkips  *Counter `metric:"woha_sim_spec_gate_skips_total" help:"Speculation passes skipped in O(1) because no attempt could be overdue and the wake-up was already armed."`
 }
 

@@ -13,17 +13,16 @@ package simtime
 // allocation per event.
 //
 // Beside the heap sit FIFO lanes for events that arrive already in firing
-// order: PushLane feeds one lane per caller-chosen owner (a simulated
-// cluster's heartbeat re-arms, each one interval ahead; the completions of
-// one job phase, which under exact durations all take the same time). Each
-// lane is a ring sorted by (at, seq), because a lane only accepts an event
-// whose instant is not below its tail's and seq stamps only grow; an event
-// that would break a lane's order goes to the heap instead. The lanes are
-// merged through a small heap of their heads, and Pop, Peek and DrainInstant
-// take the smaller of the heap top and the earliest lane head. Every event
-// carries the stamp Push would have given it whichever lane holds it, so the
-// pop order is a merge of (at, seq)-sorted lists and does not depend on where
-// an event went.
+// order: PushLane feeds one lane per caller-chosen owner (in a simulated
+// cluster, the completions of one job phase, which under exact durations all
+// take the same time). Each lane is a ring sorted by (at, seq), because a
+// lane only accepts an event whose instant is not below its tail's and seq
+// stamps only grow; an event that would break a lane's order goes to the
+// heap instead. The lanes are merged through a small heap of their heads, and
+// Pop, Peek and DrainInstant take the smaller of the heap top and the
+// earliest lane head. Every event carries the stamp Push would have given it
+// whichever lane holds it, so the pop order is a merge of (at, seq)-sorted
+// lists and does not depend on where an event went.
 type Queue[T any] struct {
 	h []event[T]
 	// lanes holds every lane ever opened; a drained lane's index goes

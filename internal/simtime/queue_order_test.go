@@ -81,12 +81,11 @@ func (r *refQueue) reset() { *r = refQueue{nextID: r.nextID} }
 // clock (the instant of the last event popped): mostly a little ahead of it,
 // sometimes at it — a push mid-drain, which must join the next batch — and
 // sometimes anywhere, including behind the clock and behind a lane's tail.
-// An ordered push goes to owner 0's lane — a simulated cluster's reserved
-// heartbeat owner — when the opcode byte's high nibble is 0 or a multiple of
-// 5, and to one of four completion owners, 1 to 4, otherwise. It returns how
-// many ordered pushes took owner 0's lane, how many took another owner's, and
-// how many fell back to the heap.
-func checkQueueOps(t *testing.T, ops []byte) (heartbeat, completion, fellBack int) {
+// An ordered push goes to owner 0's lane when the opcode byte's high nibble
+// is 0 or a multiple of 5, and to one of owners 1 to 4 otherwise. It returns
+// how many ordered pushes took owner 0's lane, how many took another owner's,
+// and how many fell back to the heap.
+func checkQueueOps(t *testing.T, ops []byte) (owner0, others, fellBack int) {
 	t.Helper()
 	var q Queue[int]
 	var ref refQueue
@@ -121,9 +120,9 @@ func checkQueueOps(t *testing.T, ops []byte) (heartbeat, completion, fellBack in
 			case !q.PushLane(owner, at, ref.push(at, false)):
 				fellBack++
 			case owner == 0:
-				heartbeat++
+				owner0++
 			default:
-				completion++
+				others++
 			}
 		case op < 13:
 			want, _, wantOK := ref.peek()
@@ -181,12 +180,12 @@ func checkQueueOps(t *testing.T, ops []byte) (heartbeat, completion, fellBack in
 	if _, _, ok := q.Pop(); ok {
 		t.Fatal("final drain: queue holds events the reference does not")
 	}
-	return heartbeat, completion, fellBack
+	return owner0, others, fellBack
 }
 
 // queueOrderSeeds are hand-written programs for the corners. Operand 160+k
 // is "k after the clock" for every kind of push; opcode 16k+4 (k = 0..4) is
-// a push to owner k's lane, owner 0 being the heartbeat owner.
+// a push to owner k's lane.
 var queueOrderSeeds = [][]byte{
 	{},
 	// Two ordered pushes, then one behind the lane's tail.
@@ -199,8 +198,8 @@ var queueOrderSeeds = [][]byte{
 	// Forty ordered pushes: the ring grows twice, then wraps as it drains
 	// and refills.
 	append(append(bytes.Repeat([]byte{4, 0}, 40), bytes.Repeat([]byte{11}, 30)...), bytes.Repeat([]byte{4, 0, 11}, 40)...),
-	// The heartbeat owner and four completion owners, interleaved, drained
-	// instant by instant.
+	// Owner 0 and four other owners, interleaved, drained instant by
+	// instant.
 	{20, 0, 36, 0, 52, 0, 68, 0, 4, 0, 20, 0, 36, 0, 13, 13, 13, 13, 13, 13},
 	// An owned lane's push behind its tail falls back to the heap.
 	{20, 165, 20, 161, 36, 161, 11, 11, 11},
@@ -208,8 +207,8 @@ var queueOrderSeeds = [][]byte{
 	{20, 0, 11, 20, 0, 36, 0, 11, 11, 52, 0, 11},
 	// Reset with owned lanes live, then reuse.
 	{20, 0, 36, 0, 4, 0, 15, 36, 0, 20, 0, 11, 11},
-	// One instant reached through two completion lanes, the heartbeat lane,
-	// the heap and the front band; then a push at it between two drains.
+	// One instant reached through three owners' lanes, the heap and the
+	// front band; then a push at it between two drains.
 	{20, 160, 36, 160, 0, 160, 4, 160, 3, 160, 13, 20, 160, 13},
 }
 
@@ -245,10 +244,10 @@ func TestQueueOrderProperty(t *testing.T) {
 				}
 			}
 		}
-		heartbeat, completion, fellBack := checkQueueOps(t, ops)
-		if heartbeat < 100 || completion < 100 || fellBack < 100 {
-			t.Errorf("seed %d: %d heartbeat-lane pushes, %d completion-lane pushes and %d fallbacks; the program does not exercise all three",
-				seed, heartbeat, completion, fellBack)
+		owner0, others, fellBack := checkQueueOps(t, ops)
+		if owner0 < 100 || others < 100 || fellBack < 100 {
+			t.Errorf("seed %d: %d owner-0 lane pushes, %d other-owner lane pushes and %d fallbacks; the program does not exercise all three",
+				seed, owner0, others, fellBack)
 		}
 	}
 }
@@ -262,8 +261,8 @@ func TestQueueOrderedAllocs(t *testing.T) {
 	var batch []int
 	const depth = 256
 	now := Time(0)
-	// One owner, as a heartbeat-driven cluster's re-arms: its lane drains
-	// and closes at the end of every cycle and reopens at the next.
+	// One owner: its lane drains and closes at the end of every cycle and
+	// reopens at the next.
 	cycle := func() {
 		for i := 0; i < depth; i++ {
 			q.PushLane(0, now+Time(depth+i), i)
@@ -276,7 +275,7 @@ func TestQueueOrderedAllocs(t *testing.T) {
 	}
 	cycle() // warm: ring, heap and batch reach their working size
 	if got := testing.AllocsPerRun(20, cycle); got != 0 {
-		t.Errorf("warm heartbeat-owner PushLane/DrainInstant cycle allocates %.1f/run, want 0", got)
+		t.Errorf("warm one-owner PushLane/DrainInstant cycle allocates %.1f/run, want 0", got)
 	}
 	q.Reset()
 	if got := testing.AllocsPerRun(20, cycle); got != 0 {
