@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify ci fmt-check race-smoke alloc-pins postmortem-smoke admission-smoke federation-smoke bench-smoke mutex-smoke
+.PHONY: build test vet race verify ci fmt-check race-smoke alloc-pins fuzz-smoke postmortem-smoke admission-smoke federation-smoke bench-smoke mutex-smoke
 
 build:
 	$(GO) build ./...
@@ -30,8 +30,26 @@ race:
 	$(GO) test -race ./internal/obs/... ./internal/plan/... ./internal/planner/... ./internal/workflow/... ./internal/runner/... ./internal/cluster/... ./internal/dsl/... ./internal/admission/... ./internal/federation/...
 	$(GO) test -race -cpu 1,4 ./internal/live/...
 
-# Tier-1 gate plus static analysis and race checks — run before every PR.
-verify: build test vet race
+# Tier-1 gate plus static analysis, race checks and a short fuzzing pass —
+# run before every PR.
+verify: build test vet race fuzz-smoke
+
+# Each fuzz target, fuzzed for FUZZTIME beyond its seed corpus (which the
+# tier-1 suite already runs): the event queue against a sorting reference,
+# the DSL queue's op programs, the plan kernel against the queue-based
+# referee, the capped cap search against its oracle, the plan and workflow
+# decoders, and workflow compilation. go test fuzzes one target of one
+# package at a time. A failing input is written under the package's
+# testdata/fuzz, where it becomes part of the seed corpus.
+FUZZTIME ?= 3s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime $(FUZZTIME) ./internal/simtime/
+	$(GO) test -run '^$$' -fuzz '^FuzzQueueOps$$' -fuzztime $(FUZZTIME) ./internal/dsl/
+	$(GO) test -run '^$$' -fuzz '^FuzzKernelMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/plan/
+	$(GO) test -run '^$$' -fuzz '^FuzzCappedSearch$$' -fuzztime $(FUZZTIME) ./internal/plan/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/plan/
+	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) ./internal/workflow/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseXML$$' -fuzztime $(FUZZTIME) ./internal/workflow/
 
 # Fails when any tracked Go file is not gofmt-clean, printing the diff.
 fmt-check:
@@ -52,8 +70,9 @@ race-smoke:
 # budget (≤3 allocs end to end across both dispatch modes), the obs
 # heartbeat zero-alloc contract, the queue-op pin (Best/Scheduled/
 # Unscheduled at 0 allocs/op on a warm queue for the DSL and BST backends),
-# the event queue's lanes (PushLane + drain at 0 allocs once the rings are
-# warm, on one owner and on eight interleaved owners), the plan
+# the event queue's (PushLane + drain at 0 allocs once the rings are warm,
+# on one owner and on eight interleaved owners; Push + drain at scattered
+# instants at 0 allocs once the buckets are warm), the plan
 # kernel's (a bound kernel answers a probe with 0 allocations), and the
 # planner's two (a cold capped typed plan averages at
 # most 11 over the planner corpus; a warm cache hit allocates 0). Run

@@ -38,11 +38,14 @@ type attemptRec struct {
 	// names a live record.
 	twin int32
 	// seq is the attempt's launch sequence, the deterministic tie-break key
-	// the speculation heap orders by.
+	// speculation candidates are ordered by.
 	seq int32
 	// prev/next thread the node's running list while live; next doubles as
 	// the free-list link while dead.
 	prev, next int32
+	// cprev/cnext thread the attempt's phase's candidate list while cand is
+	// set (see candidates).
+	cprev, cnext int32
 	// gen distinguishes reuses of this slot: free() bumps it, so a pending
 	// completion event carrying (handle, gen) of an earlier occupant is
 	// recognized as stale — the role the map-existence check used to play,
@@ -55,6 +58,9 @@ type attemptRec struct {
 	speculative bool
 	// live reports whether the record currently holds a running attempt.
 	live bool
+	// cand reports whether the attempt is a speculation candidate. A freed
+	// record never is one (Simulator.freeAttempt).
+	cand bool
 }
 
 // attemptArena allocates attemptRecs from one contiguous slice. Freed

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"sync"
@@ -33,10 +34,9 @@ type Simulator struct {
 	// reused storage.
 	wsa   wsArena
 	nodes []nodeState
-	// arena holds every in-flight task attempt; events and the speculation
-	// heaps reference attempts by (handle, gen).
-	arena  attemptArena
-	events simtime.Queue[event]
+	// arena holds every in-flight task attempt; events reference attempts by
+	// (handle, gen), and speculation candidates by handle.
+	arena attemptArena
 	// batch receives each instant's coalesced events from DrainInstant.
 	batch []event
 	now   simtime.Time
@@ -46,7 +46,7 @@ type Simulator struct {
 	taskSeq      int
 	// eventCount tallies every discrete event processed (Result.SimulatedEvents).
 	eventCount int
-	// drainBatches/drainCoalesced tally heap drains and the events beyond
+	// drainBatches/drainCoalesced tally queue drains and the events beyond
 	// the first in each batch, flushed to metrics at the end of Run.
 	drainBatches   int
 	drainCoalesced int
@@ -59,10 +59,10 @@ type Simulator struct {
 	// specWake is the earliest armed speculative wake-up (MaxTime = none),
 	// preventing duplicate retry events.
 	specWake simtime.Time
-	// specNext is a lower bound on the crossing instant of every entry in
-	// either overdue heap (MaxTime when both are empty): armSpeculativeWake
-	// sets it to the earlier heap top, pushOverdue lowers it. While
-	// now < specNext nothing can be overdue, which is speculate's gate.
+	// specNext is a lower bound on the crossing instant of every speculation
+	// candidate (MaxTime when there is none): armSpeculativeWake sets it to
+	// the earliest crossing, addCandidate lowers it. While now < specNext
+	// nothing can be overdue, which is speculate's gate.
 	specNext simtime.Time
 
 	// adm is the admission front door consulted at each arrival (nil, the
@@ -96,8 +96,8 @@ type Simulator struct {
 	// queue (armHeartbeat). Each lies on its node's own phase and all lie
 	// within one interval of the earliest, so the set in node order, taken
 	// round from the earliest (dueNode, -1 when there is none), is the set in
-	// firing order: the next is a word scan away where the queue's heap would
-	// charge log n twice. See dueFirst for how it keeps its place among the
+	// firing order: the next is a word scan away, cheaper than filing every
+	// tick in the queue. See dueFirst for how it keeps its place among the
 	// queue's events.
 	due     nodeSet
 	dueNode int
@@ -107,9 +107,10 @@ type Simulator struct {
 	// load is the running form of LoadView, adjusted wherever a workflow,
 	// task or slot changes state so that a view costs no walk.
 	load Load
-	// overdue[st] orders running attempts of type st by straggler-threshold
-	// crossing, so speculate pops its victim instead of scanning attempts.
-	overdue [2]specHeap
+	// cands orders the speculation candidates by straggler-threshold
+	// crossing, per job phase, so speculate takes its victim instead of
+	// scanning attempts.
+	cands candidates
 	// arrivalTimes holds every submitted release time, sorted at Run;
 	// arrIdx counts arrivals already delivered, so the next pending arrival
 	// is an O(1) lookup for heartbeat skip-ahead.
@@ -130,6 +131,10 @@ type Simulator struct {
 	m   simInstruments
 
 	ran bool
+
+	// events is the event queue, last because it is large (a slice per
+	// bucket) and the fields above are the ones read on every event.
+	events simtime.Queue[event]
 }
 
 // simPool recycles simulator state — the node table, attempt and workflow
@@ -191,7 +196,7 @@ func (n *nodeState) release(st SlotType) {
 	}
 }
 
-// event is the simulator's single event type, packed to keep the heap's
+// event is the simulator's single event type, packed to keep the queue's
 // per-entry footprint small. a and b are kind-specific operands:
 //
 //	evArrival    a = workflow index
@@ -244,6 +249,21 @@ func New(cfg Config, pol Policy, obs Observer) (*Simulator, error) {
 	if cfg.MapSlotsPerNode < 0 || cfg.ReduceSlotsPerNode < 0 || cfg.TotalSlots() == 0 {
 		return nil, fmt.Errorf("cluster: bad slot config %d map + %d reduce per node",
 			cfg.MapSlotsPerNode, cfg.ReduceSlotsPerNode)
+	}
+	// Every range check below is a comparison, which NaN fails both ways.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"Noise", cfg.Noise},
+		{"RemotePenalty", cfg.RemotePenalty},
+		{"StragglerProb", cfg.StragglerProb},
+		{"StragglerFactor", cfg.StragglerFactor},
+		{"SpeculativeSlowdown", cfg.SpeculativeSlowdown},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("cluster: %s = %v, want a finite value", f.name, f.v)
+		}
 	}
 	if cfg.Noise < 0 || cfg.Noise >= 1 {
 		return nil, fmt.Errorf("cluster: noise %v, want [0, 1)", cfg.Noise)
@@ -344,8 +364,7 @@ func (s *Simulator) reset(cfg Config, pol Policy, obs Observer) {
 	} else {
 		s.freeIdx[ReduceSlot].reset(cfg.Nodes)
 	}
-	s.overdue[MapSlot].reset()
-	s.overdue[ReduceSlot].reset()
+	s.cands.reset()
 	s.arena.reset()
 	s.events.Reset()
 	s.batch = s.batch[:0]
@@ -466,6 +485,7 @@ func (s *Simulator) enroll(w *workflow.Workflow, p *plan.Plan) *WorkflowState {
 	s.states = append(s.states, ws)
 	s.laneBase = append(s.laneBase, s.nextLane)
 	s.nextLane += 2 * int32(len(w.Jobs))
+	s.cands.grow(w, s.cfg.SpeculativeSlowdown)
 	s.load.ActiveWorkflows++
 	s.load.PendingTasks += ws.remaining
 	s.load.Backlog += w.SerialWork()
@@ -587,7 +607,7 @@ func (s *Simulator) complete(h int32, gen uint32) {
 	node, st := int(rec.node), SlotType(rec.st)
 	wf, job, twin := int(rec.wf), workflow.JobID(rec.job), rec.twin
 	s.unlinkRunning(h)
-	s.arena.free(h)
+	s.freeAttempt(h)
 	s.releaseSlot(node, st)
 	if twin != nilAttempt {
 		s.killAttempt(twin)
@@ -1020,7 +1040,7 @@ func (s *Simulator) linkRunning(node int, h int32) {
 }
 
 // unlinkRunning removes attempt h from its node's running list. Must
-// precede arena.free, which repurposes the next link.
+// precede freeAttempt, which repurposes the next link.
 func (s *Simulator) unlinkRunning(h int32) {
 	rec := &s.arena.recs[h]
 	if rec.prev != nilAttempt {
@@ -1064,7 +1084,7 @@ func (s *Simulator) fail(nodeIdx int) {
 		next := rec.next
 		wf, job, st := int(rec.wf), workflow.JobID(rec.job), SlotType(rec.st)
 		end, twin, spec := rec.end, rec.twin, rec.speculative
-		s.arena.free(h)
+		s.freeAttempt(h)
 		ws := s.states[wf]
 		if st == MapSlot {
 			s.mapBusy -= end.Sub(s.now) // the lost remainder never runs
@@ -1282,16 +1302,23 @@ func (s *Simulator) offer(node int, st SlotType) bool {
 	rec.live = true
 	s.linkRunning(node, h)
 	if s.cfg.SpeculativeSlowdown != 0 {
-		s.pushOverdue(h)
+		s.addCandidate(h)
 	}
 	s.pushCompletion(end, event{kind: evComplete, a: h, gen: rec.gen}, ws.Index, job, st)
 	return true
 }
 
+// phase returns the id of a job phase: its lane owner in the event queue
+// and its candidate list.
+func (s *Simulator) phase(wf int, job workflow.JobID, st SlotType) int32 {
+	return s.laneBase[wf] + 2*int32(job) + int32(st)
+}
+
 // pushCompletion schedules a normal attempt's completion. With exact
 // durations every task of one job phase takes the same time, so the phase's
 // completions arrive in firing order and ride a queue lane of their own: the
-// heap then holds one entry per phase in flight instead of one per attempt.
+// lane heads' heap then holds one entry per phase in flight, and the
+// attempts are never filed in the queue's buckets.
 // Pop order is the same either way (simtime.Queue.PushLane).
 func (s *Simulator) pushCompletion(at simtime.Time, e event, wf int, job workflow.JobID, st SlotType) {
 	if !s.exact {
@@ -1301,7 +1328,7 @@ func (s *Simulator) pushCompletion(at simtime.Time, e event, wf int, job workflo
 	if s.nAsleep > 0 || s.dueNode >= 0 {
 		s.settle(at)
 	}
-	s.events.PushLane(int(s.laneBase[wf]+2*int32(job))+int(st), at, e)
+	s.events.PushLane(int(s.phase(wf, job, st)), at, e)
 }
 
 // killAttempt removes a losing speculative attempt, freeing its slot and
@@ -1316,7 +1343,7 @@ func (s *Simulator) killAttempt(h int32) {
 	node, st := int(rec.node), SlotType(rec.st)
 	wf, job, end := int(rec.wf), workflow.JobID(rec.job), rec.end
 	s.unlinkRunning(h)
-	s.arena.free(h)
+	s.freeAttempt(h)
 	s.releaseSlot(node, st)
 	s.stir(node)
 	if st == MapSlot {
@@ -1339,18 +1366,27 @@ func (s *Simulator) detachTwin(h int32) {
 	rec.twin = nilAttempt
 	rec.speculative = false // it now carries the task outright
 	if s.cfg.SpeculativeSlowdown != 0 {
-		s.pushOverdue(h)
+		s.addCandidate(h)
 	}
 }
 
-// pushOverdue makes live attempt h a speculation candidate.
-func (s *Simulator) pushOverdue(h int32) {
+// addCandidate makes live attempt h a speculation candidate.
+func (s *Simulator) addCandidate(h int32) {
 	rec := &s.arena.recs[h]
-	at := s.specCrossing(rec)
-	s.overdue[rec.st].push(at, rec.seq, h, rec.gen)
-	if at < s.specNext {
-		s.specNext = at
+	cross := s.cands.add(s.arena.recs, h, s.phase(int(rec.wf), workflow.JobID(rec.job), SlotType(rec.st)))
+	if cross < s.specNext {
+		s.specNext = cross
 	}
+}
+
+// freeAttempt retires h's record, withdrawing it from speculation first: an
+// attempt that completes, is killed, or is lost to a failure stops being a
+// candidate there and then.
+func (s *Simulator) freeAttempt(h int32) {
+	if rec := &s.arena.recs[h]; rec.cand {
+		s.cands.remove(s.arena.recs, h, s.phase(int(rec.wf), workflow.JobID(rec.job), SlotType(rec.st)))
+	}
+	s.arena.free(h)
 }
 
 // setTwin links two attempts of the same task.
@@ -1367,10 +1403,10 @@ func (s *Simulator) setTwin(h, twin int32) {
 // assignable pending work for the remaining free slots.
 //
 // Most calls have nothing to do, and the gate says so in O(1): while
-// now < specNext no heap entry is overdue, so nothing launches, and every
+// now < specNext no candidate is overdue, so nothing launches, and every
 // future crossing is at or after specNext, so with specWake <= specNext the
 // armed wake-up already covers the earliest one and armSpeculativeWake would
-// push nothing. Only the lazy discard of stale heap entries is put off.
+// push nothing.
 func (s *Simulator) speculate() {
 	if s.cfg.SpeculativeSlowdown == 0 {
 		return
@@ -1395,87 +1431,48 @@ func (s *Simulator) speculate() {
 	s.armSpeculativeWake()
 }
 
-// specLive reports whether heap entry e still names a live, untwinned,
-// original attempt — the lazily-checked validity condition for speculation
-// candidates. A recycled record fails the generation match.
-func (s *Simulator) specLive(e specEntry) bool {
-	rec := &s.arena.recs[e.h]
-	return rec.live && rec.gen == e.gen && rec.twin == nilAttempt && !rec.speculative
-}
-
-// popOverdue pops the attempt of type st that has been past its straggler
+// popOverdue takes the attempt of type st that has been past its straggler
 // threshold the longest — the minimum (crossing instant, launch sequence),
 // which is exactly the old scan's max-overage victim with lowest-sequence
-// tie-break, but deterministic by construction instead of by a guarded map
-// iteration. Stale heap entries (attempt completed, killed, lost to a
-// failure, or already twinned) are discarded on the way.
+// tie-break — out of its candidate list.
 func (s *Simulator) popOverdue(st SlotType) (int32, bool) {
-	h := &s.overdue[st]
-	for {
-		e, ok := h.peek()
-		if !ok {
-			return nilAttempt, false
-		}
-		if !s.specLive(e) {
-			h.pop()
-			continue
-		}
-		if e.at > s.now {
-			return nilAttempt, false // earliest candidate is not overdue yet
-		}
-		h.pop()
-		return e.h, true
+	hs := s.cands.heads[st]
+	if len(hs) == 0 || hs[0].at > s.now {
+		return nilAttempt, false // no candidate is overdue yet
 	}
-}
-
-// specCrossing returns the instant rec crosses its straggler threshold: the
-// first instant at which elapsed > SpeculativeSlowdown * estimate holds.
-// It is fixed at launch, so candidates can be heap-ordered by it.
-func (s *Simulator) specCrossing(rec *attemptRec) simtime.Time {
-	spec := &s.states[rec.wf].Spec.Jobs[rec.job]
-	estimate := spec.MapTime
-	if SlotType(rec.st) == ReduceSlot {
-		estimate = spec.ReduceTime
-	}
-	start := rec.end.Add(-rec.dur)
-	return start.Add(time.Duration(s.cfg.SpeculativeSlowdown*float64(estimate)) + time.Nanosecond)
+	p := hs[0].p
+	h := s.cands.phases[p].head
+	s.cands.remove(s.arena.recs, h, p)
+	return h, true
 }
 
 // armSpeculativeWake schedules a retry at the moment the next running
 // attempt crosses its straggler threshold; without it a straggling final
-// task would never be re-examined (no intervening events). The heap top is
-// normally that attempt; only when already-overdue candidates (blocked on a
-// full cluster) bury the future ones does it fall back to scanning the heap
-// array.
+// task would never be re-examined (no intervening events). The earliest
+// candidate is normally that attempt; only when already-overdue candidates
+// (blocked on a full cluster) come first does it walk each phase's overdue
+// prefix to the phase's first future crossing.
 func (s *Simulator) armSpeculativeWake() {
 	next, lo := simtime.MaxTime, simtime.MaxTime
-	for st := range s.overdue {
-		h := &s.overdue[st]
-		for {
-			e, ok := h.peek()
-			if !ok {
-				break
-			}
-			if !s.specLive(e) {
-				h.pop()
-				continue
-			}
-			lo = simtime.MinTime(lo, e.at)
-			if e.at > s.now {
-				if e.at < next {
-					next = e.at
-				}
-			} else {
-				for _, c := range h.es {
-					if c.at <= s.now || c.at >= next {
-						continue
-					}
-					if s.specLive(c) {
-						next = c.at
-					}
+	recs := s.arena.recs
+	for st := MapSlot; st <= ReduceSlot; st++ {
+		hs := s.cands.heads[st]
+		if len(hs) == 0 {
+			continue
+		}
+		lo = simtime.MinTime(lo, hs[0].at)
+		if hs[0].at > s.now {
+			next = simtime.MinTime(next, hs[0].at)
+			continue
+		}
+		for _, hd := range hs {
+			pc := &s.cands.phases[hd.p]
+			for h := pc.head; h != nilAttempt; h = recs[h].cnext {
+				if x := pc.crossing(&recs[h]); x > s.now || x >= next {
+					next = simtime.MinTime(next, x)
+					break
 				}
 			}
-			break
 		}
 	}
 	s.specNext = lo

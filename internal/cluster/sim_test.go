@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -181,6 +182,27 @@ func TestConfigErrors(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := cluster.New(cfg, scheduler.NewFIFO(), nil); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
+		}
+	}
+	// Non-finite knobs, which every range comparison would let through: the
+	// error names the field.
+	nonFinite := []struct {
+		field string
+		set   func(*cluster.Config)
+	}{
+		{"Noise", func(c *cluster.Config) { c.Noise = math.NaN() }},
+		{"StragglerProb", func(c *cluster.Config) { c.StragglerProb, c.StragglerFactor = math.NaN(), 3 }},
+		{"SpeculativeSlowdown", func(c *cluster.Config) { c.SpeculativeSlowdown = math.NaN() }},
+		{"SpeculativeSlowdown", func(c *cluster.Config) { c.SpeculativeSlowdown = math.Inf(1) }},
+		{"RemotePenalty", func(c *cluster.Config) { c.Replication, c.RemotePenalty = 3, math.NaN() }},
+		{"StragglerFactor", func(c *cluster.Config) { c.StragglerProb, c.StragglerFactor = 0.1, math.Inf(1) }},
+	}
+	for _, tc := range nonFinite {
+		cfg := cluster.Config{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1}
+		tc.set(&cfg)
+		_, err := cluster.New(cfg, scheduler.NewFIFO(), nil)
+		if err == nil || !strings.Contains(err.Error(), tc.field+" = ") {
+			t.Errorf("%+v: error %v, want one naming %s", cfg, err, tc.field)
 		}
 	}
 	// One nanosecond per node is enough.

@@ -2,10 +2,12 @@ package cluster_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/cluster/refsim"
 	"repro/internal/scheduler"
 	"repro/internal/simtime"
 	"repro/internal/workflow"
@@ -199,6 +201,56 @@ func TestStragglerConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := cluster.New(cfg, scheduler.NewFIFO(), nil); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
+		}
+	}
+}
+
+// TestSpeculationDetachedTwinTie is a differential run against the frozen
+// reference simulator of the one case the launch-sequence tie-break in a
+// phase's candidate list decides. Two map slots per node let one heartbeat
+// launch two maps of a job on one tick, so both cross their straggler
+// threshold at the same instant; the first is twinned onto the other node,
+// and that node fails under the twin. The survivor goes back into its
+// phase's list (detachTwin) beside its sibling with the same crossing, and
+// the next free slot must go to the one launched first, as the reference's
+// heap pops it. Noise keeps the two siblings' durations apart, so the wrong
+// pick changes the run.
+func TestSpeculationDetachedTwinTie(t *testing.T) {
+	w := workflow.NewBuilder("w").
+		Job("a", 4, 2, 30*time.Second, 20*time.Second).
+		MustBuild(0, simtime.FromSeconds(3600))
+	for _, c := range []struct {
+		seed   int64
+		failAt float64
+	}{{10, 43}, {17, 40}, {17, 46}, {17, 52}} {
+		cfg := cluster.Config{
+			Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1,
+			HeartbeatInterval:   3 * time.Second,
+			Noise:               0.2,
+			StragglerProb:       0.5,
+			StragglerFactor:     4,
+			SpeculativeSlowdown: 1.2,
+			Seed:                c.seed,
+			Failures:            []cluster.Failure{{Node: 1, At: simtime.FromSeconds(c.failAt), Downtime: time.Minute}},
+		}
+		sim, err := cluster.New(cfg, scheduler.NewFIFO(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Submit(w, nil); err != nil {
+			t.Fatal(err)
+		}
+		got, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Release()
+		want, err := refsim.Run(cfg, scheduler.NewFIFO(), nil, []*workflow.Workflow{w}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d, failure at %vs: diverges from the reference:\ngot:  %+v\nwant: %+v", c.seed, c.failAt, got, want)
 		}
 	}
 }

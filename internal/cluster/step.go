@@ -75,7 +75,7 @@ func (s *Simulator) Peek() (at simtime.Time, ok bool) {
 // the last instant processed; events that handlers push within the window are
 // processed too, exactly as Run's internal loop would have.
 //
-// The heap is drained once per instant: every event already scheduled at the
+// The queue is drained once per instant: every event already scheduled at the
 // earliest pending time arrives in one batch, in push order — exactly the
 // order a pop-per-event loop would have delivered, so each handler (and the
 // dispatch pass it triggers) runs against identical intermediate state.

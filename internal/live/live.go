@@ -25,6 +25,7 @@ package live
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -85,8 +86,11 @@ func (c Config) validate() error {
 	if c.HeartbeatInterval <= 0 {
 		return fmt.Errorf("live: HeartbeatInterval = %v, want > 0", c.HeartbeatInterval)
 	}
-	if c.TimeScale <= 0 {
+	if !(c.TimeScale > 0) { // NaN included
 		return fmt.Errorf("live: TimeScale = %v, want > 0", c.TimeScale)
+	}
+	if math.IsInf(c.TimeScale, 1) {
+		return fmt.Errorf("live: TimeScale = %v, want finite", c.TimeScale)
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("live: Shards = %d, want >= 0", c.Shards)

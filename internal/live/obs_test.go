@@ -2,6 +2,7 @@ package live_test
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -88,6 +89,8 @@ func TestLiveValidationMessages(t *testing.T) {
 			"live: MapSlotsPerNode+ReduceSlotsPerNode = 0, want > 0"},
 		{func(c *live.Config) { c.HeartbeatInterval = 0 }, "live: HeartbeatInterval = 0s, want > 0"},
 		{func(c *live.Config) { c.TimeScale = -1 }, "live: TimeScale = -1, want > 0"},
+		{func(c *live.Config) { c.TimeScale = math.NaN() }, "live: TimeScale = NaN, want > 0"},
+		{func(c *live.Config) { c.TimeScale = math.Inf(1) }, "live: TimeScale = +Inf, want finite"},
 		{func(c *live.Config) { c.Shards = -3 }, "live: Shards = -3, want >= 0"},
 	}
 	for _, tc := range cases {

@@ -207,7 +207,7 @@ type SimStats struct {
 	ArenaCapacity  *Gauge   `metric:"woha_sim_arena_capacity" help:"Attempt-arena record capacity after the latest simulator run."`
 	ArenaReuses    *Counter `metric:"woha_sim_arena_attempt_reuses_total" help:"Attempt records recycled through the arena free list."`
 	ArenaGrows     *Counter `metric:"woha_sim_arena_grows_total" help:"Attempt-arena backing array growths."`
-	DrainBatches   *Counter `metric:"woha_sim_drain_batches_total" help:"Event-heap drains performed by the simulator (one per simulated instant)."`
+	DrainBatches   *Counter `metric:"woha_sim_drain_batches_total" help:"Event-queue drains performed by the simulator (one per instant with queued events)."`
 	DrainCoalesced *Counter `metric:"woha_sim_drain_coalesced_events_total" help:"Same-instant events coalesced into an existing drain batch."`
 	SpecGateSkips  *Counter `metric:"woha_sim_spec_gate_skips_total" help:"Speculation passes skipped in O(1) because no attempt could be overdue and the wake-up was already armed."`
 }

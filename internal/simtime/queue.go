@@ -1,30 +1,64 @@
 package simtime
 
+import "math/bits"
+
 // Queue is a deterministic future-event list: a priority queue of payloads
 // ordered by firing time, with FIFO ordering among events that share the same
 // instant. The zero value is an empty queue ready to use.
 //
 // Determinism matters because the cluster simulators schedule many events at
-// identical instants; heap ties broken by pointer order or map iteration
-// would make runs irreproducible.
+// identical instants; ties broken by pointer order or map iteration would
+// make runs irreproducible.
 //
-// The heap is implemented by hand rather than over container/heap: the
-// standard interface boxes every pushed event into an `any`, which costs one
-// allocation per event.
+// Push and PushFront file events in a radix queue (a monotone bucket queue)
+// kept against last, the instant most recently popped from it: bucket 0
+// holds the events at last itself, and bucket i > 0 those whose instant
+// first differs from last in bit i-1. Every event of a bucket is earlier
+// than every event of a higher one, so the earliest event is in the lowest
+// non-empty bucket. A push is an append. Popping from a bucket other than 0
+// first re-files that bucket against its earliest instant, which becomes
+// last: each of its events moves to a lower bucket, and those at the new
+// last land in bucket 0, to be popped from its front. An event moves at
+// most once per bit of its distance from last, and in practice a handful of
+// times, where a heap would sift it through log n levels on the way in and
+// again on the way out. Each bucket keeps the events of one instant in
+// (at, seq) order: pushes append in stamp order, a re-file moves an
+// instant's events together and in order, and PushFront inserts its event
+// where its band puts it. A push below last, which the simulators never
+// make (they push at or after the instant they are processing), re-files
+// every bucket against the new instant once.
 //
-// Beside the heap sit FIFO lanes for events that arrive already in firing
+// Beside the buckets sit FIFO lanes for events that arrive already in firing
 // order: PushLane feeds one lane per caller-chosen owner (in a simulated
 // cluster, the completions of one job phase, which under exact durations all
 // take the same time). Each lane is a ring sorted by (at, seq), because a
 // lane only accepts an event whose instant is not below its tail's and seq
 // stamps only grow; an event that would break a lane's order goes to the
-// heap instead. The lanes are merged through a small heap of their heads, and
-// Pop, Peek and DrainInstant take the smaller of the heap top and the
-// earliest lane head. Every event carries the stamp Push would have given it
-// whichever lane holds it, so the pop order is a merge of (at, seq)-sorted
-// lists and does not depend on where an event went.
+// buckets instead. The lanes are merged through a small heap of their heads,
+// and Pop, Peek and DrainInstant take the smaller of the buckets' earliest
+// event and the earliest lane head. Every event carries the stamp Push would
+// have given it whichever lane holds it, so the pop order is a merge of
+// (at, seq)-sorted lists and does not depend on where an event went.
 type Queue[T any] struct {
-	h []event[T]
+	// buckets[i] holds the events filed under bucket i. Bucket 0 pops from
+	// head0; every other bucket is only appended to, and emptied whole by a
+	// re-file. Nothing is zeroed on the way: a bucket's spare capacity may
+	// hold copies of events it has passed on or popped until they are
+	// overwritten or Reset zeroes them, which bounds what a queue can pin by
+	// its high-water mark.
+	buckets [numBuckets][]event[T]
+	head0   int
+	// mins[i] is the earliest instant in bucket i > 0, valid while occ has
+	// bit i-1 set, which it has exactly while the bucket is non-empty. The
+	// earliest event there is the first of that instant in the bucket.
+	mins [numBuckets]Time
+	occ  uint64
+	// n counts the events in the buckets, and last is the instant they are
+	// filed against: no event in them is earlier.
+	n    int
+	last Time
+	// spill is the scratch space of a below-last re-file.
+	spill []event[T]
 	// lanes holds every lane ever opened; a drained lane's index goes
 	// to spare and its ring keeps its capacity for the next owner. owned maps
 	// an owner to 1 + the index of its lane, 0 while it has none.
@@ -45,6 +79,9 @@ type Queue[T any] struct {
 	seq  uint64
 	fseq uint64
 }
+
+// numBuckets is one bucket for last itself and one per bit of a Time.
+const numBuckets = 65
 
 // lane is one FIFO ring: n events starting at head, wrapping at len(ring),
 // which is zero or a power of two, and the owner it serves.
@@ -93,8 +130,10 @@ const normalBand = uint64(1) << 63
 // Push schedules payload v to fire at instant at.
 func (q *Queue[T]) Push(at Time, v T) {
 	q.seq++
-	q.h = append(q.h, event[T]{at: at, seq: normalBand | q.seq, payload: v})
-	q.up(len(q.h) - 1)
+	if at < q.last {
+		q.lower(at)
+	}
+	q.file(event[T]{at: at, seq: normalBand | q.seq, payload: v})
 }
 
 // PushFront schedules payload v to fire at instant at, ahead of every
@@ -105,23 +144,151 @@ func (q *Queue[T]) Push(at Time, v T) {
 // arrivals carry the lowest seq stamps of their instant, so a live-submitted
 // arrival must also sort before the completions and heartbeats already
 // queued there.
+//
+// The front event goes ahead of the normal events of its instant already in
+// its bucket, and behind its instant's earlier front events, which precede
+// those. Only this push pays a scan of the bucket.
 func (q *Queue[T]) PushFront(at Time, v T) {
 	q.fseq++
-	q.h = append(q.h, event[T]{at: at, seq: q.fseq, payload: v})
-	q.up(len(q.h) - 1)
+	if at < q.last {
+		q.lower(at)
+	}
+	e := event[T]{at: at, seq: q.fseq, payload: v}
+	i := q.bucketOf(at)
+	from := 0
+	if i == 0 {
+		from = q.head0
+	}
+	b := q.buckets[i]
+	for p := from; p < len(b); p++ {
+		if b[p].at == at && b[p].seq&normalBand != 0 {
+			q.file(e)
+			b = q.buckets[i]
+			copy(b[p+1:], b[p:len(b)-1])
+			b[p] = e
+			return
+		}
+	}
+	q.file(e)
+}
+
+// bucketOf returns the bucket an event at instant at is filed in, at not
+// being below last.
+func (q *Queue[T]) bucketOf(at Time) int {
+	return bits.Len64(uint64(at ^ q.last))
+}
+
+// file appends e, not below last, to its bucket and keeps the bucket's
+// earliest instant.
+func (q *Queue[T]) file(e event[T]) {
+	q.n++
+	i := q.bucketOf(e.at)
+	b := q.buckets[i]
+	if i > 0 {
+		if len(b) == 0 {
+			q.occ |= 1 << (i - 1)
+			q.mins[i] = e.at
+		} else if e.at < q.mins[i] {
+			q.mins[i] = e.at
+		}
+	}
+	q.buckets[i] = append(b, e)
+}
+
+// lower files the buckets against at, an instant below last, re-filing
+// every event they hold.
+func (q *Queue[T]) lower(at Time) {
+	if q.n == 0 {
+		q.last = at
+		return
+	}
+	spill := append(q.spill[:0], q.buckets[0][q.head0:]...)
+	q.empty(0)
+	for occ := q.occ; occ != 0; occ &= occ - 1 {
+		i := bits.TrailingZeros64(occ) + 1
+		spill = append(spill, q.buckets[i]...)
+		q.empty(i)
+	}
+	q.occ, q.n = 0, 0
+	q.last = at
+	for i := range spill {
+		q.file(spill[i])
+	}
+	q.spill = spill[:0]
+}
+
+// refile re-files the lowest non-empty bucket against its earliest instant
+// when bucket 0 is empty, so that bucket 0 holds the earliest events. Only
+// valid while the buckets hold events.
+func (q *Queue[T]) refile() {
+	if q.head0 < len(q.buckets[0]) {
+		return
+	}
+	i := bits.TrailingZeros64(q.occ) + 1
+	q.occ &^= 1 << (i - 1)
+	last := q.mins[i]
+	q.last = last
+	src := q.buckets[i]
+	// file, by hand and without the count: this loop is where the buckets
+	// spend their time.
+	for k := range src {
+		e := &src[k]
+		j := bits.Len64(uint64(e.at ^ last))
+		b := q.buckets[j]
+		if len(b) == 0 {
+			q.occ |= 1 << uint(j-1) // j = 0: a shift past 63, which sets nothing
+			q.mins[j] = e.at
+		} else if e.at < q.mins[j] {
+			q.mins[j] = e.at
+		}
+		q.buckets[j] = append(b, *e)
+	}
+	q.empty(i)
+}
+
+// empty truncates bucket i.
+func (q *Queue[T]) empty(i int) {
+	q.buckets[i] = q.buckets[i][:0]
+	if i == 0 {
+		q.head0 = 0
+	}
+}
+
+// bucketMin returns the earliest instant in the buckets without re-filing
+// any; ok is false when they are empty.
+func (q *Queue[T]) bucketMin() (at Time, ok bool) {
+	if q.head0 < len(q.buckets[0]) {
+		return q.last, true
+	}
+	if q.occ == 0 {
+		return 0, false
+	}
+	return q.mins[bits.TrailingZeros64(q.occ)+1], true
+}
+
+// pop0 removes the front of bucket 0.
+func (q *Queue[T]) pop0() {
+	b := q.buckets[0]
+	q.head0++
+	q.n--
+	if q.head0 == len(b) {
+		q.buckets[0] = b[:0]
+		q.head0 = 0
+	}
 }
 
 // PushLane schedules payload v to fire at instant at, exactly as Push does —
 // same seq stamp, same position in the pop order — but keeps the event in
 // owner's lane when at is not below the instant of the last event that lane
 // accepted, which makes both the push and the later pop cheap. An event that
-// would break the lane's order goes to the heap instead; onLane reports which
-// of the two happened. owner is a small non-negative integer the caller picks
-// (the queue keeps a table indexed by it). An owner's lane exists only while
-// it holds events; a drained lane returns to a pool for the next owner to
-// open. Lanes pay off for sources that each fire in order but interleave
-// with one another: the heap then holds one head per source instead of every
-// event. Any mix of Push and PushLane pops identically.
+// would break the lane's order goes to the buckets instead; onLane reports
+// which of the two happened. owner is a small non-negative integer the caller
+// picks (the queue keeps a table indexed by it). An owner's lane exists only
+// while it holds events; a drained lane returns to a pool for the next owner
+// to open. Lanes pay off for sources that each fire in order but interleave
+// with one another: an event then costs a ring append and pop, and the heads'
+// heap holds one entry per source. Any mix of Push and PushLane pops
+// identically.
 func (q *Queue[T]) PushLane(owner int, at Time, v T) (onLane bool) {
 	if owner >= len(q.owned) {
 		q.owned = append(q.owned, make([]int32, owner+1-len(q.owned))...)
@@ -161,36 +328,24 @@ func (q *Queue[T]) openLane(owner int) int {
 }
 
 // first locates the earliest pending event under (at, seq) and reports
-// whether it heads a lane. Only valid on a non-empty queue. It hands out a
-// pointer so that callers copy out just the fields they want: moving whole
-// events by value cost a fifth of the pop time on few-entry heaps.
+// whether it heads a lane. Only valid on a non-empty queue. When the
+// buckets' earliest instant is the earliest pending one, it is about to pop,
+// so its bucket is re-filed into bucket 0 before the lanes' head and bucket
+// 0's front compare stamps. It hands out a pointer so that callers copy out
+// just the fields they want.
 func (q *Queue[T]) first() (e *event[T], onLane bool) {
-	if len(q.h) > 0 {
-		e = &q.h[0]
+	at, ok := q.bucketMin()
+	if ok {
+		if len(q.heads) == 0 || at <= q.heads[0].at {
+			q.refile()
+			e = &q.buckets[0][q.head0]
+			if len(q.heads) == 0 || at < q.heads[0].at || e.seq < q.heads[0].seq {
+				return e, false
+			}
+		}
 	}
-	if len(q.heads) == 0 {
-		return e, false
-	}
-	if hd := &q.heads[0]; e == nil || hd.at < e.at || (hd.at == e.at && hd.seq < e.seq) {
-		l := &q.lanes[hd.l]
-		return &l.ring[l.head], true
-	}
-	return e, false
-}
-
-// drop removes the event first located.
-func (q *Queue[T]) drop(onLane bool) {
-	if onLane {
-		q.dropLane()
-		return
-	}
-	last := len(q.h) - 1
-	q.h[0] = q.h[last]
-	q.h[last] = event[T]{} // release payload for GC
-	q.h = q.h[:last]
-	if last > 0 {
-		q.down(0)
-	}
+	l := &q.lanes[q.heads[0].l]
+	return &l.ring[l.head], true
 }
 
 // dropLane removes the head of the lane at heads[0]. A lane left
@@ -224,18 +379,21 @@ func (q *Queue[T]) Pop() (at Time, v T, ok bool) {
 	}
 	e, onLane := q.first()
 	at, v = e.at, e.payload
-	q.drop(onLane)
+	if onLane {
+		q.dropLane()
+	} else {
+		q.pop0()
+	}
 	return at, v, true
 }
 
 // Peek returns the firing time of the earliest event without removing it.
-// ok is false when the queue is empty.
+// ok is false when the queue is empty. It re-files nothing: a bucket's
+// minimum is kept as events arrive.
 func (q *Queue[T]) Peek() (at Time, ok bool) {
-	if len(q.h) > 0 {
-		at, ok = q.h[0].at, true
-	}
-	// Only the instant is asked for, so a tie between the lanes and the heap
-	// needs no seq comparison.
+	at, ok = q.bucketMin()
+	// Only the instant is asked for, so a tie between the lanes and the
+	// buckets needs no seq comparison.
 	if len(q.heads) > 0 && (!ok || q.heads[0].at < at) {
 		at, ok = q.heads[0].at, true
 	}
@@ -251,36 +409,62 @@ func (q *Queue[T]) Peek() (at Time, ok bool) {
 // precisely when a Pop-per-event loop would have reached them (their seq
 // stamps are newer than everything drained here).
 //
-// Batching exists for the simulators' grid-aligned workloads (heartbeat
-// ticks, synchronized wave completions): the heap is popped once per instant
-// instead of once per event, so the sift-down traffic for k coincident
-// events touches a heap that shrinks k times between time advances.
+// The buckets' events at the instant are re-filed into bucket 0 at most once
+// and taken from its front; with no lane event there, the whole bucket goes
+// in one copy. The instant is read before anything is re-filed, so last
+// never passes it.
 func (q *Queue[T]) DrainInstant(out *[]T) (at Time, n int) {
-	for q.Len() > 0 {
-		e, onLane := q.first()
-		if n > 0 && e.at != at {
-			break
+	at, ok := q.Peek()
+	if !ok {
+		return 0, 0
+	}
+	if m, ok := q.bucketMin(); ok && m == at {
+		q.refile()
+	}
+	if len(q.heads) == 0 || q.heads[0].at != at {
+		b := q.buckets[0][q.head0:]
+		for i := range b {
+			*out = append(*out, b[i].payload)
 		}
-		at = e.at
-		*out = append(*out, e.payload)
-		q.drop(onLane)
+		q.n -= len(b)
+		q.empty(0)
+		return at, len(b)
+	}
+	// Bucket 0 holds events at this instant exactly while last is it.
+	bucketed := q.last == at
+	for {
+		var e *event[T] // the front of bucket 0, when at this instant
+		if bucketed && q.head0 < len(q.buckets[0]) {
+			e = &q.buckets[0][q.head0]
+		}
+		if hd := q.heads; len(hd) > 0 && hd[0].at == at && (e == nil || hd[0].seq < e.seq) {
+			l := &q.lanes[hd[0].l]
+			*out = append(*out, l.ring[l.head].payload)
+			q.dropLane()
+		} else if e != nil {
+			*out = append(*out, e.payload)
+			q.pop0()
+		} else {
+			return at, n
+		}
 		n++
 	}
-	return at, n
 }
 
 // Len returns the number of pending events.
-func (q *Queue[T]) Len() int { return len(q.h) + q.laneLen }
+func (q *Queue[T]) Len() int { return q.n + q.laneLen }
 
 // Reset empties the queue while keeping its backing storage, so a pooled
-// simulator can reuse one queue across runs without re-allocating. Payloads
-// still queued are zeroed to release anything they reference, and every
-// lane closes.
+// simulator can reuse one queue across runs without re-allocating. The
+// buckets' storage is zeroed whole, payloads still queued and copies left
+// behind alike, to release anything they reference, and every lane closes.
 func (q *Queue[T]) Reset() {
-	for i := range q.h {
-		q.h[i] = event[T]{}
+	for i := range q.buckets {
+		clear(q.buckets[i][:cap(q.buckets[i])])
+		q.empty(i)
 	}
-	q.h = q.h[:0]
+	clear(q.spill[:cap(q.spill)])
+	q.occ, q.n, q.last = 0, 0, 0
 	for len(q.heads) > 0 {
 		q.dropLane()
 	}
@@ -289,55 +473,12 @@ func (q *Queue[T]) Reset() {
 	q.fseq = 0
 }
 
-func (q *Queue[T]) less(i, j int) bool {
-	if q.h[i].at != q.h[j].at {
-		return q.h[i].at < q.h[j].at
-	}
-	return q.h[i].seq < q.h[j].seq
-}
-
-// heapArity is the fan-out of the implicit d-ary heap. Four children halve
-// the sift-down depth of the binary layout, trading cheap extra comparisons
-// (the children sit adjacent in one or two cache lines) for the dependent
-// loads that dominate Pop on deep heaps. The (at, seq) order is total, so
-// pop order is identical at any arity.
+// heapArity is the fan-out of the implicit d-ary heap of lane heads. Four
+// children halve the sift-down depth of the binary layout, trading cheap
+// extra comparisons (the children sit adjacent in one or two cache lines)
+// for dependent loads. The (at, seq) order is total, so pop order is
+// identical at any arity.
 const heapArity = 4
-
-func (q *Queue[T]) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !q.less(i, parent) {
-			break
-		}
-		q.h[i], q.h[parent] = q.h[parent], q.h[i]
-		i = parent
-	}
-}
-
-func (q *Queue[T]) down(i int) {
-	n := len(q.h)
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			return
-		}
-		smallest := i
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		for c := first; c < last; c++ {
-			if q.less(c, smallest) {
-				smallest = c
-			}
-		}
-		if smallest == i {
-			return
-		}
-		q.h[i], q.h[smallest] = q.h[smallest], q.h[i]
-		i = smallest
-	}
-}
 
 func (q *Queue[T]) headLess(i, j int) bool {
 	a, b := &q.heads[i], &q.heads[j]

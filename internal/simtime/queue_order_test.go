@@ -8,6 +8,7 @@ package simtime
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -75,17 +76,42 @@ func (r *refQueue) pop() (refEvent, bool) {
 
 func (r *refQueue) reset() { *r = refQueue{nextID: r.nextID} }
 
+// queueCoverage counts what one program reached.
+type queueCoverage struct {
+	// owner0, others and fellBack count ordered pushes that took owner 0's
+	// lane, another owner's, and the buckets.
+	owner0, others, fellBack int
+	// refiled has bit i-1 set once bucket i > 0 has been re-filed by a pop.
+	refiled uint64
+	// belowLast counts pushes below last while the buckets held events.
+	belowLast int
+	// frontAhead counts PushFronts into a bucket that already held a normal
+	// event of their instant.
+	frontAhead int
+}
+
+// ahead returns d after t, or MaxTime where that overflows.
+func ahead(t Time, d Time) Time {
+	if t > MaxTime-d {
+		return MaxTime
+	}
+	return t + d
+}
+
 // checkQueueOps interprets ops as a program over a Queue and the reference
 // side by side and fails on the first disagreement. Each step reads an opcode
 // byte and, for pushes, an operand byte choosing the instant relative to the
-// clock (the instant of the last event popped): mostly a little ahead of it,
-// sometimes at it — a push mid-drain, which must join the next batch — and
-// sometimes anywhere, including behind the clock and behind a lane's tail.
+// clock (the instant of the last event popped): below 192, a little ahead of
+// it or at it — a push mid-drain, which must join the next batch; 192+k,
+// 2^k ahead (k up to 62), which files the event in a high bucket; 255,
+// MaxTime. A plain push or PushFront whose opcode byte's high nibble is 14
+// goes anywhere in [0, 32) instead, and one whose nibble is 15 goes 1 to 32
+// behind the clock, usually below the queue's last while it holds events.
 // An ordered push goes to owner 0's lane when the opcode byte's high nibble
-// is 0 or a multiple of 5, and to one of owners 1 to 4 otherwise. It returns
-// how many ordered pushes took owner 0's lane, how many took another owner's,
-// and how many fell back to the heap.
-func checkQueueOps(t *testing.T, ops []byte) (owner0, others, fellBack int) {
+// is 0 or a multiple of 5, and to one of owners 1 to 4 otherwise; it too
+// lands behind a lane's tail often enough to fall back. The returned
+// coverage says which of the queue's paths the program took.
+func checkQueueOps(t *testing.T, ops []byte) (cov queueCoverage) {
 	t.Helper()
 	var q Queue[int]
 	var ref refQueue
@@ -99,14 +125,41 @@ func checkQueueOps(t *testing.T, ops []byte) (owner0, others, fellBack int) {
 			pc++
 			arg = ops[pc]
 		}
-		at := clock + Time(arg%8) // near future, ties likely
-		if arg >= 224 {
-			at = Time(arg % 32) // anywhere, often in the past
+		at := ahead(clock, Time(arg%8)) // near future, ties likely
+		switch {
+		case arg == 255:
+			at = MaxTime
+		case arg >= 192:
+			at = ahead(clock, 1<<(arg-192))
+		}
+		if op < 4 {
+			switch code >> 4 {
+			case 14:
+				at = Time(arg % 32) // anywhere, often in the past
+			case 15:
+				at = clock - 1 - Time(arg%32)
+			}
+			if at < q.last && q.n > 0 {
+				cov.belowLast++
+			}
 		}
 		switch {
 		case op < 3:
 			q.Push(at, ref.push(at, false))
 		case op < 4:
+			if at >= q.last {
+				i := q.bucketOf(at)
+				b := q.buckets[i]
+				if i == 0 {
+					b = b[q.head0:]
+				}
+				for _, e := range b {
+					if e.at == at && e.seq&normalBand != 0 {
+						cov.frontAhead++
+						break
+					}
+				}
+			}
 			q.PushFront(at, ref.push(at, true))
 		case op < 10:
 			// The periodic source: usually one fixed interval ahead of the
@@ -114,15 +167,15 @@ func checkQueueOps(t *testing.T, ops []byte) (owner0, others, fellBack int) {
 			// an interval of its own, so the lanes interleave.
 			owner := int(code>>4) % 5
 			if arg < 160 {
-				at = clock + Time(8+owner)
+				at = ahead(clock, Time(8+owner))
 			}
 			switch {
 			case !q.PushLane(owner, at, ref.push(at, false)):
-				fellBack++
+				cov.fellBack++
 			case owner == 0:
-				owner0++
+				cov.owner0++
 			default:
-				others++
+				cov.others++
 			}
 		case op < 13:
 			want, _, wantOK := ref.peek()
@@ -130,7 +183,9 @@ func checkQueueOps(t *testing.T, ops []byte) (owner0, others, fellBack int) {
 				t.Fatalf("step %d: Peek = (%v, %v), want (%v, %v)", pc, at, ok, want.at, wantOK)
 			}
 			ref.pop()
+			occ := q.occ
 			at, id, ok := q.Pop()
+			cov.refiled |= occ &^ q.occ
 			if ok != wantOK || at != want.at || id != want.id {
 				t.Fatalf("step %d: Pop = (%v, %d, %v), want (%v, %d, %v)", pc, at, id, ok, want.at, want.id, wantOK)
 			}
@@ -139,7 +194,9 @@ func checkQueueOps(t *testing.T, ops []byte) (owner0, others, fellBack int) {
 			}
 		case op < 15:
 			batch = batch[:0]
+			occ := q.occ
 			at, n := q.DrainInstant(&batch)
+			cov.refiled |= occ &^ q.occ
 			if n != len(batch) {
 				t.Fatalf("step %d: DrainInstant n=%d, appended %d", pc, n, len(batch))
 			}
@@ -180,17 +237,18 @@ func checkQueueOps(t *testing.T, ops []byte) (owner0, others, fellBack int) {
 	if _, _, ok := q.Pop(); ok {
 		t.Fatal("final drain: queue holds events the reference does not")
 	}
-	return owner0, others, fellBack
+	return cov
 }
 
 // queueOrderSeeds are hand-written programs for the corners. Operand 160+k
-// is "k after the clock" for every kind of push; opcode 16k+4 (k = 0..4) is
-// a push to owner k's lane.
+// is "k after the clock" for every kind of push, 192+k "2^k after it";
+// opcode 16k+4 (k = 0..4) is a push to owner k's lane, and 240 a push behind
+// the clock.
 var queueOrderSeeds = [][]byte{
 	{},
 	// Two ordered pushes, then one behind the lane's tail.
 	{4, 163, 4, 165, 4, 161, 11, 11, 11},
-	// One instant reached through the lane, the heap and the front band, in
+	// One instant reached through the lane, the buckets and the front band, in
 	// turn; then pushes at that instant between two drains of it.
 	{4, 163, 0, 163, 3, 163, 4, 163, 0, 163, 13, 0, 160, 4, 160, 13},
 	// Reset with a loaded lane, then reuse.
@@ -201,15 +259,24 @@ var queueOrderSeeds = [][]byte{
 	// Owner 0 and four other owners, interleaved, drained instant by
 	// instant.
 	{20, 0, 36, 0, 52, 0, 68, 0, 4, 0, 20, 0, 36, 0, 13, 13, 13, 13, 13, 13},
-	// An owned lane's push behind its tail falls back to the heap.
+	// An owned lane's push behind its tail falls back to the buckets.
 	{20, 165, 20, 161, 36, 161, 11, 11, 11},
 	// A lane drained and reused, by its owner and by another.
 	{20, 0, 11, 20, 0, 36, 0, 11, 11, 52, 0, 11},
 	// Reset with owned lanes live, then reuse.
 	{20, 0, 36, 0, 4, 0, 15, 36, 0, 20, 0, 11, 11},
-	// One instant reached through three owners' lanes, the heap and the
+	// One instant reached through three owners' lanes, the buckets and the
 	// front band; then a push at it between two drains.
 	{20, 160, 36, 160, 0, 160, 4, 160, 3, 160, 13, 20, 160, 13},
+	// A ladder of far pushes, drained from the nearest: each pop re-files
+	// the bucket of the next rung; then MaxTime, reached and pushed at.
+	{0, 254, 0, 232, 0, 212, 0, 197, 0, 255, 13, 13, 13, 13, 0, 160, 0, 255, 13, 13, 13},
+	// A front push into a high bucket already holding a normal event of its
+	// instant, and another into bucket 0.
+	{0, 200, 0, 201, 3, 200, 11, 0, 160, 3, 160, 13, 13},
+	// Pushes behind last while events are held: every bucket re-files
+	// against the new instant; then a front push there.
+	{0, 163, 0, 210, 11, 0, 163, 240, 0, 243, 5, 11, 13, 13, 13},
 }
 
 // FuzzQueueOrder feeds arbitrary op programs to checkQueueOps.
@@ -228,8 +295,9 @@ func FuzzQueueOrder(f *testing.F) {
 // TestQueueOrderProperty runs checkQueueOps over seeded random programs long
 // enough for the ring to wrap and grow many times over.
 func TestQueueOrderProperty(t *testing.T) {
+	var refiled uint64
 	for _, s := range queueOrderSeeds {
-		checkQueueOps(t, s)
+		refiled |= checkQueueOps(t, s).refiled
 	}
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -244,18 +312,27 @@ func TestQueueOrderProperty(t *testing.T) {
 				}
 			}
 		}
-		owner0, others, fellBack := checkQueueOps(t, ops)
-		if owner0 < 100 || others < 100 || fellBack < 100 {
+		cov := checkQueueOps(t, ops)
+		if cov.owner0 < 100 || cov.others < 100 || cov.fellBack < 100 {
 			t.Errorf("seed %d: %d owner-0 lane pushes, %d other-owner lane pushes and %d fallbacks; the program does not exercise all three",
-				seed, owner0, others, fellBack)
+				seed, cov.owner0, cov.others, cov.fellBack)
 		}
+		if cov.belowLast == 0 || cov.frontAhead == 0 {
+			t.Errorf("seed %d: %d pushes below last and %d front pushes ahead of their instant's normal events; want some of each",
+				seed, cov.belowLast, cov.frontAhead)
+		}
+		refiled |= cov.refiled
+	}
+	if n := bits.OnesCount64(refiled); n < 16 {
+		t.Errorf("pops re-filed %d distinct buckets (mask %#x), want at least 16", n, refiled)
 	}
 }
 
-// TestQueueOrderedAllocs pins the lanes' steady state: once the rings have
+// TestQueueOrderedAllocs pins the queue's steady state: once the rings have
 // grown to the working set, PushLane and the pop that follows allocate
-// nothing — in order or falling back to a heap that has been that deep, and
-// with lanes drained to the pool and reopened every cycle.
+// nothing — in order or falling back to buckets that have been that full, and
+// with lanes drained to the pool and reopened every cycle — and once the
+// buckets have, neither do Push and DrainInstant at scattered instants.
 func TestQueueOrderedAllocs(t *testing.T) {
 	var q Queue[int]
 	var batch []int
@@ -267,13 +344,13 @@ func TestQueueOrderedAllocs(t *testing.T) {
 		for i := 0; i < depth; i++ {
 			q.PushLane(0, now+Time(depth+i), i)
 		}
-		q.PushLane(0, now, -1) // behind the tail: heap fallback
+		q.PushLane(0, now, -1) // behind the tail: falls back to the buckets
 		for q.Len() > 0 {
 			batch = batch[:0]
 			now, _ = q.DrainInstant(&batch)
 		}
 	}
-	cycle() // warm: ring, heap and batch reach their working size
+	cycle() // warm: ring, buckets and batch reach their working size
 	if got := testing.AllocsPerRun(20, cycle); got != 0 {
 		t.Errorf("warm one-owner PushLane/DrainInstant cycle allocates %.1f/run, want 0", got)
 	}
@@ -291,7 +368,7 @@ func TestQueueOrderedAllocs(t *testing.T) {
 			owner := (i + round) % 8
 			q.PushLane(owner, now+Time(depth+i/8*8+owner), i)
 		}
-		q.PushLane(round%8, now, -1) // behind the tail: heap fallback
+		q.PushLane(round%8, now, -1) // behind the tail: falls back to the buckets
 		round++
 		for q.Len() > 0 {
 			batch = batch[:0]
@@ -306,18 +383,60 @@ func TestQueueOrderedAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(20, laned); got != 0 {
 		t.Errorf("PushLane cycle after Reset allocates %.1f/run, want 0 (Reset must keep the lanes)", got)
 	}
+
+	// Scattered instants through Push alone, as a noisy run's completions
+	// arrive: the buckets re-file and empty every cycle and keep their
+	// storage.
+	var d scatter
+	scattered := func() {
+		for i := 0; i < depth; i++ {
+			q.Push(now+d.next(), i)
+		}
+		for q.Len() > 0 {
+			batch = batch[:0]
+			now, _ = q.DrainInstant(&batch)
+		}
+	}
+	// A bucket's fill follows the bits of the clock, which moves on every
+	// cycle, so the buckets take some cycles to reach the largest fill they
+	// will see (16 suffice here; 64 leave a margin).
+	for i := 0; i < 64; i++ {
+		scattered()
+	}
+	if got := testing.AllocsPerRun(20, scattered); got != 0 {
+		t.Errorf("warm scattered Push/DrainInstant cycle allocates %.1f/run, want 0", got)
+	}
+}
+
+// scatter draws durations the way a noisy run's tasks take them: one of four
+// job estimates from 20 s to 10 min, each ±20 %, from a fixed-seed
+// xorshift generator that allocates nothing.
+type scatter struct{ x uint64 }
+
+func (s *scatter) next() Time {
+	if s.x == 0 {
+		s.x = 0x9e3779b97f4a7c15
+	}
+	s.x ^= s.x << 13
+	s.x ^= s.x >> 7
+	s.x ^= s.x << 17
+	base := [4]Time{20e9, 60e9, 180e9, 600e9}[s.x&3]
+	return base*4/5 + Time((s.x>>2)%uint64(base*2/5))
 }
 
 // BenchmarkQueueHeartbeatMix is the event mix of a heartbeat-driven cluster:
 // 1500 periodic sources each re-arming one interval ahead as they fire, and
 // beside them one-shot events (task completions) at scattered instants, about
-// one in ten. "lane" re-arms with PushLane on one owner, "heap" with Push —
-// the same pop sequence, so the difference is the cost of keeping periodic
-// events in the heap.
+// one in ten. "lane" re-arms with PushLane on one owner, "push" with Push —
+// the same pop sequence, so the difference is the cost of filing periodic
+// events in the buckets. "scattered" is a noisy run's completions alone:
+// about 800 pending events, each re-pushed as it pops at a duration drawn
+// like a noisy task's (scatter), so that instants rarely coincide and every
+// event goes through Push.
 func BenchmarkQueueHeartbeatMix(b *testing.B) {
 	const sources, interval = 1500, Time(3_000_000_000)
 	for _, lane := range []bool{true, false} {
-		name := "heap"
+		name := "push"
 		if lane {
 			name = "lane"
 		}
@@ -353,4 +472,22 @@ func BenchmarkQueueHeartbeatMix(b *testing.B) {
 			}
 		})
 	}
+	b.Run("scattered", func(b *testing.B) {
+		const pending = 800
+		var q Queue[int]
+		var d scatter
+		for i := 0; i < pending; i++ {
+			q.Push(d.next(), i)
+		}
+		batch := make([]int, 0, 16)
+		b.ResetTimer()
+		for i := 0; i < b.N; {
+			batch = batch[:0]
+			now, n := q.DrainInstant(&batch)
+			i += n
+			for _, v := range batch {
+				q.Push(now+d.next(), v)
+			}
+		}
+	})
 }
