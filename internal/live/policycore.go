@@ -2,6 +2,7 @@ package live
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -49,6 +50,12 @@ type policyCore struct {
 	pol cluster.Policy
 	// reduces is pol's ReducePhasePolicy view, nil if unimplemented.
 	reduces cluster.ReducePhasePolicy
+	// home is the pooled order the last pipeline pass was combined for, and
+	// homeAt that order's instant. sync.Pool keeps one order per P, so home
+	// names the core whose caches hold the policy and workflow state; the
+	// combiner writes both under mu, waiters read them (pipeline, grace).
+	home   atomic.Pointer[pipeReq]
+	homeAt atomic.Int64
 }
 
 func newPolicyCore(pol cluster.Policy) *policyCore {

@@ -29,12 +29,16 @@ import (
 //     contractually single-threaded), and runs the NextTask loops. The
 //     exclusive plane lock means the policy reads workflow state with no
 //     bookkeeping write racing it. Heartbeats queue their reports for it,
-//     and the one holding the lock serves them all (pipeline, combine).
-//  3. Counters every heartbeat touches unconditionally — virtual clock,
-//     sequence, started, remaining, the schedulable-work hint, and the
-//     next-release cursor — are atomics, so a heartbeat with nothing to do
-//     (no completions, nothing due, no assignable work) finishes without
-//     acquiring any lock at all.
+//     and the one holding the lock serves them all (pipeline, combine),
+//     preferably on the core that served the last pass (the home claim).
+//  3. What a heartbeat with nothing to do (no completions, nothing due, no
+//     assignable work) reads — the virtual clock, the next-release cursor,
+//     the retry hint, the event count and the schedulable-work hint — is
+//     atomics, so it finishes without acquiring any lock at all. Those
+//     fields sit on cache lines of their own, apart from the order stack
+//     every pipelined heartbeat pushes onto and from the counters the
+//     pipeline writes per assignment; the assignment sequence number is a
+//     plain counter under the policy-core lock.
 //
 // Lock ordering: core.mu → plane (write) → shard.mu and plane (read) →
 // shard.mu; a shard lock is never held while taking core.mu or the plane
@@ -44,6 +48,36 @@ import (
 // policy in each workflow's transition order (pushes happen under the shard
 // lock), and every event is applied before the next assignment decision.
 type shardedTracker struct {
+	// Read by every heartbeat, and once the clock has started written only
+	// when a release comes due, a deferral is ruled or retried, or a
+	// lifecycle event is queued or drained.
+	clock atomic.Pointer[virtualClock]
+	rel   releaseIndex
+	// nextRetry caches the earliest deferred admission retry instant
+	// (MaxTime = none) so the heartbeat fast path checks pending retries
+	// with one atomic load, exactly like the release cursor.
+	nextRetry atomic.Int64
+	core      *policyCore
+	ins       *obs.Obs
+	stats     *obs.LiveStats
+	// events ends the group: its count is read by every heartbeat, and the
+	// rest of it, written per event, lies past a pad of its own.
+	events eventQueue
+	_      linePad
+
+	// pipe's head is swapped in by every heartbeat bound for the pipeline.
+	pipe pipeQueue
+	_    linePad
+
+	// schedulable is the fast-path hint: an upper bound on tasks the policy
+	// could start right now (pending maps of activated jobs plus pending
+	// reduces of jobs whose map phase finished, minus tasks assigned). Zero
+	// lets a heartbeat with free slots skip the pipeline entirely; it never
+	// undercounts, so no assignment opportunity is missed. It is written per
+	// assignment and read only by heartbeats that offer a slot.
+	schedulable atomic.Int64
+	_           linePad
+
 	cfg Config
 
 	// plane is the tracker-wide reader/writer lock that separates the two
@@ -55,43 +89,29 @@ type shardedTracker struct {
 	shards []*wfShard
 	wfs    []*liveWorkflow
 
-	core   *policyCore
-	pipe   pipeQueue
-	events eventQueue
-	rel    releaseIndex
-
-	clock     atomic.Pointer[virtualClock]
-	startOnce sync.Once
-	live      atomic.Bool
-
-	seq     atomic.Int64
-	started atomic.Int64
+	// seq numbers the assignments, and so counts the tasks started; it is
+	// guarded by core.mu.
+	seq int64
 	// remaining counts workflows not yet completed; done closes when it
 	// reaches zero.
 	remaining atomic.Int64
-	// schedulable is the fast-path hint: an upper bound on tasks the policy
-	// could start right now (pending maps of activated jobs plus pending
-	// reduces of jobs whose map phase finished, minus tasks assigned). Zero
-	// lets a heartbeat with free slots skip the pipeline entirely; it never
-	// undercounts, so no assignment opportunity is missed.
-	schedulable atomic.Int64
+
+	startOnce sync.Once
+	live      atomic.Bool
 
 	// adm is the admission front door (nil admits everything). deferred
-	// holds postponed decisions, guarded by defMu; nextRetry caches the
-	// earliest retry instant (MaxTime = none) so the heartbeat fast path
-	// checks pending retries with one atomic load, exactly like the
-	// release cursor.
-	adm       admission.Controller
-	defMu     sync.Mutex
-	deferred  []deferredRelease
-	nextRetry atomic.Int64
-
-	ins   *obs.Obs
-	stats *obs.LiveStats
+	// holds postponed decisions, guarded by defMu.
+	adm      admission.Controller
+	defMu    sync.Mutex
+	deferred []deferredRelease
 
 	done     chan struct{}
 	doneOnce sync.Once
 }
+
+// linePad keeps the fields on either side of it off a shared cache line, so
+// that a write to one does not evict the other from every core reading it.
+type linePad [64]byte
 
 // deferredRelease is a workflow whose admission decision was postponed to a
 // retry instant.
@@ -201,9 +221,10 @@ func (st *shardedTracker) Heartbeat(hb Heartbeat) []Assignment {
 }
 
 // assignable reports whether hb offers a free slot while the policy may have
-// work for one.
+// work for one. Each slot type is tested on its own: the counts are
+// unchecked RPC input, and a sum could cancel or overflow.
 func (st *shardedTracker) assignable(hb Heartbeat) bool {
-	return hb.FreeMaps+hb.FreeReds > 0 && st.schedulable.Load() > 0
+	return (hb.FreeMaps > 0 || hb.FreeReds > 0) && st.schedulable.Load() > 0
 }
 
 // idle reports that nothing the tracker holds is waiting on the clock or on
@@ -253,7 +274,9 @@ func (st *shardedTracker) applyReport(due []int, retries []deferredRelease, comp
 		for j < len(completed) && completed[j].Workflow == wi {
 			j++
 		}
-		st.completeGroup(st.wfs[wi], completed[i:j], tracker, now)
+		if uint(wi) < uint(len(st.wfs)) {
+			st.completeGroup(st.wfs[wi], completed[i:j], tracker, now)
+		}
 		i = j
 	}
 }
@@ -355,11 +378,15 @@ func (st *shardedTracker) admit(lw *liveWorkflow, now simtime.Time) {
 
 // completeGroup applies one workflow's reported completions under its shard
 // lock: slot counters, reduce-phase unblocking, dependent activation, and
-// workflow-finish detection via the O(1) remaining-task countdown.
+// workflow-finish detection via the O(1) remaining-task countdown. A
+// completion naming no running task is dropped (running).
 func (st *shardedTracker) completeGroup(lw *liveWorkflow, ids []TaskID, tracker int, now simtime.Time) {
 	st.lockShard(lw.shard)
 	ws := lw.ws
 	for _, id := range ids {
+		if !running(ws, id) {
+			continue
+		}
 		js := &ws.Jobs[id.Job]
 		if id.Type == cluster.MapSlot {
 			js.RunningMaps--
@@ -394,6 +421,27 @@ func (st *shardedTracker) completeGroup(lw *liveWorkflow, ids []TaskID, tracker 
 		}
 	}
 	lw.shard.mu.Unlock()
+}
+
+// running reports whether id names a job of ws with a task of id's slot type
+// running. A report is unchecked RPC input, so a completion that fails this
+// is dropped: a job or slot type out of range would panic, and a repeated
+// report would retire tasks that never ran and could finish the workflow
+// early. The check is by count, not by task: a repeated report while a
+// sibling task of the same job and type runs is not detected, and retires
+// the sibling in its place. The caller holds the workflow's shard lock.
+func running(ws *cluster.WorkflowState, id TaskID) bool {
+	if uint(id.Job) >= uint(len(ws.Jobs)) {
+		return false
+	}
+	js := &ws.Jobs[id.Job]
+	switch id.Type {
+	case cluster.MapSlot:
+		return js.RunningMaps > 0
+	case cluster.ReduceSlot:
+		return js.RunningReduces > 0
+	}
+	return false
 }
 
 // activateDependents readies every dependent of the completed job whose
@@ -482,6 +530,18 @@ const (
 	// polls; the budget (some 100 µs) is for a combiner that was stalled — a
 	// GC phase, a preemption — after which blocking is the cheaper wait.
 	pipeSpins = 1 << 16
+	// pipeGrace is how many polls a waiter whose order is not the home's
+	// leaves a free policy-core lock alone (grace), some 50 µs: time for the
+	// home's driver to come back with its next refill and serve both orders
+	// on the core that already holds the state, even after a short stall. It
+	// is half of pipeSpins, so a home that has gone costs one grace, after
+	// which the waiter takes the lock and is home.
+	pipeGrace = pipeSpins / 2
+	// pipeHomeFresh is how long before a waiter's instant the home must have
+	// served a pass for the waiter to grant it the grace. Sparse traffic —
+	// TaskTrackers heartbeating every few milliseconds from whichever core —
+	// has no home worth waiting for, and pays nothing.
+	pipeHomeFresh = 100 * time.Microsecond
 	// pipePoll is how often, in polls, a waiter tries the lock itself: the
 	// combiner may have left just before the order was queued.
 	pipePoll = 32
@@ -500,7 +560,9 @@ const (
 // either finds the lock free and serves the whole queue, its own order
 // included, or is served by the heartbeat that holds it: the state stays in
 // one core's cache for as long as that core keeps coming back, and a waiter
-// polls its own order, not the lock.
+// polls its own order, not the lock. A waiter that is not home gives the
+// home a grace before it takes a free lock, so the state stays put while
+// the home keeps coming back.
 func (st *shardedTracker) pipeline(hb Heartbeat, due []int, retries []deferredRelease, now simtime.Time, clk *virtualClock) []Assignment {
 	r := pipeReqs.Get().(*pipeReq)
 	r.hb, r.due, r.retries, r.now = hb, due, retries, now
@@ -509,8 +571,12 @@ func (st *shardedTracker) pipeline(hb Heartbeat, due []int, retries []deferredRe
 	if st.stats != nil {
 		t0 = time.Now()
 	}
+	grace := st.grace(r, clk)
 	held := false
 	for i := 0; !r.served.Load(); i++ {
+		if i < grace {
+			continue
+		}
 		if i >= pipeSpins {
 			st.core.mu.Lock()
 		} else if i%pipePoll != 0 || !st.core.mu.TryLock() {
@@ -535,18 +601,42 @@ func (st *shardedTracker) pipeline(hb Heartbeat, due []int, retries []deferredRe
 	return out
 }
 
+// grace is how many polls the owner of order r leaves a free policy-core
+// lock alone: pipeGrace when another core is home and served a pass within
+// pipeHomeFresh of r's instant, else none. A lone caller is home after its
+// first pass, so it pays the grace at most once each time its goroutine
+// moves to another P.
+func (st *shardedTracker) grace(r *pipeReq, clk *virtualClock) int {
+	if h := st.core.home.Load(); h == nil || h == r {
+		return 0
+	}
+	since := r.now - simtime.Time(st.core.homeAt.Load())
+	if float64(since)*clk.scale > float64(pipeHomeFresh) {
+		return 0
+	}
+	return pipeGrace
+}
+
 // combine serves the queued orders, oldest first, until the queue is empty
 // or pipeRounds refills of it have been served. The caller holds core.mu and
 // own is its order: either an earlier combiner served it, and then there is
 // nothing this caller must do, or it is still queued and the first round
-// takes it. Holding core.mu serializes the single-threaded policy; holding
-// the plane write lock freezes all shared-lock bookkeeping so the policy's
-// reads of workflow state are race-free.
+// takes it, and own becomes the home. Holding core.mu serializes the
+// single-threaded policy; holding the plane write lock freezes all
+// shared-lock bookkeeping so the policy's reads of workflow state are
+// race-free.
 func (st *shardedTracker) combine(own *pipeReq, clk *virtualClock) {
 	defer st.core.mu.Unlock()
 	if own.served.Load() {
 		return
 	}
+	if h := st.core.home.Load(); h != own {
+		if h != nil {
+			st.stats.OnPipelineHandoff()
+		}
+		st.core.home.Store(own)
+	}
+	st.core.homeAt.Store(int64(own.now))
 	st.plane.Lock()
 	defer st.plane.Unlock()
 	orders := 0
@@ -630,13 +720,12 @@ func (st *shardedTracker) assignOne(slot cluster.SlotType, tracker int, now simt
 	ws.ScheduledTasks++
 	ws.RunningTasks++
 	ws.RefreshJob(job)
-	st.started.Add(1)
 	st.schedulable.Add(-1)
-	seq := st.seq.Add(1)
+	st.seq++
 	st.ins.TaskAssigned(now, ws.Index, int(job), int(slot), tracker, dur)
 	st.core.pol.TaskStarted(ws, job, slot, now)
 	return Assignment{
-		ID:       TaskID{Workflow: ws.Index, Job: job, Type: slot, Seq: int(seq)},
+		ID:       TaskID{Workflow: ws.Index, Job: job, Type: slot, Seq: int(st.seq)},
 		WallTime: clk.toWall(dur),
 	}, true
 }
@@ -652,7 +741,7 @@ func (st *shardedTracker) result() *Result {
 		st.core.mu.Unlock()
 	}()
 	st.drainEvents()
-	r := &Result{Policy: st.core.pol.Name(), TasksStarted: int(st.started.Load())}
+	r := &Result{Policy: st.core.pol.Name(), TasksStarted: int(st.seq)}
 	for i, lw := range st.wfs {
 		ws := lw.ws
 		wr := cluster.WorkflowResult{

@@ -97,8 +97,11 @@ func (r *releaseIndex) due(now simtime.Time) []int {
 // is a single atomic load so the heartbeat fast path can skip the pipeline
 // without touching the mutex.
 type eventQueue struct {
-	mu sync.Mutex
+	// n is what heartbeats read; the rest is written per event, so it lies
+	// on a cache line of its own.
 	n  atomic.Int64
+	_  linePad
+	mu sync.Mutex
 	q  []policyEvent
 	// spare recycles the previous drained batch to keep the steady state
 	// allocation-free.

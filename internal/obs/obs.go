@@ -385,6 +385,10 @@ type LiveStats struct {
 	// is heartbeats being answered by the heartbeat ahead of them.
 	PipelinePasses *Counter `metric:"woha_live_pipeline_passes_total" help:"Holds of the assignment pipeline's locks that served queued heartbeat reports."`
 	PipelineOrders *Counter `metric:"woha_live_pipeline_orders_total" help:"Heartbeat reports served by the assignment pipeline."`
+	// PipelineHandoffs counts passes combined on another order, and so
+	// mostly another core, than the pass before: the policy and workflow
+	// state then move between caches.
+	PipelineHandoffs *Counter `metric:"woha_live_pipeline_handoffs_total" help:"Assignment-pipeline passes whose combiner is not the previous pass's home."`
 	// FastPathBeats counts heartbeats served without taking any lock (no
 	// completions, no due releases, and no assignable work).
 	FastPathBeats *Counter `metric:"woha_live_fastpath_heartbeats_total" help:"Heartbeats served entirely on the lock-free fast path."`
@@ -427,6 +431,15 @@ func (s *LiveStats) OnPipelinePass(orders int) {
 	}
 	s.PipelinePasses.Inc()
 	s.PipelineOrders.Add(int64(orders))
+}
+
+// OnPipelineHandoff records a pass combined away from the previous pass's
+// home.
+func (s *LiveStats) OnPipelineHandoff() {
+	if s == nil {
+		return
+	}
+	s.PipelineHandoffs.Inc()
 }
 
 // OnFastPath records a heartbeat served without locks.
