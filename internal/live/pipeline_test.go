@@ -135,7 +135,8 @@ func BenchmarkPipelineTwoDrivers(b *testing.B) {
 		}
 		total += int64(w.TotalTasks())
 	}
-	drivers := runtime.GOMAXPROCS(0)
+	// Every driver owns at least one tracker.
+	drivers := min(runtime.GOMAXPROCS(0), nodes)
 	cfg := Config{
 		Nodes: nodes, MapSlotsPerNode: 2, ReduceSlotsPerNode: 2,
 		HeartbeatInterval: time.Millisecond, TimeScale: 0.001,

@@ -538,9 +538,13 @@ const (
 	// which the waiter takes the lock and is home.
 	pipeGrace = pipeSpins / 2
 	// pipeHomeFresh is how long before a waiter's instant the home must have
-	// served a pass for the waiter to grant it the grace. Sparse traffic —
-	// TaskTrackers heartbeating every few milliseconds from whichever core —
-	// has no home worth waiting for, and pays nothing.
+	// served a pass for the waiter to grant it the grace: a home idle for
+	// longer is not driving, and waiting for it is waste. TaskTrackers
+	// heartbeat every few milliseconds from whichever core; on a 2-core host
+	// the check halves the graces they pay (inside a burst the home is fresh,
+	// and about one pipelined heartbeat in ten still pays one), and without
+	// it a one-P race run spins its only P through graces the home cannot
+	// end.
 	pipeHomeFresh = 100 * time.Microsecond
 	// pipePoll is how often, in polls, a waiter tries the lock itself: the
 	// combiner may have left just before the order was queued.
