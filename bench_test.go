@@ -309,49 +309,6 @@ func BenchmarkAblationNoise(b *testing.B) {
 	}
 }
 
-func newStrictableWOHA(strict bool) cluster.Policy {
-	return core.NewScheduler(core.Options{Seed: 1, Strict: strict, PolicyName: "LPF"})
-}
-
-// BenchmarkAblationWorkConservation compares the paper's work-conserving
-// scheduler against strict most-lagging-only scheduling.
-func BenchmarkAblationWorkConservation(b *testing.B) {
-	run := func(b *testing.B, strict bool) *cluster.Result {
-		cfg := experiments.DefaultFig11Config()
-		pol := newStrictableWOHA(strict)
-		sim, err := cluster.New(cfg.Cluster(), pol, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, w := range cfg.Flows() {
-			p, err := plan.GenerateCappedTyped(w,
-				plan.Caps{Maps: cfg.Cluster().MapSlots(), Reduces: cfg.Cluster().ReduceSlots()},
-				priority.LPF{}, experiments.PlanMargin)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sim.Submit(w, p); err != nil {
-				b.Fatal(err)
-			}
-		}
-		res, err := sim.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
-	for _, strict := range []bool{false, true} {
-		b.Run(fmt.Sprintf("strict=%v", strict), func(b *testing.B) {
-			var last *cluster.Result
-			for i := 0; i < b.N; i++ {
-				last = run(b, strict)
-			}
-			b.ReportMetric(float64(last.DeadlineMisses()), "misses")
-			b.ReportMetric(last.Makespan.Seconds(), "makespan-s")
-		})
-	}
-}
-
 // BenchmarkAblationDeadlineScheme compares the SLA-cohort deadline scheme
 // against per-workflow stretch deadlines on the Yahoo workload.
 func BenchmarkAblationDeadlineScheme(b *testing.B) {

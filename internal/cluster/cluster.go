@@ -376,8 +376,7 @@ type Policy interface {
 	// relies on this twice: heartbeat mode leaves out the ticks of a node the
 	// policy has just refused (Simulator.rearmHeartbeat), and instant
 	// dispatch stops offering a slot type the policy has refused until one
-	// of those four events (Simulator.dispatchAll). A policy that cannot keep
-	// the promise opts out through LapsingPolicy.
+	// of those four events (Simulator.dispatchAll).
 	NextTask(now simtime.Time, st SlotType) (ws *WorkflowState, job workflow.JobID, ok bool)
 	// TaskStarted confirms a task of ws.Jobs[job] was placed on a slot.
 	TaskStarted(ws *WorkflowState, job workflow.JobID, st SlotType, now simtime.Time)
@@ -392,20 +391,6 @@ type RequeuePolicy interface {
 	Policy
 	// TaskRequeued fires once per task lost to a node failure.
 	TaskRequeued(ws *WorkflowState, job workflow.JobID, st SlotType, now simtime.Time)
-}
-
-// LapsingPolicy is an optional extension of Policy for a policy whose
-// refusals may lapse: NextTask can turn from false to true on a task start
-// or with the passing of time alone, which the NextTask contract rules out.
-// When RefusalsLapse reports true the simulator asks such a policy again at
-// every opportunity, as if the contract did not exist: instant dispatch
-// offers every free slot after every event and heartbeat-mode nodes never
-// sleep.
-type LapsingPolicy interface {
-	Policy
-	// RefusalsLapse reports whether the policy's refusals may lapse. It is
-	// read once, when the simulator is built.
-	RefusalsLapse() bool
 }
 
 // ReducePhasePolicy is an optional extension of Policy: the simulator

@@ -10,10 +10,9 @@ import (
 
 // InstrumentPolicy wraps pol so every NextTask decision is timed into the
 // policy's labeled woha_scheduler_decision_seconds histogram. The wrapper
-// forwards the optional ReducePhasePolicy, RequeuePolicy and LapsingPolicy
-// extensions only when pol implements them, so scheduling semantics are
-// unchanged. With a
-// nil o, pol is returned untouched.
+// forwards the optional ReducePhasePolicy and RequeuePolicy extensions only
+// when pol implements them, so scheduling semantics are unchanged. With a nil
+// o, pol is returned untouched.
 func InstrumentPolicy(pol Policy, o *obs.Obs) Policy {
 	if o == nil || pol == nil {
 		return pol
@@ -33,7 +32,6 @@ var (
 	_ Policy            = (*instrumentedPolicy)(nil)
 	_ ReducePhasePolicy = (*instrumentedPolicy)(nil)
 	_ RequeuePolicy     = (*instrumentedPolicy)(nil)
-	_ LapsingPolicy     = (*instrumentedPolicy)(nil)
 )
 
 func (p *instrumentedPolicy) NextTask(now simtime.Time, st SlotType) (*WorkflowState, workflow.JobID, bool) {
@@ -54,12 +52,3 @@ func (p *instrumentedPolicy) TaskRequeued(ws *WorkflowState, job workflow.JobID,
 		rq.TaskRequeued(ws, job, st, now)
 	}
 }
-
-func (p *instrumentedPolicy) RefusalsLapse() bool {
-	lp, ok := p.Policy.(LapsingPolicy)
-	return ok && lp.RefusalsLapse()
-}
-
-// Unwrap returns the wrapped policy, for callers that type-assert on
-// concrete policy types.
-func (p *instrumentedPolicy) Unwrap() Policy { return p.Policy }

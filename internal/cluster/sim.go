@@ -80,10 +80,8 @@ type Simulator struct {
 	// noWork[st] records that the policy refused a slot of type st and that
 	// nothing able to give it a task of that type has happened since (see
 	// Policy.NextTask); newWork clears it. Instant dispatch offers no st slot
-	// while it is set. It is never set for a policy whose refusals lapse
-	// (LapsingPolicy), and such a run never sleeps either.
-	noWork  [2]bool
-	lapsing bool
+	// while it is set.
+	noWork [2]bool
 	// exact is whether every attempt takes exactly its job's estimate (no
 	// noise, no stragglers, no remote-read penalty). Then the completions of
 	// one job phase reach the event queue in firing order, and each phase
@@ -342,8 +340,6 @@ func (s *Simulator) reset(cfg Config, pol Policy, obs Observer) {
 	s.asleep.reset(cfg.Nodes)
 	s.nAsleep = 0
 	s.noWork = [2]bool{}
-	lp, ok := pol.(LapsingPolicy)
-	s.lapsing = ok && lp.RefusalsLapse()
 	s.due.reset(cfg.Nodes)
 	s.dueNode = -1
 	s.exact = cfg.Noise == 0 && cfg.StragglerProb == 0 &&
@@ -753,7 +749,7 @@ func (s *Simulator) rearmHeartbeat(node int) {
 		s.m.busy.Inc()
 		return
 	}
-	if !s.lapsing && !s.held && s.specGateClosed() {
+	if !s.held && s.specGateClosed() {
 		s.asleep.set(node)
 		s.nAsleep++
 		return
@@ -1223,7 +1219,7 @@ func (s *Simulator) offer(node int, st SlotType) bool {
 	s.m.Offers.Inc()
 	ws, job, ok := s.pol.NextTask(s.now, st)
 	if !ok {
-		s.noWork[st] = !s.lapsing
+		s.noWork[st] = true
 		return false
 	}
 	js := &ws.Jobs[job]

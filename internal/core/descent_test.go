@@ -24,9 +24,8 @@ import (
 
 // refScheduler is the linear descent: the naive queue recomputes every lag,
 // the walk visits workflows by (lag descending, index ascending) and stops
-// at the first with a startable job — or, in Strict mode, after the first
-// workflow whatever it holds — and the job is the startable one of least
-// (plan rank, ID), found by scanning.
+// at the first with a startable job, and the job is the startable one of
+// least (plan rank, ID), found by scanning.
 type refScheduler struct {
 	opts    Options
 	queue   *dsl.Naive
@@ -70,9 +69,6 @@ func (r *refScheduler) NextTask(now simtime.Time, st cluster.SlotType) (*cluster
 		}
 		if best >= 0 {
 			return ws, workflow.JobID(best), true
-		}
-		if r.opts.Strict {
-			break
 		}
 	}
 	return nil, 0, false
@@ -262,12 +258,12 @@ func randomFlow(rng *rand.Rand, name string, now simtime.Time) (*workflow.Workfl
 }
 
 func TestNextTaskMatchesLinearDescent(t *testing.T) {
-	for mask := 0; mask < 8; mask++ {
-		opts := Options{Strict: mask&1 != 0, ServeOverdueFirst: mask&2 != 0, NormalizedLag: mask&4 != 0}
+	for mask := 0; mask < 4; mask++ {
+		opts := Options{ServeOverdueFirst: mask&1 != 0, NormalizedLag: mask&2 != 0}
 		for _, seed := range []int64{1, 20140623} {
 			opts, seed := opts, seed
-			t.Run(fmt.Sprintf("strict=%v/overdue-first=%v/normalized=%v/seed=%d",
-				opts.Strict, opts.ServeOverdueFirst, opts.NormalizedLag, seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("overdue-first=%v/normalized=%v/seed=%d",
+				opts.ServeOverdueFirst, opts.NormalizedLag, seed), func(t *testing.T) {
 				t.Parallel()
 				opts.Seed = seed
 				runDescentSequence(t, opts, seed)
@@ -318,7 +314,7 @@ func runDescentSequence(t *testing.T, opts Options, seed int64) {
 		}
 	}
 	// The stream must have exercised the descent, not just the head.
-	if assigned < 500 || (!opts.Strict && passedOver == 0) {
+	if assigned < 500 || passedOver == 0 {
 		t.Errorf("%d decisions, %d assignments, %d past the head: stream too thin", decisions, assigned, passedOver)
 	}
 }

@@ -65,11 +65,6 @@ type Options struct {
 	Queue QueueKind
 	// Seed drives the DSL's skip-list PRNG.
 	Seed int64
-	// Strict disables work conservation: when the most-lagging workflow
-	// has no task matching the idle slot type, the slot stays idle instead
-	// of being offered to the next workflow. Exists for the ablation
-	// benchmark; the paper's scheduler is work-conserving (Strict=false).
-	Strict bool
 	// ServeOverdueFirst keeps the paper's literal priority formula for
 	// workflows whose deadlines have passed: their lag stays maximal
 	// (total - rho), so they are served before everything else until they
@@ -105,8 +100,6 @@ type Scheduler struct {
 	// decision and callback hits them, and map hashing was the scheduler's
 	// dominant cost on the Fig 8 corpus.
 	byID []*cluster.WorkflowState
-	// ranks maps a workflow's arrival index to its plan's job ranking.
-	ranks [][]int
 	// sched maps a workflow's arrival index to its rank-ordered
 	// schedulable-job index (see wfSched).
 	sched []wfSched
@@ -150,7 +143,6 @@ func (sc *wfSched) firstJob(st cluster.SlotType) workflow.JobID {
 var (
 	_ cluster.ReducePhasePolicy = (*Scheduler)(nil)
 	_ cluster.RequeuePolicy     = (*Scheduler)(nil)
-	_ cluster.LapsingPolicy     = (*Scheduler)(nil)
 )
 
 var _ cluster.Policy = (*Scheduler)(nil)
@@ -162,18 +154,16 @@ func NewScheduler(opts Options) *Scheduler {
 	return &Scheduler{opts: opts, queue: q}
 }
 
-// track records ws and its plan ranking under its arrival index, growing
-// the dense lookup tables as needed, and builds the workflow's rank-ordered
-// schedulable-job index. All jobs start non-schedulable from the policy's
-// point of view: JobActivated callbacks follow for root jobs.
+// track records ws under its arrival index, growing the dense lookup tables
+// as needed, and builds the workflow's schedulable-job index in the order of
+// its plan ranking. All jobs start non-schedulable from the policy's point of
+// view: JobActivated callbacks follow for root jobs.
 func (s *Scheduler) track(ws *cluster.WorkflowState, ranks []int) {
 	for ws.Index >= len(s.byID) {
 		s.byID = append(s.byID, nil)
-		s.ranks = append(s.ranks, nil)
 		s.sched = append(s.sched, wfSched{})
 	}
 	s.byID[ws.Index] = ws
-	s.ranks[ws.Index] = ranks
 	sc := &s.sched[ws.Index]
 	n := len(ws.Jobs)
 	sc.order = make([]int32, n)
@@ -280,31 +270,18 @@ func (s *Scheduler) ReducesReady(ws *cluster.WorkflowState, job workflow.JobID, 
 }
 
 // NextTask implements cluster.Policy: pick the workflow lagging furthest
-// behind its progress requirement among those with a task to start on st
-// (Strict: only the most-lagging workflow of all is considered), then its
-// highest-ranked runnable job.
+// behind its progress requirement among those with a task to start on st,
+// then its highest-ranked runnable job.
 func (s *Scheduler) NextTask(now simtime.Time, st cluster.SlotType) (*cluster.WorkflowState, workflow.JobID, bool) {
 	if s.schedulable[st] == 0 {
 		return nil, 0, false
 	}
-	var e *dsl.Entry
-	var ok bool
-	if s.opts.Strict {
-		e, ok = s.queue.Best(now)
-		ok = ok && e.Startable(int(st))
-	} else {
-		e, ok = s.queue.BestStartable(now, int(st))
-	}
+	e, ok := s.queue.BestStartable(now, int(st))
 	if !ok {
 		return nil, 0, false
 	}
 	return s.byID[e.ID], s.sched[e.ID].firstJob(st), true
 }
-
-// RefusalsLapse implements cluster.LapsingPolicy. A Strict scheduler refuses
-// whenever the most-lagging workflow has nothing for the slot type, and which
-// workflow lags most moves with every task start and with time itself.
-func (s *Scheduler) RefusalsLapse() bool { return s.opts.Strict }
 
 // TaskStarted implements cluster.Policy: advance the workflow's true
 // progress ρ in the queue (Algorithm 2 lines 20-23).
@@ -327,7 +304,6 @@ func (s *Scheduler) TaskRequeued(ws *cluster.WorkflowState, job workflow.JobID, 
 func (s *Scheduler) WorkflowCompleted(ws *cluster.WorkflowState, now simtime.Time) {
 	s.queue.Remove(ws.Index, now)
 	s.byID[ws.Index] = nil
-	s.ranks[ws.Index] = nil
 	s.sched[ws.Index] = wfSched{}
 }
 

@@ -123,10 +123,6 @@ func (e *Entry) Progress() int { return e.rho }
 // owning queue refreshes it).
 func (e *Entry) Lag() int { return e.prio }
 
-// Startable reports whether the workflow was last marked as having a task
-// startable on slot type st (see Queue.SetStartable).
-func (e *Entry) Startable(st int) bool { return e.startable&(1<<st) != 0 }
-
 func (e *Entry) setStartable(st int, on bool) {
 	if on {
 		e.startable |= 1 << st

@@ -138,7 +138,7 @@ func TestBestStartable(t *testing.T) {
 					}
 					return
 				}
-				if !ok || e.ID != id || !e.Startable(st) {
+				if !ok || e.ID != id || e.startable&(1<<st) == 0 {
 					t.Fatalf("BestStartable(%d) = %v, %v, want wf %d", st, e, ok, id)
 				}
 			}

@@ -52,8 +52,7 @@ func ablate(variants []string, cells []runner.Cell) ([]AblationResult, error) {
 
 // AblationsFig11 sweeps the simulator-level design knobs on the Fig 11
 // scenario under WOHA-LPF: plan safety margin, submitter-job overhead,
-// heartbeat-driven dispatch, estimation noise, and strict (non-work-
-// conserving) scheduling.
+// heartbeat-driven dispatch and estimation noise.
 func AblationsFig11() ([]AblationResult, error) {
 	base := DefaultFig11Config()
 	flows := base.Flows()
@@ -61,16 +60,14 @@ func AblationsFig11() ([]AblationResult, error) {
 	steps := []struct {
 		variant string
 		margin  float64
-		strict  bool
 		mutate  func(*cluster.Config)
 	}{
-		{"baseline (margin 0.85)", PlanMargin, false, nil},
-		{"margin 1.00 (paper-literal cap)", 1.0, false, nil},
-		{"margin 0.70", 0.70, false, nil},
-		{"submitter overhead 10s", PlanMargin, false, func(c *cluster.Config) { c.SubmitterOverhead = 10 * time.Second }},
-		{"heartbeat 3s", PlanMargin, false, func(c *cluster.Config) { c.HeartbeatInterval = 3 * time.Second }},
-		{"noise 30%", PlanMargin, false, func(c *cluster.Config) { c.Noise = 0.3; c.Seed = 42 }},
-		{"strict (no work conservation)", PlanMargin, true, nil},
+		{"baseline (margin 0.85)", PlanMargin, nil},
+		{"margin 1.00 (paper-literal cap)", 1.0, nil},
+		{"margin 0.70", 0.70, nil},
+		{"submitter overhead 10s", PlanMargin, func(c *cluster.Config) { c.SubmitterOverhead = 10 * time.Second }},
+		{"heartbeat 3s", PlanMargin, func(c *cluster.Config) { c.HeartbeatInterval = 3 * time.Second }},
+		{"noise 30%", PlanMargin, func(c *cluster.Config) { c.Noise = 0.3; c.Seed = 42 }},
 	}
 	variants := make([]string, len(steps))
 	cells := make([]runner.Cell, len(steps))
@@ -79,13 +76,12 @@ func AblationsFig11() ([]AblationResult, error) {
 		if s.mutate != nil {
 			s.mutate(&cc)
 		}
-		strict := s.strict
 		variants[i] = s.variant
 		cells[i] = runner.Cell{
 			Name:   "fig11-ablation/" + s.variant,
 			Config: cc,
 			Policy: func() cluster.Policy {
-				return core.NewScheduler(core.Options{Seed: base.Seed, Strict: strict, PolicyName: "LPF"})
+				return core.NewScheduler(core.Options{Seed: base.Seed, PolicyName: "LPF"})
 			},
 			Flows: flows,
 			// Margins differ across variants and a planner caches per its

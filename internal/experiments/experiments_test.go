@@ -331,9 +331,9 @@ func TestTimelinesEmitAllPanels(t *testing.T) {
 	}
 }
 
-// TestAblationsFig11 smoke-tests the simulator-knob ablations and checks the
-// two load-bearing contrasts: the baseline meets every deadline and strict
-// (non-work-conserving) scheduling is strictly worse.
+// TestAblationsFig11 smoke-tests the simulator-knob ablations and their
+// table, and checks the load-bearing result: the baseline meets every
+// deadline.
 func TestAblationsFig11(t *testing.T) {
 	results, err := AblationsFig11()
 	if err != nil {
@@ -346,18 +346,13 @@ func TestAblationsFig11(t *testing.T) {
 	if got := byName["baseline (margin 0.85)"]; got.Misses != 0 {
 		t.Errorf("baseline missed %d deadlines", got.Misses)
 	}
-	strict := byName["strict (no work conservation)"]
-	if strict.Misses == 0 {
-		t.Error("strict mode met every deadline; work conservation should matter")
-	}
-	if strict.Makespan <= byName["baseline (margin 0.85)"].Makespan {
-		t.Error("strict makespan not worse than baseline")
-	}
 	var sb strings.Builder
 	if err := AblationTable("t", results).Render(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "strict") {
-		t.Error("table missing strict row")
+	for _, r := range results {
+		if !strings.Contains(sb.String(), r.Variant) {
+			t.Errorf("table missing row %q", r.Variant)
+		}
 	}
 }

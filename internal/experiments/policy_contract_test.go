@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/cluster/refsim"
+	"repro/internal/runner"
 	"repro/internal/simtime"
 	"repro/internal/workflow"
 )
@@ -85,22 +86,31 @@ func (r *contractRecorder) NextTask(now simtime.Time, st cluster.SlotType) (*clu
 
 // TestHeartbeatPolicyContract drives the reference simulator, which executes
 // every tick and so asks every question the live core leaves out, with the
-// recorder around each of the six policies, over the scenarios of
-// TestQuiescentTicksMatchReference.
+// recorder around each of the six policies and each of wohaVariants, over the
+// scenarios of TestQuiescentTicksMatchReference.
 func TestHeartbeatPolicyContract(t *testing.T) {
-	for _, spec := range AllSchedulers() {
-		flips := 0
-		for seed := int64(1); seed <= 40; seed++ {
-			cc, flows := quiescentScenario(rand.New(rand.NewSource(seed)))
-			cell := ScenarioCell(spec.Name, cc, flows, spec, seed, nil, PlanMargin, nil)
-			rec := &contractRecorder{Policy: cell.Policy(), t: t, name: fmt.Sprintf("%s/seed%d", spec.Name, seed)}
-			if _, err := refsim.Run(cc, rec, nil, flows, cellPlans(t, &cell)); err != nil {
+	flips := map[string]int{}
+	for seed := int64(1); seed <= 40; seed++ {
+		cc, flows := quiescentScenario(rand.New(rand.NewSource(seed)))
+		var cells []runner.Cell
+		for _, spec := range AllSchedulers() {
+			cells = append(cells, ScenarioCell(spec.Name, cc, flows, spec, seed, nil, PlanMargin, nil))
+		}
+		for _, v := range wohaVariants {
+			cells = append(cells, wohaVariantCell("WOHA-LPF/"+v.name, cc, flows, seed, v.opts))
+		}
+		for i := range cells {
+			cell := &cells[i]
+			rec := &contractRecorder{Policy: cell.Policy(), t: t, name: fmt.Sprintf("%s/seed%d", cell.Name, seed)}
+			if _, err := refsim.Run(cc, rec, nil, flows, cellPlans(t, cell)); err != nil {
 				t.Fatalf("%s: %v", rec.name, err)
 			}
-			flips += rec.flips
+			flips[cell.Name] += rec.flips
 		}
-		if flips == 0 {
-			t.Errorf("%s: ok never changed in 40 scenarios; the recorder checked nothing", spec.Name)
+	}
+	for name, n := range flips {
+		if n == 0 {
+			t.Errorf("%s: ok never changed in 40 scenarios; the recorder checked nothing", name)
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/priority"
+	"repro/internal/runner"
 	"repro/internal/simtime"
 	"repro/internal/workflow"
 )
@@ -120,24 +121,42 @@ func TestQuiescentTicksMatchReference(t *testing.T) {
 	}
 }
 
-// TestStrictQuiescentTicksMatchReference runs the same scenarios under Strict
-// WOHA, whose refusals lapse: it refuses whenever the most-lagging workflow
-// has nothing for the slot type, so a task start, or time alone, can turn a
-// refusal into an offer. The NextTask contract does not hold for it, so its
-// nodes must never sleep (cluster.LapsingPolicy); a sleeper would miss the
-// tick on which the answer changed, and the run would diverge or stall.
-func TestStrictQuiescentTicksMatchReference(t *testing.T) {
+// wohaVariants are the WOHA options that ship besides the defaults, each
+// run under WOHA-LPF: the two priority-formula variants of the Yahoo
+// ablation and the two queue backends Fig 13(a) compares with the DSL.
+var wohaVariants = []struct {
+	name string
+	opts core.Options
+}{
+	{"serve-overdue-first", core.Options{ServeOverdueFirst: true}},
+	{"normalized-lag", core.Options{NormalizedLag: true}},
+	{"queue-bst", core.Options{Queue: core.QueueBST}},
+	{"queue-naive", core.Options{Queue: core.QueueNaive}},
+}
+
+// wohaVariantCell is ScenarioCell for WOHA-LPF with opts in place of the
+// default options.
+func wohaVariantCell(name string, cc cluster.Config, flows []*workflow.Workflow, seed int64, opts core.Options) runner.Cell {
+	cell := ScenarioCell(name, cc, flows,
+		SchedulerSpec{Name: "WOHA-LPF", Priority: priority.LPF{}}, seed, nil, PlanMargin, nil)
+	opts.Seed, opts.PolicyName = seed, "LPF"
+	cell.Policy = func() cluster.Policy { return core.NewScheduler(opts) }
+	return cell
+}
+
+// TestWOHAOptionsQuiescentTicksMatchReference runs the same scenarios under
+// each of wohaVariants: whatever the priority formula or queue backend, the
+// sleeping core must reproduce the reference that executes every tick.
+func TestWOHAOptionsQuiescentTicksMatchReference(t *testing.T) {
 	scenarios := 150
 	if testing.Short() {
 		scenarios = 40
 	}
 	for seed := int64(1); seed <= int64(scenarios); seed++ {
 		cc, flows := quiescentScenario(rand.New(rand.NewSource(seed)))
-		cell := ScenarioCell(fmt.Sprintf("seed%d/strict", seed), cc, flows,
-			SchedulerSpec{Name: "WOHA-LPF", Priority: priority.LPF{}}, seed, nil, PlanMargin, nil)
-		cell.Policy = func() cluster.Policy {
-			return core.NewScheduler(core.Options{Seed: seed, Strict: true, PolicyName: "LPF"})
+		for _, v := range wohaVariants {
+			cell := wohaVariantCell(fmt.Sprintf("seed%d/%s", seed, v.name), cc, flows, seed, v.opts)
+			assertCellParity(t, &cell)
 		}
-		assertCellParity(t, &cell)
 	}
 }

@@ -260,45 +260,6 @@ func TestWOHAWithoutPlanStillCompletes(t *testing.T) {
 	}
 }
 
-func TestWOHAStrictLeavesSlotsIdle(t *testing.T) {
-	// Strict mode considers only the most-lagging workflow. Give W1 (the
-	// ID tie-break winner at zero lag) a reduce-only bottleneck so strict
-	// scheduling wastes map slots that work-conserving mode would give W2.
-	cfg := cluster.Config{Nodes: 1, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1}
-	mk := func() []*workflow.Workflow {
-		w1 := workflow.NewBuilder("w1").
-			Job("j", 1, 4, time.Second, 30*time.Second).
-			MustBuild(0, simtime.FromSeconds(10000))
-		w2 := mapOnly("w2", 8, 10*time.Second, 0, simtime.FromSeconds(10000))
-		return []*workflow.Workflow{w1, w2}
-	}
-	run := func(strict bool) simtime.Time {
-		pol := core.NewScheduler(core.Options{Seed: 5, Strict: strict})
-		sim, err := cluster.New(cfg, pol, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range mk() {
-			if err := sim.Submit(w, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := sim.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Makespan
-	}
-	conserving := run(false)
-	strict := run(true)
-	if strict < conserving {
-		t.Errorf("strict makespan %v beat work-conserving %v", strict, conserving)
-	}
-	if strict == conserving {
-		t.Errorf("strict makespan %v equals work-conserving; expected idle-slot penalty", strict)
-	}
-}
-
 func TestSchedulerNames(t *testing.T) {
 	names := map[string]cluster.Policy{
 		"FIFO":     scheduler.NewFIFO(),
