@@ -15,11 +15,11 @@ vet:
 	$(GO) vet ./...
 
 # Race-check the concurrent subsystems: observability fan-out, the live
-# (RPC) job tracker, the parallel/cached planner (whose served plans are
-# shared read-only across simulators, admission and trackers), the plan
-# generator (pooled kernels and cap-search state, drawn by the planner's
-# goroutines and admission at once), the workflow
-# model (one compiled form built at a racing first use), the scenario
+# (RPC) job tracker, the shared planner (one plan table locked by many
+# clients; its served plans are shared read-only across simulators,
+# admission and trackers), the plan generator (pooled kernels, drawn by
+# PlanAll's workers and admission at once), the workflow model (one
+# compiled form built at a racing first use), the scenario
 # runner, the pooled arena simulator (its equivalence sweep crosses pool
 # handoff), the queue backends (the randomized op-sequence property test), the admission
 # front door (a locked pipeline shared across tracker shards), and the
@@ -34,13 +34,14 @@ race:
 # run before every PR.
 verify: build test vet race fuzz-smoke
 
-# Each fuzz target, fuzzed for FUZZTIME beyond its seed corpus (which the
-# tier-1 suite already runs): the event queue against a sorting reference,
-# the DSL queue's op programs, the plan kernel against the queue-based
-# referee, the capped cap search against its oracle, the plan and workflow
-# decoders, and workflow compilation. go test fuzzes one target of one
-# package at a time. A failing input is written under the package's
-# testdata/fuzz, where it becomes part of the seed corpus.
+# Each of the eight fuzz targets, fuzzed for FUZZTIME beyond its seed corpus
+# (which the tier-1 suite already runs): the event queue against a sorting
+# reference, the DSL queue's op programs, the plan kernel against the
+# queue-based referee, the capped cap search against its oracle, the plan and
+# workflow decoders, workflow compilation, and the live tracker's heartbeat
+# reports. go test fuzzes one target of one package at a time. A failing
+# input is written under the package's testdata/fuzz, where it becomes part
+# of the seed corpus.
 FUZZTIME ?= 3s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime $(FUZZTIME) ./internal/simtime/
@@ -50,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/plan/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) ./internal/workflow/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseXML$$' -fuzztime $(FUZZTIME) ./internal/workflow/
+	$(GO) test -run '^$$' -fuzz '^FuzzHeartbeatReports$$' -fuzztime $(FUZZTIME) ./internal/live/
 
 # Fails when any tracked Go file is not gofmt-clean, printing the diff.
 fmt-check:

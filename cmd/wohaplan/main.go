@@ -4,9 +4,10 @@
 // requirement list (plus the encoded plan size the master node would store).
 //
 // Plans are produced through the planner service (internal/planner), so a
-// batch of files can probe candidate caps in parallel (-parallel) and reuse
-// plans across structurally identical workflows (-cache); both paths emit
-// byte-identical plans to the sequential generator.
+// batch of files can be planned several at once (-parallel) and reuse plans
+// across structurally identical workflows (-cache); both paths emit
+// byte-identical plans to the sequential generator. Files are printed in
+// argument order.
 //
 // Example:
 //
@@ -33,7 +34,7 @@ func main() {
 		reduceSlots = flag.Int("reduce-slots", 200, "cluster reduce slots")
 		policyName  = flag.String("policy", "LPF", "intra-workflow job priority: HLF, LPF, or MPF")
 		margin      = flag.Float64("margin", 0.85, "plan safety margin in (0,1]")
-		parallel    = flag.Int("parallel", 1, "concurrent Algorithm 1 probes per cap search (0 = one per core)")
+		parallel    = flag.Int("parallel", 1, "plan up to N workflows at once (0 = one per core)")
 		cacheSize   = flag.Int("cache", 0, "structural plan cache capacity (0 = disabled)")
 	)
 	flag.Parse()
@@ -64,37 +65,40 @@ func run(paths []string, policyName string, mapSlots, reduceSlots int, margin fl
 		return fmt.Errorf("margin %v outside (0, 1]", margin)
 	}
 
+	flows := make([]*woha.Workflow, len(paths))
 	for i, path := range paths {
+		if flows[i], err = readWorkflow(path); err != nil {
+			return err
+		}
+	}
+	plans, err := pl.PlanAll(flows, caps, pol)
+	if err != nil {
+		return err
+	}
+	for i, w := range flows {
 		if i > 0 {
 			fmt.Println()
 		}
-		if err := planOne(pl, path, caps, pol); err != nil {
-			return err
-		}
+		printPlan(w, plans[i])
 	}
 	return nil
 }
 
-func planOne(pl *planner.Planner, path string, caps plan.Caps, pol woha.PriorityPolicy) error {
+func readWorkflow(path string) (*woha.Workflow, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer f.Close()
-	w, err := woha.ParseWorkflowXML(f)
-	if err != nil {
-		return err
-	}
-	p, err := pl.Plan(w, caps, pol)
-	if err != nil {
-		return err
-	}
+	return woha.ParseWorkflowXML(f)
+}
 
+func printPlan(w *woha.Workflow, p *plan.Plan) {
 	fmt.Printf("workflow %q: %d jobs, %d tasks, relative deadline %v\n",
 		w.Name, len(w.Jobs), w.TotalTasks(), w.RelativeDeadline())
 	source := fmt.Sprintf("%d simulations", p.SearchIters)
 	if p.SearchIters == 0 {
-		source = "plan cache hit"
+		source = "shared plan, not simulated"
 	}
 	fmt.Printf("plan: policy %s, resource cap %d slots, simulated makespan %v, feasible %v, encoded %d bytes (%s)\n\n",
 		p.Policy, p.Cap, p.Makespan.Round(time.Second), p.Feasible, p.Size(), source)
@@ -114,5 +118,4 @@ func planOne(pl *planner.Planner, path string, caps plan.Caps, pol woha.Priority
 	for _, r := range reqs {
 		fmt.Printf("  ttd %10v -> %4d tasks\n", r.TTD.Round(time.Second), r.Cum)
 	}
-	return nil
 }

@@ -27,8 +27,8 @@ func TestRunPrintsPlan(t *testing.T) {
 }
 
 func TestRunBatchParallelCached(t *testing.T) {
-	// A batch of identical files through the parallel searcher and the
-	// cache: the second and third files are cache hits.
+	// A batch of identical files planned four at once through the cache:
+	// the second and third files share the first's plan.
 	path := writeXML(t)
 	if err := run([]string{path, path, path}, "LPF", 20, 10, 0.85, 4, 16); err != nil {
 		t.Fatal(err)

@@ -45,15 +45,18 @@ func runFederation(workloadName, schedName string, cfg woha.ClusterConfig, clust
 	if err != nil {
 		return err
 	}
-	for _, w := range flows {
+	var plans []*plan.Plan
+	if spec.IsWOHA() {
+		// Plans are capped at one member's capacity: that is the cluster the
+		// workflow will actually run on, whichever the router picks.
+		if plans, err = pl.PlanAll(flows, plan.Caps{Maps: cfg.MapSlots(), Reduces: cfg.ReduceSlots()}, spec.Priority); err != nil {
+			return err
+		}
+	}
+	for i, w := range flows {
 		var p *plan.Plan
-		if spec.IsWOHA() {
-			// Plans are capped at one member's capacity: that is the cluster
-			// the workflow will actually run on, whichever the router picks.
-			p, err = pl.Plan(w, plan.Caps{Maps: cfg.MapSlots(), Reduces: cfg.ReduceSlots()}, spec.Priority)
-			if err != nil {
-				return err
-			}
+		if plans != nil {
+			p = plans[i]
 		}
 		if err := fed.Submit(w, p); err != nil {
 			return err

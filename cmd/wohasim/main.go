@@ -48,7 +48,7 @@ func main() {
 		metricsAddr  = flag.String("metrics-addr", "", "serve the introspection plane (/metrics, /statusz, /debug/pprof) on this address during the run (e.g. :8080; :0 picks a free port) and print a final scrape")
 		postmortem   = flag.String("postmortem", "", "write a miss root-cause report (JSON) to this file after the run and print a text summary")
 		healthInt    = flag.Duration("health-interval", 30*time.Second, "virtual-time interval between deadline-health snapshots when instrumentation is active (0 disables)")
-		planWorkers  = flag.Int("plan-workers", 1, "concurrent Algorithm 1 probes per plan search (0 = one per core)")
+		planWorkers  = flag.Int("plan-workers", 1, "plan up to N workflows at once (0 = one per core)")
 		planCache    = flag.Int("plan-cache", 0, "structural plan cache capacity (0 = disabled)")
 		replicas     = flag.Int("replicas", 1, "replay the run once per seed (seed, seed+1, ...) and report per-seed outcomes")
 		replicaWork  = flag.Int("replica-workers", 0, "concurrent replicas (0 = one per core, 1 = serial; results identical either way)")
@@ -192,8 +192,8 @@ type postmortemCapture struct {
 
 // addSpecs records one spec per workflow in submission order, attaching the
 // WOHA progress plan when the scheduler consults one. The shared planner
-// coalesces these probes with the session's own, so with a cache enabled the
-// plan costs nothing extra.
+// coalesces these requests with the session's own, so with a cache enabled
+// the plans cost nothing extra.
 func (pc *postmortemCapture) addSpecs(flows []*woha.Workflow, schedName string, maps, reds int, pl *woha.Planner) error {
 	if pc == nil {
 		return nil
@@ -202,14 +202,16 @@ func (pc *postmortemCapture) addSpecs(flows []*woha.Workflow, schedName string, 
 	if err != nil {
 		return err
 	}
+	var plans []*plan.Plan
+	if spec.IsWOHA() {
+		if plans, err = pl.PlanAll(flows, plan.Caps{Maps: maps, Reduces: reds}, spec.Priority); err != nil {
+			return err
+		}
+	}
 	for i, w := range flows {
 		s := woha.PostmortemSpec{Workflow: i, Spec: w}
-		if spec.IsWOHA() {
-			p, err := pl.Plan(w, plan.Caps{Maps: maps, Reduces: reds}, spec.Priority)
-			if err != nil {
-				return err
-			}
-			s.Plan = p
+		if plans != nil {
+			s.Plan = plans[i]
 		}
 		pc.specs = append(pc.specs, s)
 	}
@@ -238,8 +240,8 @@ func (pc *postmortemCapture) write(out io.Writer) error {
 	return rep.WriteText(out)
 }
 
-// planOpts carries the planner tuning flags: concurrent probes per cap
-// search (0 = one per core) and structural cache capacity (0 = off).
+// planOpts carries the planner tuning flags: workflows planned at once
+// (0 = one per core) and structural cache capacity (0 = off).
 type planOpts struct {
 	workers, cache int
 }
@@ -384,13 +386,16 @@ func runLive(workloadName, schedName string, nodes, mapSlots, reduceSlots, shard
 	if err != nil {
 		return err
 	}
+	var plans []*plan.Plan
+	if spec.IsWOHA() {
+		if plans, err = pl.PlanAll(flows, plan.Caps{Maps: nodes * mapSlots, Reduces: nodes * reduceSlots}, spec.Priority); err != nil {
+			return err
+		}
+	}
 	for i, w := range flows {
 		var p *plan.Plan
-		if spec.IsWOHA() {
-			p, err = pl.Plan(w, plan.Caps{Maps: nodes * mapSlots, Reduces: nodes * reduceSlots}, spec.Priority)
-			if err != nil {
-				return err
-			}
+		if plans != nil {
+			p = plans[i]
 			ins.PlanGenerated(w.Release, w.Name, p.SearchIters)
 		}
 		if err := c.Submit(w, p); err != nil {

@@ -304,31 +304,24 @@ func (q *QueueStats) OnBucketMoves(n int) {
 }
 
 // PlannerStats bundles the instruments of the plan-generation service
-// (internal/planner): structural-cache effectiveness, speculative probe
-// accounting, and end-to-end plan latency. All methods are safe on a nil
-// receiver, so the planner carries a PlannerStats pointer unconditionally.
+// (internal/planner): structural-cache effectiveness, probe accounting,
+// request coalescing, and end-to-end plan latency. All methods are safe on a
+// nil receiver, so the planner carries a PlannerStats pointer
+// unconditionally.
 type PlannerStats struct {
 	Plans          *Counter `metric:"woha_planner_plans_total" help:"Plans served by the planner (cache hits included)."`
 	CacheHits      *Counter `metric:"woha_planner_cache_hits_total" help:"Planner structural-cache hits."`
 	CacheMisses    *Counter `metric:"woha_planner_cache_misses_total" help:"Planner structural-cache misses."`
 	CacheEvictions *Counter `metric:"woha_planner_cache_evictions_total" help:"Plans evicted from the planner cache (LRU)."`
 	// Probes counts Algorithm 1 simulations executed by cap searches;
-	// ProbesCancelled counts speculative probes skipped because a
-	// concurrent result already narrowed the search past them; ProbesCut
-	// counts executed probes that stopped at the search target instead of
+	// ProbesCut counts those that stopped at the search target instead of
 	// simulating to completion (the probes whose cap missed it).
-	Probes          *Counter   `metric:"woha_planner_probes_total" help:"Algorithm 1 simulations executed by planner cap searches."`
-	ProbesCancelled *Counter   `metric:"woha_planner_probes_cancelled_total" help:"Speculative probes cancelled before running because the search had already narrowed past them."`
-	ProbesCut       *Counter   `metric:"woha_planner_probes_cut_total" help:"Executed probes that stopped at the search target instead of simulating to completion."`
-	PlanDur         *Histogram `metric:"woha_planner_plan_duration_seconds" buckets:"duration" help:"Wall-clock latency of one planner request."`
+	Probes    *Counter   `metric:"woha_planner_probes_total" help:"Algorithm 1 simulations executed by planner cap searches."`
+	ProbesCut *Counter   `metric:"woha_planner_probes_cut_total" help:"Executed probes that stopped at the search target instead of simulating to completion."`
+	PlanDur   *Histogram `metric:"woha_planner_plan_duration_seconds" buckets:"duration" help:"Wall-clock latency of one planner request."`
 	// Inflight and Coalesced are the singleflight leaders and waiters.
 	Inflight  *Gauge   `metric:"woha_planner_inflight" help:"Plan generations currently in flight."`
 	Coalesced *Counter `metric:"woha_planner_coalesced_total" help:"Plan requests served by waiting on a concurrent same-key generation."`
-	// DuplicateFills counts freshly generated plans the cache discarded
-	// because a concurrent fill of the same key won the race. Coalescing
-	// exists to hold this at zero; a nonzero value means same-key work was
-	// simulated more than once and one result was thrown away.
-	DuplicateFills *Counter `metric:"woha_planner_duplicate_fills_total" help:"Freshly generated plans discarded because a concurrent same-key fill won."`
 }
 
 // NewPlannerStats registers the planner instruments. Returns nil (disabled

@@ -30,9 +30,8 @@ const Unlimited = time.Duration(math.MaxInt64)
 // changes no answer, it only skips the rest of a simulation whose verdict is
 // already known.
 //
-// A Kernel is not safe for concurrent use; concurrent probes of one workflow
-// bind one kernel each. The workflow and ranks must not change between Bind
-// and Release.
+// A Kernel is not safe for concurrent use. The workflow and ranks must not
+// change between Bind and Release.
 type Kernel struct {
 	w     *workflow.Workflow
 	c     *workflow.Compiled // w.Compiled()
@@ -367,10 +366,9 @@ type rawReq struct {
 	count int
 }
 
-// cappedSearch is the state of one capped generation: the kernels bound to
-// its workflow (one, unless a concurrent searcher overlaps probes), the
-// schedule of the best cap so far, and the cut count. Pooled, so the
-// schedule buffer, the idle list and the probe closure are reused.
+// cappedSearch is the state of one capped generation: the kernel bound to
+// its workflow, the schedule of the best cap so far, and the cut count.
+// Pooled, so the schedule buffer and the probe closure are reused.
 type cappedSearch struct {
 	w       *workflow.Workflow
 	ranks   []int
@@ -380,10 +378,8 @@ type cappedSearch struct {
 	// atTarget is s.probeAtTarget, built once per pooled object.
 	atTarget Probe
 	best     Schedule
-
-	mu   sync.Mutex
-	idle []*Kernel
-	cut  int
+	k        *Kernel // bound by the first probe
+	cut      int
 }
 
 var searchPool = sync.Pool{New: func() any {
@@ -392,14 +388,12 @@ var searchPool = sync.Pool{New: func() any {
 	return s
 }}
 
-// release unbinds every kernel and returns s to the pool.
+// release unbinds the kernel and returns s to the pool.
 func (s *cappedSearch) release() {
-	for i, k := range s.idle {
-		k.Release()
-		s.idle[i] = nil
+	if s.k != nil {
+		s.k.Release()
 	}
-	s.idle = s.idle[:0]
-	s.w, s.ranks, s.cut = nil, nil, 0
+	s.w, s.ranks, s.k, s.cut = nil, nil, nil, 0
 	searchPool.Put(s)
 }
 
@@ -409,20 +403,15 @@ func (s *cappedSearch) probeAtTarget(cap int, keep *Schedule) (bool, error) {
 
 // probe runs one recorded simulation at total cap, stopping at limit. When
 // the makespan is within limit the run's schedule is swapped into keep.
-// Safe for concurrent use: overlapping probes run on separate kernels.
 func (s *cappedSearch) probe(cap int, limit time.Duration, keep *Schedule) (bool, error) {
-	s.mu.Lock()
-	var k *Kernel
-	if n := len(s.idle); n > 0 {
-		k, s.idle = s.idle[n-1], s.idle[:n-1]
-	}
-	s.mu.Unlock()
-	if k == nil {
-		var err error
-		if k, err = Bind(s.w, s.ranks); err != nil {
+	if s.k == nil {
+		k, err := Bind(s.w, s.ranks)
+		if err != nil {
 			return false, err
 		}
+		s.k = k
 	}
+	k := s.k
 	var end simtime.Time
 	var within bool
 	var err error
@@ -431,17 +420,16 @@ func (s *cappedSearch) probe(cap int, limit time.Duration, keep *Schedule) (bool
 	} else {
 		end, within, err = k.runSingle(cap, simtime.Epoch.Add(limit), true)
 	}
-	if err == nil && within {
+	if err != nil {
+		return false, err
+	}
+	if within {
 		k.raw, keep.raw = keep.raw, k.raw
 		keep.makespan = end.Duration()
-	}
-	s.mu.Lock()
-	s.idle = append(s.idle, k)
-	if err == nil && !within {
+	} else {
 		s.cut++
 	}
-	s.mu.Unlock()
-	return within, err
+	return within, nil
 }
 
 // resize returns s with length n, reusing its backing array when possible.

@@ -21,8 +21,8 @@ import (
 // it settles on. It is kept, test-only, as the thing the kernel-backed
 // generators must agree with byte for byte.
 
-// oracleCapped is the old body of GenerateCappedTypedWith and
-// GenerateCappedMarginWith over gen, which plans one total cap.
+// oracleCapped is the old body of GenerateCappedTyped and
+// GenerateCappedMargin over gen, which plans one total cap.
 func oracleCapped(w *workflow.Workflow, margin float64, lo, hi int, gen func(cap int) (*plan.Plan, error)) (*plan.Plan, error) {
 	target := time.Duration(margin * float64(w.RelativeDeadline()))
 	full, err := gen(hi)

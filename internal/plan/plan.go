@@ -32,8 +32,8 @@
 // and GenerateTyped are "bind, run unlimited, assemble". Callers that need
 // makespans and no plan (admission's feasibility stage, deadline assignment)
 // hold a Kernel themselves. Kernels are pooled with every buffer they use, so
-// repeated probes allocate nothing. internal/planner builds on this with
-// concurrent probing and a structural plan cache.
+// repeated probes allocate nothing. internal/planner builds on this with a
+// structural plan cache that coalesces concurrent requests.
 package plan
 
 import (
@@ -80,10 +80,8 @@ type Plan struct {
 	TotalTasks int
 	// SearchIters counts the Algorithm 1 simulations run to produce this
 	// plan: 1 for a direct Generate, 1 + the probe count for the capped
-	// generators (speculative parallel probes included, so the Fig 2 cost
-	// accounting holds however the search was executed). A plan served
-	// from a cache reports 0. Diagnostic only; not part of the encoded
-	// plan.
+	// generators (the Fig 2 cost accounting). A plan served from a cache
+	// reports 0. Diagnostic only; not part of the encoded plan.
 	SearchIters int
 	// ProbesCut counts how many of those simulations stopped at the search
 	// target instead of running to completion — the probes whose makespan
@@ -212,25 +210,17 @@ func GenerateCapped(w *workflow.Workflow, clusterSlots int, pol priority.Policy)
 // below 1 absorbs both effects. margin must be in (0, 1]. The experiments
 // use 0.85.
 func GenerateCappedMargin(w *workflow.Workflow, clusterSlots int, pol priority.Policy, margin float64) (*Plan, error) {
-	return GenerateCappedMarginWith(w, clusterSlots, pol, margin, nil)
-}
-
-// GenerateCappedMarginWith is GenerateCappedMargin with an explicit cap
-// searcher; a nil search uses SequentialSearch. Any conforming searcher (see
-// CapSearcher) yields a byte-identical plan, so internal/planner can probe
-// caps concurrently without changing results.
-func GenerateCappedMarginWith(w *workflow.Workflow, clusterSlots int, pol priority.Policy, margin float64, search CapSearcher) (*Plan, error) {
 	if clusterSlots <= 0 {
 		return nil, fmt.Errorf("plan: cluster has %d slots, want > 0", clusterSlots)
 	}
-	return generateCapped(w, pol, margin, search, false, Caps{}, 1, clusterSlots)
+	return generateCapped(w, pol, margin, false, Caps{}, 1, clusterSlots)
 }
 
 // generateCapped is the cap search behind both capped generators: total caps
 // in [lo, hi] are probed on one bound kernel (typed caps are the proportional
 // slice of cluster), every probe below hi stops at the target, and only the
 // schedule that wins is assembled.
-func generateCapped(w *workflow.Workflow, pol priority.Policy, margin float64, search CapSearcher, typed bool, cluster Caps, lo, hi int) (*Plan, error) {
+func generateCapped(w *workflow.Workflow, pol priority.Policy, margin float64, typed bool, cluster Caps, lo, hi int) (*Plan, error) {
 	if margin <= 0 || margin > 1 {
 		return nil, fmt.Errorf("plan: margin %v, want (0, 1]", margin)
 	}
@@ -259,10 +249,7 @@ func generateCapped(w *workflow.Workflow, pol priority.Policy, margin float64, s
 		if full > s.target {
 			s.target = deadline
 		}
-		if search == nil {
-			search = SequentialSearch
-		}
-		best, n, err := search(lo, hi, s.atTarget, &s.best)
+		best, n, err := SequentialSearch(lo, hi, s.atTarget, &s.best)
 		if err != nil {
 			return nil, err
 		}

@@ -82,18 +82,10 @@ func TypedCapsFor(cluster Caps, total int) Caps {
 // retries against the real deadline, and a genuinely infeasible workflow
 // gets the best-effort full plan.
 func GenerateCappedTyped(w *workflow.Workflow, cluster Caps, pol priority.Policy, margin float64) (*Plan, error) {
-	return GenerateCappedTypedWith(w, cluster, pol, margin, nil)
-}
-
-// GenerateCappedTypedWith is GenerateCappedTyped with an explicit cap
-// searcher; a nil search uses SequentialSearch. Any conforming searcher (see
-// CapSearcher) yields a byte-identical plan, so internal/planner can probe
-// caps concurrently without changing results.
-func GenerateCappedTypedWith(w *workflow.Workflow, cluster Caps, pol priority.Policy, margin float64, search CapSearcher) (*Plan, error) {
 	if cluster.Maps <= 0 || cluster.Reduces <= 0 {
 		return nil, fmt.Errorf("plan: bad cluster caps %+v", cluster)
 	}
-	return generateCapped(w, pol, margin, search, true, cluster, 2, cluster.Total())
+	return generateCapped(w, pol, margin, true, cluster, 2, cluster.Total())
 }
 
 // checkCaps refuses pools the bound workflow cannot run on, before anything

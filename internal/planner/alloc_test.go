@@ -10,8 +10,9 @@ import (
 // TestColdPlanAllocs pins what a cold capped typed plan allocates, averaged
 // over the planner test corpus through a caching planner: the returned Plan
 // and its two slices, the shared header the cache and later requests get, the
-// cache node, the flight entry and its channel, and the ranking's two slices
-// — nine, plus whatever the map and the pools grow by (9.1 to 10.0 measured).
+// table entry and its done channel, and the ranking's two slices — eight,
+// plus whatever the map and the pools grow by (8.3 measured; 9.1 to 10.0
+// when the cache node and the flight entry were two allocations).
 // Not a Plan per probe (88.9 once), not a cached copy, and no per-call
 // dependents table or topological sort (26.0 before the compiled form).
 func TestColdPlanAllocs(t *testing.T) {

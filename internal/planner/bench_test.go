@@ -7,10 +7,10 @@ import (
 	"repro/internal/priority"
 )
 
-// The benchmarks measure admission throughput over the Yahoo+Fig7 corpus in
-// three configurations the acceptance numbers compare: the seed-equivalent
-// sequential path, the speculative parallel search (wins scale with cores),
-// and a warm structural cache (BenchmarkPlanHit, the template-heavy regime).
+// The benchmarks measure admission throughput over the Yahoo+Fig7 corpus:
+// one cold plan at a time, a warm structural cache (BenchmarkPlanHit, the
+// template-heavy regime), and whole batches planned across workers
+// (BenchmarkPlanAll).
 
 func benchPlans(b *testing.B, pl *Planner) {
 	flows := corpus(b)
@@ -27,10 +27,6 @@ func benchPlans(b *testing.B, pl *Planner) {
 
 func BenchmarkPlanSequential(b *testing.B) {
 	benchPlans(b, New(Config{}))
-}
-
-func BenchmarkPlanParallel(b *testing.B) {
-	benchPlans(b, New(Config{Workers: runtime.GOMAXPROCS(0)}))
 }
 
 // BenchmarkPlanHit is the cache-hit path alone: every request finds its plan

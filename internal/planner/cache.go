@@ -59,29 +59,49 @@ func (k cacheKey) String() string {
 	return fmt.Sprintf("shape %x policy %s caps %d/%d relative deadline %v", k.shape[:6], k.policy, k.capMaps, k.capReds, k.deadline)
 }
 
-// planCache is a mutex-guarded LRU over structural keys. It stores and hands
-// out the same *plan.Plan: cached plans are shared read-only values (see
-// Planner.Plan), so nothing is copied on the way in or out.
+// planCache is the planner's one plan table: every request takes its one
+// mutex, looks its key up once, and finds an entry in one of two states.
+//
+//   - In flight: some requester is generating the key's plan right now.
+//     Later requesters block on the entry's done channel and receive the
+//     outcome (singleflight coalescing).
+//   - Settled: the plan is ready and is handed out at once (a cache hit).
+//
+// A miss inserts the in-flight entry in the same critical section as the
+// lookup, so no second generation of a key can start while one is running —
+// N runner cells asking for one (shape, caps, policy) key cost one simulation
+// total, whether they arrive during the generation (coalesced) or after it
+// (hit). Only settled entries are in the LRU list and count toward max; with
+// max <= 0 an entry is dropped as soon as it settles, so requests still
+// coalesce but nothing is cached. A failed generation is never cached either.
+//
+// The table stores and hands out the same *plan.Plan: served plans are shared
+// read-only values (see Planner.Plan), so nothing is copied on the way in or
+// out.
 type planCache struct {
-	mu    sync.Mutex
-	max   int
-	byKey map[cacheKey]*cacheNode
-	// Doubly-linked recency list: front = most recently used.
-	front, back *cacheNode
+	mu      sync.Mutex
+	max     int
+	settled int // entries in the recency list
+	byKey   map[cacheKey]*cacheEntry
+	// Doubly-linked recency list of settled entries: front = most recently
+	// used.
+	front, back *cacheEntry
 	stats       *obs.PlannerStats
 }
 
-type cacheNode struct {
+// cacheEntry is one key's generation. done is non-nil while the generation is
+// in flight and nil once settled. p and err are written exactly once, before
+// done is closed; waiters read them only after <-done.
+type cacheEntry struct {
 	key        cacheKey
+	done       chan struct{}
 	p          *plan.Plan
-	prev, next *cacheNode
+	err        error
+	prev, next *cacheEntry
 }
 
 func newPlanCache(max int, stats *obs.PlannerStats) *planCache {
-	if max <= 0 {
-		return nil
-	}
-	return &planCache{max: max, byKey: make(map[cacheKey]*cacheNode, max), stats: stats}
+	return &planCache{max: max, byKey: make(map[cacheKey]*cacheEntry), stats: stats}
 }
 
 // shared returns what every requester of p's key but the one that generated
@@ -93,95 +113,137 @@ func shared(p *plan.Plan) *plan.Plan {
 	return &c
 }
 
-// get returns the cached plan, shared. Safe on a nil cache.
-func (c *planCache) get(k cacheKey) (*plan.Plan, bool) {
-	if c == nil {
-		return nil, false
+// serve is the planner's common request path: a settled entry is a hit, an
+// in-flight one is waited on, and a missing one makes this requester the
+// generation's leader. The clock is read only for an instrumented planner.
+func (c *planCache) serve(key cacheKey, gen func() (*plan.Plan, error)) (*plan.Plan, error) {
+	var start time.Time
+	if c.stats != nil {
+		start = time.Now()
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.byKey[k]
+	e, ok := c.byKey[key]
 	if !ok {
-		return nil, false
+		e = &cacheEntry{key: key, done: make(chan struct{})}
+		c.byKey[key] = e
+		c.mu.Unlock()
+		return c.lead(e, start, gen)
 	}
-	c.moveToFront(n)
-	return n.p, true
+	if e.done == nil {
+		c.moveToFront(e)
+		p := e.p
+		c.mu.Unlock()
+		if c.stats != nil {
+			c.stats.OnPlan(time.Since(start), true)
+		}
+		return p, nil
+	}
+	// Same key is generating right now: wait for it instead of simulating
+	// again.
+	done := e.done
+	c.mu.Unlock()
+	<-done
+	if c.stats != nil {
+		c.stats.OnPlanCoalesced(time.Since(start), e.err == nil)
+	}
+	return e.p, e.err
 }
 
-// put stores p under k, evicting the least recently used entry
-// when full. It reports whether p was stored: false means a concurrent fill
-// of the same key won the race and p's generation was wasted work — recorded
-// on the duplicate-fill counter so the loss is observable (the planner's
-// request coalescing exists to keep that counter at zero). Safe on a nil
-// cache (reports false: nothing was retained).
-func (c *planCache) put(k cacheKey, p *plan.Plan) bool {
-	if c == nil {
-		return false
+// lead runs the one generation of e's key and publishes its outcome. The
+// publication is deferred so that it happens however gen ends: if gen panics
+// or exits the goroutine, the waiters get an error naming the request —
+// never a hang — nothing is cached, a later request generates afresh, and
+// the panic carries on to the leader's caller.
+func (c *planCache) lead(e *cacheEntry, start time.Time, gen func() (*plan.Plan, error)) (*plan.Plan, error) {
+	if c.stats != nil {
+		c.stats.Inflight.Add(1)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n, ok := c.byKey[k]; ok {
-		// Concurrent fill of the same key: keep the existing entry.
-		c.moveToFront(n)
-		if c.stats != nil {
-			c.stats.DuplicateFills.Inc()
+	completed := false
+	defer func() {
+		if !completed {
+			e.err = fmt.Errorf("planner: generation panicked or exited (%v)", e.key)
 		}
-		return false
+		done := e.done
+		c.mu.Lock()
+		c.settle(e)
+		c.mu.Unlock()
+		if c.stats != nil {
+			c.stats.Inflight.Add(-1)
+		}
+		close(done)
+	}()
+	p, err := gen()
+	if err == nil {
+		e.p = shared(p)
+		if c.stats != nil {
+			c.stats.OnPlan(time.Since(start), false)
+			c.stats.Probes.Add(int64(p.SearchIters))
+			c.stats.ProbesCut.Add(int64(p.ProbesCut))
+		}
 	}
-	if len(c.byKey) >= c.max {
+	e.err, completed = err, true
+	return p, err
+}
+
+// settle ends e's flight: a failed or uncacheable entry leaves the table, a
+// plan enters the recency list, evicting the least recently used settled
+// entry when full. Called with c.mu held.
+func (c *planCache) settle(e *cacheEntry) {
+	if e.err != nil || c.max <= 0 {
+		delete(c.byKey, e.key)
+		return
+	}
+	e.done = nil
+	if c.settled == c.max {
 		evict := c.back
 		c.unlink(evict)
 		delete(c.byKey, evict.key)
+		c.settled--
 		if c.stats != nil {
 			c.stats.CacheEvictions.Inc()
 		}
 	}
-	n := &cacheNode{key: k, p: p}
-	c.byKey[k] = n
-	c.pushFront(n)
-	return true
+	c.pushFront(e)
+	c.settled++
 }
 
-// len reports the current entry count. Safe on a nil cache.
+// len reports how many settled plans the table holds.
 func (c *planCache) len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.byKey)
+	return c.settled
 }
 
-func (c *planCache) pushFront(n *cacheNode) {
-	n.prev = nil
-	n.next = c.front
+func (c *planCache) pushFront(e *cacheEntry) {
+	e.prev = nil
+	e.next = c.front
 	if c.front != nil {
-		c.front.prev = n
+		c.front.prev = e
 	}
-	c.front = n
+	c.front = e
 	if c.back == nil {
-		c.back = n
+		c.back = e
 	}
 }
 
-func (c *planCache) unlink(n *cacheNode) {
-	if n.prev != nil {
-		n.prev.next = n.next
+func (c *planCache) unlink(e *cacheEntry) {
+	if e.prev != nil {
+		e.prev.next = e.next
 	} else {
-		c.front = n.next
+		c.front = e.next
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if e.next != nil {
+		e.next.prev = e.prev
 	} else {
-		c.back = n.prev
+		c.back = e.prev
 	}
-	n.prev, n.next = nil, nil
+	e.prev, e.next = nil, nil
 }
 
-func (c *planCache) moveToFront(n *cacheNode) {
-	if c.front == n {
+func (c *planCache) moveToFront(e *cacheEntry) {
+	if c.front == e {
 		return
 	}
-	c.unlink(n)
-	c.pushFront(n)
+	c.unlink(e)
+	c.pushFront(e)
 }

@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,10 +18,32 @@ func fakePlan(cap int, makespan time.Duration) *plan.Plan {
 	return &plan.Plan{Cap: cap, Makespan: makespan}
 }
 
-// TestPlanCacheEvictionOrder drives the LRU list directly through an
-// interleaved get/put sequence and checks the exact victim order: eviction
-// must follow recency of *use* (gets and duplicate puts both refresh), not
-// insertion order.
+var errProbe = errors.New("probe: not generating")
+
+// fill requests k from c with a generation that returns p and reports
+// whether that generation ran: false means k was settled and the request
+// was a hit.
+func fill(t *testing.T, c *planCache, k cacheKey, p *plan.Plan) bool {
+	t.Helper()
+	ran := false
+	if _, err := c.serve(k, func() (*plan.Plan, error) { ran = true; return p, nil }); err != nil {
+		t.Fatalf("serve(%v): %v", k, err)
+	}
+	return ran
+}
+
+// cached reports whether k is settled in c, refreshing its recency as any hit
+// does. A miss generates nothing: its generation fails, and a failure is not
+// cached, so the table is left as it was.
+func cached(c *planCache, k cacheKey) bool {
+	_, err := c.serve(k, func() (*plan.Plan, error) { return nil, errProbe })
+	return err == nil
+}
+
+// TestPlanCacheEvictionOrder drives the table directly through an
+// interleaved sequence of hits and fills and checks the exact victim order:
+// eviction must follow recency of *use* (every hit refreshes), not insertion
+// order.
 func TestPlanCacheEvictionOrder(t *testing.T) {
 	o := obs.New(obs.NewRegistry(), nil)
 	st := o.NewPlannerStats()
@@ -28,19 +52,17 @@ func TestPlanCacheEvictionOrder(t *testing.T) {
 
 	// Fill: recency front-to-back is [2 1 0].
 	for i := 0; i < 3; i++ {
-		if !c.put(key(i), p) {
-			t.Fatalf("put(%d) = false, want true", i)
+		if !fill(t, c, key(i), p) {
+			t.Fatalf("fill(%d) was a hit, want a generation", i)
 		}
 	}
-	// Touch 0 via get -> [0 2 1]; duplicate put of 1 refreshes too -> [1 0 2].
-	if _, ok := c.get(key(0)); !ok {
-		t.Fatal("get(0): miss, want hit")
+	// Touch 0 -> [0 2 1]; a second request for 1 is a hit and refreshes it
+	// too -> [1 0 2].
+	if !cached(c, key(0)) {
+		t.Fatal("key 0: miss, want hit")
 	}
-	if c.put(key(1), p) {
-		t.Fatal("duplicate put(1) = true, want false (entry retained)")
-	}
-	if got := st.DuplicateFills.Value(); got != 1 {
-		t.Fatalf("DuplicateFills = %d, want 1", got)
+	if fill(t, c, key(1), p) {
+		t.Fatal("fill(1) generated again, want a hit on the settled entry")
 	}
 
 	// Inserting 3 must evict 2 (the least recently used), then 4 evicts 0.
@@ -51,24 +73,27 @@ func TestPlanCacheEvictionOrder(t *testing.T) {
 		{insert: 3, evicted: 2},
 		{insert: 4, evicted: 0},
 	} {
-		if !c.put(key(tc.insert), p) {
-			t.Fatalf("step %d: put(%d) = false, want true", step, tc.insert)
+		if !fill(t, c, key(tc.insert), p) {
+			t.Fatalf("step %d: fill(%d) was a hit, want a generation", step, tc.insert)
 		}
-		if _, ok := c.get(key(tc.evicted)); ok {
+		if cached(c, key(tc.evicted)) {
 			t.Errorf("step %d: key %d still cached, want evicted", step, tc.evicted)
 		}
 		if got := st.CacheEvictions.Value(); got != int64(step+1) {
 			t.Errorf("step %d: CacheEvictions = %d, want %d", step, got, step+1)
 		}
 	}
-	// Survivors: 1 (refreshed by the duplicate put), 3, 4.
+	// Survivors: 1 (refreshed by the hit), 3, 4.
 	for _, i := range []int{1, 3, 4} {
-		if _, ok := c.get(key(i)); !ok {
+		if !cached(c, key(i)) {
 			t.Errorf("key %d evicted, want cached", i)
 		}
 	}
 	if got := c.len(); got != 3 {
 		t.Errorf("len = %d, want 3", got)
+	}
+	if got := st.CacheMisses.Value(); got != 5 {
+		t.Errorf("CacheMisses = %d, want 5 (one generation per distinct key)", got)
 	}
 }
 
@@ -78,16 +103,14 @@ func TestPlanCacheSingleEntry(t *testing.T) {
 	c := newPlanCache(1, nil)
 	p := fakePlan(1, time.Minute)
 	for i := 0; i < 4; i++ {
-		if !c.put(key(i), p) {
-			t.Fatalf("put(%d) = false, want true", i)
+		if !fill(t, c, key(i), p) {
+			t.Fatalf("fill(%d) was a hit, want a generation", i)
 		}
-		if _, ok := c.get(key(i)); !ok {
-			t.Fatalf("get(%d): miss, want hit", i)
+		if !cached(c, key(i)) {
+			t.Fatalf("key %d: miss, want hit", i)
 		}
-		if i > 0 {
-			if _, ok := c.get(key(i - 1)); ok {
-				t.Fatalf("key %d still cached, want evicted", i-1)
-			}
+		if i > 0 && cached(c, key(i-1)) {
+			t.Fatalf("key %d still cached, want evicted", i-1)
 		}
 		if got := c.len(); got != 1 {
 			t.Fatalf("len = %d, want 1", got)
@@ -95,17 +118,102 @@ func TestPlanCacheSingleEntry(t *testing.T) {
 	}
 }
 
-// TestPlanCacheNil pins the nil-cache (CacheSize <= 0) contract relied on by
-// serve: gets miss, puts report nothing retained, len is zero.
+// TestPlanCacheNil pins the CacheSize <= 0 contract: a settled entry leaves
+// the table at once, so every sequential request generates and the table
+// holds nothing.
 func TestPlanCacheNil(t *testing.T) {
-	var c *planCache
-	if _, ok := c.get(key(1)); ok {
-		t.Error("nil cache get: hit, want miss")
-	}
-	if c.put(key(1), fakePlan(1, time.Minute)) {
-		t.Error("nil cache put = true, want false")
+	c := newPlanCache(0, nil)
+	for i := 0; i < 2; i++ {
+		if !fill(t, c, key(1), fakePlan(1, time.Minute)) {
+			t.Errorf("request %d was a hit on an uncached table, want a generation", i)
+		}
 	}
 	if got := c.len(); got != 0 {
-		t.Errorf("nil cache len = %d, want 0", got)
+		t.Errorf("uncached table len = %d, want 0", got)
+	}
+}
+
+// TestPlanCacheKeepsInFlight: an entry in flight is not in the recency list,
+// so it neither counts toward the size nor can be evicted. With room for one
+// plan, key A's generation is held while B and then C are generated and
+// served; A then completes, every request for A receives A's plan from its
+// one generation, and the table never holds more than one plan.
+func TestPlanCacheKeepsInFlight(t *testing.T) {
+	o := obs.New(obs.NewRegistry(), nil)
+	st := o.NewPlannerStats()
+	c := newPlanCache(1, st)
+	checkLen := func(when string) {
+		t.Helper()
+		if got := c.len(); got > 1 {
+			t.Fatalf("%s: len = %d, want <= 1", when, got)
+		}
+	}
+	a, b := key(1), key(2)
+	pa := fakePlan(7, time.Minute)
+
+	started, release := make(chan struct{}), make(chan struct{})
+	const waiters = 3
+	got := make(chan *plan.Plan, waiters)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := c.serve(a, func() (*plan.Plan, error) {
+			close(started)
+			<-release
+			return pa, nil
+		}); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-started
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := c.serve(a, func() (*plan.Plan, error) {
+				return nil, errors.New("key A generated a second time")
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got <- p
+		}()
+	}
+	checkLen("A in flight")
+
+	if !fill(t, c, b, fakePlan(2, time.Minute)) || !cached(c, b) {
+		t.Fatal("B was not generated and then served while A was in flight")
+	}
+	checkLen("B settled beside A in flight")
+	if !fill(t, c, key(3), fakePlan(3, time.Minute)) || cached(c, b) {
+		t.Fatal("C did not evict B while A was in flight")
+	}
+	checkLen("C settled beside A in flight")
+
+	close(release)
+	wg.Wait()
+	close(got)
+	checkLen("A settled")
+	var first *plan.Plan
+	for p := range got {
+		if p.Cap != pa.Cap {
+			t.Errorf("a request for A received cap %d, want A's %d", p.Cap, pa.Cap)
+		}
+		if first == nil {
+			first = p
+		} else if p != first {
+			t.Error("requests for A received different plans, want the one shared value")
+		}
+	}
+	if !cached(c, a) || cached(c, key(3)) {
+		t.Error("A did not settle into the table in place of C")
+	}
+	if got := st.CacheMisses.Value(); got != 3 {
+		t.Errorf("CacheMisses = %d, want 3 (A, B and C generated once each)", got)
+	}
+	if got := st.Inflight.Value(); got != 0 {
+		t.Errorf("Inflight = %d once A settled, want 0", got)
 	}
 }

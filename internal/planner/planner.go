@@ -1,25 +1,24 @@
 // Package planner is the plan-generation service sitting between workflow
-// admission and the Algorithm 1 generators in internal/plan. It adds three
+// admission and the Algorithm 1 generators in internal/plan. It adds two
 // throughput layers on top of the seed generators without changing a single
-// plan byte:
+// plan byte, both held in one plan table (see planCache):
 //
-//   - speculative parallel cap search (see newParallelSearch), which spends
-//     idle cores on the bisection caps the sequential search might probe
-//     next, so a single admission's wall clock shrinks on multi-core hosts;
-//   - a structural LRU plan cache (see planCache), which recognizes that
-//     production workloads are template-heavy — recurring instances and
-//     renamed copies of the same DAG shape compare equal as keys — and
-//     serves repeat requests without simulating, hashing or copying;
-//   - singleflight request coalescing (see flightGroup), which lets one
-//     Planner be shared by many concurrent clients — runner cells, sessions
-//     — with each distinct structural key simulated exactly once: the first
-//     requester generates, concurrent same-key requesters block on that
-//     generation and receive its plan.
+//   - a structural LRU plan cache, which recognizes that production
+//     workloads are template-heavy — recurring instances and renamed copies
+//     of the same DAG shape compare equal as keys — and serves repeat
+//     requests without simulating, hashing or copying;
+//   - singleflight request coalescing, which lets one Planner be shared by
+//     many concurrent clients — runner cells, sessions — with each distinct
+//     structural key simulated exactly once: the first requester generates,
+//     concurrent same-key requesters block on that generation and receive
+//     its plan.
 //
 // Both layers are observable through obs.PlannerStats and both are exact:
 // a plan served by the planner is byte-identical (per plan.Encode) to the
 // one the seed plan.GenerateCapped* call would build, which the
-// determinism tests in this package pin down.
+// determinism tests in this package pin down. Every cap search is the
+// sequential bisection, plan.SequentialSearch; the planner's concurrency is
+// across workflows (PlanAll) and across clients.
 package planner
 
 import (
@@ -38,12 +37,11 @@ import (
 const DefaultMargin = 0.85
 
 // Config tunes a Planner. The zero value is the conservative seed setup:
-// sequential search, no cache, default margin, no instrumentation.
+// one workflow at a time, no cache, default margin, no instrumentation.
 type Config struct {
-	// Workers is the number of concurrent Algorithm 1 probes a single cap
-	// search may run, and the concurrency of PlanAll across workflows.
-	// Values <= 1 mean fully sequential; callers wanting one worker per
-	// core pass runtime.GOMAXPROCS(0).
+	// Workers is how many workflows PlanAll plans at once. Values <= 1 mean
+	// one at a time; callers wanting one worker per core pass
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// CacheSize is the maximum number of plans retained by the structural
 	// cache; <= 0 disables caching.
@@ -59,14 +57,12 @@ type Config struct {
 // concurrent use — and designed to be shared: one Planner serving many
 // concurrent clients (runner cells, sessions) coalesces same-key requests
 // so each distinct structural key is simulated exactly once (see
-// flightGroup).
+// planCache).
 type Planner struct {
 	workers int
 	margin  float64
 	cache   *planCache
-	flight  flightGroup
 	stats   *obs.PlannerStats
-	search  plan.CapSearcher // nil selects plan.SequentialSearch
 }
 
 // New builds a Planner from cfg.
@@ -78,12 +74,8 @@ func New(cfg Config) *Planner {
 	if p.margin == 0 {
 		p.margin = DefaultMargin
 	}
-	p.flight.calls = make(map[cacheKey]*flightCall)
 	p.stats = cfg.Obs.NewPlannerStats()
 	p.cache = newPlanCache(cfg.CacheSize, p.stats)
-	if p.workers > 1 {
-		p.search = newParallelSearch(p.workers, p.stats)
-	}
 	return p
 }
 
@@ -105,15 +97,9 @@ func (pl *Planner) CacheLen() int { return pl.cache.len() }
 // Reqs arrays, and a cache hit or coalesced request the very same *plan.Plan.
 // Callers must not write to a served plan; Clone one to get a private copy.
 func (pl *Planner) Plan(w *workflow.Workflow, cluster plan.Caps, pol priority.Policy) (*plan.Plan, error) {
-	return pl.planTyped(w, cluster, pol, pl.search)
-}
-
-// planTyped implements Plan with an explicit searcher so PlanAll can force
-// sequential searches while it parallelizes across workflows instead.
-func (pl *Planner) planTyped(w *workflow.Workflow, cluster plan.Caps, pol priority.Policy, search plan.CapSearcher) (*plan.Plan, error) {
 	key := keyFor(w, variantTyped, cluster.Maps, cluster.Reduces, pl.margin, pol.Name())
-	return pl.serve(key, func() (*plan.Plan, error) {
-		return plan.GenerateCappedTypedWith(w, cluster, pol, pl.margin, search)
+	return pl.cache.serve(key, func() (*plan.Plan, error) {
+		return plan.GenerateCappedTyped(w, cluster, pol, pl.margin)
 	})
 }
 
@@ -122,26 +108,25 @@ func (pl *Planner) planTyped(w *workflow.Workflow, cluster plan.Caps, pol priori
 // plan.GenerateCappedMargin at the configured margin.
 func (pl *Planner) PlanSingle(w *workflow.Workflow, clusterSlots int, pol priority.Policy) (*plan.Plan, error) {
 	key := keyFor(w, variantSingle, clusterSlots, 0, pl.margin, pol.Name())
-	return pl.serve(key, func() (*plan.Plan, error) {
-		return plan.GenerateCappedMarginWith(w, clusterSlots, pol, pl.margin, pl.search)
+	return pl.cache.serve(key, func() (*plan.Plan, error) {
+		return plan.GenerateCappedMargin(w, clusterSlots, pol, pl.margin)
 	})
 }
 
 // Estimate produces the uncapped plan for w at a fixed slot count — the
 // cached equivalent of plan.GenerateForPolicy, used by workload generators
-// to derive deadlines from estimated makespans. No cap search runs, so
-// only the cache layer applies.
+// to derive deadlines from estimated makespans. No cap search runs; the
+// plan table caches and coalesces as for the capped variants.
 func (pl *Planner) Estimate(w *workflow.Workflow, slots int, pol priority.Policy) (*plan.Plan, error) {
 	key := keyFor(w, variantUncapped, slots, 0, 1, pol.Name())
-	return pl.serve(key, func() (*plan.Plan, error) {
+	return pl.cache.serve(key, func() (*plan.Plan, error) {
 		return plan.GenerateForPolicy(w, slots, pol)
 	})
 }
 
-// PlanAll plans a batch of workflows against the same cluster, spreading
-// whole workflows across the planner's workers; each workflow's own cap
-// search runs sequentially, since the batch already saturates the cores.
-// The returned slice is index-aligned with flows. The first error aborts
+// PlanAll plans a batch of workflows against the same cluster, up to
+// Config.Workers of them at once; each is planned as Plan plans it. The
+// returned slice is index-aligned with flows. The first error aborts
 // the batch (in-flight plans finish, remaining entries may be nil).
 func (pl *Planner) PlanAll(flows []*workflow.Workflow, cluster plan.Caps, pol priority.Policy) ([]*plan.Plan, error) {
 	out := make([]*plan.Plan, len(flows))
@@ -152,7 +137,7 @@ func (pl *Planner) PlanAll(flows []*workflow.Workflow, cluster plan.Caps, pol pr
 	}
 	if workers <= 1 {
 		for i, w := range flows {
-			p, err := pl.planTyped(w, cluster, pol, pl.search)
+			p, err := pl.Plan(w, cluster, pol)
 			if err != nil {
 				return out, err
 			}
@@ -172,7 +157,7 @@ func (pl *Planner) PlanAll(flows []*workflow.Workflow, cluster plan.Caps, pol pr
 				if i >= len(flows) {
 					return
 				}
-				p, err := pl.planTyped(flows[i], cluster, pol, nil)
+				p, err := pl.Plan(flows[i], cluster, pol)
 				if err != nil {
 					errs[i] = err
 					failed.Store(true)

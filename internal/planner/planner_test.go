@@ -2,7 +2,6 @@ package planner
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -31,8 +30,8 @@ var testCluster = plan.Caps{Maps: 300, Reduces: 180}
 
 // TestPlannerByteIdenticalToSequential pins the planner's exactness
 // contract: for every corpus workflow, the encoded plan bytes from the seed
-// sequential generators, the parallel speculative search, a cold cache
-// fill, and a warm cache hit are all identical — for both the typed and the
+// sequential generators, a planner with several workers, a cold cache fill,
+// and a warm cache hit are all identical — for both the typed and the
 // single-pool generators.
 func TestPlannerByteIdenticalToSequential(t *testing.T) {
 	flows := corpus(t)
@@ -290,127 +289,8 @@ func TestPlanAllPropagatesError(t *testing.T) {
 	}
 }
 
-// fakeProbe answers a search from a makespan landscape: within when f(cap)
-// meets target, as a real probe limited at target would. It records nothing.
-func fakeProbe(f func(cap int) time.Duration, target time.Duration) plan.Probe {
-	return func(cap int, _ *plan.Schedule) (bool, error) { return f(cap) <= target, nil }
-}
-
-// TestParallelSearchEquivalence drives the speculative searcher directly
-// against SequentialSearch over makespan landscapes including non-monotone
-// ones (list-scheduling anomalies), checking the chosen cap matches exactly
-// and that speculation only ever adds probes.
-func TestParallelSearchEquivalence(t *testing.T) {
-	landscapes := []struct {
-		name string
-		f    func(cap int) time.Duration
-	}{
-		{"monotone", func(cap int) time.Duration {
-			return time.Duration(1000/cap) * time.Second
-		}},
-		{"flat-feasible", func(cap int) time.Duration {
-			return time.Second
-		}},
-		{"flat-infeasible", func(cap int) time.Duration {
-			return time.Hour
-		}},
-		// Graham-anomaly-like: makespan jumps around with cap.
-		{"non-monotone", func(cap int) time.Duration {
-			ms := 1000 / cap
-			if cap%3 == 1 {
-				ms += 400
-			}
-			if cap%7 == 2 {
-				ms -= 100
-			}
-			return time.Duration(ms) * time.Second
-		}},
-	}
-	targets := []time.Duration{0, 5 * time.Second, 90 * time.Second, 2 * time.Hour}
-	intervals := [][2]int{{1, 1}, {1, 2}, {2, 480}, {1, 1000}}
-
-	for _, ls := range landscapes {
-		for _, target := range targets {
-			for _, iv := range intervals {
-				probe := fakeProbe(ls.f, target)
-				wantBest, wantProbes, err := plan.SequentialSearch(iv[0], iv[1], probe, nil)
-				if err != nil {
-					t.Fatalf("SequentialSearch: %v", err)
-				}
-				for _, workers := range []int{1, 2, 4, 16} {
-					search := newParallelSearch(workers, nil)
-					gotBest, gotProbes, err := search(iv[0], iv[1], probe, nil)
-					if err != nil {
-						t.Fatalf("%s target=%v iv=%v workers=%d: %v", ls.name, target, iv, workers, err)
-					}
-					if gotBest != wantBest {
-						t.Errorf("%s target=%v iv=%v workers=%d: got cap %d, want %d (0 = none)", ls.name, target, iv, workers, gotBest, wantBest)
-					}
-					if gotProbes < wantProbes {
-						t.Errorf("%s target=%v iv=%v workers=%d: %d probes < sequential %d", ls.name, target, iv, workers, gotProbes, wantProbes)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestParallelSearchErrors verifies the error contract: an error at a cap
-// the sequential walk visits aborts the search; an error at a cap only
-// speculation touches does not change the result.
-func TestParallelSearchErrors(t *testing.T) {
-	lo, hi := 1, 100
-	target := 40 * time.Second
-	answer := fakeProbe(func(cap int) time.Duration { return time.Duration(2500/cap) * time.Second }, target)
-
-	// Record the sequential probe path.
-	var path []int
-	wantBest, _, err := plan.SequentialSearch(lo, hi, func(cap int, keep *plan.Schedule) (bool, error) {
-		path = append(path, cap)
-		return answer(cap, keep)
-	}, nil)
-	if err != nil || wantBest == 0 {
-		t.Fatalf("SequentialSearch: best=%v err=%v", wantBest, err)
-	}
-	onPath := func(cap int) bool {
-		for _, c := range path {
-			if c == cap {
-				return true
-			}
-		}
-		return false
-	}
-
-	boom := errors.New("probe exploded")
-	// Failing an on-path cap must surface the error.
-	search := newParallelSearch(4, nil)
-	_, _, err = search(lo, hi, func(cap int, keep *plan.Schedule) (bool, error) {
-		if cap == path[len(path)-1] {
-			return false, boom
-		}
-		return answer(cap, keep)
-	}, nil)
-	if !errors.Is(err, boom) {
-		t.Errorf("on-path probe error: got %v, want %v", err, boom)
-	}
-
-	// Failing every off-path cap must not disturb the search.
-	gotBest, _, err := search(lo, hi, func(cap int, keep *plan.Schedule) (bool, error) {
-		if !onPath(cap) {
-			return false, boom
-		}
-		return answer(cap, keep)
-	}, nil)
-	if err != nil {
-		t.Fatalf("off-path probe errors leaked: %v", err)
-	}
-	if gotBest != wantBest {
-		t.Errorf("with failing off-path probes: got cap %d, want %d", gotBest, wantBest)
-	}
-}
-
 // TestPlannerConcurrentUse hammers one cached planner from many goroutines;
-// run with -race this checks the cache and search locking.
+// run with -race this checks the plan table's locking.
 func TestPlannerConcurrentUse(t *testing.T) {
 	flows := corpus(t)[:24]
 	pl := New(Config{Workers: 4, CacheSize: 16, Obs: obs.New(obs.NewRegistry(), nil)})

@@ -293,11 +293,11 @@ func WithPlanMargin(margin float64) SessionOption {
 	return func(o *sessionOptions) { o.margin = margin; o.marginSet = true }
 }
 
-// WithPlannerWorkers sets how many Algorithm 1 probes Submit's plan
-// generation may run concurrently (and the across-workflow concurrency of
-// SubmitAll). n <= 0 selects one worker per core; the default is 1
-// (sequential, the seed behaviour). Any worker count produces byte-identical
-// plans — see internal/planner.
+// WithPlannerWorkers sets how many workflows a batch plans at once
+// (SubmitAll, RunSeeds). n <= 0 selects one worker per core; the default is
+// 1 (one at a time, the seed behaviour). Submit plans one workflow, so the
+// count does not change it. Any worker count produces byte-identical plans —
+// see internal/planner.
 func WithPlannerWorkers(n int) SessionOption {
 	return func(o *sessionOptions) {
 		if n <= 0 {
