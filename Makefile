@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify ci fmt-check race-smoke alloc-pins fuzz-smoke postmortem-smoke admission-smoke federation-smoke bench-smoke mutex-smoke
+.PHONY: build test vet race verify ci fmt-check race-smoke alloc-pins fuzz-smoke postmortem-smoke admission-smoke federation-smoke bench-smoke mutex-smoke examples-smoke
 
 build:
 	$(GO) build ./...
@@ -30,9 +30,9 @@ race:
 	$(GO) test -race ./internal/obs/... ./internal/plan/... ./internal/planner/... ./internal/workflow/... ./internal/runner/... ./internal/cluster/... ./internal/dsl/... ./internal/admission/... ./internal/federation/...
 	$(GO) test -race -cpu 1,4 ./internal/live/...
 
-# Tier-1 gate plus static analysis, race checks and a short fuzzing pass —
-# run before every PR.
-verify: build test vet race fuzz-smoke
+# Tier-1 gate plus static analysis, race checks, a short fuzzing pass and
+# a run of every example — run before every PR.
+verify: build test vet race fuzz-smoke examples-smoke
 
 # Each of the eight fuzz targets, fuzzed for FUZZTIME beyond its seed corpus
 # (which the tier-1 suite already runs): the event queue against a sorting
@@ -118,6 +118,15 @@ federation-smoke:
 # paying for stable timings.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# Runs every program under examples/ at full size, discarding its output;
+# the first non-zero exit fails the target. Each takes 1-3 s, compile
+# included, on a 2-core host.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # Mutex-profile smoke over the live control plane: runs the sharded tests
 # with contention profiling on, proving the profile path works and leaving

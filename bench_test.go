@@ -383,36 +383,6 @@ func BenchmarkAblationNormalizedLag(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLocality sweeps the data-locality model on the Fig 11
-// scenario: remote-read penalties without and with delay scheduling.
-func BenchmarkAblationLocality(b *testing.B) {
-	variants := []struct {
-		name string
-		mut  func(*cluster.Config)
-	}{
-		{"off", nil},
-		{"r3-penalty1.3", func(c *cluster.Config) { c.Replication = 3; c.RemotePenalty = 1.3 }},
-		{"r3-penalty1.3-delay5s", func(c *cluster.Config) {
-			c.Replication = 3
-			c.RemotePenalty = 1.3
-			c.DelayScheduling = 5 * time.Second
-		}},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			var last *cluster.Result
-			for i := 0; i < b.N; i++ {
-				last = ablationScenario(b, experiments.PlanMargin, v.mut)
-			}
-			b.ReportMetric(float64(last.DeadlineMisses()), "misses")
-			b.ReportMetric(last.Makespan.Seconds(), "makespan-s")
-			if tot := last.LocalMaps + last.RemoteMaps; tot > 0 {
-				b.ReportMetric(float64(last.LocalMaps)/float64(tot), "local-frac")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationFailures measures deadline degradation under node
 // failure storms on the Fig 11 scenario.
 func BenchmarkAblationFailures(b *testing.B) {

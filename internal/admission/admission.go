@@ -129,7 +129,7 @@ type Tenant struct {
 	// hold committed concurrently, in (0, 1]; 0 disables.
 	Quota float64
 	// Tier is the tenant's priority tier: 0 (highest) sees the whole
-	// cluster, higher tiers a shrinking fraction (Config.TierCeilings).
+	// cluster, higher tiers a shrinking fraction (tierCeilings).
 	Tier int
 }
 
@@ -151,12 +151,13 @@ type Config struct {
 	// Tenants maps workflow.Workflow.Tenant values to their policy stack.
 	// Workflows with an unlisted (or empty) tenant skip the tenant stages.
 	Tenants map[string]Tenant
-	// TierCeilings[t] is the fraction of cluster capacity tier t may use;
-	// tiers beyond the slice reuse the last entry. Default {1, 0.75, 0.5}.
-	TierCeilings []float64
 	// Obs attaches the woha_admission_* instruments; nil disables.
 	Obs *obs.Obs
 }
+
+// tierCeilings[t] is the fraction of cluster capacity tier t may use; tiers
+// beyond the slice reuse the last entry.
+var tierCeilings = [...]float64{1, 0.75, 0.5}
 
 // Modes.
 const (
@@ -186,14 +187,6 @@ func New(cfg Config) (Controller, error) {
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = priority.LPF{}
-	}
-	if len(cfg.TierCeilings) == 0 {
-		cfg.TierCeilings = []float64{1, 0.75, 0.5}
-	}
-	for _, c := range cfg.TierCeilings {
-		if c <= 0 || c > 1 {
-			return nil, fmt.Errorf("admission: tier ceiling %v, want (0, 1]", c)
-		}
 	}
 	for name, t := range cfg.Tenants {
 		if t.Rate < 0 || t.Quota < 0 || t.Quota > 1 || t.Tier < 0 || t.Burst < 0 {
@@ -401,11 +394,7 @@ func (p *pipeline) effectiveCluster(tn Tenant, hasTenant bool) plan.Caps {
 	if !hasTenant {
 		return p.cfg.Cluster
 	}
-	tier := tn.Tier
-	if tier >= len(p.cfg.TierCeilings) {
-		tier = len(p.cfg.TierCeilings) - 1
-	}
-	c := p.cfg.TierCeilings[tier]
+	c := tierCeilings[min(tn.Tier, len(tierCeilings)-1)]
 	eff := plan.Caps{
 		Maps:    int(float64(p.cfg.Cluster.Maps) * c),
 		Reduces: int(float64(p.cfg.Cluster.Reduces) * c),

@@ -81,7 +81,6 @@ func TestNewValidation(t *testing.T) {
 		{"unknown mode", admission.Config{Mode: "sometimes"}},
 		{"feasible without caps", admission.Config{Mode: admission.ModeFeasible}},
 		{"bad margin", admission.Config{Mode: admission.ModeFeasible, Cluster: caps, Margin: 1.5}},
-		{"bad tier ceiling", admission.Config{Mode: admission.ModeFeasible, Cluster: caps, TierCeilings: []float64{0}}},
 		{"bad tenant", admission.Config{Mode: admission.ModeFeasible, Cluster: caps,
 			Tenants: map[string]admission.Tenant{"t": {Quota: 2}}}},
 	} {

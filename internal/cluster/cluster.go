@@ -73,21 +73,6 @@ type Config struct {
 	// tasks of failed trackers), and its slots disappear until recovery.
 	Failures []Failure
 
-	// Replication enables data-locality modeling for map tasks: each
-	// assignment is data-local with probability 1-(1-1/Nodes)^Replication
-	// (uniform HDFS block placement with this replication factor). Zero
-	// disables locality modeling entirely.
-	Replication int
-	// RemotePenalty multiplies a non-local map task's duration (network
-	// read instead of local disk). Values below 1 are rejected; typical
-	// is 1.2-1.5. Ignored when Replication is zero.
-	RemotePenalty float64
-	// DelayScheduling makes the JobTracker hold a slot back from a
-	// non-local assignment until the job has waited this long for a local
-	// one, following Zaharia et al.'s delay scheduling. Zero accepts
-	// remote assignments immediately.
-	DelayScheduling time.Duration
-
 	// StragglerProb injects one-sided stragglers: each task attempt
 	// independently runs StragglerFactor times longer than its (noisy)
 	// duration with this probability, modeling the swapping and contention
@@ -143,9 +128,6 @@ type JobState struct {
 
 	// unmet counts unfinished prerequisite jobs.
 	unmet int
-	// delayedSince marks when the job first declined a non-local map
-	// assignment under delay scheduling (zero = not waiting).
-	delayedSince simtime.Time
 }
 
 // MapsDone reports whether the job's map phase has fully completed,
@@ -371,12 +353,11 @@ type Policy interface {
 	// workflow arrives, a job activates, a job's map phase ends, a task is
 	// requeued or a task starts — from false to true only at one of the
 	// first four, since a task starting takes work away. now may order the
-	// candidates but not withhold them: delay scheduling lives in the
-	// simulator, and a tick it refuses is not quiescent. The simulator
-	// relies on this twice: heartbeat mode leaves out the ticks of a node the
-	// policy has just refused (Simulator.rearmHeartbeat), and instant
-	// dispatch stops offering a slot type the policy has refused until one
-	// of those four events (Simulator.dispatchAll).
+	// candidates but not withhold them. The simulator relies on this twice:
+	// heartbeat mode leaves out the ticks of a node the policy has just
+	// refused (Simulator.rearmHeartbeat), and instant dispatch stops
+	// offering a slot type the policy has refused until one of those four
+	// events (Simulator.dispatchAll).
 	NextTask(now simtime.Time, st SlotType) (ws *WorkflowState, job workflow.JobID, ok bool)
 	// TaskStarted confirms a task of ws.Jobs[job] was placed on a slot.
 	TaskStarted(ws *WorkflowState, job workflow.JobID, st SlotType, now simtime.Time)

@@ -96,10 +96,6 @@ func TestUtilizationNeverExceedsOne(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			cfg.SpeculativeSlowdown = 1.2
 		}
-		if rng.Intn(2) == 0 {
-			cfg.Replication = 3
-			cfg.RemotePenalty = 1.3
-		}
 		sim, err := cluster.New(cfg, scheduler.NewFair(), nil)
 		if err != nil {
 			t.Fatal(err)

@@ -11,10 +11,10 @@
 // Fig 8 / Fig 11 and every met/miss vector exactly. It is deliberately
 // unpooled and uninstrumented (instrumentation never influenced results).
 //
-// Two fields of the shared state types are unexported to package cluster
-// (JobState.unmet, JobState.delayedSince); refsim tracks both in parallel
-// per-workflow arrays, which is observationally identical because nothing
-// outside the simulator ever read them.
+// One field of the shared state types is unexported to package cluster
+// (JobState.unmet); refsim tracks it in a parallel per-workflow array, which
+// is observationally identical because nothing outside the simulator ever
+// read it.
 package refsim
 
 import (
@@ -81,13 +81,12 @@ type simulator struct {
 	rng *rand.Rand
 
 	states []*cluster.WorkflowState
-	// unmet and delayed shadow the unexported JobState fields of the same
-	// names, indexed [workflow][job].
-	unmet   [][]int
-	delayed [][]simtime.Time
-	nodes   []nodeState
-	events  simtime.Queue[event]
-	now     simtime.Time
+	// unmet shadows the unexported JobState field of the same name,
+	// indexed [workflow][job].
+	unmet  [][]int
+	nodes  []nodeState
+	events simtime.Queue[event]
+	now    simtime.Time
 
 	arrivalsLeft int
 	doneCount    int
@@ -105,8 +104,6 @@ type simulator struct {
 	mapBusy, reduceBusy time.Duration
 	tasksStarted        int
 	makespan            simtime.Time
-	localMaps           int
-	remoteMaps          int
 }
 
 type nodeState struct {
@@ -188,7 +185,6 @@ func (s *simulator) submit(w *workflow.Workflow, p *plan.Plan) error {
 		unmet[i] = len(w.Jobs[i].Prereqs)
 	}
 	s.unmet = append(s.unmet, unmet)
-	s.delayed = append(s.delayed, make([]simtime.Time, len(w.Jobs)))
 	s.events.Push(w.Release, event{kind: evArrival, wf: ws.Index})
 	s.arrivalTimes = append(s.arrivalTimes, w.Release)
 	s.arrivalsLeft++
@@ -254,8 +250,6 @@ func (s *simulator) result() *cluster.Result {
 		MapBusy:      s.mapBusy,
 		ReduceBusy:   s.reduceBusy,
 		TasksStarted: s.tasksStarted,
-		LocalMaps:    s.localMaps,
-		RemoteMaps:   s.remoteMaps,
 
 		SimulatedEvents: s.eventCount,
 	}
@@ -541,24 +535,6 @@ func (s *simulator) offer(node int, st cluster.SlotType) bool {
 			s.pol.Name(), job, ws.Spec.Name, st))
 	}
 	spec := &ws.Spec.Jobs[job]
-	delayed := s.delayed[ws.Index]
-	local := true
-	if st == cluster.MapSlot && s.cfg.Replication > 0 {
-		local = s.drawLocality()
-		if !local && s.cfg.DelayScheduling > 0 {
-			if delayed[job] == 0 {
-				delayed[job] = s.now
-				s.events.Push(s.now.Add(s.cfg.DelayScheduling), event{kind: evRetry})
-				return false
-			}
-			if s.now.Sub(delayed[job]) < s.cfg.DelayScheduling {
-				return false
-			}
-		}
-	}
-	if local {
-		delayed[job] = 0
-	}
 	var base time.Duration
 	if st == cluster.MapSlot {
 		js.PendingMaps--
@@ -570,12 +546,6 @@ func (s *simulator) offer(node int, st cluster.SlotType) bool {
 		base = spec.ReduceTime
 	}
 	dur := s.noisy(base)
-	if st == cluster.MapSlot && !local {
-		dur = time.Duration(float64(dur) * s.cfg.RemotePenalty)
-		s.remoteMaps++
-	} else if st == cluster.MapSlot && s.cfg.Replication > 0 {
-		s.localMaps++
-	}
 	s.takeSlot(node, st)
 	ws.ScheduledTasks++
 	ws.RunningTasks++
@@ -759,20 +729,6 @@ func (s *simulator) launchSpeculative(node, seq int) {
 		s.obs.TaskStarted(s.now, ws, rt.job, rt.st, dur)
 	}
 	s.events.Push(end, event{kind: evComplete, wf: rt.wf, job: rt.job, st: rt.st, node: node, seq: s.taskSeq})
-}
-
-func (s *simulator) drawLocality() bool {
-	n := float64(s.cfg.Nodes)
-	p := 1 - pow(1-1/n, s.cfg.Replication)
-	return s.rng.Float64() < p
-}
-
-func pow(x float64, k int) float64 {
-	out := 1.0
-	for i := 0; i < k; i++ {
-		out *= x
-	}
-	return out
 }
 
 func (s *simulator) noisy(d time.Duration) time.Duration {

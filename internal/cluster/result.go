@@ -44,9 +44,6 @@ type Result struct {
 	// TasksStarted counts every task attempt the run executed (task
 	// re-executions after node failures count separately).
 	TasksStarted int
-	// LocalMaps and RemoteMaps split map assignments by data locality;
-	// both are zero when locality modeling is off.
-	LocalMaps, RemoteMaps int
 	// SimulatedEvents counts the discrete events the run processed — the
 	// denominator for ns/simulated-event throughput reporting. In heartbeat
 	// mode it includes the ticks of sleeping nodes, which a simulator
@@ -62,8 +59,6 @@ func (s *Simulator) result() *Result {
 		MapBusy:      s.mapBusy,
 		ReduceBusy:   s.reduceBusy,
 		TasksStarted: s.tasksStarted,
-		LocalMaps:    s.localMaps,
-		RemoteMaps:   s.remoteMaps,
 
 		SimulatedEvents: s.eventCount,
 	}

@@ -83,10 +83,10 @@ type Simulator struct {
 	// while it is set.
 	noWork [2]bool
 	// exact is whether every attempt takes exactly its job's estimate (no
-	// noise, no stragglers, no remote-read penalty). Then the completions of
-	// one job phase reach the event queue in firing order, and each phase
-	// gets a lane of its own (pushCompletion); laneBase[wf] is the first of
-	// workflow wf's lane owners, two per job.
+	// noise, no stragglers). Then the completions of one job phase reach the
+	// event queue in firing order, and each phase gets a lane of its own
+	// (pushCompletion); laneBase[wf] is the first of workflow wf's lane
+	// owners, two per job.
 	exact    bool
 	laneBase []int32
 	nextLane int32
@@ -99,9 +99,6 @@ type Simulator struct {
 	// queue's events.
 	due     nodeSet
 	dueNode int
-	// held is set by offer when delay scheduling, not the policy, left a
-	// slot idle: such a tick draws locality again next time and must run.
-	held bool
 	// load is the running form of LoadView, adjusted wherever a workflow,
 	// task or slot changes state so that a view costs no walk.
 	load Load
@@ -118,8 +115,6 @@ type Simulator struct {
 	mapBusy, reduceBusy time.Duration
 	tasksStarted        int
 	makespan            simtime.Time
-	localMaps           int
-	remoteMaps          int
 
 	// ins is the optional runtime instrumentation and m its instruments,
 	// zero when uninstrumented (obs handles no-op on nil). Arena, drain,
@@ -218,7 +213,8 @@ const (
 	evHeartbeat
 	evFail
 	evRecover
-	// evRetry re-runs dispatch after a delay-scheduling wait expires.
+	// evRetry re-runs dispatch when a running task crosses its
+	// speculation threshold.
 	evRetry
 
 	numEventKinds
@@ -254,7 +250,6 @@ func New(cfg Config, pol Policy, obs Observer) (*Simulator, error) {
 		v    float64
 	}{
 		{"Noise", cfg.Noise},
-		{"RemotePenalty", cfg.RemotePenalty},
 		{"StragglerProb", cfg.StragglerProb},
 		{"StragglerFactor", cfg.StragglerFactor},
 		{"SpeculativeSlowdown", cfg.SpeculativeSlowdown},
@@ -277,15 +272,6 @@ func New(cfg Config, pol Policy, obs Observer) (*Simulator, error) {
 	}
 	if cfg.SubmitterOverhead < 0 {
 		return nil, fmt.Errorf("cluster: negative submitter overhead %v", cfg.SubmitterOverhead)
-	}
-	if cfg.Replication < 0 {
-		return nil, fmt.Errorf("cluster: negative replication %d", cfg.Replication)
-	}
-	if cfg.Replication > 0 && cfg.RemotePenalty < 1 {
-		return nil, fmt.Errorf("cluster: remote penalty %v, want >= 1", cfg.RemotePenalty)
-	}
-	if cfg.DelayScheduling < 0 {
-		return nil, fmt.Errorf("cluster: negative delay scheduling %v", cfg.DelayScheduling)
 	}
 	if cfg.SpeculativeSlowdown != 0 && cfg.SpeculativeSlowdown <= 1 {
 		return nil, fmt.Errorf("cluster: speculative slowdown %v, want > 1 or 0", cfg.SpeculativeSlowdown)
@@ -342,8 +328,7 @@ func (s *Simulator) reset(cfg Config, pol Policy, obs Observer) {
 	s.noWork = [2]bool{}
 	s.due.reset(cfg.Nodes)
 	s.dueNode = -1
-	s.exact = cfg.Noise == 0 && cfg.StragglerProb == 0 &&
-		(cfg.Replication == 0 || cfg.RemotePenalty == 1)
+	s.exact = cfg.Noise == 0 && cfg.StragglerProb == 0
 	s.laneBase = s.laneBase[:0]
 	s.nextLane = 0
 	s.load = Load{
@@ -373,7 +358,6 @@ func (s *Simulator) reset(cfg Config, pol Policy, obs Observer) {
 	s.mapBusy, s.reduceBusy = 0, 0
 	s.tasksStarted = 0
 	s.makespan = simtime.Epoch
-	s.localMaps, s.remoteMaps = 0, 0
 	s.adm = nil
 	s.SetInstrumentation(nil)
 	s.ran = false
@@ -749,7 +733,7 @@ func (s *Simulator) rearmHeartbeat(node int) {
 		s.m.busy.Inc()
 		return
 	}
-	if !s.held && s.specGateClosed() {
+	if s.specGateClosed() {
 		s.asleep.set(node)
 		s.nAsleep++
 		return
@@ -758,11 +742,10 @@ func (s *Simulator) rearmHeartbeat(node int) {
 }
 
 // Sleeping. The tick that just ran left every slot type of the node full or
-// refused by the policy (held is clear: delay scheduling refused nothing),
-// and the speculation gate closed. Its next ticks would ask the policy the
-// question it just answered — Policy.NextTask says what may change that
-// answer — skip speculation at the gate, and re-arm: nothing another handler
-// could observe but the event count. So the node pushes no heartbeat; its
+// refused by the policy, and the speculation gate closed. Its next ticks
+// would ask the policy the question it just answered — Policy.NextTask says
+// what may change that answer — skip speculation at the gate, and re-arm:
+// nothing another handler could observe but the event count. So the node pushes no heartbeat; its
 // ticks are counted when wake materialises the first one that has to run.
 // Every handler that can change a sleeper's answer sees to that:
 //
@@ -1202,7 +1185,6 @@ func (s *Simulator) releaseSlot(node int, st SlotType) {
 
 // dispatchNode assigns tasks to one node's idle slots (heartbeat mode).
 func (s *Simulator) dispatchNode(node int) {
-	s.held = false
 	for st := MapSlot; st <= ReduceSlot; st++ {
 		for s.nodes[node].free(st) > 0 {
 			if !s.offer(node, st) {
@@ -1229,28 +1211,6 @@ func (s *Simulator) offer(node int, st SlotType) bool {
 			s.pol.Name(), job, ws.Spec.Name, st))
 	}
 	spec := &ws.Spec.Jobs[job]
-	local := true
-	if st == MapSlot && s.cfg.Replication > 0 {
-		local = s.drawLocality()
-		if !local && s.cfg.DelayScheduling > 0 {
-			if js.delayedSince == 0 {
-				// First refusal: start the delay-scheduling wait and leave
-				// the slot idle until it expires or another event fires.
-				js.delayedSince = s.now
-				s.push(s.now.Add(s.cfg.DelayScheduling), event{kind: evRetry})
-				s.held = true
-				return false
-			}
-			if s.now.Sub(js.delayedSince) < s.cfg.DelayScheduling {
-				s.held = true
-				return false
-			}
-			// Wait expired: accept the remote assignment.
-		}
-	}
-	if local {
-		js.delayedSince = 0
-	}
 	var base time.Duration
 	if st == MapSlot {
 		js.PendingMaps--
@@ -1263,12 +1223,6 @@ func (s *Simulator) offer(node int, st SlotType) bool {
 	}
 	ws.RefreshJob(job)
 	dur := s.noisy(base)
-	if st == MapSlot && !local {
-		dur = time.Duration(float64(dur) * s.cfg.RemotePenalty)
-		s.remoteMaps++
-	} else if st == MapSlot && s.cfg.Replication > 0 {
-		s.localMaps++
-	}
 	s.takeSlot(node, st)
 	ws.ScheduledTasks++
 	ws.RunningTasks++
@@ -1514,23 +1468,6 @@ func (s *Simulator) launchSpeculative(node int, orig int32) {
 		s.obs.TaskStarted(s.now, ws, workflow.JobID(job), st, dur)
 	}
 	s.push(end, event{kind: evComplete, a: h, gen: rec.gen})
-}
-
-// drawLocality reports whether a map assignment finds its data on the
-// chosen node: with R replicas spread uniformly over N nodes, a uniformly
-// chosen node holds one with probability 1-(1-1/N)^R.
-func (s *Simulator) drawLocality() bool {
-	n := float64(s.cfg.Nodes)
-	p := 1 - pow(1-1/n, s.cfg.Replication)
-	return s.rng.Float64() < p
-}
-
-func pow(x float64, k int) float64 {
-	out := 1.0
-	for i := 0; i < k; i++ {
-		out *= x
-	}
-	return out
 }
 
 // noisy perturbs d by the configured estimation error and, independently,

@@ -194,7 +194,6 @@ func TestConfigErrors(t *testing.T) {
 		{"StragglerProb", func(c *cluster.Config) { c.StragglerProb, c.StragglerFactor = math.NaN(), 3 }},
 		{"SpeculativeSlowdown", func(c *cluster.Config) { c.SpeculativeSlowdown = math.NaN() }},
 		{"SpeculativeSlowdown", func(c *cluster.Config) { c.SpeculativeSlowdown = math.Inf(1) }},
-		{"RemotePenalty", func(c *cluster.Config) { c.Replication, c.RemotePenalty = 3, math.NaN() }},
 		{"StragglerFactor", func(c *cluster.Config) { c.StragglerProb, c.StragglerFactor = 0.1, math.Inf(1) }},
 	}
 	for _, tc := range nonFinite {

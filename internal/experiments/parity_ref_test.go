@@ -3,10 +3,9 @@ package experiments
 // Golden parity harness for the struct-of-arrays simulator core: every cell
 // of the committed figure corpus (the 18-cell Fig 8 sweep and the six Fig 11
 // scheduler runs) plus a mode-coverage matrix (heartbeat grid, failures,
-// noise + stragglers + speculation, locality + delay scheduling, and the
-// benchmark's big_heartbeat configuration with all of it at once) is executed
-// on both the live arena core and the frozen pre-refactor simulator in
-// internal/cluster/refsim. The two must agree to the byte: reflect.DeepEqual
+// noise + stragglers + speculation, and the benchmark's big_heartbeat
+// configuration with all of it at once) is executed on both the live arena
+// core and the frozen pre-refactor simulator in internal/cluster/refsim. The two must agree to the byte: reflect.DeepEqual
 // over the full *cluster.Result (met/miss vectors, tardiness, busy time,
 // attempt and event counts) and byte-equal rendered figure tables.
 
@@ -216,10 +215,9 @@ func TestArenaCoreMatchesReferenceFig11(t *testing.T) {
 // TestArenaCoreMatchesReferenceModes covers the simulator modes the figure
 // corpus leaves dark: heartbeat-grid dispatch (the batched-drain fast path),
 // scripted node failures with and without recovery, duration noise with
-// stragglers and speculative execution, locality modeling with delay
-// scheduling, and heartbeat + noise + stragglers + speculation + submitter
-// overhead + seeded failures together — each crossed with all six schedulers
-// on the Fig 11 workload.
+// stragglers and speculative execution, and heartbeat + noise + stragglers +
+// speculation + submitter overhead + seeded failures together — each crossed
+// with all six schedulers on the Fig 11 workload.
 func TestArenaCoreMatchesReferenceModes(t *testing.T) {
 	f11 := DefaultFig11Config()
 	flows := f11.Flows()
@@ -245,12 +243,6 @@ func TestArenaCoreMatchesReferenceModes(t *testing.T) {
 			cc.StragglerProb = 0.05
 			cc.StragglerFactor = 3
 			cc.SpeculativeSlowdown = 1.5
-		}},
-		{"locality", func(cc *cluster.Config) {
-			cc.Replication = 3
-			cc.RemotePenalty = 1.3
-			cc.DelayScheduling = 9 * time.Second
-			cc.Noise = 0.1
 		}},
 		// The benchmark's big_heartbeat configuration at this corpus's scale,
 		// everything on at once: ticks in due interleave with activations,

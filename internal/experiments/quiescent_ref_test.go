@@ -28,7 +28,7 @@ import (
 // durations that are whole multiples of the interval (ties on
 // a node's own grid; with three nodes and a 3 s interval every phase is a
 // whole second too), a submitter delay equal to the interval, speculation
-// with stragglers, failures that split speculative pairs, delay scheduling.
+// with stragglers, failures that split speculative pairs.
 // Every failure recovers and every node has both slot types, so the run can
 // always finish: the reference, unlike the live core, ticks for ever on a
 // stuck run.
@@ -55,11 +55,6 @@ func quiescentScenario(rng *rand.Rand) (cluster.Config, []*workflow.Workflow) {
 		cc.SpeculativeSlowdown = 1.5
 		cc.StragglerProb = 0.15
 		cc.StragglerFactor = 3
-	}
-	if rng.Intn(4) == 0 {
-		cc.Replication = 1 + rng.Intn(2)
-		cc.RemotePenalty = 1.3
-		cc.DelayScheduling = time.Duration(1+rng.Intn(3)) * iv
 	}
 	span := 40 * iv
 	for f := rng.Intn(4); f > 0; f-- {
