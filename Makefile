@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify ci fmt-check race-smoke alloc-pins fuzz-smoke postmortem-smoke admission-smoke federation-smoke bench-smoke mutex-smoke examples-smoke
+.PHONY: build test vet race verify ci fmt-check race-smoke alloc-pins fuzz-smoke postmortem-smoke admission-smoke federation-smoke bench-smoke mutex-smoke examples-smoke cli-smoke
 
 build:
 	$(GO) build ./...
@@ -30,9 +30,9 @@ race:
 	$(GO) test -race ./internal/obs/... ./internal/plan/... ./internal/planner/... ./internal/workflow/... ./internal/runner/... ./internal/cluster/... ./internal/dsl/... ./internal/admission/... ./internal/federation/...
 	$(GO) test -race -cpu 1,4 ./internal/live/...
 
-# Tier-1 gate plus static analysis, race checks, a short fuzzing pass and
-# a run of every example — run before every PR.
-verify: build test vet race fuzz-smoke examples-smoke
+# Tier-1 gate plus static analysis, race checks, a short fuzzing pass, a
+# run of every example and of every wohasim path — run before every merge.
+verify: build test vet race fuzz-smoke examples-smoke cli-smoke
 
 # Each of the eight fuzz targets, fuzzed for FUZZTIME beyond its seed corpus
 # (which the tier-1 suite already runs): the event queue against a sorting
@@ -127,6 +127,22 @@ examples-smoke:
 		echo "go run ./$$d"; \
 		$(GO) run ./$$d > /dev/null || exit 1; \
 	done
+
+# Runs the built wohasim on fig7, instrumented, down each CLI path: plain,
+# -replicas 2, -live (time-compressed), -clusters 2, -admission feasible and
+# -postmortem. A non-zero exit fails the target, and so does a final scrape
+# without a woha_queue_inserts_total sample; -clusters 2 -live must be
+# refused. About 5 s, compile included, on a 2-core host.
+cli-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/wohasim" ./cmd/wohasim && \
+	for flags in "" "-replicas 2" "-live -time-scale 0.00005" "-clusters 2" "-admission feasible" "-postmortem $$tmp/pm.json"; do \
+		echo "wohasim -workload fig7 -metrics-addr 127.0.0.1:0 $$flags"; \
+		"$$tmp/wohasim" -workload fig7 -metrics-addr 127.0.0.1:0 $$flags > "$$tmp/out" || { cat "$$tmp/out"; exit 1; }; \
+		grep -q '^woha_queue_inserts_total{' "$$tmp/out" || { echo "scrape lacks woha_queue_inserts_total"; exit 1; }; \
+	done && \
+	if "$$tmp/wohasim" -workload fig7 -clusters 2 -live > /dev/null 2>&1; then \
+		echo "-clusters 2 -live was not refused"; exit 1; fi
 
 # Mutex-profile smoke over the live control plane: runs the sharded tests
 # with contention profiling on, proving the profile path works and leaving

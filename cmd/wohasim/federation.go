@@ -5,10 +5,7 @@ import (
 	"time"
 
 	woha "repro"
-	"repro/internal/cluster"
 	"repro/internal/experiments"
-	"repro/internal/federation"
-	"repro/internal/plan"
 )
 
 // runFederation executes the workload across N member clusters behind one
@@ -17,52 +14,11 @@ import (
 // member at its release instant, deciding on load snapshots at most
 // -snapshot-refresh old.
 func runFederation(workloadName, schedName string, cfg woha.ClusterConfig, clusters int, routerName string, refresh time.Duration, ins *woha.Instrumentation, pl *woha.Planner) error {
-	flows, err := buildWorkload(workloadName)
+	b, err := load(workloadName, schedName, cfg, ins, pl, nil, admissionOpts{})
 	if err != nil {
 		return err
 	}
-	spec, err := experiments.SchedulerByName(schedName)
-	if err != nil {
-		return err
-	}
-	router, err := federation.NewRouter(routerName)
-	if err != nil {
-		return err
-	}
-	sims := make([]*cluster.Simulator, clusters)
-	for i := range sims {
-		if sims[i], err = cluster.New(cfg, spec.New(cfg.Seed), nil); err != nil {
-			return err
-		}
-		sims[i].SetInstrumentation(ins)
-		defer sims[i].Release()
-	}
-	fed, err := federation.New(federation.Config{
-		Router:          router,
-		SnapshotRefresh: refresh,
-		Obs:             ins,
-	}, sims)
-	if err != nil {
-		return err
-	}
-	var plans []*plan.Plan
-	if spec.IsWOHA() {
-		// Plans are capped at one member's capacity: that is the cluster the
-		// workflow will actually run on, whichever the router picks.
-		if plans, err = pl.PlanAll(flows, plan.Caps{Maps: cfg.MapSlots(), Reduces: cfg.ReduceSlots()}, spec.Priority); err != nil {
-			return err
-		}
-	}
-	for i, w := range flows {
-		var p *plan.Plan
-		if plans != nil {
-			p = plans[i]
-		}
-		if err := fed.Submit(w, p); err != nil {
-			return err
-		}
-	}
-	res, err := fed.Run()
+	res, err := experiments.RunFederation(cfg, clusters, b.spec, routerName, refresh, b.flows, b.plans, ins)
 	if err != nil {
 		return err
 	}

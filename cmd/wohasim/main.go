@@ -22,9 +22,7 @@ import (
 	"time"
 
 	woha "repro"
-	"repro/internal/cluster"
 	"repro/internal/experiments"
-	"repro/internal/live"
 	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/workload"
@@ -118,23 +116,6 @@ func main() {
 	}
 
 	pl := po.shared(ins)
-
-	if *liveMode {
-		if err := runLive(*workloadName, *schedName, *nodes, *mapSlots, *reduceSlots, *shards, *timeScale, ins, pl, pm, ao); err != nil {
-			fmt.Fprintln(os.Stderr, "wohasim:", err)
-			os.Exit(1)
-		}
-		if err := pm.write(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "wohasim:", err)
-			os.Exit(1)
-		}
-		if err := stopIntrospection(srv); err != nil {
-			fmt.Fprintln(os.Stderr, "wohasim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	cfg := woha.ClusterConfig{
 		Nodes:              *nodes,
 		MapSlotsPerNode:    *mapSlots,
@@ -146,6 +127,8 @@ func main() {
 	}
 	var err error
 	switch {
+	case *liveMode:
+		err = runLive(*workloadName, *schedName, cfg, *shards, *timeScale, ins, pl, pm, ao)
 	case *clusters > 1:
 		err = runFederation(*workloadName, *schedName, cfg, *clusters, *routerName, *snapRefresh, ins, pl)
 	case *replicas > 1:
@@ -190,34 +173,6 @@ type postmortemCapture struct {
 	specs []woha.PostmortemSpec
 }
 
-// addSpecs records one spec per workflow in submission order, attaching the
-// WOHA progress plan when the scheduler consults one. The shared planner
-// coalesces these requests with the session's own, so with a cache enabled
-// the plans cost nothing extra.
-func (pc *postmortemCapture) addSpecs(flows []*woha.Workflow, schedName string, maps, reds int, pl *woha.Planner) error {
-	if pc == nil {
-		return nil
-	}
-	spec, err := experiments.SchedulerByName(schedName)
-	if err != nil {
-		return err
-	}
-	var plans []*plan.Plan
-	if spec.IsWOHA() {
-		if plans, err = pl.PlanAll(flows, plan.Caps{Maps: maps, Reduces: reds}, spec.Priority); err != nil {
-			return err
-		}
-	}
-	for i, w := range flows {
-		s := woha.PostmortemSpec{Workflow: i, Spec: w}
-		if plans != nil {
-			s.Plan = plans[i]
-		}
-		pc.specs = append(pc.specs, s)
-	}
-	return nil
-}
-
 // write analyzes the captured stream, writes the JSON report, and prints the
 // text summary.
 func (pc *postmortemCapture) write(out io.Writer) error {
@@ -259,22 +214,65 @@ func (po planOpts) shared(ins *woha.Instrumentation) *woha.Planner {
 	)
 }
 
-func run(workloadName, schedName string, cfg woha.ClusterConfig, timelinePath string, ins *woha.Instrumentation, pl *woha.Planner, pm *postmortemCapture, ao admissionOpts) error {
+// batch is one run's input, shared by the single-cluster, live and federated
+// paths: the workload, the scheduler's spec, the front door, and the
+// workload's plans.
+type batch struct {
+	flows []*woha.Workflow
+	spec  experiments.SchedulerSpec
+	// plans is index-aligned with flows; its entries are nil under a
+	// baseline scheduler, which receives no plans.
+	plans []*woha.Plan
+	adm   woha.AdmissionController
+}
+
+// load builds the named workload and prepares it (see prepare).
+func load(workloadName, schedName string, cfg woha.ClusterConfig, ins *woha.Instrumentation, pl *woha.Planner, pm *postmortemCapture, ao admissionOpts) (*batch, error) {
 	flows, err := buildWorkload(workloadName)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	return prepare(flows, schedName, cfg, ins, pl, pm, ao)
+}
+
+// prepare resolves the scheduler, builds the admission controller, assigns
+// tenants to flows and plans every workflow once through the spec's plan
+// step, against one cluster of cfg's slots: the cluster the workflow runs
+// on, a federation member included. The postmortem capture, when there is
+// one, records the same plans the run is submitted with.
+func prepare(flows []*woha.Workflow, schedName string, cfg woha.ClusterConfig, ins *woha.Instrumentation, pl *woha.Planner, pm *postmortemCapture, ao admissionOpts) (*batch, error) {
+	spec, err := experiments.SchedulerByName(schedName)
+	if err != nil {
+		return nil, err
 	}
 	adm, tenantNames, err := ao.controller(cfg.MapSlots(), cfg.ReduceSlots(), ins)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	assignTenants(flows, tenantNames)
-	if err := pm.addSpecs(flows, schedName, cfg.MapSlots(), cfg.ReduceSlots(), pl); err != nil {
+	plans, err := spec.Plans(pl, flows, plan.Caps{Maps: cfg.MapSlots(), Reduces: cfg.ReduceSlots()}, ins)
+	if err != nil {
+		return nil, err
+	}
+	if plans == nil {
+		plans = make([]*woha.Plan, len(flows))
+	}
+	if pm != nil {
+		for i, w := range flows {
+			pm.specs = append(pm.specs, woha.PostmortemSpec{Workflow: i, Spec: w, Plan: plans[i]})
+		}
+	}
+	return &batch{flows: flows, spec: spec, plans: plans, adm: adm}, nil
+}
+
+func run(workloadName, schedName string, cfg woha.ClusterConfig, timelinePath string, ins *woha.Instrumentation, pl *woha.Planner, pm *postmortemCapture, ao admissionOpts) error {
+	b, err := load(workloadName, schedName, cfg, ins, pl, pm, ao)
+	if err != nil {
 		return err
 	}
 
 	var tl *metrics.Timeline
-	opts := []woha.SessionOption{woha.WithSeed(cfg.Seed), woha.WithInstrumentation(ins), woha.WithPlanner(pl), woha.WithAdmission(adm)}
+	opts := []woha.SessionOption{woha.WithSeed(cfg.Seed), woha.WithInstrumentation(ins), woha.WithPlanner(pl), woha.WithAdmission(b.adm)}
 	if timelinePath != "" {
 		tl = woha.NewTimeline()
 		opts = append(opts, woha.WithObserver(tl))
@@ -283,8 +281,10 @@ func run(workloadName, schedName string, cfg woha.ClusterConfig, timelinePath st
 	if err != nil {
 		return err
 	}
-	if err := sess.SubmitAll(flows); err != nil {
-		return err
+	for i, w := range b.flows {
+		if err := sess.SubmitWithPlan(w, b.plans[i]); err != nil {
+			return err
+		}
 	}
 	res, err := sess.Run()
 	if err != nil {
@@ -303,7 +303,7 @@ func run(workloadName, schedName string, cfg woha.ClusterConfig, timelinePath st
 		res.DeadlineMisses(), len(res.Workflows), 100*res.MissRatio(),
 		res.MaxTardiness().Round(time.Second), res.TotalTardiness().Round(time.Second),
 		res.Utilization(), res.Makespan.Duration().Round(time.Second))
-	printAdmissionSummary(adm, res.Workflows)
+	printAdmissionSummary(b.adm, res.Workflows)
 
 	if tl != nil {
 		f, err := os.Create(timelinePath)
@@ -357,69 +357,47 @@ func runReplicas(workloadName, schedName string, cfg woha.ClusterConfig, replica
 	return nil
 }
 
-// runLive executes the workload on the concurrent mini-Hadoop.
-func runLive(workloadName, schedName string, nodes, mapSlots, reduceSlots, shards int, timeScale float64, ins *woha.Instrumentation, pl *woha.Planner, pm *postmortemCapture, ao admissionOpts) error {
-	flows, err := buildWorkload(workloadName)
+// runLive executes the workload on the concurrent mini-Hadoop, with cfg's
+// nodes, slots and seed.
+func runLive(workloadName, schedName string, cfg woha.ClusterConfig, shards int, timeScale float64, ins *woha.Instrumentation, pl *woha.Planner, pm *postmortemCapture, ao admissionOpts) error {
+	b, err := load(workloadName, schedName, cfg, ins, pl, pm, ao)
 	if err != nil {
 		return err
 	}
-	spec, err := experiments.SchedulerByName(schedName)
-	if err != nil {
-		return err
-	}
-	adm, tenantNames, err := ao.controller(nodes*mapSlots, nodes*reduceSlots, ins)
-	if err != nil {
-		return err
-	}
-	assignTenants(flows, tenantNames)
-	cfg := live.Config{
-		Nodes:              nodes,
-		MapSlotsPerNode:    mapSlots,
-		ReduceSlotsPerNode: reduceSlots,
+	lc := woha.LiveConfig{
+		Nodes:              cfg.Nodes,
+		MapSlotsPerNode:    cfg.MapSlotsPerNode,
+		ReduceSlotsPerNode: cfg.ReduceSlotsPerNode,
 		HeartbeatInterval:  5 * time.Millisecond,
 		TimeScale:          timeScale,
 		Shards:             shards,
-		Obs:                ins,
-		Admission:          adm,
+		Admission:          b.adm,
 	}
-	c, err := live.New(cfg, cluster.InstrumentPolicy(spec.New(1), ins))
+	sess, err := woha.NewLiveSession(lc, woha.Scheduler(schedName), false,
+		woha.WithSeed(cfg.Seed), woha.WithInstrumentation(ins), woha.WithPlanner(pl))
 	if err != nil {
 		return err
 	}
-	var plans []*plan.Plan
-	if spec.IsWOHA() {
-		if plans, err = pl.PlanAll(flows, plan.Caps{Maps: nodes * mapSlots, Reduces: nodes * reduceSlots}, spec.Priority); err != nil {
+	for i, w := range b.flows {
+		if err := sess.SubmitWithPlan(w, b.plans[i]); err != nil {
 			return err
-		}
-	}
-	for i, w := range flows {
-		var p *plan.Plan
-		if plans != nil {
-			p = plans[i]
-			ins.PlanGenerated(w.Release, w.Name, p.SearchIters)
-		}
-		if err := c.Submit(w, p); err != nil {
-			return err
-		}
-		if pm != nil {
-			pm.specs = append(pm.specs, woha.PostmortemSpec{Workflow: i, Spec: w, Plan: p})
 		}
 	}
 	start := time.Now()
-	res, err := c.Run(context.Background())
+	res, err := sess.Run(context.Background())
 	if err != nil {
 		return err
 	}
 	fmt.Printf("live run under %s: %d workflows, %d tasks, wall time %v\n",
 		res.Policy, len(res.Workflows), res.TasksStarted, time.Since(start).Round(time.Millisecond))
-	virtualHB := time.Duration(float64(cfg.HeartbeatInterval) / timeScale)
+	virtualHB := time.Duration(float64(lc.HeartbeatInterval) / timeScale)
 	fmt.Printf("  (5ms wall heartbeats = %v of virtual dispatch latency at this time scale;\n"+
 		"   pick -time-scale so that is ~3s to emulate Hadoop's heartbeat period)\n",
 		virtualHB.Round(time.Second))
 	for _, w := range res.Workflows {
 		fmt.Printf("  %-12s workspan %10v (virtual)  %s\n", w.Name, w.Workspan.Round(time.Second), outcomeLabel(w, "met"))
 	}
-	printAdmissionSummary(adm, res.Workflows)
+	printAdmissionSummary(b.adm, res.Workflows)
 	return nil
 }
 

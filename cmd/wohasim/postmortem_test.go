@@ -45,7 +45,8 @@ func TestPostmortemSmoke(t *testing.T) {
 	pl := planOpts{workers: 1, cache: 16}.shared(ins)
 	pm := &postmortemCapture{path: filepath.Join(dir, "postmortem.json"), ring: ring}
 	cfg := woha.ClusterConfig{Nodes: 1, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1, Seed: 1}
-	if err := pm.addSpecs(flows, "WOHA-LPF", cfg.MapSlots(), cfg.ReduceSlots(), pl); err != nil {
+	b, err := prepare(flows, "WOHA-LPF", cfg, ins, pl, pm, admissionOpts{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	sess, err := woha.NewSession(cfg, woha.SchedulerWOHALPF,
@@ -53,8 +54,10 @@ func TestPostmortemSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.SubmitAll(flows); err != nil {
-		t.Fatal(err)
+	for i, w := range b.flows {
+		if err := sess.SubmitWithPlan(w, b.plans[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	res, err := sess.Run()
 	if err != nil {

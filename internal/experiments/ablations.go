@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/plan"
 	"repro/internal/planner"
-	"repro/internal/priority"
 	"repro/internal/runner"
 	"repro/internal/workflow"
 	"repro/internal/workload"
@@ -25,9 +24,10 @@ type AblationResult struct {
 
 // lpfPlans builds the WOHA-LPF plan factory for a cell: typed, resource-
 // capped plans for flows against cc at the given margin, routed through the
-// shared planner pl when one is provided (nil generates directly).
+// shared planner pl when one is provided (nil plans privately).
 func lpfPlans(flows []*workflow.Workflow, cc cluster.Config, margin float64, pl *planner.Planner) func() ([]*plan.Plan, error) {
-	return PlansFactory(flows, cc, priority.LPF{}, margin, pl)
+	lpf, _ := SchedulerByName("WOHA-LPF") // a name in the table: cannot fail
+	return PlansFactory(flows, cc, lpf, margin, pl)
 }
 
 // ablate runs the variant cells over the default worker pool and collapses
@@ -85,7 +85,7 @@ func AblationsFig11() ([]AblationResult, error) {
 			},
 			Flows: flows,
 			// Margins differ across variants and a planner caches per its
-			// configured margin, so these cells generate directly.
+			// configured margin, so each cell plans privately.
 			Plans: lpfPlans(flows, cc, s.margin, nil),
 		}
 	}

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/planner"
 	"repro/internal/priority"
@@ -150,8 +151,9 @@ type SchedulerSpec struct {
 	Queue core.QueueKind
 }
 
-// New instantiates the policy. seed drives WOHA's skip-list PRNG.
-func (s SchedulerSpec) New(seed int64) cluster.Policy {
+// New instantiates the policy. seed drives WOHA's skip-list PRNG; o, which
+// may be nil, instruments WOHA's queue (the woha_queue_* series).
+func (s SchedulerSpec) New(seed int64, o *obs.Obs) cluster.Policy {
 	switch s.Name {
 	case "EDF":
 		return scheduler.NewEDF()
@@ -164,8 +166,28 @@ func (s SchedulerSpec) New(seed int64) cluster.Policy {
 			Queue:      s.Queue,
 			Seed:       seed,
 			PolicyName: s.Priority.Name(),
+			Obs:        o,
 		})
 	}
+}
+
+// Plans is the client side of the paper's submission pipeline: under WOHA it
+// plans flows through pl against a cluster of caps, recording one
+// PlanGenerated on o (which may be nil) per workflow, and returns the plans
+// index-aligned with flows. The baselines receive no plans: nil, and pl is
+// not consulted.
+func (s SchedulerSpec) Plans(pl *planner.Planner, flows []*workflow.Workflow, caps plan.Caps, o *obs.Obs) ([]*plan.Plan, error) {
+	if !s.IsWOHA() {
+		return nil, nil
+	}
+	plans, err := pl.PlanAll(flows, caps, s.Priority)
+	if err != nil {
+		return nil, err
+	}
+	for i, w := range flows {
+		o.PlanGenerated(w.Release, w.Name, plans[i].SearchIters)
+	}
+	return plans, nil
 }
 
 // IsWOHA reports whether the spec runs under the WOHA framework (and thus
@@ -233,45 +255,33 @@ func ScenarioCell(name string, cfg cluster.Config, flows []*workflow.Workflow, s
 	c := runner.Cell{
 		Name:     name,
 		Config:   cfg,
-		Policy:   func() cluster.Policy { return spec.New(seed) },
+		Policy:   func() cluster.Policy { return spec.New(seed, nil) },
 		Flows:    flows,
 		Observer: observer,
 	}
 	if spec.IsWOHA() {
-		c.Plans = PlansFactory(flows, cfg, spec.Priority, margin, pl)
+		c.Plans = PlansFactory(flows, cfg, spec, margin, pl)
 	}
 	return c
 }
 
-// PlansFactory builds a cell's Plans closure: typed, resource-capped plans
-// for flows against cc at the given margin. With pl nil every plan is
-// generated directly (the seed path — one Algorithm 1 cap search per
-// workflow, per cell). With a shared Planner, requests go through its
-// structural cache and singleflight coalescing instead, so cells asking for
-// the same (shape, caps, policy, margin) key — concurrently or not — cost
-// one simulation total. Both paths return byte-identical plans.
-func PlansFactory(flows []*workflow.Workflow, cc cluster.Config, pol priority.Policy, margin float64, pl *planner.Planner) func() ([]*plan.Plan, error) {
+// PlansFactory builds a cell's Plans closure: spec's typed, resource-capped
+// plans for flows against cc at the given margin. With a shared Planner,
+// requests go through its structural cache and singleflight coalescing, so
+// cells asking for the same (shape, caps, policy, margin) key — concurrently
+// or not — cost one simulation total. With pl nil each call plans through a
+// private, uncached planner at margin. Both return byte-identical plans.
+func PlansFactory(flows []*workflow.Workflow, cc cluster.Config, spec SchedulerSpec, margin float64, pl *planner.Planner) func() ([]*plan.Plan, error) {
 	caps := plan.Caps{Maps: cc.MapSlots(), Reduces: cc.ReduceSlots()}
 	return func() ([]*plan.Plan, error) {
-		if pl != nil && pl.Margin() != margin {
+		p := pl
+		if p == nil {
+			p = planner.New(planner.Config{Margin: margin})
+		} else if p.Margin() != margin {
 			// A planner caches per its own margin; silently serving a
 			// different one would change the figures.
-			return nil, fmt.Errorf("experiments: shared planner margin %v does not match requested margin %v", pl.Margin(), margin)
+			return nil, fmt.Errorf("experiments: shared planner margin %v does not match requested margin %v", p.Margin(), margin)
 		}
-		plans := make([]*plan.Plan, len(flows))
-		for i, w := range flows {
-			var p *plan.Plan
-			var err error
-			if pl != nil {
-				p, err = pl.Plan(w, caps, pol)
-			} else {
-				p, err = plan.GenerateCappedTyped(w, caps, pol, margin)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("plan for %q: %w", w.Name, err)
-			}
-			plans[i] = p
-		}
-		return plans, nil
+		return spec.Plans(p, flows, caps, nil)
 	}
 }

@@ -37,7 +37,7 @@ func TestSchedulerSpecs(t *testing.T) {
 		if spec.Name != wantNames[i] {
 			t.Errorf("spec %d = %q, want %q", i, spec.Name, wantNames[i])
 		}
-		pol := spec.New(1)
+		pol := spec.New(1, nil)
 		if pol.Name() != spec.Name {
 			t.Errorf("policy name %q, spec name %q", pol.Name(), spec.Name)
 		}

@@ -8,6 +8,8 @@ import (
 	"repro/internal/federation"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/planner"
+	"repro/internal/workflow"
 	"repro/internal/workload"
 )
 
@@ -98,49 +100,15 @@ func FederationSweep(cfg FederationSweepConfig) (*FederationSweepResult, error) 
 		ReduceSlotsPerNode: 2,
 		Seed:               cfg.Seed,
 	}
-	memberCaps := plan.Caps{Maps: cc.MapSlots(), Reduces: cc.ReduceSlots()}
-	var plans []*plan.Plan
-	if spec.IsWOHA() {
-		plans = make([]*plan.Plan, len(multi))
-		for i, w := range multi {
-			p, err := plan.GenerateCappedTyped(w, memberCaps, spec.Priority, cfg.Margin)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: plan for %q: %w", w.Name, err)
-			}
-			plans[i] = p
-		}
+	pl := planner.New(planner.Config{Margin: cfg.Margin})
+	plans, err := spec.Plans(pl, multi, plan.Caps{Maps: cc.MapSlots(), Reduces: cc.ReduceSlots()}, cfg.Obs)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
 
 	out := &FederationSweepResult{Config: cfg}
 	for _, staleness := range cfg.Staleness {
-		router, err := federation.NewRouter(cfg.Router)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-		sims := make([]*cluster.Simulator, cfg.Clusters)
-		for i := range sims {
-			if sims[i], err = cluster.New(cc, spec.New(cfg.Seed), nil); err != nil {
-				return nil, fmt.Errorf("experiments: member %d: %w", i, err)
-			}
-		}
-		fed, err := federation.New(federation.Config{
-			Router:          router,
-			SnapshotRefresh: staleness,
-			Obs:             cfg.Obs,
-		}, sims)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-		for i, w := range multi {
-			var p *plan.Plan
-			if plans != nil {
-				p = plans[i]
-			}
-			if err := fed.Submit(w, p); err != nil {
-				return nil, fmt.Errorf("experiments: %w", err)
-			}
-		}
-		res, err := fed.Run()
+		res, err := RunFederation(cc, cfg.Clusters, spec, cfg.Router, staleness, multi, plans, cfg.Obs)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
@@ -156,11 +124,43 @@ func FederationSweep(cfg FederationSweepConfig) (*FederationSweepResult, error) 
 			}
 		}
 		out.Points = append(out.Points, pt)
-		for _, s := range sims {
-			s.Release()
-		}
 	}
 	return out, nil
+}
+
+// RunFederation routes flows over clusters identical members, each
+// configured by cc and running spec seeded with cc.Seed: the named router
+// places every workflow on a member at its release, deciding on load
+// snapshots at most refresh old. plans are index-aligned with flows and are
+// nil for the baselines. o, which may be nil, instruments the members, their
+// policies and the router.
+func RunFederation(cc cluster.Config, clusters int, spec SchedulerSpec, router string, refresh time.Duration, flows []*workflow.Workflow, plans []*plan.Plan, o *obs.Obs) (*federation.Result, error) {
+	r, err := federation.NewRouter(router)
+	if err != nil {
+		return nil, err
+	}
+	sims := make([]*cluster.Simulator, clusters)
+	for i := range sims {
+		if sims[i], err = cluster.New(cc, cluster.InstrumentPolicy(spec.New(cc.Seed, o), o), nil); err != nil {
+			return nil, fmt.Errorf("member %d: %w", i, err)
+		}
+		defer sims[i].Release()
+		sims[i].SetInstrumentation(o)
+	}
+	fed, err := federation.New(federation.Config{Router: r, SnapshotRefresh: refresh, Obs: o}, sims)
+	if err != nil {
+		return nil, err
+	}
+	for i, w := range flows {
+		var p *plan.Plan
+		if plans != nil {
+			p = plans[i]
+		}
+		if err := fed.Submit(w, p); err != nil {
+			return nil, err
+		}
+	}
+	return fed.Run()
 }
 
 // Table renders the sweep in the package's figure-table format.

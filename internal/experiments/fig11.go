@@ -38,8 +38,8 @@ type Fig11Config struct {
 	Workers int
 	// Planner optionally shares one coalescing plan service across the
 	// cells (and with any other sweep using the same planner — the Fig 7
-	// templates recur across recurrences and experiments). Nil generates
-	// plans directly per cell; figures are byte-identical either way. The
+	// templates recur across recurrences and experiments). Nil plans
+	// through a private planner per cell; figures are byte-identical either way. The
 	// planner's margin must equal Margin.
 	Planner *planner.Planner
 	// Obs optionally instruments the sweep's runner (woha_runner_* metrics).

@@ -32,8 +32,8 @@ type Fig8Config struct {
 	// Planner optionally shares one coalescing plan service across the
 	// sweep's cells: each distinct (DAG shape, caps, policy) key is then
 	// simulated exactly once no matter how many cells or recurring template
-	// instances request it. Nil keeps the seed behavior — every WOHA cell
-	// generates each of its plans directly. Figures are byte-identical
+	// instances request it. Nil gives every WOHA cell a private,
+	// uncached planner (see PlansFactory). Figures are byte-identical
 	// either way. The planner's margin must equal Margin.
 	Planner *planner.Planner
 	// Obs optionally instruments the sweep's runner (woha_runner_* metrics).

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/experiments"
 	"repro/internal/live"
 	"repro/internal/plan"
 )
@@ -20,7 +21,7 @@ type LiveResult = live.Result
 // LiveSession wires the live cluster to a scheduler, mirroring Session.
 type LiveSession struct {
 	cfg     ClusterConfig
-	prio    PriorityPolicy
+	spec    experiments.SchedulerSpec
 	planner *Planner
 	cluster *live.Cluster
 	ins     *Instrumentation
@@ -33,10 +34,7 @@ type LiveSession struct {
 // WithObserver is refused; the live cluster reports through
 // WithInstrumentation.
 func NewLiveSession(cfg LiveConfig, sched Scheduler, useTCP bool, opts ...SessionOption) (*LiveSession, error) {
-	o := sessionOptions{margin: 0.85}
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOptions(opts)
 	if o.observer != nil {
 		return nil, fmt.Errorf("woha: NewLiveSession does not accept WithObserver; use WithInstrumentation")
 	}
@@ -46,24 +44,23 @@ func NewLiveSession(cfg LiveConfig, sched Scheduler, useTCP bool, opts ...Sessio
 		}
 		cfg.Admission = o.admission
 	}
-	pol := o.policy
-	if pol == nil {
-		var err error
-		pol, err = sched.newPolicy(o.seed, o.obs)
-		if err != nil {
-			return nil, err
-		}
-	}
 	s := &LiveSession{
 		cfg: ClusterConfig{
 			Nodes:              cfg.Nodes,
 			MapSlotsPerNode:    cfg.MapSlotsPerNode,
 			ReduceSlotsPerNode: cfg.ReduceSlotsPerNode,
 		},
-		prio: sched.priorityFor(),
-		ins:  o.obs,
+		ins: o.obs,
 	}
-	if s.prio != nil {
+	pol := o.policy
+	if pol == nil {
+		var err error
+		if s.spec, err = sched.spec(); err != nil {
+			return nil, err
+		}
+		pol = s.spec.New(o.seed, o.obs)
+	}
+	if s.spec.IsWOHA() {
 		var err error
 		if s.planner, err = o.resolvePlanner(); err != nil {
 			return nil, err
@@ -87,15 +84,19 @@ func NewLiveSession(cfg LiveConfig, sched Scheduler, useTCP bool, opts ...Sessio
 // Submit queues a workflow, generating its plan client-side through the
 // session planner under WOHA schedulers.
 func (s *LiveSession) Submit(w *Workflow) error {
-	var p *Plan
-	if s.planner != nil {
-		var err error
-		p, err = s.planner.Plan(w, plan.Caps{Maps: s.cfg.MapSlots(), Reduces: s.cfg.ReduceSlots()}, s.prio)
-		if err != nil {
-			return fmt.Errorf("woha: %w", err)
-		}
-		s.ins.PlanGenerated(w.Release, w.Name, p.SearchIters)
+	plans, err := s.spec.Plans(s.planner, []*Workflow{w}, plan.Caps{Maps: s.cfg.MapSlots(), Reduces: s.cfg.ReduceSlots()}, s.ins)
+	if err != nil {
+		return fmt.Errorf("woha: %w", err)
 	}
+	var p *Plan
+	if plans != nil {
+		p = plans[0]
+	}
+	return s.SubmitWithPlan(w, p)
+}
+
+// SubmitWithPlan queues a workflow with a caller-provided plan (may be nil).
+func (s *LiveSession) SubmitWithPlan(w *Workflow, p *Plan) error {
 	if err := s.cluster.Submit(w, p); err != nil {
 		return fmt.Errorf("woha: %w", err)
 	}

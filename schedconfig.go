@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 )
 
 // SchedulerConfig mirrors the paper's workflow-scheduler.xml: the WOHA
@@ -69,84 +70,45 @@ func ParseSchedulerConfig(r io.Reader) (*SchedulerConfig, error) {
 	return cfg, nil
 }
 
-// resolve maps the config to a session scheduler name.
-func (c *SchedulerConfig) resolve() (Scheduler, error) {
+// queueKinds maps the <queue> names to the WOHA queue backends; the empty
+// name selects the default, the paper's Double Skip List.
+var queueKinds = map[string]core.QueueKind{
+	"": core.QueueDSL, "DSL": core.QueueDSL, "BST": core.QueueBST, "Naive": core.QueueNaive,
+}
+
+// resolve looks the config up in the one scheduler table: the scheduler's
+// spec, with the configured queue backend set.
+func (c *SchedulerConfig) resolve() (experiments.SchedulerSpec, error) {
+	name := c.Scheduler
 	switch c.Scheduler {
-	case "FIFO":
-		return SchedulerFIFO, nil
-	case "Fair":
-		return SchedulerFair, nil
-	case "EDF":
-		return SchedulerEDF, nil
+	case "FIFO", "Fair", "EDF":
 	case "WOHA":
 		gen := c.PlanGenerator
 		if gen == "" {
 			gen = "LPF"
 		}
-		switch gen {
-		case "LPF":
-			return SchedulerWOHALPF, nil
-		case "HLF":
-			return SchedulerWOHAHLF, nil
-		case "MPF":
-			return SchedulerWOHAMPF, nil
-		default:
-			return "", fmt.Errorf("woha: unknown plan generator %q (want HLF, LPF, or MPF)", gen)
-		}
+		name = "WOHA-" + gen
 	default:
-		return "", fmt.Errorf("woha: unknown scheduler %q (want WOHA, FIFO, Fair, or EDF)", c.Scheduler)
+		return experiments.SchedulerSpec{}, fmt.Errorf("woha: unknown scheduler %q (want WOHA, FIFO, Fair, or EDF)", c.Scheduler)
 	}
-}
-
-// queueKind maps the config's queue name.
-func (c *SchedulerConfig) queueKind() (core.QueueKind, error) {
-	switch c.Queue {
-	case "", "DSL":
-		return core.QueueDSL, nil
-	case "BST":
-		return core.QueueBST, nil
-	case "Naive":
-		return core.QueueNaive, nil
-	default:
-		return 0, fmt.Errorf("woha: unknown queue backend %q (want DSL, BST, or Naive)", c.Queue)
+	spec, err := experiments.SchedulerByName(name)
+	if err != nil {
+		return spec, fmt.Errorf("woha: unknown plan generator %q (want HLF, LPF, or MPF)", c.PlanGenerator)
 	}
+	qk, ok := queueKinds[c.Queue]
+	if !ok {
+		return spec, fmt.Errorf("woha: unknown queue backend %q (want DSL, BST, or Naive)", c.Queue)
+	}
+	spec.Queue = qk
+	return spec, nil
 }
 
 // NewSessionFromConfig builds a session for a cluster using the parsed
 // workflow-scheduler.xml configuration.
 func NewSessionFromConfig(cluster ClusterConfig, sc *SchedulerConfig, opts ...SessionOption) (*Session, error) {
-	sched, err := sc.resolve()
+	spec, err := sc.resolve()
 	if err != nil {
 		return nil, err
 	}
-	qk, err := sc.queueKind()
-	if err != nil {
-		return nil, err
-	}
-	all := []SessionOption{WithPlanMargin(sc.PlanMargin)}
-	all = append(all, opts...)
-	if prio := sched.priorityFor(); prio != nil {
-		// Build the WOHA engine explicitly so the queue backend applies,
-		// then let the session generate plans as usual.
-		o := sessionOptions{margin: sc.PlanMargin}
-		for _, opt := range all {
-			opt(&o)
-		}
-		pol := core.NewScheduler(core.Options{
-			Queue:      qk,
-			Seed:       o.seed,
-			PolicyName: prio.Name(),
-		})
-		sess, err := NewSession(cluster, sched, append(all, WithPolicy(pol))...)
-		if err != nil {
-			return nil, err
-		}
-		// WithPolicy normally disables automatic plan generation (custom
-		// policies bring their own submission pipeline); a config-built
-		// WOHA engine still wants session-generated plans.
-		sess.prio = prio
-		sess.opts.policy = nil
-		return sess, nil
-	}
-	return NewSession(cluster, sched, all...)
+	return newSession(cluster, spec, applyOptions(append([]SessionOption{WithPlanMargin(sc.PlanMargin)}, opts...)))
 }

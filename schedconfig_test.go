@@ -6,6 +6,7 @@ import (
 	"time"
 
 	woha "repro"
+	"repro/internal/experiments"
 )
 
 func parseSC(t *testing.T, doc string) *woha.SchedulerConfig {
@@ -111,6 +112,85 @@ func TestSessionFromConfigBadQueue(t *testing.T) {
 		}, sc)
 		if err == nil || !strings.Contains(err.Error(), "want DSL, BST, or Naive") {
 			t.Errorf("queue %q: err = %v, want an unknown-backend error listing DSL, BST, Naive", name, err)
+		}
+	}
+}
+
+// TestEverySchedulerResolvesThroughTheTable pins the one scheduler table:
+// every built-in scheduler name and every valid workflow-scheduler.xml
+// (each baseline; WOHA under each plan generator and queue backend, named or
+// defaulted) runs the policy experiments.SchedulerByName returns, WOHA on the
+// configured queue backend, as the session's Result.Policy and its
+// woha_queue_* series show.
+func TestEverySchedulerResolvesThroughTheTable(t *testing.T) {
+	cfg := woha.ClusterConfig{Nodes: 4, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1}
+	type entry struct {
+		label string
+		spec  string // the table entry the scheduler must resolve to
+		queue string // the WOHA queue backend; "" for a baseline
+		open  func(ins *woha.Instrumentation) (*woha.Session, error)
+	}
+	var cases []entry
+	for _, sched := range woha.Schedulers() {
+		e := entry{label: string(sched), spec: string(sched), open: func(ins *woha.Instrumentation) (*woha.Session, error) {
+			return woha.NewSession(cfg, sched, woha.WithInstrumentation(ins))
+		}}
+		if strings.HasPrefix(e.spec, "WOHA-") {
+			e.queue = "DSL"
+		}
+		cases = append(cases, e)
+	}
+	for _, sc := range []woha.SchedulerConfig{{Scheduler: "FIFO"}, {Scheduler: "Fair"}, {Scheduler: "EDF"}} {
+		cases = append(cases, entry{label: "config " + sc.Scheduler, spec: sc.Scheduler, open: func(ins *woha.Instrumentation) (*woha.Session, error) {
+			return woha.NewSessionFromConfig(cfg, &sc, woha.WithInstrumentation(ins))
+		}})
+	}
+	for _, gen := range []string{"", "HLF", "LPF", "MPF"} {
+		for _, queue := range []string{"", "DSL", "BST", "Naive"} {
+			sc := woha.SchedulerConfig{Scheduler: "WOHA", PlanGenerator: gen, Queue: queue, PlanMargin: 0.85}
+			e := entry{label: "config WOHA/" + gen + "/" + queue, spec: "WOHA-" + gen, queue: queue,
+				open: func(ins *woha.Instrumentation) (*woha.Session, error) {
+					return woha.NewSessionFromConfig(cfg, &sc, woha.WithInstrumentation(ins))
+				}}
+			if gen == "" {
+				e.spec = "WOHA-LPF"
+			}
+			if queue == "" {
+				e.queue = "DSL"
+			}
+			cases = append(cases, e)
+		}
+	}
+
+	for _, c := range cases {
+		spec, err := experiments.SchedulerByName(c.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		reg := woha.NewMetrics()
+		sess, err := c.open(woha.NewInstrumentation(reg, nil))
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		if err := sess.Submit(etl(t, "w", 2*time.Hour)); err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		res, err := sess.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		if res.Policy != spec.Name {
+			t.Errorf("%s: Result.Policy = %q, want the table's %q", c.label, res.Policy, spec.Name)
+		}
+		var buf strings.Builder
+		if _, err := reg.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{"DSL", "BST", "Naive"} {
+			n := scrapeValue(buf.String(), `woha_queue_inserts_total{queue="`+q+`"}`)
+			if want := q == c.queue; want != (n > 0) {
+				t.Errorf("%s: woha_queue_inserts_total{queue=%q} = %d, want the %q backend only", c.label, q, n, c.queue)
+			}
 		}
 	}
 }

@@ -8,14 +8,13 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/planner"
 	"repro/internal/priority"
 	"repro/internal/runner"
-	"repro/internal/scheduler"
 	"repro/internal/simtime"
 	"repro/internal/workflow"
 )
@@ -226,44 +225,23 @@ const (
 
 // Schedulers lists every built-in scheduler name.
 func Schedulers() []Scheduler {
-	return []Scheduler{
-		SchedulerEDF, SchedulerFIFO, SchedulerFair,
-		SchedulerWOHALPF, SchedulerWOHAHLF, SchedulerWOHAMPF,
+	specs := experiments.AllSchedulers()
+	out := make([]Scheduler, len(specs))
+	for i, spec := range specs {
+		out[i] = Scheduler(spec.Name)
 	}
+	return out
 }
 
-// priorityFor returns the WOHA intra-workflow policy, or nil for baselines.
-func (s Scheduler) priorityFor() PriorityPolicy {
-	switch s {
-	case SchedulerWOHALPF:
-		return LPF
-	case SchedulerWOHAHLF:
-		return HLF
-	case SchedulerWOHAMPF:
-		return MPF
-	default:
-		return nil
+// spec looks the scheduler up in the one scheduler table
+// (experiments.SchedulerSpec), which knows its policy, its plan priority and
+// its queue backend.
+func (s Scheduler) spec() (experiments.SchedulerSpec, error) {
+	spec, err := experiments.SchedulerByName(string(s))
+	if err != nil {
+		return spec, fmt.Errorf("woha: unknown scheduler %q", s)
 	}
-}
-
-// newPolicy instantiates the scheduler. ins may be nil.
-func (s Scheduler) newPolicy(seed int64, ins *obs.Obs) (cluster.Policy, error) {
-	switch s {
-	case SchedulerFIFO:
-		return scheduler.NewFIFO(), nil
-	case SchedulerFair:
-		return scheduler.NewFair(), nil
-	case SchedulerEDF:
-		return scheduler.NewEDF(), nil
-	case SchedulerWOHALPF, SchedulerWOHAHLF, SchedulerWOHAMPF:
-		return core.NewScheduler(core.Options{
-			Seed:       seed,
-			PolicyName: s.priorityFor().Name(),
-			Obs:        ins,
-		}), nil
-	default:
-		return nil, fmt.Errorf("woha: unknown scheduler %q", s)
-	}
+	return spec, nil
 }
 
 // SessionOption customizes a Session.
@@ -330,10 +308,7 @@ type Planner = planner.Planner
 // WithInstrumentation (which exposes the woha_planner_* metrics). Other
 // options are ignored. Pass the result to sessions via WithPlanner.
 func NewPlanner(opts ...SessionOption) *Planner {
-	o := sessionOptions{margin: 0.85}
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOptions(opts)
 	return planner.New(planner.Config{
 		Workers:   o.planWorkers,
 		CacheSize: o.planCache,
@@ -438,14 +413,24 @@ func ServeIntrospection(addr string, ins *Instrumentation) (*IntrospectionServer
 	return obs.ServeIntrospection(addr, ins)
 }
 
+// applyOptions folds opts over the session defaults.
+func applyOptions(opts []SessionOption) sessionOptions {
+	o := sessionOptions{margin: 0.85}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
 // Session wires a simulated cluster to a scheduler and accepts workflow
 // submissions. It mirrors the paper's submission pipeline: for WOHA
 // schedulers, Submit plays the client role and generates the workflow's
 // resource-capped scheduling plan before handing both to the JobTracker.
+// Built-in schedulers and their plans come from the one scheduler table,
+// experiments.SchedulerSpec.
 type Session struct {
 	cfg     ClusterConfig
-	sched   Scheduler
-	prio    PriorityPolicy
+	spec    experiments.SchedulerSpec
 	sim     *cluster.Simulator
 	opts    sessionOptions
 	planner *planner.Planner
@@ -454,29 +439,36 @@ type Session struct {
 // NewSession creates a session on a cluster configured by cfg under the
 // named scheduler.
 func NewSession(cfg ClusterConfig, sched Scheduler, opts ...SessionOption) (*Session, error) {
-	o := sessionOptions{margin: 0.85}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	pol := o.policy
-	if pol == nil {
+	o := applyOptions(opts)
+	var spec experiments.SchedulerSpec
+	if o.policy == nil {
 		var err error
-		pol, err = sched.newPolicy(o.seed, o.obs)
-		if err != nil {
+		if spec, err = sched.spec(); err != nil {
 			return nil, err
 		}
 	}
-	pol = cluster.InstrumentPolicy(pol, o.obs)
-	sim, err := cluster.New(cfg, pol, o.observer)
+	return newSession(cfg, spec, o)
+}
+
+// newSession builds a session running spec, or the WithPolicy policy in its
+// place: a custom policy brings its own submission pipeline, so the session
+// then makes no plans.
+func newSession(cfg ClusterConfig, spec experiments.SchedulerSpec, o sessionOptions) (*Session, error) {
+	pol := o.policy
+	if pol == nil {
+		pol = spec.New(o.seed, o.obs)
+	} else {
+		spec = experiments.SchedulerSpec{}
+	}
+	sim, err := cluster.New(cfg, cluster.InstrumentPolicy(pol, o.obs), o.observer)
 	if err != nil {
 		return nil, fmt.Errorf("woha: %w", err)
 	}
 	sim.SetInstrumentation(o.obs)
 	sim.SetAdmission(o.admission)
-	s := &Session{cfg: cfg, sched: sched, prio: sched.priorityFor(), sim: sim, opts: o}
-	if s.prio != nil && o.policy == nil {
-		s.planner, err = o.resolvePlanner()
-		if err != nil {
+	s := &Session{cfg: cfg, spec: spec, sim: sim, opts: o}
+	if spec.IsWOHA() {
+		if s.planner, err = o.resolvePlanner(); err != nil {
 			return nil, err
 		}
 	}
@@ -506,39 +498,23 @@ func (o *sessionOptions) resolvePlanner() (*Planner, error) {
 // Submit queues a workflow. Under a WOHA scheduler the session generates the
 // workflow's typed, resource-capped scheduling plan client-side; baselines
 // receive no plan, as in the paper.
-func (s *Session) Submit(w *Workflow) error {
-	var p *Plan
-	if s.planner != nil {
-		var err error
-		p, err = s.planner.Plan(w, plan.Caps{Maps: s.cfg.MapSlots(), Reduces: s.cfg.ReduceSlots()}, s.prio)
-		if err != nil {
-			return fmt.Errorf("woha: %w", err)
-		}
-		s.opts.obs.PlanGenerated(w.Release, w.Name, p.SearchIters)
-	}
-	return s.SubmitWithPlan(w, p)
-}
+func (s *Session) Submit(w *Workflow) error { return s.SubmitAll([]*Workflow{w}) }
 
 // SubmitAll queues a batch of workflows in order. Under a WOHA scheduler the
 // batch's plans are generated through the session planner — concurrently
 // across workflows when WithPlannerWorkers allows — before any submission,
 // so a failed plan leaves the session untouched.
 func (s *Session) SubmitAll(flows []*Workflow) error {
-	if s.planner == nil {
-		for _, w := range flows {
-			if err := s.Submit(w); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	plans, err := s.planner.PlanAll(flows, plan.Caps{Maps: s.cfg.MapSlots(), Reduces: s.cfg.ReduceSlots()}, s.prio)
+	plans, err := s.spec.Plans(s.planner, flows, plan.Caps{Maps: s.cfg.MapSlots(), Reduces: s.cfg.ReduceSlots()}, s.opts.obs)
 	if err != nil {
 		return fmt.Errorf("woha: %w", err)
 	}
 	for i, w := range flows {
-		s.opts.obs.PlanGenerated(w.Release, w.Name, plans[i].SearchIters)
-		if err := s.SubmitWithPlan(w, plans[i]); err != nil {
+		var p *Plan
+		if plans != nil {
+			p = plans[i]
+		}
+		if err := s.SubmitWithPlan(w, p); err != nil {
 			return err
 		}
 	}
@@ -590,27 +566,25 @@ func (s *Session) Run() (*Result, error) {
 // WithPolicy are per-run state and are rejected here; use WithInstrumentation
 // to collect woha_runner_* metrics for the sweep.
 func RunSeeds(cfg ClusterConfig, sched Scheduler, flows []*Workflow, seeds []int64, workers int, opts ...SessionOption) ([]*Result, error) {
-	o := sessionOptions{margin: 0.85}
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := applyOptions(opts)
 	if o.observer != nil || o.policy != nil {
 		return nil, fmt.Errorf("woha: RunSeeds does not accept WithObserver or WithPolicy; replicas need per-run state")
 	}
 	if o.admission != nil {
 		return nil, fmt.Errorf("woha: RunSeeds does not accept WithAdmission; controllers are stateful per-run")
 	}
-	if _, err := sched.newPolicy(0, nil); err != nil {
+	spec, err := sched.spec()
+	if err != nil {
 		return nil, err
 	}
 
 	var plans []*Plan
-	if prio := sched.priorityFor(); prio != nil {
+	if spec.IsWOHA() {
 		pl, err := o.resolvePlanner()
 		if err != nil {
 			return nil, err
 		}
-		plans, err = pl.PlanAll(flows, plan.Caps{Maps: cfg.MapSlots(), Reduces: cfg.ReduceSlots()}, prio)
+		plans, err = spec.Plans(pl, flows, plan.Caps{Maps: cfg.MapSlots(), Reduces: cfg.ReduceSlots()}, o.obs)
 		if err != nil {
 			return nil, fmt.Errorf("woha: %w", err)
 		}
@@ -623,11 +597,8 @@ func RunSeeds(cfg ClusterConfig, sched Scheduler, flows []*Workflow, seeds []int
 		cells[i] = runner.Cell{
 			Name:   fmt.Sprintf("%s/seed=%d", sched, seed),
 			Config: cc,
-			Policy: func() cluster.Policy {
-				pol, _ := sched.newPolicy(seed, nil)
-				return pol
-			},
-			Flows: flows,
+			Policy: func() cluster.Policy { return spec.New(seed, o.obs) },
+			Flows:  flows,
 		}
 		if plans != nil {
 			cells[i].Plans = func() ([]*Plan, error) { return plans, nil }

@@ -1,6 +1,9 @@
 package woha_test
 
 import (
+	"context"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -234,5 +237,88 @@ func TestRunSeedsRejectsPerRunOptions(t *testing.T) {
 	}
 	if _, err := woha.RunSeeds(cfg, "bogus", flows, []int64{1}, 1); err == nil {
 		t.Error("unknown scheduler accepted")
+	}
+}
+
+// scrapeValue reads one sample of the Prometheus exposition scrape: the
+// value of series (a metric name with its label set, if any), or -1 when the
+// scrape lacks it.
+func scrapeValue(scrape, series string) int64 {
+	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(series) + ` ([0-9]+)$`).FindStringSubmatch(scrape)
+	if m == nil {
+		return -1
+	}
+	n, _ := strconv.ParseInt(m[1], 10, 64)
+	return n
+}
+
+// TestEveryEntryPointExportsSchedulerSeries runs one WOHA batch through each
+// instrumented entry point of the facade: each must export the queue
+// backend's woha_queue_* series and one woha_plans_generated_total per
+// planned workflow, since all of them build the policy and plan through the
+// same scheduler table.
+func TestEveryEntryPointExportsSchedulerSeries(t *testing.T) {
+	cfg := woha.ClusterConfig{Nodes: 4, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1}
+	flows := []*woha.Workflow{etl(t, "a", 2*time.Hour), etl(t, "b", 3*time.Hour)}
+	sessionRun := func(sess *woha.Session, err error) error {
+		if err != nil {
+			return err
+		}
+		if err := sess.SubmitAll(flows); err != nil {
+			return err
+		}
+		_, err = sess.Run()
+		return err
+	}
+	cases := []struct {
+		name  string
+		queue string
+		run   func(ins *woha.Instrumentation) error
+	}{
+		{"Session", "DSL", func(ins *woha.Instrumentation) error {
+			return sessionRun(woha.NewSession(cfg, woha.SchedulerWOHALPF, woha.WithInstrumentation(ins)))
+		}},
+		{"SessionFromConfig", "BST", func(ins *woha.Instrumentation) error {
+			sc := &woha.SchedulerConfig{Scheduler: "WOHA", PlanGenerator: "LPF", Queue: "BST", PlanMargin: 0.85}
+			return sessionRun(woha.NewSessionFromConfig(cfg, sc, woha.WithInstrumentation(ins)))
+		}},
+		{"LiveSession", "DSL", func(ins *woha.Instrumentation) error {
+			sess, err := woha.NewLiveSession(liveCfg(), woha.SchedulerWOHALPF, false, woha.WithInstrumentation(ins))
+			if err != nil {
+				return err
+			}
+			for _, w := range flows {
+				if err := sess.Submit(w); err != nil {
+					return err
+				}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			_, err = sess.Run(ctx)
+			return err
+		}},
+		{"RunSeeds", "DSL", func(ins *woha.Instrumentation) error {
+			_, err := woha.RunSeeds(cfg, woha.SchedulerWOHALPF, flows, []int64{1, 2}, 2, woha.WithInstrumentation(ins))
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			reg := woha.NewMetrics()
+			if err := c.run(woha.NewInstrumentation(reg, nil)); err != nil {
+				t.Fatal(err)
+			}
+			var buf strings.Builder
+			if _, err := reg.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			scrape := buf.String()
+			if n := scrapeValue(scrape, `woha_queue_inserts_total{queue="`+c.queue+`"}`); n <= 0 {
+				t.Errorf("woha_queue_inserts_total{queue=%q} = %d, want > 0", c.queue, n)
+			}
+			if n := scrapeValue(scrape, "woha_plans_generated_total"); n != int64(len(flows)) {
+				t.Errorf("woha_plans_generated_total = %d, want %d", n, len(flows))
+			}
+		})
 	}
 }
