@@ -22,10 +22,10 @@ vet:
 # compiled form built at a racing first use), the scenario
 # runner, the pooled arena simulator (its equivalence sweep crosses pool
 # handoff), the queue backends (the randomized op-sequence property test), the admission
-# front door (a locked pipeline shared across tracker shards), and the
+# front door (a locked pipeline shared by concurrent callers), and the
 # federation layer (single-threaded by design, but its equivalence sweeps
 # cross the cluster pool-handoff paths). The live tracker runs at one CPU and
-# at four, so its default shard count is raced at both widths.
+# at four, so its combining pipeline is raced with one P and with several.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/plan/... ./internal/planner/... ./internal/workflow/... ./internal/runner/... ./internal/cluster/... ./internal/dsl/... ./internal/admission/... ./internal/federation/...
 	$(GO) test -race -cpu 1,4 ./internal/live/...
@@ -34,12 +34,12 @@ race:
 # run of every example and of every wohasim path — run before every merge.
 verify: build test vet race fuzz-smoke examples-smoke cli-smoke
 
-# Each of the eight fuzz targets, fuzzed for FUZZTIME beyond its seed corpus
+# Each of the nine fuzz targets, fuzzed for FUZZTIME beyond its seed corpus
 # (which the tier-1 suite already runs): the event queue against a sorting
 # reference, the DSL queue's op programs, the plan kernel against the
 # queue-based referee, the capped cap search against its oracle, the plan and
-# workflow decoders, workflow compilation, and the live tracker's heartbeat
-# reports. go test fuzzes one target of one package at a time. A failing
+# workflow decoders, workflow compilation, the live tracker's heartbeat
+# reports, and the raw bytes of its net/rpc connection. go test fuzzes one target of one package at a time. A failing
 # input is written under the package's testdata/fuzz, where it becomes part
 # of the seed corpus.
 FUZZTIME ?= 3s
@@ -52,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) ./internal/workflow/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseXML$$' -fuzztime $(FUZZTIME) ./internal/workflow/
 	$(GO) test -run '^$$' -fuzz '^FuzzHeartbeatReports$$' -fuzztime $(FUZZTIME) ./internal/live/
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/live/
 
 # Fails when any tracked Go file is not gofmt-clean, printing the diff.
 fmt-check:
@@ -60,7 +61,7 @@ fmt-check:
 
 # Quick race pass over the hottest concurrent paths: shared-planner
 # coalescing, runner streaming, and the deadline-health tracker fed by
-# concurrent heartbeats on the referee and the sharded tracker (plus the introspection
+# concurrent heartbeats on the referee and the master (plus the introspection
 # server and the heartbeat zero-alloc pin that guards the disabled path).
 race-smoke:
 	$(GO) test -race -count=1 -run 'TestCoalescing|TestCoalesced|TestPlanCache|TestServedPlans|TestSharedPlans|TestLeaderPanic|TestRunEach|TestDelivery|TestFirstError' \
@@ -144,9 +145,10 @@ cli-smoke:
 	if "$$tmp/wohasim" -workload fig7 -clusters 2 -live > /dev/null 2>&1; then \
 		echo "-clusters 2 -live was not refused"; exit 1; fi
 
-# Mutex-profile smoke over the live control plane: runs the sharded tests
-# with contention profiling on, proving the profile path works and leaving
-# live-mutex.prof for inspection (go tool pprof live.test live-mutex.prof).
+# Mutex-profile smoke over the live control plane: runs the master's
+# TestSharded* tests with contention profiling on, proving the profile path
+# works and leaving live-mutex.prof for inspection (go tool pprof live.test
+# live-mutex.prof).
 mutex-smoke:
 	$(GO) test -mutexprofile live-mutex.prof -run 'TestSharded' ./internal/live/
 	@ls -l live-mutex.prof

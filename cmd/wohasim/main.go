@@ -42,7 +42,6 @@ func main() {
 		timeline     = flag.String("timeline", "", "write map-slot allocation CSV to this file")
 		liveMode     = flag.Bool("live", false, "run on the concurrent live mini-Hadoop instead of the discrete-event simulator")
 		timeScale    = flag.Float64("time-scale", 0.001, "live mode: wall seconds per virtual second")
-		shards       = flag.Int("shards", 0, "live mode: JobTracker workflow-state shards (0 = one per core)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve the introspection plane (/metrics, /statusz, /debug/pprof) on this address during the run (e.g. :8080; :0 picks a free port) and print a final scrape")
 		postmortem   = flag.String("postmortem", "", "write a miss root-cause report (JSON) to this file after the run and print a text summary")
 		healthInt    = flag.Duration("health-interval", 30*time.Second, "virtual-time interval between deadline-health snapshots when instrumentation is active (0 disables)")
@@ -128,7 +127,7 @@ func main() {
 	var err error
 	switch {
 	case *liveMode:
-		err = runLive(*workloadName, *schedName, cfg, *shards, *timeScale, ins, pl, pm, ao)
+		err = runLive(*workloadName, *schedName, cfg, *timeScale, ins, pl, pm, ao)
 	case *clusters > 1:
 		err = runFederation(*workloadName, *schedName, cfg, *clusters, *routerName, *snapRefresh, ins, pl)
 	case *replicas > 1:
@@ -359,7 +358,7 @@ func runReplicas(workloadName, schedName string, cfg woha.ClusterConfig, replica
 
 // runLive executes the workload on the concurrent mini-Hadoop, with cfg's
 // nodes, slots and seed.
-func runLive(workloadName, schedName string, cfg woha.ClusterConfig, shards int, timeScale float64, ins *woha.Instrumentation, pl *woha.Planner, pm *postmortemCapture, ao admissionOpts) error {
+func runLive(workloadName, schedName string, cfg woha.ClusterConfig, timeScale float64, ins *woha.Instrumentation, pl *woha.Planner, pm *postmortemCapture, ao admissionOpts) error {
 	b, err := load(workloadName, schedName, cfg, ins, pl, pm, ao)
 	if err != nil {
 		return err
@@ -370,7 +369,6 @@ func runLive(workloadName, schedName string, cfg woha.ClusterConfig, shards int,
 		ReduceSlotsPerNode: cfg.ReduceSlotsPerNode,
 		HeartbeatInterval:  5 * time.Millisecond,
 		TimeScale:          timeScale,
-		Shards:             shards,
 		Admission:          b.adm,
 	}
 	sess, err := woha.NewLiveSession(lc, woha.Scheduler(schedName), false,

@@ -59,16 +59,13 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestRunLiveXMLWorkload(t *testing.T) {
-	// Run the XML workload on the live mini-Hadoop at a steep compression,
-	// at one shard and at two.
-	for _, shards := range []int{1, 2} {
-		start := time.Now()
-		if err := runLive(writeXML(t), "FIFO", clusterCfg(), shards, 0.00005, nil, planOpts{workers: 1}.shared(nil), nil, admissionOpts{}); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if time.Since(start) > 20*time.Second {
-			t.Errorf("shards=%d: live run took %v", shards, time.Since(start))
-		}
+	// Run the XML workload on the live mini-Hadoop at a steep compression.
+	start := time.Now()
+	if err := runLive(writeXML(t), "FIFO", clusterCfg(), 0.00005, nil, planOpts{workers: 1}.shared(nil), nil, admissionOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if time.Since(start) > 20*time.Second {
+		t.Errorf("live run took %v", time.Since(start))
 	}
 }
 
@@ -148,7 +145,7 @@ func TestEveryPathPlansOnceAndExportsSchedulerSeries(t *testing.T) {
 			return run("fig7", "WOHA-LPF", cfg, "", ins, pl, nil, admissionOpts{})
 		}, false},
 		{"runLive", func(ins *woha.Instrumentation, pl *woha.Planner, _ *postmortemCapture) error {
-			return runLive("fig7", "WOHA-LPF", cfg, 2, 0.00005, ins, pl, nil, admissionOpts{})
+			return runLive("fig7", "WOHA-LPF", cfg, 0.00005, ins, pl, nil, admissionOpts{})
 		}, false},
 		{"runFederation", func(ins *woha.Instrumentation, pl *woha.Planner, _ *postmortemCapture) error {
 			return runFederation("fig7", "WOHA-LPF", cfg, 2, "slack", 0, ins, pl)

@@ -75,8 +75,8 @@ type Decision struct {
 }
 
 // Controller is the submission seam. Implementations must be safe for
-// concurrent use: the sharded live tracker may rule on releases from several
-// heartbeat goroutines.
+// concurrent use: the live tracker rules on releases from whichever heartbeat
+// goroutine is serving its pipeline.
 //
 // Decisions are anchored in virtual time: a controller bases its first ruling
 // on w.Release and a retry ruling on the RetryAt it previously returned, not

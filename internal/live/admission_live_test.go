@@ -36,9 +36,9 @@ func feasibleDoor(t *testing.T) admission.Controller {
 }
 
 // TestAdmissionDecisionsAgreeAcrossLayouts runs the same released workload
-// through the single-mutex referee and the sharded tracker at several widths,
-// each behind its own feasibility front door, and checks every width produces
-// the referee's decision records and per-workflow refusal fields. The
+// through the single-mutex referee and the master, each behind its own
+// feasibility front door, and checks the master produces the referee's
+// decision records and per-workflow refusal fields. The
 // anchoring contract makes this exact: rulings anchor at release times, not
 // at the control-plane instants the layouts reach them.
 func TestAdmissionDecisionsAgreeAcrossLayouts(t *testing.T) {
@@ -60,7 +60,7 @@ func TestAdmissionDecisionsAgreeAcrossLayouts(t *testing.T) {
 	}
 	var wantRows map[string]row
 	var wantRecs []admission.Record
-	for _, l := range layouts(1, 2, 4) {
+	for _, l := range layouts {
 		ctrl := feasibleDoor(t)
 		cfg := fastConfig()
 		cfg.Admission = ctrl
@@ -104,8 +104,8 @@ func TestAdmissionDecisionsAgreeAcrossLayouts(t *testing.T) {
 // TestAdmissionLayoutsAgreeOnMultiTenantNames is the cross-layout equivalence
 // check for the (Tenant, Name) anchor keying: two tenants submit same-named
 // workflows, one of them through a rate-limited defer chain whose anchor must
-// survive the other tenant's terminal rulings on the colliding names. Every
-// width must produce the referee's decision records — including the Tenant
+// survive the other tenant's terminal rulings on the colliding names. The
+// master must produce the referee's decision records — including the Tenant
 // and Anchor fields — and its per-workflow outcomes.
 func TestAdmissionLayoutsAgreeOnMultiTenantNames(t *testing.T) {
 	door := func() admission.Controller {
@@ -152,7 +152,7 @@ func TestAdmissionLayoutsAgreeOnMultiTenantNames(t *testing.T) {
 	}
 	var wantRows []row
 	var wantRecs []admission.Record
-	for i, l := range layouts(1, 2, 4) {
+	for i, l := range layouts {
 		ctrl := door()
 		cfg := fastConfig()
 		cfg.Admission = ctrl

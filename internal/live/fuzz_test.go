@@ -1,7 +1,12 @@
 package live
 
 import (
+	"bytes"
+	"encoding/gob"
+	"io"
 	"math"
+	"net"
+	"net/rpc"
 	"testing"
 	"time"
 
@@ -9,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/plan"
 	"repro/internal/priority"
+	"repro/internal/scheduler"
 	"repro/internal/simtime"
 	"repro/internal/workflow"
 )
@@ -38,7 +44,7 @@ func (r *reportBytes) int() int {
 	}
 }
 
-// FuzzHeartbeatReports feeds arbitrary TaskTracker reports to a sharded WOHA
+// FuzzHeartbeatReports feeds arbitrary TaskTracker reports to a WOHA
 // tracker with two workflows. The bytes decode into heartbeats whose tracker
 // id and free-slot counts are unchecked numbers and whose completions either
 // echo a task the tracker assigned earlier (so real work retires, possibly
@@ -81,7 +87,7 @@ func FuzzHeartbeatReports(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := New(Config{
 			Nodes: 2, MapSlotsPerNode: 2, ReduceSlotsPerNode: 2,
-			HeartbeatInterval: time.Millisecond, TimeScale: 0.0002, Shards: 2,
+			HeartbeatInterval: time.Millisecond, TimeScale: 0.0002,
 		}, core.NewScheduler(core.Options{Seed: 1}))
 		if err != nil {
 			t.Fatal(err)
@@ -132,7 +138,7 @@ func FuzzHeartbeatReports(f *testing.F) {
 				assigned = append(assigned, id)
 			}
 		}
-		st := c.jt.(*shardedTracker)
+		st := c.jt.(*master)
 		for i, w := range flows {
 			got := st.counters(i)
 			if got.Scheduled < 0 || got.Running < 0 || got.Remaining < 0 {
@@ -147,6 +153,89 @@ func FuzzHeartbeatReports(f *testing.F) {
 					t.Errorf("workflow %d job %d: done %d maps / %d reduces of %d / %d", i, j, js.DoneMaps, js.DoneReduces, job.Maps, job.Reduces)
 				}
 			}
+		}
+	})
+}
+
+// FuzzFrameDecode feeds raw bytes to the JobTracker's net/rpc server over an
+// in-memory pipe, as a TaskTracker's connection would carry them: gob frames
+// that may be truncated or malformed, or well-formed calls carrying any
+// report. Nothing may panic, and once the bytes end the server must give the
+// connection up, by an error or by closing it, within heartbeatDeadline. A
+// well-formed JobTracker.Heartbeat call on a fresh pipe must then still be
+// served.
+func FuzzFrameDecode(f *testing.F) {
+	frame := func(method string, seq uint64, body any) []byte {
+		var b bytes.Buffer
+		enc := gob.NewEncoder(&b)
+		if err := enc.Encode(&rpc.Request{ServiceMethod: method, Seq: seq}); err != nil {
+			f.Fatal(err)
+		}
+		if err := enc.Encode(body); err != nil {
+			f.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	call := frame("JobTracker.Heartbeat", 1, Heartbeat{FreeMaps: 2, FreeReds: 1})
+	f.Add(call)
+	f.Add(call[:len(call)/2])
+	f.Add(append(append([]byte(nil), call...), 0xff, 0x00, 0x13))
+	f.Add(frame("JobTracker.Missing", 2, Heartbeat{}))
+	f.Add(frame("JobTracker.Heartbeat", 3, Heartbeat{
+		Tracker: -1, FreeMaps: math.MaxInt, FreeReds: math.MinInt,
+		Completed: []TaskID{{Workflow: 9, Job: -2, Type: 7}},
+	}))
+	f.Add(frame("JobTracker.Heartbeat", 4, "not a heartbeat"))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 9))
+	w := workflow.NewBuilder("w").
+		Job("a", 3, 1, 10*time.Second, 20*time.Second).
+		MustBuild(simtime.Epoch, simtime.Epoch.Add(time.Hour))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := New(Config{
+			Nodes: 1, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1,
+			HeartbeatInterval: time.Millisecond, TimeScale: 0.0002,
+		}, scheduler.NewFIFO())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Submit(w, nil); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := c.rpcServer()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// The replies are drained so that the server never blocks writing
+		// one; a write that fails means the server has closed its end.
+		raw, conn := net.Pipe()
+		served := make(chan struct{})
+		go func() {
+			srv.ServeConn(conn)
+			close(served)
+		}()
+		go func() { _, _ = io.Copy(io.Discard, raw) }()
+		_, _ = raw.Write(data)
+		raw.Close()
+		select {
+		case <-served:
+		case <-time.After(heartbeatDeadline):
+			t.Fatalf("the server still holds the connection %v after its input ended", heartbeatDeadline)
+		}
+
+		cli, conn := net.Pipe()
+		go srv.ServeConn(conn)
+		client := rpc.NewClient(cli)
+		defer client.Close()
+		reply := client.Go("JobTracker.Heartbeat", Heartbeat{FreeMaps: 1}, new([]Assignment), nil)
+		select {
+		case <-reply.Done:
+			if reply.Error != nil {
+				t.Fatalf("a well-formed heartbeat on a fresh pipe failed: %v", reply.Error)
+			}
+		case <-time.After(heartbeatDeadline):
+			t.Fatal("a well-formed heartbeat on a fresh pipe went unanswered")
 		}
 	})
 }

@@ -15,9 +15,8 @@ import (
 )
 
 // TestHealthCrossLayoutSnapshots drives concurrent heartbeats through the
-// health tracker on the single-mutex referee and on the sharded tracker at
-// one shard and at four, and demands the referee's slack snapshots from both
-// at every quiescent point. The script alternates two barriered phases per
+// health tracker on the single-mutex referee and on the master, and demands
+// the referee's slack snapshots from the master at every quiescent point. The script alternates two barriered phases per
 // round — all trackers report completions, then all trackers request work —
 // so the aggregate scheduled/completed counts at each barrier are layout- and
 // interleaving-independent even though the heartbeats inside a phase race.
@@ -96,17 +95,13 @@ func TestHealthCrossLayoutSnapshots(t *testing.T) {
 		}
 	}
 
-	ls := layouts(1, 4)
-	want := run(ls[0])
-	for _, l := range ls[1:] {
-		got := run(l)
-		if len(got) != len(want) {
-			t.Fatalf("%s: rounds diverged: reference %d, %s %d", l.name, len(want), l.name, len(got))
-		}
-		for i := range want {
-			if !reflect.DeepEqual(want[i], got[i]) {
-				t.Errorf("%s: round %d snapshots differ:\nreference %+v\ngot       %+v", l.name, i+1, want[i], got[i])
-			}
+	want, got := run(layouts[0]), run(layouts[1])
+	if len(got) != len(want) {
+		t.Fatalf("rounds diverged: reference %d, tracker %d", len(want), len(got))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(want[i], got[i]) {
+			t.Errorf("round %d snapshots differ:\nreference %+v\ntracker   %+v", i+1, want[i], got[i])
 		}
 	}
 	// The drive must have produced non-trivial health data, not vacuously

@@ -8,13 +8,11 @@
 // so a 45-minute workflow can run in tens of milliseconds of test time while
 // the control plane exchanges real messages.
 //
-// The master splits Hadoop-1's single-mutex JobTracker into an
-// admission/completion/assignment pipeline — Config.Shards per-workflow
-// bookkeeping shards, a narrow policy core fed by batched lifecycle events,
-// and lock-free counters — so heartbeats from different TaskTrackers stop
-// contending on one lock (see sharded.go). Every shard count, one included,
-// produces the same scheduling outcomes as a single-mutex master; tests pin
-// that against a single-mutex referee kept beside them.
+// The master keeps Hadoop-1's single lock over workflow state and policy,
+// and keeps heartbeats cheap around it: a report with nothing to do reads
+// only atomics and takes no lock, and the others are served in batches by
+// whichever heartbeat holds the lock (see master.go). Tests pin its
+// decisions against a single-mutex referee kept beside them.
 //
 // The package exists to demonstrate the framework under true concurrency —
 // races, heartbeat skew, out-of-order completions — rather than to produce
@@ -26,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -50,10 +47,9 @@ type Config struct {
 	// estimated at D runs for D * TimeScale. 0.001 runs a 10-second task
 	// in 10ms.
 	TimeScale float64
-	// Shards partitions the JobTracker's workflow bookkeeping across that
-	// many independently locked shards, beside its policy core and lock-free
-	// heartbeat fast path. 0 (the default) uses one shard per CPU
-	// (GOMAXPROCS). Scheduling outcomes are identical across shard counts.
+	// Shards is ignored: the JobTracker keeps all workflow state behind one
+	// lock. The field stays because the benchmark's live_drain workload
+	// sets it; a negative value is still refused.
 	Shards int
 	// Obs attaches runtime observability to the JobTracker: heartbeat
 	// latency and assignment histograms, task-assignment and workflow
@@ -98,14 +94,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// shardCount resolves the Shards default: one shard per CPU.
-func (c Config) shardCount() int {
-	if c.Shards > 0 {
-		return c.Shards
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // TaskID identifies a running task inside the live cluster.
 type TaskID struct {
 	Workflow int
@@ -137,8 +125,8 @@ type Heartbeat struct {
 	Completed []TaskID
 }
 
-// controlPlane is the JobTracker contract a Cluster drives. The sharded
-// tracker is its only implementation outside tests; the interface lets the
+// controlPlane is the JobTracker contract a Cluster drives. The master is
+// its only implementation outside tests; the interface lets the
 // equivalence tests run a Cluster on the single-mutex referee instead.
 // register is pre-start only and single-threaded; it returns an error, and
 // changes nothing, if it is called after the clock starts.
@@ -166,10 +154,9 @@ func errLateRegister(w *workflow.Workflow) error {
 	return fmt.Errorf("live: registering %q after the cluster started; Submit every workflow before Run or DeliverHeartbeat", w.Name)
 }
 
-// newControlPlane builds the JobTracker for cfg: the sharded tracker at the
-// configured shard count.
+// newControlPlane builds the JobTracker for cfg: the master.
 func newControlPlane(cfg Config, pol cluster.Policy) controlPlane {
-	return newShardedTracker(cfg, pol, cfg.shardCount())
+	return newMaster(cfg, pol)
 }
 
 // Cluster is the live mini-Hadoop: one JobTracker plus Config.Nodes

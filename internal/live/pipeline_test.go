@@ -50,8 +50,8 @@ func TestPipelineServedWhenHomeLeaves(t *testing.T) {
 	if err := c.Submit(w, nil); err != nil {
 		t.Fatal(err)
 	}
-	st := c.jt.(*shardedTracker)
-	st.stats = obs.New(obs.NewRegistry(), nil).NewLiveStats(1)
+	st := c.jt.(*master)
+	st.stats = obs.New(obs.NewRegistry(), nil).NewLiveStats()
 	offer := func(tracker int) Heartbeat { return Heartbeat{Tracker: tracker, FreeMaps: 1} }
 
 	// The first goroutine becomes home, then takes its order back out of the
@@ -154,8 +154,8 @@ func BenchmarkPipelineTwoDrivers(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		stats := obs.New(obs.NewRegistry(), nil).NewLiveStats(cfg.shardCount())
-		c.jt.(*shardedTracker).stats = stats
+		stats := obs.New(obs.NewRegistry(), nil).NewLiveStats()
+		c.jt.(*master).stats = stats
 		b.StartTimer()
 		n, err := drainRounds(c, nodes, drivers, total)
 		b.StopTimer()

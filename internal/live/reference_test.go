@@ -18,8 +18,8 @@ import (
 // state behind one mutex, exactly like Hadoop's JobTracker, and answers
 // heartbeats with task assignments chosen by the pluggable policy. Every
 // policy call happens inline, so it is the plain statement of what the
-// sharded tracker (sharded.go) must decide at any shard count; NewReference
-// (export_test.go) builds a Cluster on it for the equivalence tests.
+// master (master.go) must decide; NewReference (export_test.go) builds a
+// Cluster on it for the equivalence tests.
 type JobTracker struct {
 	cfg Config
 

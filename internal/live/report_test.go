@@ -16,28 +16,23 @@ import (
 // wfCounters is one workflow's bookkeeping as a malformed report could
 // corrupt it.
 type wfCounters struct {
-	Jobs                 []cluster.JobState
-	Scheduled, Running   int
-	Remaining            int
-	Done                 bool
-	FinishTime, Finished simtime.Time
+	Jobs               []cluster.JobState
+	Scheduled, Running int
+	Remaining          int
+	Done               bool
+	FinishTime         simtime.Time
 }
 
-// counters snapshots workflow i under the pipeline locks.
-func (st *shardedTracker) counters(i int) wfCounters {
-	st.core.mu.Lock()
-	st.plane.Lock()
-	defer func() {
-		st.plane.Unlock()
-		st.core.mu.Unlock()
-	}()
-	lw := st.wfs[i]
-	ws := lw.ws
+// counters snapshots workflow i under the master's lock.
+func (m *master) counters(i int) wfCounters {
+	m.core.mu.Lock()
+	defer m.core.mu.Unlock()
+	ws := m.wfs[i]
 	return wfCounters{
 		Jobs:      append([]cluster.JobState(nil), ws.Jobs...),
 		Scheduled: ws.ScheduledTasks, Running: ws.RunningTasks,
 		Remaining: ws.TasksRemaining(), Done: ws.Done,
-		FinishTime: ws.FinishTime, Finished: lw.finish,
+		FinishTime: ws.FinishTime,
 	}
 }
 
@@ -85,7 +80,7 @@ func TestMalformedReportsRefused(t *testing.T) {
 			defer client.Close()
 			defer c.CloseTransport()
 		}
-		st := c.jt.(*shardedTracker)
+		st := c.jt.(*master)
 
 		first := beat(Heartbeat{FreeMaps: 1})
 		if len(first) != 1 {

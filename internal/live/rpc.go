@@ -22,12 +22,22 @@ func NewTCP(cfg Config, pol cluster.Policy) (*Cluster, error) {
 	return newCluster(cfg, pol, newControlPlane, true)
 }
 
-// listen serves the control plane over net/rpc on an ephemeral loopback port
-// and returns how each TaskTracker dials its own client connection to it.
-func (c *Cluster) listen() (func() (heartbeatFunc, error), error) {
+// rpcServer is the control plane as a net/rpc server with the one method
+// JobTracker.Heartbeat; it serves any connection handed to ServeConn.
+func (c *Cluster) rpcServer() (*rpc.Server, error) {
 	srv := rpc.NewServer()
 	if err := srv.RegisterName("JobTracker", &rpcJobTracker{jt: c.jt}); err != nil {
 		return nil, fmt.Errorf("live: registering RPC service: %w", err)
+	}
+	return srv, nil
+}
+
+// listen serves the control plane over net/rpc on an ephemeral loopback port
+// and returns how each TaskTracker dials its own client connection to it.
+func (c *Cluster) listen() (func() (heartbeatFunc, error), error) {
+	srv, err := c.rpcServer()
+	if err != nil {
+		return nil, err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

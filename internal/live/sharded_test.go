@@ -2,7 +2,6 @@ package live_test
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -23,38 +22,22 @@ import (
 	"repro/internal/workflow"
 )
 
-// shardedConfig is fastConfig at a fixed shard count, so what a test
-// exercises does not depend on the host's CPU count.
-func shardedConfig(shards int) live.Config {
-	cfg := fastConfig()
-	cfg.Shards = shards
-	return cfg
-}
-
-// layout is one control plane under comparison: the single-mutex referee
-// (shards 0) or the sharded tracker at a fixed shard count.
+// layout is one control plane under comparison: the single-mutex referee or
+// the master.
 type layout struct {
-	name   string
-	shards int
+	name string
+	ref  bool
 }
 
-// layouts lists the referee first, then the sharded tracker at each width:
-// the equivalence tests take the referee's outcome as the reference and
-// demand it from every width.
-func layouts(widths ...int) []layout {
-	ls := []layout{{name: "reference"}}
-	for _, n := range widths {
-		ls = append(ls, layout{name: fmt.Sprintf("Shards=%d", n), shards: n})
-	}
-	return ls
-}
+// layouts lists the referee first, then the master: the equivalence tests
+// take the referee's outcome as the reference and demand it from the master.
+var layouts = []layout{{name: "reference", ref: true}, {name: "tracker"}}
 
-// build makes the layout's cluster from cfg, whose Shards it overrides.
+// build makes the layout's cluster from cfg.
 func (l layout) build(t testing.TB, cfg live.Config, pol cluster.Policy) *live.Cluster {
 	t.Helper()
-	cfg.Shards = l.shards
 	newCluster := live.New
-	if l.shards == 0 {
+	if l.ref {
 		newCluster = live.NewReference
 	}
 	c, err := newCluster(cfg, pol)
@@ -66,9 +49,11 @@ func (l layout) build(t testing.TB, cfg live.Config, pol cluster.Policy) *live.C
 
 // driveScripted runs a deterministic single-driver heartbeat script against
 // a cluster: every round completes the previous round's assignments and
-// offers the given slots, until an idle round follows an empty completion
-// report. It returns the full assignment stream in arrival order.
-func driveScripted(t *testing.T, c *live.Cluster, freeMaps, freeReds int) []live.Assignment {
+// offers the given slots, until a round with nothing to complete is assigned
+// nothing. With split, a round reports its completions on a heartbeat of its
+// own, with no free slot, and offers the slots on the next. It returns the
+// full assignment stream in arrival order.
+func driveScripted(t *testing.T, c *live.Cluster, freeMaps, freeReds int, split bool) []live.Assignment {
 	t.Helper()
 	var stream []live.Assignment
 	var held []live.TaskID
@@ -76,9 +61,14 @@ func driveScripted(t *testing.T, c *live.Cluster, freeMaps, freeReds int) []live
 		if round > 10000 {
 			t.Fatal("scripted drive did not converge")
 		}
-		out := c.DeliverHeartbeat(live.Heartbeat{
-			Tracker: 0, FreeMaps: freeMaps, FreeReds: freeReds, Completed: held,
-		})
+		hb := live.Heartbeat{Tracker: 0, FreeMaps: freeMaps, FreeReds: freeReds, Completed: held}
+		if split && len(held) > 0 {
+			if out := c.DeliverHeartbeat(live.Heartbeat{Tracker: 0, Completed: held}); len(out) != 0 {
+				t.Fatalf("a report with no free slot was assigned %d tasks", len(out))
+			}
+			hb.Completed = nil
+		}
+		out := c.DeliverHeartbeat(hb)
 		if len(out) == 0 && len(held) == 0 {
 			return stream
 		}
@@ -92,12 +82,17 @@ func driveScripted(t *testing.T, c *live.Cluster, freeMaps, freeReds int) []live
 
 // TestShardedMatchesLegacyScripted pins outcome equivalence in the strongest
 // form: under a time-independent policy (FIFO ignores the clock) and a
-// serial heartbeat script, the sharded tracker must produce byte-identical
-// assignment streams to the single-mutex referee, for every shard count.
+// serial heartbeat script, the master must produce the single-mutex
+// referee's assignment stream byte for byte, both when each heartbeat
+// reports its completions and offers slots at once and when the two are
+// split over heartbeats, so that completions arrive with no slot to fill.
 func TestShardedMatchesLegacyScripted(t *testing.T) {
 	var want []live.Assignment
-	for i, l := range layouts(1, 2, 4, 8) {
-		c := l.build(t, fastConfig(), scheduler.NewFIFO())
+	for i, tc := range []struct {
+		layout
+		split bool
+	}{{layouts[0], false}, {layouts[1], false}, {layouts[1], true}} {
+		c := tc.build(t, fastConfig(), scheduler.NewFIFO())
 		for _, w := range []*workflow.Workflow{
 			chainFlow("w1", 0, 2*time.Hour),
 			chainFlow("w2", 0, 2*time.Hour),
@@ -107,24 +102,23 @@ func TestShardedMatchesLegacyScripted(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got := driveScripted(t, c, 2, 1)
+		got := driveScripted(t, c, 2, 1, tc.split)
 		if i == 0 {
 			if len(got) != 3*14 {
 				t.Fatalf("reference stream has %d assignments, want 42", len(got))
 			}
 			want = got
 		} else if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s assignment stream diverges from the reference (%d vs %d assignments)",
-				l.name, len(got), len(want))
+			t.Errorf("%s (split %v): assignment stream diverges from the reference (%d vs %d assignments)",
+				tc.name, tc.split, len(got), len(want))
 		}
 	}
 }
 
 // TestShardedEquivalenceAcrossShardCounts runs the same seeded WOHA workload
-// to completion on the referee and under every shard count and checks the
-// per-workflow deadline outcomes agree: timing in the live cluster is noisy,
-// but with these margins every workflow must meet its deadline identically
-// everywhere.
+// to completion on the referee and on the master and checks the per-workflow
+// deadline outcomes agree: timing in the live cluster is noisy, but with
+// these margins every workflow must meet its deadline identically on both.
 func TestShardedEquivalenceAcrossShardCounts(t *testing.T) {
 	flows := func() []*workflow.Workflow {
 		return []*workflow.Workflow{
@@ -134,7 +128,7 @@ func TestShardedEquivalenceAcrossShardCounts(t *testing.T) {
 		}
 	}
 	var baseline []bool
-	for _, l := range layouts(1, 2, 8) {
+	for _, l := range layouts {
 		c := l.build(t, fastConfig(), core.NewScheduler(core.Options{Seed: 7}))
 		for _, w := range flows() {
 			p, err := plan.GenerateCapped(w, 12, priority.LPF{})
@@ -171,12 +165,12 @@ func TestShardedEquivalenceAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentDirectHeartbeats hammers the sharded tracker with
-// concurrent DeliverHeartbeat callers that assign and complete tasks, then
-// drains serially and checks nothing was lost. Run under -race this covers
-// the shard/pipeline/fast-path synchronization.
+// TestShardedConcurrentDirectHeartbeats hammers the master with concurrent
+// DeliverHeartbeat callers that assign and complete tasks, then drains
+// serially and checks nothing was lost. Run under -race this covers the
+// pipeline/fast-path synchronization.
 func TestShardedConcurrentDirectHeartbeats(t *testing.T) {
-	c, err := live.New(shardedConfig(4), scheduler.NewFIFO())
+	c, err := live.New(fastConfig(), scheduler.NewFIFO())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +255,7 @@ func TestShardedConcurrentDirectHeartbeats(t *testing.T) {
 // each caller completes exactly what it was given, so a lost or doubled
 // answer shows in the totals.
 func TestPipelineAnswersItsOwnCaller(t *testing.T) {
-	c, err := live.New(shardedConfig(4), scheduler.NewFIFO())
+	c, err := live.New(fastConfig(), scheduler.NewFIFO())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,9 +341,9 @@ func TestPipelineAnswersItsOwnCaller(t *testing.T) {
 }
 
 // TestShardedRunWithTrackers runs the full TaskTracker goroutine cluster on
-// four shards.
+// the master.
 func TestShardedRunWithTrackers(t *testing.T) {
-	c, err := live.New(shardedConfig(4), scheduler.NewFIFO())
+	c, err := live.New(fastConfig(), scheduler.NewFIFO())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,38 +371,36 @@ func TestShardedRunWithTrackers(t *testing.T) {
 	}
 }
 
-// TestSubmitAfterStartErrs: at one shard and at four a Submit that arrives
-// after a heartbeat has stamped the clock is refused with an error, and the
-// running tracker is left as it was — the drain assigns only the first
-// workflow's tasks and the result lists only it.
+// TestSubmitAfterStartErrs: a Submit that arrives after a heartbeat has
+// stamped the clock is refused with an error, and the running tracker is
+// left as it was — the drain assigns only the first workflow's tasks and the
+// result lists only it.
 func TestSubmitAfterStartErrs(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		c, err := live.New(shardedConfig(shards), scheduler.NewFIFO())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Submit(chainFlow("w", 0, time.Hour), nil); err != nil {
-			t.Fatal(err)
-		}
-		// Freeze registration the way tests and benchmarks do: a direct
-		// heartbeat stamps the clock.
-		c.DeliverHeartbeat(live.Heartbeat{Tracker: 0})
-		err = c.Submit(chainFlow("late", 0, time.Hour), nil)
-		if err == nil || !strings.Contains(err.Error(), `"late" after the cluster started`) {
-			t.Fatalf("Shards=%d: late Submit err = %v, want a refusal naming the workflow", shards, err)
-		}
-		if got := len(driveScripted(t, c, 2, 1)); got != 14 {
-			t.Errorf("Shards=%d: drain assigned %d tasks, want the first workflow's 14", shards, got)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		res, err := c.Run(ctx)
-		cancel()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Workflows) != 1 || res.Workflows[0].Name != "w" || res.Workflows[0].Finish == 0 || res.TasksStarted != 14 {
-			t.Errorf("Shards=%d: result after a refused Submit = %+v", shards, res)
-		}
+	c, err := live.New(fastConfig(), scheduler.NewFIFO())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Submit(chainFlow("w", 0, time.Hour), nil); err != nil {
+		t.Fatal(err)
+	}
+	// Freeze registration the way tests and benchmarks do: a direct
+	// heartbeat stamps the clock.
+	c.DeliverHeartbeat(live.Heartbeat{Tracker: 0})
+	err = c.Submit(chainFlow("late", 0, time.Hour), nil)
+	if err == nil || !strings.Contains(err.Error(), `"late" after the cluster started`) {
+		t.Fatalf("late Submit err = %v, want a refusal naming the workflow", err)
+	}
+	if got := len(driveScripted(t, c, 2, 1, false)); got != 14 {
+		t.Errorf("drain assigned %d tasks, want the first workflow's 14", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	res, err := c.Run(ctx)
+	cancel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Workflows) != 1 || res.Workflows[0].Name != "w" || res.Workflows[0].Finish == 0 || res.TasksStarted != 14 {
+		t.Errorf("result after a refused Submit = %+v", res)
 	}
 }
 
@@ -417,7 +409,7 @@ func TestSubmitAfterStartErrs(t *testing.T) {
 // assigned. A report is unchecked RPC input, so absurd free counts must
 // neither panic nor size the allocation.
 func TestRefillSizedByNodeNotByReport(t *testing.T) {
-	c, err := live.New(shardedConfig(4), scheduler.NewFIFO())
+	c, err := live.New(fastConfig(), scheduler.NewFIFO())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +450,7 @@ func (d *deferOnce) count() int {
 	return len(d.rulings)
 }
 
-// TestIdleGateNeverSwallowsWork: the sharded tracker's idle heartbeats return
+// TestIdleGateNeverSwallowsWork: the master's idle heartbeats return
 // before reading the clock, so everything that waits on the clock must keep
 // them out of that exit. A workflow released in the future and then deferred
 // at the door is driven by busy-only heartbeats alone — no completions, no
@@ -466,7 +458,7 @@ func (d *deferOnce) count() int {
 // release and at its retry instant, and then reach the policy.
 func TestIdleGateNeverSwallowsWork(t *testing.T) {
 	door := &deferOnce{by: 20 * time.Second}
-	cfg := shardedConfig(4)
+	cfg := fastConfig()
 	cfg.Admission = door
 	c, err := live.New(cfg, scheduler.NewFIFO())
 	if err != nil {
@@ -513,7 +505,7 @@ func TestIdleGateNeverSwallowsWork(t *testing.T) {
 func TestIdleHeartbeatsStillRecorded(t *testing.T) {
 	ring := obs.NewRing(1 << 10)
 	ins := obs.New(obs.NewRegistry(), ring)
-	cfg := shardedConfig(4)
+	cfg := fastConfig()
 	cfg.Obs = ins
 	c, err := live.New(cfg, scheduler.NewFIFO())
 	if err != nil {
@@ -545,12 +537,12 @@ func TestIdleHeartbeatsStillRecorded(t *testing.T) {
 	}
 }
 
-// TestShardedObsMetrics checks the sharded tracker's dedicated instruments:
-// the shard-count gauge, fast-path accounting for busy heartbeats, and the
-// policy event batching counters.
+// TestShardedObsMetrics checks the master's dedicated instruments:
+// fast-path accounting for busy heartbeats and the pipeline's passes and
+// orders.
 func TestShardedObsMetrics(t *testing.T) {
 	ins := obs.New(obs.NewRegistry(), nil)
-	cfg := shardedConfig(4)
+	cfg := fastConfig()
 	cfg.Obs = ins
 	c, err := live.New(cfg, scheduler.NewFIFO())
 	if err != nil {
@@ -560,11 +552,8 @@ func TestShardedObsMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.LiveStats()
-	if got := st.Shards.Value(); got != 4 {
-		t.Errorf("shards gauge = %d, want 4", got)
-	}
 
-	stream := driveScripted(t, c, 2, 1)
+	stream := driveScripted(t, c, 2, 1, false)
 	if len(stream) != 14 {
 		t.Fatalf("assignment stream has %d entries, want 14", len(stream))
 	}
@@ -574,15 +563,6 @@ func TestShardedObsMetrics(t *testing.T) {
 	}
 	if got := st.FastPathBeats.Value(); got < 5 {
 		t.Errorf("fast-path heartbeats = %d, want >= 5", got)
-	}
-	batches, events := st.PolicyBatches.Value(), st.PolicyEvents.Value()
-	if batches == 0 || events == 0 {
-		t.Errorf("policy batching not recorded: batches=%d events=%d", batches, events)
-	}
-	// Lifecycle: released (root activation rides inside it) + reduces-ready
-	// for a + activated b + reduces-ready for b + completed = 5.
-	if events != 5 {
-		t.Errorf("policy events = %d, want 5", events)
 	}
 	// One driver never finds another heartbeat's report queued, so every
 	// pass through the pipeline serves exactly its own.
@@ -594,12 +574,11 @@ func TestShardedObsMetrics(t *testing.T) {
 
 // BenchmarkShardedIdleHeartbeat is live_drain's commonest report in
 // isolation: a busy TaskTracker (no completions, no free slots) heartbeating
-// an uninstrumented sharded tracker whose workflows have all been released
-// and whose events have all been applied — seven in eight of that workload's
-// heartbeats. `go test -bench ShardedIdleHeartbeat -cpuprofile` shows what
-// such a report pays for.
+// an uninstrumented master whose workflows have all been released — seven in
+// eight of that workload's heartbeats. `go test -bench ShardedIdleHeartbeat
+// -cpuprofile` shows what such a report pays for.
 func BenchmarkShardedIdleHeartbeat(b *testing.B) {
-	c, err := live.New(shardedConfig(2), core.NewScheduler(core.Options{Seed: 7}))
+	c, err := live.New(fastConfig(), core.NewScheduler(core.Options{Seed: 7}))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -613,7 +592,7 @@ func BenchmarkShardedIdleHeartbeat(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// One refill releases every workflow and applies the events.
+	// One refill releases every workflow.
 	c.DeliverHeartbeat(live.Heartbeat{Tracker: 0, FreeMaps: 2, FreeReds: 1})
 	hb := live.Heartbeat{Tracker: 1}
 	b.ReportAllocs()

@@ -16,8 +16,7 @@ import (
 // benchCluster builds a live cluster with one registered workflow so each
 // heartbeat exercises the full scheduling path (release scan, assignment
 // attempt). ins may be nil — the disabled-instrumentation case under test.
-// shards 0 keeps the host default of one shard per CPU.
-func benchCluster(tb testing.TB, ins *obs.Obs, shards int) *live.Cluster {
+func benchCluster(tb testing.TB, ins *obs.Obs) *live.Cluster {
 	tb.Helper()
 	cfg := live.Config{
 		Nodes:              4,
@@ -25,7 +24,6 @@ func benchCluster(tb testing.TB, ins *obs.Obs, shards int) *live.Cluster {
 		ReduceSlotsPerNode: 1,
 		HeartbeatInterval:  time.Millisecond,
 		TimeScale:          0.001,
-		Shards:             shards,
 		Obs:                ins,
 	}
 	c, err := live.New(cfg, scheduler.NewFIFO())
@@ -52,7 +50,7 @@ func steadyState(c *live.Cluster) {
 // disabled (nil *obs.Obs). The contract is 0 allocs/op: a disabled
 // installation costs exactly the nil checks.
 func BenchmarkHeartbeatBare(b *testing.B) {
-	c := benchCluster(b, nil, 0)
+	c := benchCluster(b, nil)
 	steadyState(c)
 	hb := live.Heartbeat{Tracker: 0}
 	b.ReportAllocs()
@@ -66,7 +64,7 @@ func BenchmarkHeartbeatBare(b *testing.B) {
 // ring sink attached, quantifying the enabled-instrumentation overhead.
 func BenchmarkHeartbeatInstrumented(b *testing.B) {
 	ins := obs.New(obs.NewRegistry(), obs.NewRing(4096))
-	c := benchCluster(b, ins, 0)
+	c := benchCluster(b, ins)
 	steadyState(c)
 	hb := live.Heartbeat{Tracker: 0}
 	b.ReportAllocs()
@@ -79,19 +77,12 @@ func BenchmarkHeartbeatInstrumented(b *testing.B) {
 // TestHeartbeatBareAllocs pins the zero-allocation contract in the regular
 // test suite, so a regression fails go test, not only a benchmark reading.
 // The tracker's lock-free fast path must stay allocation-free on a steady
-// busy heartbeat at one shard and at four.
+// busy heartbeat.
 func TestHeartbeatBareAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		shards int
-	}{{"shards1", 1}, {"shards4", 4}} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := benchCluster(t, nil, tc.shards)
-			steadyState(c)
-			hb := live.Heartbeat{Tracker: 0}
-			if allocs := testing.AllocsPerRun(100, func() { c.DeliverHeartbeat(hb) }); allocs != 0 {
-				t.Errorf("bare heartbeat allocates %v objects per run, want 0", allocs)
-			}
-		})
+	c := benchCluster(t, nil)
+	steadyState(c)
+	hb := live.Heartbeat{Tracker: 0}
+	if allocs := testing.AllocsPerRun(100, func() { c.DeliverHeartbeat(hb) }); allocs != 0 {
+		t.Errorf("bare heartbeat allocates %v objects per run, want 0", allocs)
 	}
 }

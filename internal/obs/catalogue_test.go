@@ -18,7 +18,7 @@ func buildAll() *Registry {
 	o.EnableHealth(HealthConfig{})
 	o.NewQueueStats("DSL")
 	o.NewPlannerStats()
-	o.NewLiveStats(1)
+	o.NewLiveStats()
 	o.NewRunnerStats()
 	o.NewAdmissionStats("feasible")
 	o.NewFedStats("least-loaded", 2)

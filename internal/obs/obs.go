@@ -363,20 +363,17 @@ func (s *PlannerStats) OnPlanCoalesced(dur time.Duration, served bool) {
 	}
 }
 
-// LiveStats bundles the instruments of the sharded live JobTracker
-// (internal/live): how often heartbeats complete on the lock-free fast path,
-// how long they wait for workflow-shard and assignment-pipeline locks, and
-// how policy events batch. All methods are safe on a nil receiver, so the
-// tracker carries a LiveStats pointer unconditionally and the uninstrumented
-// hot path pays one nil check.
+// LiveStats bundles the instruments of the live JobTracker (internal/live):
+// how often heartbeats complete on the lock-free fast path, and how the
+// assignment pipeline serves the others. All methods are safe on a nil
+// receiver, so the tracker carries a LiveStats pointer unconditionally and
+// the uninstrumented hot path pays one nil check.
 type LiveStats struct {
-	Shards           *Gauge     `metric:"woha_live_shards" help:"Workflow-state shards in the live JobTracker."`
-	ShardLockWait    *Histogram `metric:"woha_live_shard_lock_wait_seconds" buckets:"duration" help:"Wait to acquire a workflow shard's lock during heartbeat bookkeeping."`
 	PipelineLockWait *Histogram `metric:"woha_live_pipeline_lock_wait_seconds" buckets:"duration" help:"Wait of a heartbeat to enter the assignment pipeline or to be served by the heartbeat holding it."`
-	// PipelinePasses counts holds of the pipeline locks that served queued
+	// PipelinePasses counts holds of the pipeline lock that served queued
 	// reports; PipelineOrders the reports served. Orders per pass above one
 	// is heartbeats being answered by the heartbeat ahead of them.
-	PipelinePasses *Counter `metric:"woha_live_pipeline_passes_total" help:"Holds of the assignment pipeline's locks that served queued heartbeat reports."`
+	PipelinePasses *Counter `metric:"woha_live_pipeline_passes_total" help:"Holds of the assignment pipeline's lock that served queued heartbeat reports."`
 	PipelineOrders *Counter `metric:"woha_live_pipeline_orders_total" help:"Heartbeat reports served by the assignment pipeline."`
 	// PipelineHandoffs counts passes combined on another order, and so
 	// mostly another core, than the pass before: the policy and workflow
@@ -385,27 +382,15 @@ type LiveStats struct {
 	// FastPathBeats counts heartbeats served without taking any lock (no
 	// completions, no due releases, and no assignable work).
 	FastPathBeats *Counter `metric:"woha_live_fastpath_heartbeats_total" help:"Heartbeats served entirely on the lock-free fast path."`
-	PolicyBatches *Counter `metric:"woha_live_policy_event_batches_total" help:"Policy event-queue drains by the assignment pipeline."`
-	PolicyEvents  *Counter `metric:"woha_live_policy_events_total" help:"Workflow lifecycle events delivered to the policy core."`
 }
 
-// NewLiveStats registers the sharded live-tracker instruments and records
-// the shard count. Returns nil (disabled stats) on a nil receiver.
-func (o *Obs) NewLiveStats(shards int) *LiveStats {
+// NewLiveStats registers the live-tracker instruments. Returns nil
+// (disabled stats) on a nil receiver.
+func (o *Obs) NewLiveStats() *LiveStats {
 	if o == nil {
 		return nil
 	}
-	s := declare(o.reg, &LiveStats{}, nil)
-	s.Shards.Set(int64(shards))
-	return s
-}
-
-// OnShardLockWait records one shard-lock acquisition wait.
-func (s *LiveStats) OnShardLockWait(d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.ShardLockWait.ObserveDuration(d)
+	return declare(o.reg, &LiveStats{}, nil)
 }
 
 // OnPipelineLockWait records one heartbeat's wait for the assignment pipeline.
@@ -416,7 +401,7 @@ func (s *LiveStats) OnPipelineLockWait(d time.Duration) {
 	s.PipelineLockWait.ObserveDuration(d)
 }
 
-// OnPipelinePass records one hold of the pipeline locks that served orders
+// OnPipelinePass records one hold of the pipeline lock that served orders
 // queued reports.
 func (s *LiveStats) OnPipelinePass(orders int) {
 	if s == nil {
@@ -441,15 +426,6 @@ func (s *LiveStats) OnFastPath() {
 		return
 	}
 	s.FastPathBeats.Inc()
-}
-
-// OnEventBatch records one event-queue drain delivering n events.
-func (s *LiveStats) OnEventBatch(n int) {
-	if s == nil {
-		return
-	}
-	s.PolicyBatches.Inc()
-	s.PolicyEvents.Add(int64(n))
 }
 
 // RunnerStats bundles the instruments of the parallel scenario runner

@@ -207,7 +207,7 @@ func TestCoalescedErrorCounted(t *testing.T) {
 // TestSharedPlansNeverWritten is the proof that sharing is safe. Four
 // goroutines share one Planner; each takes the plans of the same recurring
 // templates through a cluster.Sim under the WOHA scheduler behind a feasible
-// admission.Controller, and through the sharded live tracker, while a fifth
+// admission.Controller, and through the live tracker, while a fifth
 // keeps requesting the same keys and re-reading what it is handed. Under
 // -race a write by any consumer is a reported race; in any build, every plan
 // handed out must still encode to the bytes it encoded to when first served.
@@ -277,7 +277,7 @@ func TestSharedPlansNeverWritten(t *testing.T) {
 		}
 		tracker, err := live.New(live.Config{
 			Nodes: nodes.Nodes, MapSlotsPerNode: nodes.MapSlotsPerNode, ReduceSlotsPerNode: nodes.ReduceSlotsPerNode,
-			HeartbeatInterval: time.Millisecond, TimeScale: 0.0001, Shards: 2,
+			HeartbeatInterval: time.Millisecond, TimeScale: 0.0001,
 		}, core.NewScheduler(core.Options{Seed: int64(g)}))
 		if err != nil {
 			return err
