@@ -16,7 +16,9 @@ import (
 // benchCluster builds a live cluster with one registered workflow so each
 // heartbeat exercises the full scheduling path (release scan, assignment
 // attempt). ins may be nil — the disabled-instrumentation case under test.
-func benchCluster(tb testing.TB, ins *obs.Obs) *live.Cluster {
+// shards is passed through as Config.Shards, which the tracker accepts and
+// ignores.
+func benchCluster(tb testing.TB, ins *obs.Obs, shards int) *live.Cluster {
 	tb.Helper()
 	cfg := live.Config{
 		Nodes:              4,
@@ -24,6 +26,7 @@ func benchCluster(tb testing.TB, ins *obs.Obs) *live.Cluster {
 		ReduceSlotsPerNode: 1,
 		HeartbeatInterval:  time.Millisecond,
 		TimeScale:          0.001,
+		Shards:             shards,
 		Obs:                ins,
 	}
 	c, err := live.New(cfg, scheduler.NewFIFO())
@@ -50,7 +53,7 @@ func steadyState(c *live.Cluster) {
 // disabled (nil *obs.Obs). The contract is 0 allocs/op: a disabled
 // installation costs exactly the nil checks.
 func BenchmarkHeartbeatBare(b *testing.B) {
-	c := benchCluster(b, nil)
+	c := benchCluster(b, nil, 0)
 	steadyState(c)
 	hb := live.Heartbeat{Tracker: 0}
 	b.ReportAllocs()
@@ -64,7 +67,7 @@ func BenchmarkHeartbeatBare(b *testing.B) {
 // ring sink attached, quantifying the enabled-instrumentation overhead.
 func BenchmarkHeartbeatInstrumented(b *testing.B) {
 	ins := obs.New(obs.NewRegistry(), obs.NewRing(4096))
-	c := benchCluster(b, ins)
+	c := benchCluster(b, ins, 0)
 	steadyState(c)
 	hb := live.Heartbeat{Tracker: 0}
 	b.ReportAllocs()
@@ -76,13 +79,20 @@ func BenchmarkHeartbeatInstrumented(b *testing.B) {
 
 // TestHeartbeatBareAllocs pins the zero-allocation contract in the regular
 // test suite, so a regression fails go test, not only a benchmark reading.
-// The tracker's lock-free fast path must stay allocation-free on a steady
-// busy heartbeat.
+// The heartbeat path must stay allocation-free on a steady busy heartbeat
+// whatever Config.Shards says: the field is accepted and ignored.
 func TestHeartbeatBareAllocs(t *testing.T) {
-	c := benchCluster(t, nil)
-	steadyState(c)
-	hb := live.Heartbeat{Tracker: 0}
-	if allocs := testing.AllocsPerRun(100, func() { c.DeliverHeartbeat(hb) }); allocs != 0 {
-		t.Errorf("bare heartbeat allocates %v objects per run, want 0", allocs)
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{{"shards1", 1}, {"shards4", 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := benchCluster(t, nil, tc.shards)
+			steadyState(c)
+			hb := live.Heartbeat{Tracker: 0}
+			if allocs := testing.AllocsPerRun(100, func() { c.DeliverHeartbeat(hb) }); allocs != 0 {
+				t.Errorf("bare heartbeat allocates %v objects per run, want 0", allocs)
+			}
+		})
 	}
 }
