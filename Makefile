@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify ci fmt-check race-smoke alloc-pins fuzz-smoke postmortem-smoke admission-smoke federation-smoke bench-smoke mutex-smoke examples-smoke cli-smoke
+.PHONY: build test vet race verify ci fmt-check race-smoke alloc-pins fuzz-smoke postmortem-smoke admission-smoke federation-smoke bench-smoke bench-ab mutex-smoke examples-smoke cli-smoke
 
 build:
 	$(GO) build ./...
@@ -34,10 +34,11 @@ race:
 # run of every example and of every wohasim path — run before every merge.
 verify: build test vet race fuzz-smoke examples-smoke cli-smoke
 
-# Each of the nine fuzz targets, fuzzed for FUZZTIME beyond its seed corpus
+# Each of the ten fuzz targets, fuzzed for FUZZTIME beyond its seed corpus
 # (which the tier-1 suite already runs): the event queue against a sorting
 # reference, the DSL queue's op programs, the plan kernel against the
-# queue-based referee, the capped cap search against its oracle, the plan and
+# queue-based referee, the capped cap search against its oracle, the cap
+# search's makespan bounds against the kernel's makespan, the plan and
 # workflow decoders, workflow compilation, the live tracker's heartbeat
 # reports, and the raw bytes of its net/rpc connection. go test fuzzes one target of one package at a time. A failing
 # input is written under the package's testdata/fuzz, where it becomes part
@@ -48,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueOps$$' -fuzztime $(FUZZTIME) ./internal/dsl/
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/plan/
 	$(GO) test -run '^$$' -fuzz '^FuzzCappedSearch$$' -fuzztime $(FUZZTIME) ./internal/plan/
+	$(GO) test -run '^$$' -fuzz '^FuzzCapBounds$$' -fuzztime $(FUZZTIME) ./internal/plan/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/plan/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) ./internal/workflow/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseXML$$' -fuzztime $(FUZZTIME) ./internal/workflow/
@@ -76,7 +78,8 @@ race-smoke:
 # the event queue's (PushLane + drain at 0 allocs once the rings are warm,
 # on one owner and on eight interleaved owners; Push + drain at scattered
 # instants at 0 allocs once the buckets are warm), the plan
-# kernel's (a bound kernel answers a probe with 0 allocations), and the
+# kernel's (a bound kernel answers a probe, from a run or from its makespan
+# bounds, and runs a whole unrecorded cap search with 0 allocations), and the
 # planner's two (a cold capped typed plan averages at
 # most 11 over the planner corpus; a warm cache hit allocates 0). Run
 # without -race — the race runtime randomizes sync.Pool reuse and inflates
@@ -119,6 +122,17 @@ federation-smoke:
 # paying for stable timings.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# A/B of the benchmark (cmd/benchab): the working tree against commit REV,
+# PAIRS alternating pairs of WORKLOAD on seeds 1..PAIRS, each binary run from
+# its own tree. Prints each end-to-end metric's median change/parent ratio,
+# win count and spread, and fails when a median ratio is worse than the
+# metric's bound in BENCHMARK.json.
+REV ?= HEAD
+WORKLOAD ?= plan_mix
+PAIRS ?= 10
+bench-ab:
+	$(GO) run ./cmd/benchab -rev $(REV) -workload $(WORKLOAD) -pairs $(PAIRS)
 
 # Runs every program under examples/ at full size, discarding its output;
 # the first non-zero exit fails the target. Each takes 1-3 s, compile

@@ -96,7 +96,7 @@ func readWorkflow(path string) (*woha.Workflow, error) {
 func printPlan(w *woha.Workflow, p *plan.Plan) {
 	fmt.Printf("workflow %q: %d jobs, %d tasks, relative deadline %v\n",
 		w.Name, len(w.Jobs), w.TotalTasks(), w.RelativeDeadline())
-	source := fmt.Sprintf("%d simulations", p.SearchIters)
+	source := fmt.Sprintf("%d probes, %d simulated", p.SearchIters, p.Simulations)
 	if p.SearchIters == 0 {
 		source = "shared plan, not simulated"
 	}

@@ -283,7 +283,7 @@ func (p *pipeline) Ledger() *Ledger { return p.ledger }
 func (p *pipeline) Decide(w *workflow.Workflow, pl *plan.Plan, now simtime.Time) Decision {
 	t0 := time.Now()
 	p.mu.Lock()
-	d, free := p.decideLocked(w)
+	d, free := p.decideLocked(w, pl)
 	p.records = append(p.records, Record{
 		Workflow: w.Name, Tenant: w.Tenant,
 		Anchor: p.anchorFor(w), Free: free, Decision: d,
@@ -323,7 +323,7 @@ func (p *pipeline) anchorFor(w *workflow.Workflow) simtime.Time {
 
 // decideLocked runs the policy stack. It returns the ruling plus the free
 // capacity the feasibility stage observed (zero if never reached).
-func (p *pipeline) decideLocked(w *workflow.Workflow) (Decision, plan.Caps) {
+func (p *pipeline) decideLocked(w *workflow.Workflow, pl *plan.Plan) (Decision, plan.Caps) {
 	at := p.anchorFor(w)
 	if p.anchors[keyOf(w)].defers >= maxDeferrals {
 		return Decision{Verdict: Reject, Reason: "deferral-limit"}, plan.Caps{}
@@ -359,7 +359,7 @@ func (p *pipeline) decideLocked(w *workflow.Workflow) (Decision, plan.Caps) {
 	eff := p.effectiveCluster(tn, hasTenant)
 
 	// Stage 4: deadline feasibility against uncommitted capacity.
-	d, free := p.feasibilityStage(w, eff, at)
+	d, free := p.feasibilityStage(w, pl, eff, at)
 	if d.Verdict == Admit {
 		p.takeToken(w.Tenant, tn, hasTenant, at)
 	}
@@ -432,19 +432,20 @@ func (p *pipeline) quotaStage(w *workflow.Workflow, tn Tenant, at simtime.Time) 
 // cap search floor of one map plus one reduce slot.
 const minCommitTotal = 2
 
-// feasibilityStage reuses the planner's cap search against uncommitted
+// feasibilityStage runs the planner's cap search against uncommitted
 // capacity: admit at the minimal feasible cap (committing it), defer to the
 // earliest commitment end that would make the deadline reachable, or reject
 // with the earliest feasible deadline as a counter-offer. The ruling reads
-// makespans and nothing else, so it ranks the workflow once, binds one
-// plan.Kernel for the whole ruling, and builds no plan.
-func (p *pipeline) feasibilityStage(w *workflow.Workflow, eff plan.Caps, at simtime.Time) (Decision, plan.Caps) {
+// makespans and nothing else, so it ranks the workflow at most once (not at
+// all when pl carries the ranks), binds one plan.Kernel for the whole ruling,
+// and builds no plan.
+func (p *pipeline) feasibilityStage(w *workflow.Workflow, pl *plan.Plan, eff plan.Caps, at simtime.Time) (Decision, plan.Caps) {
 	budget := w.Deadline.Sub(at)
 	if budget <= 0 {
 		return Decision{Verdict: Reject, Reason: "deadline-passed"}, plan.Caps{}
 	}
 	free := p.ledger.FreeOver(at, w.Deadline, eff)
-	ranks, err := p.cfg.Policy.Rank(w)
+	ranks, err := p.ranks(w, pl)
 	if err != nil {
 		return Decision{Verdict: Reject, Reason: "unrankable: " + err.Error()}, free
 	}
@@ -456,38 +457,21 @@ func (p *pipeline) feasibilityStage(w *workflow.Workflow, eff plan.Caps, at simt
 	if free.Maps < 1 || free.Reduces < 1 {
 		return p.deferOrReject(w, k, eff, at, free, simtime.Epoch)
 	}
-	// The window probe runs to completion: its makespan prices the
-	// counter-offer when the window turns out too small.
-	full, _, err := k.MakespanTyped(free, plan.Unlimited)
+	// The smallest slice of the free capacity that still makes the
+	// (margin-discounted) budget, exactly as plan generation searches. When
+	// the whole window misses the budget, its makespan prices the
+	// counter-offer.
+	s, err := k.Search(plan.Ladder{Lo: 2, Hi: free.Total(), Typed: true, Cluster: free}, p.cfg.Margin, budget)
 	if err != nil {
 		return Decision{Verdict: Reject, Reason: "unplannable: " + err.Error()}, free
 	}
-	if full > budget {
-		return p.deferOrReject(w, k, eff, at, free, at.Add(full))
+	if s.Makespan > budget {
+		return p.deferOrReject(w, k, eff, at, free, at.Add(s.Makespan))
 	}
-	// Feasible: search the smallest slice of the free capacity that still
-	// makes the (margin-discounted) budget, exactly as plan generation does.
-	target := time.Duration(p.cfg.Margin * float64(budget))
-	if full > target {
-		target = budget
-	}
-	caps, span := free, full
-	best, _, err := plan.SequentialSearch(2, free.Total(), func(mid int, _ *plan.Schedule) (bool, error) {
-		ms, within, err := k.MakespanTyped(plan.TypedCapsFor(free, mid), target)
-		if within {
-			span = ms
-		}
-		return within, err
-	}, nil)
-	if err != nil {
-		return Decision{Verdict: Reject, Reason: "unplannable: " + err.Error()}, free
-	}
-	if best != 0 {
-		caps = plan.TypedCapsFor(free, best)
-	}
+	caps := plan.TypedCapsFor(free, s.Cap)
 	if err := p.ledger.Commit(Commitment{
 		Workflow: w.Name, Tenant: w.Tenant,
-		Start: at, End: at.Add(span),
+		Start: at, End: at.Add(s.Makespan),
 		Maps: caps.Maps, Reduces: caps.Reduces,
 	}); err != nil {
 		// Defensive: FreeOver guarantees the window fits, so a conflict here
@@ -497,10 +481,22 @@ func (p *pipeline) feasibilityStage(w *workflow.Workflow, eff plan.Caps, at simt
 	return Decision{Verdict: Admit}, free
 }
 
+// ranks is the job ordering a ruling simulates: pl's, when the caller passed
+// a plan made under this pipeline's policy for a table of w's size, else a
+// fresh ranking. The policies rank from the job table alone, so the two
+// agree for a plan of w.
+func (p *pipeline) ranks(w *workflow.Workflow, pl *plan.Plan) ([]int, error) {
+	if pl != nil && pl.Policy == p.cfg.Policy.Name() && len(pl.Ranks) == len(w.Jobs) {
+		return pl.Ranks, nil
+	}
+	return p.cfg.Policy.Rank(w)
+}
+
 // deferOrReject finds the earliest commitment end after which the workflow
 // could still meet its deadline; failing that it rejects, carrying offer (the
 // earliest feasible deadline at current free capacity) when known. k is the
-// ruling's kernel; every candidate is one limited makespan query on it.
+// ruling's kernel; a candidate its lower bound rules out is skipped, and
+// every other one is one limited makespan query on it.
 func (p *pipeline) deferOrReject(w *workflow.Workflow, k *plan.Kernel, eff plan.Caps, at simtime.Time, free plan.Caps, offer simtime.Time) (Decision, plan.Caps) {
 	// Every future commitment end, once: the ends inside the asked window
 	// are a prefix of it.
@@ -513,7 +509,11 @@ func (p *pipeline) deferOrReject(w *workflow.Workflow, k *plan.Kernel, eff plan.
 		if cand.Maps < 1 || cand.Reduces < 1 || (cand.Maps <= free.Maps && cand.Reduces <= free.Reduces) {
 			continue
 		}
-		if _, within, err := k.MakespanTyped(cand, w.Deadline.Sub(t)); err == nil && within {
+		limit := w.Deadline.Sub(t)
+		if lower, _, ok := k.BoundsTyped(cand); ok && lower > limit {
+			continue
+		}
+		if _, within, err := k.MakespanTyped(cand, limit); err == nil && within {
 			return Decision{Verdict: Defer, Reason: "awaiting-capacity", RetryAt: t}, free
 		}
 	}
@@ -534,6 +534,9 @@ func (p *pipeline) deferOrReject(w *workflow.Workflow, k *plan.Kernel, eff plan.
 		limit := plan.Unlimited
 		if offer != simtime.Epoch {
 			limit = offer.Sub(t)
+		}
+		if lower, _, ok := k.BoundsTyped(cand); ok && lower > limit {
+			continue
 		}
 		if ms, within, err := k.MakespanTyped(cand, limit); err == nil && within {
 			offer = t.Add(ms)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/obs"
+	"repro/internal/oracle"
 	"repro/internal/plan"
 	"repro/internal/priority"
 	"repro/internal/simtime"
@@ -171,22 +172,19 @@ func TestFeasibleRejectIsProvablyInfeasible(t *testing.T) {
 		if want := rec.Anchor.Add(full.Makespan); rec.Decision.CounterOffer != want {
 			t.Errorf("%s: counter-offer %v, want %v", rec.Workflow, rec.Decision.CounterOffer, want)
 		}
-		// Provable infeasibility: the sequential search over the recorded free
-		// capacity finds no cap meeting the deadline budget.
+		// Provable infeasibility: a plain bisection over full plans at the
+		// recorded free capacity finds no cap meeting the deadline budget.
 		budget := w.Deadline.Sub(rec.Anchor)
-		best, _, err := plan.SequentialSearch(2, rec.Free.Total(), func(mid int, _ *plan.Schedule) (bool, error) {
+		best, _, err := oracle.Bisect(2, rec.Free.Total(), func(mid int) (*plan.Plan, bool, error) {
 			p, err := plan.GenerateTyped(w, plan.TypedCapsFor(rec.Free, mid), pol.Name(), ranks)
-			if err != nil {
-				return false, err
-			}
-			return p.Makespan <= budget, nil
-		}, nil)
+			return p, err == nil && p.Makespan <= budget, err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if best != 0 {
+		if best != nil {
 			t.Errorf("%s: sequential search found feasible cap %d inside budget %v — reject not provable",
-				rec.Workflow, best, budget)
+				rec.Workflow, best.Cap, budget)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/oracle"
 	"repro/internal/plan"
+	"repro/internal/priority"
 	"repro/internal/simtime"
 	"repro/internal/workflow"
 	"repro/internal/workload"
@@ -277,6 +278,109 @@ func TestFeasibilityMatchesReference(t *testing.T) {
 	}
 	if offers == 0 {
 		t.Error("no rejection carried a counter-offer: the pricing loop was never compared")
+	}
+}
+
+// countingLPF is LPF counting its Rank calls.
+type countingLPF struct {
+	priority.LPF
+	calls *int
+}
+
+func (c countingLPF) Rank(w *workflow.Workflow) ([]int, error) {
+	*c.calls++
+	return c.LPF.Rank(w)
+}
+
+// TestPlanRanksReused drives two pipelines side by side over the reference
+// corpora, one ruling with no plan and one handed a plan per workflow, as the
+// simulators and trackers hand them: rulings and audit logs must be equal
+// entry for entry. A plan made under the pipeline's policy supplies the
+// ranks, so that pipeline never ranks; a plan made under another policy (its
+// ranks reversed here, so that using them would show) is ignored.
+func TestPlanRanksReused(t *testing.T) {
+	type event struct {
+		w        *workflow.Workflow
+		complete bool
+	}
+	for _, foreign := range []bool{false, true} {
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, corpus := range []string{"smoke", "front-door"} {
+				var flows []*workflow.Workflow
+				var cfg Config
+				if corpus == "smoke" {
+					flows, cfg = smokeCorpus(seed)
+				} else {
+					flows, cfg = frontDoorCorpus(t, seed)
+				}
+				plans := map[*workflow.Workflow]*plan.Plan{}
+				for _, w := range flows {
+					p, err := plan.GenerateCappedTyped(w, cfg.Cluster, priority.LPF{}, 0.85)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if foreign {
+						p = p.Clone()
+						p.Policy = "MPF"
+						for j := range p.Ranks {
+							p.Ranks[j] = len(p.Ranks) - 1 - p.Ranks[j]
+						}
+					}
+					plans[w] = p
+				}
+				var bareRanks, plannedRanks int
+				cfg.Policy = countingLPF{calls: &bareRanks}
+				bare, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Policy = countingLPF{calls: &plannedRanks}
+				planned, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("%s seed %d foreign=%v", corpus, seed, foreign)
+				rng := rand.New(rand.NewSource(seed))
+				var q simtime.Queue[event]
+				for _, w := range flows {
+					q.Push(w.Release, event{w: w})
+				}
+				for q.Len() > 0 {
+					at, e, _ := q.Pop()
+					if e.complete {
+						bare.Complete(e.w, at)
+						planned.Complete(e.w, at)
+						continue
+					}
+					got, want := planned.Decide(e.w, plans[e.w], at), bare.Decide(e.w, nil, at)
+					if got != want {
+						t.Fatalf("%s: %s at %v ruled %+v with its plan, %+v without", what, e.w.Name, at, got, want)
+					}
+					switch got.Verdict {
+					case Admit:
+						span := float64(e.w.Deadline.Sub(at)) * (0.33 + 0.87*rng.Float64())
+						q.Push(at.Add(time.Duration(span)), event{w: e.w, complete: true})
+					case Defer:
+						q.Push(got.RetryAt, event{w: e.w})
+					}
+				}
+				got, want := planned.(*pipeline).Records(), bare.(*pipeline).Records()
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d records with plans, %d without", what, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s: record %d = %+v with plans, %+v without", what, i, got[i], want[i])
+					}
+				}
+				if bareRanks == 0 {
+					t.Fatalf("%s: no ruling ranked a workflow: the comparison never reached the feasibility stage", what)
+				}
+				if wantRanks := map[bool]int{false: 0, true: bareRanks}[foreign]; plannedRanks != wantRanks {
+					t.Errorf("%s: the pipeline with plans ranked %d times, want %d (%d without plans)", what, plannedRanks, wantRanks, bareRanks)
+				}
+			}
+		}
 	}
 }
 

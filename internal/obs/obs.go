@@ -33,7 +33,7 @@ type Obs struct {
 	WorkflowsCompleted   *Counter       `metric:"woha_workflows_completed_total" help:"Workflows fully completed."`
 	DeadlinesMissed      *Counter       `metric:"woha_workflows_deadline_missed_total" help:"Workflows that completed after their deadline."`
 	QueueWorkflows       *Gauge         `metric:"woha_queue_workflows" help:"Workflows currently live in the scheduler."`
-	PlanIters            *Histogram     `metric:"woha_plan_search_iterations" buckets:"iter" help:"Generate invocations per capped plan binary search."`
+	PlanIters            *Histogram     `metric:"woha_plan_search_iterations" buckets:"iter" help:"Cap-search questions per capped plan, the whole-cluster question included."`
 	PlansGenerated       *Counter       `metric:"woha_plans_generated_total" help:"Scheduling plans generated."`
 	Decisions            Vec[Histogram] `metric:"woha_scheduler_decision_seconds" labels:"policy" buckets:"duration" help:"Wall-clock latency of one NextTask scheduling decision."`
 	BuildInfo            *Gauge         `metric:"woha_build_info" labels:"version,go_version" help:"Build metadata of the exporting binary; the value is always 1."`
@@ -313,12 +313,14 @@ type PlannerStats struct {
 	CacheHits      *Counter `metric:"woha_planner_cache_hits_total" help:"Planner structural-cache hits."`
 	CacheMisses    *Counter `metric:"woha_planner_cache_misses_total" help:"Planner structural-cache misses."`
 	CacheEvictions *Counter `metric:"woha_planner_cache_evictions_total" help:"Plans evicted from the planner cache (LRU)."`
-	// Probes counts Algorithm 1 simulations executed by cap searches;
-	// ProbesCut counts those that stopped at the search target instead of
-	// simulating to completion (the probes whose cap missed it).
-	Probes    *Counter   `metric:"woha_planner_probes_total" help:"Algorithm 1 simulations executed by planner cap searches."`
-	ProbesCut *Counter   `metric:"woha_planner_probes_cut_total" help:"Executed probes that stopped at the search target instead of simulating to completion."`
-	PlanDur   *Histogram `metric:"woha_planner_plan_duration_seconds" buckets:"duration" help:"Wall-clock latency of one planner request."`
+	// Probes counts the questions cap searches asked (Plan.SearchIters),
+	// ProbesCut those answered "no" (the caps that missed the search target),
+	// and Simulations the Algorithm 1 runs executed to answer them: the
+	// search answers what it can from makespan bounds.
+	Probes      *Counter   `metric:"woha_planner_probes_total" help:"Cap-search questions asked by planner cap searches, the whole-cluster question included."`
+	ProbesCut   *Counter   `metric:"woha_planner_probes_cut_total" help:"Cap-search questions answered no: the cap missed the search target, by a run stopped there or by the lower bound."`
+	Simulations *Counter   `metric:"woha_planner_simulations_total" help:"Algorithm 1 simulations executed by planner cap searches."`
+	PlanDur     *Histogram `metric:"woha_planner_plan_duration_seconds" buckets:"duration" help:"Wall-clock latency of one planner request."`
 	// Inflight and Coalesced are the singleflight leaders and waiters.
 	Inflight  *Gauge   `metric:"woha_planner_inflight" help:"Plan generations currently in flight."`
 	Coalesced *Counter `metric:"woha_planner_coalesced_total" help:"Plan requests served by waiting on a concurrent same-key generation."`

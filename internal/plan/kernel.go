@@ -42,9 +42,18 @@ type Kernel struct {
 	startJobs []jobRun
 	roots     []workflow.JobID
 
-	// Per-run state.
+	// What the makespan bounds read, set by bind: whether the job table is
+	// one they hold for (valid and a DAG), the task work each pool carries,
+	// and a per-job scratch for the chain bound.
+	bounded          bool
+	mapWork, redWork time.Duration
+	chain            []time.Duration
+
+	// Per-run state. won holds the raw list of a search's best recorded run:
+	// a recorded run that meets its limit swaps its list in.
 	jobs []jobRun
 	raw  []rawReq
+	won  []rawReq
 	// active holds ready jobs sorted by ascending rank (ranks are a
 	// permutation, so the order is total and deterministic).
 	active []workflow.JobID
@@ -90,8 +99,13 @@ func (k *Kernel) bind(w *workflow.Workflow, ranks []int) error {
 	}
 	k.w, k.c, k.ranks = w, w.Compiled(), ranks
 	k.startJobs, k.roots = k.startJobs[:0], k.roots[:0]
+	k.bounded = k.c.JobsErr() == nil
+	k.mapWork, k.redWork = 0, 0
+	k.chain = resize(k.chain, len(w.Jobs))
 	for i := range w.Jobs {
 		j := &w.Jobs[i]
+		k.mapWork += time.Duration(j.Maps) * j.MapTime
+		k.redWork += time.Duration(j.Reduces) * j.ReduceTime
 		k.startJobs = append(k.startJobs, jobRun{
 			maps: j.Maps, reduces: j.Reduces,
 			mapTime: j.MapTime, reduceTime: j.ReduceTime,
@@ -340,6 +354,66 @@ func (k *Kernel) siftDue() {
 	}
 }
 
+// bounds brackets the makespan of a run on pools, maps drawing on pools[0]
+// and reduces on pools[red] as in run, without simulating and without
+// allocating. ok is false when the bounds do not hold: a job table that is
+// invalid or not a DAG, or a pool the workflow needs left empty (run refuses
+// it).
+//
+// lower is the larger of two bounds every schedule obeys (arXiv
+// 1711.09964). A pool of s slots serves its work w no faster than w/s. And no
+// phase of t tasks of duration d finishes in less than ⌈t/s⌉·d after it
+// starts: at most s of its tasks run at once, so they pack onto s slots one
+// after another and some slot runs ⌈t/s⌉ of them; a job's reduces wait for
+// its maps and its maps for its prerequisites, so these wave times add up
+// along every chain of jobs.
+//
+// upper is Graham's bound for the work-conserving scan: the critical path
+// plus ⌈w/s⌉ for each pool. Walk back from the batch that finishes last:
+// each task on the way became ready when the one before it finished (the
+// job's last map, or a prerequisite's last task), and waited only while the
+// scan found its pool full. The tasks' own durations follow one chain of the
+// DAG, at most the critical path; the waits are disjoint instants at which
+// some pool had all s slots busy, at most w/s of them per pool.
+func (k *Kernel) bounds(pools [2]int, red int) (lower, upper time.Duration, ok bool) {
+	if !k.bounded || pools[0] < 0 || pools[red] < 0 {
+		return 0, 0, false
+	}
+	work := [2]time.Duration{k.mapWork, 0}
+	work[red] += k.redWork
+	for p := 0; p <= red; p++ {
+		if work[p] == 0 {
+			continue
+		}
+		if pools[p] <= 0 {
+			return 0, 0, false
+		}
+		w := (work[p] + time.Duration(pools[p]) - 1) / time.Duration(pools[p])
+		lower = max(lower, w)
+		upper += w
+	}
+	upper += k.c.CriticalPath
+	// The chain bound, settled dependents first.
+	maps, reds := pools[0], pools[red]
+	for i := len(k.c.Topo) - 1; i >= 0; i-- {
+		j := k.c.Topo[i]
+		var after time.Duration
+		for _, d := range k.c.DependentsOf(j) {
+			after = max(after, k.chain[d])
+		}
+		job := &k.w.Jobs[j]
+		if job.Maps > 0 {
+			after += time.Duration((job.Maps+maps-1)/maps) * job.MapTime
+		}
+		if job.Reduces > 0 {
+			after += time.Duration((job.Reduces+reds-1)/reds) * job.ReduceTime
+		}
+		k.chain[j] = after
+		lower = max(lower, after)
+	}
+	return lower, upper, true
+}
+
 // unfinished is the error of a run that went to completion with tasks left
 // over. With the pools checked up front only a workflow that is not a DAG
 // gets here.
@@ -351,85 +425,9 @@ func (k *Kernel) unfinished() error {
 	return fmt.Errorf("plan: job %q never fully scheduled (internal error: unmet prerequisites)", k.w.Jobs[i].Name)
 }
 
-// Schedule is what one recorded run leaves behind: the raw requirement list
-// (when each task batch was scheduled) and the makespan. It is the hand-off
-// between a probe and the cap search — a probe that meets the target swaps
-// its list into the search's Schedule — and assemble turns the one that wins
-// into the Plan. Opaque outside this package; the zero value is ready to use.
-type Schedule struct {
-	raw      []rawReq
-	makespan time.Duration
-}
-
 type rawReq struct {
 	at    simtime.Time
 	count int
-}
-
-// cappedSearch is the state of one capped generation: the kernel bound to
-// its workflow, the schedule of the best cap so far, and the cut count.
-// Pooled, so the schedule buffer and the probe closure are reused.
-type cappedSearch struct {
-	w       *workflow.Workflow
-	ranks   []int
-	typed   bool
-	cluster Caps // typed only: the pools a total cap is sliced from
-	target  time.Duration
-	// atTarget is s.probeAtTarget, built once per pooled object.
-	atTarget Probe
-	best     Schedule
-	k        *Kernel // bound by the first probe
-	cut      int
-}
-
-var searchPool = sync.Pool{New: func() any {
-	s := new(cappedSearch)
-	s.atTarget = s.probeAtTarget
-	return s
-}}
-
-// release unbinds the kernel and returns s to the pool.
-func (s *cappedSearch) release() {
-	if s.k != nil {
-		s.k.Release()
-	}
-	s.w, s.ranks, s.k, s.cut = nil, nil, nil, 0
-	searchPool.Put(s)
-}
-
-func (s *cappedSearch) probeAtTarget(cap int, keep *Schedule) (bool, error) {
-	return s.probe(cap, s.target, keep)
-}
-
-// probe runs one recorded simulation at total cap, stopping at limit. When
-// the makespan is within limit the run's schedule is swapped into keep.
-func (s *cappedSearch) probe(cap int, limit time.Duration, keep *Schedule) (bool, error) {
-	if s.k == nil {
-		k, err := Bind(s.w, s.ranks)
-		if err != nil {
-			return false, err
-		}
-		s.k = k
-	}
-	k := s.k
-	var end simtime.Time
-	var within bool
-	var err error
-	if s.typed {
-		end, within, err = k.runTyped(TypedCapsFor(s.cluster, cap), simtime.Epoch.Add(limit), true)
-	} else {
-		end, within, err = k.runSingle(cap, simtime.Epoch.Add(limit), true)
-	}
-	if err != nil {
-		return false, err
-	}
-	if within {
-		k.raw, keep.raw = keep.raw, k.raw
-		keep.makespan = end.Duration()
-	} else {
-		s.cut++
-	}
-	return within, nil
 }
 
 // resize returns s with length n, reusing its backing array when possible.

@@ -231,7 +231,8 @@ func TestMakespanLowerBounds(t *testing.T) {
 }
 
 // TestKernelProbeAllocs pins the point of the kernel: once bound and warm, a
-// probe — limited or not, either simulator — allocates nothing.
+// probe — limited or not, either simulator, or answered from the makespan
+// bounds — allocates nothing, and neither does a whole unrecorded search.
 func TestKernelProbeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime inflates allocation counts; pin holds in regular builds")
@@ -260,6 +261,14 @@ func TestKernelProbeAllocs(t *testing.T) {
 		{"typed cut", func() (time.Duration, bool, error) { return k.MakespanTyped(caps, full/2) }},
 		{"single unlimited", func() (time.Duration, bool, error) { return k.Makespan(45, Unlimited) }},
 		{"single cut", func() (time.Duration, bool, error) { return k.Makespan(45, full/2) }},
+		{"bound-decided", func() (time.Duration, bool, error) {
+			lower, _, ok := k.BoundsTyped(caps)
+			return lower, ok, nil
+		}},
+		{"typed search", func() (time.Duration, bool, error) {
+			s, err := k.Search(Ladder{Lo: 2, Hi: caps.Total(), Typed: true, Cluster: caps}, 0.85, 2*full)
+			return s.Makespan, s.Cap > 0, err
+		}},
 	} {
 		if _, _, err := tc.probe(); err != nil { // warm this simulator's buffers
 			t.Fatal(err)

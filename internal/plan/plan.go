@@ -21,19 +21,22 @@
 // the smallest resource cap under which the simulated makespan still meets
 // the deadline and builds the plan at that cap.
 //
-// The search only ever asks a probe one question — does the makespan at this
-// cap meet the target? — so there is one simulator, the Kernel, built to
-// answer exactly that. A kernel is bound once to a (workflow, ranks) pair
-// (the dependent adjacency is the workflow's compiled one), every run takes
-// a limit and stops at the first task batch that finishes past it, and a run
-// records at most the raw requirement list, never a Plan. The capped
-// generators bind one kernel per search, keep the raw list of the best cap so
-// far in one buffer, and assemble a Plan once, for the cap that wins; Generate
-// and GenerateTyped are "bind, run unlimited, assemble". Callers that need
-// makespans and no plan (admission's feasibility stage, deadline assignment)
-// hold a Kernel themselves. Kernels are pooled with every buffer they use, so
-// repeated probes allocate nothing. internal/planner builds on this with a
-// structural plan cache that coalesces concurrent requests.
+// The search only ever asks one question of a cap — does the makespan there
+// meet the target? — so there is one simulator, the Kernel, built to answer
+// exactly that. A kernel is bound once to a (workflow, ranks) pair (the
+// dependent adjacency is the workflow's compiled one), every run takes a
+// limit and stops at the first task batch that finishes past it, and a run
+// records at most the raw requirement list, never a Plan. The cap search,
+// Kernel.Search, answers a question from makespan bounds when they settle it
+// and simulates the rest, and the winning cap once if a bound chose it. The
+// capped generators run it recording, keep the raw list of the best cap so
+// far in one buffer, and assemble a Plan once, for the cap that wins;
+// Generate and GenerateTyped are "bind, run unlimited, assemble".
+// Admission's feasibility stage runs the same search unrecorded, and callers
+// that need makespans and no plan (deadline assignment) hold a Kernel
+// themselves. Kernels are pooled with every buffer they use, so repeated
+// probes allocate nothing. internal/planner builds on this with a structural
+// plan cache that coalesces concurrent requests.
 package plan
 
 import (
@@ -78,16 +81,22 @@ type Plan struct {
 	Feasible bool
 	// TotalTasks is the workflow's task count; equals the last Req's Cum.
 	TotalTasks int
-	// SearchIters counts the Algorithm 1 simulations run to produce this
-	// plan: 1 for a direct Generate, 1 + the probe count for the capped
-	// generators (the Fig 2 cost accounting). A plan served from a cache
+	// SearchIters counts the questions the cap search asked to produce this
+	// plan: 1 for a direct Generate, 1 + the bisection's steps for the capped
+	// generators, the whole-cluster question counted whether or not it was
+	// simulated (the Fig 2 cost accounting). A plan served from a cache
 	// reports 0. Diagnostic only; not part of the encoded plan.
 	SearchIters int
-	// ProbesCut counts how many of those simulations stopped at the search
-	// target instead of running to completion — the probes whose makespan
-	// missed it. 0 for a direct Generate and for a plan served from a cache.
-	// Diagnostic only; not part of the encoded plan.
+	// ProbesCut counts the bisection steps answered "no" — the caps whose
+	// makespan missed the search target, shown by a run stopped there or by
+	// the lower bound. 0 for a direct Generate and for a plan served from a
+	// cache. Diagnostic only; not part of the encoded plan.
 	ProbesCut int
+	// Simulations counts the Algorithm 1 runs actually executed: 1 for a
+	// direct Generate, at most SearchIters for the capped generators, whose
+	// search answers what it can from makespan bounds. 0 for a plan served
+	// from a cache. Diagnostic only; not part of the encoded plan.
+	Simulations int
 }
 
 // RequiredAt returns F(ttd): the number of tasks that must have been
@@ -167,6 +176,7 @@ func assemble(w *workflow.Workflow, policyName string, ranks []int, totalCap int
 		Feasible:    makespan <= w.RelativeDeadline(),
 		TotalTasks:  w.TotalTasks(),
 		SearchIters: 1,
+		Simulations: 1,
 	}
 	cum := 0
 	for _, r := range raw {
@@ -213,14 +223,13 @@ func GenerateCappedMargin(w *workflow.Workflow, clusterSlots int, pol priority.P
 	if clusterSlots <= 0 {
 		return nil, fmt.Errorf("plan: cluster has %d slots, want > 0", clusterSlots)
 	}
-	return generateCapped(w, pol, margin, false, Caps{}, 1, clusterSlots)
+	return generateCapped(w, pol, margin, Ladder{Lo: 1, Hi: clusterSlots})
 }
 
-// generateCapped is the cap search behind both capped generators: total caps
-// in [lo, hi] are probed on one bound kernel (typed caps are the proportional
-// slice of cluster), every probe below hi stops at the target, and only the
-// schedule that wins is assembled.
-func generateCapped(w *workflow.Workflow, pol priority.Policy, margin float64, typed bool, cluster Caps, lo, hi int) (*Plan, error) {
+// generateCapped is the cap search behind both capped generators: one kernel
+// searches l recording, and only the schedule of the cap that wins is
+// assembled.
+func generateCapped(w *workflow.Workflow, pol priority.Policy, margin float64, l Ladder) (*Plan, error) {
 	if margin <= 0 || margin > 1 {
 		return nil, fmt.Errorf("plan: margin %v, want (0, 1]", margin)
 	}
@@ -228,42 +237,22 @@ func generateCapped(w *workflow.Workflow, pol priority.Policy, margin float64, t
 	if err != nil {
 		return nil, fmt.Errorf("plan: ranking jobs: %w", err)
 	}
-	s := searchPool.Get().(*cappedSearch)
-	defer s.release()
-	s.w, s.ranks, s.typed, s.cluster = w, ranks, typed, cluster
-
-	// The whole cluster first, to completion: its makespan picks the target
-	// and its schedule is the plan when no smaller cap meets it.
-	if _, err := s.probe(hi, Unlimited, &s.best); err != nil {
-		return nil, err
-	}
-	deadline := w.RelativeDeadline()
-	s.target = time.Duration(margin * float64(deadline))
-	cap, probes := hi, 0
-	// A whole cluster that misses the margin target retries against the real
-	// deadline: a plan capped for the actual deadline demands far less than
-	// the full-cluster plan and keeps the workflow from poisoning the
-	// priority queue with an unearned maximal lag. Only a genuinely
-	// infeasible workflow keeps the best-effort full plan.
-	if full := s.best.makespan; full <= deadline {
-		if full > s.target {
-			s.target = deadline
-		}
-		best, n, err := SequentialSearch(lo, hi, s.atTarget, &s.best)
-		if err != nil {
-			return nil, err
-		}
-		if best != 0 {
-			cap = best
-		}
-		probes = n
-	}
-	p, err := assemble(w, pol.Name(), ranks, cap, s.best.makespan, s.best.raw)
+	k, err := Bind(w, ranks)
 	if err != nil {
 		return nil, err
 	}
-	p.SearchIters = 1 + probes
-	p.ProbesCut = s.cut
+	defer k.Release()
+	s, err := k.search(l, margin, w.RelativeDeadline(), true)
+	if err != nil {
+		return nil, err
+	}
+	p, err := assemble(w, pol.Name(), ranks, s.Cap, s.Makespan, k.won)
+	if err != nil {
+		return nil, err
+	}
+	p.SearchIters = 1 + s.Questions
+	p.ProbesCut = s.Cut
+	p.Simulations = s.Simulations
 	return p, nil
 }
 

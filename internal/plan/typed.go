@@ -85,7 +85,7 @@ func GenerateCappedTyped(w *workflow.Workflow, cluster Caps, pol priority.Policy
 	if cluster.Maps <= 0 || cluster.Reduces <= 0 {
 		return nil, fmt.Errorf("plan: bad cluster caps %+v", cluster)
 	}
-	return generateCapped(w, pol, margin, true, cluster, 2, cluster.Total())
+	return generateCapped(w, pol, margin, Ladder{Lo: 2, Hi: cluster.Total(), Typed: true, Cluster: cluster})
 }
 
 // checkCaps refuses pools the bound workflow cannot run on, before anything

@@ -109,7 +109,7 @@ func newPlanCache(max int, stats *obs.PlannerStats) *planCache {
 // read 0, since those requests ran no simulation.
 func shared(p *plan.Plan) *plan.Plan {
 	c := *p
-	c.SearchIters, c.ProbesCut = 0, 0
+	c.SearchIters, c.ProbesCut, c.Simulations = 0, 0, 0
 	return &c
 }
 
@@ -179,6 +179,7 @@ func (c *planCache) lead(e *cacheEntry, start time.Time, gen func() (*plan.Plan,
 			c.stats.OnPlan(time.Since(start), false)
 			c.stats.Probes.Add(int64(p.SearchIters))
 			c.stats.ProbesCut.Add(int64(p.ProbesCut))
+			c.stats.Simulations.Add(int64(p.Simulations))
 		}
 	}
 	e.err, completed = err, true

@@ -17,7 +17,7 @@
 // a plan served by the planner is byte-identical (per plan.Encode) to the
 // one the seed plan.GenerateCapped* call would build, which the
 // determinism tests in this package pin down. Every cap search is the
-// sequential bisection, plan.SequentialSearch; the planner's concurrency is
+// sequential bisection, plan.Kernel.Search; the planner's concurrency is
 // across workflows (PlanAll) and across clients.
 package planner
 

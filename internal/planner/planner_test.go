@@ -134,14 +134,16 @@ func TestCacheHitSkipsSimulation(t *testing.T) {
 	}
 }
 
-// TestProbesCutCounted pins the cut accounting: a cold search reports how
-// many of its simulations stopped at the target, the planner's counter adds
-// exactly that up, and a request served without simulating reports none.
+// TestProbesCutCounted pins the search accounting: a cold search reports how
+// many of its questions were answered "no" and how many simulations it ran
+// (at least one, the winner's or the whole cluster's, and never more than
+// it asked), the planner's counters add exactly those up, and a request
+// served without simulating reports none.
 func TestProbesCutCounted(t *testing.T) {
 	o := obs.New(obs.NewRegistry(), nil)
 	pl := New(Config{CacheSize: 256, Obs: o})
 	pol := priority.HLF{}
-	var cut, iters int
+	var cut, iters, sims int
 	for _, w := range corpus(t) {
 		cold, err := pl.Plan(w, testCluster, pol)
 		if err != nil {
@@ -150,14 +152,18 @@ func TestProbesCutCounted(t *testing.T) {
 		if cold.ProbesCut < 0 || cold.ProbesCut > cold.SearchIters-1 {
 			t.Errorf("%s: ProbesCut = %d with SearchIters = %d (the whole-cluster run is never cut)", w.Name, cold.ProbesCut, cold.SearchIters)
 		}
+		if cold.Simulations < 1 || cold.Simulations > cold.SearchIters {
+			t.Errorf("%s: Simulations = %d with SearchIters = %d, want 1 to SearchIters", w.Name, cold.Simulations, cold.SearchIters)
+		}
 		cut += cold.ProbesCut
 		iters += cold.SearchIters
+		sims += cold.Simulations
 		warm, err := pl.Plan(w, testCluster, pol)
 		if err != nil {
 			t.Fatalf("Plan (warm): %v", err)
 		}
-		if warm.ProbesCut != 0 {
-			t.Errorf("%s: warm plan ProbesCut = %d, want 0 (no simulations ran)", w.Name, warm.ProbesCut)
+		if warm.ProbesCut != 0 || warm.Simulations != 0 {
+			t.Errorf("%s: warm plan ProbesCut = %d, Simulations = %d, want 0 (no simulations ran)", w.Name, warm.ProbesCut, warm.Simulations)
 		}
 	}
 	if cut == 0 {
@@ -170,7 +176,10 @@ func TestProbesCutCounted(t *testing.T) {
 	if got := st.Probes.Value(); got != int64(iters) {
 		t.Errorf("Probes counter = %d, want %d", got, iters)
 	}
-	t.Logf("%d of %d simulations stopped at the target", cut, iters)
+	if got := st.Simulations.Value(); got != int64(sims) {
+		t.Errorf("Simulations counter = %d, want %d (the cold searches' runs)", got, sims)
+	}
+	t.Logf("%d of %d questions answered no; %d simulated", cut, iters, sims)
 }
 
 // TestCacheKeyIsStructural checks both directions of the key: a renamed,

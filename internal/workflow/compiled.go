@@ -66,6 +66,11 @@ type Compiled struct {
 // or ErrCycle); nil when they are filled.
 func (c *Compiled) Err() error { return c.dagErr }
 
+// JobsErr is the verdict on the job table and its acyclicity: every check
+// of Validate except the deadline. nil means every job has tasks, every task
+// count a positive duration and the graph is a DAG.
+func (c *Compiled) JobsErr() error { return c.err }
+
 // DependentsOf returns the jobs that list j as a prerequisite (the set D_i^j
 // of Section IV-A), ascending.
 func (c *Compiled) DependentsOf(j JobID) []JobID {
