@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify ci fmt-check race-smoke alloc-pins fuzz-smoke postmortem-smoke admission-smoke federation-smoke bench-smoke bench-ab mutex-smoke examples-smoke cli-smoke
+.PHONY: build test vet race verify ci fmt-check race-smoke alloc-pins fuzz-smoke postmortem-smoke admission-smoke federation-smoke bench-smoke bench-ab mutex-smoke examples-smoke cli-smoke loc
 
 build:
 	$(GO) build ./...
@@ -133,6 +133,14 @@ WORKLOAD ?= plan_mix
 PAIRS ?= 10
 bench-ab:
 	$(GO) run ./cmd/benchab -rev $(REV) -workload $(WORKLOAD) -pairs $(PAIRS)
+
+# Counts non-test Go lines per top-level directory ("." is the repo root's
+# own files) and in total: every .go file except _test.go files and the
+# test-only internal/oracle package, the count ROADMAP.md quotes.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './internal/oracle/*' ! -path './.git/*' -exec awk ' \
+		{ split(FILENAME, p, "/"); n[p[3] == "" ? "." : p[2]]++; t++ } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }' {} +
 
 # Runs every program under examples/ at full size, discarding its output;
 # the first non-zero exit fails the target. Each takes 1-3 s, compile

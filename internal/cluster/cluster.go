@@ -186,10 +186,10 @@ type WorkflowState struct {
 
 	// schedCnt counts, per slot type, the jobs currently able to start a
 	// task; schedJobs is the matching bitset over job IDs. Both exist only
-	// when the owning control plane opted in via EnableSchedIndex and calls
-	// RefreshJob after every JobState counter mutation; otherwise
-	// Schedulable falls back to the per-job scan. The frozen refsim oracle
-	// never opts in, so its behaviour is untouched by construction.
+	// when the owning control plane opted in via EnableSchedIndex; the
+	// transitions (state.go) keep them current. Otherwise Schedulable falls
+	// back to the per-job scan. The frozen refsim oracle never opts in, so
+	// its behaviour is untouched by construction.
 	schedCnt  [2]int32
 	schedJobs [2][]uint64
 }
@@ -229,7 +229,8 @@ func initWorkflowState(ws *WorkflowState, jobs []JobState, index int, w *workflo
 }
 
 // TaskDone consumes one finished task and returns how many remain; zero
-// means this completion finished the workflow. Call exactly once per task
+// means this completion finished the workflow. FinishTask calls it; a control
+// plane that books completions itself calls it exactly once per task
 // completion, under whatever synchronization guards ws — the counter makes
 // workflow-finish detection O(1) instead of a scan over every job.
 func (ws *WorkflowState) TaskDone() int {
@@ -258,10 +259,10 @@ func (ws *WorkflowState) Schedulable(st SlotType) bool {
 // EnableSchedIndex activates the per-slot-type schedulable index over the
 // given bitset storage (nil allocates; otherwise words must hold at least
 // 2 × ⌈len(Jobs)/64⌉ entries — the simulator passes arena-carved storage so
-// steady-state submission stays allocation-free). The control plane that
-// enables the index owns its maintenance: RefreshJob must be called after
-// every mutation of a job's Ready flag or pending/running counters, before
-// any policy consults the workflow.
+// steady-state submission stays allocation-free). The transitions (StartTask,
+// FinishTask, RequeueTask, ActivateJob) maintain the index; a control plane
+// that writes a job's Ready flag or pending/running counters itself must call
+// RefreshJob after each write, before any policy consults the workflow.
 func (ws *WorkflowState) EnableSchedIndex(words []uint64) {
 	n := (len(ws.Jobs) + 63) / 64
 	if words == nil {
@@ -280,7 +281,9 @@ func (ws *WorkflowState) EnableSchedIndex(words []uint64) {
 
 // RefreshJob reconciles the schedulable index with job's current state. It
 // is idempotent and state-based, so callers may refresh conservatively; a
-// no-op when the index is not enabled.
+// no-op when the index is not enabled. Every transition ends with it; only a
+// control plane that writes JobState itself, as the live tracker's test
+// referee does, calls it directly.
 func (ws *WorkflowState) RefreshJob(job workflow.JobID) {
 	if ws.schedJobs[MapSlot] == nil {
 		return

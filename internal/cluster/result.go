@@ -68,26 +68,7 @@ func (s *Simulator) result() *Result {
 		r.Workflows = make([]WorkflowResult, 0, n)
 	}
 	for _, ws := range s.states {
-		wr := WorkflowResult{
-			Name:     ws.Spec.Name,
-			Index:    ws.Index,
-			Release:  ws.Spec.Release,
-			Deadline: ws.Spec.Deadline,
-			Finish:   ws.FinishTime,
-		}
-		if ws.Rejected {
-			wr.Rejected = true
-			wr.RejectReason = ws.RejectReason
-			wr.CounterOffer = ws.CounterOffer
-			r.Workflows = append(r.Workflows, wr)
-			continue
-		}
-		wr.Workspan = wr.Finish.Sub(wr.Release)
-		if wr.Finish > wr.Deadline {
-			wr.Tardiness = wr.Finish.Sub(wr.Deadline)
-		}
-		wr.Met = wr.Tardiness == 0
-		r.Workflows = append(r.Workflows, wr)
+		r.Workflows = append(r.Workflows, ws.Outcome())
 	}
 	return r
 }

@@ -433,8 +433,8 @@ func (s *Simulator) flushRunMetrics() {
 }
 
 // SetAdmission installs the admission front door consulted when each
-// workflow's release time arrives. Call before Run; nil (the default) keeps
-// the unconditional-admit fast path with zero added work per arrival.
+// workflow's release time arrives. Call before Run; nil (the default) admits
+// every arrival at the cost of one nil check (WorkflowState.Rule).
 func (s *Simulator) SetAdmission(ctrl admission.Controller) {
 	s.adm = ctrl
 }
@@ -496,41 +496,31 @@ func (s *Simulator) Run() (*Result, error) {
 
 func (s *Simulator) arrive(wf int) {
 	ws := s.states[wf]
-	if s.adm != nil {
-		switch d := s.adm.Decide(ws.Spec, ws.Plan, s.now); d.Verdict {
-		case admission.Defer:
-			// Re-arrive at the retry instant. The consumed head of the
-			// arrival-time multiset is replaced by the retry time and bubbled
-			// to its sorted position, so heartbeat skip-ahead still sees the
-			// earliest pending arrival; arrIdx and arrivalsLeft are untouched
-			// (the workflow is neither live nor resolved).
-			retry := d.RetryAt
-			if retry <= s.now {
-				retry = s.now + 1
-			}
-			s.push(retry, event{kind: evArrival, a: int32(wf)})
-			i := s.arrIdx
-			s.arrivalTimes[i] = retry
-			for i+1 < len(s.arrivalTimes) && s.arrivalTimes[i+1] < s.arrivalTimes[i] {
-				s.arrivalTimes[i], s.arrivalTimes[i+1] = s.arrivalTimes[i+1], s.arrivalTimes[i]
-				i++
-			}
-			return
-		case admission.Reject:
-			// Resolved without ever reaching the policy: mark it done so the
-			// run drains normally and the result carries the refusal.
-			s.arrivalsLeft--
-			s.arrIdx++
-			ws.Rejected = true
-			ws.RejectReason = d.Reason
-			ws.CounterOffer = d.CounterOffer
-			ws.Done = true
-			s.doneCount++
-			s.load.ActiveWorkflows--
-			s.load.PendingTasks -= ws.remaining
-			s.load.Backlog -= ws.Spec.SerialWork()
-			return
+	switch v, retry := ws.Rule(s.adm, s.now); v {
+	case admission.Defer:
+		// Re-arrive at the retry instant. The consumed head of the
+		// arrival-time multiset is replaced by the retry time and bubbled to
+		// its sorted position, so heartbeat skip-ahead still sees the
+		// earliest pending arrival; arrIdx and arrivalsLeft are untouched
+		// (the workflow is neither live nor resolved).
+		s.push(retry, event{kind: evArrival, a: int32(wf)})
+		i := s.arrIdx
+		s.arrivalTimes[i] = retry
+		for i+1 < len(s.arrivalTimes) && s.arrivalTimes[i+1] < s.arrivalTimes[i] {
+			s.arrivalTimes[i], s.arrivalTimes[i+1] = s.arrivalTimes[i+1], s.arrivalTimes[i]
+			i++
 		}
+		return
+	case admission.Reject:
+		// Resolved without ever reaching the policy: the run drains
+		// normally and the result carries the refusal.
+		s.arrivalsLeft--
+		s.arrIdx++
+		s.doneCount++
+		s.load.ActiveWorkflows--
+		s.load.PendingTasks -= ws.remaining
+		s.load.Backlog -= ws.Spec.SerialWork()
+		return
 	}
 	s.arrivalsLeft--
 	s.arrIdx++
@@ -563,14 +553,11 @@ func (s *Simulator) activate(wf int, job workflow.JobID) {
 
 func (s *Simulator) activateNow(wf int, job workflow.JobID) {
 	ws := s.states[wf]
-	js := &ws.Jobs[job]
-	js.Ready = true
-	js.ActivatedAt = s.now
-	ws.RefreshJob(job)
+	ws.ActivateJob(job, s.now)
 	s.ins.JobActivated(s.now, wf, int(job))
 	s.pol.JobActivated(ws, job, s.now)
 	for st := MapSlot; st <= ReduceSlot; st++ {
-		if js.Schedulable(st) {
+		if ws.Jobs[job].Schedulable(st) {
 			s.newWork(st)
 		}
 	}
@@ -593,42 +580,27 @@ func (s *Simulator) complete(h int32, gen uint32) {
 		s.killAttempt(twin)
 	}
 	ws := s.states[wf]
-	js := &ws.Jobs[job]
-	if st == MapSlot {
-		js.RunningMaps--
-		js.DoneMaps++
-	} else {
-		js.RunningReduces--
-		js.DoneReduces++
-	}
-	ws.RefreshJob(job)
-	ws.RunningTasks--
+	reducesReady, done := ws.FinishTask(job, st, s.now)
 	s.load.RunningTasks--
-	left := ws.TaskDone()
+	if done {
+		// Counted out before the observer reads the load view: ws.Done is set.
+		s.doneCount++
+		s.load.ActiveWorkflows--
+	}
 	s.ins.TaskCompleted(s.now, wf, int(job), int(st), node)
 	if s.obs != nil {
 		s.obs.TaskFinished(s.now, ws, job, st)
 	}
-	if st == MapSlot && js.MapsDone() && js.PendingReduces > 0 {
+	if reducesReady {
 		if rp, ok := s.pol.(ReducePhasePolicy); ok {
 			rp.ReducesReady(ws, job, s.now)
 		}
 		s.newWork(ReduceSlot)
 	}
-	if js.Completed() {
-		s.jobCompleted(ws, job)
-	}
-	if left == 0 && !ws.Done {
-		ws.Done = true
-		ws.FinishTime = s.now
-		s.doneCount++
-		s.load.ActiveWorkflows--
+	ws.ReadyDependents(job, func(d workflow.JobID) { s.scheduleActivation(wf, d) })
+	if done {
 		if s.ins != nil {
-			var tardiness time.Duration
-			if s.now > ws.Spec.Deadline {
-				tardiness = s.now.Sub(ws.Spec.Deadline)
-			}
-			s.ins.WorkflowCompleted(s.now, ws.Index, ws.Spec.Name, tardiness)
+			s.ins.WorkflowCompleted(s.now, ws.Index, ws.Spec.Name, ws.Outcome().Tardiness)
 		}
 		s.pol.WorkflowCompleted(ws, s.now)
 		if s.adm != nil {
@@ -644,16 +616,6 @@ func (s *Simulator) complete(h int32, gen uint32) {
 	s.wakeNode(node)
 	s.wakeIfSpeculating()
 	s.dispatchAll()
-}
-
-func (s *Simulator) jobCompleted(ws *WorkflowState, job workflow.JobID) {
-	for _, d := range ws.Spec.DependentsOf(job) {
-		dj := &ws.Jobs[d]
-		dj.unmet--
-		if dj.unmet == 0 {
-			s.scheduleActivation(ws.Index, d)
-		}
-	}
 }
 
 func (s *Simulator) heartbeat(node int) {
@@ -1087,19 +1049,7 @@ func (s *Simulator) fail(nodeIdx int) {
 			h = next
 			continue // the original attempt still runs the task
 		}
-		js := &ws.Jobs[job]
-		if st == MapSlot {
-			js.RunningMaps--
-			js.PendingMaps++
-			s.load.Backlog += ws.Spec.Jobs[job].MapTime
-		} else {
-			js.RunningReduces--
-			js.PendingReduces++
-			s.load.Backlog += ws.Spec.Jobs[job].ReduceTime
-		}
-		ws.RefreshJob(job)
-		ws.RunningTasks--
-		ws.ScheduledTasks--
+		s.load.Backlog += ws.RequeueTask(job, st)
 		s.load.RunningTasks--
 		s.load.PendingTasks++
 		if rq, ok := s.pol.(RequeuePolicy); ok {
@@ -1204,28 +1154,14 @@ func (s *Simulator) offer(node int, st SlotType) bool {
 		s.noWork[st] = true
 		return false
 	}
-	js := &ws.Jobs[job]
-	if !js.Schedulable(st) {
+	if !ws.Jobs[job].Schedulable(st) {
 		// A policy bug; fail loudly rather than corrupting counts.
 		panic(fmt.Sprintf("cluster: policy %s returned non-schedulable job %d of workflow %q for %v slot",
 			s.pol.Name(), job, ws.Spec.Name, st))
 	}
-	spec := &ws.Spec.Jobs[job]
-	var base time.Duration
-	if st == MapSlot {
-		js.PendingMaps--
-		js.RunningMaps++
-		base = spec.MapTime
-	} else {
-		js.PendingReduces--
-		js.RunningReduces++
-		base = spec.ReduceTime
-	}
-	ws.RefreshJob(job)
+	base := ws.StartTask(job, st)
 	dur := s.noisy(base)
 	s.takeSlot(node, st)
-	ws.ScheduledTasks++
-	ws.RunningTasks++
 	s.load.RunningTasks++
 	s.load.PendingTasks--
 	s.load.Backlog -= base

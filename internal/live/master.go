@@ -1,6 +1,8 @@
 package live
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,18 +32,19 @@ import (
 //     completions, then assignment — preferably on the core that served the
 //     last pass (the home claim), so the state stays in one core's cache.
 //
-// Under core.mu the policy, which is single-threaded by contract, is called
-// inline at each transition, in the order the single-mutex referee
-// (reference_test.go) calls it.
+// Under core.mu the combiner claims what has come due by each order's
+// instant, books the state transitions through cluster.WorkflowState's
+// methods — the ones the simulator books with — and calls the policy, which
+// is single-threaded by contract, inline at each of them, in the order the
+// simulator and the single-mutex referee (reference_test.go) call it.
 //
-// Lock order: core.mu, then the leaves defMu, rel.claim and the admission
-// controller; a leaf is never held while another lock is taken.
+// Lock order: core.mu, then the admission controller.
 type master struct {
 	// Read by every heartbeat, and once the clock has started written only
 	// when a release comes due or a deferral is ruled or retried.
 	clock atomic.Pointer[virtualClock]
 	rel   releaseIndex
-	// nextRetry caches the earliest deferred admission retry instant
+	// nextRetry mirrors the earliest deferred admission retry instant
 	// (MaxTime = none) so the heartbeat fast path checks pending retries
 	// with one atomic load, exactly like the release cursor.
 	nextRetry atomic.Int64
@@ -79,9 +82,9 @@ type master struct {
 	live      atomic.Bool
 
 	// adm is the admission front door (nil admits everything). deferred
-	// holds postponed decisions, guarded by defMu.
+	// holds postponed decisions in (retry instant, workflow index) order,
+	// guarded by core.mu.
 	adm      admission.Controller
-	defMu    sync.Mutex
 	deferred []deferredRelease
 
 	done chan struct{}
@@ -162,12 +165,9 @@ func (m *master) Heartbeat(hb Heartbeat) []Assignment {
 		t0 = time.Now()
 	}
 	now := clk.now()
-
-	due, retries := m.rel.due(now), m.dueRetries(now)
-	book := due != nil || retries != nil || len(hb.Completed) > 0
 	var out []Assignment
-	if book || m.assignable(hb) {
-		out = m.pipeline(hb, due, retries, now, clk)
+	if len(hb.Completed) > 0 || m.due(now) || m.assignable(hb) {
+		out = m.pipeline(hb, now, clk)
 	} else {
 		m.stats.OnFastPath()
 	}
@@ -190,27 +190,44 @@ func (m *master) assignable(hb Heartbeat) bool {
 // slot that schedulable work could fill then has no use for the current
 // instant — reading it (a time.Since) is the larger part of such a
 // heartbeat's cost — and, uninstrumented, nobody to report it to. Each
-// condition guards a reader of now: rel.due compares it with the next
-// release, dueRetries with the earliest retry. Two atomic loads.
+// condition guards a reader of now (due). Two atomic loads.
 func (m *master) idle() bool {
 	return m.rel.exhausted() && simtime.Time(m.nextRetry.Load()) == simtime.MaxTime
 }
 
-// applyReport books one report: due releases and deferred retries, ruled in
-// (decision instant, release-before-retry) merged order, matching the
-// simulator's event order, then the completions, grouped by contiguous
-// workflow runs. The caller holds core.mu.
-func (m *master) applyReport(due []int, retries []deferredRelease, completed []TaskID, tracker int, now simtime.Time) {
-	i, j := 0, 0
-	for i < len(due) || j < len(retries) {
-		if i < len(due) && (j >= len(retries) || m.wfs[due[i]].Spec.Release <= retries[j].at) {
-			m.rule(m.wfs[due[i]], now)
-			i++
-		} else {
-			m.rule(m.wfs[retries[j].wf], now)
-			j++
+// due reports whether a release or a deferred retry has come due by now:
+// two atomic loads. The combiner claims it (release).
+func (m *master) due(now simtime.Time) bool {
+	return m.rel.next() <= now || simtime.Time(m.nextRetry.Load()) <= now
+}
+
+// release rules on every submission whose decision instant has arrived by
+// now — fresh releases in (release time, index) order merged with deferred
+// retries in (retry instant, index) order, a release first at a tie — the
+// simulator's event order. The caller holds core.mu.
+func (m *master) release(now simtime.Time) {
+	for {
+		rel, ret := m.rel.next(), simtime.MaxTime
+		if len(m.deferred) > 0 {
+			ret = m.deferred[0].at
+		}
+		switch {
+		case rel <= now && rel <= ret:
+			m.rule(m.wfs[m.rel.pop()], now)
+		case ret <= now:
+			wf := m.deferred[0].wf
+			m.deferred = slices.Delete(m.deferred, 0, 1)
+			m.noteRetry()
+			m.rule(m.wfs[wf], now)
+		default:
+			return
 		}
 	}
+}
+
+// applyReport books one report's completions, grouped by contiguous
+// workflow runs. The caller holds core.mu.
+func (m *master) applyReport(completed []TaskID, tracker int, now simtime.Time) {
 	for i := 0; i < len(completed); {
 		wi := completed[i].Workflow
 		j := i + 1
@@ -225,30 +242,32 @@ func (m *master) applyReport(due []int, retries []deferredRelease, completed []T
 }
 
 // rule consults the admission front door for one due submission and applies
-// the verdict; with no controller every submission admits on the original
-// path. The caller holds core.mu; the controller synchronizes itself and
-// takes no tracker locks.
+// the verdict. The caller holds core.mu; the controller synchronizes itself
+// and takes no tracker locks.
 func (m *master) rule(ws *cluster.WorkflowState, now simtime.Time) {
-	if m.adm == nil {
-		m.admit(ws, now)
-		return
-	}
-	switch d := m.adm.Decide(ws.Spec, ws.Plan, now); d.Verdict {
+	switch v, retry := ws.Rule(m.adm, now); v {
 	case admission.Defer:
-		retry := d.RetryAt
-		if retry <= now {
-			retry = now + 1
-		}
-		m.addDeferred(deferredRelease{wf: ws.Index, at: retry})
+		d := deferredRelease{wf: ws.Index, at: retry}
+		i, _ := slices.BinarySearchFunc(m.deferred, d, func(a, b deferredRelease) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.wf, b.wf))
+		})
+		m.deferred = slices.Insert(m.deferred, i, d)
+		m.noteRetry()
 	case admission.Reject:
-		ws.Rejected = true
-		ws.RejectReason = d.Reason
-		ws.CounterOffer = d.CounterOffer
-		ws.Done = true
 		m.retire()
 	default:
 		m.admit(ws, now)
 	}
+}
+
+// noteRetry publishes the earliest deferred retry instant to the fast path.
+// The caller holds core.mu.
+func (m *master) noteRetry() {
+	next := simtime.MaxTime
+	if len(m.deferred) > 0 {
+		next = m.deferred[0].at
+	}
+	m.nextRetry.Store(int64(next))
 }
 
 // retire counts one workflow as finished, rejected or completed; the last
@@ -259,107 +278,38 @@ func (m *master) retire() {
 	}
 }
 
-// addDeferred queues one postponed decision and lowers the fast-path retry
-// hint. defMu is a leaf lock.
-func (m *master) addDeferred(d deferredRelease) {
-	m.defMu.Lock()
-	m.deferred = append(m.deferred, d)
-	if simtime.Time(m.nextRetry.Load()) > d.at {
-		m.nextRetry.Store(int64(d.at))
-	}
-	m.defMu.Unlock()
-}
-
-// dueRetries claims every deferred decision whose retry instant has arrived,
-// returning them sorted by (retry instant, workflow index), or nil (the
-// common case, one atomic load).
-func (m *master) dueRetries(now simtime.Time) []deferredRelease {
-	if simtime.Time(m.nextRetry.Load()) > now {
-		return nil
-	}
-	m.defMu.Lock()
-	var out []deferredRelease
-	kept := m.deferred[:0]
-	for _, d := range m.deferred {
-		if d.at <= now {
-			out = append(out, d)
-		} else {
-			kept = append(kept, d)
-		}
-	}
-	m.deferred = kept
-	next := simtime.MaxTime
-	for _, d := range kept {
-		if d.at < next {
-			next = d.at
-		}
-	}
-	m.nextRetry.Store(int64(next))
-	m.defMu.Unlock()
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].at != out[b].at {
-			return out[a].at < out[b].at
-		}
-		return out[a].wf < out[b].wf
-	})
-	return out
-}
-
-// admit marks a released workflow's root jobs ready, then hands the workflow
-// and its roots to the policy. The caller holds core.mu.
+// admit hands a released workflow to the policy, then activates its root
+// jobs one by one, as the simulator does. The caller holds core.mu.
 func (m *master) admit(ws *cluster.WorkflowState, now simtime.Time) {
-	roots := ws.Spec.RootIDs()
-	for _, r := range roots {
-		js := &ws.Jobs[r]
-		js.Ready = true
-		js.ActivatedAt = now
-		ws.RefreshJob(r)
-	}
 	m.ins.WorkflowSubmitted(now, ws.Index, ws.Spec.Name)
 	m.core.pol.WorkflowAdded(ws, now)
-	for _, r := range roots {
-		m.notifyActivated(ws, r, now)
+	for _, r := range ws.Spec.RootIDs() {
+		m.activate(ws, r, now)
 	}
 }
 
-// completeGroup applies one workflow's reported completions: slot counters,
-// reduce-phase unblocking, dependent activation, and workflow-finish
-// detection via the O(1) remaining-task countdown, telling the policy of
-// each transition as it happens. A completion naming no running task is
+// completeGroup applies one workflow's reported completions, telling the
+// policy of each transition — reduce phase unblocked, dependents activated,
+// workflow finished — as it happens. A completion naming no running task is
 // dropped (running). The caller holds core.mu.
 func (m *master) completeGroup(ws *cluster.WorkflowState, ids []TaskID, tracker int, now simtime.Time) {
 	for _, id := range ids {
 		if !running(ws, id) {
 			continue
 		}
-		js := &ws.Jobs[id.Job]
-		if id.Type == cluster.MapSlot {
-			js.RunningMaps--
-			js.DoneMaps++
-		} else {
-			js.RunningReduces--
-			js.DoneReduces++
-		}
-		ws.RunningTasks--
-		ws.RefreshJob(id.Job)
+		reducesReady, done := ws.FinishTask(id.Job, id.Type, now)
 		m.ins.TaskCompleted(now, ws.Index, int(id.Job), int(id.Type), tracker)
-		if id.Type == cluster.MapSlot && js.MapsDone() && js.PendingReduces > 0 {
+		if reducesReady {
 			if m.core.reduces != nil {
 				m.core.reduces.ReducesReady(ws, id.Job, now)
 			}
-			m.schedulable.Add(int64(js.PendingReduces))
+			m.schedulable.Add(int64(ws.Jobs[id.Job].PendingReduces))
 		}
-		if js.Completed() {
-			m.activateDependents(ws, id.Job, now)
-		}
-		if ws.TaskDone() == 0 && !ws.Done {
-			ws.Done = true
-			ws.FinishTime = now
-			var tardiness time.Duration
-			if now > ws.Spec.Deadline {
-				tardiness = now.Sub(ws.Spec.Deadline)
+		ws.ReadyDependents(id.Job, func(d workflow.JobID) { m.activate(ws, d, now) })
+		if done {
+			if m.ins != nil {
+				m.ins.WorkflowCompleted(now, ws.Index, ws.Spec.Name, ws.Outcome().Tardiness)
 			}
-			m.ins.WorkflowCompleted(now, ws.Index, ws.Spec.Name, tardiness)
 			m.core.pol.WorkflowCompleted(ws, now)
 			if m.adm != nil {
 				m.adm.Complete(ws.Spec, now)
@@ -390,39 +340,15 @@ func running(ws *cluster.WorkflowState, id TaskID) bool {
 	return false
 }
 
-// activateDependents readies every dependent of the completed job whose
-// prerequisites all finished and announces it to the policy. The caller
-// holds core.mu.
-func (m *master) activateDependents(ws *cluster.WorkflowState, job workflow.JobID, now simtime.Time) {
-	for _, d := range ws.Spec.DependentsOf(job) {
-		dj := &ws.Jobs[d]
-		if dj.Ready {
-			continue
-		}
-		ready := true
-		for _, p := range ws.Spec.Jobs[d].Prereqs {
-			if !ws.Jobs[p].Completed() {
-				ready = false
-				break
-			}
-		}
-		if ready {
-			dj.Ready = true
-			dj.ActivatedAt = now
-			ws.RefreshJob(d)
-			m.notifyActivated(ws, d, now)
-		}
-	}
-}
-
-// notifyActivated announces an activated job to the policy and adds its
+// activate readies a job, announces it to the policy, and adds its
 // schedulable tasks to the fast-path hint: a job with maps contributes its
 // pending maps; a map-less job starts with its reduces immediately
 // schedulable. The caller holds core.mu.
-func (m *master) notifyActivated(ws *cluster.WorkflowState, job workflow.JobID, now simtime.Time) {
-	js := &ws.Jobs[job]
+func (m *master) activate(ws *cluster.WorkflowState, job workflow.JobID, now simtime.Time) {
+	ws.ActivateJob(job, now)
 	m.ins.JobActivated(now, ws.Index, int(job))
 	m.core.pol.JobActivated(ws, job, now)
+	js := &ws.Jobs[job]
 	if js.PendingMaps > 0 {
 		m.schedulable.Add(int64(js.PendingMaps))
 	} else {
@@ -430,17 +356,15 @@ func (m *master) notifyActivated(ws *cluster.WorkflowState, job workflow.JobID, 
 	}
 }
 
-// pipeReq is one heartbeat's order for the pipeline: the report, the
-// releases and retries it claimed, and the instant it read. Whichever
-// heartbeat holds the policy-core lock serves every order queued (combine),
-// so an order is answered by its owner or by a heartbeat that got there
-// first; the owner waits on served either way. Orders are pooled: the owner
-// takes one, queues it, and puts it back once it is served.
+// pipeReq is one heartbeat's order for the pipeline: the report and the
+// instant it read. Whichever heartbeat holds the policy-core lock serves
+// every order queued (combine), so an order is answered by its owner or by a
+// heartbeat that got there first; the owner waits on served either way.
+// Orders are pooled: the owner takes one, queues it, and puts it back once it
+// is served.
 type pipeReq struct {
-	hb      Heartbeat
-	due     []int
-	retries []deferredRelease
-	now     simtime.Time
+	hb  Heartbeat
+	now simtime.Time
 	// out is the answer. It is built in buf, and the owner copies it out after
 	// the lock is gone, so that nothing is allocated — and no GC assist is
 	// served — while every other heartbeat bound for the pipeline waits.
@@ -527,9 +451,9 @@ const (
 // polls its own order, not the lock. A waiter that is not home gives the
 // home a grace before it takes a free lock, so the state stays put while
 // the home keeps coming back.
-func (m *master) pipeline(hb Heartbeat, due []int, retries []deferredRelease, now simtime.Time, clk *virtualClock) []Assignment {
+func (m *master) pipeline(hb Heartbeat, now simtime.Time, clk *virtualClock) []Assignment {
 	r := pipeReqs.Get().(*pipeReq)
-	r.hb, r.due, r.retries, r.now = hb, due, retries, now
+	r.hb, r.now = hb, now
 	m.pipe.push(r)
 	var t0 time.Time
 	if m.stats != nil {
@@ -559,7 +483,7 @@ func (m *master) pipeline(hb Heartbeat, due []int, retries []deferredRelease, no
 	if len(r.out) > 0 {
 		out = append(out, r.out...)
 	}
-	r.hb, r.due, r.retries, r.out = Heartbeat{}, nil, nil, nil
+	r.hb, r.out = Heartbeat{}, nil
 	r.served.Store(false)
 	pipeReqs.Put(r)
 	return out
@@ -602,7 +526,8 @@ func (m *master) combine(own *pipeReq, clk *virtualClock) {
 	for n := 0; n < pipeRounds && !m.pipe.empty(); n++ {
 		for r := m.pipe.take(); r != nil; orders++ {
 			next := r.next
-			m.applyReport(r.due, r.retries, r.hb.Completed, r.hb.Tracker, r.now)
+			m.release(r.now)
+			m.applyReport(r.hb.Completed, r.hb.Tracker, r.now)
 			r.out = m.assign(r.hb, r.now, clk, r.buf[:0])
 			r.served.Store(true)
 			r = next
@@ -629,28 +554,14 @@ func (m *master) assign(hb Heartbeat, now simtime.Time, clk *virtualClock, out [
 	return out
 }
 
-// assignOne consults the policy for one task of the given slot type, debits
-// the chosen job's pending counter, and stamps the task. The caller holds
-// core.mu.
+// assignOne consults the policy for one task of the given slot type, starts
+// it, and stamps it. The caller holds core.mu.
 func (m *master) assignOne(slot cluster.SlotType, tracker int, now simtime.Time, clk *virtualClock) (Assignment, bool) {
 	ws, job, ok := m.core.pol.NextTask(now, slot)
 	if !ok {
 		return Assignment{}, false
 	}
-	js := &ws.Jobs[job]
-	var dur time.Duration
-	if slot == cluster.MapSlot {
-		js.PendingMaps--
-		js.RunningMaps++
-		dur = ws.Spec.Jobs[job].MapTime
-	} else {
-		js.PendingReduces--
-		js.RunningReduces++
-		dur = ws.Spec.Jobs[job].ReduceTime
-	}
-	ws.ScheduledTasks++
-	ws.RunningTasks++
-	ws.RefreshJob(job)
+	dur := ws.StartTask(job, slot)
 	m.schedulable.Add(-1)
 	m.seq++
 	m.ins.TaskAssigned(now, ws.Index, int(job), int(slot), tracker, dur)
@@ -666,37 +577,17 @@ func (m *master) result() *Result {
 	m.core.mu.Lock()
 	defer m.core.mu.Unlock()
 	r := &Result{Policy: m.core.pol.Name(), TasksStarted: int(m.seq)}
-	for i, ws := range m.wfs {
-		wr := cluster.WorkflowResult{
-			Name:     ws.Spec.Name,
-			Index:    i,
-			Release:  ws.Spec.Release,
-			Deadline: ws.Spec.Deadline,
-			Finish:   ws.FinishTime,
-		}
-		if ws.Rejected {
-			wr.Rejected = true
-			wr.RejectReason = ws.RejectReason
-			wr.CounterOffer = ws.CounterOffer
-			r.Workflows = append(r.Workflows, wr)
-			continue
-		}
-		wr.Workspan = wr.Finish.Sub(wr.Release)
-		if wr.Finish > wr.Deadline {
-			wr.Tardiness = wr.Finish.Sub(wr.Deadline)
-		}
-		wr.Met = wr.Tardiness == 0
-		r.Workflows = append(r.Workflows, wr)
+	for _, ws := range m.wfs {
+		r.Workflows = append(r.Workflows, ws.Outcome())
 	}
 	return r
 }
 
 // releaseIndex is the queue of workflows awaiting release: registrations
 // are sorted by release time once at start, and heartbeats check a single
-// atomic cursor against the next release time. The arrays are
-// immutable after build; only the cursor moves. Claiming due workflows takes
-// a small mutex, but the common case — nothing due — is one atomic load and
-// one slice read.
+// atomic cursor against the next release time. The arrays are immutable
+// after build; only the cursor moves, and only under core.mu (pop), so the
+// common case — nothing due — is one atomic load and one slice read.
 type releaseIndex struct {
 	// order holds workflow indices sorted by (release time, index); times
 	// holds the matching release times, so the hot check never touches
@@ -704,10 +595,8 @@ type releaseIndex struct {
 	order []int
 	times []simtime.Time
 
-	// cursor is the first order entry not yet admitted.
+	// cursor is the first order entry not yet released.
 	cursor atomic.Int64
-	// claim serializes admissions so each workflow is released exactly once.
-	claim sync.Mutex
 }
 
 // build sorts the registrations. Called once, before any heartbeat.
@@ -725,28 +614,25 @@ func (r *releaseIndex) build(wfs []*cluster.WorkflowState) {
 	}
 }
 
-// exhausted reports that every workflow has been claimed by due, so no later
+// exhausted reports that every workflow has been released, so no later
 // instant can release anything.
 func (r *releaseIndex) exhausted() bool {
 	return r.cursor.Load() >= int64(len(r.times))
 }
 
-// due claims every workflow whose release time has arrived and returns their
-// indices in release order, or nil when nothing is due (the common case,
-// which takes no lock and allocates nothing).
-func (r *releaseIndex) due(now simtime.Time) []int {
+// next returns the release time of the first workflow not yet released, or
+// MaxTime when there is none.
+func (r *releaseIndex) next() simtime.Time {
+	if c := r.cursor.Load(); c < int64(len(r.times)) {
+		return r.times[c]
+	}
+	return simtime.MaxTime
+}
+
+// pop releases the next workflow and returns its index. The caller holds
+// core.mu and has seen next() come due.
+func (r *releaseIndex) pop() int {
 	c := r.cursor.Load()
-	if c >= int64(len(r.times)) || r.times[c] > now {
-		return nil
-	}
-	r.claim.Lock()
-	defer r.claim.Unlock()
-	c = r.cursor.Load() // re-check: another heartbeat may have claimed
-	var out []int
-	for c < int64(len(r.times)) && r.times[c] <= now {
-		out = append(out, r.order[c])
-		c++
-	}
-	r.cursor.Store(c)
-	return out
+	r.cursor.Store(c + 1)
+	return r.order[c]
 }

@@ -35,9 +35,9 @@ type cacheKey struct {
 	variant          byte
 }
 
-// Generator variants discriminated by the key.
+// Generator variants discriminated by the key. Byte 1 was the single-pool
+// variant; it is not reused, so that no key moves.
 const (
-	variantSingle   byte = 1 // GenerateCappedMargin (one slot pool)
 	variantTyped    byte = 2 // GenerateCappedTyped (map/reduce pools)
 	variantUncapped byte = 3 // Generate at a fixed cap (Estimate)
 )

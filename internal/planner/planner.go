@@ -92,7 +92,7 @@ func (pl *Planner) CacheLen() int { return pl.cache.len() }
 // map/reduce slot pools — the planner-service equivalent of
 // plan.GenerateCappedTyped at the configured margin.
 //
-// Plans served by a Planner (here and by PlanSingle, Estimate and PlanAll) are
+// Plans served by a Planner (here and by Estimate and PlanAll) are
 // shared read-only values: every request for one key gets the same Ranks and
 // Reqs arrays, and a cache hit or coalesced request the very same *plan.Plan.
 // Callers must not write to a served plan; Clone one to get a private copy.
@@ -100,16 +100,6 @@ func (pl *Planner) Plan(w *workflow.Workflow, cluster plan.Caps, pol priority.Po
 	key := keyFor(w, variantTyped, cluster.Maps, cluster.Reduces, pl.margin, pol.Name())
 	return pl.cache.serve(key, func() (*plan.Plan, error) {
 		return plan.GenerateCappedTyped(w, cluster, pol, pl.margin)
-	})
-}
-
-// PlanSingle produces the single-pool capped plan for w on clusterSlots
-// fungible slots — the planner-service equivalent of
-// plan.GenerateCappedMargin at the configured margin.
-func (pl *Planner) PlanSingle(w *workflow.Workflow, clusterSlots int, pol priority.Policy) (*plan.Plan, error) {
-	key := keyFor(w, variantSingle, clusterSlots, 0, pl.margin, pol.Name())
-	return pl.cache.serve(key, func() (*plan.Plan, error) {
-		return plan.GenerateCappedMargin(w, clusterSlots, pol, pl.margin)
 	})
 }
 

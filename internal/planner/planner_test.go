@@ -31,8 +31,7 @@ var testCluster = plan.Caps{Maps: 300, Reduces: 180}
 // TestPlannerByteIdenticalToSequential pins the planner's exactness
 // contract: for every corpus workflow, the encoded plan bytes from the seed
 // sequential generators, a planner with several workers, a cold cache fill,
-// and a warm cache hit are all identical — for both the typed and the
-// single-pool generators.
+// and a warm cache hit are all identical.
 func TestPlannerByteIdenticalToSequential(t *testing.T) {
 	flows := corpus(t)
 	pol := priority.HLF{}
@@ -56,23 +55,6 @@ func TestPlannerByteIdenticalToSequential(t *testing.T) {
 			}
 			if !bytes.Equal(got.Encode(), wantBytes) {
 				t.Errorf("%s/%s: encoded plan differs from sequential", w.Name, tc.name)
-			}
-		}
-
-		wantSingle, err := plan.GenerateCappedMargin(w, testCluster.Total(), pol, DefaultMargin)
-		if err != nil {
-			t.Fatalf("%s: GenerateCappedMargin: %v", w.Name, err)
-		}
-		for _, tc := range []struct {
-			name string
-			pl   *Planner
-		}{{"parallel", par}, {"cache-cold", cached}, {"cache-warm", cached}} {
-			got, err := tc.pl.PlanSingle(w, testCluster.Total(), pol)
-			if err != nil {
-				t.Fatalf("%s/%s: PlanSingle: %v", w.Name, tc.name, err)
-			}
-			if !bytes.Equal(got.Encode(), wantSingle.Encode()) {
-				t.Errorf("%s/%s: encoded single-pool plan differs from sequential", w.Name, tc.name)
 			}
 		}
 	}
