@@ -136,11 +136,13 @@ bench-ab:
 
 # Counts non-test Go lines per top-level directory ("." is the repo root's
 # own files) and in total: every .go file except _test.go files and the
-# test-only internal/oracle package, the count ROADMAP.md quotes.
+# test-only internal/oracle package, the count ROADMAP.md quotes. One awk
+# reads the whole file list from the pipe, so however many files there are
+# it prints one set of counts and one total.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './internal/oracle/*' ! -path './.git/*' -exec awk ' \
-		{ split(FILENAME, p, "/"); n[p[3] == "" ? "." : p[2]]++; t++ } \
-		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }' {} +
+	@find . -name '*.go' ! -name '*_test.go' ! -path './internal/oracle/*' ! -path './.git/*' | awk ' \
+		{ split($$0, p, "/"); d = p[3] == "" ? "." : p[2]; while ((getline line < $$0) > 0) { n[d]++; t++ }; close($$0) } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
 # Runs every program under examples/ at full size, discarding its output;
 # the first non-zero exit fails the target. Each takes 1-3 s, compile

@@ -580,7 +580,7 @@ func (s *Simulator) complete(h int32, gen uint32) {
 		s.killAttempt(twin)
 	}
 	ws := s.states[wf]
-	reducesReady, done := ws.FinishTask(job, st, s.now)
+	reducesReady, jobDone, done := ws.FinishTask(job, st, s.now)
 	s.load.RunningTasks--
 	if done {
 		// Counted out before the observer reads the load view: ws.Done is set.
@@ -597,7 +597,9 @@ func (s *Simulator) complete(h int32, gen uint32) {
 		}
 		s.newWork(ReduceSlot)
 	}
-	ws.ReadyDependents(job, func(d workflow.JobID) { s.scheduleActivation(wf, d) })
+	if jobDone {
+		ws.ReadyDependents(job, func(d workflow.JobID) { s.scheduleActivation(wf, d) })
+	}
 	if done {
 		if s.ins != nil {
 			s.ins.WorkflowCompleted(s.now, ws.Index, ws.Spec.Name, ws.Outcome().Tardiness)

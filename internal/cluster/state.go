@@ -35,9 +35,10 @@ func (ws *WorkflowState) StartTask(job workflow.JobID, st SlotType) time.Duratio
 
 // FinishTask moves one running task of the job on a slot of type st to done
 // at now. reducesReady reports that this ended the job's map phase with
-// reduce tasks pending (the ReducePhasePolicy transition); done reports that
-// it finished the workflow, and then Done and FinishTime are set.
-func (ws *WorkflowState) FinishTask(job workflow.JobID, st SlotType, now simtime.Time) (reducesReady, done bool) {
+// reduce tasks pending (the ReducePhasePolicy transition); jobDone that it
+// was the job's last task, which happens once per job; done that it finished
+// the workflow, and then Done and FinishTime are set.
+func (ws *WorkflowState) FinishTask(job workflow.JobID, st SlotType, now simtime.Time) (reducesReady, jobDone, done bool) {
 	js := &ws.Jobs[job]
 	if st == MapSlot {
 		js.RunningMaps--
@@ -53,7 +54,7 @@ func (ws *WorkflowState) FinishTask(job workflow.JobID, st SlotType, now simtime
 		ws.Done, ws.FinishTime = true, now
 		done = true
 	}
-	return reducesReady, done
+	return reducesReady, js.Completed(), done
 }
 
 // RequeueTask moves one running task of the job on a slot of type st back to
@@ -86,15 +87,11 @@ func (ws *WorkflowState) ActivateJob(job workflow.JobID, now simtime.Time) {
 }
 
 // ReadyDependents calls ready, in ascending ID order, for each dependent of
-// the job whose last unfinished prerequisite the job was. Call it once after
-// each FinishTask of the job: it does nothing until that task completed the
-// job, which happens once, so each dependent counts each prerequisite once.
-// The dependents are not activated: the caller does that, at once or after a
-// submitter task.
+// the job whose last unfinished prerequisite the job was. Call it once per
+// job, when FinishTask reports jobDone, so each dependent counts each
+// prerequisite once. The dependents are not activated: the caller does that,
+// at once or after a submitter task.
 func (ws *WorkflowState) ReadyDependents(job workflow.JobID, ready func(workflow.JobID)) {
-	if !ws.Jobs[job].Completed() {
-		return
-	}
 	for _, d := range ws.Spec.DependentsOf(job) {
 		if ws.Jobs[d].unmet--; ws.Jobs[d].unmet == 0 {
 			ready(d)

@@ -297,7 +297,7 @@ func (m *master) completeGroup(ws *cluster.WorkflowState, ids []TaskID, tracker 
 		if !running(ws, id) {
 			continue
 		}
-		reducesReady, done := ws.FinishTask(id.Job, id.Type, now)
+		reducesReady, jobDone, done := ws.FinishTask(id.Job, id.Type, now)
 		m.ins.TaskCompleted(now, ws.Index, int(id.Job), int(id.Type), tracker)
 		if reducesReady {
 			if m.core.reduces != nil {
@@ -305,7 +305,9 @@ func (m *master) completeGroup(ws *cluster.WorkflowState, ids []TaskID, tracker 
 			}
 			m.schedulable.Add(int64(ws.Jobs[id.Job].PendingReduces))
 		}
-		ws.ReadyDependents(id.Job, func(d workflow.JobID) { m.activate(ws, d, now) })
+		if jobDone {
+			ws.ReadyDependents(id.Job, func(d workflow.JobID) { m.activate(ws, d, now) })
+		}
 		if done {
 			if m.ins != nil {
 				m.ins.WorkflowCompleted(now, ws.Index, ws.Spec.Name, ws.Outcome().Tardiness)
