@@ -34,13 +34,15 @@ race:
 # run of every example and of every wohasim path — run before every merge.
 verify: build test vet race fuzz-smoke examples-smoke cli-smoke
 
-# Each of the ten fuzz targets, fuzzed for FUZZTIME beyond its seed corpus
+# Each of the eleven fuzz targets, fuzzed for FUZZTIME beyond its seed corpus
 # (which the tier-1 suite already runs): the event queue against a sorting
 # reference, the DSL queue's op programs, the plan kernel against the
 # queue-based referee, the capped cap search against its oracle, the cap
 # search's makespan bounds against the kernel's makespan, the plan and
 # workflow decoders, workflow compilation, the live tracker's heartbeat
-# reports, and the raw bytes of its net/rpc connection. go test fuzzes one target of one package at a time. A failing
+# reports, the raw bytes of its net/rpc connection, and the live tracker
+# against the heartbeat-mode simulator on random corpora and clusters. go
+# test fuzzes one target of one package at a time. A failing
 # input is written under the package's testdata/fuzz, where it becomes part
 # of the seed corpus.
 FUZZTIME ?= 3s
@@ -55,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseXML$$' -fuzztime $(FUZZTIME) ./internal/workflow/
 	$(GO) test -run '^$$' -fuzz '^FuzzHeartbeatReports$$' -fuzztime $(FUZZTIME) ./internal/live/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/live/
+	$(GO) test -run '^$$' -fuzz '^FuzzLiveMatchesSimulator$$' -fuzztime $(FUZZTIME) ./internal/live/
 
 # Fails when any tracked Go file is not gofmt-clean, printing the diff.
 fmt-check:
@@ -62,9 +65,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; gofmt -d $$out; exit 1; fi
 
 # Quick race pass over the hottest concurrent paths: shared-planner
-# coalescing, runner streaming, and the deadline-health tracker fed by
-# concurrent heartbeats on the referee and the master (plus the introspection
-# server and the heartbeat zero-alloc pin that guards the disabled path).
+# coalescing, runner streaming, and the deadline-health tracker fed by the
+# simulator and by the master (plus the introspection server and the
+# heartbeat zero-alloc pin that guards the disabled path).
 race-smoke:
 	$(GO) test -race -count=1 -run 'TestCoalescing|TestCoalesced|TestPlanCache|TestServedPlans|TestSharedPlans|TestLeaderPanic|TestRunEach|TestDelivery|TestFirstError' \
 		./internal/planner/ ./internal/runner/
@@ -170,9 +173,9 @@ cli-smoke:
 		echo "-clusters 2 -live was not refused"; exit 1; fi
 
 # Mutex-profile smoke over the live control plane: runs the master's
-# TestSharded* tests with contention profiling on, proving the profile path
-# works and leaving live-mutex.prof for inspection (go tool pprof live.test
-# live-mutex.prof).
+# concurrent-heartbeat tests with contention profiling on, proving the
+# profile path works and leaving live-mutex.prof for inspection (go tool
+# pprof live.test live-mutex.prof).
 mutex-smoke:
-	$(GO) test -mutexprofile live-mutex.prof -run 'TestSharded' ./internal/live/
+	$(GO) test -mutexprofile live-mutex.prof -run 'TestConcurrentDirectHeartbeats|TestPipelineAnswersItsOwnCaller' ./internal/live/
 	@ls -l live-mutex.prof

@@ -260,9 +260,8 @@ func (ws *WorkflowState) Schedulable(st SlotType) bool {
 // given bitset storage (nil allocates; otherwise words must hold at least
 // 2 × ⌈len(Jobs)/64⌉ entries — the simulator passes arena-carved storage so
 // steady-state submission stays allocation-free). The transitions (StartTask,
-// FinishTask, RequeueTask, ActivateJob) maintain the index; a control plane
-// that writes a job's Ready flag or pending/running counters itself must call
-// RefreshJob after each write, before any policy consults the workflow.
+// FinishTask, RequeueTask, ActivateJob) maintain the index, and are the only
+// writers of a job's Ready flag and pending/running counters.
 func (ws *WorkflowState) EnableSchedIndex(words []uint64) {
 	n := (len(ws.Jobs) + 63) / 64
 	if words == nil {
@@ -275,16 +274,14 @@ func (ws *WorkflowState) EnableSchedIndex(words []uint64) {
 	ws.schedJobs[ReduceSlot] = words[n : 2*n : 2*n]
 	ws.schedCnt = [2]int32{}
 	for j := range ws.Jobs {
-		ws.RefreshJob(workflow.JobID(j))
+		ws.refreshJob(workflow.JobID(j))
 	}
 }
 
-// RefreshJob reconciles the schedulable index with job's current state. It
+// refreshJob reconciles the schedulable index with job's current state. It
 // is idempotent and state-based, so callers may refresh conservatively; a
-// no-op when the index is not enabled. Every transition ends with it; only a
-// control plane that writes JobState itself, as the live tracker's test
-// referee does, calls it directly.
-func (ws *WorkflowState) RefreshJob(job workflow.JobID) {
+// no-op when the index is not enabled. Every transition ends with it.
+func (ws *WorkflowState) refreshJob(job workflow.JobID) {
 	if ws.schedJobs[MapSlot] == nil {
 		return
 	}

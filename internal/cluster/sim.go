@@ -498,12 +498,15 @@ func (s *Simulator) arrive(wf int) {
 	ws := s.states[wf]
 	switch v, retry := ws.Rule(s.adm, s.now); v {
 	case admission.Defer:
-		// Re-arrive at the retry instant. The consumed head of the
-		// arrival-time multiset is replaced by the retry time and bubbled to
-		// its sorted position, so heartbeat skip-ahead still sees the
-		// earliest pending arrival; arrIdx and arrivalsLeft are untouched
-		// (the workflow is neither live nor resolved).
-		s.push(retry, event{kind: evArrival, a: int32(wf)})
+		// Re-arrive at the retry instant, ahead of every event already
+		// pending there but behind the retries deferred to it before
+		// (PushFront), as the live JobTracker rules what is due before it
+		// serves a report. The consumed head of the arrival-time multiset
+		// is replaced by the retry time and bubbled to its sorted position,
+		// so heartbeat skip-ahead still sees the earliest pending arrival;
+		// arrIdx and arrivalsLeft are untouched (the workflow is neither
+		// live nor resolved).
+		s.events.PushFront(retry, event{kind: evArrival, a: int32(wf)})
 		i := s.arrIdx
 		s.arrivalTimes[i] = retry
 		for i+1 < len(s.arrivalTimes) && s.arrivalTimes[i+1] < s.arrivalTimes[i] {

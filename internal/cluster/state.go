@@ -11,7 +11,7 @@ import (
 // The transitions below are the JobTracker's bookkeeping, written once for
 // both control planes: the simulator and the live master call them and then
 // tell the policy, the instruments and their own tallies what changed. Each
-// keeps the schedulable index current (RefreshJob), so a policy consulted
+// keeps the schedulable index current (refreshJob), so a policy consulted
 // right after one sees the job as it now is.
 
 // StartTask moves one task of the job from pending to running on a slot of
@@ -29,7 +29,7 @@ func (ws *WorkflowState) StartTask(job workflow.JobID, st SlotType) time.Duratio
 	}
 	ws.ScheduledTasks++
 	ws.RunningTasks++
-	ws.RefreshJob(job)
+	ws.refreshJob(job)
 	return est
 }
 
@@ -49,7 +49,7 @@ func (ws *WorkflowState) FinishTask(job workflow.JobID, st SlotType, now simtime
 		js.DoneReduces++
 	}
 	ws.RunningTasks--
-	ws.RefreshJob(job)
+	ws.refreshJob(job)
 	if ws.TaskDone() == 0 && !ws.Done {
 		ws.Done, ws.FinishTime = true, now
 		done = true
@@ -73,7 +73,7 @@ func (ws *WorkflowState) RequeueTask(job workflow.JobID, st SlotType) time.Durat
 	}
 	ws.ScheduledTasks--
 	ws.RunningTasks--
-	ws.RefreshJob(job)
+	ws.refreshJob(job)
 	return est
 }
 
@@ -83,7 +83,7 @@ func (ws *WorkflowState) ActivateJob(job workflow.JobID, now simtime.Time) {
 	js := &ws.Jobs[job]
 	js.Ready = true
 	js.ActivatedAt = now
-	ws.RefreshJob(job)
+	ws.refreshJob(job)
 }
 
 // ReadyDependents calls ready, in ascending ID order, for each dependent of

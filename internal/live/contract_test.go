@@ -108,9 +108,9 @@ func diamondFlow(name string) *workflow.Workflow {
 		MustBuild(simtime.Epoch, simtime.Epoch.Add(2*time.Hour))
 }
 
-// TestPolicyContractOrder holds every control plane to the notification
+// TestPolicyContractOrder holds both control planes to the notification
 // order cluster.Policy promises: the simulator run to completion, and the
-// referee and the master driven by a heartbeat script.
+// master driven by a heartbeat script.
 func TestPolicyContractOrder(t *testing.T) {
 	flows := func() []*workflow.Workflow {
 		return []*workflow.Workflow{diamondFlow("w1"), chainFlow("w2", 0, 2*time.Hour), diamondFlow("w3")}
@@ -133,11 +133,12 @@ func TestPolicyContractOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"reference", func(t *testing.T, pol cluster.Policy, flows []*workflow.Workflow) {
-			driveContract(t, layouts[0].build(t, fastConfig(), pol), flows)
-		}},
 		{"tracker", func(t *testing.T, pol cluster.Policy, flows []*workflow.Workflow) {
-			driveContract(t, layouts[1].build(t, fastConfig(), pol), flows)
+			c, err := live.New(fastConfig(), pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveContract(t, c, flows)
 		}},
 	} {
 		t.Run(plane.name, func(t *testing.T) {

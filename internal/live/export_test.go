@@ -1,18 +1,20 @@
 package live
 
 import (
-	"repro/internal/cluster"
+	"sync/atomic"
+
 	"repro/internal/obs"
 )
 
-// NewReference builds an in-process cluster exactly as New does, except that
-// its control plane is the single-mutex referee (reference_test.go) instead
-// of the master. Tests compare the master against it.
-func NewReference(cfg Config, pol cluster.Policy) (*Cluster, error) {
-	referee := func(cfg Config, pol cluster.Policy) controlPlane { return newJobTracker(cfg, pol) }
-	return newCluster(cfg, pol, referee, false)
+// StepClock makes c's virtual clock a stepped one and returns its instant:
+// from the first heartbeat on, c reads the virtual time as the value stored
+// there, in nanoseconds since simtime.Epoch, and never the wall clock. Call
+// it before the first heartbeat.
+func (c *Cluster) StepClock() *atomic.Int64 {
+	c.jt.step = new(atomic.Int64)
+	return c.jt.step
 }
 
 // LiveStats returns the master's instrument bundle, so tests read its series
 // through the typed handles it writes.
-func (c *Cluster) LiveStats() *obs.LiveStats { return c.jt.(*master).stats }
+func (c *Cluster) LiveStats() *obs.LiveStats { return c.jt.stats }

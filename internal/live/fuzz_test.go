@@ -138,7 +138,7 @@ func FuzzHeartbeatReports(f *testing.F) {
 				assigned = append(assigned, id)
 			}
 		}
-		st := c.jt.(*master)
+		st := c.jt
 		for i, w := range flows {
 			got := st.counters(i)
 			if got.Scheduled < 0 || got.Running < 0 || got.Remaining < 0 {

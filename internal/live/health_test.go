@@ -6,39 +6,91 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/live"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/priority"
 	"repro/internal/scheduler"
 	"repro/internal/simtime"
+	"repro/internal/workflow"
 )
 
-// TestHealthCrossLayoutSnapshots drives concurrent heartbeats through the
-// health tracker on the single-mutex referee and on the master, and demands
-// the referee's slack snapshots from the master at every quiescent point. The script alternates two barriered phases per
-// round — all trackers report completions, then all trackers request work —
-// so the aggregate scheduled/completed counts at each barrier are layout- and
-// interleaving-independent even though the heartbeats inside a phase race.
+// TestHealthCrossLayoutSnapshots feeds a health tracker from the simulator
+// and another from the master, replayed under the stepped clock, and demands
+// the simulator's slack snapshot from the master every 20 virtual seconds:
+// at each the simulator has run every event up to the snapshot instant and
+// the master has been served every one of them. The deadlines are close
+// enough for the plans' requirements to engage.
 func TestHealthCrossLayoutSnapshots(t *testing.T) {
+	spec, err := experiments.SchedulerByName("WOHA-LPF")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flows []*workflow.Workflow
+	for _, name := range []string{"w0", "w1", "w2", "w3"} {
+		flows = append(flows, chainFlow(name, 0, 4*time.Minute))
+	}
+	d := newDifferential(t, scenario{nodes: 4, spec: spec, flows: flows}, true)
+	var last *obs.HealthSnapshot
+	engaged := false
+	for at := simtime.Epoch; ; at = at.Add(20 * time.Second) {
+		d.stepTo(at)
+		want, got := d.simObs.Health().SnapshotAt(at), d.liveObs.Health().SnapshotAt(at)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("snapshots at %v differ:\nsimulator %+v\nlive      %+v", at, want, got)
+		}
+		for _, row := range want.Workflows {
+			engaged = engaged || row.Required > 0
+		}
+		last = want
+		if _, ok := d.sim.Peek(); !ok {
+			break
+		}
+	}
+	d.finish()
+	if !engaged {
+		t.Error("no snapshot had a plan requirement in force")
+	}
+	if len(last.Workflows) != 4 {
+		t.Fatalf("final snapshot has %d workflows, want 4", len(last.Workflows))
+	}
+	for _, row := range last.Workflows {
+		if !row.Done || row.Completed != row.Total || !row.HasPlan {
+			t.Errorf("final row = %+v, want done with all tasks completed and a plan", row)
+		}
+	}
+}
+
+// TestHealthUnderConcurrentHeartbeats feeds the health tracker from
+// concurrent heartbeats and demands, at every quiescent point, the snapshot
+// the same script produces served one heartbeat at a time. The script
+// alternates two barriered phases per round — all trackers report
+// completions, then all request work — so under FIFO the tasks handed out,
+// and so the counts at each barrier, do not depend on how the heartbeats
+// inside a phase interleave. The clock is stepped, and stays at the epoch.
+func TestHealthUnderConcurrentHeartbeats(t *testing.T) {
 	const (
 		trackers = 4
-		deadline = 100 * time.Hour // far out: wall-clock jitter must not leak into tardiness
+		deadline = 100 * time.Hour
 	)
 	// Snapshot instants approach the deadline so plan requirements engage:
 	// round r reads ttd = 600s - r*50s.
 	snapAt := func(round int) simtime.Time {
 		return simtime.Epoch.Add(deadline - 600*time.Second + time.Duration(round)*50*time.Second)
 	}
-
-	run := func(l layout) []*obs.HealthSnapshot {
+	run := func(concurrent bool) []*obs.HealthSnapshot {
 		o := obs.New(obs.NewRegistry(), nil)
 		// Interval effectively infinite: only the explicit SnapshotAt calls
 		// below publish, keeping the comparison deterministic.
 		h := o.EnableHealth(obs.HealthConfig{Interval: 1000 * time.Hour})
 		cfg := fastConfig()
 		cfg.Obs = o
-		c := l.build(t, cfg, scheduler.NewFIFO())
+		c, err := live.New(cfg, scheduler.NewFIFO())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.StepClock()
 		for _, name := range []string{"w0", "w1", "w2", "w3"} {
 			w := chainFlow(name, 0, deadline)
 			p, err := plan.GenerateCapped(w, 12, priority.LPF{})
@@ -49,37 +101,37 @@ func TestHealthCrossLayoutSnapshots(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-
+		// phase runs beat for every tracker, all at once or one by one.
+		phase := func(beat func(tr int)) {
+			var wg sync.WaitGroup
+			for tr := 0; tr < trackers; tr++ {
+				if !concurrent {
+					beat(tr)
+					continue
+				}
+				wg.Add(1)
+				go func(tr int) {
+					defer wg.Done()
+					beat(tr)
+				}(tr)
+			}
+			wg.Wait()
+		}
 		held := make([][]live.TaskID, trackers)
 		var snaps []*obs.HealthSnapshot
 		for round := 1; ; round++ {
 			if round > 1000 {
-				t.Fatalf("%s: scripted drive did not converge", l.name)
+				t.Fatal("scripted drive did not converge")
 			}
-			// Phase A: every tracker reports its completions, concurrently.
 			outstanding := 0
-			var wg sync.WaitGroup
-			for tr := 0; tr < trackers; tr++ {
-				outstanding += len(held[tr])
-				wg.Add(1)
-				go func(tr int) {
-					defer wg.Done()
-					c.DeliverHeartbeat(live.Heartbeat{Tracker: tr, Completed: held[tr]})
-				}(tr)
+			for _, ids := range held {
+				outstanding += len(ids)
 			}
-			wg.Wait()
-			// Phase B: every tracker requests work, concurrently. The pending
-			// set is frozen (completions all landed in phase A), so the
-			// multiset of tasks handed out is deterministic.
+			phase(func(tr int) { c.DeliverHeartbeat(live.Heartbeat{Tracker: tr, Completed: held[tr]}) })
 			outs := make([][]live.Assignment, trackers)
-			for tr := 0; tr < trackers; tr++ {
-				wg.Add(1)
-				go func(tr int) {
-					defer wg.Done()
-					outs[tr] = c.DeliverHeartbeat(live.Heartbeat{Tracker: tr, FreeMaps: 2, FreeReds: 1})
-				}(tr)
-			}
-			wg.Wait()
+			phase(func(tr int) {
+				outs[tr] = c.DeliverHeartbeat(live.Heartbeat{Tracker: tr, FreeMaps: 2, FreeReds: 1})
+			})
 			assigned := 0
 			for tr := range outs {
 				held[tr] = held[tr][:0]
@@ -94,22 +146,16 @@ func TestHealthCrossLayoutSnapshots(t *testing.T) {
 			}
 		}
 	}
-
-	want, got := run(layouts[0]), run(layouts[1])
+	want, got := run(false), run(true)
 	if len(got) != len(want) {
-		t.Fatalf("rounds diverged: reference %d, tracker %d", len(want), len(got))
+		t.Fatalf("rounds diverged: serial %d, concurrent %d", len(want), len(got))
 	}
 	for i := range want {
 		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Errorf("round %d snapshots differ:\nreference %+v\ntracker   %+v", i+1, want[i], got[i])
+			t.Errorf("round %d snapshots differ:\nserial     %+v\nconcurrent %+v", i+1, want[i], got[i])
 		}
 	}
-	// The drive must have produced non-trivial health data, not vacuously
-	// equal empty snapshots.
 	final := want[len(want)-1]
-	if len(final.Workflows) != 4 {
-		t.Fatalf("final snapshot has %d workflows, want 4", len(final.Workflows))
-	}
 	for _, row := range final.Workflows {
 		if !row.Done || row.Completed != row.Total || !row.HasPlan {
 			t.Errorf("final row = %+v, want done with all tasks completed and a plan", row)

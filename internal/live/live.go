@@ -11,8 +11,11 @@
 // The master keeps Hadoop-1's single lock over workflow state and policy,
 // and keeps heartbeats cheap around it: a report with nothing to do reads
 // only atomics and takes no lock, and the others are served in batches by
-// whichever heartbeat holds the lock (see master.go). Tests pin its
-// decisions against a single-mutex referee kept beside them.
+// whichever heartbeat holds the lock (see master.go). Its bookkeeping is the
+// simulator's (cluster.WorkflowState), and tests pin its decisions to the
+// simulator's: under a stepped clock, heartbeats replayed at the instants a
+// heartbeat-mode cluster.Simulator fires them must be answered with the
+// simulator's assignments and admission rulings.
 //
 // The package exists to demonstrate the framework under true concurrency —
 // races, heartbeat skew, out-of-order completions — rather than to produce
@@ -59,7 +62,8 @@ type Config struct {
 	// comes due, before the policy ever sees it. nil (the default) admits
 	// everything on the untouched fast path. The tracker rules on releases in
 	// (release time, submission index) order and on deferred retries at their
-	// retry instants, so decisions match the simulator's under the
+	// retry instants, ahead of the releases due there and in the order they
+	// were deferred, so decisions match the simulator's under the
 	// controller's virtual-time anchoring.
 	Admission admission.Controller
 }
@@ -125,45 +129,17 @@ type Heartbeat struct {
 	Completed []TaskID
 }
 
-// controlPlane is the JobTracker contract a Cluster drives. The master is
-// its only implementation outside tests; the interface lets the
-// equivalence tests run a Cluster on the single-mutex referee instead.
-// register is pre-start only and single-threaded; it returns an error, and
-// changes nothing, if it is called after the clock starts.
-type controlPlane interface {
-	// Heartbeat serves one TaskTracker report and returns assignments.
-	Heartbeat(hb Heartbeat) []Assignment
-	// register records a workflow before the cluster starts.
-	register(w *workflow.Workflow, p *plan.Plan) error
-	// start stamps the clock origin and freezes registration.
-	start()
-	// ensureClock stamps the clock lazily for heartbeats delivered outside
-	// Run (see Cluster.DeliverHeartbeat).
-	ensureClock()
-	// result snapshots the outcome.
-	result() *Result
-	// doneCh closes when every registered workflow has completed.
-	doneCh() <-chan struct{}
-	// registered reports the number of registered workflows.
-	registered() int
-}
-
 // errLateRegister is register's refusal once the clock is stamped: the
 // release index is built and heartbeats read workflow tables without a lock.
 func errLateRegister(w *workflow.Workflow) error {
 	return fmt.Errorf("live: registering %q after the cluster started; Submit every workflow before Run or DeliverHeartbeat", w.Name)
 }
 
-// newControlPlane builds the JobTracker for cfg: the master.
-func newControlPlane(cfg Config, pol cluster.Policy) controlPlane {
-	return newMaster(cfg, pol)
-}
-
 // Cluster is the live mini-Hadoop: one JobTracker plus Config.Nodes
 // TaskTracker goroutines.
 type Cluster struct {
 	cfg Config
-	jt  controlPlane
+	jt  *master
 
 	trackers []*TaskTracker
 	wg       sync.WaitGroup
@@ -177,20 +153,20 @@ type Cluster struct {
 // New builds a live cluster running pol. The policy must not be shared with
 // any other cluster.
 func New(cfg Config, pol cluster.Policy) (*Cluster, error) {
-	return newCluster(cfg, pol, newControlPlane, false)
+	return newCluster(cfg, pol, false)
 }
 
-// newCluster is New and NewTCP: it checks cfg and pol, builds the control
-// plane with plane, and connects each of the cfg.Nodes TaskTrackers to it —
-// by a direct call, or with tcp by its own net/rpc client over loopback.
-func newCluster(cfg Config, pol cluster.Policy, plane func(Config, cluster.Policy) controlPlane, tcp bool) (*Cluster, error) {
+// newCluster is New and NewTCP: it checks cfg and pol, builds the master,
+// and connects each of the cfg.Nodes TaskTrackers to it — by a direct call,
+// or with tcp by its own net/rpc client over loopback.
+func newCluster(cfg Config, pol cluster.Policy, tcp bool) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if pol == nil {
 		return nil, fmt.Errorf("live: nil policy")
 	}
-	c := &Cluster{cfg: cfg, jt: plane(cfg, pol)}
+	c := &Cluster{cfg: cfg, jt: newMaster(cfg, pol)}
 	cfg.Obs.Health().SetSlots(cfg.Nodes*cfg.MapSlotsPerNode, cfg.Nodes*cfg.ReduceSlotsPerNode)
 	connect := func() (heartbeatFunc, error) {
 		return func(h Heartbeat) ([]Assignment, error) { return c.jt.Heartbeat(h), nil }, nil
@@ -223,7 +199,7 @@ func (c *Cluster) Submit(w *workflow.Workflow, p *plan.Plan) error {
 	if err := w.Validated(); err != nil {
 		return fmt.Errorf("live: %w", err)
 	}
-	idx := c.jt.registered()
+	idx := len(c.jt.wfs)
 	if err := c.jt.register(w, p); err != nil {
 		return err
 	}
@@ -249,14 +225,14 @@ func (c *Cluster) Run(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("live: Run called twice")
 	}
 	c.started = true
-	if c.jt.registered() == 0 {
+	if len(c.jt.wfs) == 0 {
 		return c.jt.result(), nil
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	c.jt.start()
+	c.jt.ensureClock()
 	for _, tt := range c.trackers {
 		c.wg.Add(1)
 		go func(tt *TaskTracker) {
@@ -267,7 +243,7 @@ func (c *Cluster) Run(ctx context.Context) (*Result, error) {
 
 	var err error
 	select {
-	case <-c.jt.doneCh():
+	case <-c.jt.done:
 	case <-ctx.Done():
 		err = fmt.Errorf("live: %w", ctx.Err())
 	}

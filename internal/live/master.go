@@ -1,7 +1,6 @@
 package live
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 	"sync"
@@ -36,7 +35,9 @@ import (
 // instant, books the state transitions through cluster.WorkflowState's
 // methods — the ones the simulator books with — and calls the policy, which
 // is single-threaded by contract, inline at each of them, in the order the
-// simulator and the single-mutex referee (reference_test.go) call it.
+// simulator calls it. Delivered at the instants a heartbeat-mode simulator
+// fires its events, the master makes the simulator's assignments and
+// admission rulings, one for one (differential_test.go).
 //
 // Lock order: core.mu, then the admission controller.
 type master struct {
@@ -82,10 +83,14 @@ type master struct {
 	live      atomic.Bool
 
 	// adm is the admission front door (nil admits everything). deferred
-	// holds postponed decisions in (retry instant, workflow index) order,
-	// guarded by core.mu.
+	// holds postponed decisions by retry instant, those sharing one in the
+	// order they were deferred; guarded by core.mu.
 	adm      admission.Controller
 	deferred []deferredRelease
+
+	// step, when set before the clock starts, makes the clock a stepped one
+	// (virtualClock.step); only tests set it.
+	step *atomic.Int64
 
 	done chan struct{}
 }
@@ -128,25 +133,16 @@ func (m *master) register(w *workflow.Workflow, p *plan.Plan) error {
 	return nil
 }
 
-// start stamps the clock origin, builds the release index, and freezes
-// registration.
-func (m *master) start() { m.ensureClock() }
-
-// ensureClock stamps the clock origin if start() has not run.
+// ensureClock stamps the clock origin, builds the release index, and
+// freezes registration, the first time it is called.
 func (m *master) ensureClock() {
 	m.startOnce.Do(func() {
 		m.rel.build(m.wfs)
-		clk := &virtualClock{start: time.Now(), scale: m.cfg.TimeScale}
+		clk := &virtualClock{start: time.Now(), scale: m.cfg.TimeScale, step: m.step}
 		m.clock.Store(clk)
 		m.live.Store(true)
 	})
 }
-
-// doneCh closes when every registered workflow has completed.
-func (m *master) doneCh() <-chan struct{} { return m.done }
-
-// registered reports the number of registered workflows.
-func (m *master) registered() int { return len(m.wfs) }
 
 // Heartbeat serves one TaskTracker report: lock-free clock and cursor reads,
 // then the pipeline when the report carries completions, a release or retry
@@ -203,7 +199,7 @@ func (m *master) due(now simtime.Time) bool {
 
 // release rules on every submission whose decision instant has arrived by
 // now — fresh releases in (release time, index) order merged with deferred
-// retries in (retry instant, index) order, a release first at a tie — the
+// retries in (retry instant, deferral) order, a retry first at a tie — the
 // simulator's event order. The caller holds core.mu.
 func (m *master) release(now simtime.Time) {
 	for {
@@ -212,13 +208,13 @@ func (m *master) release(now simtime.Time) {
 			ret = m.deferred[0].at
 		}
 		switch {
-		case rel <= now && rel <= ret:
-			m.rule(m.wfs[m.rel.pop()], now)
-		case ret <= now:
+		case ret <= now && ret <= rel:
 			wf := m.deferred[0].wf
 			m.deferred = slices.Delete(m.deferred, 0, 1)
 			m.noteRetry()
 			m.rule(m.wfs[wf], now)
+		case rel <= now:
+			m.rule(m.wfs[m.rel.pop()], now)
 		default:
 			return
 		}
@@ -247,11 +243,10 @@ func (m *master) applyReport(completed []TaskID, tracker int, now simtime.Time) 
 func (m *master) rule(ws *cluster.WorkflowState, now simtime.Time) {
 	switch v, retry := ws.Rule(m.adm, now); v {
 	case admission.Defer:
-		d := deferredRelease{wf: ws.Index, at: retry}
-		i, _ := slices.BinarySearchFunc(m.deferred, d, func(a, b deferredRelease) int {
-			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.wf, b.wf))
-		})
-		m.deferred = slices.Insert(m.deferred, i, d)
+		// After every retry due at or before this one: the simulator re-rules
+		// the workflows deferred to one instant in the order it deferred them.
+		i := sort.Search(len(m.deferred), func(i int) bool { return m.deferred[i].at > retry })
+		m.deferred = slices.Insert(m.deferred, i, deferredRelease{wf: ws.Index, at: retry})
 		m.noteRetry()
 	case admission.Reject:
 		m.retire()

@@ -22,31 +22,6 @@ import (
 	"repro/internal/workflow"
 )
 
-// layout is one control plane under comparison: the single-mutex referee or
-// the master.
-type layout struct {
-	name string
-	ref  bool
-}
-
-// layouts lists the referee first, then the master: the equivalence tests
-// take the referee's outcome as the reference and demand it from the master.
-var layouts = []layout{{name: "reference", ref: true}, {name: "tracker"}}
-
-// build makes the layout's cluster from cfg.
-func (l layout) build(t testing.TB, cfg live.Config, pol cluster.Policy) *live.Cluster {
-	t.Helper()
-	newCluster := live.New
-	if l.ref {
-		newCluster = live.NewReference
-	}
-	c, err := newCluster(cfg, pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 // driveScripted runs a deterministic single-driver heartbeat script against
 // a cluster: every round completes the previous round's assignments and
 // offers the given slots, until a round with nothing to complete is assigned
@@ -80,19 +55,20 @@ func driveScripted(t *testing.T, c *live.Cluster, freeMaps, freeReds int, split 
 	}
 }
 
-// TestShardedMatchesLegacyScripted pins outcome equivalence in the strongest
-// form: under a time-independent policy (FIFO ignores the clock) and a
-// serial heartbeat script, the master must produce the single-mutex
-// referee's assignment stream byte for byte, both when each heartbeat
-// reports its completions and offers slots at once and when the two are
-// split over heartbeats, so that completions arrive with no slot to fill.
-func TestShardedMatchesLegacyScripted(t *testing.T) {
+// TestReportsSplitFromOffersMatch: a heartbeat that reports completions and
+// offers slots is served as a completion-only report followed by the offer
+// at the same instant, which is how the differential (TestLiveMatchesSimulator)
+// replays the simulator. Under FIFO and a serial script the master must
+// hand out the same assignment stream both ways, so that what the
+// differential pins holds for the TaskTrackers' combined reports too.
+func TestReportsSplitFromOffersMatch(t *testing.T) {
 	var want []live.Assignment
-	for i, tc := range []struct {
-		layout
-		split bool
-	}{{layouts[0], false}, {layouts[1], false}, {layouts[1], true}} {
-		c := tc.build(t, fastConfig(), scheduler.NewFIFO())
+	for _, split := range []bool{false, true} {
+		c, err := live.New(fastConfig(), scheduler.NewFIFO())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.StepClock()
 		for _, w := range []*workflow.Workflow{
 			chainFlow("w1", 0, 2*time.Hour),
 			chainFlow("w2", 0, 2*time.Hour),
@@ -102,74 +78,23 @@ func TestShardedMatchesLegacyScripted(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got := driveScripted(t, c, 2, 1, tc.split)
-		if i == 0 {
+		got := driveScripted(t, c, 2, 1, split)
+		if !split {
 			if len(got) != 3*14 {
-				t.Fatalf("reference stream has %d assignments, want 42", len(got))
+				t.Fatalf("combined reports: stream has %d assignments, want 42", len(got))
 			}
 			want = got
 		} else if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s (split %v): assignment stream diverges from the reference (%d vs %d assignments)",
-				tc.name, tc.split, len(got), len(want))
+			t.Errorf("split reports: assignment stream diverges from the combined reports' (%d vs %d assignments)", len(got), len(want))
 		}
 	}
 }
 
-// TestShardedEquivalenceAcrossShardCounts runs the same seeded WOHA workload
-// to completion on the referee and on the master and checks the per-workflow
-// deadline outcomes agree: timing in the live cluster is noisy, but with
-// these margins every workflow must meet its deadline identically on both.
-func TestShardedEquivalenceAcrossShardCounts(t *testing.T) {
-	flows := func() []*workflow.Workflow {
-		return []*workflow.Workflow{
-			chainFlow("w1", 0, 2*time.Hour),
-			chainFlow("w2", 10*time.Second, 2*time.Hour),
-			chainFlow("w3", 20*time.Second, 2*time.Hour),
-		}
-	}
-	var baseline []bool
-	for _, l := range layouts {
-		c := l.build(t, fastConfig(), core.NewScheduler(core.Options{Seed: 7}))
-		for _, w := range flows() {
-			p, err := plan.GenerateCapped(w, 12, priority.LPF{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Submit(w, p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		res, err := c.Run(ctx)
-		cancel()
-		if err != nil {
-			t.Fatalf("%s: %v", l.name, err)
-		}
-		if res.TasksStarted != 3*14 {
-			t.Errorf("%s: TasksStarted = %d, want 42", l.name, res.TasksStarted)
-		}
-		met := make([]bool, len(res.Workflows))
-		for i, w := range res.Workflows {
-			if w.Finish == 0 {
-				t.Errorf("%s: %s never finished", l.name, w.Name)
-			}
-			met[i] = w.Met
-		}
-		if baseline == nil {
-			baseline = met
-			continue
-		}
-		if !reflect.DeepEqual(met, baseline) {
-			t.Errorf("%s deadline outcomes %v differ from the reference's %v", l.name, met, baseline)
-		}
-	}
-}
-
-// TestShardedConcurrentDirectHeartbeats hammers the master with concurrent
+// TestConcurrentDirectHeartbeats hammers the master with concurrent
 // DeliverHeartbeat callers that assign and complete tasks, then drains
 // serially and checks nothing was lost. Run under -race this covers the
 // pipeline/fast-path synchronization.
-func TestShardedConcurrentDirectHeartbeats(t *testing.T) {
+func TestConcurrentDirectHeartbeats(t *testing.T) {
 	c, err := live.New(fastConfig(), scheduler.NewFIFO())
 	if err != nil {
 		t.Fatal(err)
@@ -340,37 +265,6 @@ func TestPipelineAnswersItsOwnCaller(t *testing.T) {
 	}
 }
 
-// TestShardedRunWithTrackers runs the full TaskTracker goroutine cluster on
-// the master.
-func TestShardedRunWithTrackers(t *testing.T) {
-	c, err := live.New(fastConfig(), scheduler.NewFIFO())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []*workflow.Workflow{
-		chainFlow("w1", 0, 2*time.Hour),
-		chainFlow("w2", 10*time.Second, 2*time.Hour),
-	} {
-		if err := c.Submit(w, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	res, err := c.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TasksStarted != 2*14 {
-		t.Errorf("TasksStarted = %d, want 28", res.TasksStarted)
-	}
-	for _, w := range res.Workflows {
-		if !w.Met {
-			t.Errorf("%s missed a two-hour deadline (finish %v)", w.Name, w.Finish)
-		}
-	}
-}
-
 // TestSubmitAfterStartErrs: a Submit that arrives after a heartbeat has
 // stamped the clock is refused with an error, and the running tracker is
 // left as it was — the drain assigns only the first workflow's tasks and the
@@ -537,10 +431,10 @@ func TestIdleHeartbeatsStillRecorded(t *testing.T) {
 	}
 }
 
-// TestShardedObsMetrics checks the master's dedicated instruments:
+// TestFastPathAndPipelineMetrics checks the master's dedicated instruments:
 // fast-path accounting for busy heartbeats and the pipeline's passes and
 // orders.
-func TestShardedObsMetrics(t *testing.T) {
+func TestFastPathAndPipelineMetrics(t *testing.T) {
 	ins := obs.New(obs.NewRegistry(), nil)
 	cfg := fastConfig()
 	cfg.Obs = ins
@@ -572,12 +466,12 @@ func TestShardedObsMetrics(t *testing.T) {
 	}
 }
 
-// BenchmarkShardedIdleHeartbeat is live_drain's commonest report in
-// isolation: a busy TaskTracker (no completions, no free slots) heartbeating
-// an uninstrumented master whose workflows have all been released — seven in
-// eight of that workload's heartbeats. `go test -bench ShardedIdleHeartbeat
+// BenchmarkIdleHeartbeat is live_drain's commonest report in isolation: a
+// busy TaskTracker (no completions, no free slots) heartbeating an
+// uninstrumented master whose workflows have all been released — seven in
+// eight of that workload's heartbeats. `go test -bench IdleHeartbeat
 // -cpuprofile` shows what such a report pays for.
-func BenchmarkShardedIdleHeartbeat(b *testing.B) {
+func BenchmarkIdleHeartbeat(b *testing.B) {
 	c, err := live.New(fastConfig(), core.NewScheduler(core.Options{Seed: 7}))
 	if err != nil {
 		b.Fatal(err)

@@ -50,7 +50,7 @@ func TestPipelineServedWhenHomeLeaves(t *testing.T) {
 	if err := c.Submit(w, nil); err != nil {
 		t.Fatal(err)
 	}
-	st := c.jt.(*master)
+	st := c.jt
 	st.stats = obs.New(obs.NewRegistry(), nil).NewLiveStats()
 	offer := func(tracker int) Heartbeat { return Heartbeat{Tracker: tracker, FreeMaps: 1} }
 
@@ -155,7 +155,7 @@ func BenchmarkPipelineTwoDrivers(b *testing.B) {
 			}
 		}
 		stats := obs.New(obs.NewRegistry(), nil).NewLiveStats()
-		c.jt.(*master).stats = stats
+		c.jt.stats = stats
 		b.StartTimer()
 		n, err := drainRounds(c, nodes, drivers, total)
 		b.StopTimer()

@@ -80,7 +80,7 @@ func TestMalformedReportsRefused(t *testing.T) {
 			defer client.Close()
 			defer c.CloseTransport()
 		}
-		st := c.jt.(*master)
+		st := c.jt
 
 		first := beat(Heartbeat{FreeMaps: 1})
 		if len(first) != 1 {

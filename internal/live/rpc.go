@@ -19,7 +19,7 @@ import (
 // Close the returned cluster with CloseTransport after Run to release the
 // listener and client connections.
 func NewTCP(cfg Config, pol cluster.Policy) (*Cluster, error) {
-	return newCluster(cfg, pol, newControlPlane, true)
+	return newCluster(cfg, pol, true)
 }
 
 // rpcServer is the control plane as a net/rpc server with the one method
@@ -66,10 +66,9 @@ func (c *Cluster) CloseTransport() error {
 	return c.transport.close()
 }
 
-// rpcJobTracker adapts the control plane's Heartbeat to the net/rpc method
-// shape.
+// rpcJobTracker adapts the master's Heartbeat to the net/rpc method shape.
 type rpcJobTracker struct {
-	jt controlPlane
+	jt *master
 }
 
 // Heartbeat is the exported RPC method.
