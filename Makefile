@@ -34,14 +34,15 @@ race:
 # run of every example and of every wohasim path — run before every merge.
 verify: build test vet race fuzz-smoke examples-smoke cli-smoke
 
-# Each of the eleven fuzz targets, fuzzed for FUZZTIME beyond its seed corpus
+# Each of the twelve fuzz targets, fuzzed for FUZZTIME beyond its seed corpus
 # (which the tier-1 suite already runs): the event queue against a sorting
 # reference, the DSL queue's op programs, the plan kernel against the
 # queue-based referee, the capped cap search against its oracle, the cap
 # search's makespan bounds against the kernel's makespan, the plan and
 # workflow decoders, workflow compilation, the live tracker's heartbeat
-# reports, the raw bytes of its net/rpc connection, and the live tracker
-# against the heartbeat-mode simulator on random corpora and clusters. go
+# reports, the raw bytes of its net/rpc connection, the live tracker
+# against the heartbeat-mode simulator on random corpora and clusters, and
+# the baselines' candidate sets against the scans they replaced. go
 # test fuzzes one target of one package at a time. A failing
 # input is written under the package's testdata/fuzz, where it becomes part
 # of the seed corpus.
@@ -58,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzHeartbeatReports$$' -fuzztime $(FUZZTIME) ./internal/live/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/live/
 	$(GO) test -run '^$$' -fuzz '^FuzzLiveMatchesSimulator$$' -fuzztime $(FUZZTIME) ./internal/live/
+	$(GO) test -run '^$$' -fuzz '^FuzzBaselinesMatchScan$$' -fuzztime $(FUZZTIME) ./internal/scheduler/
 
 # Fails when any tracked Go file is not gofmt-clean, printing the diff.
 fmt-check:
@@ -84,7 +86,9 @@ race-smoke:
 # kernel's (a bound kernel answers a probe, from a run or from its makespan
 # bounds, and runs a whole unrecorded cap search with 0 allocations), and the
 # planner's two (a cold capped typed plan averages at
-# most 11 over the planner corpus; a warm cache hit allocates 0). Run
+# most 11 over the planner corpus; a warm cache hit allocates 0), and the
+# baselines' (NextTask, TaskStarted and TaskRequeued at 0 allocs once their
+# candidate sets are warm). Run
 # without -race — the race runtime randomizes sync.Pool reuse and inflates
 # allocation counts, so the pins skip themselves.
 alloc-pins:
@@ -95,6 +99,7 @@ alloc-pins:
 	$(GO) test -count=1 -run 'TestQueueOrderedAllocs' ./internal/simtime/
 	$(GO) test -count=1 -run 'TestKernelProbeAllocs' ./internal/plan/
 	$(GO) test -count=1 -run 'TestColdPlanAllocs|TestCacheHitAllocs' ./internal/planner/
+	$(GO) test -count=1 -run 'TestBaselineOpAllocs' ./internal/scheduler/
 
 # The CI gate: formatting, static analysis, the tier-1 suite, the
 # concurrency race smoke, and the allocation pins.

@@ -137,19 +137,11 @@ type wsArena struct {
 	jobBlocks [][]JobState
 	jobBlock  int
 	jobUsed   int
-	// wordBlocks backs the schedulable-index bitsets (EnableSchedIndex),
-	// carved like jobBlocks so steady-state submission allocates nothing.
-	// No zeroing on release: the words are plain integers (nothing to pin)
-	// and EnableSchedIndex clears its slice on reuse.
-	wordBlocks [][]uint64
-	wordBlock  int
-	wordUsed   int
 }
 
 func (a *wsArena) reset() {
 	a.used = 0
 	a.jobBlock, a.jobUsed = 0, 0
-	a.wordBlock, a.wordUsed = 0, 0
 }
 
 // release zeroes every record handed out since the last reset — dropping the
@@ -181,31 +173,6 @@ func (a *wsArena) alloc(index int, w *workflow.Workflow, p *plan.Plan) *Workflow
 	a.used++
 	initWorkflowState(ws, a.allocJobs(len(w.Jobs)), index, w, p)
 	return ws
-}
-
-// wordBlockSize sizes the bitset blocks: 512 words cover the index of ~85
-// typical workflows (2 words each) before a new block is needed.
-const wordBlockSize = 512
-
-// allocWords carves n uint64s for a workflow's schedulable-index bitsets; a
-// workflow's words never span blocks.
-func (a *wsArena) allocWords(n int) []uint64 {
-	for {
-		if a.wordBlock == len(a.wordBlocks) {
-			size := wordBlockSize
-			if n > size {
-				size = n
-			}
-			a.wordBlocks = append(a.wordBlocks, make([]uint64, size))
-		}
-		if blk := a.wordBlocks[a.wordBlock]; a.wordUsed+n <= len(blk) {
-			ws := blk[a.wordUsed : a.wordUsed+n : a.wordUsed+n]
-			a.wordUsed += n
-			return ws
-		}
-		a.wordBlock++
-		a.wordUsed = 0
-	}
 }
 
 func (a *wsArena) allocJobs(n int) []JobState {

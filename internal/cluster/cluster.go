@@ -19,7 +19,6 @@
 package cluster
 
 import (
-	mbits "math/bits"
 	"time"
 
 	"repro/internal/plan"
@@ -165,7 +164,8 @@ type WorkflowState struct {
 
 	// ScheduledTasks is the true progress ρ: tasks started so far.
 	ScheduledTasks int
-	// RunningTasks counts currently executing tasks (Fair scheduling key).
+	// RunningTasks counts currently executing tasks. Only tests read it:
+	// Fair ranks jobs by their own running counts.
 	RunningTasks int
 	// remaining counts tasks not yet finished; the workflow completes when
 	// it reaches zero.
@@ -183,15 +183,6 @@ type WorkflowState struct {
 	Rejected     bool
 	RejectReason string
 	CounterOffer simtime.Time
-
-	// schedCnt counts, per slot type, the jobs currently able to start a
-	// task; schedJobs is the matching bitset over job IDs. Both exist only
-	// when the owning control plane opted in via EnableSchedIndex; the
-	// transitions (state.go) keep them current. Otherwise Schedulable falls
-	// back to the per-job scan. The frozen refsim oracle never opts in, so
-	// its behaviour is untouched by construction.
-	schedCnt  [2]int32
-	schedJobs [2][]uint64
 }
 
 // NewWorkflowState builds the runtime state for one submitted workflow:
@@ -240,97 +231,6 @@ func (ws *WorkflowState) TaskDone() int {
 
 // TasksRemaining reports the number of tasks not yet finished.
 func (ws *WorkflowState) TasksRemaining() int { return ws.remaining }
-
-// Schedulable reports whether any job of the workflow can start a task on a
-// slot of type st. O(1) when the owning control plane maintains the
-// schedulable index; a per-job scan otherwise.
-func (ws *WorkflowState) Schedulable(st SlotType) bool {
-	if ws.schedJobs[st] != nil {
-		return ws.schedCnt[st] > 0
-	}
-	for i := range ws.Jobs {
-		if ws.Jobs[i].Schedulable(st) {
-			return true
-		}
-	}
-	return false
-}
-
-// EnableSchedIndex activates the per-slot-type schedulable index over the
-// given bitset storage (nil allocates; otherwise words must hold at least
-// 2 × ⌈len(Jobs)/64⌉ entries — the simulator passes arena-carved storage so
-// steady-state submission stays allocation-free). The transitions (StartTask,
-// FinishTask, RequeueTask, ActivateJob) maintain the index, and are the only
-// writers of a job's Ready flag and pending/running counters.
-func (ws *WorkflowState) EnableSchedIndex(words []uint64) {
-	n := (len(ws.Jobs) + 63) / 64
-	if words == nil {
-		words = make([]uint64, 2*n)
-	}
-	for i := range words[:2*n] {
-		words[i] = 0
-	}
-	ws.schedJobs[MapSlot] = words[:n:n]
-	ws.schedJobs[ReduceSlot] = words[n : 2*n : 2*n]
-	ws.schedCnt = [2]int32{}
-	for j := range ws.Jobs {
-		ws.refreshJob(workflow.JobID(j))
-	}
-}
-
-// refreshJob reconciles the schedulable index with job's current state. It
-// is idempotent and state-based, so callers may refresh conservatively; a
-// no-op when the index is not enabled. Every transition ends with it.
-func (ws *WorkflowState) refreshJob(job workflow.JobID) {
-	if ws.schedJobs[MapSlot] == nil {
-		return
-	}
-	js := &ws.Jobs[job]
-	w, bit := uint(job)>>6, uint64(1)<<(uint(job)&63)
-	for st := MapSlot; st <= ReduceSlot; st++ {
-		has := ws.schedJobs[st][w]&bit != 0
-		if want := js.Schedulable(st); want != has {
-			if want {
-				ws.schedJobs[st][w] |= bit
-				ws.schedCnt[st]++
-			} else {
-				ws.schedJobs[st][w] &^= bit
-				ws.schedCnt[st]--
-			}
-		}
-	}
-}
-
-// NextSchedulableJob returns the lowest job ID >= from whose job can start a
-// task of type st. With the index enabled it walks the bitset a word at a
-// time; otherwise it scans. Iterating via successive calls visits jobs in
-// ascending ID order — the tie-break order of the policies' scans.
-func (ws *WorkflowState) NextSchedulableJob(st SlotType, from workflow.JobID) (workflow.JobID, bool) {
-	set := ws.schedJobs[st]
-	if set == nil {
-		for j := int(from); j < len(ws.Jobs); j++ {
-			if ws.Jobs[j].Schedulable(st) {
-				return workflow.JobID(j), true
-			}
-		}
-		return 0, false
-	}
-	w := int(from) >> 6
-	if w >= len(set) {
-		return 0, false
-	}
-	word := set[w] &^ ((uint64(1) << (uint(from) & 63)) - 1)
-	for {
-		if word != 0 {
-			return workflow.JobID(w<<6 | mbits.TrailingZeros64(word)), true
-		}
-		w++
-		if w >= len(set) {
-			return 0, false
-		}
-		word = set[w]
-	}
-}
 
 // Policy is the pluggable WorkflowScheduler consulted by the JobTracker.
 // Implementations are single-threaded: the simulator never calls a Policy

@@ -460,7 +460,6 @@ func (s *Simulator) Submit(w *workflow.Workflow, p *plan.Plan) error {
 // the load view, which reports a workflow from submission, not from release.
 func (s *Simulator) enroll(w *workflow.Workflow, p *plan.Plan) *WorkflowState {
 	ws := s.wsa.alloc(len(s.states), w, p)
-	ws.EnableSchedIndex(s.wsa.allocWords(2 * ((len(w.Jobs) + 63) / 64)))
 	s.ins.Health().Register(ws.Index, w.Name, w.Release, w.Deadline, w.TotalTasks(), p)
 	s.states = append(s.states, ws)
 	s.laneBase = append(s.laneBase, s.nextLane)

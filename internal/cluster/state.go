@@ -10,9 +10,9 @@ import (
 
 // The transitions below are the JobTracker's bookkeeping, written once for
 // both control planes: the simulator and the live master call them and then
-// tell the policy, the instruments and their own tallies what changed. Each
-// keeps the schedulable index current (refreshJob), so a policy consulted
-// right after one sees the job as it now is.
+// tell the policy, the instruments and their own tallies what changed. The
+// JobTracker keeps no schedulable index: each policy keeps its own, updated
+// from the job's counters in the callbacks that follow a transition.
 
 // StartTask moves one task of the job from pending to running on a slot of
 // type st and returns the task's estimated duration.
@@ -29,7 +29,6 @@ func (ws *WorkflowState) StartTask(job workflow.JobID, st SlotType) time.Duratio
 	}
 	ws.ScheduledTasks++
 	ws.RunningTasks++
-	ws.refreshJob(job)
 	return est
 }
 
@@ -49,7 +48,6 @@ func (ws *WorkflowState) FinishTask(job workflow.JobID, st SlotType, now simtime
 		js.DoneReduces++
 	}
 	ws.RunningTasks--
-	ws.refreshJob(job)
 	if ws.TaskDone() == 0 && !ws.Done {
 		ws.Done, ws.FinishTime = true, now
 		done = true
@@ -73,7 +71,6 @@ func (ws *WorkflowState) RequeueTask(job workflow.JobID, st SlotType) time.Durat
 	}
 	ws.ScheduledTasks--
 	ws.RunningTasks--
-	ws.refreshJob(job)
 	return est
 }
 
@@ -83,7 +80,6 @@ func (ws *WorkflowState) ActivateJob(job workflow.JobID, now simtime.Time) {
 	js := &ws.Jobs[job]
 	js.Ready = true
 	js.ActivatedAt = now
-	ws.refreshJob(job)
 }
 
 // ReadyDependents calls ready, in ascending ID order, for each dependent of

@@ -60,7 +60,7 @@ func (r *contractRecorder) JobActivated(ws *cluster.WorkflowState, job workflow.
 	r.FIFO.JobActivated(ws, job, now)
 }
 
-func (r *contractRecorder) ReducesReady(ws *cluster.WorkflowState, job workflow.JobID, _ simtime.Time) {
+func (r *contractRecorder) ReducesReady(ws *cluster.WorkflowState, job workflow.JobID, now simtime.Time) {
 	if js := &ws.Jobs[job]; !js.MapsDone() || js.PendingReduces == 0 {
 		r.breach("%s: ReducesReady for job %d with %d maps pending, %d running, %d reduces pending",
 			ws.Spec.Name, job, js.PendingMaps, js.RunningMaps, js.PendingReduces)
@@ -68,6 +68,7 @@ func (r *contractRecorder) ReducesReady(ws *cluster.WorkflowState, job workflow.
 	if r.reduces[ws] != nil {
 		r.reduces[ws][job]++
 	}
+	r.FIFO.ReducesReady(ws, job, now)
 }
 
 // check reports every breach, then that each of the want workflows arrived

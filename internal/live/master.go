@@ -127,7 +127,6 @@ func (m *master) register(w *workflow.Workflow, p *plan.Plan) error {
 		return errLateRegister(w)
 	}
 	ws := cluster.NewWorkflowState(len(m.wfs), w, p)
-	ws.EnableSchedIndex(nil)
 	m.wfs = append(m.wfs, ws)
 	m.remaining++
 	return nil

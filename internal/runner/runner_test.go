@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -256,7 +257,49 @@ func benchCorpus(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Memoize the plans so iterations time the simulator, not Algorithm 1.
+	pinPlans(b, cells)
+	run := runner.New(runner.Config{Workers: workers})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := run.RunAll(cells); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFig8CorpusByPolicy times the Fig 8 cells of seeds 1–8 one
+// scheduler at a time, serially, so each policy's cost can be read apart.
+func BenchmarkFig8CorpusByPolicy(b *testing.B) {
+	bySpec := map[string][]runner.Cell{}
+	for seed := int64(1); seed <= 8; seed++ {
+		cfg := experiments.DefaultFig8Config()
+		cfg.Yahoo.Seed, cfg.Seed = seed, seed
+		cells, err := experiments.Fig8Cells(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pinPlans(b, cells)
+		for _, c := range cells {
+			spec, _, _ := strings.Cut(c.Name, "/")
+			bySpec[spec] = append(bySpec[spec], c)
+		}
+	}
+	run := runner.New(runner.Config{Workers: 1})
+	for _, spec := range experiments.AllSchedulers() {
+		cells := bySpec[spec.Name]
+		b.Run(spec.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := run.RunAll(cells); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// pinPlans generates each cell's plans once, so iterations time the
+// simulator, not Algorithm 1.
+func pinPlans(b *testing.B, cells []runner.Cell) {
 	for i := range cells {
 		if cells[i].Plans == nil {
 			continue
@@ -266,12 +309,5 @@ func benchCorpus(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 		cells[i].Plans = func() ([]*plan.Plan, error) { return plans, nil }
-	}
-	run := runner.New(runner.Config{Workers: workers})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := run.RunAll(cells); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
