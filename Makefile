@@ -25,7 +25,8 @@ vet:
 # front door (a locked pipeline shared by concurrent callers), and the
 # federation layer (single-threaded by design, but its equivalence sweeps
 # cross the cluster pool-handoff paths). The live tracker runs at one CPU and
-# at four, so its combining pipeline is raced with one P and with several.
+# at four, so its lock-free fast path and its one lock are raced with one P
+# and with several.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/plan/... ./internal/planner/... ./internal/workflow/... ./internal/runner/... ./internal/cluster/... ./internal/dsl/... ./internal/admission/... ./internal/federation/...
 	$(GO) test -race -cpu 1,4 ./internal/live/...
@@ -88,7 +89,8 @@ race-smoke:
 # planner's two (a cold capped typed plan averages at
 # most 11 over the planner corpus; a warm cache hit allocates 0), and the
 # baselines' (NextTask, TaskStarted and TaskRequeued at 0 allocs once their
-# candidate sets are warm). Run
+# candidate sets are warm), and the live tracker's locked report (0 allocs
+# for a completion-only report, 1, its answer, for one assigned 1-8 tasks). Run
 # without -race — the race runtime randomizes sync.Pool reuse and inflates
 # allocation counts, so the pins skip themselves.
 alloc-pins:
@@ -100,6 +102,7 @@ alloc-pins:
 	$(GO) test -count=1 -run 'TestKernelProbeAllocs' ./internal/plan/
 	$(GO) test -count=1 -run 'TestColdPlanAllocs|TestCacheHitAllocs' ./internal/planner/
 	$(GO) test -count=1 -run 'TestBaselineOpAllocs' ./internal/scheduler/
+	$(GO) test -count=1 -run 'TestLockedReportAllocs' ./internal/live/
 
 # The CI gate: formatting, static analysis, the tier-1 suite, the
 # concurrency race smoke, and the allocation pins.
@@ -182,5 +185,5 @@ cli-smoke:
 # profile path works and leaving live-mutex.prof for inspection (go tool
 # pprof live.test live-mutex.prof).
 mutex-smoke:
-	$(GO) test -mutexprofile live-mutex.prof -run 'TestConcurrentDirectHeartbeats|TestPipelineAnswersItsOwnCaller' ./internal/live/
+	$(GO) test -mutexprofile live-mutex.prof -run 'TestConcurrentDirectHeartbeats|TestConcurrentReportsAnsweredToTheirCaller' ./internal/live/
 	@ls -l live-mutex.prof

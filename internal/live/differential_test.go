@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/rpc"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -53,6 +54,9 @@ type scenario struct {
 	// The simulator's is instrumented by o, and its admission events tell
 	// the replay when the simulator ruled.
 	door func(t testing.TB, o *obs.Obs) admission.Controller
+	// tcp builds the live side with NewTCP and replays over a net/rpc client
+	// dialed to its listener instead of through DeliverHeartbeat.
+	tcp bool
 }
 
 // diffHeartbeat is the simulator's heartbeat interval in the differential.
@@ -101,6 +105,8 @@ type differential struct {
 	sim *cluster.Simulator
 	log *eventLog
 	c   *live.Cluster
+	// deliver sends one report to the master and returns its answer.
+	deliver func(live.Heartbeat) []live.Assignment
 	// clock is the master's stepped clock.
 	clock *atomic.Int64
 	// simObs instruments the simulator; liveObs, the master's, is nil
@@ -151,7 +157,11 @@ func newDifferential(t testing.TB, sc scenario, health bool) *differential {
 		sim.SetAdmission(d.simDoor)
 	}
 	d.sim = sim
-	d.c, err = live.New(live.Config{
+	newLive := live.New
+	if sc.tcp {
+		newLive = live.NewTCP
+	}
+	d.c, err = newLive(live.Config{
 		Nodes:              cc.Nodes,
 		MapSlotsPerNode:    cc.MapSlotsPerNode,
 		ReduceSlotsPerNode: cc.ReduceSlotsPerNode,
@@ -164,6 +174,10 @@ func newDifferential(t testing.TB, sc scenario, health bool) *differential {
 		t.Fatal(err)
 	}
 	d.clock = d.c.StepClock()
+	d.deliver = d.c.DeliverHeartbeat
+	if sc.tcp {
+		d.deliver = dialJobTracker(t, d.c)
+	}
 	for i, w := range sc.flows {
 		var p *plan.Plan
 		if plans != nil {
@@ -180,6 +194,26 @@ func newDifferential(t testing.TB, sc scenario, health bool) *differential {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// dialJobTracker dials c's listener (c built with NewTCP) with a net/rpc
+// client of its own, as a TaskTracker does, and returns how a report is sent
+// over it. The client and c's transport close when the test ends.
+func dialJobTracker(t testing.TB, c *live.Cluster) func(live.Heartbeat) []live.Assignment {
+	t.Helper()
+	t.Cleanup(func() { _ = c.CloseTransport() })
+	client, err := rpc.Dial("tcp", c.TransportAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = client.Close() })
+	return func(hb live.Heartbeat) []live.Assignment {
+		var out []live.Assignment
+		if err := client.Call("JobTracker.Heartbeat", hb, &out); err != nil {
+			t.Fatalf("heartbeat of tracker %d: %v", hb.Tracker, err)
+		}
+		return out
+	}
 }
 
 // stepTo runs the simulator through every instant up to at and replays what
@@ -208,7 +242,7 @@ func (d *differential) replay(e obs.Event) {
 		hb.Tracker = e.Tracker
 		hb.FreeMaps, hb.FreeReds = d.free[e.Tracker][cluster.MapSlot], d.free[e.Tracker][cluster.ReduceSlot]
 	}
-	for _, a := range d.c.DeliverHeartbeat(hb) {
+	for _, a := range d.deliver(hb) {
 		if e.Kind != obs.KindHeartbeatServed {
 			d.t.Fatalf("%v: a report with no free slot (%v) was assigned %+v", e.Time, e.Kind, a.ID)
 		}
@@ -376,6 +410,39 @@ func TestLiveMatchesSimulator(t *testing.T) {
 	})
 	if deferred.Load() == 0 || rejected.Load() == 0 {
 		t.Errorf("the door deferred %d and rejected %d rulings over the matrix, want some of each", deferred.Load(), rejected.Load())
+	}
+}
+
+// TestLiveMatchesSimulatorOverTCP is the differential with the live side
+// built by NewTCP and every report sent as a JobTracker.Heartbeat call over
+// loopback, so gob encoding and net/rpc stand between the replay and the
+// master: every scheduler on 10 nodes with noise 0.3, behind the tenant
+// door, with the in-process matrix's assertions.
+func TestLiveMatchesSimulatorOverTCP(t *testing.T) {
+	flows := withTenants(diffCorpus(t))
+	var deferred, rejected atomic.Int64
+	t.Run("cells", func(t *testing.T) {
+		for _, spec := range experiments.AllSchedulers() {
+			sc := scenario{nodes: 10, noise: 0.3, spec: spec, flows: flows, tcp: true}
+			sc.door = tenantDoor(sc)
+			t.Run(spec.Name, func(t *testing.T) {
+				t.Parallel()
+				d := newDifferential(t, sc, false)
+				res := d.finish()
+				if len(d.simStream) == 0 {
+					t.Fatal("nothing was assigned")
+				}
+				rejected.Add(int64(res.Rejections()))
+				for _, r := range d.simDoor.(decisionAudit).Records() {
+					if r.Decision.Verdict == admission.Defer {
+						deferred.Add(1)
+					}
+				}
+			})
+		}
+	})
+	if deferred.Load() == 0 || rejected.Load() == 0 {
+		t.Errorf("the door deferred %d and rejected %d rulings over the cells, want some of each", deferred.Load(), rejected.Load())
 	}
 }
 

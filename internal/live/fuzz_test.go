@@ -157,6 +157,12 @@ func FuzzHeartbeatReports(f *testing.F) {
 	})
 }
 
+// heartbeatDeadline bounds each wait of FuzzFrameDecode, as the parity
+// harness bounds each cell: a server that never gives a connection up fails
+// the input by name instead of the package at go test's -timeout. A
+// heartbeat takes microseconds; the bound is for a slow race run.
+const heartbeatDeadline = 2 * time.Second
+
 // FuzzFrameDecode feeds raw bytes to the JobTracker's net/rpc server over an
 // in-memory pipe, as a TaskTracker's connection would carry them: gob frames
 // that may be truncated or malformed, or well-formed calls carrying any

@@ -10,8 +10,8 @@
 //
 // The master keeps Hadoop-1's single lock over workflow state and policy,
 // and keeps heartbeats cheap around it: a report with nothing to do reads
-// only atomics and takes no lock, and the others are served in batches by
-// whichever heartbeat holds the lock (see master.go). Its bookkeeping is the
+// only atomics and takes no lock, and each of the others books its own
+// report under the lock (see master.go). Its bookkeeping is the
 // simulator's (cluster.WorkflowState), and tests pin its decisions to the
 // simulator's: under a stepped clock, heartbeats replayed at the instants a
 // heartbeat-mode cluster.Simulator fires them must be answered with the

@@ -93,7 +93,7 @@ func TestReportsSplitFromOffersMatch(t *testing.T) {
 // TestConcurrentDirectHeartbeats hammers the master with concurrent
 // DeliverHeartbeat callers that assign and complete tasks, then drains
 // serially and checks nothing was lost. Run under -race this covers the
-// pipeline/fast-path synchronization.
+// synchronization between the locked step and the fast path.
 func TestConcurrentDirectHeartbeats(t *testing.T) {
 	c, err := live.New(fastConfig(), scheduler.NewFIFO())
 	if err != nil {
@@ -171,15 +171,14 @@ func TestConcurrentDirectHeartbeats(t *testing.T) {
 	}
 }
 
-// TestPipelineAnswersItsOwnCaller: heartbeats bound for the pipeline queue
-// their reports and whichever holds the policy-core lock serves the whole
-// queue, so a report is often answered by another goroutine's heartbeat.
-// Every caller must still get its own answer and every task be handed out
+// TestConcurrentReportsAnsweredToTheirCaller: many goroutines' heartbeats
+// contend for the tracker's one lock, and each books its own report under
+// it. Every caller must get its own answer and every task be handed out
 // once: half the callers offer only map slots and half only reduce slots, so
 // an answer delivered to the wrong caller shows as the wrong slot type, and
 // each caller completes exactly what it was given, so a lost or doubled
 // answer shows in the totals.
-func TestPipelineAnswersItsOwnCaller(t *testing.T) {
+func TestConcurrentReportsAnsweredToTheirCaller(t *testing.T) {
 	c, err := live.New(fastConfig(), scheduler.NewFIFO())
 	if err != nil {
 		t.Fatal(err)
@@ -299,8 +298,7 @@ func TestSubmitAfterStartErrs(t *testing.T) {
 }
 
 // TestRefillSizedByNodeNotByReport: the assignment slice is allocated once
-// per refill, after the pipeline's locks are gone, for exactly what was
-// assigned. A report is unchecked RPC input, so absurd free counts must
+// per refill, after the lock is gone, for exactly what was assigned. A report is unchecked RPC input, so absurd free counts must
 // neither panic nor size the allocation.
 func TestRefillSizedByNodeNotByReport(t *testing.T) {
 	c, err := live.New(fastConfig(), scheduler.NewFIFO())
@@ -431,10 +429,10 @@ func TestIdleHeartbeatsStillRecorded(t *testing.T) {
 	}
 }
 
-// TestFastPathAndPipelineMetrics checks the master's dedicated instruments:
-// fast-path accounting for busy heartbeats and the pipeline's passes and
-// orders.
-func TestFastPathAndPipelineMetrics(t *testing.T) {
+// TestFastPathAndLockWaitMetrics checks the master's dedicated instruments:
+// every instrumented heartbeat is either a fast-path beat or a wait for the
+// lock, never both and never neither.
+func TestFastPathAndLockWaitMetrics(t *testing.T) {
 	ins := obs.New(obs.NewRegistry(), nil)
 	cfg := fastConfig()
 	cfg.Obs = ins
@@ -458,11 +456,47 @@ func TestFastPathAndPipelineMetrics(t *testing.T) {
 	if got := st.FastPathBeats.Value(); got < 5 {
 		t.Errorf("fast-path heartbeats = %d, want >= 5", got)
 	}
-	// One driver never finds another heartbeat's report queued, so every
-	// pass through the pipeline serves exactly its own.
-	passes, orders := st.PipelinePasses.Value(), st.PipelineOrders.Value()
-	if passes == 0 || orders != passes {
-		t.Errorf("serial script: %d pipeline passes served %d reports, want one each", passes, orders)
+	fast, locked, delivered := st.FastPathBeats.Value(), st.LockWait.Count(), ins.Heartbeats.Value()
+	if locked == 0 || fast+locked != delivered {
+		t.Errorf("%d fast-path heartbeats and %d lock waits, want %d heartbeats delivered between them, some locked", fast, locked, delivered)
+	}
+}
+
+// TestLockedReportAllocs pins what a report that takes the lock allocates,
+// uninstrumented: a completion-only report nothing, and a report assigned
+// one to eight tasks exactly one slice, its answer. The answer is built on
+// the stack under the lock and copied out once the lock is gone.
+func TestLockedReportAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime inflates allocation counts")
+	}
+	c, err := live.New(fastConfig(), scheduler.NewFIFO())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := workflow.NewBuilder("w").
+		Job("j", 1024, 1, time.Second, time.Second).
+		MustBuild(0, simtime.Epoch.Add(time.Hour))
+	if err := c.Submit(w, nil); err != nil {
+		t.Fatal(err)
+	}
+	// The first report releases the workflow and starts 64 maps, so the
+	// completions below never finish the map phase.
+	if out := c.DeliverHeartbeat(live.Heartbeat{FreeMaps: 64}); len(out) != 64 {
+		t.Fatalf("the first report got %d assignments, want 64", len(out))
+	}
+	// Completions are checked by count: any running map of job 0 retires
+	// one.
+	done := live.Heartbeat{Completed: []live.TaskID{{Job: 0, Type: cluster.MapSlot}}}
+	if n := testing.AllocsPerRun(20, func() { c.DeliverHeartbeat(done) }); n != 0 {
+		t.Errorf("a completion-only report allocates %v, want 0", n)
+	}
+	for k := 1; k <= 8; k++ {
+		var out []live.Assignment
+		n := testing.AllocsPerRun(20, func() { out = c.DeliverHeartbeat(live.Heartbeat{FreeMaps: k}) })
+		if len(out) != k || n != 1 {
+			t.Errorf("a report assigned %d of %d offered allocates %v, want 1", len(out), k, n)
+		}
 	}
 }
 

@@ -25,8 +25,8 @@ type wfCounters struct {
 
 // counters snapshots workflow i under the master's lock.
 func (m *master) counters(i int) wfCounters {
-	m.core.mu.Lock()
-	defer m.core.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	ws := m.wfs[i]
 	return wfCounters{
 		Jobs:      append([]cluster.JobState(nil), ws.Jobs...),

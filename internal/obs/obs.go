@@ -366,21 +366,12 @@ func (s *PlannerStats) OnPlanCoalesced(dur time.Duration, served bool) {
 }
 
 // LiveStats bundles the instruments of the live JobTracker (internal/live):
-// how often heartbeats complete on the lock-free fast path, and how the
-// assignment pipeline serves the others. All methods are safe on a nil
+// how often heartbeats complete on the lock-free fast path, and how long the
+// others wait for the tracker's one lock. All methods are safe on a nil
 // receiver, so the tracker carries a LiveStats pointer unconditionally and
 // the uninstrumented hot path pays one nil check.
 type LiveStats struct {
-	PipelineLockWait *Histogram `metric:"woha_live_pipeline_lock_wait_seconds" buckets:"duration" help:"Wait of a heartbeat to enter the assignment pipeline or to be served by the heartbeat holding it."`
-	// PipelinePasses counts holds of the pipeline lock that served queued
-	// reports; PipelineOrders the reports served. Orders per pass above one
-	// is heartbeats being answered by the heartbeat ahead of them.
-	PipelinePasses *Counter `metric:"woha_live_pipeline_passes_total" help:"Holds of the assignment pipeline's lock that served queued heartbeat reports."`
-	PipelineOrders *Counter `metric:"woha_live_pipeline_orders_total" help:"Heartbeat reports served by the assignment pipeline."`
-	// PipelineHandoffs counts passes combined on another order, and so
-	// mostly another core, than the pass before: the policy and workflow
-	// state then move between caches.
-	PipelineHandoffs *Counter `metric:"woha_live_pipeline_handoffs_total" help:"Assignment-pipeline passes whose combiner is not the previous pass's home."`
+	LockWait *Histogram `metric:"woha_live_lock_wait_seconds" buckets:"duration" help:"Wait of a heartbeat for the JobTracker's lock before its report is booked."`
 	// FastPathBeats counts heartbeats served without taking any lock (no
 	// completions, no due releases, and no assignable work).
 	FastPathBeats *Counter `metric:"woha_live_fastpath_heartbeats_total" help:"Heartbeats served entirely on the lock-free fast path."`
@@ -395,31 +386,12 @@ func (o *Obs) NewLiveStats() *LiveStats {
 	return declare(o.reg, &LiveStats{}, nil)
 }
 
-// OnPipelineLockWait records one heartbeat's wait for the assignment pipeline.
-func (s *LiveStats) OnPipelineLockWait(d time.Duration) {
+// OnLockWait records one heartbeat's wait for the JobTracker's lock.
+func (s *LiveStats) OnLockWait(d time.Duration) {
 	if s == nil {
 		return
 	}
-	s.PipelineLockWait.ObserveDuration(d)
-}
-
-// OnPipelinePass records one hold of the pipeline lock that served orders
-// queued reports.
-func (s *LiveStats) OnPipelinePass(orders int) {
-	if s == nil {
-		return
-	}
-	s.PipelinePasses.Inc()
-	s.PipelineOrders.Add(int64(orders))
-}
-
-// OnPipelineHandoff records a pass combined away from the previous pass's
-// home.
-func (s *LiveStats) OnPipelineHandoff() {
-	if s == nil {
-		return
-	}
-	s.PipelineHandoffs.Inc()
+	s.LockWait.ObserveDuration(d)
 }
 
 // OnFastPath records a heartbeat served without locks.
