@@ -25,8 +25,7 @@ import (
 // elapsed − threshold = now − crossing, with the lowest launch sequence
 // winning a tie.
 type candidates struct {
-	// phases is indexed by phase id, the phase's lane owner
-	// (Simulator.phase).
+	// phases is indexed by phase id (Simulator.phase).
 	phases []phaseCands
 	// heads[st] is a binary min-heap over the non-empty phases of slot type
 	// st, each entry carrying its head's (crossing, seq) inline.

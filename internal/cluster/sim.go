@@ -82,14 +82,10 @@ type Simulator struct {
 	// Policy.NextTask); newWork clears it. Instant dispatch offers no st slot
 	// while it is set.
 	noWork [2]bool
-	// exact is whether every attempt takes exactly its job's estimate (no
-	// noise, no stragglers). Then the completions of one job phase reach the
-	// event queue in firing order, and each phase gets a lane of its own
-	// (pushCompletion); laneBase[wf] is the first of workflow wf's lane
-	// owners, two per job.
-	exact    bool
-	laneBase []int32
-	nextLane int32
+	// phaseBase[wf] is the first of workflow wf's phase ids, two per job
+	// (phase), and nextPhase the first id not yet handed out.
+	phaseBase []int32
+	nextPhase int32
 	// due holds every armed tick at most one interval ahead, beside the event
 	// queue (armHeartbeat). Each lies on its node's own phase and all lie
 	// within one interval of the earliest, so the set in node order, taken
@@ -328,9 +324,8 @@ func (s *Simulator) reset(cfg Config, pol Policy, obs Observer) {
 	s.noWork = [2]bool{}
 	s.due.reset(cfg.Nodes)
 	s.dueNode = -1
-	s.exact = cfg.Noise == 0 && cfg.StragglerProb == 0
-	s.laneBase = s.laneBase[:0]
-	s.nextLane = 0
+	s.phaseBase = s.phaseBase[:0]
+	s.nextPhase = 0
 	s.load = Load{
 		MapSlots: cfg.MapSlots(), ReduceSlots: cfg.ReduceSlots(),
 		FreeMaps: cfg.MapSlots(), FreeReduces: cfg.ReduceSlots(),
@@ -462,8 +457,8 @@ func (s *Simulator) enroll(w *workflow.Workflow, p *plan.Plan) *WorkflowState {
 	ws := s.wsa.alloc(len(s.states), w, p)
 	s.ins.Health().Register(ws.Index, w.Name, w.Release, w.Deadline, w.TotalTasks(), p)
 	s.states = append(s.states, ws)
-	s.laneBase = append(s.laneBase, s.nextLane)
-	s.nextLane += 2 * int32(len(w.Jobs))
+	s.phaseBase = append(s.phaseBase, s.nextPhase)
+	s.nextPhase += 2 * int32(len(w.Jobs))
 	s.cands.grow(w, s.cfg.SpeculativeSlowdown)
 	s.load.ActiveWorkflows++
 	s.load.PendingTasks += ws.remaining
@@ -1194,31 +1189,14 @@ func (s *Simulator) offer(node int, st SlotType) bool {
 	if s.cfg.SpeculativeSlowdown != 0 {
 		s.addCandidate(h)
 	}
-	s.pushCompletion(end, event{kind: evComplete, a: h, gen: rec.gen}, ws.Index, job, st)
+	s.push(end, event{kind: evComplete, a: h, gen: rec.gen})
 	return true
 }
 
-// phase returns the id of a job phase: its lane owner in the event queue
-// and its candidate list.
+// phase returns the id of a job phase, which indexes its speculation
+// candidate list.
 func (s *Simulator) phase(wf int, job workflow.JobID, st SlotType) int32 {
-	return s.laneBase[wf] + 2*int32(job) + int32(st)
-}
-
-// pushCompletion schedules a normal attempt's completion. With exact
-// durations every task of one job phase takes the same time, so the phase's
-// completions arrive in firing order and ride a queue lane of their own: the
-// lane heads' heap then holds one entry per phase in flight, and the
-// attempts are never filed in the queue's buckets.
-// Pop order is the same either way (simtime.Queue.PushLane).
-func (s *Simulator) pushCompletion(at simtime.Time, e event, wf int, job workflow.JobID, st SlotType) {
-	if !s.exact {
-		s.push(at, e)
-		return
-	}
-	if s.nAsleep > 0 || s.dueNode >= 0 {
-		s.settle(at)
-	}
-	s.events.PushLane(int(s.phase(wf, job, st)), at, e)
+	return s.phaseBase[wf] + 2*int32(job) + int32(st)
 }
 
 // killAttempt removes a losing speculative attempt, freeing its slot and

@@ -224,16 +224,11 @@ func SchedulerByName(name string) (SchedulerSpec, error) {
 // typed slots (see plan.GenerateCappedMargin).
 const PlanMargin = 0.85
 
-// RunScenario executes flows on a cluster configured by cfg under spec,
-// generating resource-capped plans client-side for WOHA schedulers (at the
-// default PlanMargin). obs may be nil.
-func RunScenario(cfg cluster.Config, flows []*workflow.Workflow, spec SchedulerSpec, seed int64, obs cluster.Observer) (*cluster.Result, error) {
-	return RunScenarioMargin(cfg, flows, spec, seed, obs, PlanMargin)
-}
-
-// RunScenarioMargin is RunScenario with an explicit plan safety margin,
-// exposed for the margin-ablation benchmarks. It is the one-cell serial
-// case of the runner every figure sweep goes through.
+// RunScenarioMargin executes flows on a cluster configured by cfg under
+// spec, generating resource-capped plans client-side for WOHA schedulers at
+// the given plan safety margin (the experiments use PlanMargin), and is
+// exposed for the margin-ablation benchmarks. obs may be nil. It is the
+// one-cell serial case of the runner every figure sweep goes through.
 func RunScenarioMargin(cfg cluster.Config, flows []*workflow.Workflow, spec SchedulerSpec, seed int64, obs cluster.Observer, margin float64) (*cluster.Result, error) {
 	var observer func() cluster.Observer
 	if obs != nil {

@@ -97,8 +97,8 @@ func TestMalformedReportsRefused(t *testing.T) {
 			{Workflow: 0, Job: 0, Type: -1},
 			{Workflow: 0, Job: 0, Type: cluster.ReduceSlot},
 		} {
-			// Without a slot offered the report is booked outside the
-			// pipeline; with one, inside it.
+			// Both reports are booked under the master's one lock; the one
+			// that offers a slot also reaches assign.
 			for _, free := range []int{0, 1} {
 				if out := beat(Heartbeat{FreeReds: free, Completed: []TaskID{bad}}); len(out) != 0 {
 					t.Errorf("%s: report of %+v was assigned %d tasks", name, bad, len(out))

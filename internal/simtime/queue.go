@@ -27,18 +27,6 @@ import "math/bits"
 // where its band puts it. A push below last, which the simulators never
 // make (they push at or after the instant they are processing), re-files
 // every bucket against the new instant once.
-//
-// Beside the buckets sit FIFO lanes for events that arrive already in firing
-// order: PushLane feeds one lane per caller-chosen owner (in a simulated
-// cluster, the completions of one job phase, which under exact durations all
-// take the same time). Each lane is a ring sorted by (at, seq), because a
-// lane only accepts an event whose instant is not below its tail's and seq
-// stamps only grow; an event that would break a lane's order goes to the
-// buckets instead. The lanes are merged through a small heap of their heads,
-// and Pop, Peek and DrainInstant take the smaller of the buckets' earliest
-// event and the earliest lane head. Every event carries the stamp Push would
-// have given it whichever lane holds it, so the pop order is a merge of
-// (at, seq)-sorted lists and does not depend on where an event went.
 type Queue[T any] struct {
 	// buckets[i] holds the events filed under bucket i. Bucket 0 pops from
 	// head0; every other bucket is only appended to, and emptied whole by a
@@ -59,18 +47,6 @@ type Queue[T any] struct {
 	last Time
 	// spill is the scratch space of a below-last re-file.
 	spill []event[T]
-	// lanes holds every lane ever opened; a drained lane's index goes
-	// to spare and its ring keeps its capacity for the next owner. owned maps
-	// an owner to 1 + the index of its lane, 0 while it has none.
-	lanes []lane[T]
-	spare []int32
-	owned []int32
-	// heads is a heapArity-ary heap over the open lanes, each entry carrying
-	// its lane head's (at, seq) inline so that a comparison never reaches
-	// into a ring. A lane is open exactly while it is non-empty.
-	heads []laneHead
-	// laneLen counts the events held in all lanes.
-	laneLen int
 	// seq is a monotonically increasing stamp assigned at Push time so that
 	// events pushed earlier pop earlier among equal firing times. Normal
 	// pushes live in the upper seq band (normalBand set); PushFront draws
@@ -82,45 +58,6 @@ type Queue[T any] struct {
 
 // numBuckets is one bucket for last itself and one per bit of a Time.
 const numBuckets = 65
-
-// lane is one FIFO ring: n events starting at head, wrapping at len(ring),
-// which is zero or a power of two, and the owner it serves.
-type lane[T any] struct {
-	ring    []event[T]
-	head, n int
-	owner   int
-}
-
-func (l *lane[T]) tail() *event[T] { return &l.ring[(l.head+l.n-1)&(len(l.ring)-1)] }
-
-func (l *lane[T]) push(e event[T]) {
-	if l.n == len(l.ring) {
-		l.grow()
-	}
-	l.ring[(l.head+l.n)&(len(l.ring)-1)] = e
-	l.n++
-}
-
-func (l *lane[T]) pop() {
-	l.ring[l.head] = event[T]{} // release payload for GC
-	l.head = (l.head + 1) & (len(l.ring) - 1)
-	l.n--
-}
-
-// grow doubles the ring, unwrapping it to start at index 0.
-func (l *lane[T]) grow() {
-	grown := make([]event[T], max(2*len(l.ring), 16))
-	n := copy(grown, l.ring[l.head:])
-	copy(grown[n:], l.ring[:l.head])
-	l.ring, l.head = grown, 0
-}
-
-// laneHead is the heads entry of open lane l.
-type laneHead struct {
-	at  Time
-	seq uint64
-	l   int32
-}
 
 // normalBand tags the seq stamps of ordinary pushes. Every normal stamp is
 // larger than every front stamp, so among events at one instant the front
@@ -254,9 +191,10 @@ func (q *Queue[T]) empty(i int) {
 	}
 }
 
-// bucketMin returns the earliest instant in the buckets without re-filing
-// any; ok is false when they are empty.
-func (q *Queue[T]) bucketMin() (at Time, ok bool) {
+// Peek returns the firing time of the earliest event without removing it.
+// ok is false when the queue is empty. It re-files nothing: a bucket's
+// minimum is kept as events arrive.
+func (q *Queue[T]) Peek() (at Time, ok bool) {
 	if q.head0 < len(q.buckets[0]) {
 		return q.last, true
 	}
@@ -266,138 +204,21 @@ func (q *Queue[T]) bucketMin() (at Time, ok bool) {
 	return q.mins[bits.TrailingZeros64(q.occ)+1], true
 }
 
-// pop0 removes the front of bucket 0.
-func (q *Queue[T]) pop0() {
-	b := q.buckets[0]
-	q.head0++
-	q.n--
-	if q.head0 == len(b) {
-		q.buckets[0] = b[:0]
-		q.head0 = 0
-	}
-}
-
-// PushLane schedules payload v to fire at instant at, exactly as Push does —
-// same seq stamp, same position in the pop order — but keeps the event in
-// owner's lane when at is not below the instant of the last event that lane
-// accepted, which makes both the push and the later pop cheap. An event that
-// would break the lane's order goes to the buckets instead; onLane reports
-// which of the two happened. owner is a small non-negative integer the caller
-// picks (the queue keeps a table indexed by it). An owner's lane exists only
-// while it holds events; a drained lane returns to a pool for the next owner
-// to open. Lanes pay off for sources that each fire in order but interleave
-// with one another: an event then costs a ring append and pop, and the heads'
-// heap holds one entry per source. Any mix of Push and PushLane pops
-// identically.
-func (q *Queue[T]) PushLane(owner int, at Time, v T) (onLane bool) {
-	if owner >= len(q.owned) {
-		q.owned = append(q.owned, make([]int32, owner+1-len(q.owned))...)
-	}
-	li := int(q.owned[owner]) - 1
-	if li >= 0 && at < q.lanes[li].tail().at {
-		q.Push(at, v)
-		return false
-	}
-	q.seq++
-	e := event[T]{at: at, seq: normalBand | q.seq, payload: v}
-	q.laneLen++
-	if li >= 0 {
-		q.lanes[li].push(e)
-		return true
-	}
-	li = q.openLane(owner)
-	q.lanes[li].push(e)
-	q.heads = append(q.heads, laneHead{at: at, seq: e.seq, l: int32(li)})
-	q.upHeads(len(q.heads) - 1)
-	return true
-}
-
-// openLane hands owner an empty lane, a spare one when there is one.
-func (q *Queue[T]) openLane(owner int) int {
-	var li int
-	if n := len(q.spare); n > 0 {
-		li = int(q.spare[n-1])
-		q.spare = q.spare[:n-1]
-	} else {
-		li = len(q.lanes)
-		q.lanes = append(q.lanes, lane[T]{})
-	}
-	q.lanes[li].owner = owner
-	q.owned[owner] = int32(li + 1)
-	return li
-}
-
-// first locates the earliest pending event under (at, seq) and reports
-// whether it heads a lane. Only valid on a non-empty queue. When the
-// buckets' earliest instant is the earliest pending one, it is about to pop,
-// so its bucket is re-filed into bucket 0 before the lanes' head and bucket
-// 0's front compare stamps. It hands out a pointer so that callers copy out
-// just the fields they want.
-func (q *Queue[T]) first() (e *event[T], onLane bool) {
-	at, ok := q.bucketMin()
-	if ok {
-		if len(q.heads) == 0 || at <= q.heads[0].at {
-			q.refile()
-			e = &q.buckets[0][q.head0]
-			if len(q.heads) == 0 || at < q.heads[0].at || e.seq < q.heads[0].seq {
-				return e, false
-			}
-		}
-	}
-	l := &q.lanes[q.heads[0].l]
-	return &l.ring[l.head], true
-}
-
-// dropLane removes the head of the lane at heads[0]. A lane left
-// holding events re-keys its entry; a drained one closes: it leaves heads,
-// its owner's entry clears, and it goes to spare.
-func (q *Queue[T]) dropLane() {
-	hd := &q.heads[0]
-	l := &q.lanes[hd.l]
-	l.pop()
-	q.laneLen--
-	if l.n > 0 {
-		next := &l.ring[l.head]
-		hd.at, hd.seq = next.at, next.seq
-		q.downHeads(0)
-		return
-	}
-	l.head = 0
-	q.owned[l.owner] = 0
-	q.spare = append(q.spare, hd.l)
-	last := len(q.heads) - 1
-	q.heads[0] = q.heads[last]
-	q.heads = q.heads[:last]
-	q.downHeads(0)
-}
-
 // Pop removes and returns the earliest event. ok is false when the queue is
 // empty, in which case at and v are zero values.
 func (q *Queue[T]) Pop() (at Time, v T, ok bool) {
-	if q.Len() == 0 {
+	if q.n == 0 {
 		return 0, v, false
 	}
-	e, onLane := q.first()
-	at, v = e.at, e.payload
-	if onLane {
-		q.dropLane()
-	} else {
-		q.pop0()
+	q.refile()
+	b := q.buckets[0]
+	at, v = b[q.head0].at, b[q.head0].payload
+	q.head0++
+	q.n--
+	if q.head0 == len(b) {
+		q.empty(0)
 	}
 	return at, v, true
-}
-
-// Peek returns the firing time of the earliest event without removing it.
-// ok is false when the queue is empty. It re-files nothing: a bucket's
-// minimum is kept as events arrive.
-func (q *Queue[T]) Peek() (at Time, ok bool) {
-	at, ok = q.bucketMin()
-	// Only the instant is asked for, so a tie between the lanes and the
-	// buckets needs no seq comparison.
-	if len(q.heads) > 0 && (!ok || q.heads[0].at < at) {
-		at, ok = q.heads[0].at, true
-	}
-	return at, ok
 }
 
 // DrainInstant pops every event scheduled at the earliest pending instant,
@@ -409,55 +230,29 @@ func (q *Queue[T]) Peek() (at Time, ok bool) {
 // precisely when a Pop-per-event loop would have reached them (their seq
 // stamps are newer than everything drained here).
 //
-// The buckets' events at the instant are re-filed into bucket 0 at most once
-// and taken from its front; with no lane event there, the whole bucket goes
-// in one copy. The instant is read before anything is re-filed, so last
-// never passes it.
+// The instant's events are re-filed into bucket 0 at most once, and the
+// whole bucket goes out in one copy.
 func (q *Queue[T]) DrainInstant(out *[]T) (at Time, n int) {
-	at, ok := q.Peek()
-	if !ok {
+	if q.n == 0 {
 		return 0, 0
 	}
-	if m, ok := q.bucketMin(); ok && m == at {
-		q.refile()
+	q.refile()
+	b := q.buckets[0][q.head0:]
+	for i := range b {
+		*out = append(*out, b[i].payload)
 	}
-	if len(q.heads) == 0 || q.heads[0].at != at {
-		b := q.buckets[0][q.head0:]
-		for i := range b {
-			*out = append(*out, b[i].payload)
-		}
-		q.n -= len(b)
-		q.empty(0)
-		return at, len(b)
-	}
-	// Bucket 0 holds events at this instant exactly while last is it.
-	bucketed := q.last == at
-	for {
-		var e *event[T] // the front of bucket 0, when at this instant
-		if bucketed && q.head0 < len(q.buckets[0]) {
-			e = &q.buckets[0][q.head0]
-		}
-		if hd := q.heads; len(hd) > 0 && hd[0].at == at && (e == nil || hd[0].seq < e.seq) {
-			l := &q.lanes[hd[0].l]
-			*out = append(*out, l.ring[l.head].payload)
-			q.dropLane()
-		} else if e != nil {
-			*out = append(*out, e.payload)
-			q.pop0()
-		} else {
-			return at, n
-		}
-		n++
-	}
+	q.n -= len(b)
+	q.empty(0)
+	return q.last, len(b)
 }
 
 // Len returns the number of pending events.
-func (q *Queue[T]) Len() int { return q.n + q.laneLen }
+func (q *Queue[T]) Len() int { return q.n }
 
 // Reset empties the queue while keeping its backing storage, so a pooled
 // simulator can reuse one queue across runs without re-allocating. The
 // buckets' storage is zeroed whole, payloads still queued and copies left
-// behind alike, to release anything they reference, and every lane closes.
+// behind alike, to release anything they reference.
 func (q *Queue[T]) Reset() {
 	for i := range q.buckets {
 		clear(q.buckets[i][:cap(q.buckets[i])])
@@ -465,59 +260,8 @@ func (q *Queue[T]) Reset() {
 	}
 	clear(q.spill[:cap(q.spill)])
 	q.occ, q.n, q.last = 0, 0, 0
-	for len(q.heads) > 0 {
-		q.dropLane()
-	}
-	q.laneLen = 0
 	q.seq = 0
 	q.fseq = 0
-}
-
-// heapArity is the fan-out of the implicit d-ary heap of lane heads. Four
-// children halve the sift-down depth of the binary layout, trading cheap
-// extra comparisons (the children sit adjacent in one or two cache lines)
-// for dependent loads. The (at, seq) order is total, so pop order is
-// identical at any arity.
-const heapArity = 4
-
-func (q *Queue[T]) headLess(i, j int) bool {
-	a, b := &q.heads[i], &q.heads[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (q *Queue[T]) upHeads(i int) {
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !q.headLess(i, parent) {
-			break
-		}
-		q.heads[i], q.heads[parent] = q.heads[parent], q.heads[i]
-		i = parent
-	}
-}
-
-func (q *Queue[T]) downHeads(i int) {
-	n := len(q.heads)
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			return
-		}
-		smallest := i
-		for c := first; c < min(first+heapArity, n); c++ {
-			if q.headLess(c, smallest) {
-				smallest = c
-			}
-		}
-		if smallest == i {
-			return
-		}
-		q.heads[i], q.heads[smallest] = q.heads[smallest], q.heads[i]
-		i = smallest
-	}
 }
 
 type event[T any] struct {

@@ -1,10 +1,9 @@
 package simtime
 
-// Pop-order pins for the laned queue: whatever mix of Push, PushFront and
-// PushLane filled it, and whichever lane each event went to,
-// events leave in the order of a reference that sorts by (at, seq) — seq
-// being the push counter, with PushFront drawing from a band below every
-// other push.
+// Pop-order pins for the radix queue: whatever mix of Push and PushFront
+// filled it, and whichever buckets each event passed through, events leave
+// in the order of a reference that sorts by (at, seq) — seq being the push
+// counter, with PushFront drawing from a band below every other push.
 
 import (
 	"bytes"
@@ -78,9 +77,8 @@ func (r *refQueue) reset() { *r = refQueue{nextID: r.nextID} }
 
 // queueCoverage counts what one program reached.
 type queueCoverage struct {
-	// owner0, others and fellBack count ordered pushes that took owner 0's
-	// lane, another owner's, and the buckets.
-	owner0, others, fellBack int
+	// deepest is the most events the queue held at once.
+	deepest int
 	// refiled has bit i-1 set once bucket i > 0 has been re-filed by a pop.
 	refiled uint64
 	// belowLast counts pushes below last while the buckets held events.
@@ -107,10 +105,10 @@ func ahead(t Time, d Time) Time {
 // MaxTime. A plain push or PushFront whose opcode byte's high nibble is 14
 // goes anywhere in [0, 32) instead, and one whose nibble is 15 goes 1 to 32
 // behind the clock, usually below the queue's last while it holds events.
-// An ordered push goes to owner 0's lane when the opcode byte's high nibble
-// is 0 or a multiple of 5, and to one of owners 1 to 4 otherwise; it too
-// lands behind a lane's tail often enough to fall back. The returned
-// coverage says which of the queue's paths the program took.
+// An ordered push comes from one of five periodic sources, the opcode byte's
+// high nibble mod 5; below 160 its operand is ignored and it goes its
+// source's interval ahead of the clock. The returned coverage says which of
+// the queue's paths the program took.
 func checkQueueOps(t *testing.T, ops []byte) (cov queueCoverage) {
 	t.Helper()
 	var q Queue[int]
@@ -163,20 +161,12 @@ func checkQueueOps(t *testing.T, ops []byte) (cov queueCoverage) {
 			q.PushFront(at, ref.push(at, true))
 		case op < 10:
 			// The periodic source: usually one fixed interval ahead of the
-			// clock, which keeps the lane in order by itself. Each owner has
-			// an interval of its own, so the lanes interleave.
-			owner := int(code>>4) % 5
+			// clock. Each source has an interval of its own, so the sources
+			// interleave.
 			if arg < 160 {
-				at = ahead(clock, Time(8+owner))
+				at = ahead(clock, Time(8+int(code>>4)%5))
 			}
-			switch {
-			case !q.PushLane(owner, at, ref.push(at, false)):
-				cov.fellBack++
-			case owner == 0:
-				cov.owner0++
-			default:
-				cov.others++
-			}
+			q.Push(at, ref.push(at, false))
 		case op < 13:
 			want, _, wantOK := ref.peek()
 			if at, ok := q.Peek(); ok != wantOK || at != want.at {
@@ -218,7 +208,7 @@ func checkQueueOps(t *testing.T, ops []byte) (cov queueCoverage) {
 			clock = at
 		default:
 			// Reset is rare in a byte stream (1 in 16), and reuse afterwards
-			// is the point: the stamps and the ring must both start over.
+			// is the point: the stamps and the buckets must both start over.
 			q.Reset()
 			ref.reset()
 			clock = 0
@@ -226,6 +216,7 @@ func checkQueueOps(t *testing.T, ops []byte) (cov queueCoverage) {
 		if q.Len() != len(ref.evs) {
 			t.Fatalf("step %d: Len = %d, want %d", pc, q.Len(), len(ref.evs))
 		}
+		cov.deepest = max(cov.deepest, q.Len())
 	}
 	for len(ref.evs) > 0 {
 		want, _ := ref.pop()
@@ -242,31 +233,32 @@ func checkQueueOps(t *testing.T, ops []byte) (cov queueCoverage) {
 
 // queueOrderSeeds are hand-written programs for the corners. Operand 160+k
 // is "k after the clock" for every kind of push, 192+k "2^k after it";
-// opcode 16k+4 (k = 0..4) is a push to owner k's lane, and 240 a push behind
-// the clock.
+// opcode 16k+4 (k = 0..4) is an ordered push from source k, and 240 a push
+// behind the clock.
 var queueOrderSeeds = [][]byte{
 	{},
-	// Two ordered pushes, then one behind the lane's tail.
+	// Two ordered pushes, then one behind both.
 	{4, 163, 4, 165, 4, 161, 11, 11, 11},
-	// One instant reached through the lane, the buckets and the front band, in
-	// turn; then pushes at that instant between two drains of it.
+	// One instant reached by an ordered, a plain and a front push, in turn;
+	// then pushes at that instant between two drains of it.
 	{4, 163, 0, 163, 3, 163, 4, 163, 0, 163, 13, 0, 160, 4, 160, 13},
-	// Reset with a loaded lane, then reuse.
+	// Reset with ordered pushes pending, then reuse.
 	{4, 163, 4, 165, 15, 4, 161, 0, 160, 11, 11},
-	// Forty ordered pushes: the ring grows twice, then wraps as it drains
-	// and refills.
+	// Forty ordered pushes at one instant, thirty popped from bucket 0's
+	// front, then forty rounds of a push one interval ahead and a pop.
 	append(append(bytes.Repeat([]byte{4, 0}, 40), bytes.Repeat([]byte{11}, 30)...), bytes.Repeat([]byte{4, 0, 11}, 40)...),
-	// Owner 0 and four other owners, interleaved, drained instant by
-	// instant.
+	// All five sources, interleaved, drained instant by instant.
 	{20, 0, 36, 0, 52, 0, 68, 0, 4, 0, 20, 0, 36, 0, 13, 13, 13, 13, 13, 13},
-	// An owned lane's push behind its tail falls back to the buckets.
+	// A source's push behind its previous one, then another source's at the
+	// same instant.
 	{20, 165, 20, 161, 36, 161, 11, 11, 11},
-	// A lane drained and reused, by its owner and by another.
+	// A source's event popped before the next is pushed, so the queue empties
+	// between pushes; then two sources at once.
 	{20, 0, 11, 20, 0, 36, 0, 11, 11, 52, 0, 11},
-	// Reset with owned lanes live, then reuse.
+	// Reset with three sources' events pending, then reuse.
 	{20, 0, 36, 0, 4, 0, 15, 36, 0, 20, 0, 11, 11},
-	// One instant reached through three owners' lanes, the buckets and the
-	// front band; then a push at it between two drains.
+	// One instant reached by three sources' ordered pushes, a plain push and
+	// a front push; then a push at it between two drains.
 	{20, 160, 36, 160, 0, 160, 4, 160, 3, 160, 13, 20, 160, 13},
 	// A ladder of far pushes, drained from the nearest: each pop re-files
 	// the bucket of the next rung; then MaxTime, reached and pushed at.
@@ -293,7 +285,7 @@ func FuzzQueueOrder(f *testing.F) {
 }
 
 // TestQueueOrderProperty runs checkQueueOps over seeded random programs long
-// enough for the ring to wrap and grow many times over.
+// enough for the buckets to re-file and empty many times over.
 func TestQueueOrderProperty(t *testing.T) {
 	var refiled uint64
 	for _, s := range queueOrderSeeds {
@@ -304,18 +296,18 @@ func TestQueueOrderProperty(t *testing.T) {
 		ops := make([]byte, 6000)
 		rng.Read(ops)
 		if seed%2 == 0 {
-			// Push-heavy variant: turn half the pops into ordered pushes so
-			// the queue runs hundreds deep instead of hovering near empty.
+			// Push-heavy variant: turn half the pops and every Reset into
+			// ordered pushes so the queue runs hundreds deep instead of
+			// hovering near empty. Resets are the odd seeds' to cover.
 			for i := range ops {
-				if ops[i]%16 >= 10 && ops[i]%16 < 13 && rng.Intn(2) == 0 {
+				if ops[i]%16 >= 10 && ops[i]%16 < 13 && rng.Intn(2) == 0 || ops[i]%16 == 15 {
 					ops[i] = 4
 				}
 			}
 		}
 		cov := checkQueueOps(t, ops)
-		if cov.owner0 < 100 || cov.others < 100 || cov.fellBack < 100 {
-			t.Errorf("seed %d: %d owner-0 lane pushes, %d other-owner lane pushes and %d fallbacks; the program does not exercise all three",
-				seed, cov.owner0, cov.others, cov.fellBack)
+		if seed%2 == 0 && cov.deepest < 200 {
+			t.Errorf("seed %d: the push-heavy program held at most %d events at once, want hundreds", seed, cov.deepest)
 		}
 		if cov.belowLast == 0 || cov.frontAhead == 0 {
 			t.Errorf("seed %d: %d pushes below last and %d front pushes ahead of their instant's normal events; want some of each",
@@ -328,60 +320,64 @@ func TestQueueOrderProperty(t *testing.T) {
 	}
 }
 
-// TestQueueOrderedAllocs pins the queue's steady state: once the rings have
-// grown to the working set, PushLane and the pop that follows allocate
-// nothing — in order or falling back to buckets that have been that full, and
-// with lanes drained to the pool and reopened every cycle — and once the
-// buckets have, neither do Push and DrainInstant at scattered instants.
+// TestQueueOrderedAllocs pins the queue's steady state: once the buckets
+// have grown to the working set, Push and DrainInstant allocate nothing —
+// for events pushed in firing order, from one source or from eight that
+// interleave, and at scattered instants — and Reset keeps that storage.
 func TestQueueOrderedAllocs(t *testing.T) {
 	var q Queue[int]
 	var batch []int
 	const depth = 256
 	now := Time(0)
-	// One owner: its lane drains and closes at the end of every cycle and
-	// reopens at the next.
-	cycle := func() {
-		for i := 0; i < depth; i++ {
-			q.PushLane(0, now+Time(depth+i), i)
+	// A bucket's fill follows the bits of the clock, which moves on every
+	// cycle, so the buckets take some cycles to reach the largest fill they
+	// will see (16 suffice here; 64 leave a margin).
+	warm := func(cycle func()) {
+		for i := 0; i < 64; i++ {
+			cycle()
 		}
-		q.PushLane(0, now, -1) // behind the tail: falls back to the buckets
+	}
+	drain := func() {
 		for q.Len() > 0 {
 			batch = batch[:0]
 			now, _ = q.DrainInstant(&batch)
 		}
 	}
-	cycle() // warm: ring, buckets and batch reach their working size
-	if got := testing.AllocsPerRun(20, cycle); got != 0 {
-		t.Errorf("warm one-owner PushLane/DrainInstant cycle allocates %.1f/run, want 0", got)
+	// One source, in firing order, and one event at the clock itself.
+	ordered := func() {
+		for i := 0; i < depth; i++ {
+			q.Push(now+Time(depth+i), i)
+		}
+		q.Push(now, -1)
+		drain()
+	}
+	warm(ordered)
+	if got := testing.AllocsPerRun(20, ordered); got != 0 {
+		t.Errorf("warm one-source Push/DrainInstant cycle allocates %.1f/run, want 0", got)
 	}
 	q.Reset()
-	if got := testing.AllocsPerRun(20, cycle); got != 0 {
-		t.Errorf("cycle after Reset allocates %.1f/run, want 0 (Reset must keep the ring)", got)
+	if got := testing.AllocsPerRun(20, ordered); got != 0 {
+		t.Errorf("cycle after Reset allocates %.1f/run, want 0 (Reset must keep the buckets)", got)
 	}
 
-	// Eight owners whose events interleave, each lane drained
-	// and returned to the pool by the end of the cycle, and taken by another
-	// owner the next time round.
+	// Eight sources whose events interleave, each in its own firing order.
 	round := 0
-	laned := func() {
+	interleaved := func() {
 		for i := 0; i < depth; i++ {
-			owner := (i + round) % 8
-			q.PushLane(owner, now+Time(depth+i/8*8+owner), i)
+			src := (i + round) % 8
+			q.Push(now+Time(depth+i/8*8+src), i)
 		}
-		q.PushLane(round%8, now, -1) // behind the tail: falls back to the buckets
+		q.Push(now, -1)
 		round++
-		for q.Len() > 0 {
-			batch = batch[:0]
-			now, _ = q.DrainInstant(&batch)
-		}
+		drain()
 	}
-	laned()
-	if got := testing.AllocsPerRun(20, laned); got != 0 {
-		t.Errorf("warm PushLane/DrainInstant cycle allocates %.1f/run, want 0", got)
+	warm(interleaved)
+	if got := testing.AllocsPerRun(20, interleaved); got != 0 {
+		t.Errorf("warm eight-source Push/DrainInstant cycle allocates %.1f/run, want 0", got)
 	}
 	q.Reset()
-	if got := testing.AllocsPerRun(20, laned); got != 0 {
-		t.Errorf("PushLane cycle after Reset allocates %.1f/run, want 0 (Reset must keep the lanes)", got)
+	if got := testing.AllocsPerRun(20, interleaved); got != 0 {
+		t.Errorf("eight-source cycle after Reset allocates %.1f/run, want 0 (Reset must keep the buckets)", got)
 	}
 
 	// Scattered instants through Push alone, as a noisy run's completions
@@ -392,17 +388,9 @@ func TestQueueOrderedAllocs(t *testing.T) {
 		for i := 0; i < depth; i++ {
 			q.Push(now+d.next(), i)
 		}
-		for q.Len() > 0 {
-			batch = batch[:0]
-			now, _ = q.DrainInstant(&batch)
-		}
+		drain()
 	}
-	// A bucket's fill follows the bits of the clock, which moves on every
-	// cycle, so the buckets take some cycles to reach the largest fill they
-	// will see (16 suffice here; 64 leave a margin).
-	for i := 0; i < 64; i++ {
-		scattered()
-	}
+	warm(scattered)
 	if got := testing.AllocsPerRun(20, scattered); got != 0 {
 		t.Errorf("warm scattered Push/DrainInstant cycle allocates %.1f/run, want 0", got)
 	}
@@ -427,51 +415,35 @@ func (s *scatter) next() Time {
 // BenchmarkQueueHeartbeatMix is the event mix of a heartbeat-driven cluster:
 // 1500 periodic sources each re-arming one interval ahead as they fire, and
 // beside them one-shot events (task completions) at scattered instants, about
-// one in ten. "lane" re-arms with PushLane on one owner, "push" with Push —
-// the same pop sequence, so the difference is the cost of filing periodic
-// events in the buckets. "scattered" is a noisy run's completions alone:
-// about 800 pending events, each re-pushed as it pops at a duration drawn
-// like a noisy task's (scatter), so that instants rarely coincide and every
-// event goes through Push.
+// one in ten ("push"). "scattered" is a noisy run's completions alone: about
+// 800 pending events, each re-pushed as it pops at a duration drawn like a
+// noisy task's (scatter), so that instants rarely coincide.
 func BenchmarkQueueHeartbeatMix(b *testing.B) {
 	const sources, interval = 1500, Time(3_000_000_000)
-	for _, lane := range []bool{true, false} {
-		name := "push"
-		if lane {
-			name = "lane"
+	b.Run("push", func(b *testing.B) {
+		var q Queue[int]
+		rng := rand.New(rand.NewSource(1))
+		for s := 0; s < sources; s++ {
+			q.Push(interval*Time(s)/sources, s)
 		}
-		b.Run(name, func(b *testing.B) {
-			var q Queue[int]
-			arm := func(at Time, src int) {
-				if lane {
-					q.PushLane(0, at, src)
+		for i := 0; i < sources/10; i++ {
+			q.Push(Time(rng.Int63n(int64(20*interval))), -1)
+		}
+		batch := make([]int, 0, 16)
+		b.ResetTimer()
+		for i := 0; i < b.N; {
+			batch = batch[:0]
+			now, n := q.DrainInstant(&batch)
+			i += n
+			for _, src := range batch {
+				if src >= 0 {
+					q.Push(now+interval, src)
 				} else {
-					q.Push(at, src)
+					q.Push(now+Time(rng.Int63n(int64(20*interval))), -1)
 				}
 			}
-			rng := rand.New(rand.NewSource(1))
-			for s := 0; s < sources; s++ {
-				arm(interval*Time(s)/sources, s)
-			}
-			for i := 0; i < sources/10; i++ {
-				q.Push(Time(rng.Int63n(int64(20*interval))), -1)
-			}
-			batch := make([]int, 0, 16)
-			b.ResetTimer()
-			for i := 0; i < b.N; {
-				batch = batch[:0]
-				now, n := q.DrainInstant(&batch)
-				i += n
-				for _, src := range batch {
-					if src >= 0 {
-						arm(now+interval, src)
-					} else {
-						q.Push(now+Time(rng.Int63n(int64(20*interval))), -1)
-					}
-				}
-			}
-		})
-	}
+		}
+	})
 	b.Run("scattered", func(b *testing.B) {
 		const pending = 800
 		var q Queue[int]
