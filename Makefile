@@ -81,9 +81,9 @@ race-smoke:
 # budget (≤3 allocs end to end across both dispatch modes), the obs
 # heartbeat zero-alloc contract, the queue-op pin (Best/Scheduled/
 # Unscheduled at 0 allocs/op on a warm queue for the DSL and BST backends),
-# the event queue's (PushLane + drain at 0 allocs once the rings are warm,
-# on one owner and on eight interleaved owners; Push + drain at scattered
-# instants at 0 allocs once the buckets are warm), the plan
+# the event queue's (Push + drain at 0 allocs once the buckets are warm,
+# from one source and from eight interleaved ones, and at scattered
+# instants), the plan
 # kernel's (a bound kernel answers a probe, from a run or from its makespan
 # bounds, and runs a whole unrecorded cap search with 0 allocations), and the
 # planner's two (a cold capped typed plan averages at

@@ -15,8 +15,11 @@ import (
 	"repro/internal/dsl"
 	"repro/internal/experiments"
 	"repro/internal/plan"
+	"repro/internal/planner"
 	"repro/internal/priority"
+	"repro/internal/runner"
 	"repro/internal/simtime"
+	"repro/internal/workflow"
 	"repro/internal/workload"
 )
 
@@ -101,11 +104,7 @@ func BenchmarkFig11(b *testing.B) {
 			cfg := experiments.DefaultFig11Config()
 			var last *cluster.Result
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunScenarioMargin(cfg.Cluster(), cfg.Flows(), mustSpec(b, spec.Name), cfg.Seed, nil, cfg.Margin)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
+				last = runScenario(b, cfg.Cluster(), cfg.Flows(), mustSpec(b, spec.Name), cfg.Seed, experiments.PlanMargin)
 			}
 			for i, w := range last.Workflows {
 				b.ReportMetric(w.Workspan.Seconds(), fmt.Sprintf("W%d-workspan-s", i+1))
@@ -123,11 +122,7 @@ func BenchmarkFig12(b *testing.B) {
 			cfg.Recurrences = 3
 			var last *cluster.Result
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunScenarioMargin(cfg.Cluster(), cfg.Flows(), mustSpec(b, spec.Name), cfg.Seed, nil, cfg.Margin)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
+				last = runScenario(b, cfg.Cluster(), cfg.Flows(), mustSpec(b, spec.Name), cfg.Seed, experiments.PlanMargin)
 			}
 			b.ReportMetric(last.Utilization(), "utilization")
 		})
@@ -233,12 +228,20 @@ func ablationScenario(b *testing.B, margin float64, mutate func(*cluster.Config)
 	if mutate != nil {
 		mutate(&cc)
 	}
-	spec := mustSpec(b, "WOHA-LPF")
-	res, err := experiments.RunScenarioMargin(cc, cfg.Flows(), spec, cfg.Seed, nil, margin)
+	return runScenario(b, cc, cfg.Flows(), mustSpec(b, "WOHA-LPF"), cfg.Seed, margin)
+}
+
+// runScenario runs flows on a cluster configured by cc under spec as one
+// serial runner cell, planning WOHA workflows through a private planner at
+// margin.
+func runScenario(b *testing.B, cc cluster.Config, flows []*workflow.Workflow, spec experiments.SchedulerSpec, seed int64, margin float64) *cluster.Result {
+	b.Helper()
+	cell := experiments.ScenarioCell(spec.Name, cc, flows, spec, seed, nil, planner.New(planner.Config{Margin: margin}))
+	results, err := runner.New(runner.Config{Workers: 1}).RunAll([]runner.Cell{cell})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return res
+	return results[0]
 }
 
 // BenchmarkAblationPlanMargin sweeps the plan safety margin: 1.0 is the

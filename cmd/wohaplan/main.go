@@ -33,7 +33,7 @@ func main() {
 		mapSlots    = flag.Int("map-slots", 200, "cluster map slots")
 		reduceSlots = flag.Int("reduce-slots", 200, "cluster reduce slots")
 		policyName  = flag.String("policy", "LPF", "intra-workflow job priority: HLF, LPF, or MPF")
-		margin      = flag.Float64("margin", 0.85, "plan safety margin in (0,1]")
+		margin      = flag.Float64("margin", planner.DefaultMargin, "plan safety margin in (0,1]")
 		parallel    = flag.Int("parallel", 1, "plan up to N workflows at once (0 = one per core)")
 		cacheSize   = flag.Int("cache", 0, "structural plan cache capacity (0 = disabled)")
 	)

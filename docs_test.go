@@ -1,6 +1,9 @@
 package woha_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -29,7 +32,109 @@ var (
 	testFuncRef  = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*[*…]?`)
 	testFuncDecl = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz|Example)\w*)\(`)
 	makeRunFlag  = regexp.MustCompile(`-(?:run|fuzz) '([^']*)'`)
+	// A Go name a document writes in a code span: pkg.Name or
+	// pkg.Type.Member. Only spans whose pkg is a package of the module are
+	// checked.
+	goNameRef = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
 )
+
+// goDecls returns, per package name, every exported name the module's
+// non-test Go files declare: top-level names as "Name", and methods, struct
+// fields and interface methods both as "Type.Member" and as "Member", since
+// prose and profiles write a method as pkg.Method.
+func goDecls(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	decls := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == ".git" || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		names := decls[f.Name.Name]
+		if names == nil {
+			names = map[string]bool{}
+			decls[f.Name.Name] = names
+		}
+		add := func(name string) {
+			if member := name[strings.LastIndex(name, ".")+1:]; ast.IsExported(member) {
+				names[name] = true
+				names[member] = true
+			}
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					add(decl.Name.Name)
+				} else {
+					add(recvTypeName(decl.Recv.List[0].Type) + "." + decl.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							add(n.Name)
+						}
+					case *ast.TypeSpec:
+						add(spec.Name.Name)
+						var members []*ast.Field
+						switch typ := spec.Type.(type) {
+						case *ast.StructType:
+							members = typ.Fields.List
+						case *ast.InterfaceType:
+							members = typ.Methods.List
+						}
+						for _, m := range members {
+							for _, n := range m.Names {
+								add(spec.Name.Name + "." + n.Name)
+							}
+							if len(m.Names) == 0 { // an embedded type
+								add(spec.Name.Name + "." + recvTypeName(m.Type))
+							}
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decls
+}
+
+// recvTypeName returns the type name in a receiver or embedded-field type
+// expression: T for T, *T, T[P], pkg.T and their combinations.
+func recvTypeName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return x.Sel.Name
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
+}
 
 // testFuncs returns the name of every test, benchmark, fuzz target and
 // example declared in a _test.go file of the module.
@@ -78,7 +183,8 @@ func namesTestFunc(ref string, funcs map[string]bool) bool {
 
 // TestDocsNameOnlyWhatExists keeps the documents and the tree from drifting
 // apart: every make target a document names is in the Makefile, every test
-// function a document or a Makefile -run/-fuzz pattern names exists, and no
+// function a document or a Makefile -run/-fuzz pattern names exists, every
+// pkg.Name or pkg.Type.Member a code span names is declared, and no
 // document names a BENCH_*.json report (measurements come from
 // `go run ./benchmark` and its benchmark/BASELINE.json).
 func TestDocsNameOnlyWhatExists(t *testing.T) {
@@ -96,6 +202,10 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	funcs := testFuncs(t)
 	if !funcs["TestDocsNameOnlyWhatExists"] {
 		t.Fatal("test functions not parsed")
+	}
+	decls := goDecls(t)
+	if !decls["planner"]["Planner.Plan"] || !decls["cluster"]["Config.Nodes"] {
+		t.Fatal("Go declarations not parsed")
 	}
 
 	// A stale -run or -fuzz pattern selects nothing and passes silently. An
@@ -149,6 +259,19 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				for _, ref := range testFuncRef.FindAllString(span, -1) {
 					if !namesTestFunc(ref, funcs) {
 						t.Errorf("%s:%d names %s, which no _test.go declares", doc, i+1, ref)
+					}
+				}
+				for _, m := range goNameRef.FindAllStringSubmatch(span, -1) {
+					names, ok := decls[m[1]]
+					if !ok {
+						continue
+					}
+					name := m[2]
+					if m[3] != "" {
+						name += "." + m[3]
+					}
+					if !names[name] {
+						t.Errorf("%s:%d names %s.%s, which package %s does not declare", doc, i+1, m[1], name, m[1])
 					}
 				}
 			}

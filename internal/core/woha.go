@@ -16,7 +16,6 @@ import (
 	"repro/internal/dsl"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/priority"
 	"repro/internal/simtime"
 	"repro/internal/workflow"
 )
@@ -310,41 +309,3 @@ func (s *Scheduler) WorkflowCompleted(ws *cluster.WorkflowState, now simtime.Tim
 // QueueLen reports the number of workflows currently queued (for tests and
 // scalability experiments).
 func (s *Scheduler) QueueLen() int { return s.queue.Len() }
-
-// Client bundles the client-side submission pipeline of Fig 1: it validates
-// a workflow, generates the resource-capped scheduling plan locally, and
-// hands both to the JobTracker (simulator). It corresponds to the WOHA
-// client's Configuration Validator + Scheduling Plan Generator + Coordinator.
-type Client struct {
-	// Policy is the intra-workflow job prioritization algorithm.
-	Policy priority.Policy
-	// ClusterSlots is the total slot count reported by the JobTracker.
-	ClusterSlots int
-}
-
-// PreparePlan validates w and generates its resource-capped scheduling plan.
-func (c *Client) PreparePlan(w *workflow.Workflow) (*plan.Plan, error) {
-	if c.Policy == nil {
-		return nil, fmt.Errorf("core: client has no priority policy")
-	}
-	if err := w.Validate(); err != nil {
-		return nil, fmt.Errorf("core: validating workflow: %w", err)
-	}
-	p, err := plan.GenerateCapped(w, c.ClusterSlots, c.Policy)
-	if err != nil {
-		return nil, fmt.Errorf("core: generating plan for %q: %w", w.Name, err)
-	}
-	return p, nil
-}
-
-// Submit prepares w's plan and submits both to the simulator.
-func (c *Client) Submit(sim *cluster.Simulator, w *workflow.Workflow) error {
-	p, err := c.PreparePlan(w)
-	if err != nil {
-		return err
-	}
-	if err := sim.Submit(w, p); err != nil {
-		return fmt.Errorf("core: submitting %q: %w", w.Name, err)
-	}
-	return nil
-}

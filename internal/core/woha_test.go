@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -43,53 +42,6 @@ func TestSchedulerNameVariants(t *testing.T) {
 	}
 	if got := NewScheduler(Options{PolicyName: "HLF"}).Name(); got != "WOHA-HLF" {
 		t.Errorf("Name = %q, want WOHA-HLF", got)
-	}
-}
-
-func TestClientPreparePlan(t *testing.T) {
-	c := &Client{Policy: priority.LPF{}, ClusterSlots: 20}
-	w := twoJob(t, time.Hour)
-	p, err := c.PreparePlan(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Policy != "LPF" || p.TotalTasks != w.TotalTasks() {
-		t.Errorf("plan = %+v", p)
-	}
-	if !p.Feasible {
-		t.Error("generous deadline produced infeasible plan")
-	}
-}
-
-func TestClientErrors(t *testing.T) {
-	c := &Client{ClusterSlots: 20}
-	if _, err := c.PreparePlan(twoJob(t, time.Hour)); err == nil || !strings.Contains(err.Error(), "no priority policy") {
-		t.Errorf("nil policy: err = %v", err)
-	}
-	c.Policy = priority.HLF{}
-	bad := &workflow.Workflow{Name: "bad"}
-	if _, err := c.PreparePlan(bad); err == nil || !strings.Contains(err.Error(), "validating") {
-		t.Errorf("invalid workflow: err = %v", err)
-	}
-}
-
-func TestClientSubmitEndToEnd(t *testing.T) {
-	cfg := cluster.Config{Nodes: 4, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1}
-	pol := NewScheduler(Options{Seed: 3})
-	sim, err := cluster.New(cfg, pol, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &Client{Policy: priority.LPF{}, ClusterSlots: cfg.TotalSlots()}
-	if err := c.Submit(sim, twoJob(t, time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Workflows[0].Met {
-		t.Error("workflow missed a generous deadline")
 	}
 }
 

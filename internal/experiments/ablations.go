@@ -23,11 +23,10 @@ type AblationResult struct {
 }
 
 // lpfPlans builds the WOHA-LPF plan factory for a cell: typed, resource-
-// capped plans for flows against cc at the given margin, routed through the
-// shared planner pl when one is provided (nil plans privately).
-func lpfPlans(flows []*workflow.Workflow, cc cluster.Config, margin float64, pl *planner.Planner) func() ([]*plan.Plan, error) {
+// capped plans for flows against cc, served by pl at its margin.
+func lpfPlans(flows []*workflow.Workflow, cc cluster.Config, pl *planner.Planner) func() ([]*plan.Plan, error) {
 	lpf, _ := SchedulerByName("WOHA-LPF") // a name in the table: cannot fail
-	return PlansFactory(flows, cc, lpf, margin, pl)
+	return PlansFactory(flows, cc, lpf, pl)
 }
 
 // ablate runs the variant cells over the default worker pool and collapses
@@ -84,9 +83,8 @@ func AblationsFig11() ([]AblationResult, error) {
 				return core.NewScheduler(core.Options{Seed: base.Seed, PolicyName: "LPF"})
 			},
 			Flows: flows,
-			// Margins differ across variants and a planner caches per its
-			// configured margin, so each cell plans privately.
-			Plans: lpfPlans(flows, cc, s.margin, nil),
+			// A planner plans at one margin, so each variant has its own.
+			Plans: lpfPlans(flows, cc, planner.New(planner.Config{Margin: s.margin})),
 		}
 	}
 	return ablate(variants, cells)
@@ -110,10 +108,11 @@ func AblationsYahoo() ([]AblationResult, error) {
 	cc := cluster.Config{Nodes: 120, MapSlotsPerNode: 2, ReduceSlotsPerNode: 2, Seed: 1}
 	variants := make([]string, len(steps))
 	cells := make([]runner.Cell, len(steps))
-	// All six variants plan at PlanMargin against the same caps, and the
-	// three variants per deadline scheme share their workload's structure, so
-	// one coalescing planner serves each distinct plan once across the sweep.
-	pl := planner.New(planner.Config{CacheSize: 256, Margin: PlanMargin})
+	// All six variants plan at the default margin against the same caps, and
+	// the three variants per deadline scheme share their workload's
+	// structure, so one coalescing planner serves each distinct plan once
+	// across the sweep.
+	pl := planner.New(planner.Config{CacheSize: 256})
 	for i, s := range steps {
 		ycfg := workload.DefaultYahooConfig()
 		ycfg.Scheme = s.scheme
@@ -131,7 +130,7 @@ func AblationsYahoo() ([]AblationResult, error) {
 			Config: cc,
 			Policy: func() cluster.Policy { return core.NewScheduler(opts) },
 			Flows:  multi,
-			Plans:  lpfPlans(multi, cc, PlanMargin, pl),
+			Plans:  lpfPlans(multi, cc, pl),
 		}
 	}
 	return ablate(variants, cells)

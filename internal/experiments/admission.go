@@ -20,6 +20,9 @@ import (
 // misses spread across the whole population, while the feasible controller
 // converts it into up-front rejections (each carrying a counter-offered
 // feasible deadline) and keeps the miss ratio among admitted workflows low.
+// Plans are made at planner.DefaultMargin; the admission controller's own
+// feasibility margin stays at its default 1.0: the front door asks "can this
+// fit at all", not "can it fit with slack".
 type AdmissionSweepConfig struct {
 	// Yahoo builds the workflow population (single-job workflows removed,
 	// as in Fig 8).
@@ -29,10 +32,6 @@ type AdmissionSweepConfig struct {
 	Sizes []int
 	// Seed drives WOHA's queue PRNG.
 	Seed int64
-	// Margin is the plan safety margin (the admission controller's own
-	// feasibility margin stays at its default 1.0: the front door asks
-	// "can this fit at all", not "can it fit with slack").
-	Margin float64
 	// Workers caps concurrent cells; 0 selects one per core.
 	Workers int
 	// Obs optionally instruments the sweep's runner and controllers.
@@ -43,10 +42,9 @@ type AdmissionSweepConfig struct {
 // 200 slots per type is the paper's feasible regime, 80 is severe overload.
 func DefaultAdmissionSweepConfig() AdmissionSweepConfig {
 	return AdmissionSweepConfig{
-		Yahoo:  workload.DefaultYahooConfig(),
-		Sizes:  []int{200, 160, 120, 80},
-		Seed:   1,
-		Margin: PlanMargin,
+		Yahoo: workload.DefaultYahooConfig(),
+		Sizes: []int{200, 160, 120, 80},
+		Seed:  1,
 	}
 }
 
@@ -85,6 +83,7 @@ func AdmissionSweep(cfg AdmissionSweepConfig) (*AdmissionSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	pl := sweepPlanner(nil)
 
 	var cells []runner.Cell
 	for _, size := range cfg.Sizes {
@@ -95,8 +94,8 @@ func AdmissionSweep(cfg AdmissionSweepConfig) (*AdmissionSweepResult, error) {
 			Seed:               cfg.Seed,
 		}
 		caps := plan.Caps{Maps: cc.MapSlots(), Reduces: cc.ReduceSlots()}
-		open := ScenarioCell(fmt.Sprintf("always/%dm-%dr", size, size), cc, multi, spec, cfg.Seed, nil, cfg.Margin, nil)
-		gated := ScenarioCell(fmt.Sprintf("feasible/%dm-%dr", size, size), cc, multi, spec, cfg.Seed, nil, cfg.Margin, nil)
+		open := ScenarioCell(fmt.Sprintf("always/%dm-%dr", size, size), cc, multi, spec, cfg.Seed, nil, pl)
+		gated := ScenarioCell(fmt.Sprintf("feasible/%dm-%dr", size, size), cc, multi, spec, cfg.Seed, nil, pl)
 		ins := cfg.Obs
 		gated.Admission = func() admission.Controller {
 			ctrl, err := admission.New(admission.Config{

@@ -219,34 +219,16 @@ func SchedulerByName(name string) (SchedulerSpec, error) {
 }
 
 // PlanMargin is the safety margin WOHA plans are generated with throughout
-// the experiments: the resource-cap search targets 85% of each deadline,
-// keeping slack in reserve for the single-pool plan model's optimism about
-// typed slots (see plan.GenerateCappedMargin).
-const PlanMargin = 0.85
+// the experiments, the planner's default: the resource-cap search targets
+// 85% of each deadline, keeping slack in reserve for the single-pool plan
+// model's optimism about typed slots (see plan.GenerateCappedMargin).
+const PlanMargin = planner.DefaultMargin
 
-// RunScenarioMargin executes flows on a cluster configured by cfg under
-// spec, generating resource-capped plans client-side for WOHA schedulers at
-// the given plan safety margin (the experiments use PlanMargin), and is
-// exposed for the margin-ablation benchmarks. obs may be nil. It is the
-// one-cell serial case of the runner every figure sweep goes through.
-func RunScenarioMargin(cfg cluster.Config, flows []*workflow.Workflow, spec SchedulerSpec, seed int64, obs cluster.Observer, margin float64) (*cluster.Result, error) {
-	var observer func() cluster.Observer
-	if obs != nil {
-		observer = func() cluster.Observer { return obs }
-	}
-	cell := ScenarioCell(spec.Name, cfg, flows, spec, seed, observer, margin, nil)
-	results, err := runner.New(runner.Config{Workers: 1}).RunAll([]runner.Cell{cell})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return results[0], nil
-}
-
-// ScenarioCell builds the runner cell equivalent of RunScenarioMargin: a
-// cluster configured by cfg running flows under spec, with resource-capped
-// plans generated inside the cell for WOHA schedulers. observer may be nil.
-// pl optionally names a shared plan service for the cell (see PlansFactory).
-func ScenarioCell(name string, cfg cluster.Config, flows []*workflow.Workflow, spec SchedulerSpec, seed int64, observer func() cluster.Observer, margin float64, pl *planner.Planner) runner.Cell {
+// ScenarioCell builds the runner cell of one scenario: a cluster configured
+// by cfg running flows under spec, with resource-capped plans served by pl
+// inside the cell for WOHA schedulers (see PlansFactory). observer may be
+// nil, and so may pl when spec is a baseline.
+func ScenarioCell(name string, cfg cluster.Config, flows []*workflow.Workflow, spec SchedulerSpec, seed int64, observer func() cluster.Observer, pl *planner.Planner) runner.Cell {
 	c := runner.Cell{
 		Name:     name,
 		Config:   cfg,
@@ -255,28 +237,29 @@ func ScenarioCell(name string, cfg cluster.Config, flows []*workflow.Workflow, s
 		Observer: observer,
 	}
 	if spec.IsWOHA() {
-		c.Plans = PlansFactory(flows, cfg, spec, margin, pl)
+		c.Plans = PlansFactory(flows, cfg, spec, pl)
 	}
 	return c
 }
 
 // PlansFactory builds a cell's Plans closure: spec's typed, resource-capped
-// plans for flows against cc at the given margin. With a shared Planner,
-// requests go through its structural cache and singleflight coalescing, so
-// cells asking for the same (shape, caps, policy, margin) key — concurrently
-// or not — cost one simulation total. With pl nil each call plans through a
-// private, uncached planner at margin. Both return byte-identical plans.
-func PlansFactory(flows []*workflow.Workflow, cc cluster.Config, spec SchedulerSpec, margin float64, pl *planner.Planner) func() ([]*plan.Plan, error) {
+// plans for flows against cc at pl's margin. Requests go through pl's
+// structural cache and singleflight coalescing, so cells sharing pl and
+// asking for the same (shape, caps, policy) key — concurrently or not —
+// cost one simulation total.
+func PlansFactory(flows []*workflow.Workflow, cc cluster.Config, spec SchedulerSpec, pl *planner.Planner) func() ([]*plan.Plan, error) {
 	caps := plan.Caps{Maps: cc.MapSlots(), Reduces: cc.ReduceSlots()}
 	return func() ([]*plan.Plan, error) {
-		p := pl
-		if p == nil {
-			p = planner.New(planner.Config{Margin: margin})
-		} else if p.Margin() != margin {
-			// A planner caches per its own margin; silently serving a
-			// different one would change the figures.
-			return nil, fmt.Errorf("experiments: shared planner margin %v does not match requested margin %v", p.Margin(), margin)
-		}
-		return spec.Plans(p, flows, caps, nil)
+		return spec.Plans(pl, flows, caps, nil)
 	}
+}
+
+// sweepPlanner returns pl or, when pl is nil, one uncached planner at
+// planner.DefaultMargin for a sweep's cells to share: same-key requests
+// still coalesce, and the plans are the ones a cached planner would serve.
+func sweepPlanner(pl *planner.Planner) *planner.Planner {
+	if pl == nil {
+		return planner.New(planner.Config{})
+	}
+	return pl
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/federation"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/planner"
 	"repro/internal/workflow"
 	"repro/internal/workload"
 )
@@ -37,8 +36,6 @@ type FederationSweepConfig struct {
 	Staleness []time.Duration
 	// Seed drives WOHA's queue PRNG and the member clusters' noise.
 	Seed int64
-	// Margin is the plan safety margin.
-	Margin float64
 	// Obs optionally instruments the member runs and routers.
 	Obs *obs.Obs
 }
@@ -55,7 +52,6 @@ func DefaultFederationSweepConfig() FederationSweepConfig {
 		Router:    federation.RouterSlack,
 		Staleness: []time.Duration{0, 30 * time.Second, 2 * time.Minute, 10 * time.Minute, 30 * time.Minute},
 		Seed:      1,
-		Margin:    PlanMargin,
 	}
 }
 
@@ -100,8 +96,7 @@ func FederationSweep(cfg FederationSweepConfig) (*FederationSweepResult, error) 
 		ReduceSlotsPerNode: 2,
 		Seed:               cfg.Seed,
 	}
-	pl := planner.New(planner.Config{Margin: cfg.Margin})
-	plans, err := spec.Plans(pl, multi, plan.Caps{Maps: cc.MapSlots(), Reduces: cc.ReduceSlots()}, cfg.Obs)
+	plans, err := spec.Plans(sweepPlanner(nil), multi, plan.Caps{Maps: cc.MapSlots(), Reduces: cc.ReduceSlots()}, cfg.Obs)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}

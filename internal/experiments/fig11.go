@@ -30,17 +30,15 @@ type Fig11Config struct {
 	Period time.Duration
 	// Seed drives WOHA's queue PRNG.
 	Seed int64
-	// Margin is the plan safety margin (see plan.GenerateCappedMargin).
-	Margin float64
 	// Workers caps how many of the six scheduler cells run concurrently;
 	// 0 selects one per core, 1 runs serially. Results are identical at
 	// any worker count (see internal/runner).
 	Workers int
-	// Planner optionally shares one coalescing plan service across the
-	// cells (and with any other sweep using the same planner — the Fig 7
-	// templates recur across recurrences and experiments). Nil plans
-	// through a private planner per cell; figures are byte-identical either way. The
-	// planner's margin must equal Margin.
+	// Planner serves every WOHA cell's plans, at its margin (see
+	// plan.GenerateCappedMargin). A cached one shares them with any other
+	// sweep using it — the Fig 7 templates recur across recurrences and
+	// experiments; nil gives the sweep one uncached planner at
+	// planner.DefaultMargin.
 	Planner *planner.Planner
 	// Obs optionally instruments the sweep's runner (woha_runner_* metrics).
 	Obs *obs.Obs
@@ -56,7 +54,6 @@ func DefaultFig11Config() Fig11Config {
 		Recurrences: 1,
 		Period:      85 * time.Minute,
 		Seed:        1,
-		Margin:      PlanMargin,
 	}
 }
 
@@ -113,13 +110,14 @@ type Fig11Result struct {
 func Fig11Cells(cfg Fig11Config) (cells []runner.Cell, timelines []*metrics.Timeline) {
 	specs := AllSchedulers()
 	flows := cfg.Flows()
+	pl := sweepPlanner(cfg.Planner)
 	timelines = make([]*metrics.Timeline, len(specs))
 	cells = make([]runner.Cell, len(specs))
 	for i, spec := range specs {
 		cells[i] = ScenarioCell(spec.Name, cfg.Cluster(), flows, spec, cfg.Seed, func() cluster.Observer {
 			timelines[i] = metrics.NewTimeline()
 			return timelines[i]
-		}, cfg.Margin, cfg.Planner)
+		}, pl)
 	}
 	return cells, timelines
 }

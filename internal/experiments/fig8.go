@@ -23,18 +23,15 @@ type Fig8Config struct {
 	Sizes []int
 	// Seed drives WOHA's queue PRNG.
 	Seed int64
-	// Margin is the plan safety margin.
-	Margin float64
 	// Workers caps how many of the 18 scheduler x size cells run
 	// concurrently; 0 selects one per core, 1 runs serially. Results are
 	// identical at any worker count (see internal/runner).
 	Workers int
-	// Planner optionally shares one coalescing plan service across the
-	// sweep's cells: each distinct (DAG shape, caps, policy) key is then
-	// simulated exactly once no matter how many cells or recurring template
-	// instances request it. Nil gives every WOHA cell a private,
-	// uncached planner (see PlansFactory). Figures are byte-identical
-	// either way. The planner's margin must equal Margin.
+	// Planner serves every WOHA cell's plans, at its margin: each distinct
+	// (DAG shape, caps, policy) key is simulated once no matter how many
+	// cells or recurring template instances request it. Pass a cached one to
+	// share plans with other sweeps; nil gives the sweep one uncached
+	// planner at planner.DefaultMargin.
 	Planner *planner.Planner
 	// Obs optionally instruments the sweep's runner (woha_runner_* metrics).
 	Obs *obs.Obs
@@ -44,10 +41,9 @@ type Fig8Config struct {
 // 280m-280r.
 func DefaultFig8Config() Fig8Config {
 	return Fig8Config{
-		Yahoo:  workload.DefaultYahooConfig(),
-		Sizes:  []int{200, 240, 280},
-		Seed:   1,
-		Margin: PlanMargin,
+		Yahoo: workload.DefaultYahooConfig(),
+		Sizes: []int{200, 240, 280},
+		Seed:  1,
 	}
 }
 
@@ -73,6 +69,7 @@ func Fig8Cells(cfg Fig8Config) ([]runner.Cell, error) {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	multi := workload.MultiJob(flows)
+	pl := sweepPlanner(cfg.Planner)
 
 	var cells []runner.Cell
 	for _, spec := range AllSchedulers() {
@@ -88,7 +85,7 @@ func Fig8Cells(cfg Fig8Config) ([]runner.Cell, error) {
 			// Cells share the workflow specs: the simulator never mutates
 			// them, so reuse is safe across (even concurrent) runs.
 			name := fmt.Sprintf("%s/%dm-%dr", spec.Name, size, size)
-			cells = append(cells, ScenarioCell(name, cc, multi, spec, cfg.Seed, nil, cfg.Margin, cfg.Planner))
+			cells = append(cells, ScenarioCell(name, cc, multi, spec, cfg.Seed, nil, pl))
 		}
 	}
 	return cells, nil

@@ -21,6 +21,7 @@ import (
 	"repro/internal/cluster/refsim"
 	"repro/internal/metrics"
 	"repro/internal/plan"
+	"repro/internal/planner"
 	"repro/internal/runner"
 	"repro/internal/simtime"
 )
@@ -272,7 +273,7 @@ func TestArenaCoreMatchesReferenceModes(t *testing.T) {
 			cc := base
 			m.mut(&cc)
 			name := fmt.Sprintf("%s/%s", m.name, spec.Name)
-			cell := ScenarioCell(name, cc, flows, spec, f11.Seed, nil, f11.Margin, nil)
+			cell := ScenarioCell(name, cc, flows, spec, f11.Seed, nil, planner.New(planner.Config{}))
 			t.Run(name, func(t *testing.T) {
 				assertCellParity(t, &cell)
 			})

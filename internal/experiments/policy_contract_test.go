@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/cluster/refsim"
+	"repro/internal/planner"
 	"repro/internal/runner"
 	"repro/internal/simtime"
 	"repro/internal/workflow"
@@ -94,7 +95,7 @@ func TestHeartbeatPolicyContract(t *testing.T) {
 		cc, flows := quiescentScenario(rand.New(rand.NewSource(seed)))
 		var cells []runner.Cell
 		for _, spec := range AllSchedulers() {
-			cells = append(cells, ScenarioCell(spec.Name, cc, flows, spec, seed, nil, PlanMargin, nil))
+			cells = append(cells, ScenarioCell(spec.Name, cc, flows, spec, seed, nil, planner.New(planner.Config{})))
 		}
 		for _, v := range wohaVariants {
 			cells = append(cells, wohaVariantCell("WOHA-LPF/"+v.name, cc, flows, seed, v.opts))

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/planner"
 	"repro/internal/priority"
 	"repro/internal/runner"
 	"repro/internal/simtime"
@@ -110,7 +111,7 @@ func TestQuiescentTicksMatchReference(t *testing.T) {
 		cc, flows := quiescentScenario(rand.New(rand.NewSource(seed)))
 		for _, spec := range AllSchedulers() {
 			name := fmt.Sprintf("seed%d/%s", seed, spec.Name)
-			cell := ScenarioCell(name, cc, flows, spec, seed, nil, PlanMargin, nil)
+			cell := ScenarioCell(name, cc, flows, spec, seed, nil, planner.New(planner.Config{}))
 			assertCellParity(t, &cell)
 		}
 	}
@@ -133,7 +134,7 @@ var wohaVariants = []struct {
 // default options.
 func wohaVariantCell(name string, cc cluster.Config, flows []*workflow.Workflow, seed int64, opts core.Options) runner.Cell {
 	cell := ScenarioCell(name, cc, flows,
-		SchedulerSpec{Name: "WOHA-LPF", Priority: priority.LPF{}}, seed, nil, PlanMargin, nil)
+		SchedulerSpec{Name: "WOHA-LPF", Priority: priority.LPF{}}, seed, nil, planner.New(planner.Config{}))
 	opts.Seed, opts.PolicyName = seed, "LPF"
 	cell.Policy = func() cluster.Policy { return core.NewScheduler(opts) }
 	return cell

@@ -1,17 +1,22 @@
 package experiments
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/planner"
+	"repro/internal/priority"
+	"repro/internal/runner"
 )
 
 // TestFig8SharedPlannerExactlyOnce is the acceptance gate for cross-cell
-// plan sharing: running the full Fig 8 sweep through one coalescing planner
-// must (a) leave the figures byte-identical to the per-cell direct-generation
-// baseline, (b) simulate each distinct structural key exactly once — the
+// plan sharing: running the full Fig 8 sweep through one caching planner
+// must (a) leave the figures byte-identical to the sweep's own uncached
+// planner, (b) simulate each distinct structural key exactly once — the
 // miss counter equals the number of cached keys, with hits + coalesced
 // requests accounting for every other plan served — and (c) stream each
 // scheduler's row in presentation order, carrying the same values as the
@@ -122,7 +127,7 @@ func TestFig11RecurrencesSharePlans(t *testing.T) {
 
 	o := obs.New(obs.NewRegistry(), nil)
 	cfg := base
-	cfg.Planner = planner.New(planner.Config{CacheSize: 64, Margin: cfg.Margin, Obs: o})
+	cfg.Planner = planner.New(planner.Config{CacheSize: 64, Obs: o})
 	cfg.Obs = o
 	shared, err := Fig11(cfg)
 	if err != nil {
@@ -159,19 +164,35 @@ func TestFig11RecurrencesSharePlans(t *testing.T) {
 	}
 }
 
-// TestPlansFactoryMarginMismatch pins the guard against pairing a sweep with
-// a planner caching at a different margin.
-func TestPlansFactoryMarginMismatch(t *testing.T) {
-	pl := planner.New(planner.Config{CacheSize: 8, Margin: 0.70})
+// TestSweepPlansAtPlannerMargin pins that a sweep's margin is its planner's:
+// Fig 11's WOHA-LPF cell, given a planner at 0.70, serves exactly the plans
+// the seed generator makes at 0.70.
+func TestSweepPlansAtPlannerMargin(t *testing.T) {
+	const margin = 0.70
 	cfg := DefaultFig11Config()
-	cfg.Planner = pl
+	cfg.Planner = planner.New(planner.Config{CacheSize: 8, Margin: margin})
 	cells, _ := Fig11Cells(cfg)
-	for _, c := range cells {
-		if c.Plans == nil {
-			continue
+	i := slices.IndexFunc(cells, func(c runner.Cell) bool { return c.Name == "WOHA-LPF" })
+	if i < 0 {
+		t.Fatal("no WOHA-LPF cell")
+	}
+	got, err := cells[i].Plans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := cfg.Cluster()
+	caps := plan.Caps{Maps: cc.MapSlots(), Reduces: cc.ReduceSlots()}
+	flows := cfg.Flows()
+	if len(got) != len(flows) {
+		t.Fatalf("%d plans for %d flows", len(got), len(flows))
+	}
+	for k, w := range flows {
+		want, err := plan.GenerateCappedTyped(w, caps, priority.LPF{}, margin)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := c.Plans(); err == nil {
-			t.Fatalf("cell %q: margin mismatch not rejected", c.Name)
+		if !bytes.Equal(got[k].Encode(), want.Encode()) {
+			t.Errorf("%s: plan differs from GenerateCappedTyped at margin %v", w.Name, margin)
 		}
 	}
 }
@@ -187,7 +208,7 @@ func benchFig8SweepPlans(b *testing.B, shared bool) {
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultFig8Config()
 		if shared {
-			cfg.Planner = planner.New(planner.Config{CacheSize: 1024, Margin: cfg.Margin})
+			cfg.Planner = planner.New(planner.Config{CacheSize: 1024})
 		}
 		cells, err := Fig8Cells(cfg)
 		if err != nil {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/plan"
+	"repro/internal/planner"
 	"repro/internal/simtime"
 	"repro/internal/workflow"
 	"repro/internal/workload"
@@ -130,7 +131,7 @@ func newDifferential(t testing.TB, sc scenario, health bool) *differential {
 	var plans []*plan.Plan
 	if sc.spec.IsWOHA() {
 		var err error
-		if plans, err = experiments.PlansFactory(sc.flows, cc, sc.spec, experiments.PlanMargin, nil)(); err != nil {
+		if plans, err = experiments.PlansFactory(sc.flows, cc, sc.spec, planner.New(planner.Config{}))(); err != nil {
 			t.Fatal(err)
 		}
 	}

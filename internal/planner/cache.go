@@ -36,11 +36,9 @@ type cacheKey struct {
 }
 
 // Generator variants discriminated by the key. Byte 1 was the single-pool
-// variant; it is not reused, so that no key moves.
-const (
-	variantTyped    byte = 2 // GenerateCappedTyped (map/reduce pools)
-	variantUncapped byte = 3 // Generate at a fixed cap (Estimate)
-)
+// variant and byte 3 the fixed-cap estimate; neither is reused, so that no
+// key moves.
+const variantTyped byte = 2 // GenerateCappedTyped (map/reduce pools)
 
 func keyFor(w *workflow.Workflow, variant byte, capMaps, capReds int, margin float64, policy string) cacheKey {
 	return cacheKey{

@@ -81,7 +81,7 @@ func TestKeyMatchesOldKey(t *testing.T) {
 		{variantTyped, 300, 180, 1, "HLF"},
 		{variantTyped, 180, 300, 0.85, "HLF"},
 		{1, 480, 0, 0.85, "HLF"}, // the retired single-pool variant's byte
-		{variantUncapped, 480, 0, 1, "HLF"},
+		{3, 480, 0, 1, "HLF"},    // the retired fixed-cap estimate's byte
 	}
 	type item struct {
 		what string

@@ -92,25 +92,14 @@ func (pl *Planner) CacheLen() int { return pl.cache.len() }
 // map/reduce slot pools — the planner-service equivalent of
 // plan.GenerateCappedTyped at the configured margin.
 //
-// Plans served by a Planner (here and by Estimate and PlanAll) are
-// shared read-only values: every request for one key gets the same Ranks and
-// Reqs arrays, and a cache hit or coalesced request the very same *plan.Plan.
-// Callers must not write to a served plan; Clone one to get a private copy.
+// Plans served by a Planner (here and by PlanAll) are shared read-only
+// values: every request for one key gets the same Ranks and Reqs arrays, and
+// a cache hit or coalesced request the very same *plan.Plan. Callers must not
+// write to a served plan; Clone one to get a private copy.
 func (pl *Planner) Plan(w *workflow.Workflow, cluster plan.Caps, pol priority.Policy) (*plan.Plan, error) {
 	key := keyFor(w, variantTyped, cluster.Maps, cluster.Reduces, pl.margin, pol.Name())
 	return pl.cache.serve(key, func() (*plan.Plan, error) {
 		return plan.GenerateCappedTyped(w, cluster, pol, pl.margin)
-	})
-}
-
-// Estimate produces the uncapped plan for w at a fixed slot count — the
-// cached equivalent of plan.GenerateForPolicy, used by workload generators
-// to derive deadlines from estimated makespans. No cap search runs; the
-// plan table caches and coalesces as for the capped variants.
-func (pl *Planner) Estimate(w *workflow.Workflow, slots int, pol priority.Policy) (*plan.Plan, error) {
-	key := keyFor(w, variantUncapped, slots, 0, 1, pol.Name())
-	return pl.cache.serve(key, func() (*plan.Plan, error) {
-		return plan.GenerateForPolicy(w, slots, pol)
 	})
 }
 

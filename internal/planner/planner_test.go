@@ -60,27 +60,6 @@ func TestPlannerByteIdenticalToSequential(t *testing.T) {
 	}
 }
 
-func TestEstimateMatchesGenerateForPolicy(t *testing.T) {
-	flows := corpus(t)
-	pol := priority.LPF{}
-	pl := New(Config{CacheSize: 128})
-	for _, w := range flows {
-		want, err := plan.GenerateForPolicy(w, 480, pol)
-		if err != nil {
-			t.Fatalf("%s: GenerateForPolicy: %v", w.Name, err)
-		}
-		for pass := 0; pass < 2; pass++ { // second pass is a cache hit
-			got, err := pl.Estimate(w, 480, pol)
-			if err != nil {
-				t.Fatalf("%s: Estimate: %v", w.Name, err)
-			}
-			if !bytes.Equal(got.Encode(), want.Encode()) {
-				t.Errorf("%s pass %d: Estimate differs from GenerateForPolicy", w.Name, pass)
-			}
-		}
-	}
-}
-
 func TestCacheHitSkipsSimulation(t *testing.T) {
 	o := obs.New(obs.NewRegistry(), nil)
 	pl := New(Config{CacheSize: 8, Obs: o})

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"testing"
-
-	"repro/internal/planner"
 )
 
 // Every benchmark corpus is generated through estimate, so the deadlines
@@ -19,7 +17,7 @@ var deadlineDigests = map[DeadlineScheme]string{
 	DeadlineStretch: "60d4fe5665ced8b8de43636f31f54c741fa7674c710954a59dc1d8d4bbe41923",
 }
 
-func deadlineDigest(t *testing.T, scheme DeadlineScheme, pl Estimator) string {
+func deadlineDigest(t *testing.T, scheme DeadlineScheme) string {
 	t.Helper()
 	h := sha256.New()
 	var buf [16]byte
@@ -27,7 +25,6 @@ func deadlineDigest(t *testing.T, scheme DeadlineScheme, pl Estimator) string {
 		cfg := DefaultYahooConfig()
 		cfg.Seed = seed
 		cfg.Scheme = scheme
-		cfg.Planner = pl
 		flows, err := Yahoo(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -41,17 +38,12 @@ func deadlineDigest(t *testing.T, scheme DeadlineScheme, pl Estimator) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestYahooDeadlinesPinned checks the committed digests on both estimate
-// paths — the seed path (no Planner, one makespan-only kernel run) and the
-// Planner path (cached full plans) — which therefore also equal each other.
+// TestYahooDeadlinesPinned checks the committed digests against estimate's
+// one makespan-only kernel run.
 func TestYahooDeadlinesPinned(t *testing.T) {
 	for scheme, want := range deadlineDigests {
-		if got := deadlineDigest(t, scheme, nil); got != want {
-			t.Errorf("scheme %v without a Planner: deadline digest %s, want %s", scheme, got, want)
-		}
-		pl := planner.New(planner.Config{CacheSize: 1024})
-		if got := deadlineDigest(t, scheme, pl); got != want {
-			t.Errorf("scheme %v with a Planner: deadline digest %s, want %s", scheme, got, want)
+		if got := deadlineDigest(t, scheme); got != want {
+			t.Errorf("scheme %v: deadline digest %s, want %s", scheme, got, want)
 		}
 	}
 }

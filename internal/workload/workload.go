@@ -130,19 +130,6 @@ type YahooConfig struct {
 	// DeadlineFloor is the minimum relative deadline: production SLOs are
 	// set in minutes or hours even for small workflows.
 	DeadlineFloor time.Duration
-	// Planner, when non-nil, serves the makespan estimates behind deadline
-	// assignment (pass a *planner.Planner). Random DAGs rarely repeat a
-	// shape, but template-heavy or recurring populations estimate each
-	// shape once; a nil Planner runs Algorithm 1 directly, makespan only.
-	Planner Estimator
-}
-
-// Estimator is the slice of the planner service deadline assignment needs:
-// an uncapped Algorithm 1 makespan estimate at a reference slot count.
-// *planner.Planner implements it; workload deliberately depends on the
-// interface only, so the planner package can test against workload corpora.
-type Estimator interface {
-	Estimate(w *workflow.Workflow, slots int, pol priority.Policy) (*plan.Plan, error)
 }
 
 // DefaultYahooConfig matches the paper's composition with task statistics
@@ -236,7 +223,7 @@ func assignDeadlines(rng *rand.Rand, flows []*workflow.Workflow, cfg YahooConfig
 			if !inTight[i] {
 				continue
 			}
-			makespan, err := estimate(cfg.Planner, w, cfg.ReferenceSlots)
+			makespan, err := estimate(w, cfg.ReferenceSlots)
 			if err != nil {
 				return err
 			}
@@ -257,7 +244,7 @@ func assignDeadlines(rng *rand.Rand, flows []*workflow.Workflow, cfg YahooConfig
 	case DeadlineStretch:
 		for _, w := range flows {
 			stretch := cfg.StretchMin + rng.Float64()*(cfg.StretchMax-cfg.StretchMin)
-			if err := AssignDeadlineWith(cfg.Planner, w, cfg.ReferenceSlots, stretch); err != nil {
+			if err := AssignDeadline(w, cfg.ReferenceSlots, stretch); err != nil {
 				return err
 			}
 			if rel := w.RelativeDeadline(); rel < cfg.DeadlineFloor {
@@ -347,14 +334,7 @@ func RandomDAG(rng *rand.Rand, gen *trace.Generator, name string, size int, rele
 // client would estimate against the full cluster. stretch <= 1 yields an
 // unmeetable-under-contention deadline; larger values add slack.
 func AssignDeadline(w *workflow.Workflow, slots int, stretch float64) error {
-	return AssignDeadlineWith(nil, w, slots, stretch)
-}
-
-// AssignDeadlineWith is AssignDeadline with the makespan estimate served by
-// pl (nil falls back to a direct, uncached Algorithm 1 run). The two paths
-// produce identical deadlines; pl only avoids re-simulating repeated shapes.
-func AssignDeadlineWith(pl Estimator, w *workflow.Workflow, slots int, stretch float64) error {
-	makespan, err := estimate(pl, w, slots)
+	makespan, err := estimate(w, slots)
 	if err != nil {
 		return fmt.Errorf("workload: assigning deadline for %q: %w", w.Name, err)
 	}
@@ -363,18 +343,9 @@ func AssignDeadlineWith(pl Estimator, w *workflow.Workflow, slots int, stretch f
 }
 
 // estimate is the single-slot-pool HLF makespan estimate deadline assignment
-// rests on: the cached plan's when a planner is supplied, otherwise one
-// makespan-only Algorithm 1 run that builds no plan.
-func estimate(pl Estimator, w *workflow.Workflow, slots int) (time.Duration, error) {
-	pol := priority.HLF{}
-	if pl != nil {
-		p, err := pl.Estimate(w, slots, pol)
-		if err != nil {
-			return 0, err
-		}
-		return p.Makespan, nil
-	}
-	ranks, err := pol.Rank(w)
+// rests on: one makespan-only Algorithm 1 run that builds no plan.
+func estimate(w *workflow.Workflow, slots int) (time.Duration, error) {
+	ranks, err := priority.HLF{}.Rank(w)
 	if err != nil {
 		return 0, fmt.Errorf("ranking jobs: %w", err)
 	}

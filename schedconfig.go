@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/planner"
 )
 
 // SchedulerConfig mirrors the paper's workflow-scheduler.xml: the WOHA
@@ -59,7 +60,7 @@ func ParseSchedulerConfig(r io.Reader) (*SchedulerConfig, error) {
 		return nil, fmt.Errorf("woha: scheduler config missing <scheduler>")
 	}
 	if cfg.PlanMargin == 0 {
-		cfg.PlanMargin = 0.85
+		cfg.PlanMargin = planner.DefaultMargin
 	}
 	if cfg.PlanMargin < 0 || cfg.PlanMargin > 1 {
 		return nil, fmt.Errorf("woha: plan-margin %v outside (0, 1]", cfg.PlanMargin)

@@ -309,12 +309,7 @@ type Planner = planner.Planner
 // options are ignored. Pass the result to sessions via WithPlanner.
 func NewPlanner(opts ...SessionOption) *Planner {
 	o := applyOptions(opts)
-	return planner.New(planner.Config{
-		Workers:   o.planWorkers,
-		CacheSize: o.planCache,
-		Margin:    o.margin,
-		Obs:       o.obs,
-	})
+	return o.newPlanner()
 }
 
 // WithPlanner makes the session (or RunSeeds sweep) generate plans through a
@@ -415,7 +410,7 @@ func ServeIntrospection(addr string, ins *Instrumentation) (*IntrospectionServer
 
 // applyOptions folds opts over the session defaults.
 func applyOptions(opts []SessionOption) sessionOptions {
-	o := sessionOptions{margin: 0.85}
+	o := sessionOptions{margin: planner.DefaultMargin}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -484,15 +479,19 @@ func (o *sessionOptions) resolvePlanner() (*Planner, error) {
 		if o.marginSet && o.planner.Margin() != o.margin {
 			return nil, fmt.Errorf("woha: shared planner margin %v conflicts with WithPlanMargin %v", o.planner.Margin(), o.margin)
 		}
-		o.margin = o.planner.Margin()
 		return o.planner, nil
 	}
+	return o.newPlanner(), nil
+}
+
+// newPlanner builds a private plan service from the plan-shaping knobs.
+func (o *sessionOptions) newPlanner() *Planner {
 	return planner.New(planner.Config{
 		Workers:   o.planWorkers,
 		CacheSize: o.planCache,
 		Margin:    o.margin,
 		Obs:       o.obs,
-	}), nil
+	})
 }
 
 // Submit queues a workflow. Under a WOHA scheduler the session generates the
