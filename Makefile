@@ -16,8 +16,9 @@ vet:
 
 # Race-check the concurrent subsystems: observability fan-out, the live
 # (RPC) job tracker, the shared planner (one plan table locked by many
-# clients; its served plans are shared read-only across simulators,
-# admission and trackers), the plan generator (pooled kernels, drawn by
+# clients under several policies: hits by name and by job ordering and
+# waits on flights interleave; its served plans are shared read-only
+# across simulators, admission and trackers), the plan generator (pooled kernels, drawn by
 # PlanAll's workers and admission at once), the workflow model (one
 # compiled form built at a racing first use), the scenario
 # runner, the pooled arena simulator (its equivalence sweep crosses pool
@@ -68,11 +69,12 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; gofmt -d $$out; exit 1; fi
 
 # Quick race pass over the hottest concurrent paths: shared-planner
-# coalescing, runner streaming, and the deadline-health tracker fed by the
+# coalescing (within a policy and across policies that rank a workflow's
+# jobs alike), runner streaming, and the deadline-health tracker fed by the
 # simulator and by the master (plus the introspection server and the
 # heartbeat zero-alloc pin that guards the disabled path).
 race-smoke:
-	$(GO) test -race -count=1 -run 'TestCoalescing|TestCoalesced|TestPlanCache|TestServedPlans|TestSharedPlans|TestLeaderPanic|TestRunEach|TestDelivery|TestFirstError' \
+	$(GO) test -race -count=1 -run 'TestCoalescing|TestCoalesced|TestPlanCache|TestServedPlans|TestSharedPlans|TestLeaderPanic|TestPlannerConcurrentUse|TestRunEach|TestDelivery|TestFirstError' \
 		./internal/planner/ ./internal/runner/
 	$(GO) test -race -count=1 -run 'TestHealth|TestIntrospection|TestHeartbeatBareAllocs' \
 		./internal/obs/ ./internal/live/
@@ -86,8 +88,10 @@ race-smoke:
 # instants), the plan
 # kernel's (a bound kernel answers a probe, from a run or from its makespan
 # bounds, and runs a whole unrecorded cap search with 0 allocations), and the
-# planner's two (a cold capped typed plan averages at
-# most 11 over the planner corpus; a warm cache hit allocates 0), and the
+# planner's three (a cold capped typed plan averages at
+# most 11 over the planner corpus; a warm cache hit allocates 0; a request
+# served from another policy's plan with the same job ordering allocates at
+# most 4: the ranking's two slices, the plan header and its tag), and the
 # baselines' (NextTask, TaskStarted and TaskRequeued at 0 allocs once their
 # candidate sets are warm), and the live tracker's locked report (0 allocs
 # for a completion-only report, 1, its answer, for one assigned 1-8 tasks). Run
@@ -100,7 +104,7 @@ alloc-pins:
 	$(GO) test -count=1 -run 'TestAlwaysAdmitAllocs' ./internal/admission/
 	$(GO) test -count=1 -run 'TestQueueOrderedAllocs' ./internal/simtime/
 	$(GO) test -count=1 -run 'TestKernelProbeAllocs' ./internal/plan/
-	$(GO) test -count=1 -run 'TestColdPlanAllocs|TestCacheHitAllocs' ./internal/planner/
+	$(GO) test -count=1 -run 'TestColdPlanAllocs|TestCacheHitAllocs|TestOrderingHitAllocs' ./internal/planner/
 	$(GO) test -count=1 -run 'TestBaselineOpAllocs' ./internal/scheduler/
 	$(GO) test -count=1 -run 'TestLockedReportAllocs' ./internal/live/
 

@@ -61,7 +61,7 @@ func AblationsFig11() ([]AblationResult, error) {
 		margin  float64
 		mutate  func(*cluster.Config)
 	}{
-		{"baseline (margin 0.85)", PlanMargin, nil},
+		{fmt.Sprintf("baseline (margin %.2f)", planner.DefaultMargin), PlanMargin, nil},
 		{"margin 1.00 (paper-literal cap)", 1.0, nil},
 		{"margin 0.70", 0.70, nil},
 		{"submitter overhead 10s", PlanMargin, func(c *cluster.Config) { c.SubmitterOverhead = 10 * time.Second }},

@@ -2,23 +2,28 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/planner"
 	"repro/internal/priority"
 	"repro/internal/runner"
+	"repro/internal/workflow"
 )
 
 // TestFig8SharedPlannerExactlyOnce is the acceptance gate for cross-cell
 // plan sharing: running the full Fig 8 sweep through one caching planner
 // must (a) leave the figures byte-identical to the sweep's own uncached
-// planner, (b) simulate each distinct structural key exactly once — the
-// miss counter equals the number of cached keys, with hits + coalesced
-// requests accounting for every other plan served — and (c) stream each
+// planner, (b) simulate each distinct (structural key, job ordering)
+// exactly once — the miss counter equals the number of distinct pairs, with
+// hits + coalesced requests accounting for every other plan served — and
+// (c) stream each
 // scheduler's row in presentation order, carrying the same values as the
 // final result, the first of them while later cells are still to run.
 func TestFig8SharedPlannerExactlyOnce(t *testing.T) {
@@ -68,29 +73,50 @@ func TestFig8SharedPlannerExactlyOnce(t *testing.T) {
 		}
 	}
 
-	// (b) Exactly-once generation. With no evictions every distinct key the
-	// sweep asked for is still cached, so misses == cached keys is precisely
-	// "each distinct key simulated once".
+	// (b) Exactly-once generation: one miss per distinct (key, ordering) the
+	// sweep asked for, read back from the plans it was served. With no
+	// evictions, asking again is all hits and simulates nothing.
 	st := pl.Stats()
 	misses, hits := st.CacheMisses.Value(), st.CacheHits.Value()
 	coalesced, plans := st.Coalesced.Value(), st.Plans.Value()
 	if ev := st.CacheEvictions.Value(); ev != 0 {
 		t.Errorf("evictions = %d, want 0 (cache sized for the sweep)", ev)
 	}
-	if misses != int64(pl.CacheLen()) {
-		t.Errorf("misses = %d but cache holds %d keys: some key was simulated more than once", misses, pl.CacheLen())
-	}
 	if misses+hits+coalesced != plans {
 		t.Errorf("misses %d + hits %d + coalesced %d != plans served %d", misses, hits, coalesced, plans)
 	}
-	// The multi-job Yahoo population happens to be structurally distinct per
-	// workflow, and caps + policy separate the sweep's cells, so here every
-	// plan served is its own key — the exactly-once property must not cost
-	// anything either. (TestFig11RecurrencesSharePlans covers the case where
-	// keys do collide.)
-	if plans != misses {
-		t.Logf("note: %d of %d plans shared (hits %d, coalesced %d)", plans-misses, plans, hits, coalesced)
+	orderings, requests := map[planned]bool{}, map[planned]bool{}
+	cells, err := Fig8Cells(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, c := range cells {
+		if c.Plans == nil {
+			continue
+		}
+		ps, err := c.Plans()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, w := range c.Flows {
+			key := plannedFor(w, c.Config, ps[k].Ranks)
+			orderings[key] = true
+			key.policy = ps[k].Policy
+			requests[key] = true
+		}
+	}
+	if misses != int64(len(orderings)) {
+		t.Errorf("misses = %d for %d distinct (key, ordering) pairs: some pair was simulated more than once", misses, len(orderings))
+	}
+	if again := st.CacheMisses.Value() - misses; again != 0 {
+		t.Errorf("asking the sweep's plans again generated %d more", again)
+	}
+	// The multi-job Yahoo population happens to be structurally distinct per
+	// workflow and caps separate the sweep's cells, so a plan is shared only
+	// by the WOHA variants whose policies rank a workflow's jobs alike.
+	// (TestFig11RecurrencesSharePlans covers the case where keys collide.)
+	t.Logf("%d plans: %d simulated, %d served by ordering from another policy's plan (hits %d, coalesced %d)",
+		plans, misses, len(requests)-len(orderings), hits, coalesced)
 
 	// (c) Streamed rows: presentation order, values matching the result, and
 	// the first row handed over before the sweep's last cell had run.
@@ -149,19 +175,45 @@ func TestFig11RecurrencesSharePlans(t *testing.T) {
 	misses, hits := st.CacheMisses.Value(), st.CacheHits.Value()
 	coalesced, plans := st.Coalesced.Value(), st.Plans.Value()
 	// 3 WOHA cells × 9 flows = 27 requests over 3 templates × 3 policies =
-	// 9 distinct keys: two thirds of the plans must be shared.
+	// 9 distinct (key, policy) pairs, each cached once; a template is
+	// simulated once per distinct job ordering among the policies.
 	if want := int64(27); plans != want {
 		t.Errorf("plans served = %d, want %d", plans, want)
 	}
-	if want := int64(9); misses != want {
-		t.Errorf("misses = %d, want %d distinct keys", misses, want)
+	orderings := map[planned]bool{}
+	for _, w := range base.Flows() {
+		for _, pol := range priority.All() {
+			ranks, err := pol.Rank(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			orderings[plannedFor(w, base.Cluster(), ranks)] = true
+		}
+	}
+	if misses != int64(len(orderings)) {
+		t.Errorf("misses = %d, want %d distinct (key, ordering) pairs", misses, len(orderings))
 	}
 	if hits+coalesced != plans-misses {
 		t.Errorf("hits %d + coalesced %d != %d shared plans", hits, coalesced, plans-misses)
 	}
-	if misses != int64(cfg.Planner.CacheLen()) {
-		t.Errorf("misses = %d but cache holds %d keys", misses, cfg.Planner.CacheLen())
+	if want := 9; cfg.Planner.CacheLen() != want {
+		t.Errorf("cache holds %d plans, want %d, one per template and policy", cfg.Planner.CacheLen(), want)
 	}
+}
+
+// planned is what the planner keys a served plan by, policy aside: the
+// workflow's shape and relative deadline, the cluster's caps and the job
+// ordering (margin is the sweeps' one PlanMargin).
+type planned struct {
+	shape         workflow.Digest
+	deadline      time.Duration
+	maps, reduces int
+	ordering      string
+	policy        string
+}
+
+func plannedFor(w *workflow.Workflow, cc cluster.Config, ranks []int) planned {
+	return planned{w.Compiled().Digest, w.RelativeDeadline(), cc.MapSlots(), cc.ReduceSlots(), fmt.Sprint(ranks), ""}
 }
 
 // TestSweepPlansAtPlannerMargin pins that a sweep's margin is its planner's:

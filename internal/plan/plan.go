@@ -194,11 +194,21 @@ func assemble(w *workflow.Workflow, policyName string, ranks []int, totalCap int
 	return p, nil
 }
 
-// GenerateForPolicy ranks w's jobs with pol and generates a plan at cap n.
-func GenerateForPolicy(w *workflow.Workflow, n int, pol priority.Policy) (*Plan, error) {
+// Rank ranks w's jobs with pol: the job ordering, the one thing of a policy
+// besides its name that a generator reads.
+func Rank(w *workflow.Workflow, pol priority.Policy) ([]int, error) {
 	ranks, err := pol.Rank(w)
 	if err != nil {
 		return nil, fmt.Errorf("plan: ranking jobs: %w", err)
+	}
+	return ranks, nil
+}
+
+// GenerateForPolicy ranks w's jobs with pol and generates a plan at cap n.
+func GenerateForPolicy(w *workflow.Workflow, n int, pol priority.Policy) (*Plan, error) {
+	ranks, err := Rank(w, pol)
+	if err != nil {
+		return nil, err
 	}
 	return Generate(w, n, pol.Name(), ranks)
 }
@@ -223,19 +233,19 @@ func GenerateCappedMargin(w *workflow.Workflow, clusterSlots int, pol priority.P
 	if clusterSlots <= 0 {
 		return nil, fmt.Errorf("plan: cluster has %d slots, want > 0", clusterSlots)
 	}
-	return generateCapped(w, pol, margin, Ladder{Lo: 1, Hi: clusterSlots})
+	ranks, err := Rank(w, pol)
+	if err != nil {
+		return nil, err
+	}
+	return generateCapped(w, pol.Name(), ranks, margin, Ladder{Lo: 1, Hi: clusterSlots})
 }
 
 // generateCapped is the cap search behind both capped generators: one kernel
 // searches l recording, and only the schedule of the cap that wins is
 // assembled.
-func generateCapped(w *workflow.Workflow, pol priority.Policy, margin float64, l Ladder) (*Plan, error) {
+func generateCapped(w *workflow.Workflow, policyName string, ranks []int, margin float64, l Ladder) (*Plan, error) {
 	if margin <= 0 || margin > 1 {
 		return nil, fmt.Errorf("plan: margin %v, want (0, 1]", margin)
-	}
-	ranks, err := pol.Rank(w)
-	if err != nil {
-		return nil, fmt.Errorf("plan: ranking jobs: %w", err)
 	}
 	k, err := Bind(w, ranks)
 	if err != nil {
@@ -246,7 +256,7 @@ func generateCapped(w *workflow.Workflow, pol priority.Policy, margin float64, l
 	if err != nil {
 		return nil, err
 	}
-	p, err := assemble(w, pol.Name(), ranks, s.Cap, s.Makespan, k.won)
+	p, err := assemble(w, policyName, ranks, s.Cap, s.Makespan, k.won)
 	if err != nil {
 		return nil, err
 	}

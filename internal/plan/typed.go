@@ -80,12 +80,25 @@ func TypedCapsFor(cluster Caps, total int) Caps {
 // returns the plan at that slice. Fallback behaviour mirrors
 // GenerateCappedMargin: if the margin target is unreachable the search
 // retries against the real deadline, and a genuinely infeasible workflow
-// gets the best-effort full plan.
+// gets the best-effort full plan. It is Rank followed by
+// GenerateCappedTypedRanked.
 func GenerateCappedTyped(w *workflow.Workflow, cluster Caps, pol priority.Policy, margin float64) (*Plan, error) {
+	ranks, err := Rank(w, pol)
+	if err != nil {
+		return nil, err
+	}
+	return GenerateCappedTypedRanked(w, cluster, pol.Name(), ranks, margin)
+}
+
+// GenerateCappedTypedRanked is GenerateCappedTyped under a job ordering ranked
+// beforehand, labelled policyName: the generator reads nothing else of a
+// policy, so two policies that rank w's jobs alike get the same plan but for
+// its Policy field.
+func GenerateCappedTypedRanked(w *workflow.Workflow, cluster Caps, policyName string, ranks []int, margin float64) (*Plan, error) {
 	if cluster.Maps <= 0 || cluster.Reduces <= 0 {
 		return nil, fmt.Errorf("plan: bad cluster caps %+v", cluster)
 	}
-	return generateCapped(w, pol, margin, Ladder{Lo: 2, Hi: cluster.Total(), Typed: true, Cluster: cluster})
+	return generateCapped(w, policyName, ranks, margin, Ladder{Lo: 2, Hi: cluster.Total(), Typed: true, Cluster: cluster})
 }
 
 // checkCaps refuses pools the bound workflow cannot run on, before anything

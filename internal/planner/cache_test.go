@@ -20,13 +20,17 @@ func fakePlan(cap int, makespan time.Duration) *plan.Plan {
 
 var errProbe = errors.New("probe: not generating")
 
-// fill requests k from c with a generation that returns p and reports
-// whether that generation ran: false means k was settled and the request
-// was a hit.
+// rankOne is the job ordering of the one-job workflows these tests pretend
+// to plan.
+func rankOne() ([]int, error) { return []int{0}, nil }
+
+// fill requests k from c under policy "P" with a generation that returns p
+// and reports whether that generation ran: false means k was settled and the
+// request was a hit.
 func fill(t *testing.T, c *planCache, k cacheKey, p *plan.Plan) bool {
 	t.Helper()
 	ran := false
-	if _, err := c.serve(k, func() (*plan.Plan, error) { ran = true; return p, nil }); err != nil {
+	if _, err := c.serve(k, "P", rankOne, func([]int) (*plan.Plan, error) { ran = true; return p, nil }); err != nil {
 		t.Fatalf("serve(%v): %v", k, err)
 	}
 	return ran
@@ -36,7 +40,7 @@ func fill(t *testing.T, c *planCache, k cacheKey, p *plan.Plan) bool {
 // does. A miss generates nothing: its generation fails, and a failure is not
 // cached, so the table is left as it was.
 func cached(c *planCache, k cacheKey) bool {
-	_, err := c.serve(k, func() (*plan.Plan, error) { return nil, errProbe })
+	_, err := c.serve(k, "P", rankOne, func([]int) (*plan.Plan, error) { return nil, errProbe })
 	return err == nil
 }
 
@@ -158,7 +162,7 @@ func TestPlanCacheKeepsInFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := c.serve(a, func() (*plan.Plan, error) {
+		if _, err := c.serve(a, "P", rankOne, func([]int) (*plan.Plan, error) {
 			close(started)
 			<-release
 			return pa, nil
@@ -171,7 +175,7 @@ func TestPlanCacheKeepsInFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p, err := c.serve(a, func() (*plan.Plan, error) {
+			p, err := c.serve(a, "P", rankOne, func([]int) (*plan.Plan, error) {
 				return nil, errors.New("key A generated a second time")
 			})
 			if err != nil {
@@ -215,5 +219,34 @@ func TestPlanCacheKeepsInFlight(t *testing.T) {
 	}
 	if got := st.Inflight.Value(); got != 0 {
 		t.Errorf("Inflight = %d once A settled, want 0", got)
+	}
+}
+
+// TestPlanCacheCountsPlans: max counts plans, not entries. A key served
+// under a second policy with the same ordering gains a plan without a
+// generation, and the entry's plans are evicted together.
+func TestPlanCacheCountsPlans(t *testing.T) {
+	o := obs.New(obs.NewRegistry(), nil)
+	st := o.NewPlannerStats()
+	c := newPlanCache(2, st)
+	fill(t, c, key(1), fakePlan(1, time.Minute))
+	q, err := c.serve(key(1), "Q", rankOne, func([]int) (*plan.Plan, error) {
+		return nil, errors.New("an ordering already planned was generated again")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Policy != "Q" || q.Cap != 1 {
+		t.Errorf("served %q cap %d, want P's plan under the name Q", q.Policy, q.Cap)
+	}
+	if got := c.len(); got != 2 {
+		t.Errorf("len = %d after one plan under two names, want 2", got)
+	}
+	fill(t, c, key(2), fakePlan(2, time.Minute))
+	if got := st.CacheEvictions.Value(); got != 2 {
+		t.Errorf("CacheEvictions = %d, want key 1's two plans", got)
+	}
+	if got := c.len(); got != 1 || cached(c, key(1)) {
+		t.Errorf("len = %d, key 1 cached %v after key 2 evicted it, want 1 and false", got, cached(c, key(1)))
 	}
 }

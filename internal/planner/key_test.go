@@ -1,11 +1,13 @@
 package planner
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/oracle"
+	"repro/internal/priority"
 	"repro/internal/simtime"
 	"repro/internal/workflow"
 	"repro/internal/workload"
@@ -14,8 +16,10 @@ import (
 // TestKeyMatchesOldKey holds the struct key to the sha256 walk it replaced
 // (oracle.PlanKey): over every pair of (workflow, request shape) drawn from
 // the Yahoo corpus under seeds 1–8, Fig 7 and a set of constructed near
-// misses, two requests have equal struct keys exactly when their old keys
-// were equal. The near misses make sure both outcomes are exercised.
+// misses, two requests have equal struct keys and equal job orderings
+// exactly when their old keys, taken with the ordering in place of the
+// policy name, were equal. The near misses make sure both outcomes are
+// exercised.
 func TestKeyMatchesOldKey(t *testing.T) {
 	var flows []*workflow.Workflow
 	for seed := int64(1); seed <= 8; seed++ {
@@ -83,18 +87,31 @@ func TestKeyMatchesOldKey(t *testing.T) {
 		{1, 480, 0, 0.85, "HLF"}, // the retired single-pool variant's byte
 		{3, 480, 0, 1, "HLF"},    // the retired fixed-cap estimate's byte
 	}
+	type planned struct {
+		key      cacheKey
+		ordering string
+	}
 	type item struct {
 		what string
-		now  cacheKey
+		now  planned
 		old  [32]byte
 	}
 	var items []item
 	for _, w := range flows {
 		for _, r := range requests {
+			pol, err := priority.ByName(r.policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ranks, err := pol.Rank(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ordering := fmt.Sprint(ranks)
 			items = append(items, item{
 				what: w.Name,
-				now:  keyFor(w, r.variant, r.capMaps, r.capReds, r.margin, r.policy),
-				old:  oracle.PlanKey(w, r.variant, r.capMaps, r.capReds, r.margin, r.policy),
+				now:  planned{keyFor(w, r.variant, r.capMaps, r.capReds, r.margin), ordering},
+				old:  oracle.PlanKey(w, r.variant, r.capMaps, r.capReds, r.margin, ordering),
 			})
 		}
 	}
@@ -116,7 +133,7 @@ func TestKeyMatchesOldKey(t *testing.T) {
 		t.Errorf("%d equal pairs, want at least the %d constructed ones", equal, want)
 	}
 	for _, w := range differ {
-		if keyFor(w, variantTyped, 300, 180, 0.85, "HLF") == keyFor(fig7, variantTyped, 300, 180, 0.85, "HLF") {
+		if keyFor(w, variantTyped, 300, 180, 0.85) == keyFor(fig7, variantTyped, 300, 180, 0.85) {
 			t.Errorf("%s shares Fig 7's key", w.Name)
 		}
 	}

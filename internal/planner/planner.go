@@ -9,9 +9,14 @@
 //     requests without simulating, hashing or copying;
 //   - singleflight request coalescing, which lets one Planner be shared by
 //     many concurrent clients — runner cells, sessions — with each distinct
-//     structural key simulated exactly once: the first requester generates,
-//     concurrent same-key requesters block on that generation and receive
-//     its plan.
+//     (structural key, job ordering) simulated exactly once: the first
+//     requester generates, concurrent requesters of the same key and
+//     ordering block on that generation and receive its plan.
+//
+// A plan is keyed by the ordering it was simulated under, not by the name of
+// the policy that produced the ordering: HLF, LPF and MPF often rank a small
+// workflow's jobs alike, and a request under one of them is then served the
+// plan another's search built, under its own policy's name.
 //
 // Both layers are observable through obs.PlannerStats and both are exact:
 // a plan served by the planner is byte-identical (per plan.Encode) to the
@@ -55,8 +60,8 @@ type Config struct {
 
 // Planner generates progress plans for workflow admission. Safe for
 // concurrent use — and designed to be shared: one Planner serving many
-// concurrent clients (runner cells, sessions) coalesces same-key requests
-// so each distinct structural key is simulated exactly once (see
+// concurrent clients (runner cells, sessions) coalesces requests so each
+// distinct (structural key, job ordering) is simulated exactly once (see
 // planCache).
 type Planner struct {
 	workers int
@@ -93,14 +98,18 @@ func (pl *Planner) CacheLen() int { return pl.cache.len() }
 // plan.GenerateCappedTyped at the configured margin.
 //
 // Plans served by a Planner (here and by PlanAll) are shared read-only
-// values: every request for one key gets the same Ranks and Reqs arrays, and
-// a cache hit or coalesced request the very same *plan.Plan. Callers must not
-// write to a served plan; Clone one to get a private copy.
+// values: every request for one key and job ordering gets the same Ranks and
+// Reqs arrays — a plan served under another policy that ranks the jobs alike
+// too, behind a header of its own naming that policy — and a cache hit or
+// coalesced request under one policy the very same *plan.Plan. Callers must
+// not write to a served plan; Clone one to get a private copy.
 func (pl *Planner) Plan(w *workflow.Workflow, cluster plan.Caps, pol priority.Policy) (*plan.Plan, error) {
-	key := keyFor(w, variantTyped, cluster.Maps, cluster.Reduces, pl.margin, pol.Name())
-	return pl.cache.serve(key, func() (*plan.Plan, error) {
-		return plan.GenerateCappedTyped(w, cluster, pol, pl.margin)
-	})
+	key := keyFor(w, variantTyped, cluster.Maps, cluster.Reduces, pl.margin)
+	name := pol.Name()
+	return pl.cache.serve(key, name, func() ([]int, error) { return plan.Rank(w, pol) },
+		func(ranks []int) (*plan.Plan, error) {
+			return plan.GenerateCappedTypedRanked(w, cluster, name, ranks, pl.margin)
+		})
 }
 
 // PlanAll plans a batch of workflows against the same cluster, up to

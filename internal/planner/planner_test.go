@@ -144,8 +144,9 @@ func TestProbesCutCounted(t *testing.T) {
 }
 
 // TestCacheKeyIsStructural checks both directions of the key: a renamed,
-// time-shifted instance of the same DAG shape hits, while any structural
-// difference misses.
+// time-shifted instance of the same DAG shape hits, as does another policy
+// that ranks the jobs alike, while any structural difference, or another
+// ordering of the same shape, misses.
 func TestCacheKeyIsStructural(t *testing.T) {
 	pl := New(Config{CacheSize: 32, Obs: obs.New(obs.NewRegistry(), nil)})
 	pol := priority.HLF{}
@@ -173,12 +174,29 @@ func TestCacheKeyIsStructural(t *testing.T) {
 	if got := pl.Stats().CacheMisses.Value(); got != 2 {
 		t.Errorf("after reshaped instance: CacheMisses = %d, want 2", got)
 	}
-	// Different policy under the same shape: miss.
-	if _, err := pl.Plan(build("repoliced", simtime.Epoch, 8), testCluster, priority.LPF{}); err != nil {
+	// Different policy under the same shape, ranking the chain alike: hit,
+	// labelled with the new policy.
+	p, err := pl.Plan(build("repoliced", simtime.Epoch, 8), testCluster, priority.LPF{})
+	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
-	if got := pl.Stats().CacheMisses.Value(); got != 3 {
-		t.Errorf("after policy change: CacheMisses = %d, want 3", got)
+	if got := pl.Stats().CacheHits.Value(); got != 2 || p.Policy != "LPF" {
+		t.Errorf("after policy change: CacheHits = %d, Policy %q, want 2 and LPF", got, p.Policy)
+	}
+	// A shape on which HLF (the two-job chain first) and LPF (the long
+	// single job first) disagree: the second policy misses.
+	split := workflow.NewBuilder("split").
+		Job("a", 4, 2, 10*time.Second, 10*time.Second).
+		Job("b", 4, 2, 10*time.Second, 10*time.Second, "a").
+		Job("c", 4, 2, 60*time.Second, 60*time.Second).
+		MustBuild(simtime.Epoch, simtime.Epoch.Add(30*time.Minute))
+	for _, pol := range []priority.Policy{priority.HLF{}, priority.LPF{}} {
+		if _, err := pl.Plan(split, testCluster, pol); err != nil {
+			t.Fatalf("Plan: %v", err)
+		}
+	}
+	if got := pl.Stats().CacheMisses.Value(); got != 4 {
+		t.Errorf("after another ordering of one shape: CacheMisses = %d, want 4", got)
 	}
 }
 
@@ -259,28 +277,45 @@ func TestPlanAllPropagatesError(t *testing.T) {
 	}
 }
 
-// TestPlannerConcurrentUse hammers one cached planner from many goroutines;
-// run with -race this checks the plan table's locking.
+// TestPlannerConcurrentUse hammers one cached planner with requests for
+// the corpus under all three policies from many goroutines, so name hits,
+// hits by ordering, waits on flights and generations interleave; run with
+// -race this checks the table's locking, and in any build every plan must be
+// the seed generator's under the request's policy.
 func TestPlannerConcurrentUse(t *testing.T) {
 	flows := corpus(t)[:24]
-	pl := New(Config{Workers: 4, CacheSize: 16, Obs: obs.New(obs.NewRegistry(), nil)})
-	pol := priority.HLF{}
-	done := make(chan error, 8)
+	pols := priority.All()
+	want := make([][][]byte, len(flows))
+	for i, w := range flows {
+		for _, pol := range pols {
+			p, err := plan.GenerateCappedTyped(w, testCluster, pol, DefaultMargin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = append(want[i], p.Encode())
+		}
+	}
+	pl := New(Config{Workers: 4, CacheSize: 32, Obs: obs.New(obs.NewRegistry(), nil)})
+	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
-			for i := 0; i < len(flows); i++ {
-				w := flows[(g+i)%len(flows)]
-				if _, err := pl.Plan(w, testCluster, pol); err != nil {
-					done <- err
+			for i := 0; i < 2*len(flows); i++ {
+				f, k := (g+i)%len(flows), (g+i/len(flows))%len(pols)
+				p, err := pl.Plan(flows[f], testCluster, pols[k])
+				if err == nil && !bytes.Equal(p.Encode(), want[f][k]) {
+					err = fmt.Errorf("%s/%s: plan differs from GenerateCappedTyped", flows[f].Name, pols[k].Name())
+				}
+				if err != nil {
+					errs <- err
 					return
 				}
 			}
-			done <- nil
+			errs <- nil
 		}(g)
 	}
 	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
-			t.Fatalf("concurrent Plan: %v", err)
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
 }
