@@ -169,14 +169,17 @@ examples-smoke:
 	done
 
 # Runs the built wohasim on fig7, instrumented, down each CLI path: plain,
-# -replicas 2, -live (time-compressed), -clusters 2, -admission feasible and
-# -postmortem. A non-zero exit fails the target, and so does a final scrape
-# without a woha_queue_inserts_total sample; -clusters 2 -live must be
-# refused. About 5 s, compile included, on a 2-core host.
+# -replicas 2, -live (time-compressed), -clusters 2, -admission feasible,
+# -postmortem, a per-core cached planner (-plan-workers 0 -plan-cache 64) and
+# the live front door (-live -admission feasible). A non-zero exit fails the
+# target, and so does a final scrape without a woha_queue_inserts_total
+# sample; -clusters 2 -live must be refused. About 5 s, compile included, on
+# a 2-core host.
 cli-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/wohasim" ./cmd/wohasim && \
-	for flags in "" "-replicas 2" "-live -time-scale 0.00005" "-clusters 2" "-admission feasible" "-postmortem $$tmp/pm.json"; do \
+	for flags in "" "-replicas 2" "-live -time-scale 0.00005" "-clusters 2" "-admission feasible" "-postmortem $$tmp/pm.json" \
+			"-plan-workers 0 -plan-cache 64" "-live -time-scale 0.00005 -admission feasible"; do \
 		echo "wohasim -workload fig7 -metrics-addr 127.0.0.1:0 $$flags"; \
 		"$$tmp/wohasim" -workload fig7 -metrics-addr 127.0.0.1:0 $$flags > "$$tmp/out" || { cat "$$tmp/out"; exit 1; }; \
 		grep -q '^woha_queue_inserts_total{' "$$tmp/out" || { echo "scrape lacks woha_queue_inserts_total"; exit 1; }; \

@@ -109,10 +109,7 @@ func writePostmortem(path string, out io.Writer) error {
 	ring := woha.NewEventRing(1 << 20)
 	ins := woha.NewInstrumentation(nil, ring)
 	ins.EnableHealth(woha.HealthConfig{})
-	pl := woha.NewPlanner(
-		woha.WithPlanCache(256),
-		woha.WithPlanMargin(experiments.PlanMargin),
-		woha.WithInstrumentation(ins))
+	pl := woha.NewPlanner(woha.PlannerConfig{CacheSize: 256, Margin: experiments.PlanMargin, Obs: ins})
 	cfg := woha.ClusterConfig{Nodes: 32, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1}
 	sched, err := experiments.SchedulerByName("WOHA-LPF")
 	if err != nil {

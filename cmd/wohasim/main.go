@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"time"
 
 	woha "repro"
@@ -205,12 +206,16 @@ type planOpts struct {
 // seeds, and live mode generates through it directly — so each distinct
 // (shape, caps, policy) key costs one simulation process-wide.
 func (po planOpts) shared(ins *woha.Instrumentation) *woha.Planner {
-	return woha.NewPlanner(
-		woha.WithPlannerWorkers(po.workers),
-		woha.WithPlanCache(po.cache),
-		woha.WithPlanMargin(experiments.PlanMargin),
-		woha.WithInstrumentation(ins),
-	)
+	workers := po.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return woha.NewPlanner(woha.PlannerConfig{
+		Workers:   workers,
+		CacheSize: po.cache,
+		Margin:    experiments.PlanMargin,
+		Obs:       ins,
+	})
 }
 
 // batch is one run's input, shared by the single-cluster, live and federated
@@ -369,10 +374,9 @@ func runLive(workloadName, schedName string, cfg woha.ClusterConfig, timeScale f
 		ReduceSlotsPerNode: cfg.ReduceSlotsPerNode,
 		HeartbeatInterval:  5 * time.Millisecond,
 		TimeScale:          timeScale,
-		Admission:          b.adm,
 	}
 	sess, err := woha.NewLiveSession(lc, woha.Scheduler(schedName), false,
-		woha.WithSeed(cfg.Seed), woha.WithInstrumentation(ins), woha.WithPlanner(pl))
+		woha.WithSeed(cfg.Seed), woha.WithInstrumentation(ins), woha.WithPlanner(pl), woha.WithAdmission(b.adm))
 	if err != nil {
 		return err
 	}

@@ -254,12 +254,19 @@ func PlansFactory(flows []*workflow.Workflow, cc cluster.Config, spec SchedulerS
 	}
 }
 
-// sweepPlanner returns pl or, when pl is nil, one uncached planner at
-// planner.DefaultMargin for a sweep's cells to share: same-key requests
-// still coalesce, and the plans are the ones a cached planner would serve.
+// sweepCacheSize is how many plans the planner a sweep builds for itself
+// keeps: room for every distinct (shape, caps, ordering) key of the Yahoo and
+// Fig 11 corpora at every cluster size, so no cell of one sweep plans a key
+// another has already planned.
+const sweepCacheSize = 4096
+
+// sweepPlanner returns pl or, when pl is nil, one caching planner at
+// planner.DefaultMargin for a sweep's cells to share: each distinct key is
+// simulated once per sweep, and the plans are the ones an uncached planner
+// would serve.
 func sweepPlanner(pl *planner.Planner) *planner.Planner {
 	if pl == nil {
-		return planner.New(planner.Config{})
+		return planner.New(planner.Config{CacheSize: sweepCacheSize})
 	}
 	return pl
 }

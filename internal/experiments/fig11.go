@@ -37,7 +37,7 @@ type Fig11Config struct {
 	// Planner serves every WOHA cell's plans, at its margin (see
 	// plan.GenerateCappedMargin). A cached one shares them with any other
 	// sweep using it — the Fig 7 templates recur across recurrences and
-	// experiments; nil gives the sweep one uncached planner at
+	// experiments; nil gives the sweep a caching planner of its own at
 	// planner.DefaultMargin.
 	Planner *planner.Planner
 	// Obs optionally instruments the sweep's runner (woha_runner_* metrics).

@@ -28,10 +28,10 @@ type Fig8Config struct {
 	// identical at any worker count (see internal/runner).
 	Workers int
 	// Planner serves every WOHA cell's plans, at its margin: each distinct
-	// (DAG shape, caps, policy) key is simulated once no matter how many
+	// (DAG shape, caps, job ordering) key is simulated once no matter how many
 	// cells or recurring template instances request it. Pass a cached one to
-	// share plans with other sweeps; nil gives the sweep one uncached
-	// planner at planner.DefaultMargin.
+	// share plans with other sweeps; nil gives the sweep a caching planner
+	// of its own at planner.DefaultMargin.
 	Planner *planner.Planner
 	// Obs optionally instruments the sweep's runner (woha_runner_* metrics).
 	Obs *obs.Obs

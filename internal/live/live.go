@@ -57,6 +57,8 @@ type Config struct {
 	// Obs attaches runtime observability to the JobTracker: heartbeat
 	// latency and assignment histograms, task-assignment and workflow
 	// lifecycle events. nil disables instrumentation (the default).
+	// woha.NewLiveSession sets it from WithInstrumentation and refuses a
+	// config that sets it itself.
 	Obs *obs.Obs
 	// Admission is the front door consulted when each workflow's release
 	// comes due, before the policy ever sees it. nil (the default) admits
@@ -64,7 +66,8 @@ type Config struct {
 	// (release time, submission index) order and on deferred retries at their
 	// retry instants, ahead of the releases due there and in the order they
 	// were deferred, so decisions match the simulator's under the
-	// controller's virtual-time anchoring.
+	// controller's virtual-time anchoring. woha.NewLiveSession sets it from
+	// WithAdmission and refuses a config that sets it itself.
 	Admission admission.Controller
 }
 

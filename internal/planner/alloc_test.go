@@ -11,14 +11,18 @@ import (
 // over the planner test corpus through a caching planner: the returned Plan
 // and its two slices, the shared header the cache and later requests get, the
 // table entry and its done channel, and the ranking's two slices — eight,
-// plus whatever the map and the pools grow by (8.3 measured; 9.1 to 10.0
+// plus whatever the map and the pools grow by (8.2 measured; 9.1 to 10.0
 // when the cache node and the flight entry were two allocations).
 // Not a Plan per probe (88.9 once), not a cached copy, and no per-call
 // dependents table or topological sort (26.0 before the compiled form).
+// It runs at one P: the plan kernels come from a per-P sync.Pool, and a
+// goroutine that moves to another P mid-loop misses its warm kernel, so at
+// several Ps the reading drifted from run to run (8.2 or 9.1).
 func TestColdPlanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime inflates allocation counts; pin holds in regular builds")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	flows := corpus(t)
 	pol := priority.HLF{}
 	// Warm the kernel pool and every lazily derived workflow cache.

@@ -28,21 +28,23 @@ type LiveSession struct {
 }
 
 // NewLiveSession creates a live session. Set UseTCP to route heartbeats over
-// a real TCP loopback connection via net/rpc. It takes the Session options:
-// WithAdmission sets the front door (an error if cfg.Admission is set too),
-// and the planner options shape Submit's plans as they do Session's.
-// WithObserver is refused; the live cluster reports through
+// a real TCP loopback connection via net/rpc. It takes the Session options,
+// which are the one source of the live tracker's front door (WithAdmission)
+// and instrumentation (WithInstrumentation): a cfg with Admission or Obs
+// already set is refused. WithPlanner shapes Submit's plans as it does
+// Session's. WithObserver is refused; the live cluster reports through
 // WithInstrumentation.
 func NewLiveSession(cfg LiveConfig, sched Scheduler, useTCP bool, opts ...SessionOption) (*LiveSession, error) {
 	o := applyOptions(opts)
 	if o.observer != nil {
 		return nil, fmt.Errorf("woha: NewLiveSession does not accept WithObserver; use WithInstrumentation")
 	}
-	if o.admission != nil {
-		if cfg.Admission != nil {
-			return nil, fmt.Errorf("woha: WithAdmission conflicts with LiveConfig.Admission; set one")
-		}
-		cfg.Admission = o.admission
+	if cfg.Admission != nil || cfg.Obs != nil {
+		return nil, fmt.Errorf("woha: NewLiveSession takes the front door from WithAdmission and instrumentation from WithInstrumentation; leave LiveConfig.Admission and LiveConfig.Obs unset")
+	}
+	spec, newPolicy, pl, err := o.resolve(sched.spec)
+	if err != nil {
+		return nil, err
 	}
 	s := &LiveSession{
 		cfg: ClusterConfig{
@@ -50,26 +52,12 @@ func NewLiveSession(cfg LiveConfig, sched Scheduler, useTCP bool, opts ...Sessio
 			MapSlotsPerNode:    cfg.MapSlotsPerNode,
 			ReduceSlotsPerNode: cfg.ReduceSlotsPerNode,
 		},
-		ins: o.obs,
+		spec:    spec,
+		planner: pl,
+		ins:     o.obs,
 	}
-	pol := o.policy
-	if pol == nil {
-		var err error
-		if s.spec, err = sched.spec(); err != nil {
-			return nil, err
-		}
-		pol = s.spec.New(o.seed, o.obs)
-	}
-	if s.spec.IsWOHA() {
-		var err error
-		if s.planner, err = o.resolvePlanner(); err != nil {
-			return nil, err
-		}
-	}
-	pol = cluster.InstrumentPolicy(pol, o.obs)
-	// The JobTracker reads its instrumentation from the config.
-	cfg.Obs = o.obs
-	var err error
+	pol := cluster.InstrumentPolicy(newPolicy(o.seed), o.obs)
+	cfg.Admission, cfg.Obs = o.admission, o.obs
 	if useTCP {
 		s.cluster, err = live.NewTCP(cfg, pol)
 	} else {

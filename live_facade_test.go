@@ -128,10 +128,9 @@ func TestLiveSessionHonoursAdmission(t *testing.T) {
 
 // TestLiveSessionSharedPlanner: Submit plans through the session planner, so
 // WithPlanner's shared service serves a live session — its cache holds one
-// plan after two sessions submit the same workflow — and a conflicting
-// WithPlanMargin is refused as Session refuses it.
+// plan after two sessions submit the same workflow.
 func TestLiveSessionSharedPlanner(t *testing.T) {
-	pl := woha.NewPlanner(woha.WithPlanCache(8))
+	pl := woha.NewPlanner(woha.PlannerConfig{CacheSize: 8})
 	for i := 0; i < 2; i++ {
 		sess, err := woha.NewLiveSession(liveCfg(), woha.SchedulerWOHALPF, false, woha.WithPlanner(pl))
 		if err != nil {
@@ -144,21 +143,24 @@ func TestLiveSessionSharedPlanner(t *testing.T) {
 			t.Errorf("session %d: shared planner caches %d plans, want 1", i, got)
 		}
 	}
-	_, err := woha.NewLiveSession(liveCfg(), woha.SchedulerWOHALPF, false, woha.WithPlanner(pl), woha.WithPlanMargin(0.5))
-	if err == nil || !strings.Contains(err.Error(), "margin") {
-		t.Errorf("conflicting margin: err = %v, want a margin conflict", err)
-	}
 }
 
-// TestLiveSessionRefusesUnusableOptions: a front door set twice, or an
-// observer the live cluster has no way to feed, is an error rather than an
-// option silently dropped.
+// TestLiveSessionRefusesUnusableOptions: a front door or instrumentation set
+// on the LiveConfig instead of through its option, or an observer the live
+// cluster has no way to feed, is an error rather than a setting silently
+// dropped.
 func TestLiveSessionRefusesUnusableOptions(t *testing.T) {
 	cfg := liveCfg()
 	cfg.Admission = woha.AlwaysAdmit(nil)
-	_, err := woha.NewLiveSession(cfg, woha.SchedulerFIFO, false, woha.WithAdmission(woha.AlwaysAdmit(nil)))
+	_, err := woha.NewLiveSession(cfg, woha.SchedulerFIFO, false)
 	if err == nil || !strings.Contains(err.Error(), "WithAdmission") {
-		t.Errorf("admission set twice: err = %v, want a WithAdmission conflict", err)
+		t.Errorf("LiveConfig.Admission: err = %v, want it refused naming WithAdmission", err)
+	}
+	cfg = liveCfg()
+	cfg.Obs = woha.NewInstrumentation(woha.NewMetrics(), nil)
+	_, err = woha.NewLiveSession(cfg, woha.SchedulerFIFO, false)
+	if err == nil || !strings.Contains(err.Error(), "WithInstrumentation") {
+		t.Errorf("LiveConfig.Obs: err = %v, want it refused naming WithInstrumentation", err)
 	}
 	_, err = woha.NewLiveSession(liveCfg(), woha.SchedulerFIFO, false, woha.WithObserver(woha.NewTimeline()))
 	if err == nil || !strings.Contains(err.Error(), "WithObserver") {

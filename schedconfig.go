@@ -105,11 +105,19 @@ func (c *SchedulerConfig) resolve() (experiments.SchedulerSpec, error) {
 }
 
 // NewSessionFromConfig builds a session for a cluster using the parsed
-// workflow-scheduler.xml configuration.
+// workflow-scheduler.xml configuration. Its plans come from a planner at the
+// config's plan-margin: a private one, or WithPlanner's, which must target
+// that margin.
 func NewSessionFromConfig(cluster ClusterConfig, sc *SchedulerConfig, opts ...SessionOption) (*Session, error) {
-	spec, err := sc.resolve()
-	if err != nil {
-		return nil, err
+	o := applyOptions(opts)
+	margin := sc.PlanMargin
+	if margin == 0 {
+		margin = planner.DefaultMargin
 	}
-	return newSession(cluster, spec, applyOptions(append([]SessionOption{WithPlanMargin(sc.PlanMargin)}, opts...)))
+	if o.planner == nil {
+		o.planner = planner.New(planner.Config{Margin: margin, Obs: o.obs})
+	} else if o.planner.Margin() != margin {
+		return nil, fmt.Errorf("woha: WithPlanner's margin %v differs from the config's plan-margin %v", o.planner.Margin(), margin)
+	}
+	return newSession(cluster, sc.resolve, o)
 }

@@ -7,6 +7,8 @@ import (
 
 	woha "repro"
 	"repro/internal/experiments"
+	"repro/internal/plan"
+	"repro/internal/priority"
 )
 
 func parseSC(t *testing.T, doc string) *woha.SchedulerConfig {
@@ -78,6 +80,69 @@ func TestSessionFromConfigRunsWOHA(t *testing.T) {
 	}
 	if !res.Workflows[0].Met {
 		t.Error("missed a generous deadline")
+	}
+}
+
+// planCapture records the plan each workflow runs under, read off its first
+// started task.
+type planCapture map[string]*woha.Plan
+
+func (c planCapture) TaskStarted(_ woha.Time, wf *woha.WorkflowState, _ woha.JobID, _ woha.SlotType, _ time.Duration) {
+	if _, ok := c[wf.Spec.Name]; !ok {
+		c[wf.Spec.Name] = wf.Plan
+	}
+}
+
+func (planCapture) TaskFinished(woha.Time, *woha.WorkflowState, woha.JobID, woha.SlotType) {}
+
+// TestSessionFromConfigPlansAtItsMargin: the config's <plan-margin> reaches
+// the plans. A session built from a document with margin 0.9 runs each
+// workflow under the plan plan.GenerateCappedTyped builds at 0.9, byte for
+// byte, and the workflow is one whose 0.85 plan differs, so the margin is
+// what the comparison sees. A WithPlanner planner must target that margin.
+func TestSessionFromConfigPlansAtItsMargin(t *testing.T) {
+	sc := parseSC(t, `
+<workflow-scheduler>
+  <scheduler>WOHA</scheduler>
+  <plan-generator>HLF</plan-generator>
+  <plan-margin>0.9</plan-margin>
+</workflow-scheduler>`)
+	cfg := woha.ClusterConfig{Nodes: 4, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1}
+	caps := plan.Caps{Maps: cfg.MapSlots(), Reduces: cfg.ReduceSlots()}
+	w := etl(t, "w", 20*time.Minute)
+	want, err := plan.GenerateCappedTyped(w, caps, priority.HLF{}, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dflt, err := plan.GenerateCappedTyped(w, caps, priority.HLF{}, 0.85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(dflt.Encode()) == string(want.Encode()) {
+		t.Fatal("the workflow plans alike at 0.85 and 0.9; pick one the margin changes")
+	}
+
+	got := planCapture{}
+	sess, err := woha.NewSessionFromConfig(cfg, sc, woha.WithObserver(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Submit(w); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got["w"] == nil || string(got["w"].Encode()) != string(want.Encode()) {
+		t.Errorf("session ran plan %+v, want the margin-0.9 plan %+v", got["w"], want)
+	}
+
+	if _, err := woha.NewSessionFromConfig(cfg, sc, woha.WithPlanner(woha.NewPlanner(woha.PlannerConfig{Margin: 0.9}))); err != nil {
+		t.Errorf("planner at the config's margin refused: %v", err)
+	}
+	_, err = woha.NewSessionFromConfig(cfg, sc, woha.WithPlanner(woha.NewPlanner(woha.PlannerConfig{})))
+	if err == nil || !strings.Contains(err.Error(), "plan-margin") {
+		t.Errorf("planner at 0.85 under plan-margin 0.9: err = %v, want the margin mismatch refused", err)
 	}
 }
 

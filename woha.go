@@ -3,7 +3,6 @@ package woha
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"repro/internal/admission"
@@ -202,13 +201,6 @@ func GeneratePlan(w *Workflow, clusterSlots int, pol PriorityPolicy) (*Plan, err
 	return plan.GenerateCapped(w, clusterSlots, pol)
 }
 
-// GeneratePlanTyped is GeneratePlan with separate map and reduce slot
-// budgets and a safety margin in (0, 1]; it is what the paper-reproduction
-// experiments use (margin 0.85).
-func GeneratePlanTyped(w *Workflow, mapSlots, reduceSlots int, pol PriorityPolicy, margin float64) (*Plan, error) {
-	return plan.GenerateCappedTyped(w, plan.Caps{Maps: mapSlots, Reduces: reduceSlots}, pol, margin)
-}
-
 // Scheduler identifies one of the built-in workflow schedulers.
 type Scheduler string
 
@@ -248,50 +240,17 @@ func (s Scheduler) spec() (experiments.SchedulerSpec, error) {
 type SessionOption func(*sessionOptions)
 
 type sessionOptions struct {
-	seed        int64
-	margin      float64
-	marginSet   bool
-	observer    Observer
-	policy      Policy
-	obs         *obs.Obs
-	planWorkers int
-	planCache   int
-	planner     *Planner
-	admission   AdmissionController
+	seed      int64
+	observer  Observer
+	policy    Policy
+	obs       *obs.Obs
+	planner   *Planner
+	admission AdmissionController
 }
 
 // WithSeed sets the seed for the scheduler's internal PRNG.
 func WithSeed(seed int64) SessionOption {
 	return func(o *sessionOptions) { o.seed = seed }
-}
-
-// WithPlanMargin sets the safety margin used when Submit generates plans
-// (default 0.85; see plan.GenerateCappedMargin).
-func WithPlanMargin(margin float64) SessionOption {
-	return func(o *sessionOptions) { o.margin = margin; o.marginSet = true }
-}
-
-// WithPlannerWorkers sets how many workflows a batch plans at once
-// (SubmitAll, RunSeeds). n <= 0 selects one worker per core; the default is
-// 1 (one at a time, the seed behaviour). Submit plans one workflow, so the
-// count does not change it. Any worker count produces byte-identical plans —
-// see internal/planner.
-func WithPlannerWorkers(n int) SessionOption {
-	return func(o *sessionOptions) {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		o.planWorkers = n
-	}
-}
-
-// WithPlanCache enables the structural plan cache with room for n plans
-// (n <= 0 disables, the default). Workflows sharing a DAG shape, task
-// statistics, policy, and relative deadline — recurring instances,
-// template-stamped copies — are served one simulated plan; see
-// internal/planner.
-func WithPlanCache(n int) SessionOption {
-	return func(o *sessionOptions) { o.planCache = n }
 }
 
 // Planner is the standalone plan-generation service: a structural plan cache
@@ -303,21 +262,25 @@ func WithPlanCache(n int) SessionOption {
 // read-only plan: it must not be written (Plan.Clone gives a private copy).
 type Planner = planner.Planner
 
-// NewPlanner builds a shareable plan service from the plan-shaping session
-// options: WithPlannerWorkers, WithPlanCache, WithPlanMargin, and
-// WithInstrumentation (which exposes the woha_planner_* metrics). Other
-// options are ignored. Pass the result to sessions via WithPlanner.
-func NewPlanner(opts ...SessionOption) *Planner {
-	o := applyOptions(opts)
-	return o.newPlanner()
-}
+// PlannerConfig shapes NewPlanner: how many workflows a batch (SubmitAll,
+// RunSeeds) plans at once (<= 1 means one at a time; pass
+// runtime.GOMAXPROCS(0) for one per core), the structural plan cache's
+// capacity (<= 0 disables it), the safety margin (zero selects 0.85), and
+// the Instrumentation that receives the woha_planner_* metrics. Any worker
+// count and cache size produce byte-identical plans.
+type PlannerConfig = planner.Config
 
-// WithPlanner makes the session (or RunSeeds sweep) generate plans through a
-// shared Planner instead of a private one, so its cache and coalescing span
-// every client of that Planner. The session adopts the planner's margin;
-// combining this with a conflicting WithPlanMargin is an error. Per-planner
-// knobs (WithPlannerWorkers, WithPlanCache) are ignored when a shared
-// planner is supplied.
+// NewPlanner builds a shareable plan service; pass it to sessions and
+// RunSeeds sweeps via WithPlanner. The planner is the one place plan
+// settings live.
+func NewPlanner(cfg PlannerConfig) *Planner { return planner.New(cfg) }
+
+// WithPlanner makes the session (or RunSeeds sweep) generate plans through
+// pl, so its cache and coalescing span every client of that Planner, at its
+// margin. Without it a WOHA session plans through a private planner with the
+// zero PlannerConfig and the session's instrumentation: one workflow at a
+// time, uncached, at margin 0.85 (NewSessionFromConfig's at its
+// plan-margin).
 func WithPlanner(pl *Planner) SessionOption {
 	return func(o *sessionOptions) { o.planner = pl }
 }
@@ -410,11 +373,34 @@ func ServeIntrospection(addr string, ins *Instrumentation) (*IntrospectionServer
 
 // applyOptions folds opts over the session defaults.
 func applyOptions(opts []SessionOption) sessionOptions {
-	o := sessionOptions{margin: planner.DefaultMargin}
+	var o sessionOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
 	return o
+}
+
+// resolve is the one way a session's scheduler becomes what it runs:
+// lookup finds the scheduler's entry in the one scheduler table
+// (experiments.SchedulerSpec), newPolicy builds its policy for a seed, and
+// under WOHA pl is the planner its plans come from — WithPlanner's, or a
+// private one with the zero PlannerConfig and the session's instrumentation.
+// A WithPolicy policy runs in the scheduler's place and brings its own
+// submission pipeline, so then the table is not consulted, spec is zero and
+// nothing is planned.
+func (o *sessionOptions) resolve(lookup func() (experiments.SchedulerSpec, error)) (spec experiments.SchedulerSpec, newPolicy func(seed int64) Policy, pl *Planner, err error) {
+	if o.policy != nil {
+		return spec, func(int64) Policy { return o.policy }, nil, nil
+	}
+	if spec, err = lookup(); err != nil {
+		return spec, nil, nil, err
+	}
+	if spec.IsWOHA() {
+		if pl = o.planner; pl == nil {
+			pl = planner.New(planner.Config{Obs: o.obs})
+		}
+	}
+	return spec, func(seed int64) Policy { return spec.New(seed, o.obs) }, pl, nil
 }
 
 // Session wires a simulated cluster to a scheduler and accepts workflow
@@ -434,64 +420,23 @@ type Session struct {
 // NewSession creates a session on a cluster configured by cfg under the
 // named scheduler.
 func NewSession(cfg ClusterConfig, sched Scheduler, opts ...SessionOption) (*Session, error) {
-	o := applyOptions(opts)
-	var spec experiments.SchedulerSpec
-	if o.policy == nil {
-		var err error
-		if spec, err = sched.spec(); err != nil {
-			return nil, err
-		}
-	}
-	return newSession(cfg, spec, o)
+	return newSession(cfg, sched.spec, applyOptions(opts))
 }
 
-// newSession builds a session running spec, or the WithPolicy policy in its
-// place: a custom policy brings its own submission pipeline, so the session
-// then makes no plans.
-func newSession(cfg ClusterConfig, spec experiments.SchedulerSpec, o sessionOptions) (*Session, error) {
-	pol := o.policy
-	if pol == nil {
-		pol = spec.New(o.seed, o.obs)
-	} else {
-		spec = experiments.SchedulerSpec{}
+// newSession builds a session running the scheduler lookup finds (see
+// resolve).
+func newSession(cfg ClusterConfig, lookup func() (experiments.SchedulerSpec, error), o sessionOptions) (*Session, error) {
+	spec, newPolicy, pl, err := o.resolve(lookup)
+	if err != nil {
+		return nil, err
 	}
-	sim, err := cluster.New(cfg, cluster.InstrumentPolicy(pol, o.obs), o.observer)
+	sim, err := cluster.New(cfg, cluster.InstrumentPolicy(newPolicy(o.seed), o.obs), o.observer)
 	if err != nil {
 		return nil, fmt.Errorf("woha: %w", err)
 	}
 	sim.SetInstrumentation(o.obs)
 	sim.SetAdmission(o.admission)
-	s := &Session{cfg: cfg, spec: spec, sim: sim, opts: o}
-	if spec.IsWOHA() {
-		if s.planner, err = o.resolvePlanner(); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// resolvePlanner returns the plan service the options select: the shared one
-// passed via WithPlanner (whose margin the session adopts, rejecting a
-// conflicting explicit WithPlanMargin) or a private planner built from the
-// plan-shaping knobs.
-func (o *sessionOptions) resolvePlanner() (*Planner, error) {
-	if o.planner != nil {
-		if o.marginSet && o.planner.Margin() != o.margin {
-			return nil, fmt.Errorf("woha: shared planner margin %v conflicts with WithPlanMargin %v", o.planner.Margin(), o.margin)
-		}
-		return o.planner, nil
-	}
-	return o.newPlanner(), nil
-}
-
-// newPlanner builds a private plan service from the plan-shaping knobs.
-func (o *sessionOptions) newPlanner() *Planner {
-	return planner.New(planner.Config{
-		Workers:   o.planWorkers,
-		CacheSize: o.planCache,
-		Margin:    o.margin,
-		Obs:       o.obs,
-	})
+	return &Session{cfg: cfg, spec: spec, sim: sim, opts: o, planner: pl}, nil
 }
 
 // Submit queues a workflow. Under a WOHA scheduler the session generates the
@@ -501,8 +446,8 @@ func (s *Session) Submit(w *Workflow) error { return s.SubmitAll([]*Workflow{w})
 
 // SubmitAll queues a batch of workflows in order. Under a WOHA scheduler the
 // batch's plans are generated through the session planner — concurrently
-// across workflows when WithPlannerWorkers allows — before any submission,
-// so a failed plan leaves the session untouched.
+// across workflows when its PlannerConfig.Workers allows — before any
+// submission, so a failed plan leaves the session untouched.
 func (s *Session) SubmitAll(flows []*Workflow) error {
 	plans, err := s.spec.Plans(s.planner, flows, plan.Caps{Maps: s.cfg.MapSlots(), Reduces: s.cfg.ReduceSlots()}, s.opts.obs)
 	if err != nil {
@@ -559,11 +504,11 @@ func (s *Session) Run() (*Result, error) {
 // are identical at any worker count (see internal/runner).
 //
 // Plans do not depend on the seed, so under a WOHA scheduler they are
-// generated once — honoring WithPlanMargin, WithPlannerWorkers, WithPlanCache,
-// and WithPlanner (a shared plan service whose cache spans other sweeps and
-// sessions) — and shared read-only across replicas. WithObserver and
-// WithPolicy are per-run state and are rejected here; use WithInstrumentation
-// to collect woha_runner_* metrics for the sweep.
+// generated once — through WithPlanner's planner (a shared plan service
+// whose cache spans other sweeps and sessions), or a private uncached one —
+// and shared read-only across replicas. WithObserver and WithPolicy are
+// per-run state and are rejected here; use WithInstrumentation to collect
+// woha_runner_* metrics for the sweep.
 func RunSeeds(cfg ClusterConfig, sched Scheduler, flows []*Workflow, seeds []int64, workers int, opts ...SessionOption) ([]*Result, error) {
 	o := applyOptions(opts)
 	if o.observer != nil || o.policy != nil {
@@ -572,21 +517,13 @@ func RunSeeds(cfg ClusterConfig, sched Scheduler, flows []*Workflow, seeds []int
 	if o.admission != nil {
 		return nil, fmt.Errorf("woha: RunSeeds does not accept WithAdmission; controllers are stateful per-run")
 	}
-	spec, err := sched.spec()
+	spec, newPolicy, pl, err := o.resolve(sched.spec)
 	if err != nil {
 		return nil, err
 	}
-
-	var plans []*Plan
-	if spec.IsWOHA() {
-		pl, err := o.resolvePlanner()
-		if err != nil {
-			return nil, err
-		}
-		plans, err = spec.Plans(pl, flows, plan.Caps{Maps: cfg.MapSlots(), Reduces: cfg.ReduceSlots()}, o.obs)
-		if err != nil {
-			return nil, fmt.Errorf("woha: %w", err)
-		}
+	plans, err := spec.Plans(pl, flows, plan.Caps{Maps: cfg.MapSlots(), Reduces: cfg.ReduceSlots()}, o.obs)
+	if err != nil {
+		return nil, fmt.Errorf("woha: %w", err)
 	}
 
 	cells := make([]runner.Cell, len(seeds))
@@ -596,7 +533,7 @@ func RunSeeds(cfg ClusterConfig, sched Scheduler, flows []*Workflow, seeds []int
 		cells[i] = runner.Cell{
 			Name:   fmt.Sprintf("%s/seed=%d", sched, seed),
 			Config: cc,
-			Policy: func() cluster.Policy { return spec.New(seed, o.obs) },
+			Policy: func() cluster.Policy { return newPolicy(seed) },
 			Flows:  flows,
 		}
 		if plans != nil {

@@ -82,13 +82,6 @@ func TestGeneratePlan(t *testing.T) {
 	if p.TotalTasks != w.TotalTasks() || len(p.Reqs) == 0 {
 		t.Errorf("plan = %+v", p)
 	}
-	tp, err := woha.GeneratePlanTyped(w, 20, 10, woha.HLF, 0.85)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tp.TotalTasks != w.TotalTasks() {
-		t.Errorf("typed plan = %+v", tp)
-	}
 }
 
 func TestXMLRoundTripThroughFacade(t *testing.T) {
